@@ -23,14 +23,10 @@ Commands:
                   group: intra-stencil verdicts, which grids forced
                   each barrier, the legality-checked schedule the
                   backend executes, and the backend artifact identity
-* ``bench``     — time the paper's three operators per backend and
-                  attribute each rate against the machine roofline;
-                  writes the ``BENCH_kernels.json`` artifact
 * ``tune``      — cost-model-guided schedule search (beam/annealing)
                   over one paper operator; prints the trial table and
                   persists the winner to the tuning cache so later
                   ``schedule_for`` calls reload it transparently
-* ``figures``   — alias for ``python -m repro.figures ...``
 """
 
 from __future__ import annotations
@@ -349,78 +345,6 @@ def cmd_explain(args) -> int:
         if dmem_text is not None:
             print()
             print(dmem_text)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    """Roofline-attributed benchmark of the paper's three operators."""
-    import json
-    from pathlib import Path
-
-    from .bench import (
-        check_regression,
-        check_sweep_model,
-        run_bench,
-        write_bench_kernels,
-    )
-
-    backends = tuple(b for b in args.backends.split(",") if b)
-    time_tiles = tuple(
-        int(k) for k in (args.sweep or "").split(",") if k
-    )
-    doc = run_bench(
-        n=int(args.size), backends=backends, spec=args.spec,
-        calls=int(args.calls), time_tiles=time_tiles,
-    )
-    spec = doc["spec"]
-    print(f"machine: {spec['name']} "
-          f"({spec['stream_bw'] / 1e9:.1f} GB/s STREAM)")
-    for op, rec in doc["operators"].items():
-        cost = rec["cost"]
-        opt = rec["opt_report"]
-        print(f"{op}: {rec['bytes_per_point']:.0f} B/point, "
-              f"{cost['flops_per_point']} flops/point, "
-              f"AI {cost['arithmetic_intensity']:.3f}, "
-              f"roofline {rec['roofline_points_per_s']:.3e} points/s")
-        print(f"  kernel opt: nodes {opt['nodes_before']}->"
-              f"{opt['nodes_after']}, {opt['reads_deduped']} reads deduped, "
-              f"{opt['bindings_hoisted']} hoisted, "
-              f"{opt['fma_grouped']} fma grouped")
-        for b, t in rec["backends"].items():
-            if "error" in t:
-                print(f"  {b:8s} ERROR: {t['error']}")
-            else:
-                print(f"  {b:8s} {t['points_per_s']:.3e} points/s "
-                      f"= {t['roofline_fraction'] * 100:5.1f}% of roofline")
-        for b, per_k in rec.get("sweep", {}).items():
-            for k, t in per_k.items():
-                tag = f"{b}[tt={k}]"
-                model = t.get("model", {})
-                pred = model.get("traffic_reduction")
-                pred_s = f", predicted x{pred:.2f} traffic" if pred else ""
-                if "error" in t:
-                    print(f"  {tag:12s} ERROR: {t['error']}")
-                else:
-                    speed = t.get("speedup")
-                    speed_s = f" (x{speed:.2f} vs untiled)" if speed else ""
-                    print(f"  {tag:12s} {t['points_per_s']:.3e} "
-                          f"points/s per application{speed_s}{pred_s}")
-    if args.out:
-        print(f"wrote {write_bench_kernels(doc, args.out)}")
-    if args.check:
-        baseline = json.loads(Path(args.check).read_text())
-        problems = check_regression(doc, baseline, float(args.tolerance))
-        # The analytic swept-cost predictions are deterministic on the
-        # paper specs, so --check also demands they reproduce bit-exact.
-        problems += [
-            f"sweep model: {p}" for p in check_sweep_model(baseline)
-        ]
-        if problems:
-            for p in problems:
-                print(f"REGRESSION: {p}")
-            return 1
-        print(f"regression check vs {args.check}: PASS "
-              f"(tolerance {float(args.tolerance) * 100:.0f}%)")
     return 0
 
 
@@ -774,49 +698,6 @@ def main(argv=None) -> int:
         "--json", action="store_true",
         help="emit the provenance as JSON instead of the report",
     )
-    be = sub.add_parser(
-        "bench",
-        help="roofline-attributed benchmark of the paper operators",
-    )
-    be.add_argument(
-        "--spec", default="paper-cpu",
-        help="machine model: host, paper-cpu, paper-gpu "
-        "(default: paper-cpu)",
-    )
-    be.add_argument(
-        "--backends", default=",".join(
-            ("c", "openmp", "numpy")
-        ),
-        help="comma-separated backends to time (default: c,openmp,numpy)",
-    )
-    be.add_argument(
-        "--size", type=int, default=32,
-        help="interior cubic grid edge length (default: 32)",
-    )
-    be.add_argument(
-        "--calls", type=int, default=3,
-        help="timed applications per backend, best-of (default: 3)",
-    )
-    be.add_argument(
-        "--out", metavar="PATH", default="BENCH_kernels.json",
-        help="artifact to write (default: BENCH_kernels.json); "
-        "empty string skips writing",
-    )
-    be.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="compare against a baseline BENCH_kernels.json and exit "
-        "nonzero on regression",
-    )
-    be.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="fractional slowdown tolerated by --check (default: 0.25)",
-    )
-    be.add_argument(
-        "--sweep", metavar="K1,K2,...", default="",
-        help="also time each operator with time_tile=K (comma-separated "
-        "tile depths, each >= 2) and record per-application throughput, "
-        "speedup and the swept-cost prediction",
-    )
     tu = sub.add_parser(
         "tune",
         help="cost-model-guided schedule search; persists the winner",
@@ -867,8 +748,6 @@ def main(argv=None) -> int:
         "--no-persist", action="store_true",
         help="do not write the winner to the tuning cache",
     )
-    fig = sub.add_parser("figures", help="regenerate paper figures")
-    fig.add_argument("rest", nargs=argparse.REMAINDER)
     args = ap.parse_args(argv)
 
     if args.command == "info":
@@ -888,15 +767,8 @@ def main(argv=None) -> int:
         return cmd_trace(args)
     if args.command == "explain":
         return cmd_explain(args)
-    if args.command == "bench":
-        return cmd_bench(args)
     if args.command == "tune":
         return cmd_tune(args)
-    if args.command == "figures":
-        from .figures.__main__ import main as fig_main
-
-        fig_main(args.rest)
-        return 0
     raise AssertionError(args.command)
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from .. import telemetry
 from ..core.stencil import StencilGroup
 from ..schedule import Schedule, ScheduleOptions, as_schedule, pop_schedule_spec
-from ..schedule import fusion_chains as _schedule_fusion_chains
 from .base import Backend, register_backend
 from .codegen_c import (
     C_PREAMBLE,
@@ -38,21 +37,7 @@ __all__ = [
     "CBackend",
     "generate_c_source",
     "make_ffi_wrapper",
-    "fusion_chains",
 ]
-
-
-def fusion_chains(
-    group: StencilGroup, shapes: Mapping[str, tuple[int, ...]]
-) -> list[list[int]]:
-    """Maximal runs of program-adjacent stencils legal to fuse.
-
-    Deprecated shim: the single implementation now lives in
-    :func:`repro.schedule.fusion_chains` (program-order mode).  Kept so
-    existing callers and tests keep working.
-    """
-    norm = {g: tuple(int(x) for x in shapes[g]) for g in shapes}
-    return _schedule_fusion_chains(group, norm)
 
 
 def generate_c_source(

@@ -38,7 +38,6 @@ import numpy as np
 
 from ..analysis.dependence import is_parallel_safe
 from ..core.domains import ResolvedRect
-from ..core.flatten import FlatTerm
 from ..core.stencil import Stencil, StencilGroup
 from ..core.validate import iteration_shape
 from ..kernel.ir import (
@@ -199,39 +198,6 @@ class CodegenContext:
         if const != 0 or not parts:
             parts.append(str(const))
         return " + ".join(parts)
-
-    def term_expr(
-        self,
-        term: FlatTerm,
-        loopvars: Sequence[str],
-        source_name: Callable[[str], str],
-    ) -> str:
-        """Legacy term-by-term emission (superseded by the kernel IR;
-        kept for comparison tooling and tests of the raw order)."""
-        factors = [_lit(term.coeff, self.ctype)]
-        for p in term.params:
-            factors.append(self.param_cname[p])
-        expr = " * ".join(factors)
-        for p in term.denom_params:
-            expr += f" / {self.param_cname[p]}"
-        for read in term.reads:
-            idx = self.index_expr(read.grid, read.scale, read.offset, loopvars)
-            expr += f" * {source_name(read.grid)}[{idx}]"
-        return expr
-
-    def body_expr(
-        self,
-        stencil: Stencil,
-        loopvars: Sequence[str],
-        source_name: Callable[[str], str],
-    ) -> str:
-        """Legacy whole-body emission (see :meth:`term_expr`)."""
-        terms = stencil.flat.terms
-        if not terms:
-            return _lit(0.0, self.ctype)
-        return "\n        + ".join(
-            self.term_expr(t, loopvars, source_name) for t in terms
-        )
 
     # -- kernel IR rendering -------------------------------------------------
 

@@ -1,36 +1,15 @@
-"""Roofline-attributed kernel benchmark (paper SectionV-B).
+"""The paper's three measured operators (SectionV-B) and their cost check.
 
-Times the paper's three measured operators — the constant-coefficient
-7-point Laplacian (``cc_7pt``, 24 bytes/point), the constant-coefficient
-weighted-Jacobi smoother (``cc_jacobi``, 40 bytes/point) and the
-variable-coefficient GSRB half-sweep (``vc_gsrb``, 64 bytes/point) — on
-each requested backend, and attributes every achieved rate as a fraction
-of the machine's Roofline bound
-
-    roofline points/s = effective_bandwidth(working_set) / bytes_per_point
-
-so a number like ``0.6`` means "60% of the memory-bandwidth speed of
-light", which is comparable across machines in a way raw points/s never
-is.  Results are written as the schema-tagged ``BENCH_kernels.json``
-artifact the CI bench job diffs against its committed baseline
-(:func:`check_regression`).
-
-Run with ``python -m repro bench``; pick the machine model with
-``--spec host|paper-cpu|paper-gpu`` (the paper specs cost nothing,
-``host`` measures STREAM bandwidth first).
+The constant-coefficient 7-point Laplacian (``cc_7pt``, 24 bytes/point),
+the constant-coefficient weighted-Jacobi smoother (``cc_jacobi``, 40
+bytes/point) and the variable-coefficient GSRB half-sweep (``vc_gsrb``,
+64 bytes/point).  The repo's benchmark (``bench/``, declared in
+``BENCHMARK.json``) times them; this module only builds them.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-from typing import Mapping, Sequence
-
-import numpy as np
-
 from .core.stencil import Stencil
-from .core.validate import iteration_shape
 from .hpgmg.operators import (
     cc_laplacian,
     gsrb_stencils,
@@ -38,31 +17,10 @@ from .hpgmg.operators import (
     jacobi_stencil,
     vc_laplacian,
 )
-from .kernel import body_for, kernel_cost, swept_cost
-from .machine.roofline import (
-    PAPER_BYTES_PER_STENCIL,
-    roofline_stencils_per_s,
-)
-from .machine.specs import PAPER_PLATFORMS, MachineSpec, host_spec
-from .telemetry import tracing
+from .kernel import kernel_cost
+from .machine.roofline import PAPER_BYTES_PER_STENCIL
 
-__all__ = [
-    "BENCH_KERNELS_SCHEMA",
-    "DEFAULT_BACKENDS",
-    "paper_operators",
-    "operator_cost",
-    "resolve_spec",
-    "run_bench",
-    "write_bench_kernels",
-    "check_regression",
-    "check_sweep_model",
-]
-
-#: schema tag stamped into BENCH_kernels.json
-BENCH_KERNELS_SCHEMA = "snowflake-bench-kernels/1"
-
-#: backends timed when the caller does not choose
-DEFAULT_BACKENDS = ("c", "openmp", "numpy")
+__all__ = ["paper_operators", "operator_cost"]
 
 
 def paper_operators(n: int = 32) -> dict[str, Stencil]:
@@ -71,7 +29,7 @@ def paper_operators(n: int = 32) -> dict[str, Stencil]:
     Each is constructed so the analytic cost model
     (:func:`repro.kernel.kernel_cost`) reports exactly the paper
     constant (24 / 40 / 64 bytes/point) — :func:`operator_cost` asserts
-    that cross-check every time the bench runs.
+    that cross-check.
     """
     h = 1.0 / n
     cc7 = Stencil(cc_laplacian(3, h), "out", interior(3), name="cc_7pt")
@@ -83,11 +41,11 @@ def paper_operators(n: int = 32) -> dict[str, Stencil]:
 
 
 def operator_cost(op_name: str, stencil: Stencil):
-    """Cost one bench operator, cross-checking the paper constant.
+    """Cost one paper operator, cross-checking the paper constant.
 
-    The quoted 24/40/64 bytes/point are no longer hand-coded into the
-    roofline denominator — they survive only as *assertions* that the
-    analytic model reproduces them exactly.
+    The quoted 24/40/64 bytes/point are not hand-coded into any roofline
+    denominator — they survive only as *assertions* that the analytic
+    model reproduces them exactly.
     """
     cost = kernel_cost(stencil)
     paper = PAPER_BYTES_PER_STENCIL.get(op_name)
@@ -97,320 +55,3 @@ def operator_cost(op_name: str, stencil: Stencil):
             f"{cost.bytes_per_point} bytes/point, paper says {paper}"
         )
     return cost
-
-
-def resolve_spec(name: str = "host") -> MachineSpec:
-    """Map a CLI spec name to a :class:`MachineSpec`.
-
-    ``host`` measures STREAM bandwidth on first use; ``paper-cpu`` /
-    ``paper-gpu`` are the paper's testbed records and cost nothing —
-    tests and CI use them for determinism.
-    """
-    if name == "host":
-        return host_spec(measure=True)
-    if name in ("paper-cpu", "cpu"):
-        return PAPER_PLATFORMS["cpu"]
-    if name in ("paper-gpu", "gpu"):
-        return PAPER_PLATFORMS["gpu"]
-    raise ValueError(
-        f"unknown spec {name!r}; choose host, paper-cpu or paper-gpu"
-    )
-
-
-def _points(stencil: Stencil, shapes: Mapping[str, tuple[int, ...]]) -> int:
-    it_shape = iteration_shape(stencil, shapes)
-    return sum(
-        r.npoints
-        for r in stencil.domain.resolve(it_shape)
-        if not r.is_empty()
-    )
-
-
-def _time_backend(
-    stencil: Stencil,
-    backend: str,
-    shapes: Mapping[str, tuple[int, ...]],
-    arrays: Mapping[str, np.ndarray],
-    calls: int,
-    **options,
-) -> dict:
-    """Best-of-``calls`` wall time of one backend on one operator.
-
-    Compile failures (no toolchain, codegen bug) are *data*, not a
-    crash: the record carries ``{"error": ...}`` and the bench goes on.
-    ``calls`` must be >= 1 — zero timed calls would leave the best time
-    at ``inf`` and poison every derived rate downstream.
-    """
-    if calls < 1:
-        raise ValueError(
-            f"calls must be >= 1 (got {calls}): zero timed calls would "
-            "report seconds_per_call=inf"
-        )
-    try:
-        kernel = stencil.compile(
-            backend=backend, shapes=shapes, dtype=np.float64, **options
-        )
-    except Exception as e:  # noqa: BLE001 - any backend failure is reportable
-        return {"error": f"{type(e).__name__}: {e}"}
-    work = {g: a.copy() for g, a in arrays.items()}
-    kernel(**work)  # warmup: specialization + caches out of the timing
-    best = float("inf")
-    for _ in range(calls):
-        t0 = time.perf_counter()
-        kernel(**work)
-        best = min(best, time.perf_counter() - t0)
-    return {"seconds_per_call": best, "calls": calls}
-
-
-def run_bench(
-    *,
-    n: int = 32,
-    backends: Sequence[str] = DEFAULT_BACKENDS,
-    spec: MachineSpec | str = "paper-cpu",
-    calls: int = 3,
-    seed: int = 20170529,
-    time_tiles: Sequence[int] = (),
-) -> dict:
-    """Benchmark the paper operators and attribute against the roofline.
-
-    Returns the ``BENCH_kernels.json`` document (see
-    :func:`write_bench_kernels` for the schema).  ``time_tiles`` adds a
-    temporal-blocking sweep: for each ``k`` it times one
-    ``ScheduleOptions(time_tile=k)`` invocation (= ``k`` fused
-    applications), records per-application throughput and speedup over
-    the untiled run, and pairs each measurement with the analytic
-    :func:`repro.kernel.swept_cost` prediction.
-    """
-    import platform
-    import sys
-
-    from . import __version__
-
-    if calls < 1:
-        raise ValueError(
-            f"calls must be >= 1 (got {calls}): zero timed calls would "
-            "report seconds_per_call=inf"
-        )
-    time_tiles = tuple(int(k) for k in time_tiles)
-    if any(k < 2 for k in time_tiles):
-        raise ValueError(
-            f"time_tiles must all be >= 2, got {list(time_tiles)}"
-        )
-    if isinstance(spec, str):
-        spec = resolve_spec(spec)
-    rng = np.random.default_rng(seed)
-    operators = paper_operators(n)
-    doc: dict = {
-        "schema": BENCH_KERNELS_SCHEMA,
-        "version": __version__,
-        "unix_time": time.time(),
-        "host": {
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            "python": sys.version.split()[0],
-        },
-        "spec": {
-            "name": spec.name,
-            "kind": spec.kind,
-            "stream_bw": spec.stream_bw,
-            "cache_bytes": spec.cache_bytes,
-            "cache_bw": spec.cache_bw,
-        },
-        "size": n,
-        "operators": {},
-    }
-    shape = (n + 2,) * 3
-    for op_name, stencil in operators.items():
-        with tracing.span("bench", cat="kernel", operator=op_name):
-            shapes = {g: shape for g in stencil.grids()}
-            arrays = {
-                g: rng.standard_normal(shape) for g in stencil.grids()
-            }
-            # a singular 1/diag grid would make GSRB explode, not slow
-            for g in arrays:
-                if g == "lam":
-                    arrays[g] = np.abs(arrays[g]) * 0.01 + 0.01
-            points = _points(stencil, shapes)
-            working_set = sum(a.nbytes for a in arrays.values())
-            cost = operator_cost(op_name, stencil)
-            bpp = cost.bytes_per_point
-            roofline_pps = roofline_stencils_per_s(spec, bpp, working_set)
-            _, opt_report = body_for(stencil, optimize=True)
-            record: dict = {
-                "bytes_per_point": bpp,
-                "paper_bytes_per_point": PAPER_BYTES_PER_STENCIL.get(op_name),
-                "cost": cost.to_dict(),
-                "opt_report": opt_report.to_dict(),
-                "points": points,
-                "working_set_bytes": working_set,
-                "roofline_points_per_s": roofline_pps,
-                "backends": {},
-            }
-            for b in backends:
-                timing = _time_backend(stencil, b, shapes, arrays, calls)
-                if "seconds_per_call" in timing:
-                    pps = points / timing["seconds_per_call"]
-                    timing["points_per_s"] = pps
-                    timing["roofline_fraction"] = pps / roofline_pps
-                record["backends"][b] = timing
-            if time_tiles:
-                record["sweep"] = _sweep_time_tiles(
-                    stencil, backends, shapes, arrays, calls,
-                    points=points, record=record, spec=spec,
-                    working_set=working_set, time_tiles=time_tiles,
-                )
-            doc["operators"][op_name] = record
-    return doc
-
-
-def _sweep_time_tiles(
-    stencil: Stencil,
-    backends: Sequence[str],
-    shapes: Mapping[str, tuple[int, ...]],
-    arrays: Mapping[str, np.ndarray],
-    calls: int,
-    *,
-    points: int,
-    record: dict,
-    spec: MachineSpec,
-    working_set: int,
-    time_tiles: Sequence[int],
-) -> dict:
-    """Measure ``time_tile=k`` per-application throughput per backend.
-
-    One tiled call performs ``k`` applications, so per-application
-    throughput is ``points * k / seconds``.  Each measurement carries
-    the :func:`repro.kernel.swept_cost` prediction for a tile whose
-    working set is the whole grid (the sequential C default — no
-    spatial block, so residency is ``working_set <= cache``).
-    """
-    body, _ = body_for(stencil)
-    sweep: dict = {}
-    for b in backends:
-        base = record["backends"].get(b, {})
-        base_pps = base.get("points_per_s")
-        per_k: dict = {}
-        for k in time_tiles:
-            model = swept_cost(
-                body, stencil.output, k,
-                tile_bytes=working_set, cache_bytes=spec.cache_bytes,
-            )
-            timing = _time_backend(
-                stencil, b, shapes, arrays, calls, time_tile=k
-            )
-            if "seconds_per_call" in timing:
-                pps = points * k / timing["seconds_per_call"]
-                timing["points_per_s"] = pps
-                if base_pps:
-                    timing["speedup"] = pps / base_pps
-            timing["model"] = model.to_dict()
-            per_k[str(k)] = timing
-        sweep[b] = per_k
-    return sweep
-
-
-def write_bench_kernels(
-    doc: dict, path: "str | Path" = "BENCH_kernels.json"
-) -> Path:
-    """Serialize a :func:`run_bench` document; returns the path written.
-
-    A bare filename lands in ``SNOWFLAKE_ARTIFACT_DIR`` when that is
-    set (see :mod:`repro.util.artifacts`).
-    """
-    from .util.artifacts import artifact_path
-
-    p = artifact_path(path)
-    p.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return p
-
-
-def check_regression(
-    new: dict, baseline: dict, tolerance: float = 0.25
-) -> list[str]:
-    """Compare two bench documents; returns the list of regressions.
-
-    A regression is any (operator, backend) whose ``points_per_s``
-    dropped more than ``tolerance`` (fractional) below the baseline.
-    Operators/backends missing from either side are skipped — a CI
-    runner without gcc must not fail the job on coverage it never had.
-    """
-    problems: list[str] = []
-    for op, base_rec in baseline.get("operators", {}).items():
-        new_rec = new.get("operators", {}).get(op)
-        if new_rec is None:
-            continue
-        for b, base_timing in base_rec.get("backends", {}).items():
-            new_timing = new_rec.get("backends", {}).get(b)
-            if not new_timing or "points_per_s" not in new_timing:
-                continue
-            if "points_per_s" not in base_timing:
-                continue
-            old_pps = base_timing["points_per_s"]
-            new_pps = new_timing["points_per_s"]
-            if new_pps < old_pps * (1.0 - tolerance):
-                problems.append(
-                    f"{op}/{b}: {new_pps:.3e} points/s is "
-                    f"{(1 - new_pps / old_pps) * 100:.0f}% below the "
-                    f"baseline {old_pps:.3e}"
-                )
-        for b, base_ks in base_rec.get("sweep", {}).items():
-            new_ks = new_rec.get("sweep", {}).get(b, {})
-            for k, base_timing in base_ks.items():
-                new_timing = new_ks.get(k)
-                if not new_timing or "points_per_s" not in new_timing:
-                    continue
-                if "points_per_s" not in base_timing:
-                    continue
-                old_pps = base_timing["points_per_s"]
-                new_pps = new_timing["points_per_s"]
-                if new_pps < old_pps * (1.0 - tolerance):
-                    problems.append(
-                        f"{op}/{b}[time_tile={k}]: {new_pps:.3e} "
-                        f"points/s is "
-                        f"{(1 - new_pps / old_pps) * 100:.0f}% below the "
-                        f"baseline {old_pps:.3e}"
-                    )
-    return problems
-
-
-def check_sweep_model(doc: dict) -> list[str]:
-    """Re-derive every swept-cost prediction in ``doc``; list any drift.
-
-    The recorded ``model`` blocks are analytic, so on a deterministic
-    spec (``paper-cpu``) they must be *bit-exact* reproducible from the
-    operator definitions — any mismatch means the cost model or the
-    operators changed without regenerating the baseline.  This is the
-    ``--check`` gate for the sweep half of the bench artifact.
-    """
-    problems: list[str] = []
-    n = doc.get("size")
-    cache_bytes = doc.get("spec", {}).get("cache_bytes")
-    if n is None or cache_bytes is None:
-        return ["document lacks size/spec.cache_bytes; cannot re-derive"]
-    operators = paper_operators(int(n))
-    for op, rec in doc.get("operators", {}).items():
-        sweep = rec.get("sweep")
-        if not sweep:
-            continue
-        stencil = operators.get(op)
-        if stencil is None:
-            problems.append(f"{op}: unknown operator, cannot re-derive")
-            continue
-        body, _ = body_for(stencil)
-        working_set = rec.get("working_set_bytes")
-        for b, per_k in sweep.items():
-            for k, timing in per_k.items():
-                recorded = timing.get("model")
-                if recorded is None:
-                    problems.append(f"{op}/{b}[time_tile={k}]: no model")
-                    continue
-                expected = swept_cost(
-                    body, stencil.output, int(k),
-                    tile_bytes=working_set, cache_bytes=cache_bytes,
-                ).to_dict()
-                if recorded != expected:
-                    problems.append(
-                        f"{op}/{b}[time_tile={k}]: recorded model "
-                        f"{recorded} != re-derived {expected}"
-                    )
-    return problems

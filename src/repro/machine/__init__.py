@@ -1,6 +1,5 @@
-"""Machine substrate: STREAM measurement, Roofline bounds, platform models."""
+"""Machine substrate: STREAM measurement, Roofline bounds, platform specs."""
 
-from .model import IMPLEMENTATIONS, Implementation, KernelWork, predict_sweep_time
 from .roofline import (
     PAPER_BYTES_PER_STENCIL,
     bytes_per_point,
@@ -11,10 +10,6 @@ from .specs import I7_4765T, K20C, PAPER_PLATFORMS, MachineSpec, host_spec
 from .stream import STREAM_DOT_C_SOURCE, stream_dot_bandwidth
 
 __all__ = [
-    "IMPLEMENTATIONS",
-    "Implementation",
-    "KernelWork",
-    "predict_sweep_time",
     "PAPER_BYTES_PER_STENCIL",
     "bytes_per_point",
     "roofline_stencils_per_s",

@@ -2,10 +2,10 @@
 
 The paper evaluates on an Intel Core i7-4765T (STREAM triad ~22.2GB/s)
 and an NVIDIA K20c (Empirical Roofline Toolkit ~127GB/s).  Neither is
-available here, so both are carried as :class:`MachineSpec` records that
-feed the analytic execution model (:mod:`repro.machine.model`); the
-host machine gets a spec of its own whose bandwidth is *measured* with
-the modified STREAM benchmark (Fig.6).
+available here, so both are carried as :class:`MachineSpec` records
+(deterministic inputs to the Roofline bounds and the tuner's
+predictions); the host machine gets a spec of its own whose bandwidth
+is *measured* with the modified STREAM benchmark (Fig.6).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ __all__ = ["MachineSpec", "I7_4765T", "K20C", "host_spec", "PAPER_PLATFORMS"]
 
 @dataclass(frozen=True)
 class MachineSpec:
-    """What the Roofline/execution model needs to know about a machine."""
+    """What the Roofline model needs to know about a machine."""
 
     name: str
     kind: str  # "cpu" | "gpu"
@@ -50,9 +50,7 @@ I7_4765T = MachineSpec(
 #: The paper's GPU testbed: Kepler K20c, ~127GB/s per the Empirical
 #: Roofline Toolkit, 1.25MiB L2.  The per-kernel overhead is an
 #: *effective* figure (launch + per-operation synchronization + coarse
-#: level host coordination) calibrated so the modeled full-GMG
-#: throughput reproduces Fig.9's modest GPU-over-CPU margin; raw launch
-#: latency alone (~8µs) would overstate the GPU by several times.
+#: level host coordination), not the raw launch latency (~8µs).
 K20C = MachineSpec(
     name="NVIDIA K20c",
     kind="gpu",

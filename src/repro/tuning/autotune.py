@@ -226,8 +226,7 @@ def check_tune_model(
 ) -> list[str]:
     """Re-derive every recorded prediction in ``result``; list any drift.
 
-    The mirror of :func:`repro.bench.check_sweep_model` for the tuning
-    surface: predictions are analytic, so on a deterministic spec
+    Predictions are analytic, so on a deterministic spec
     (``paper-cpu``) each recorded value must be *bit-exact* reproducible
     from the group definition — any mismatch means the cost model
     changed after the tuning run and the result's predictions are stale.

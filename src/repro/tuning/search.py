@@ -18,8 +18,7 @@ Winners persist per ``(tune_tag, machine fingerprint)`` via
 
 The prediction is deterministic — pure arithmetic over the kernel IR
 and the spec record — so on ``paper-cpu`` it is bit-exact reproducible;
-:func:`repro.tuning.autotune.check_tune_model` exploits that the same
-way ``bench.check_sweep_model`` does for the sweep model.
+:func:`repro.tuning.autotune.check_tune_model` exploits that.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Where exported artifacts land: ``SNOWFLAKE_ARTIFACT_DIR`` plumbing.
 
-Every exporter in the repo (``BENCH_pipeline.json``,
-``BENCH_kernels.json``, ``trace.json``, profiler exports) historically
-wrote into the current working directory — fine for a one-shot CLI,
-littering for a long-lived service.  :func:`artifact_path` is the one
+Every exporter in the repo (``BENCH_pipeline.json``, ``trace.json``,
+profiler exports) historically wrote into the current working
+directory — fine for a one-shot CLI, littering for a long-lived
+service.  :func:`artifact_path` is the one
 policy point: explicit paths are honoured verbatim, *bare filenames*
 are redirected into ``SNOWFLAKE_ARTIFACT_DIR`` when it is set (created
 on demand), and the CWD remains the default when it is not.

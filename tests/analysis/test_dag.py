@@ -9,6 +9,7 @@ from repro.analysis.dag import (
     plan,
     wavefront_phases,
 )
+from repro.analysis.dependence import is_parallel_safe
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
@@ -16,7 +17,9 @@ from repro.core.weights import WeightArray
 from repro.hpgmg.operators import (
     boundary_stencils,
     cc_laplacian,
+    gsrb_stencils,
     smooth_group,
+    vc_laplacian,
 )
 
 INTERIOR = RectDomain((1, 1), (-1, -1))
@@ -181,3 +184,23 @@ class TestBarrierProvenance:
         p = plan(g, shapes_of(g))
         assert p.n_barriers == 0
         assert "forced by" not in p.describe()
+
+
+def test_analysis_is_independent_of_domain_size():
+    """Paper SectionIII: Diophantine analysis never enumerates points.
+
+    Only shape tuples are passed — no arrays exist — and an enumerating
+    analysis of a 1024^3 domain (10^9 points) would not finish.
+    """
+
+    def analyse(n):
+        shape = (n + 2,) * 3
+        red, _ = gsrb_stencils(3, cc_laplacian(3, 1.0 / n), lam=0.1)
+        group = smooth_group(3, vc_laplacian(3, 1.0 / n), lam="lam")
+        p = plan(group, {g: shape for g in group.grids()})
+        assert p.stencil_count() == len(group)
+        return is_parallel_safe(red, {g: shape for g in red.grids()}), p.phases
+
+    safe, phases = analyse(8)
+    assert safe
+    assert analyse(1024) == (safe, phases)

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.backends.c_backend import fusion_chains, generate_c_source
+from repro.backends.c_backend import generate_c_source
 from repro.backends.openmp_backend import generate_openmp_source
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
+from repro.schedule import fusion_chains
 
 INTERIOR = RectDomain((1, 1), (-1, -1))
 LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))

@@ -139,12 +139,6 @@ def test_artifact_dir_redirects_bare_filenames(tmp_path):
     assert json.loads(redirected.read_text())["schema"]
 
 
-def test_figures_passthrough():
-    proc = run_cli("figures", "fig6", "--repeats", "1", timeout=600)
-    assert proc.returncode == 0
-    assert "STREAM" in proc.stdout
-
-
 def test_in_process_main():
     from repro.__main__ import main
 
@@ -186,55 +180,3 @@ def test_explain_json_artifact(tmp_path):
     assert all(b["grids"] == ["x"] for b in doc["barriers"])
     assert doc["artifact"]["backend"] == "c"
     assert doc["artifact"]["cache_key"]
-
-
-def test_bench_writes_schema_tagged_artifact(tmp_path):
-    import json
-
-    out = tmp_path / "BENCH_kernels.json"
-    proc = run_cli(
-        "bench", "--size", "8", "--calls", "1", "--backends", "numpy",
-        "--out", str(out), timeout=600,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "% of roofline" in proc.stdout
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == "snowflake-bench-kernels/1"
-    for rec in doc["operators"].values():
-        assert rec["backends"]["numpy"]["roofline_fraction"] > 0
-
-
-def test_bench_check_detects_regression(tmp_path):
-    import json
-
-    out = tmp_path / "new.json"
-    proc = run_cli(
-        "bench", "--size", "8", "--calls", "1", "--backends", "numpy",
-        "--out", str(out), timeout=600,
-    )
-    assert proc.returncode == 0
-    doc = json.loads(out.read_text())
-
-    # baseline far below the fresh run: check passes
-    easy = json.loads(json.dumps(doc))
-    hard = json.loads(json.dumps(doc))
-    for rec in easy["operators"].values():
-        rec["backends"]["numpy"]["points_per_s"] *= 0.01
-    for rec in hard["operators"].values():
-        rec["backends"]["numpy"]["points_per_s"] *= 100.0
-    (tmp_path / "easy.json").write_text(json.dumps(easy))
-    (tmp_path / "hard.json").write_text(json.dumps(hard))
-
-    ok = run_cli(
-        "bench", "--size", "8", "--calls", "1", "--backends", "numpy",
-        "--out", "", "--check", str(tmp_path / "easy.json"), timeout=600,
-    )
-    assert ok.returncode == 0
-    assert "regression check" in ok.stdout and "PASS" in ok.stdout
-
-    bad = run_cli(
-        "bench", "--size", "8", "--calls", "1", "--backends", "numpy",
-        "--out", "", "--check", str(tmp_path / "hard.json"), timeout=600,
-    )
-    assert bad.returncode == 1
-    assert "REGRESSION" in bad.stdout

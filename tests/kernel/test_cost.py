@@ -16,6 +16,24 @@ def operators():
     return paper_operators(8)
 
 
+def test_three_paper_operators():
+    """SectionV-B: the operators' names, grids and bytes/point."""
+    ops = paper_operators()
+    assert {
+        key: (st.name, st.output, sorted(st.grids())) for key, st in ops.items()
+    } == {
+        "cc_7pt": ("cc_7pt", "out", ["out", "x"]),
+        "cc_jacobi": ("cc_jacobi", "tmp", ["lam", "rhs", "tmp", "x"]),
+        "vc_gsrb": (
+            "vc_gsrb", "x",
+            ["alpha", "beta_0", "beta_1", "beta_2", "lam", "rhs", "x"],
+        ),
+    }
+    assert {
+        key: operator_cost(key, st).bytes_per_point for key, st in ops.items()
+    } == {"cc_7pt": 24.0, "cc_jacobi": 40.0, "vc_gsrb": 64.0}
+
+
 def test_paper_constants_reproduced_exactly(operators):
     """Acceptance: 24, 40, 64 — exact equality, not approx."""
     costs = {

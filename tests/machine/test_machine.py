@@ -1,4 +1,4 @@
-"""Machine substrate: STREAM, roofline constants, execution model."""
+"""Machine substrate: STREAM, roofline constants, platform specs."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,6 @@ from repro.hpgmg.operators import (
     jacobi_stencil,
     residual_stencil,
     vc_laplacian,
-)
-from repro.machine.model import (
-    IMPLEMENTATIONS,
-    Implementation,
-    KernelWork,
-    predict_sweep_time,
 )
 from repro.machine.roofline import (
     PAPER_BYTES_PER_STENCIL,
@@ -78,46 +72,6 @@ class TestRooflineConstants:
     def test_roofline_time_inverse(self):
         t = roofline_time(I7_4765T, 64.0, 10**6)
         assert t == pytest.approx(10**6 * 64.0 / 22.2e9)
-
-
-class TestExecutionModel:
-    def test_launch_overhead_dominates_small_grids(self):
-        impl = IMPLEMENTATIONS["hpgmg-cuda"]
-        tiny = KernelWork(points=8**3, bytes_per_point=64,
-                          working_set=10 * 8**3 * 8, launches=14)
-        huge = KernelWork(points=256**3, bytes_per_point=64,
-                          working_set=10 * 256**3 * 8, launches=14)
-        t_tiny = predict_sweep_time(K20C, impl, tiny)
-        t_huge = predict_sweep_time(K20C, impl, huge)
-        # tiny grid time is dominated by the fixed launch cost
-        assert t_tiny > 0.5 * tiny.launches * K20C.launch_overhead
-        # big grid time is dominated by traffic
-        assert t_huge > 10 * t_tiny
-
-    def test_cache_residency_beats_dram_roofline(self):
-        impl = IMPLEMENTATIONS["hpgmg-openmp"]
-        n = 32
-        work = KernelWork(points=n**3, bytes_per_point=64,
-                          working_set=7 * (n + 2) ** 3 * 8, launches=14)
-        t = predict_sweep_time(I7_4765T, impl, work)
-        dram_bound = roofline_time(I7_4765T, 64.0, n**3)
-        assert t < dram_bound  # the paper's 32^3 above-roofline point
-
-    def test_snowflake_opencl_about_half_of_cuda(self):
-        n = 256
-        work = KernelWork(points=n**3, bytes_per_point=64,
-                          working_set=7 * (n + 2) ** 3 * 8, launches=14)
-        t_sf = predict_sweep_time(K20C, IMPLEMENTATIONS["snowflake-opencl"], work)
-        t_cuda = predict_sweep_time(K20C, IMPLEMENTATIONS["hpgmg-cuda"], work)
-        assert 1.5 < t_sf / t_cuda < 2.5  # "within a factor of 2x"
-
-    def test_snowflake_openmp_close_to_hand_cpu(self):
-        n = 256
-        work = KernelWork(points=n**3, bytes_per_point=64,
-                          working_set=7 * (n + 2) ** 3 * 8, launches=14)
-        t_sf = predict_sweep_time(I7_4765T, IMPLEMENTATIONS["snowflake-openmp"], work)
-        t_hand = predict_sweep_time(I7_4765T, IMPLEMENTATIONS["hpgmg-openmp"], work)
-        assert t_sf / t_hand < 1.15  # "comparable"
 
 
 class TestStream:

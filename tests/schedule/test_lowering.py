@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.backends import c_backend
 from repro.schedule import (
     Schedule,
     ScheduleOptions,
@@ -20,12 +19,6 @@ from tests.schedule._cases import (
 
 
 class TestFusionChains:
-    def test_program_order_matches_legacy_shim(self):
-        group, shapes = straddle_group()
-        assert fusion_chains(group, shapes) == c_backend.fusion_chains(
-            group, shapes
-        )
-
     def test_program_order_glues_across_barrier(self):
         # The legacy view: s1/s2 share a domain and have no mutual
         # dependence, so program-order chaining merges them...
