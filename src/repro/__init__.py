@@ -18,8 +18,10 @@ Subpackages:
 * :mod:`repro.analysis` — finite-domain Diophantine dependence analysis
 * :mod:`repro.schedule` — the legality-checked schedule IR every
   backend executes (phases, fused chains, color sweeps)
-* :mod:`repro.backends` — JIT micro-compilers (python/numpy/c/openmp/opencl-sim)
-* :mod:`repro.clsim` — CPU simulator executing the generated OpenCL
+* :mod:`repro.backends` — JIT micro-compilers
+  (python/numpy/c/openmp/opencl-sim/cuda-sim)
+* :mod:`repro.gpusim` — CPU device simulator executing the generated
+  OpenCL / CUDA kernels
 * :mod:`repro.hpgmg` — the HPGMG-style geometric multigrid benchmark
 * :mod:`repro.baselines` — hand-optimized comparator kernels
 * :mod:`repro.machine` — STREAM, Roofline bounds, platform models

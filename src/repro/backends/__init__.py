@@ -4,7 +4,7 @@ Importing this package registers the built-in micro-compilers:
 ``python`` (reference interpreter), ``numpy`` (vectorized views),
 ``c`` (sequential C99 JIT), ``openmp`` (task-parallel C), and
 ``opencl-sim`` and ``cuda-sim`` (generated OpenCL-C / CUDA-C executed
-on the CPU device simulators).  User backends register via :func:`register_backend`.
+on the CPU device simulator).  User backends register via :func:`register_backend`.
 """
 
 from .base import (
@@ -22,8 +22,7 @@ from . import numpy_backend as _numpy_backend  # noqa: F401
 try:  # compiled backends need a working C compiler
     from . import c_backend as _c_backend  # noqa: F401
     from . import openmp_backend as _openmp_backend  # noqa: F401
-    from . import opencl_backend as _opencl_backend  # noqa: F401
-    from . import cuda_backend as _cuda_backend  # noqa: F401
+    from . import gpu_backend as _gpu_backend  # noqa: F401
 
     HAVE_COMPILED_BACKENDS = True
 except Exception:  # pragma: no cover - exercised only without a toolchain

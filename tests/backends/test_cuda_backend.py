@@ -3,23 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.backends.cuda_backend import (
-    DEFAULT_BLOCK,
-    generate_cuda_program,
-)
-from repro.backends.opencl_backend import Barrier, CopyBuffer, KernelLaunch
+from repro.backends.gpu_backend import CUDA, CopyBuffer, generate_gpu_program
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
 from repro.hpgmg.operators import cc_laplacian, red_black_domains
+from repro.schedule import ScheduleOptions
 
 INTERIOR = RectDomain((1, 1), (-1, -1))
 LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
 
 
 def program_for(group, shapes, **kw):
-    return generate_cuda_program(group, shapes, np.float64, **kw)
+    return generate_gpu_program(group, shapes, np.float64, CUDA, **kw)
 
 
 class TestKernelSource:
@@ -52,7 +49,7 @@ class TestKernelSource:
     def test_block_shape_recorded(self):
         g = StencilGroup([Stencil(LAP, "out", INTERIOR)])
         prog = program_for(g, {"u": (16, 16), "out": (16, 16)},
-                           block=(16, 2))
+                           schedule=ScheduleOptions(block=(16, 2)))
         assert prog.block == (16, 2)
 
 
@@ -98,7 +95,7 @@ class TestSimulatorExecution:
         np.testing.assert_allclose(out, ref)
 
     def test_verbatim_source_included(self):
-        from repro.cudasim.translate import translation_unit
+        from repro.gpusim import translation_unit
 
         g = StencilGroup([Stencil(LAP, "out", INTERIOR)])
         prog = program_for(g, {"u": (10, 10), "out": (10, 10)})

@@ -1,9 +1,9 @@
 """Cross-backend equivalence: every micro-compiler computes the same
 function as the Python reference interpreter.
 
-This is the suite that makes the OpenCL/clsim substitution trustworthy:
-the same stencils run through python, numpy, C, OpenMP, and the
-generated OpenCL kernels, and must agree.
+This is the suite that makes the GPU device-simulator substitution
+trustworthy: the same stencils run through python, numpy, C, OpenMP, and
+the generated OpenCL / CUDA kernels, and must agree.
 """
 
 import numpy as np
@@ -195,3 +195,21 @@ class TestPropertyEquivalence:
         rng = np.random.default_rng(seed)
         arrays = {g: rng.random((12, 12)) for g in case.grids()}
         assert_backends_agree(case, arrays)
+
+
+class TestCallSeam:
+    @pytest.mark.parametrize("backend", ("c", "openmp", "opencl-sim", "cuda-sim"))
+    def test_aliased_grids_refused_identically(self, backend, rng):
+        # cuda-sim declares its buffers restrict: running this was UB.
+        lap = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
+        k = Stencil(lap, "out", INTERIOR2).compile(backend=backend)
+        a = rng.random((8, 8))
+        with pytest.raises(ValueError) as exc:
+            k(u=a, out=a)
+        assert str(exc.value) == (
+            "grids 'out' and 'u' alias the same memory; compiled kernels "
+            "assume distinct (restrict) buffers"
+        )
+        buf = rng.random((9, 8))
+        with pytest.raises(ValueError, match="alias the same memory"):
+            k(u=buf[:8], out=buf[1:])

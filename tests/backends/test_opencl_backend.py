@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backends.opencl_backend import (
-    Barrier,
-    CopyBuffer,
-    KernelLaunch,
-    generate_opencl_program,
-)
+from repro.backends.gpu_backend import OPENCL, CopyBuffer, generate_gpu_program
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
@@ -20,7 +15,7 @@ LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
 
 
 def program_for(group, shapes, **kw):
-    return generate_opencl_program(group, shapes, np.float64, **kw)
+    return generate_gpu_program(group, shapes, np.float64, OPENCL, **kw)
 
 
 class TestKernelSource:
@@ -117,7 +112,7 @@ class TestHostPlan:
 
 class TestSimulatorExecution:
     def test_verbatim_source_is_what_runs(self, rng):
-        from repro.clsim.translate import translation_unit
+        from repro.gpusim import translation_unit
 
         g = StencilGroup([Stencil(LAP, "out", INTERIOR)])
         prog = program_for(g, {"u": (10, 10), "out": (10, 10)})

@@ -1,11 +1,11 @@
-"""clsim translation: shim header, driver generation."""
+"""OpenCL dialect on the device simulator: shim header, driver generation."""
 
 import numpy as np
 import pytest
 
 from repro.backends.jit import compile_and_load
-from repro.backends.opencl_backend import generate_opencl_program
-from repro.clsim.translate import shim_header, translation_unit
+from repro.backends.gpu_backend import OPENCL, generate_gpu_program
+from repro.gpusim import translation_unit
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
@@ -18,20 +18,20 @@ INTERIOR = RectDomain((1, 1), (-1, -1))
 def make_prog(shapes=None):
     g = StencilGroup([Stencil(LAP, "out", INTERIOR)])
     shapes = shapes or {"u": (10, 10), "out": (10, 10)}
-    return generate_opencl_program(g, shapes, np.float64)
+    return generate_gpu_program(g, shapes, np.float64, OPENCL)
 
 
 class TestShim:
     def test_defines_address_space_qualifiers(self):
-        h = shim_header()
+        h = OPENCL.shim
         for macro in ("__kernel", "__global", "__local", "__constant"):
             assert f"#define {macro}" in h
 
     def test_get_global_id_defined(self):
-        assert "get_global_id" in shim_header()
+        assert "get_global_id" in OPENCL.shim
 
     def test_shim_compiles_standalone(self):
-        compile_and_load(shim_header() + "\nint sf_dummy(void){return 1;}\n")
+        compile_and_load(OPENCL.shim + "\nint sf_dummy(void){return 1;}\n")
 
 
 class TestTranslationUnit:

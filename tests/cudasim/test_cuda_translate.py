@@ -1,15 +1,15 @@
-"""cudasim translation: shim header, launch-grid drivers."""
+"""CUDA dialect on the device simulator: shim header, launch-grid drivers."""
 
 import numpy as np
 import pytest
 
-from repro.backends.cuda_backend import generate_cuda_program
+from repro.backends.gpu_backend import CUDA, generate_gpu_program
 from repro.backends.jit import compile_and_load
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
-from repro.cudasim.translate import shim_header, translation_unit
+from repro.gpusim import translation_unit
 
 LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
 INTERIOR = RectDomain((1, 1), (-1, -1))
@@ -18,22 +18,22 @@ INTERIOR = RectDomain((1, 1), (-1, -1))
 def make_prog(shapes=None, **kw):
     g = StencilGroup([Stencil(LAP, "out", INTERIOR)])
     shapes = shapes or {"u": (10, 10), "out": (10, 10)}
-    return generate_cuda_program(g, shapes, np.float64, **kw)
+    return generate_gpu_program(g, shapes, np.float64, CUDA, **kw)
 
 
 class TestShim:
     def test_cuda_keywords_neutralized(self):
-        h = shim_header()
+        h = CUDA.shim
         for macro in ("__global__", "__device__", "__restrict__", "__shared__"):
             assert f"#define {macro}" in h
 
     def test_builtin_index_variables(self):
-        h = shim_header()
+        h = CUDA.shim
         for var in ("gridDim", "blockDim", "blockIdx", "threadIdx"):
             assert var in h
 
     def test_shim_compiles_standalone(self):
-        compile_and_load(shim_header() + "\nint sf_cuda_dummy(void){return 1;}\n")
+        compile_and_load(CUDA.shim + "\nint sf_cuda_dummy(void){return 1;}\n")
 
 
 class TestTranslationUnit:

@@ -42,17 +42,13 @@ class TestFusedMulticolorParity:
     def test_gpu_sims_execute_parity_kernels(self, backend):
         # The schedule carries the multicolor sweeps; the GPU programs
         # must actually lower them to parity-corrected kernels.
-        from repro.backends.cuda_backend import generate_cuda_program
-        from repro.backends.opencl_backend import generate_opencl_program
+        from repro.backends import get_backend
+        from repro.backends.gpu_backend import generate_gpu_program
 
         group, shapes, _ = gsrb_workload()
-        gen = (
-            generate_opencl_program
-            if backend == "opencl-sim"
-            else generate_cuda_program
-        )
-        program = gen(
-            group, shapes, np.float64, fuse=True, multicolor=True
+        program = generate_gpu_program(
+            group, shapes, np.float64, get_backend(backend).dialect,
+            schedule=ScheduleOptions(fuse=True, multicolor=True),
         )
         assert "_p" in program.source  # parity kernels were emitted
 
