@@ -6,11 +6,12 @@ substrate is simulated: :class:`~repro.dmem.comm.SimComm` provides an
 MPI-flavoured message-passing fabric between in-process ranks (send /
 recv / barrier with byte accounting and deadlock detection), and
 :class:`~repro.dmem.executor.DistributedKernel` runs any StencilGroup
-over a 1-D block decomposition with automatic halo-width inference from
-the canonical flat form and halo exchanges placed by the same
-dependence reasoning the shared-memory backends use.
+over a Cartesian block decomposition of its leading dimensions (slabs,
+or a rank grid) with automatic halo-width inference from the canonical
+flat form and halo exchanges placed by the same dependence reasoning
+the shared-memory backends use.
 
-The exercised code path — decompose, exchange ghost rows, run the
+The exercised code path — decompose, exchange ghost layers, run the
 per-rank kernel through any micro-compiler, gather — is exactly what an
 mpi4py backend would run with ``SimComm`` swapped for ``MPI.COMM_WORLD``.
 
@@ -32,7 +33,6 @@ Resilience substrate (this is where distributed features get built
 from .comm import CommError, RankFailure, SimComm
 from .decompose import BlockDecomposition
 from .executor import DistributedKernel
-from .executor2d import DistributedKernel2D
 from .recovery import (
     Checkpoint,
     CheckpointError,
@@ -48,7 +48,6 @@ __all__ = [
     "SimComm",
     "BlockDecomposition",
     "DistributedKernel",
-    "DistributedKernel2D",
     "ReliableComm",
     "TransportError",
     "Checkpoint",

@@ -1,23 +1,23 @@
-"""1-D block decomposition of grids along the outermost dimension.
+"""Block decomposition of one grid axis: the per-axis slab table.
 
-Each rank owns a contiguous slab of dim-0 rows plus a ``halo`` of ghost
-rows each side (clipped at the global array ends — the *physical*
-boundary ghosts belong to the edge ranks and are updated by the user's
-boundary stencils, not by exchange).
+Along the axis each rank owns a contiguous slab of rows plus a ``halo``
+of ghost rows each side (clipped at the global array ends — the
+*physical* boundary ghosts belong to the edge ranks and are updated by
+the user's boundary stencils, not by exchange).
+:class:`~repro.dmem.executor.DistributedKernel` composes one table per
+decomposed dimension into its Cartesian rank grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["BlockDecomposition"]
 
 
 @dataclass(frozen=True)
 class RankSlab:
-    """One rank's slice of the global dim-0 index space."""
+    """One rank's slice of the axis's global index space."""
 
     rank: int
     own_lo: int          # first owned global row
@@ -42,7 +42,7 @@ class RankSlab:
 
 
 class BlockDecomposition:
-    """Split ``n_rows`` across ``size`` ranks with a ``halo`` overlap."""
+    """Split one axis of ``n_rows`` across ``size`` ranks with a ``halo`` overlap."""
 
     def __init__(self, n_rows: int, size: int, halo: int) -> None:
         if size < 1:
@@ -73,29 +73,6 @@ class BlockDecomposition:
                 )
             )
             lo = hi
-
-    def local_shape(self, rank: int, global_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return (self.slabs[rank].rows,) + tuple(global_shape[1:])
-
-    def scatter(self, rank: int, global_array: np.ndarray) -> np.ndarray:
-        """Rank-local copy including halo rows.
-
-        Must be a genuine copy: slabs of neighbouring ranks overlap in
-        the halo region, and distributed memory means *no* aliasing —
-        a view here would let one rank's writes leak into another's
-        halo without a message.
-        """
-        s = self.slabs[rank]
-        return np.array(global_array[s.base : s.stop], copy=True, order="C")
-
-    def gather_into(
-        self, rank: int, local_array: np.ndarray, global_array: np.ndarray
-    ) -> None:
-        """Copy a rank's *owned* rows back into the global array."""
-        s = self.slabs[rank]
-        global_array[s.own_lo : s.own_hi] = local_array[
-            s.local_own_lo : s.local_own_hi
-        ]
 
     def owner_of(self, global_row: int) -> int:
         for s in self.slabs:

@@ -2,20 +2,23 @@
 
 :class:`DistributedKernel` takes any :class:`StencilGroup` whose grids
 share one shape (smoothers, residuals, boundary conditions — the bulk
-of a solver's work) and runs it SPMD-style across ``nranks``:
+of a solver's work) and runs it SPMD-style across a Cartesian rank
+grid: ``ranks=n`` is the slab case ``(n,)``, ``ranks=(p0, p1)`` the
+multisocket/NUMA shape of paper SectionVII ("one process per NUMA
+node").
 
-1. grids are block-decomposed along dim 0 with a halo inferred from the
-   group's flat-form read offsets;
+1. grids are block-decomposed along the leading ``len(ranks)``
+   dimensions (ranks numbered row-major) with a halo per dimension
+   inferred from the group's flat-form read offsets;
 2. each stencil's iteration domain is *exactly* partitioned into
-   per-rank sub-domains (lattice intersection with the owned slab, the
+   per-rank sub-domains (lattice intersection with the owned block, the
    same arithmetic the dependence analysis uses), so colored and pinned
    domains decompose correctly, not just dense interiors;
-3. before every stencil that reads beyond owned rows, neighbouring
-   ranks swap halo rows — by default through the exactly-once
+3. before every stencil that reads beyond owned cells, neighbouring
+   ranks swap halo layers through the exactly-once
    :class:`~repro.dmem.transport.ReliableComm` layer, which sequences,
    CRC-verifies, dedups, reorders, and retransmits over the lossy
-   :class:`~repro.dmem.comm.SimComm` wire (``transport="raw"`` keeps
-   the legacy unguarded exchange for experiments on the bare fabric);
+   :class:`~repro.dmem.comm.SimComm` wire;
 4. each rank executes its sub-stencil through any shared-memory
    micro-compiler (``c`` by default) — the distributed layer composes
    with, rather than replaces, the single-node backends.
@@ -29,12 +32,14 @@ end-of-sweep liveness audit).  Passing
 snapshot and the final answer is bitwise-identical to a fault-free run.
 
 Restrictions (validated eagerly): identity output maps, unit read
-scale along dim 0, one common grid shape.  Inter-grid transfer
-operators (restriction/interpolation) stay node-local in this version.
+scale along every decomposed dimension, one common grid shape.
+Inter-grid transfer operators (restriction/interpolation) stay
+node-local in this version.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -44,131 +49,147 @@ from ..core.domains import RectDomain, ResolvedRect
 from ..core.stencil import Stencil, StencilGroup
 from ..core.validate import check_group
 from ..resilience.faults import fault_point
-from ..resilience.guards import Guards, halo_crc
+from ..resilience.guards import Guards
 from .comm import RankFailure, SimComm
-from .decompose import BlockDecomposition
+from .decompose import BlockDecomposition, RankSlab
 from .recovery import RecoveryManager, RecoveryPolicy
 from .transport import ReliableComm
 
 __all__ = ["DistributedKernel"]
 
-_TAG_UP = 101    # data flowing to the lower-ranked neighbour
-_TAG_DOWN = 102  # data flowing to the higher-ranked neighbour
-_TAG_UP_CRC = 111    # checksum companions of the halo payloads,
-_TAG_DOWN_CRC = 112  # sent only when the halo_checksum guard is on
+_TAG_UP = 101    # dim-0 data flowing to the lower-ranked neighbour
+_TAG_DOWN = 102  # ... to the higher-ranked one; dim d adds 2*d to both
 
 
-def _rect_slab_restriction(
-    rect: ResolvedRect, own_lo: int, own_hi: int, base: int
+def _restrict(
+    rect: ResolvedRect, slabs: Sequence[RankSlab]
 ) -> RectDomain | None:
-    """Intersect a resolved global box with one rank's owned dim-0 rows
-    and translate to local coordinates; ``None`` when empty."""
-    lo, st, ct = rect.lows[0], rect.strides[0], rect.counts[0]
-    if st == 0:
-        if not (own_lo <= lo < own_hi):
-            return None
-        k0 = k1 = 0
-    else:
-        k0 = max(0, -((lo - own_lo) // st) if lo < own_lo else 0)
-        # first k with lo + st*k >= own_lo
-        k0 = max(0, (own_lo - lo + st - 1) // st)
-        k1 = min(ct - 1, (own_hi - 1 - lo) // st)
-        if k0 > k1:
-            return None
-    first = lo + st * k0 - base
-    last = lo + st * k1 - base
-    starts = [first]
-    ends = [last + 1]
-    strides = [st]
-    for d in range(1, rect.ndim):
-        dlo, dst, dct = rect.lows[d], rect.strides[d], rect.counts[d]
-        dhi = dlo + dst * (dct - 1)
-        starts.append(dlo)
-        ends.append(dhi + 1)
-        strides.append(dst)
-    return RectDomain(tuple(starts), tuple(ends), tuple(strides))
+    """Intersect a resolved global box with one rank's owned block.
+
+    Each decomposed (leading) dimension is clipped to its slab's owned
+    range and translated to local coordinates; the remaining dimensions
+    pass through.  ``None`` when the intersection is empty.
+    """
+    starts, ends = [], []
+    for d, (lo, st, ct) in enumerate(
+        zip(rect.lows, rect.strides, rect.counts)
+    ):
+        k0, k1, base = 0, ct - 1, 0
+        if d < len(slabs):
+            s = slabs[d]
+            base = s.base
+            if st == 0:
+                if not (s.own_lo <= lo < s.own_hi):
+                    return None
+            else:
+                # first k with lo + st*k >= own_lo, last with < own_hi
+                k0 = max(0, (s.own_lo - lo + st - 1) // st)
+                k1 = min(ct - 1, (s.own_hi - 1 - lo) // st)
+                if k0 > k1:
+                    return None
+        starts.append(lo + st * k0 - base)
+        ends.append(lo + st * k1 - base + 1)
+    return RectDomain(tuple(starts), tuple(ends), rect.strides)
 
 
 class DistributedKernel:
-    """SPMD executor for a stencil group on a simulated rank world."""
+    """SPMD executor for a stencil group on a simulated rank grid.
+
+    ``ranks`` is an ``int`` (slabs along dim 0, ``n`` meaning ``(n,)``)
+    or one rank count per leading dimension.
+    """
 
     def __init__(
         self,
         group: StencilGroup,
         global_shape: Sequence[int],
-        nranks: int,
+        ranks: int | Sequence[int],
         *,
         backend: str = "c",
         dtype=np.float64,
         fallback: Sequence[str] | None = None,
         guards: Guards | None = None,
-        transport: str = "reliable",
         transport_retries: int = 4,
         **backend_options,
     ) -> None:
-        if transport not in ("reliable", "raw"):
-            raise ValueError(
-                f"transport must be 'reliable' or 'raw', got {transport!r}"
-            )
         self.group = group
         self.global_shape = tuple(int(x) for x in global_shape)
+        self.ranks = tuple(int(p) for p in np.atleast_1d(ranks))
         self.dtype = np.dtype(dtype)
         self.backend = backend
         self.fallback = tuple(fallback) if fallback else None
         self.guards = guards if guards is not None else Guards.from_env()
-        self.transport_mode = transport
         self.transport_retries = int(transport_retries)
         self.backend_options = dict(backend_options)
 
+        nd = len(self.ranks)
+        if not 1 <= nd <= len(self.global_shape):
+            raise ValueError(
+                f"ranks={self.ranks} decomposes {nd} dims; grids of shape "
+                f"{self.global_shape} allow 1 to {len(self.global_shape)}"
+            )
         self._validate_decomposable()
         shapes = {g: self.global_shape for g in group.grids()}
         check_group(group, shapes)
 
-        #: per-stencil halo width along dim 0 for each grid it reads
-        self.read_halos: list[dict[str, int]] = []
-        halo = 0
+        #: per-stencil halo widths (one per decomposed dim) for each
+        #: grid it reads beyond its own cell
+        self.read_halos: list[dict[str, tuple[int, ...]]] = []
+        halo = (0,) * nd
         for st in group:
-            per_grid: dict[str, int] = {}
+            per_grid: dict[str, tuple[int, ...]] = {}
             for read in st.flat.reads():
-                w = abs(read.offset[0])
-                if w:
-                    per_grid[read.grid] = max(per_grid.get(read.grid, 0), w)
-                    halo = max(halo, w)
+                w = tuple(abs(o) for o in read.offset[:nd])
+                if any(w):
+                    per_grid[read.grid] = tuple(
+                        map(max, per_grid.get(read.grid, w), w)
+                    )
+                    halo = tuple(map(max, halo, w))
             self.read_halos.append(per_grid)
         self.halo = halo
 
-        self.decomp = BlockDecomposition(
-            self.global_shape[0], nranks, halo
-        )
-        for s in self.decomp.slabs:
-            if s.own_hi - s.own_lo < halo:
-                raise ValueError(
-                    f"rank {s.rank} owns {s.own_hi - s.own_lo} rows, fewer "
-                    f"than the halo width {halo}; use fewer ranks"
-                )
-        self.comms = SimComm.world(nranks)
+        #: the per-axis slab table of each decomposed dimension
+        self.decomps = [
+            BlockDecomposition(n, p, h)
+            for n, p, h in zip(self.global_shape, self.ranks, halo)
+        ]
+        for d, dec in enumerate(self.decomps):
+            for s in dec.slabs:
+                if s.own_hi - s.own_lo < dec.halo:
+                    raise ValueError(
+                        f"rank {s.rank} along dim {d} owns "
+                        f"{s.own_hi - s.own_lo} rows, fewer than the halo "
+                        f"width {dec.halo}; use fewer ranks"
+                    )
+        #: each rank's slab along every decomposed dim, ranks row-major
+        self.slabs: list[tuple[RankSlab, ...]] = [
+            tuple(dec.slabs[c] for dec, c in zip(self.decomps, coords))
+            for coords in np.ndindex(*self.ranks)
+        ]
+        self.comms = SimComm.world(len(self.slabs))
         self.transport = ReliableComm.attach(
             self.comms, guards=self.guards,
             max_retries=self.transport_retries,
         )
 
         # Per-rank, per-stencil sub-stencils + compiled kernels.
+        rects = [
+            [
+                r for r in st.domain.resolve(self.global_shape)
+                if not r.is_empty()
+            ]
+            for st in group
+        ]
         self._kernels: list[list[tuple[Stencil, object] | None]] = []
-        for s in self.decomp.slabs:
-            local_shape = self.decomp.local_shape(s.rank, self.global_shape)
+        for slabs in self.slabs:
+            local_shape = (
+                *(s.rows for s in slabs), *self.global_shape[nd:]
+            )
+            suffix = "_".join(str(s.rank) for s in slabs)
             row: list[tuple[Stencil, object] | None] = []
-            for st in group:
-                rects = [
-                    r
-                    for r in st.domain.resolve(self.global_shape)
-                    if not r.is_empty()
-                ]
+            for st, boxes in zip(group, rects):
                 local_doms = [
-                    d
-                    for d in (
-                        _rect_slab_restriction(r, s.own_lo, s.own_hi, s.base)
-                        for r in rects
-                    )
+                    d for d in (_restrict(r, slabs) for r in boxes)
                     if d is not None
                 ]
                 if not local_doms:
@@ -179,7 +200,7 @@ class DistributedKernel:
                     dom = dom + extra
                 local = Stencil(
                     st.body, st.output, dom,
-                    output_map=st.output_map, name=f"{st.name}@r{s.rank}",
+                    output_map=st.output_map, name=f"{st.name}@r{suffix}",
                 )
                 kernel = local.compile(
                     backend=self.backend,
@@ -201,113 +222,71 @@ class DistributedKernel:
                     "distributed backend"
                 )
             for read in st.flat.reads():
-                if read.scale[0] != 1:
-                    raise ValueError(
-                        f"{st.name}: dim-0 read scale {read.scale[0]} != 1 "
-                        "cannot be block-decomposed along dim 0"
-                    )
+                for d, scale in enumerate(read.scale[: len(self.ranks)]):
+                    if scale != 1:
+                        raise ValueError(
+                            f"{st.name}: dim-{d} read scale {scale} != 1 "
+                            f"cannot be block-decomposed along dim {d}"
+                        )
 
     # -- halo exchange ---------------------------------------------------------------
 
-    def _exchange(self, locals_: list[dict[str, np.ndarray]], grid: str, width: int) -> None:
-        """Swap ``width`` boundary rows of ``grid`` between neighbours.
+    def _exchange(
+        self, locals_: list[dict[str, np.ndarray]], grid: str, dim: int,
+        width: int,
+    ) -> None:
+        """Swap ``width`` boundary layers of ``grid`` along ``dim``.
 
-        The default (``transport="reliable"``) path sends every payload
-        as a sequenced, CRC-fingerprinted envelope: injected drops,
-        duplicates, reordering, and corruption are all healed before the
-        block lands in the halo, and a dead neighbour surfaces as a
-        typed :class:`RankFailure`.  The ``"raw"`` path is the legacy
-        bare-wire exchange where only the ``halo_checksum`` guard's
-        explicit CRC companion messages stand between corruption and a
-        wrong answer.
+        Every payload is a sequenced, CRC-fingerprinted envelope:
+        injected drops, duplicates, reordering, and corruption are all
+        healed before the block lands in the halo, and a dead neighbour
+        surfaces as a typed :class:`RankFailure`.  Slices span the FULL
+        local extent of the other dimensions (halos included), so
+        exchanging dimensions last-to-first carries corner ghosts in
+        two hops.
         """
-        if self.transport_mode == "raw":
-            return self._exchange_raw(locals_, grid, width)
-        size = self.decomp.size
+        last = self.ranks[dim] - 1
+        step = math.prod(self.ranks[dim + 1 :])  # rank distance along dim
+        up, down = _TAG_UP + 2 * dim, _TAG_DOWN + 2 * dim
         alive = self.comms[0].alive
+
+        def take(arr: np.ndarray, lo: int, hi: int) -> np.ndarray:
+            return arr[(slice(None),) * dim + (slice(lo, hi),)]
+
         # enqueue all sends first (lock-step driver: no ordering hazards)
-        for s in self.decomp.slabs:
-            if not alive(s.rank):
+        for r, slabs in enumerate(self.slabs):
+            if not alive(r):
                 continue  # a dead rank sends nothing; neighbours notice
             telemetry.tracing.instant(
-                "halo.send", cat="dmem", lane=f"rank {s.rank}",
-                grid=grid, width=width,
+                "halo.send", cat="dmem", lane=f"rank {r}",
+                grid=grid, dim=dim, width=width,
             )
-            arr = locals_[s.rank][grid]
-            rc = self.transport[s.rank]
+            s = slabs[dim]
+            arr = locals_[r][grid]
+            rc = self.transport[r]
             if s.rank > 0:
                 lo = s.local_own_lo
-                rc.rsend(arr[lo : lo + width], s.rank - 1, _TAG_UP)
-            if s.rank < size - 1:
+                rc.rsend(take(arr, lo, lo + width), r - step, up)
+            if s.rank < last:
                 hi = s.local_own_hi
-                rc.rsend(arr[hi - width : hi], s.rank + 1, _TAG_DOWN)
-        for s in self.decomp.slabs:
-            if not alive(s.rank):
+                rc.rsend(take(arr, hi - width, hi), r + step, down)
+        for r, slabs in enumerate(self.slabs):
+            if not alive(r):
                 continue
-            arr = locals_[s.rank][grid]
-            rc = self.transport[s.rank]
-            if s.rank < size - 1:
-                block = rc.rrecv(s.rank + 1, _TAG_UP)
+            s = slabs[dim]
+            arr = locals_[r][grid]
+            rc = self.transport[r]
+            if s.rank < last:
                 hi = s.local_own_hi
-                arr[hi : hi + width] = block
-            if s.rank > 0:
-                block = rc.rrecv(s.rank - 1, _TAG_DOWN)
-                lo = s.local_own_lo
-                arr[lo - width : lo] = block
-
-    def _exchange_raw(
-        self, locals_: list[dict[str, np.ndarray]], grid: str, width: int
-    ) -> None:
-        """Legacy bare-wire exchange (``transport="raw"``): payloads ride
-        :class:`SimComm` directly, with the ``halo_checksum`` guard's
-        CRC travelling as a companion message when enabled."""
-        size = self.decomp.size
-        checked = self.guards.halo_checksum != "off"
-        for s in self.decomp.slabs:
-            telemetry.tracing.instant(
-                "halo.send", cat="dmem", lane=f"rank {s.rank}",
-                grid=grid, width=width,
-            )
-            arr = locals_[s.rank][grid]
+                take(arr, hi, hi + width)[...] = rc.rrecv(r + step, up)
             if s.rank > 0:
                 lo = s.local_own_lo
-                block = arr[lo : lo + width]
-                self.comms[s.rank].send(block, s.rank - 1, _TAG_UP)
-                if checked:
-                    self.comms[s.rank].send(
-                        np.array([halo_crc(block)], dtype=np.int64),
-                        s.rank - 1, _TAG_UP_CRC,
-                    )
-            if s.rank < size - 1:
-                hi = s.local_own_hi
-                block = arr[hi - width : hi]
-                self.comms[s.rank].send(block, s.rank + 1, _TAG_DOWN)
-                if checked:
-                    self.comms[s.rank].send(
-                        np.array([halo_crc(block)], dtype=np.int64),
-                        s.rank + 1, _TAG_DOWN_CRC,
-                    )
-        for s in self.decomp.slabs:
-            arr = locals_[s.rank][grid]
-            if s.rank < size - 1:
-                block = self.comms[s.rank].recv(s.rank + 1, _TAG_UP)
-                if checked:
-                    crc = self.comms[s.rank].recv(s.rank + 1, _TAG_UP_CRC)
-                    self.guards.check_halo(grid, int(crc[0]), block)
-                hi = s.local_own_hi
-                arr[hi : hi + width] = block
-            if s.rank > 0:
-                block = self.comms[s.rank].recv(s.rank - 1, _TAG_DOWN)
-                if checked:
-                    crc = self.comms[s.rank].recv(s.rank - 1, _TAG_DOWN_CRC)
-                    self.guards.check_halo(grid, int(crc[0]), block)
-                lo = s.local_own_lo
-                arr[lo - width : lo] = block
+                take(arr, lo - width, lo)[...] = rc.rrecv(r - step, down)
 
     # -- execution ----------------------------------------------------------------
 
     def __call__(self, **global_arrays: np.ndarray) -> None:
-        """One-shot: scatter, run the group SPMD, gather owned rows back."""
+        """One-shot: scatter, run the group SPMD, gather owned cells back."""
         self.scatter(**global_arrays)
         self.run()
         self.gather(**global_arrays)
@@ -326,19 +305,31 @@ class DistributedKernel:
         if missing:
             raise TypeError(f"missing grids: {sorted(missing)}")
         for g in grids:
-            if tuple(global_arrays[g].shape) != self.global_shape:
+            a = global_arrays[g]
+            if tuple(a.shape) != self.global_shape:
                 raise ValueError(
-                    f"grid {g!r} has shape {global_arrays[g].shape}, "
+                    f"grid {g!r} has shape {a.shape}, "
                     f"kernel built for {self.global_shape}"
                 )
+            if a.dtype != self.dtype:
+                raise TypeError(
+                    f"kernel compiled for dtype {self.dtype}, got {a.dtype}"
+                )
+        # Must be genuine copies, never views: blocks of neighbouring
+        # ranks overlap in the halo region, and distributed memory means
+        # *no* aliasing — a view here would let one rank's writes leak
+        # into another's halo without a message.
         self._locals: list[dict[str, np.ndarray]] = [
             {
-                g: self.decomp.scatter(
-                    r, np.asarray(global_arrays[g], dtype=self.dtype)
+                g: np.array(
+                    global_arrays[g][
+                        tuple(slice(s.base, s.stop) for s in slabs)
+                    ],
+                    copy=True, order="C",
                 )
                 for g in grids
             }
-            for r in range(self.decomp.size)
+            for slabs in self.slabs
         ]
 
     def run(
@@ -366,8 +357,8 @@ class DistributedKernel:
     def _sweep(self, locals_: list[dict[str, np.ndarray]]) -> None:
         """One application of the whole group, with crash detection.
 
-        The ``comm.rank.crash`` fault site is probed once per (rank,
-        stencil): a firing kills that rank mid-sweep.  Survivors notice
+        The ``comm.rank.crash`` fault site is probed once per (stencil,
+        rank): a firing kills that rank mid-sweep.  Survivors notice
         at their next halo exchange (recv from a dead peer), or at
         latest in the end-of-sweep liveness audit — either way the
         sweep raises :class:`RankFailure` instead of completing with a
@@ -376,14 +367,16 @@ class DistributedKernel:
         telemetry.count("dmem.sweeps")
         alive = self.comms[0].alive
         for si in range(len(self.group)):
-            for g, w in self.read_halos[si].items():
+            for g, widths in self.read_halos[si].items():
                 with telemetry.tracing.span(
                     f"halo:{g}", cat="dmem",
-                    width=w, ranks=self.decomp.size,
+                    widths=list(widths), ranks=len(self.slabs),
                 ), telemetry.timed("dmem.exchange"):
-                    self._exchange(locals_, g, w)
+                    for dim in reversed(range(len(self.ranks))):
+                        if widths[dim]:
+                            self._exchange(locals_, g, dim, widths[dim])
                 telemetry.count("dmem.exchanges")
-            for r in range(self.decomp.size):
+            for r in range(len(self.slabs)):
                 if not alive(r):
                     continue
                 if fault_point("comm.rank.crash"):
@@ -407,7 +400,7 @@ class DistributedKernel:
             )
 
     def gather(self, **global_arrays: np.ndarray) -> None:
-        """Write every output grid's owned rows back into global arrays."""
+        """Write every output grid's owned cells back into global arrays."""
         locals_ = getattr(self, "_locals", None)
         if locals_ is None:
             raise RuntimeError("nothing to gather: scatter(...) first")
@@ -415,8 +408,11 @@ class DistributedKernel:
         for g in outputs:
             if g not in global_arrays:
                 raise TypeError(f"gather needs output grid {g!r}")
-            for r in range(self.decomp.size):
-                self.decomp.gather_into(r, locals_[r][g], global_arrays[g])
+        for slabs, local in zip(self.slabs, locals_):
+            there = tuple(slice(s.own_lo, s.own_hi) for s in slabs)
+            here = tuple(slice(s.local_own_lo, s.local_own_hi) for s in slabs)
+            for g in outputs:
+                global_arrays[g][there] = local[g][here]
 
     # -- accounting -------------------------------------------------------------
 
@@ -428,25 +424,24 @@ class DistributedKernel:
 
     def describe_dict(self) -> dict:
         """Machine-readable resilience/decomposition summary (the
-        ``explain --dmem`` surface)."""
+        ``explain --dmem`` surface); ``ranks``, ``halo`` and
+        ``rows_per_rank`` hold one entry per decomposed dimension."""
         return {
-            "ranks": self.decomp.size,
+            "ranks": list(self.ranks),
             "global_shape": list(self.global_shape),
-            "halo": self.halo,
+            "halo": list(self.halo),
             "rows_per_rank": [
-                s.own_hi - s.own_lo for s in self.decomp.slabs
+                [s.own_hi - s.own_lo for s in dec.slabs]
+                for dec in self.decomps
             ],
-            "read_halos": [dict(h) for h in self.read_halos],
+            "read_halos": [
+                {g: list(w) for g, w in h.items()} for h in self.read_halos
+            ],
             "backend": self.backend,
             "serving_backends": sorted(self.serving_backends),
             "transport": {
-                "mode": self.transport_mode,
                 "max_retries": self.transport_retries,
-                "delivery": (
-                    "exactly-once (seq + CRC + ack/retransmit)"
-                    if self.transport_mode == "reliable"
-                    else "best-effort (bare wire)"
-                ),
+                "delivery": "exactly-once (seq + CRC + ack/retransmit)",
             },
             "guards": {
                 "nonfinite": self.guards.nonfinite,
@@ -461,13 +456,12 @@ class DistributedKernel:
         """Human-readable form of :meth:`describe_dict`."""
         d = self.describe_dict()
         lines = [
-            f"distributed kernel: {d['ranks']} rank(s) over "
-            f"{tuple(d['global_shape'])}, halo {d['halo']}",
+            f"distributed kernel: {'x'.join(map(str, d['ranks']))} rank(s) "
+            f"over {tuple(d['global_shape'])}, halo {tuple(d['halo'])}",
             f"  rows/rank: {d['rows_per_rank']}",
             f"  backend: {d['backend']} "
             f"(serving: {', '.join(d['serving_backends'])})",
-            f"  transport: {d['transport']['mode']} — "
-            f"{d['transport']['delivery']}, "
+            f"  transport: {d['transport']['delivery']}, "
             f"retry budget {d['transport']['max_retries']}",
             "  guards: " + ", ".join(
                 f"{k}={v}" for k, v in d["guards"].items()

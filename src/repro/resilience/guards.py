@@ -9,10 +9,11 @@ A production solver would rather pay a scan than serve garbage.  The
   NaN/Inf and report the poisoned grid and element count;
 * ``invariants`` — dtype and shape of every grid must survive the call
   unchanged (catches a backend scribbling over array metadata);
-* ``halo_checksum`` — :class:`~repro.dmem.executor.DistributedKernel`
-  sends a CRC32 alongside every halo message and verifies it on
-  receipt, catching in-flight payload corruption (the
-  ``comm.payload.corrupt`` fault site) the moment it happens.
+* ``halo_checksum`` — how loudly the reliable halo transport of
+  :class:`~repro.dmem.executor.DistributedKernel` reports an envelope
+  that fails its CRC32 on receipt (the ``comm.payload.corrupt`` fault
+  site): healed silently by retransmission when ``off``, healed with a
+  warning under ``warn``, fatal under ``raise``.
 
 Guards attach per-kernel (``compile(..., guards=Guards(...))``) or
 globally via ``SNOWFLAKE_GUARDS`` (``"warn"``, ``"raise"``, or a
@@ -161,16 +162,3 @@ class Guards:
                     f"grid {g!r} changed across the call: "
                     f"dtype {dt}->{a.dtype}, shape {shape}->{a.shape}",
                 )
-
-    def check_halo(self, grid: str, expected_crc: int, block) -> None:
-        """Verify a received halo block against the sender's CRC."""
-        if self.halo_checksum == "off":
-            return
-        got = halo_crc(block)
-        if got != int(expected_crc):
-            self.report(
-                "halo_checksum",
-                f"halo block for grid {grid!r} failed checksum "
-                f"(sent {int(expected_crc):#010x}, received {got:#010x}) — "
-                "payload corrupted in flight",
-            )

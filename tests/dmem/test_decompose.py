@@ -1,6 +1,5 @@
 """Block decomposition edge cases: halo clipping, tiny slabs, ownership."""
 
-import numpy as np
 import pytest
 
 from repro.dmem.decompose import BlockDecomposition
@@ -64,23 +63,6 @@ class TestSingleRank:
         assert (s.own_lo, s.own_hi) == (0, 9)
         assert (s.base, s.stop) == (0, 9)  # halo fully clipped away
 
-    def test_single_rank_scatter_gather_roundtrip(self, rng):
-        d = BlockDecomposition(9, 1, halo=2)
-        g = rng.random((9, 4))
-        local = d.scatter(0, g)
-        assert local.shape == (9, 4)
-        local += 1.0
-        out = np.zeros_like(g)
-        d.gather_into(0, local, out)
-        np.testing.assert_allclose(out, g + 1.0)
-
-    def test_scatter_is_a_copy_not_a_view(self, rng):
-        d = BlockDecomposition(8, 2, halo=1)
-        g = rng.random((8, 3))
-        local = d.scatter(0, g)
-        local[:] = -1.0
-        assert not np.any(g == -1.0)
-
 
 class TestOwnerOf:
     def test_boundary_rows(self):
@@ -104,22 +86,3 @@ class TestOwnerOf:
         owners = [d.owner_of(i) for i in range(23)]
         assert owners == sorted(owners)
         assert set(owners) == set(range(5))
-
-
-class TestGather:
-    def test_gather_uses_owned_rows_only(self, rng):
-        # Pollute the halo region of every local array: gather must
-        # copy back only the owned rows.
-        d = BlockDecomposition(12, 3, halo=2)
-        g = rng.random((12, 2))
-        locals_ = [d.scatter(r, g) for r in range(3)]
-        for loc in locals_:
-            loc += 100.0
-        for r, loc in enumerate(locals_):
-            s = d.slabs[r]
-            loc[: s.local_own_lo] = -999.0
-            loc[s.local_own_hi :] = -999.0
-        out = np.zeros_like(g)
-        for r in range(3):
-            d.gather_into(r, locals_[r], out)
-        np.testing.assert_allclose(out, g + 100.0)

@@ -1,5 +1,6 @@
 """End-to-end dmem fault matrix: whole distributed runs stay exact
-under every wire fault, and the 2-D executor has full guard parity.
+under every wire fault, rank grids have full guard parity with slabs,
+and a crashed rank is detected and recovered on every rank layout.
 """
 
 import warnings
@@ -11,7 +12,7 @@ from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
-from repro.dmem import DistributedKernel, DistributedKernel2D
+from repro.dmem import DistributedKernel, RankFailure, RecoveryPolicy
 from repro.resilience.faults import arm, inject
 from repro.resilience.guards import Guards, GuardViolation, GuardWarning
 
@@ -41,12 +42,10 @@ def _dk(n=16, nranks=3, **kw):
 
 
 def _dk2(grid=(2, 2), n=12, **kw):
-    return DistributedKernel2D(
-        _group(), (n, n), grid, backend="numpy", **kw
-    )
+    return _dk(n=n, nranks=grid, **kw)
 
 
-def _fault_free_1d(u0, times=1, **kw):
+def _fault_free(u0, times=1, **kw):
     ref = np.array(u0, copy=True)
     dk = _dk(n=u0.shape[0], **kw)
     dk.scatter(u=ref)
@@ -59,7 +58,7 @@ class TestWireFaultMatrix:
     @pytest.mark.parametrize("site", WIRE_FAULTS)
     def test_single_fault_healed_end_to_end(self, site, rng):
         u0 = rng.random((16, 16))
-        ref = _fault_free_1d(u0, times=2)
+        ref = _fault_free(u0, times=2)
         u = np.array(u0, copy=True)
         dk = _dk()
         dk.scatter(u=u)
@@ -70,7 +69,7 @@ class TestWireFaultMatrix:
 
     def test_combined_faults_healed_end_to_end(self, rng):
         u0 = rng.random((16, 16))
-        ref = _fault_free_1d(u0, times=2)
+        ref = _fault_free(u0, times=2)
         u = np.array(u0, copy=True)
         dk = _dk()
         dk.scatter(u=u)
@@ -84,28 +83,16 @@ class TestWireFaultMatrix:
         assert s.duplicates >= 1
         assert s.crc_failures >= 1
 
-    def test_raw_transport_has_no_healing(self, rng):
-        # control experiment: the legacy bare wire really is lossy —
-        # a dropped halo message surfaces as a deadlock CommError
-        from repro.dmem.comm import CommError
-
-        dk = _dk(transport="raw")
-        dk.scatter(u=rng.random((16, 16)))
-        with inject("comm.send.drop", times=1):
-            with pytest.raises(CommError):
-                dk.run()
-
-    def test_transport_mode_validated(self):
-        with pytest.raises(ValueError, match="transport"):
-            _dk(transport="carrier-pigeon")
-
     def test_describe_reports_resilience_state(self, rng):
         dk = _dk()
         dk.scatter(u=rng.random((16, 16)))
         with inject("comm.send.drop", times=1):
             dk.run()
         d = dk.describe_dict()
-        assert d["transport"]["mode"] == "reliable"
+        assert d["transport"] == {
+            "max_retries": 4,
+            "delivery": "exactly-once (seq + CRC + ack/retransmit)",
+        }
         assert d["comm_stats"]["retransmits"] >= 1
         assert d["dead_ranks"] == []
         text = dk.describe()
@@ -114,8 +101,8 @@ class TestWireFaultMatrix:
 
 
 class TestExecutor2DGuardParity:
-    """Satellite: the 2-D executor rides the same reliable transport,
-    so halo-checksum guard semantics match the 1-D executor exactly."""
+    """Rank grids ride the same reliable transport as slabs, so
+    halo-checksum guard semantics are the same on both."""
 
     def _reference(self, u0, grid=(2, 2)):
         ref = np.array(u0, copy=True)
@@ -159,3 +146,32 @@ class TestExecutor2DGuardParity:
         with inject(site, times=2):
             dk(u=u)
         np.testing.assert_array_equal(u, ref)
+
+
+@pytest.mark.parametrize("ranks", [3, (3,), (2, 2)])
+class TestRankCrash:
+    """One failure contract on every rank layout: an injected crash is a
+    typed RankFailure, and a RecoveryPolicy replays it away bitwise."""
+
+    def test_crash_is_a_typed_failure(self, ranks, rng):
+        dk = _dk(nranks=ranks)
+        dk.scatter(u=rng.random((16, 16)))
+        with inject("comm.rank.crash", times=1):
+            with pytest.raises(RankFailure, match="rank 0 has failed"):
+                dk.run()
+        assert dk.comms[0].dead_ranks() == {0}
+
+    def test_mid_run_crash_recovers_bitwise(self, ranks, rng):
+        u0 = rng.random((16, 16))
+        ref = _fault_free(u0, times=3, nranks=ranks)
+        u = np.array(u0, copy=True)
+        dk = _dk(nranks=ranks)
+        dk.scatter(u=u)
+        # one probe per rank per sweep: this skips sweep 1 and rank 0
+        with inject("comm.rank.crash", times=1, after=len(dk.slabs) + 1):
+            dk.run(3, recovery=RecoveryPolicy())
+        dk.gather(u=u)
+        np.testing.assert_array_equal(u, ref)  # bitwise, not allclose
+        assert dk.comm_stats.crashes == 1
+        assert dk.comm_stats.restores == 1
+        assert not dk.comms[0].dead_ranks()

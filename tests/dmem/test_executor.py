@@ -41,15 +41,6 @@ class TestBlockDecomposition:
         assert d.slabs[1].base == 2
         assert d.slabs[-1].stop == 16
 
-    def test_scatter_gather_roundtrip(self, rng):
-        d = BlockDecomposition(12, 3, halo=1)
-        g = rng.random((12, 5))
-        out = np.zeros_like(g)
-        for r in range(3):
-            local = d.scatter(r, g)
-            d.gather_into(r, local, out)
-        np.testing.assert_array_equal(out, g)
-
     def test_owner_of(self):
         d = BlockDecomposition(8, 2, halo=1)
         assert d.owner_of(0) == 0
@@ -118,7 +109,7 @@ class TestDistributedEqualsLocal:
         s = Stencil(body, "out", RectDomain((2, 2), (-2, -2)))
         g = StencilGroup([s])
         dk_probe = DistributedKernel(g, (24, 24), 2)
-        assert dk_probe.halo == 2
+        assert dk_probe.halo == (2,)
         ref, got, _ = run_both(g, (24, 24), 3, rng)
         np.testing.assert_allclose(got["out"], ref["out"], atol=1e-14)
 
@@ -178,6 +169,59 @@ class TestRestrictionsAndErrors:
             dk(u=rng.random((8, 8)), out=np.zeros((8, 8)))
 
 
+@pytest.mark.parametrize("ranks", [3, (3,), (2, 2)])
+class TestOneContract:
+    """Slabs and rank grids are one class: they refuse the same inputs
+    with the same words and keep the same memory discipline."""
+
+    def dk(self, ranks):
+        g = StencilGroup([Stencil(LAP, "u", INTERIOR)])
+        return DistributedKernel(g, (12, 12), ranks, backend="numpy")
+
+    def test_wrong_shape_refused(self, ranks, rng):
+        with pytest.raises(ValueError, match=(
+            r"grid 'u' has shape \(16, 16\), kernel built for \(12, 12\)"
+        )):
+            self.dk(ranks)(u=rng.random((16, 16)))
+
+    def test_wrong_dtype_refused(self, ranks, rng):
+        u = rng.random((12, 12)).astype(np.float32)
+        with pytest.raises(
+            TypeError, match="kernel compiled for dtype float64, got float32"
+        ):
+            self.dk(ranks)(u=u)
+
+    def test_missing_grid_refused(self, ranks):
+        with pytest.raises(TypeError, match=r"missing grids: \['u'\]"):
+            self.dk(ranks)()
+
+    def test_rank_blocks_never_share_memory(self, ranks, rng):
+        # distributed memory means no aliasing: not with the caller's
+        # array, and not between ranks whose blocks overlap in the halo
+        u = rng.random((12, 12))
+        dk = self.dk(ranks)
+        dk.scatter(u=u)
+        blocks = [loc["u"] for loc in dk._locals]
+        for i, b in enumerate(blocks):
+            assert not np.shares_memory(b, u)
+            assert not any(np.shares_memory(b, o) for o in blocks[:i])
+
+    def test_gather_writes_owned_cells_only(self, ranks, rng):
+        u = rng.random((12, 12))
+        want = u + 100.0
+        dk = self.dk(ranks)
+        dk.scatter(u=u)
+        for slabs, loc in zip(dk.slabs, dk._locals):
+            owned = tuple(
+                slice(s.local_own_lo, s.local_own_hi) for s in slabs
+            )
+            keep = loc["u"][owned] + 100.0
+            loc["u"][...] = -999.0  # poison every halo cell...
+            loc["u"][owned] = keep
+        dk.gather(u=u)
+        np.testing.assert_array_equal(u, want)  # ...none leaks out
+
+
 class TestCommVolume:
     def test_messages_scale_with_ranks_and_stencils(self, rng):
         group = smooth_group(2, vc_laplacian(2, 1 / 30), lam="lam")
@@ -212,6 +256,20 @@ class TestPersistentMode:
         dk.run(times=3)
         dk.gather(**got)
         np.testing.assert_allclose(got["x"], ref["x"], atol=1e-13)
+
+    def test_rank_grid_scatter_run_gather(self, rng):
+        g = StencilGroup([Stencil(LAP, "u", INTERIOR)])
+        u0 = rng.random((16, 16))
+        ref = u0.copy()
+        kernel = g.compile(backend="numpy")
+        for _ in range(3):
+            kernel(u=ref)
+        dk = DistributedKernel(g, (16, 16), (2, 2), backend="numpy")
+        got = u0.copy()
+        dk.scatter(u=got)
+        dk.run(times=3)
+        dk.gather(u=got)
+        np.testing.assert_array_equal(got, ref)
 
     def test_run_before_scatter_rejected(self):
         g = StencilGroup([Stencil(LAP, "out", INTERIOR)])

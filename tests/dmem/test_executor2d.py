@@ -1,4 +1,4 @@
-"""2-D Cartesian decomposition equals single-node execution."""
+"""Rank-grid (Cartesian) decomposition equals single-node execution."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import OutputMap, Stencil, StencilGroup
 from repro.core.weights import SparseArray, WeightArray
-from repro.dmem import DistributedKernel2D
+from repro.dmem import DistributedKernel
 from repro.hpgmg.highorder import (
     compact_diagonal,
     compact_laplacian,
@@ -28,7 +28,7 @@ def run_both(group, shape, grid, rng, backend="c"):
     ref = {k: v.copy() for k, v in base.items()}
     group.compile(backend=backend)(**ref)
     got = {k: v.copy() for k, v in base.items()}
-    dk = DistributedKernel2D(group, shape, grid, backend=backend)
+    dk = DistributedKernel(group, shape, grid, backend=backend)
     dk(**got)
     return ref, got, dk
 
@@ -49,7 +49,7 @@ class TestEqualsLocal:
         ref = {k: v.copy() for k, v in base.items()}
         group.compile(backend="c")(**ref)
         got = {k: v.copy() for k, v in base.items()}
-        DistributedKernel2D(group, shape, grid, backend="c")(**got)
+        DistributedKernel(group, shape, grid, backend="c")(**got)
         np.testing.assert_allclose(got["x"], ref["x"], atol=1e-13)
 
     def test_corner_ghosts_via_two_phase_exchange(self, rng):
@@ -70,13 +70,20 @@ class TestEqualsLocal:
         np.testing.assert_allclose(got["x"], ref["x"], atol=1e-12)
         assert dk.halo == (1, 1)
 
-    def test_3d_grid_decomposed_on_two_leading_dims(self, rng):
+    def _cc3d(self, grid, rng):
         from repro.hpgmg.operators import cc_laplacian, interior
 
         s = Stencil(cc_laplacian(3, 0.1, grid="u"), "out", interior(3))
         g = StencilGroup([s])
-        ref, got, _ = run_both(g, (12, 12, 12), (2, 2), rng)
+        ref, got, dk = run_both(g, (12, 12, 12), grid, rng)
         np.testing.assert_allclose(got["out"], ref["out"], rtol=1e-13)
+        return dk
+
+    def test_3d_grid_decomposed_on_two_leading_dims(self, rng):
+        assert self._cc3d((2, 2), rng).halo == (1, 1)
+
+    def test_3d_grid_decomposed_on_all_three_dims(self, rng):
+        assert self._cc3d((2, 2, 2), rng).halo == (1, 1, 1)
 
     def test_uneven_rank_grid(self, rng):
         g = StencilGroup([Stencil(LAP, "u", INTERIOR)])  # in-place hazard
@@ -89,25 +96,25 @@ class TestValidation:
         s = Stencil(Component("u", WeightArray([1.0, 0, 1.0])), "out",
                     RectDomain((1,), (-1,)))
         with pytest.raises(ValueError, match="2 dims"):
-            DistributedKernel2D(StencilGroup([s]), (16,), (2, 1))
+            DistributedKernel(StencilGroup([s]), (16,), (2, 1))
 
     def test_scaled_output_rejected(self):
         s = Stencil(
             Component("c", WeightArray([[1]])), "f", INTERIOR,
             output_map=OutputMap((2, 2), (0, 0)),
         )
-        with pytest.raises(ValueError, match="node-local"):
-            DistributedKernel2D(StencilGroup([s]), (16, 16), (2, 2))
+        with pytest.raises(ValueError, match="output maps"):
+            DistributedKernel(StencilGroup([s]), (16, 16), (2, 2))
 
     def test_thin_slabs_rejected(self):
         wide = Component("u", SparseArray({(0, 0): 1.0, (0, 3): 1.0}))
         s = Stencil(wide, "out", RectDomain((3, 3), (-3, -3)))
-        with pytest.raises(ValueError, match="thinner"):
-            DistributedKernel2D(StencilGroup([s]), (12, 12), (1, 6))
+        with pytest.raises(ValueError, match="fewer"):
+            DistributedKernel(StencilGroup([s]), (12, 12), (1, 6))
 
     def test_missing_grid_at_call(self, rng):
         g = StencilGroup([Stencil(LAP, "out", INTERIOR)])
-        dk = DistributedKernel2D(g, (16, 16), (2, 2))
+        dk = DistributedKernel(g, (16, 16), (2, 2))
         with pytest.raises(TypeError, match="missing"):
             dk(u=rng.random((16, 16)))
 
@@ -118,7 +125,7 @@ class TestCommVolume:
         counts = {}
         for grid in ((2, 1), (2, 2)):
             base = {"u": rng.random((24, 24))}
-            dk = DistributedKernel2D(g, (24, 24), grid)
+            dk = DistributedKernel(g, (24, 24), grid)
             dk(**base)
             counts[grid] = dk.comm_stats.messages
         # (2,1): one dim-0 interface -> 2 messages per exchanged grid;

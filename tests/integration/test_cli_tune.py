@@ -103,7 +103,9 @@ def test_tune_persists_and_second_process_reloads(tmp_path):
     second = subprocess.run(
         [sys.executable, "-c", SECOND_PROCESS.format(n=n)],
         capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH="src", **env),
+        # pinned: an exported SNOWFLAKE_TUNED=0 (bench/ sets it) would
+        # switch off the very reload this process exists to observe
+        env=dict(os.environ, PYTHONPATH="src", SNOWFLAKE_TUNED="1", **env),
     )
     assert second.returncode == 0, second.stdout + second.stderr
     assert "RELOADED" in second.stdout
