@@ -9,8 +9,10 @@ on the CPU device simulator).  User backends register via :func:`register_backen
 
 from .base import (
     Backend,
+    BoundKernel,
     CompiledKernel,
     available_backends,
+    bind_kernel,
     get_backend,
     register_backend,
 )
@@ -30,8 +32,10 @@ except Exception:  # pragma: no cover - exercised only without a toolchain
 
 __all__ = [
     "Backend",
+    "BoundKernel",
     "CompiledKernel",
     "available_backends",
+    "bind_kernel",
     "get_backend",
     "register_backend",
     "HAVE_COMPILED_BACKENDS",

@@ -19,13 +19,20 @@ import numpy as np
 
 from .. import telemetry
 from ..core.stencil import StencilGroup
-from ..core.validate import check_arrays, check_group, iteration_shape
+from ..core.validate import (
+    ValidationError,
+    check_arrays,
+    check_group,
+    iteration_shape,
+)
 from ..resilience.faults import InjectedFault, fault_point
 from ..resilience.guards import Guards
 
 __all__ = [
     "Backend",
+    "BoundKernel",
     "CompiledKernel",
+    "bind_kernel",
     "register_backend",
     "get_backend",
     "available_backends",
@@ -39,6 +46,12 @@ class CompiledKernel:
     mutated in place for outputs) and the scalar params.  Lazy shape
     specialization: when built without ``shapes``, the first call binds
     them and the specialized kernel is cached per shape tuple.
+
+    The call seam has two steps.  :meth:`bind` checks the grids against
+    the call contract and marshals them, once; the :class:`BoundKernel`
+    it returns takes only the params and is what a loop should call.
+    ``kernel(**grids, **params)`` is ``kernel.bind(**grids)(**params)``
+    — the convenience form, which pays for the binding on every call.
 
     Runtime guards (:class:`~repro.resilience.guards.Guards`) attach at
     compile time (``compile(..., guards=...)``) or globally via the
@@ -59,7 +72,13 @@ class CompiledKernel:
         self.group = group
         self.backend_name = backend_name
         self.guards = guards if guards is not None else Guards.from_env()
-        self._outputs = {s.output for s in group}
+        # names come from a walk of every stencil's expression tree:
+        # taken here, once, never per call
+        self._grid_names = frozenset(group.grids())
+        self._param_names = frozenset(group.params())
+        self._outputs = tuple(sorted({s.output for s in group}))
+        self._label = backend_name or "backend"
+        self._span_name = f"kernel:{group.name}"
         self._specialize = specialize
         self._cache: dict[tuple, Callable] = {}
         self._pinned_dtype = np.dtype(dtype) if dtype is not None else None
@@ -91,42 +110,50 @@ class CompiledKernel:
             if fault_point("backend.specialize"):
                 raise InjectedFault(
                     f"injected fault: specialize "
-                    f"{self.backend_name or 'backend'} for {sorted(shapes)}"
+                    f"{self._label} for {sorted(shapes)}"
                 )
-            name = self.backend_name or "backend"
             t0 = time.perf_counter()
             with telemetry.tracing.span(
                 f"specialize:{self.group.name}", cat="kernel",
-                backend=name, shapes=len(shapes),
+                backend=self._label, shapes=len(shapes),
             ):
                 impl = self._specialize(shapes, np.dtype(dtype))
             telemetry.record_time(
-                f"backend.{name}.specialize", time.perf_counter() - t0
+                f"backend.{self._label}.specialize", time.perf_counter() - t0
             )
             telemetry.event(
-                "backend.specialize", backend=name, group=self.group.name
+                "backend.specialize", backend=self._label, group=self.group.name
             )
             entry = (impl, self._points(shapes))
             self._cache[key] = entry
         return entry
 
-    def __call__(self, **kwargs) -> None:
-        grids = {}
-        params = {}
-        grid_names = self.group.grids()
-        param_names = self.group.params()
-        for k, v in kwargs.items():
-            if k in grid_names:
-                grids[k] = v
-            elif k in param_names:
-                params[k] = float(v)
-            else:
-                raise TypeError(
-                    f"unexpected argument {k!r}; grids are "
-                    f"{sorted(grid_names)}, params are {sorted(param_names)}"
-                )
-        check_arrays(self.group, grids, params)
-        arrays = {g: np.asarray(a) for g, a in grids.items()}
+    def _unexpected(self, name: str) -> TypeError:
+        return TypeError(
+            f"unexpected argument {name!r}; grids are "
+            f"{sorted(self._grid_names)}, params are {sorted(self._param_names)}"
+        )
+
+    def bind(self, **grids) -> "BoundKernel":
+        """Check ``grids`` against the call contract and marshal them, once.
+
+        Everything a call has to establish about its arrays is
+        established here: the names, that outputs are writeable
+        ``np.ndarray`` objects, dtype coherence and the pinned dtype,
+        the shape specialization (compiled now if new) and whatever the
+        backend's own ``impl.bind`` requires (the C family: contiguity,
+        no two grids overlapping in memory).  Array-like *inputs* are
+        converted here.
+
+        Ownership: the bound kernel holds the array objects it was given
+        and runs on them.  In-place writes (``fill``, slice assignment)
+        are seen; replacing an array with a new one needs a new ``bind``;
+        ``setflags(write=False)`` after ``bind`` is not checked again.
+        """
+        for name in grids:
+            if name not in self._grid_names:
+                raise self._unexpected(name)
+        arrays = check_arrays(self._grid_names, self._outputs, grids)
         dt = next(iter(arrays.values())).dtype
         if self._pinned_dtype is not None and dt != self._pinned_dtype:
             raise TypeError(
@@ -134,33 +161,110 @@ class CompiledKernel:
             )
         shapes = {g: a.shape for g, a in arrays.items()}
         impl, points = self._get_impl(shapes, dt)
-        if fault_point("backend.invoke"):
-            raise InjectedFault(
-                f"injected fault: invoke {self.backend_name or 'backend'} "
-                f"kernel for {self.group.name!r}"
-            )
-        before = self.guards.snapshot_invariants(arrays)
-        with telemetry.tracing.span(
-            f"kernel:{self.group.name}", cat="kernel",
-            backend=self.backend_name or "backend", points=points,
-        ):
-            if telemetry.enabled():
-                t0 = time.perf_counter()
+        bind = getattr(impl, "bind", None)
+        if bind is not None:
+            run = bind(arrays)
+        else:
+            def run(params):
                 impl(arrays, params)
-                telemetry.kernel_call(
-                    self.backend_name or "backend",
-                    time.perf_counter() - t0,
-                    points,
-                )
-            else:
-                impl(arrays, params)
-        self.guards.check_invariants(before, arrays)
-        self.guards.scan_nonfinite(arrays, self._outputs)
+        return BoundKernel(self, arrays, run, points)
+
+    def __call__(self, **kwargs) -> None:
+        params = {p: kwargs.pop(p) for p in self._param_names if p in kwargs}
+        self.bind(**kwargs)(**params)
 
     @property
     def specializations(self) -> int:
         """Number of shape/dtype specializations compiled so far."""
         return len(self._cache)
+
+
+class BoundKernel:
+    """A :class:`CompiledKernel` bound to its arrays: ``bound(**params)``.
+
+    Made by :meth:`CompiledKernel.bind`, which has already checked and
+    marshalled the grids, so a call is: params check, the
+    ``backend.invoke`` fault site, the backend's bound runner, one
+    telemetry count.  Guards and the ``kernel:<group>`` span run only
+    when switched on.  ``SNOWFLAKE_TELEMETRY`` and ``SNOWFLAKE_FAULTS``
+    are still followed live, each read once per call.
+
+    Safe to share between threads: per-call state (the params buffer of
+    the C family) is made per call.
+    """
+
+    __slots__ = ("kernel", "arrays", "_run", "_points")
+
+    def __init__(
+        self,
+        kernel: CompiledKernel,
+        arrays: Mapping[str, np.ndarray],
+        run: Callable[[Mapping[str, float]], None],
+        points: int,
+    ) -> None:
+        self.kernel = kernel
+        self.arrays = arrays
+        self._run = run
+        self._points = points
+
+    def __call__(self, **params) -> None:
+        k = self.kernel
+        if params.keys() != k._param_names:
+            for name in params:
+                if name not in k._param_names:
+                    raise k._unexpected(name)
+            raise ValidationError(
+                "missing params at call time: "
+                f"{sorted(k._param_names - params.keys())}"
+            )
+        if params:
+            params = {p: float(v) for p, v in params.items()}
+        if fault_point("backend.invoke"):
+            raise InjectedFault(
+                f"injected fault: invoke {k._label} "
+                f"kernel for {k.group.name!r}"
+            )
+        mode = telemetry.mode()
+        tracing = telemetry.tracing
+        if (
+            tracing.stacks_wanted
+            or tracing.active(mode)
+            or k.guards.nonfinite != "off"
+            or k.guards.invariants != "off"
+        ):
+            before = k.guards.snapshot_invariants(self.arrays)
+            with tracing.span(
+                k._span_name, cat="kernel",
+                backend=k._label, points=self._points,
+            ):
+                self._timed_run(params, mode)
+            k.guards.check_invariants(before, self.arrays)
+            k.guards.scan_nonfinite(self.arrays, k._outputs)
+        else:
+            self._timed_run(params, mode)
+
+    def _timed_run(self, params, mode: str) -> None:
+        if mode == "off":
+            self._run(params)
+            return
+        t0 = time.perf_counter()
+        self._run(params)
+        telemetry.kernel_call(
+            self.kernel._label, time.perf_counter() - t0, self._points, mode
+        )
+
+
+def bind_kernel(kernel: Callable, grids: Mapping[str, np.ndarray]) -> Callable:
+    """``kernel`` bound to ``grids``, as a callable taking only params.
+
+    ``kernel.bind(**grids)`` where the kernel has a bind step; a backend
+    whose ``compile`` returns a bare function gets the grids passed on
+    every call instead.
+    """
+    bind = getattr(kernel, "bind", None)
+    if bind is not None:
+        return bind(**grids)
+    return lambda **params: kernel(**grids, **params)
 
 
 class Backend(abc.ABC):
@@ -190,6 +294,10 @@ class Backend(abc.ABC):
         The returned function is invoked once per distinct (shapes,
         dtype) combination and must return
         ``impl(arrays: dict[str, ndarray], params: dict[str, float])``.
+        ``impl`` may carry an attribute ``impl.bind(arrays)`` returning
+        ``run(params)``: its own per-array checks and marshalling, done
+        once for a :class:`BoundKernel`.  Without one, a bound call is
+        ``impl(arrays, params)``.
         """
 
     def artifact_info(

@@ -141,7 +141,13 @@ def make_ffi_wrapper(
     func_name: str,
     ctx: CodegenContext,
 ) -> Callable:
-    """Wrap a compiled kernel in the Python calling convention."""
+    """Wrap a compiled kernel in the Python calling convention.
+
+    Returns ``impl(arrays, params)`` carrying ``impl.bind(arrays)``:
+    ``bind`` checks the arrays against the compiled signature and builds
+    the pointer table once, and the ``run(params)`` it returns is one
+    FFI call.  ``impl`` itself is ``bind(arrays)(params)``.
+    """
     fn = getattr(lib, func_name)
     fn.argtypes = [
         ctypes.POINTER(ctypes.c_void_p),
@@ -152,12 +158,13 @@ def make_ffi_wrapper(
     param_order = list(ctx.param_order)
     shapes = {g: tuple(ctx.shapes[g]) for g in grid_order}
     want_dtype = np.dtype(np.float64 if ctx.ctype == "double" else np.float32)
+    ptrs_t = ctypes.c_void_p * len(grid_order)
+    pvals_t = ctypes.c_double * max(len(param_order), 1)
+    no_params = pvals_t()  # only ever read, so one buffer serves every call
 
-    def impl(arrays: Mapping[str, np.ndarray], params: Mapping[str, float]):
-        ptrs = (ctypes.c_void_p * len(grid_order))()
-        mats = []
-        for i, g in enumerate(grid_order):
-            a = arrays[g]
+    def bind(arrays: Mapping[str, np.ndarray]) -> Callable:
+        mats = [arrays[g] for g in grid_order]
+        for g, a in zip(grid_order, mats):
             if a.dtype != want_dtype:
                 raise TypeError(
                     f"grid {g!r} has dtype {a.dtype}, kernel wants {want_dtype}"
@@ -171,8 +178,6 @@ def make_ffi_wrapper(
                 raise ValueError(
                     f"grid {g!r} must be C-contiguous for compiled backends"
                 )
-            mats.append(a)
-            ptrs[i] = a.ctypes.data
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 if np.shares_memory(mats[i], mats[j]):
@@ -181,11 +186,20 @@ def make_ffi_wrapper(
                         "alias the same memory; compiled kernels assume "
                         "distinct (restrict) buffers"
                     )
-        pvals = (ctypes.c_double * max(len(param_order), 1))(
-            *[float(params[p]) for p in param_order]
-        )
-        fn(ptrs, pvals)
+        ptrs = ptrs_t(*[a.ctypes.data for a in mats])
 
+        def run(params: Mapping[str, float]) -> None:
+            # a fresh params buffer per call keeps a bound kernel re-entrant
+            fn(ptrs, pvals_t(*[float(params[p]) for p in param_order])
+               if param_order else no_params)
+
+        run.arrays = mats  # the buffers behind `ptrs` live as long as `run`
+        return run
+
+    def impl(arrays: Mapping[str, np.ndarray], params: Mapping[str, float]):
+        bind(arrays)(params)
+
+    impl.bind = bind
     return impl
 
 

@@ -135,21 +135,37 @@ def check_group(
 
 
 def check_arrays(
-    group: StencilGroup,
+    needed: frozenset[str],
+    outputs: Sequence[str],
     grids: Mapping[str, "object"],
-    params: Mapping[str, float],
-) -> None:
-    """Call-time validation: every grid/param present, dtypes coherent."""
+) -> dict:
+    """Bind-time validation of the arrays a kernel is about to run on.
+
+    Every ``needed`` grid is present; every output grid is a writeable
+    ``np.ndarray`` (an array-like output would be copied by
+    ``np.asarray`` and the result dropped; a read-only one must not be
+    written through a raw pointer); dtypes are coherent.  Array-like
+    *inputs* are accepted and converted here.  Returns name -> ndarray.
+    """
     import numpy as np
 
-    needed_grids = group.grids()
-    missing = needed_grids - set(grids)
+    missing = needed - grids.keys()
     if missing:
         raise ValidationError(f"missing grids at call time: {sorted(missing)}")
-    needed_params = group.params()
-    missing_p = needed_params - set(params)
-    if missing_p:
-        raise ValidationError(f"missing params at call time: {sorted(missing_p)}")
-    dtypes = {np.asarray(grids[g]).dtype for g in needed_grids}
+    for g in outputs:
+        a = grids[g]
+        if not isinstance(a, np.ndarray):
+            raise TypeError(
+                f"output grid {g!r} must be a numpy.ndarray, got "
+                f"{type(a).__name__}: a kernel writes its outputs in place"
+            )
+        if not a.flags.writeable:
+            raise ValueError(
+                f"output grid {g!r} is read-only: a kernel writes its "
+                "outputs in place"
+            )
+    arrays = {g: np.asarray(a) for g, a in grids.items()}
+    dtypes = {a.dtype for a in arrays.values()}
     if len(dtypes) > 1:
         raise ValidationError(f"grids have mixed dtypes: {sorted(map(str, dtypes))}")
+    return arrays

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..backends import bind_kernel
 from ..core.stencil import StencilGroup
 from ..util.timing import Timer
 from .level import Level
@@ -168,17 +169,10 @@ class MultigridSolver:
         return "lam"
 
     def _compile(self, group: StencilGroup, level: Level) -> Callable:
-        shapes = {g: level.shape for g in group.grids()}
-        kernel = group.compile(
-            backend=self.backend, shapes=shapes, dtype=level.dtype,
-            **self.backend_options,
+        names = group.grids()
+        return self._compile_pair(
+            group, dict.fromkeys(names, level), {g: g for g in names}
         )
-        grids = {g: level.grids[g] for g in group.grids()}
-
-        def run(**params):
-            kernel(**grids, **params)
-
-        return run
 
     def _compile_pair(
         self,
@@ -186,17 +180,18 @@ class MultigridSolver:
         level_of: dict[str, Level],
         grid_of: dict[str, str],
     ) -> Callable:
-        shapes = {g: level_of[g].shape for g in group.grids()}
+        """Compile ``group`` and bind it to its level arrays, so a cycle
+        pays for argument checking and marshalling once, here.  The
+        kernels run on these array objects for the solver's lifetime:
+        fill them in place, never replace them."""
+        names = group.grids()
+        shapes = {g: level_of[g].shape for g in names}
         kernel = group.compile(
             backend=self.backend, shapes=shapes,
             dtype=self.levels[0].dtype, **self.backend_options,
         )
-        grids = {g: level_of[g].grids[grid_of[g]] for g in group.grids()}
-
-        def run(**params):
-            kernel(**grids, **params)
-
-        return run
+        grids = {g: level_of[g].grids[grid_of[g]] for g in names}
+        return bind_kernel(kernel, grids)
 
     def _build_smoother(self, level: Level) -> Callable:
         ndim = level.ndim

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 from .. import telemetry
-from ..backends.base import get_backend
+from ..backends.base import bind_kernel, get_backend
 from ..backends.jit import CompileError, CompileTimeout
 from .faults import InjectedFault, ResilienceWarning
 
@@ -130,7 +130,8 @@ class ResilientKernel:
     """A kernel that walks a backend chain instead of dying.
 
     Behaves like the :class:`~repro.backends.base.CompiledKernel` it
-    wraps — ``kernel(**grids, **params)`` — plus:
+    wraps — ``kernel(**grids, **params)``, or ``kernel.bind(**grids)``
+    once and ``bound(**params)`` in the loop — plus:
 
     * ``serving_backend`` — who actually served the last successful
       call (``None`` until one succeeds);
@@ -152,6 +153,7 @@ class ResilientKernel:
             if name not in chain:
                 chain.append(name)
         self.group = group
+        self._param_names = frozenset(group.params())
         self.chain: tuple[str, ...] = tuple(chain)
         self.policy = policy
         self.attempts: list[tuple[str, str]] = []
@@ -177,16 +179,52 @@ class ResilientKernel:
     def degraded(self) -> bool:
         return self._serving is not None and self._serving != self.chain[0]
 
+    def bind(self, **grids) -> Callable:
+        """Bind ``grids`` on the serving backend; returns ``bound(**params)``.
+
+        The grids are checked now, against the backend currently at the
+        head of the chain.  When a bound call fails there (or another
+        caller has already moved the chain on), the same grids are bound
+        again on the next backend and the call is served from it, with
+        the usual ``attempts`` / ``serving_backend`` / ``degraded``
+        bookkeeping.  Ownership is as for
+        :meth:`~repro.backends.base.CompiledKernel.bind`.
+        """
+        source = bound = None  # `bound` was made from chain kernel `source`
+
+        def rebind() -> str:
+            """Make ``bound`` current; returns the serving backend's name."""
+            nonlocal source, bound
+            while True:
+                kernel, name = self._ensure_kernel()
+                if source is kernel:
+                    return name
+                try:
+                    bound = self._with_retries(
+                        lambda: bind_kernel(kernel, grids)
+                    )
+                except FALLBACK_ERRORS as e:
+                    self._fail(name, e)
+                    continue
+                source = kernel
+
+        def call(**params) -> None:
+            while True:
+                name = rebind()
+                try:
+                    self._with_retries(lambda: bound(**params))
+                except FALLBACK_ERRORS as e:
+                    self._fail(name, e)
+                    continue
+                self._mark_serving(name)
+                return
+
+        rebind()
+        return call
+
     def __call__(self, **kwargs) -> None:
-        while True:
-            kernel, name = self._ensure_kernel()
-            try:
-                self._with_retries(lambda: kernel(**kwargs))
-            except FALLBACK_ERRORS as e:
-                self._fail(name, e)
-                continue
-            self._mark_serving(name)
-            return
+        params = {p: kwargs.pop(p) for p in self._param_names if p in kwargs}
+        self.bind(**kwargs)(**params)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -16,17 +16,45 @@ cheapest legal realization:
 The refusal evidence is never swallowed: pass ``strict=True`` to get
 the ``ValueError`` with the ``Evidence("time-tile-refused", ...)``
 chain instead of the fallback.
+
+``run`` compiles a given (program object, shapes, dtype, backend,
+``times``, options) once: the kernel it chose — fused or fallback — is
+kept on the program object, so a loop of ``run`` calls pays a lookup,
+not a compile.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
+from .backends import bind_kernel
 from .core.stencil import Stencil, StencilGroup
 
 __all__ = ["run"]
+
+#: kernels memoised per program object; the oldest goes first
+_MEMO_SIZE = 16
+
+
+def _compile(
+    program: "Stencil | StencilGroup", times: int, strict: bool, options: dict
+) -> tuple[Callable, bool]:
+    """``(kernel, fused)``: the kernel ``run`` calls and whether one call
+    of it is all ``times`` applications."""
+    if times > 1:
+        try:
+            # shapes= makes specialization eager, so a time-tile
+            # refusal (ValueError with evidence) or a backend that
+            # cannot lower it (NotImplementedError, or TypeError for
+            # one without the knob) surfaces here, before any grid is
+            # touched.
+            return program.compile(time_tile=times, **options), True
+        except (ValueError, NotImplementedError, TypeError):
+            if strict:
+                raise
+    return program.compile(**options), False
 
 
 def run(
@@ -45,36 +73,41 @@ def run(
     ``multicolor``, ...).  Returns the number of kernel invocations
     performed (1 when the time tile landed, ``times`` on fallback) so
     callers and tests can observe which path ran.
+
+    The compiled kernel — or, for a refused time tile, the fallback
+    kernel — is kept on the ``program`` object per (shapes, dtype,
+    backend, ``times``, options), so calling ``run`` in a loop compiles
+    once, and dropping the program drops its kernels.  ``strict=True``
+    raises the refusal on every call.
     """
     times = int(times)
     if times < 1:
         raise ValueError(f"times must be >= 1, got {times!r}")
-    if isinstance(program, Stencil):
-        program = StencilGroup([program], name=program.name)
     params = dict(params or {})
     shapes = {g: np.asarray(a).shape for g, a in arrays.items()}
     dtype = np.asarray(next(iter(arrays.values()))).dtype
 
-    if times > 1:
-        try:
-            # shapes= makes specialization eager, so a time-tile
-            # refusal (ValueError with evidence) or a backend that
-            # cannot lower it (NotImplementedError, or TypeError for
-            # one without the knob) surfaces here, before any grid is
-            # touched.
-            kernel = program.compile(
-                backend=backend, shapes=shapes, dtype=dtype,
-                time_tile=times, **options,
-            )
-        except (ValueError, NotImplementedError, TypeError):
-            if strict:
-                raise
-        else:
-            kernel(**arrays, **params)
-            return 1
-    kernel = program.compile(
-        backend=backend, shapes=shapes, dtype=dtype, **options
+    memo = program.__dict__.setdefault("_run_kernels", {})
+    key = (
+        tuple(sorted(shapes.items())), dtype.str, backend, times,
+        tuple(sorted(options.items())),
     )
-    for _ in range(times):
-        kernel(**arrays, **params)
-    return times
+    try:
+        entry = memo.get(key)
+    except TypeError:  # an unhashable option value: compile afresh
+        key = entry = None
+    if entry is None or (strict and times > 1 and not entry[1]):
+        entry = _compile(
+            program, times, strict,
+            dict(backend=backend, shapes=shapes, dtype=dtype, **options),
+        )
+        if key is not None:
+            if len(memo) >= _MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = entry
+    kernel, fused = entry
+    calls = 1 if fused else times
+    bound = bind_kernel(kernel, arrays)
+    for _ in range(calls):
+        bound(**params)
+    return calls

@@ -38,6 +38,8 @@ from collections import Counter, deque
 from contextlib import contextmanager
 from pathlib import Path
 
+from .metrics import _observe_raw
+
 __all__ = [
     "MODES",
     "TRACE_CAPACITY",
@@ -152,8 +154,6 @@ def record_time(name: str, seconds: float) -> None:
             agg[1] += seconds
             agg[2] = min(agg[2], seconds)
             agg[3] = max(agg[3], seconds)
-    from .metrics import _observe_raw
-
     _observe_raw(name, seconds)
 
 
@@ -172,14 +172,18 @@ def timed(name: str):
     record_time(name, time.perf_counter() - t0)
 
 
-def kernel_call(backend: str, seconds: float, points: int) -> None:
+def kernel_call(
+    backend: str, seconds: float, points: int, resolved: str | None = None
+) -> None:
     """Record one compiled-kernel invocation for ``backend``.
 
     Also feeds the ``kernel.call`` latency histogram (labelled by
     backend) — the per-call distribution behind the p50/p95/p99 the
     ``repro stats`` report and the OpenMetrics exporter surface.
+    ``resolved`` is the active :func:`mode` when the caller already has
+    it (a bound kernel call resolves it once and passes it down).
     """
-    if mode() == "off":
+    if (resolved or mode()) == "off":
         return
     with _lock:
         agg = _kernels.get(backend)
@@ -189,8 +193,6 @@ def kernel_call(backend: str, seconds: float, points: int) -> None:
             agg[0] += 1
             agg[1] += seconds
             agg[2] += points
-    from .metrics import _observe_raw
-
     _observe_raw("kernel.call", seconds, {"backend": backend})
 
 

@@ -100,15 +100,19 @@ stacks_wanted = False
 _ids = itertools.count(1)  # span correlation ids (next() is atomic)
 
 
-def _telemetry_trace_mode() -> bool:
-    from .registry import events_enabled
+def active(mode: str | None = None) -> bool:
+    """Is span collection on?  The hot-path gate.
 
-    return events_enabled()
+    ``mode`` is the registry mode when the caller has already resolved
+    it (a bound kernel call resolves it once and passes it down).
+    """
+    if _sessions > 0:
+        return True
+    if mode is None:
+        from .registry import mode as resolve
 
-
-def active() -> bool:
-    """Is span collection on?  The hot-path gate."""
-    return _sessions > 0 or _telemetry_trace_mode()
+        mode = resolve()
+    return mode == "trace"
 
 
 def start() -> None:

@@ -213,3 +213,43 @@ class TestCallSeam:
         buf = rng.random((9, 8))
         with pytest.raises(ValueError, match="alias the same memory"):
             k(u=buf[:8], out=buf[1:])
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_readonly_output_refused_identically(self, backend, rng):
+        # the C family writes through a raw pointer: it ran, and wrote
+        lap = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
+        k = Stencil(lap, "out", INTERIOR2).compile(backend=backend)
+        ro = np.zeros((8, 8))
+        ro.setflags(write=False)
+        with pytest.raises(ValueError) as exc:
+            k(u=rng.random((8, 8)), out=ro)
+        assert str(exc.value) == (
+            "output grid 'out' is read-only: a kernel writes its outputs "
+            "in place"
+        )
+        assert not ro.any()
+        # a read-only *input* is fine everywhere
+        u = rng.random((8, 8))
+        u.setflags(write=False)
+        out = np.zeros((8, 8))
+        k(u=u, out=out)
+        assert out[1:-1, 1:-1].any()
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_non_ndarray_output_refused_identically(self, backend, rng):
+        # np.asarray made a private copy: the call "worked", the result
+        # was dropped
+        lap = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
+        k = Stencil(lap, "out", INTERIOR2).compile(backend=backend)
+        a = rng.random((8, 8))
+        with pytest.raises(TypeError) as exc:
+            k(u=a, out=[[0.0] * 8 for _ in range(8)])
+        assert str(exc.value) == (
+            "output grid 'out' must be a numpy.ndarray, got list: a kernel "
+            "writes its outputs in place"
+        )
+        # an array-like *input* stays accepted
+        out, ref = np.zeros((8, 8)), np.zeros((8, 8))
+        k(u=a.tolist(), out=out)
+        k(u=a, out=ref)
+        np.testing.assert_array_equal(out, ref)

@@ -167,3 +167,56 @@ class TestBackendOptions:
             MultigridSolver(
                 Level(8, 2), backend="c", backend_options={"gpu": True}
             )
+
+
+class TestBoundKernels:
+    """The solver binds its level grids at construction."""
+
+    def test_vcycle_call_count_and_bits(self):
+        from repro import telemetry
+
+        telemetry.set_mode("counters")
+        try:
+            level, _ = setup_problem(32, ndim=3, coefficients="variable")
+            solver = MultigridSolver(level, backend="c")
+            before = telemetry.snapshot()["kernels"].get("c", {}).get("calls", 0)
+            solver.v_cycle(0)
+            after = telemetry.snapshot()["kernels"]["c"]["calls"]
+        finally:
+            telemetry.set_mode(None)
+        assert after - before == 60
+
+        grids = []
+        for backend in ("python", "c"):
+            level, _ = setup_problem(8, ndim=3, coefficients="variable")
+            s = MultigridSolver(level, backend=backend)
+            s.v_cycle(0)
+            s.v_cycle(0)
+            grids.append([lv.grids[g] for lv in s.levels for g in ("x", "res")])
+        for ref, got in zip(*grids):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_backend_whose_compile_returns_a_bare_function(self):
+        from repro.backends import Backend, get_backend, register_backend
+        from repro.backends.base import _REGISTRY
+
+        class Bare(Backend):
+            name = "bare-function-test-backend"
+
+            def specializer(self, group, **options):  # pragma: no cover
+                raise NotImplementedError
+
+            def compile(self, group, shapes=None, dtype=None, guards=None,
+                        **options):
+                kernel = get_backend("numpy").compile(group, shapes, dtype)
+                return lambda **kwargs: kernel(**kwargs)
+
+        register_backend(Bare())
+        try:
+            level, _ = setup_problem(8, ndim=2)
+            hist = MultigridSolver(level, backend=Bare.name).solve(cycles=3)
+        finally:
+            _REGISTRY.pop(Bare.name, None)
+        ref_level, _ = setup_problem(8, ndim=2)
+        ref = MultigridSolver(ref_level, backend="numpy").solve(cycles=3)
+        assert hist == ref
