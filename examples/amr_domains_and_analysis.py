@@ -22,9 +22,9 @@ from repro.analysis import (
     build_dag,
     domains_disjoint,
     eliminate_dead_stencils,
-    fusion_candidates,
     plan,
 )
+from repro.schedule import fusion_chains
 
 SHAPE = (128, 128)
 
@@ -71,8 +71,8 @@ pair_group = StencilGroup(
         Stencil(smooth, "a2", patch_a, name="p2"),
     ]
 )
-cands = fusion_candidates(pair_group, {g: SHAPE for g in pair_group.grids()})
-print("fusable adjacent pairs:", [(c.first, c.second) for c in cands])
+chains = fusion_chains(pair_group, {g: SHAPE for g in pair_group.grids()})
+print("fusable chains:", [c for c in chains if len(c) > 1])
 
 # -- and of course it runs -------------------------------------------------------
 rng = np.random.default_rng(0)

@@ -4,7 +4,9 @@ Applies the discipline the numpy/HPC guides preach — no optimization
 without measuring — to a Snowflake stencil pipeline:
 
 1. profile a multigrid smoothing step per stencil (which operator is
-   actually hot?),
+   actually hot?) — each stencil runs as its own group under the span
+   tracer, and the ``kernel:<stencil>`` rows of ``self_times()`` are
+   the answer,
 2. let the pass manager clean the group (dead-stencil elimination +
    barrier-minimizing reorder),
 3. autotune the tile size for the hot stencil's backend,
@@ -31,8 +33,8 @@ from repro.hpgmg.operators import (
     smooth_group,
 )
 from repro.telemetry import tracing
+from repro.telemetry.report import render_top
 from repro.tuning import autotune_tile
-from repro.util.profiling import format_profile, profile_group
 from repro.util.timing import best_of
 
 N = 96
@@ -54,9 +56,16 @@ arrays["x"] = rng.random(SHAPE)
 arrays["rhs"] = rng.random(SHAPE)
 
 # -- 1. profile -----------------------------------------------------------------
-profiles = profile_group(group, {k: v.copy() for k, v in arrays.items()},
-                         backend="c", repeats=3)
-print(format_profile(profiles))
+scratch = {k: v.copy() for k, v in arrays.items()}
+with tracing.session():
+    for stencil in group:
+        kernel = StencilGroup([stencil], name=stencil.name).compile(backend="c")
+        bound = kernel.bind(**{g: scratch[g] for g in stencil.grids()})
+        for _ in range(3):
+            bound()
+print(render_top(
+    [r for r in tracing.self_times() if r["name"].startswith("kernel:")]
+))
 
 # -- 2. optimize the group -------------------------------------------------------
 pm = default_pipeline()

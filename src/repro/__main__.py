@@ -7,13 +7,13 @@ Commands:
 * ``doctor``    — toolchain/cache self-check + degradation report
                   (exit 0 healthy, 1 degraded, 2 unusable)
 * ``stats``     — run a smoke kernel through the instrumented pipeline
-                  and print the telemetry report (``--json`` writes the
-                  ``BENCH_pipeline.json`` perf-trajectory artifact;
+                  and print the telemetry report (``--json`` also writes
+                  the ``snowflake-stats/1`` snapshot;
                   ``--openmetrics`` prints OpenMetrics exposition text)
 * ``serve-metrics`` — serve ``/metrics`` (OpenMetrics), ``/events``
                   and ``/healthz`` over stdlib HTTP, foreground
-* ``top``       — profile a GSRB workload with the sampling
-                  self-profiler and print the hottest spans
+* ``top``       — run a GSRB workload under the span tracer and
+                  print the hottest spans by self time
 * ``trace``     — run a traced workload spanning frontend, analysis,
                   JIT, kernel, resilience and dmem, and export a Chrome
                   trace-event JSON viewable in Perfetto (``--smoke``
@@ -132,7 +132,14 @@ def cmd_stats(args) -> int:
         print()
         print(telemetry.render_stats())
     if args.json:
-        path = telemetry.export_bench_json(args.json)
+        import json
+
+        from .util.artifacts import artifact_path
+
+        path = artifact_path(args.json)
+        path.write_text(
+            json.dumps(telemetry.snapshot(), indent=2, sort_keys=True) + "\n"
+        )
         if args.openmetrics:  # keep stdout pure exposition text
             print(f"wrote {path}", file=sys.stderr)
         else:
@@ -180,15 +187,17 @@ def cmd_serve_metrics(args) -> int:
 
 
 def cmd_top(args) -> int:
-    """Profile a GSRB workload with the sampling self-profiler.
+    """Where a GSRB workload's time goes, by span self time.
 
-    Runs the shared trace workload under :mod:`repro.telemetry.profiler`
-    and prints the span-attributed wall-time table plus the measured
-    profiler overhead (always bounded by its duty-cycle budget).
+    Compiles and runs the shared trace workload inside a
+    ``tracing.session()`` and prints the fold of the recorded spans
+    (:func:`repro.telemetry.tracing.self_times`): exact durations, each
+    row's share of the root wall time, and the dropped-event count.
     """
     import numpy as np
 
-    from .telemetry import profiler, tracing
+    from .telemetry import tracing
+    from .telemetry.report import render_top
 
     n = int(args.size)
     group, shapes = _gsrb_workload(n)
@@ -197,22 +206,19 @@ def cmd_top(args) -> int:
     arrays = {g: rng.standard_normal(shape) for g in group.grids()}
     arrays["x"] = np.zeros(shape)
 
-    interval = float(args.interval) / 1e3
-    with profiler.profile(interval=interval):
-        with tracing.session(fresh=True):
-            kernel = group.compile(
-                backend=args.backend, shapes=shapes,
-                fallback=("c", "numpy"),
-            )
-            for _ in range(int(args.calls)):
-                kernel(**arrays)
-    snap = profiler.snapshot()
-    print(profiler.render_top(snap, limit=int(args.limit)))
+    with tracing.session():
+        kernel = group.compile(
+            backend=args.backend, shapes=shapes,
+            fallback=("c", "numpy"),
+        )
+        for _ in range(int(args.calls)):
+            kernel(**arrays)
+    print(render_top(limit=int(args.limit)))
     if args.out:
         from .util.artifacts import artifact_path
 
         out = artifact_path(args.out)
-        profiler.export_chrome_trace(out)
+        tracing.export_chrome_trace(out)
         print(f"wrote {out}")
     return 0
 
@@ -572,8 +578,8 @@ def main(argv=None) -> int:
     )
     st.add_argument(
         "--json", metavar="PATH", default=None,
-        help="also write the telemetry snapshot as JSON "
-        "(e.g. BENCH_pipeline.json)",
+        help="also write the telemetry snapshot (snowflake-stats/1) "
+        "as JSON",
     )
     st.add_argument(
         "--openmetrics", action="store_true",
@@ -603,7 +609,7 @@ def main(argv=None) -> int:
     )
     tp = sub.add_parser(
         "top",
-        help="profile a GSRB workload with the sampling self-profiler",
+        help="run a GSRB workload and print the hottest spans by self time",
     )
     tp.add_argument(
         "--backend", default="c",
@@ -615,11 +621,7 @@ def main(argv=None) -> int:
     )
     tp.add_argument(
         "--calls", type=int, default=20,
-        help="kernel applications to profile (default: 20)",
-    )
-    tp.add_argument(
-        "--interval", type=float, default=2.0, metavar="MS",
-        help="requested sampling interval in milliseconds (default: 2.0)",
+        help="kernel applications to record (default: 20)",
     )
     tp.add_argument(
         "--limit", type=int, default=20,
@@ -627,7 +629,7 @@ def main(argv=None) -> int:
     )
     tp.add_argument(
         "--out", metavar="PATH", default=None,
-        help="also export the raw samples as Chrome trace-event JSON",
+        help="also export the recorded spans as Chrome trace-event JSON",
     )
     tr = sub.add_parser(
         "trace",

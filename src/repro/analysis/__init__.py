@@ -37,12 +37,7 @@ from .interval import (
     interval_group_dependences,
     interval_is_parallel_safe,
 )
-from .optimize import (
-    FusionPair,
-    eliminate_dead_stencils,
-    fusion_candidates,
-    reorder_for_phases,
-)
+from .optimize import eliminate_dead_stencils, reorder_for_phases
 
 __all__ = [
     "checkerboard",
@@ -76,8 +71,6 @@ __all__ = [
     "interval_cross_stencil_dependence",
     "interval_group_dependences",
     "interval_is_parallel_safe",
-    "FusionPair",
     "eliminate_dead_stencils",
-    "fusion_candidates",
     "reorder_for_phases",
 ]

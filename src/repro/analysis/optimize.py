@@ -2,13 +2,12 @@
 
 The paper lists dead-stencil elimination and reordering as applications
 of the Diophantine framework (SectionIII, SectionVII); both are
-implemented here, along with fusion *marking* (identifying adjacent
-stencils a backend may legally fuse into one loop nest).
+implemented here.  (Fusion legality lives in
+:func:`repro.schedule.fusion_chains`.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..core.stencil import Stencil, StencilGroup
@@ -18,7 +17,6 @@ from .dependence import group_dependences
 __all__ = [
     "eliminate_dead_stencils",
     "reorder_for_phases",
-    "fusion_candidates",
 ]
 
 
@@ -81,34 +79,3 @@ def reorder_for_phases(
     if len(order) != len(group):  # pragma: no cover - DAG is acyclic by construction
         raise RuntimeError("dependence graph is not acyclic")
     return StencilGroup([group[i] for i in order], name=group.name)
-
-
-@dataclass(frozen=True)
-class FusionPair:
-    first: int
-    second: int
-    reason: str
-
-
-def fusion_candidates(
-    group: StencilGroup, shapes: Mapping[str, Sequence[int]]
-) -> list[FusionPair]:
-    """Adjacent stencil pairs a backend may fuse into one loop nest.
-
-    Deprecated shim: fusion legality now has a single implementation in
-    :func:`repro.schedule.fusion_chains` (maximal chains with transitive
-    safety); this view flattens those chains back into the historical
-    adjacent-pair form for existing callers.
-    """
-    from ..schedule import fusion_chains
-
-    norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
-    out: list[FusionPair] = []
-    for chain in fusion_chains(group, norm):
-        for i, j in zip(chain, chain[1:]):
-            out.append(
-                FusionPair(
-                    i, j, "identical domain, no RAW/WAW between bodies"
-                )
-            )
-    return out

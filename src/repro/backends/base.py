@@ -118,7 +118,7 @@ class CompiledKernel:
                 backend=self._label, shapes=len(shapes),
             ):
                 impl = self._specialize(shapes, np.dtype(dtype))
-            telemetry.record_time(
+            telemetry.observe(
                 f"backend.{self._label}.specialize", time.perf_counter() - t0
             )
             telemetry.event(
@@ -227,8 +227,7 @@ class BoundKernel:
         mode = telemetry.mode()
         tracing = telemetry.tracing
         if (
-            tracing.stacks_wanted
-            or tracing.active(mode)
+            tracing.active(mode)
             or k.guards.nonfinite != "off"
             or k.guards.invariants != "off"
         ):

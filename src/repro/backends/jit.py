@@ -236,7 +236,7 @@ def _build(
             f"compiler exceeded the {timeout:.0f}s hard timeout: "
             f"{' '.join(cmd)}"
         ) from None
-    telemetry.record_time("jit.cc", time.perf_counter() - t0)
+    telemetry.observe("jit.cc", time.perf_counter() - t0)
     telemetry.event("jit.cc", tag=tag, rc=proc.returncode)
     if proc.returncode != 0:
         tmp_so.unlink(missing_ok=True)
@@ -311,7 +311,7 @@ def compile_and_load(
     t0 = time.perf_counter()
     with tracing.span("compile_and_load", cat="jit", tag=tag, openmp=openmp):
         with tag_lock:
-            telemetry.record_time("jit.lock_wait", time.perf_counter() - t0)
+            telemetry.observe("jit.lock_wait", time.perf_counter() - t0)
             with _lock:
                 lib = _loaded.get(tag)
                 if lib is not None:

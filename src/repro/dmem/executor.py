@@ -180,7 +180,7 @@ class DistributedKernel:
             ]
             for st in group
         ]
-        self._kernels: list[list[tuple[Stencil, object] | None]] = []
+        self._rank_kernels: list[list[tuple[Stencil, object] | None]] = []
         for slabs in self.slabs:
             local_shape = (
                 *(s.rows for s in slabs), *self.global_shape[nd:]
@@ -210,7 +210,7 @@ class DistributedKernel:
                     **self.backend_options,
                 )
                 row.append((local, kernel))
-            self._kernels.append(row)
+            self._rank_kernels.append(row)
 
     # -- validation ---------------------------------------------------------------
 
@@ -382,7 +382,7 @@ class DistributedKernel:
                 if fault_point("comm.rank.crash"):
                     self.comms[r].kill(r)
                     continue
-                entry = self._kernels[r][si]
+                entry = self._rank_kernels[r][si]
                 if entry is None:
                     continue
                 local, kernel = entry
@@ -486,7 +486,7 @@ class DistributedKernel:
         shows up here (e.g. ``{"numpy"}``) without changing results.
         """
         out: set[str] = set()
-        for row in self._kernels:
+        for row in self._rank_kernels:
             for entry in row:
                 if entry is None:
                     continue

@@ -33,14 +33,13 @@ hardware contraction).  The C/OpenMP/OpenCL-sim/CUDA-sim backends
 therefore agree bit-for-bit with the python reference on the same
 optimized body.
 
-Optimization is on by default; disable globally with
-``SNOWFLAKE_KERNEL_OPT=0`` or locally with :func:`no_optimization`
-(used by the equivalence tests to compare both paths).
+Optimization is always on; :func:`no_optimization` is the one
+raw-vs-optimised switch, a context manager the equivalence tests use
+to compare both paths.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 from .cost import KernelCost, SweptCost, kernel_cost, swept_cost
@@ -88,13 +87,11 @@ __all__ = [
     "no_optimization",
 ]
 
-_OPT_ENABLED = os.environ.get("SNOWFLAKE_KERNEL_OPT", "1").lower() not in (
-    "0", "off", "false", "no",
-)
+_OPT_ENABLED = True
 
 
 def optimization_enabled() -> bool:
-    """Is the kernel pass pipeline applied by default?"""
+    """Is the kernel pass pipeline applied (not inside :func:`no_optimization`)?"""
     return _OPT_ENABLED
 
 

@@ -1,10 +1,9 @@
 """Lowering: frontend analysis -> :class:`~repro.schedule.ir.Schedule`.
 
 This is the one place fusion legality, snapshot decisions and
-checkerboard recognition run.  The historical copies
-(``c_backend.fusion_chains``, ``analysis.optimize.fusion_candidates``,
-the emitter-internal parity detection) are now thin shims over the
-functions here.
+checkerboard recognition run; the backends and emitters consume the
+:class:`~repro.schedule.ir.Schedule` it builds and decide none of it
+themselves.
 
 Chains are computed *within* dependence phases, which closes a latent
 race in the legacy OpenMP path: a program-order chain could straddle a
@@ -63,8 +62,7 @@ def fusion_chains(
     stencils share one loop nest), and needs no gather snapshot.
 
     ``within`` restricts chains to the given phases (each a sequence of
-    group indices); ``None`` chains over full program order, which is
-    the legacy ``c_backend.fusion_chains`` behaviour.
+    group indices); ``None`` chains over full program order.
     """
     if deps is None:
         deps = group_dependences(group, shapes)

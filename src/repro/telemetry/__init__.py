@@ -1,4 +1,4 @@
-"""Pipeline telemetry: counters, histograms, traces, events, profiler.
+"""Pipeline telemetry: one duration store, one event log, one tracer.
 
 "You cannot claim a hot path got faster without counters and traces" —
 this package is the observability layer under the repo's measurement
@@ -13,22 +13,23 @@ discipline.  Every stage of the compile/execute pipeline reports here:
 * the simulated distributed fabric (messages, bytes, barriers,
   exchange wall time, halo round-trip latency, retransmits).
 
-Five collection surfaces (see ``docs/OBSERVABILITY.md`` for the full
-map and the name-stability contract):
+Four collection surfaces (see ``docs/OBSERVABILITY.md`` for the full
+map and the name-stability contract), controlled with
+``SNOWFLAKE_TELEMETRY=off|counters|events|trace`` (default
+``counters``; ``off`` reduces every hook to one cached string
+compare):
 
-* the **registry** (:mod:`repro.telemetry.registry`) — aggregate
-  counters/timers/kernel stats, controlled with
-  ``SNOWFLAKE_TELEMETRY=off|counters|events|trace`` (default
-  ``counters``; ``off`` reduces every hook to one cached string
-  compare).  Read with :func:`snapshot` (schema ``snowflake-stats/1``),
-  export the perf trajectory with :func:`export_bench_json`
-  (→ ``BENCH_pipeline.json``), render with ``python -m repro stats``;
-* **latency histograms** (:mod:`repro.telemetry.metrics`) — fixed
-  log-scale buckets behind every timer plus the labelled
-  ``kernel.call`` / ``dmem.halo.rtt`` seams; lock-free per-thread
-  shards, p50/p95/p99 on read.  The same module renders everything as
-  **OpenMetrics** text (:func:`render_openmetrics`) and serves it over
-  stdlib HTTP (``python -m repro serve-metrics``);
+* **counters** (:mod:`repro.telemetry.registry`) — :func:`count`;
+* the **duration store** (:mod:`repro.telemetry.metrics`) — every
+  duration (:func:`observe`, :func:`timed`, :func:`kernel_call`) lands
+  in one fixed-bucket histogram series and nowhere else; lock-free
+  per-thread shards, count/sum/min/max exact, p50/p95/p99 on read.
+  :func:`snapshot` (schema ``snowflake-stats/1``) reads counters and
+  series together — its ``timers`` and ``kernels`` tables are views of
+  the series — ``python -m repro stats`` renders it, and the same
+  module renders everything as **OpenMetrics** text
+  (:func:`render_openmetrics`), served over stdlib HTTP by ``python -m
+  repro serve-metrics``;
 * the **structured event log** (:mod:`repro.telemetry.events`) —
   one-line ``snowflake-events/1`` JSON records for every pipeline
   event (fallbacks, guard trips, quarantines, rank crashes,
@@ -37,14 +38,12 @@ map and the name-stability contract):
 * the **span tracer** (:mod:`repro.telemetry.tracing`) — hierarchical
   timed spans across every subsystem, exported as Chrome trace-event
   JSON for Perfetto (``python -m repro trace``).  Records inside a
-  ``tracing.session()`` block or whenever ``SNOWFLAKE_TELEMETRY=trace``;
-* the **self-profiler** (:mod:`repro.telemetry.profiler`) — a sampling
-  thread attributing wall time to the open span hierarchy under a
-  measured, self-enforcing overhead budget (``python -m repro top``,
-  ``SNOWFLAKE_PROFILE=1``).
+  ``tracing.session()`` block or whenever ``SNOWFLAKE_TELEMETRY=trace``.
+  It is also the profiler: ``tracing.self_times()`` folds the exact
+  span durations into a hot-path table (``python -m repro top``).
 """
 
-from . import events, metrics, profiler, tracing
+from . import events, metrics, tracing
 from .metrics import (
     observe,
     render_openmetrics,
@@ -53,18 +52,13 @@ from .metrics import (
     validate_openmetrics,
 )
 from .registry import (
-    BENCH_SCHEMA,
     MODES,
     STATS_SCHEMA,
-    TRACE_CAPACITY,
     count,
     enabled,
     event,
-    events_enabled,
-    export_bench_json,
     kernel_call,
     mode,
-    record_time,
     reset,
     set_mode,
     snapshot,
@@ -73,23 +67,17 @@ from .registry import (
 from .report import format_stats, render_stats
 
 __all__ = [
-    "BENCH_SCHEMA",
     "MODES",
     "STATS_SCHEMA",
-    "TRACE_CAPACITY",
     "count",
     "enabled",
     "event",
     "events",
-    "events_enabled",
-    "export_bench_json",
     "format_stats",
     "kernel_call",
     "metrics",
     "mode",
     "observe",
-    "profiler",
-    "record_time",
     "render_openmetrics",
     "render_stats",
     "reset",
@@ -101,7 +89,3 @@ __all__ = [
     "tracing",
     "validate_openmetrics",
 ]
-
-# Always-on profiling is an env opt-in: SNOWFLAKE_PROFILE=1 starts the
-# sampler with the whole pipeline instrumented, budget-gated.
-profiler.maybe_start_from_env()

@@ -34,6 +34,7 @@ core vocabulary); see ``docs/OBSERVABILITY.md``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import threading
@@ -136,12 +137,23 @@ def set_sink(target) -> None:
             _sink, _sink_forced = target, True
 
 
+def _plain(v):
+    """``v`` if strict JSON can carry it as a scalar, else its repr."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else repr(float(v))
+    if isinstance(v, (str, int, bool, type(None))):
+        return v
+    return repr(v)
+
+
 def emit(name: str, **fields) -> None:
     """Record one structured event (no-op outside events/trace modes).
 
     ``fields`` must be JSON-serializable; anything that is not is
     stringified rather than raised — the event log records failures, it
-    must not cause them.
+    must not cause them.  That includes non-finite floats, which strict
+    JSON cannot carry: they are recorded as ``"inf"``/``"-inf"``/
+    ``"nan"``.
     """
     if not structured_enabled():
         return
@@ -159,14 +171,10 @@ def emit(name: str, **fields) -> None:
             k = f"field_{k}"  # never let a payload clobber the envelope
         rec[k] = v
     try:
-        line = json.dumps(rec, sort_keys=True)
+        line = json.dumps(rec, sort_keys=True, allow_nan=False)
     except (TypeError, ValueError):
-        rec = {
-            k: (v if isinstance(v, (str, int, float, bool, type(None)))
-                else repr(v))
-            for k, v in rec.items()
-        }
-        line = json.dumps(rec, sort_keys=True)
+        rec = {k: _plain(v) for k, v in rec.items()}
+        line = json.dumps(rec, sort_keys=True, allow_nan=False)
     global _evicted
     with _lock:
         if len(_ring) == EVENT_CAPACITY:
@@ -214,7 +222,8 @@ def validate_events(recs: list[dict]) -> list[str]:
     """Structural check of event records; returns problems.
 
     Every record must carry the schema tag, a non-empty event name, a
-    numeric timestamp, and JSON-roundtrip cleanly.
+    numeric timestamp, and serialize as strict JSON (no ``NaN`` or
+    ``Infinity`` tokens).
     """
     problems: list[str] = []
     for i, rec in enumerate(recs):
@@ -225,7 +234,7 @@ def validate_events(recs: list[dict]) -> list[str]:
         if not isinstance(rec.get("t"), (int, float)):
             problems.append(f"record {i}: bad timestamp {rec.get('t')!r}")
         try:
-            json.dumps(rec)
+            json.dumps(rec, allow_nan=False)
         except (TypeError, ValueError) as e:
-            problems.append(f"record {i}: not JSON-serializable ({e})")
+            problems.append(f"record {i}: not strict JSON ({e})")
     return problems

@@ -1,35 +1,35 @@
-"""Latency histograms and the OpenMetrics exporter.
+"""The duration store: latency histograms and the OpenMetrics exporter.
 
-Where the registry's timers answer "how long on average", this module
-answers *what the distribution looks like*: every duration folded into
-:func:`observe` lands in a fixed-bucket log-scale histogram, so p50/
-p95/p99 are recoverable at any time without storing samples.  Fixed
+Every duration the pipeline measures is folded by :func:`observe` into a
+fixed-bucket log-scale histogram series, and nowhere else: the series
+holds count/sum/min/max exactly and p50/p95/p99 to bucket resolution,
+without storing samples.  The ``timers`` and ``kernels`` tables of
+:func:`repro.telemetry.snapshot` are views of these series.  Fixed
 bucket boundaries make histograms mergeable — across threads, across
 scrapes, across processes.
 
 Designed for the hot path:
 
-* **lock-free per-thread shards** — each thread owns a private bucket
-  array reached through a ``threading.local`` dict, so ``observe`` in
-  steady state is a dict lookup, a bisect over ~30 boundaries, and
-  three in-place adds; no lock is taken and no other thread's cache
-  line is touched.  The registry lock is only held when a thread sees
-  a (name, labels) series for the first time, to publish its shard for
-  the merge;
-* **merge on read** — :func:`snapshot_histograms` sums the shard
-  arrays under the registry lock (shard *list* consistency), reading
-  counts that other threads may still be bumping: a reader can be at
-  most one in-flight observation stale, never torn (CPython list slots
-  are whole-object stores).
+* **lock-free per-thread shards** — each thread owns a private shard
+  per series, reached through a ``threading.local`` dict, so a write in
+  steady state is a dict lookup, a bisect over ~25 boundaries, and a
+  few in-place adds; no lock is taken and no other thread's cache line
+  is touched.  The lock is only held when a thread sees a series for
+  the first time, to publish its shard for the merge;
+* **merge on read** — :func:`snapshot_histograms` sums the shards under
+  the lock (shard *list* consistency), reading counts that other
+  threads may still be bumping: a reader can be at most one in-flight
+  observation stale, never torn (CPython attribute and list-slot
+  stores are whole-object stores).
 
 The second half of the module is the **OpenMetrics text exporter**
-(:func:`render_openmetrics`): every counter, timer, kernel stat,
-histogram, structured-event count and profiler sample the process has
-collected, rendered as well-typed ``snowflake_*`` metric families with
-``backend``/``kernel`` labels, terminated by ``# EOF``.  Serve it from
-a long-lived process with :func:`serve_metrics` (stdlib ``http.server``
-only — ``python -m repro serve-metrics``) or dump it once with
-``python -m repro stats --openmetrics``.
+(:func:`render_openmetrics`): every counter, kernel stat, histogram
+and structured-event count the process has collected, rendered as
+well-typed ``snowflake_*`` metric families with ``backend``/``kernel``
+labels, terminated by ``# EOF``.  Serve it from a long-lived process
+with :func:`serve_metrics` (stdlib ``http.server`` only — ``python -m
+repro serve-metrics``) or dump it once with ``python -m repro stats
+--openmetrics``.
 
 Metric-name stability: the families emitted here are a public contract
 (dashboards reference them); see ``docs/OBSERVABILITY.md``.
@@ -67,69 +67,75 @@ BUCKETS: tuple[float, ...] = tuple(
 _NBUCKETS = len(BUCKETS) + 1  # + overflow (+Inf)
 
 _lock = threading.Lock()
-#: series key -> list of shard record dicts (one per observing thread)
-_series: dict[tuple, list[dict]] = {}
+#: series key ``(name, labels)`` -> one shard per observing thread
+_series: dict[tuple, list["_Shard"]] = {}
 _generation = 0  # bumped by reset so threads drop stale shards
 _tls = threading.local()
 
 
-def _key(name: str, labels: dict | None) -> tuple:
-    if not labels:
-        return (name, ())
-    return (name, tuple(sorted(labels.items())))
+class _Shard:
+    """One thread's private slice of one series."""
+
+    __slots__ = ("counts", "sum", "min", "max", "points")
+
+    def __init__(self) -> None:
+        self.counts = [0] * _NBUCKETS
+        self.sum = 0.0
+        self.min = float("inf")
+        self.max = float("-inf")
+        self.points = 0  # stencil applications (``kernel.call`` only)
 
 
-def _shard_for(key: tuple) -> dict:
-    """This thread's shard for ``key``, creating + publishing on miss."""
-    gen = getattr(_tls, "gen", None)
-    if gen != _generation:
+def _publish(key: tuple) -> _Shard:
+    """Create this thread's shard for ``key`` and publish it for the merge."""
+    shard = _Shard()
+    with _lock:
+        # re-sync generation under the lock so a racing reset() can
+        # neither resurrect a pre-reset shard nor orphan this one
+        # (cached thread-locally but never published — every later
+        # observation would silently vanish)
+        if _tls.gen != _generation:
+            _tls.gen = _generation
+            _tls.shards = {}
+        _series.setdefault(key, []).append(shard)
+    _tls.shards[key] = shard
+    return shard
+
+
+def _record(key: tuple, value: float) -> _Shard:
+    """Fold ``value`` into this thread's shard of series ``key``.
+
+    The unconditional write path (callers already checked the mode).
+    ``key`` is ``(name, labels)`` with ``labels`` a sorted tuple of
+    ``(label, value)`` pairs.  Returns the shard.
+    """
+    if getattr(_tls, "gen", None) != _generation:
         _tls.gen = _generation
         _tls.shards = {}
-    shard = _tls.shards.get(key)
-    if shard is None:
-        shard = {
-            "counts": [0] * _NBUCKETS,
-            "sum": 0.0,
-            "min": float("inf"),
-            "max": float("-inf"),
-        }
-        with _lock:
-            # publish for merge-on-read; re-sync generation under the
-            # lock so a racing reset() can neither resurrect a pre-reset
-            # shard nor orphan this one (cached thread-locally but never
-            # published — every later observation would silently vanish)
-            if _tls.gen != _generation:
-                _tls.gen = _generation
-                _tls.shards = {}
-            _series.setdefault(key, []).append(shard)
-        _tls.shards[key] = shard
+    shard = _tls.shards.get(key) or _publish(key)
+    v = float(value)
+    shard.counts[bisect_left(BUCKETS, v)] += 1
+    shard.sum += v
+    if v < shard.min:
+        shard.min = v
+    if v > shard.max:
+        shard.max = v
     return shard
 
 
 def observe(name: str, value: float, **labels) -> None:
     """Fold one duration (seconds) into histogram series ``name``.
 
-    Labels become OpenMetrics labels (``observe("kernel.call", dt,
-    backend="c")``).  No-op when telemetry is off.  Lock-free after the
-    first observation of a series on a thread.
+    The one write function of the duration store.  Labels become
+    OpenMetrics labels (``observe("dmem.halo.rtt", dt, rank="0")``); an
+    unlabelled series is also a row of the ``timers`` table.  No-op
+    when telemetry is off.  Lock-free after the first observation of a
+    series on a thread.
     """
-    from .registry import enabled
+    from .registry import mode
 
-    if not enabled():
-        return
-    _observe_raw(name, value, labels or None)
-
-
-def _observe_raw(name: str, value: float, labels: dict | None = None) -> None:
-    """The unconditional record path (callers already checked the mode)."""
-    shard = _shard_for(_key(name, labels))
-    v = float(value)
-    shard["counts"][bisect_left(BUCKETS, v)] += 1
-    shard["sum"] += v
-    if v < shard["min"]:
-        shard["min"] = v
-    if v > shard["max"]:
-        shard["max"] = v
+    if mode() != "off":
+        _record((name, tuple(sorted(labels.items())) if labels else ()), value)
 
 
 def percentile_from_buckets(counts: list[int], q: float) -> float | None:
@@ -158,32 +164,38 @@ def percentile_from_buckets(counts: list[int], q: float) -> float | None:
     return BUCKETS[-1]  # pragma: no cover - rank <= total by construction
 
 
-def snapshot_histograms() -> dict:
-    """Merge every shard: series name -> list of per-labelset records.
-
-    Each record: ``{"labels", "count", "sum", "min", "max", "p50",
-    "p95", "p99", "buckets"}`` where ``buckets`` pairs each boundary
-    (``+Inf`` last) with its *cumulative* count, OpenMetrics-style.
-    """
+def _merged() -> list[dict]:
+    """Merge every shard: one raw record per non-empty series, sorted."""
     with _lock:
-        items = [
-            (key, list(shards)) for key, shards in _series.items()
-        ]
-    out: dict[str, list[dict]] = {}
+        items = [(key, list(shards)) for key, shards in _series.items()]
+    out = []
     for (name, labels), shards in sorted(items, key=lambda kv: kv[0]):
         counts = [0] * _NBUCKETS
-        total = 0.0
-        lo, hi = float("inf"), float("-inf")
         for shard in shards:
-            sc = shard["counts"]
-            for i in range(_NBUCKETS):
-                counts[i] += sc[i]
-            total += shard["sum"]
-            lo = min(lo, shard["min"])
-            hi = max(hi, shard["max"])
-        n = sum(counts)
-        if n == 0:
+            for i, c in enumerate(shard.counts):
+                counts[i] += c
+        if not any(counts):
             continue
+        out.append(
+            {
+                "name": name,
+                "labels": dict(labels),
+                "counts": counts,
+                "count": sum(counts),
+                "sum": sum(shard.sum for shard in shards),
+                "min": min(shard.min for shard in shards),
+                "max": max(shard.max for shard in shards),
+                "points": sum(shard.points for shard in shards),
+            }
+        )
+    return out
+
+
+def _histograms(merged: list[dict]) -> dict:
+    """The ``histograms`` section from :func:`_merged` records."""
+    out: dict[str, list[dict]] = {}
+    for m in merged:
+        counts = m["counts"]
         cum, acc = [], 0
         for i in range(_NBUCKETS):
             acc += counts[i]
@@ -191,13 +203,13 @@ def snapshot_histograms() -> dict:
             # stay strict JSON (json.dumps would emit bare Infinity)
             bound = BUCKETS[i] if i < len(BUCKETS) else "+Inf"
             cum.append([bound, acc])
-        out.setdefault(name, []).append(
+        out.setdefault(m["name"], []).append(
             {
-                "labels": dict(labels),
-                "count": n,
-                "sum": total,
-                "min": lo,
-                "max": hi,
+                "labels": m["labels"],
+                "count": m["count"],
+                "sum": m["sum"],
+                "min": m["min"],
+                "max": m["max"],
                 "p50": percentile_from_buckets(counts, 0.50),
                 "p95": percentile_from_buckets(counts, 0.95),
                 "p99": percentile_from_buckets(counts, 0.99),
@@ -205,6 +217,16 @@ def snapshot_histograms() -> dict:
             }
         )
     return out
+
+
+def snapshot_histograms() -> dict:
+    """Merge every shard: series name -> list of per-labelset records.
+
+    Each record: ``{"labels", "count", "sum", "min", "max", "p50",
+    "p95", "p99", "buckets"}`` where ``buckets`` pairs each boundary
+    (``+Inf`` last) with its *cumulative* count, OpenMetrics-style.
+    """
+    return _histograms(_merged())
 
 
 def reset_histograms() -> None:
@@ -290,14 +312,13 @@ def render_openmetrics(snap: dict | None = None) -> str:
     """Render the full process state as OpenMetrics text.
 
     ``snap`` defaults to a live :func:`~repro.telemetry.snapshot` (which
-    embeds the merged histograms).  Every counter, timer, kernel stat,
-    histogram series, structured-event total and profiler sample is
-    emitted as a ``snowflake_*`` family; the document ends with
-    ``# EOF`` per the OpenMetrics spec.
+    embeds the merged histograms).  Every counter, kernel stat,
+    histogram series and structured-event total is emitted as a
+    ``snowflake_*`` family; the document ends with ``# EOF`` per the
+    OpenMetrics spec.
     """
     from .. import __version__
     from . import events as _events
-    from . import profiler as _profiler
     from .registry import snapshot
 
     if snap is None:
@@ -331,19 +352,7 @@ def render_openmetrics(snap: dict | None = None) -> str:
             for backend, k in sorted(kernels.items()):
                 doc.sample(fam + "_total", {"backend": backend}, k[field])
 
-    # Timers without a histogram series (recorded before metrics landed
-    # or via a direct record_time with histograms reset) still export
-    # their exact count/sum as a counter pair.
-    hists = snap.get("histograms") or snapshot_histograms()
-    for name, t in sorted(snap.get("timers", {}).items()):
-        if name in hists:
-            continue
-        fam, labels = _family(name)
-        full = f"snowflake_{fam}_seconds"
-        doc.family(full, "counter", f"registry timer {name} (no histogram)")
-        doc.sample(full + "_total", labels, t["total_s"])
-
-    for name, series in sorted(hists.items()):
+    for name, series in sorted(snap.get("histograms", {}).items()):
         fam, base_labels = _family(name)
         full = f"snowflake_{fam}_seconds"
         doc.family(full, "histogram", f"latency histogram {name}")
@@ -361,21 +370,6 @@ def render_openmetrics(snap: dict | None = None) -> str:
                    "structured events emitted, by event name")
         for name, n in sorted(ev_counts.items()):
             doc.sample("snowflake_events_total", {"event": name}, n)
-
-    prof = _profiler.snapshot()
-    if prof["samples_total"]:
-        doc.family("snowflake_profile_samples", "counter",
-                   "self-profiler samples attributed to open spans")
-        for span_name, rec in sorted(prof["spans"].items()):
-            doc.sample(
-                "snowflake_profile_samples_total",
-                {"span": span_name, "cat": rec["cat"]},
-                rec["samples"],
-            )
-        doc.family("snowflake_profile_overhead_ratio", "gauge",
-                   "measured sampler duty cycle (work / wall)")
-        doc.sample("snowflake_profile_overhead_ratio", {},
-                   prof["duty_cycle"])
 
     return "\n".join(doc.lines) + "\n# EOF\n"
 

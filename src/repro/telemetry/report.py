@@ -1,16 +1,18 @@
-"""Render a telemetry snapshot as fixed-width :mod:`repro.util.tables`.
+"""Render telemetry as fixed-width :mod:`repro.util.tables`.
 
-The report is what ``python -m repro stats`` prints: one table per
-collection family (counters, timers, kernel invocations), diff-able
-and stable-sorted like every other benchmark table in the repo.
+``python -m repro stats`` prints :func:`format_stats`: one table per
+collection family (kernel invocations, timers, labelled histograms,
+counters), diff-able and stable-sorted.  ``python -m repro top`` prints
+:func:`render_top`: the span tracer's self-time fold, hottest first.
 """
 
 from __future__ import annotations
 
 from ..util.tables import format_table
+from . import tracing
 from .registry import snapshot
 
-__all__ = ["format_stats", "render_stats"]
+__all__ = ["format_stats", "render_stats", "render_top"]
 
 
 def _quantiles_for(hists: dict, name: str, labels: dict | None = None):
@@ -68,8 +70,8 @@ def format_stats(snap: dict) -> str:
             )
         )
 
-    # Histogram-only series (labelled seams like kernel.call or
-    # dmem.halo.rtt that have no registry timer of the same name).
+    # Labelled series (kernel.call, dmem.halo.rtt): the timers table
+    # above is the unlabelled ones.
     extra_rows = []
     for name, series in sorted(hists.items()):
         if name in timers:
@@ -125,3 +127,32 @@ def format_stats(snap: dict) -> str:
 def render_stats() -> str:
     """One-call convenience: snapshot the live registry and format it."""
     return format_stats(snapshot())
+
+
+def render_top(rows: list[dict] | None = None, limit: int = 20) -> str:
+    """The ``repro top`` table: hottest spans by self time.
+
+    ``rows`` defaults to :func:`repro.telemetry.tracing.self_times` of
+    the live buffer.  ``share`` is a row's self time over the root
+    spans' wall time (the ``self_s`` column sums to it).
+    """
+    if rows is None:
+        rows = tracing.self_times()
+    dropped = f"{tracing.dropped()} event(s) dropped"
+    if not rows:
+        return f"(no spans recorded — nothing ran under a session; {dropped})"
+    wall = sum(r["self_s"] for r in rows)
+    table = format_table(
+        ["span", "subsystem", "count", "total_s", "self_s", "share"],
+        [
+            [r["name"], r["cat"], r["count"], r["total_s"], r["self_s"],
+             f"{r['self_s'] / wall * 100:.1f}%" if wall > 0 else "-"]
+            for r in rows[:limit]
+        ],
+        title="hot paths (span self time)",
+    )
+    spans = sum(r["count"] for r in rows)
+    return (
+        f"{table}\n\n{spans} spans over {wall:.6g} s of root wall time; "
+        f"{dropped}"
+    )

@@ -13,9 +13,12 @@ directly loadable in Perfetto (https://ui.perfetto.dev) or
 ``chrome://tracing``.
 
 Activation: spans record while a :func:`session` is open (or after an
-explicit :func:`start`), and also whenever ``SNOWFLAKE_TELEMETRY=trace``
-— the same switch that arms the registry's event ring buffer.  When
-inactive every hook is a single boolean check.
+explicit :func:`start`), and also whenever ``SNOWFLAKE_TELEMETRY=trace``.
+When inactive every hook is a single boolean check.
+
+The tracer is also the profiler: every span's duration is exact, so
+"where did the time go" is a fold over the buffer (:func:`self_times`,
+``python -m repro top``) rather than a second, sampled estimate.
 
 Lanes: events are keyed ``(pid, tid)``.  By default ``tid`` is the real
 OS thread id, so multi-threaded compiles interleave truthfully.  A span
@@ -54,6 +57,7 @@ __all__ = [
     "events",
     "dropped",
     "current_span_id",
+    "self_times",
     "export_chrome_trace",
     "validate_chrome_trace",
 ]
@@ -87,16 +91,6 @@ _sessions = 0  # explicit start()/stop() nesting depth
 _lanes: dict[str, int] = {}  # lane name -> synthetic tid
 _epoch_ns = time.perf_counter_ns()  # trace time zero (monotonic)
 _local = threading.local()  # per-thread open-span stack
-#: every thread's open-span stack, keyed by native tid — the sampling
-#: profiler reads these from its own thread (entries are (name, id,
-#: cat) tuples; list append/pop are atomic under the GIL, so a reader
-#: sees either the pre- or post-state, never a torn frame)
-_stacks: dict[int, list] = {}
-#: the profiler sets this so span() maintains stacks even when no
-#: trace buffer is recording (checked before `active()` on the fast
-#: path — a plain module bool, one attribute load when everything is
-#: off)
-stacks_wanted = False
 _ids = itertools.count(1)  # span correlation ids (next() is atomic)
 
 
@@ -190,8 +184,6 @@ def _stack() -> list:
     st = getattr(_local, "stack", None)
     if st is None:
         st = _local.stack = []
-        with _lock:
-            _stacks[threading.get_native_id()] = st
     return st
 
 
@@ -213,22 +205,21 @@ def span(name: str, cat: str = "misc", lane: str | None = None, **args):
     """Record the block as one complete trace event (``ph="X"``).
 
     Spans on one thread nest: the enclosing span's name is recorded as
-    ``args["parent"]`` so hierarchy survives even when a viewer flattens
-    tracks.  A raising body is still recorded — where the time went
-    matters most on the failing path — with ``args["error"]`` naming the
-    exception type.  Each span carries a process-unique ``span_id``
-    (see :func:`current_span_id`) correlating it with structured events
-    and profiler samples; when only the profiler is running
-    (``stacks_wanted``) the stack is maintained but nothing is buffered.
+    ``args["parent"]`` and its id as ``args["parent_id"]``, so hierarchy
+    survives even when a viewer flattens tracks or the span is drawn on
+    a virtual lane.  A raising body is still recorded — where the time
+    went matters most on the failing path — with ``args["error"]``
+    naming the exception type.  Each span carries a process-unique
+    ``span_id`` (see :func:`current_span_id`) correlating it with
+    structured events.
     """
-    record = active()
-    if not (record or stacks_wanted):
+    if not active():
         yield
         return
     stack = _stack()
-    parent = stack[-1][0] if stack else None
+    parent = stack[-1] if stack else None
     sid = next(_ids)
-    stack.append((name, sid, cat))
+    stack.append((name, sid))
     t0 = time.perf_counter_ns()
     err: str | None = None
     try:
@@ -239,25 +230,25 @@ def span(name: str, cat: str = "misc", lane: str | None = None, **args):
     finally:
         t1 = time.perf_counter_ns()
         stack.pop()
-        if record:
-            fields = dict(args)
-            fields["span_id"] = sid
-            if parent is not None:
-                fields.setdefault("parent", parent)
-            if err is not None:
-                fields["error"] = err
-            _emit(
-                {
-                    "name": name,
-                    "cat": cat,
-                    "ph": "X",
-                    "ts": round((t0 - _epoch_ns) / 1e3, 3),
-                    "dur": round((t1 - t0) / 1e3, 3),
-                    "pid": os.getpid(),
-                    "tid": _tid(lane),
-                    "args": fields,
-                }
-            )
+        fields = dict(args)
+        fields["span_id"] = sid
+        if parent is not None:
+            fields.setdefault("parent", parent[0])
+            fields["parent_id"] = parent[1]
+        if err is not None:
+            fields["error"] = err
+        _emit(
+            {
+                "name": name,
+                "cat": cat,
+                "ph": "X",
+                "ts": round((t0 - _epoch_ns) / 1e3, 3),
+                "dur": round((t1 - t0) / 1e3, 3),
+                "pid": os.getpid(),
+                "tid": _tid(lane),
+                "args": fields,
+            }
+        )
 
 
 def instant(name: str, cat: str = "misc", lane: str | None = None, **args) -> None:
@@ -287,15 +278,38 @@ def events() -> list[dict]:
         return [dict(e) for e in _events]
 
 
-def open_stacks() -> list[tuple[int, list]]:
-    """Snapshot of every thread's open-span stack (profiler read side).
+def self_times(events: list[dict] | None = None) -> list[dict]:
+    """Where the time went: a fold over the buffered complete spans.
 
-    Returns ``[(native_tid, stack), ...]`` where each stack is the
-    *live* list of ``(name, span_id, cat)`` frames — read its top with
-    ``stack[-1]`` under try/except, tolerating concurrent pops.
+    One row per ``(name, cat)``: ``{"name", "cat", "count", "total_s",
+    "self_s"}``, hottest ``self_s`` first, where ``self_s`` is the
+    spans' total duration minus that of their direct children.  Nesting
+    is the recording thread's span stack (``args["parent_id"]``), not
+    the export ``tid``: a span drawn on a virtual lane still comes out
+    of the span that enclosed it.  A span whose parent is not in the
+    buffer counts as a root, so the ``self_s`` column always sums to the
+    roots' wall time.
     """
-    with _lock:
-        return list(_stacks.items())
+    if events is None:
+        with _lock:
+            events = list(_events)
+    spans = [e for e in events if e.get("ph") == "X"]
+    owner = {e["args"]["span_id"]: (e["name"], e["cat"]) for e in spans}
+    rows = {
+        key: {"name": key[0], "cat": key[1],
+              "count": 0, "total_s": 0.0, "self_s": 0.0}
+        for key in owner.values()
+    }
+    for e in spans:
+        dur = e["dur"] / 1e6
+        row = rows[e["name"], e["cat"]]
+        row["count"] += 1
+        row["total_s"] += dur
+        row["self_s"] += dur
+        parent = owner.get(e["args"].get("parent_id"))
+        if parent is not None:
+            rows[parent]["self_s"] -= dur
+    return sorted(rows.values(), key=lambda r: -r["self_s"])
 
 
 def _metadata_events() -> list[dict]:

@@ -10,32 +10,7 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-__all__ = ["Timer", "best_of", "time_callable", "clock_resolution"]
-
-_resolution: float | None = None
-
-
-def clock_resolution() -> float:
-    """Smallest trustworthy ``perf_counter`` interval on this host.
-
-    The max of the advertised clock resolution and the smallest
-    observable back-to-back tick (which includes call overhead) —
-    measured once and cached.  Durations at or below this floor carry
-    no information; rate computations must treat them as unresolved
-    rather than dividing by them.
-    """
-    global _resolution
-    if _resolution is None:
-        advertised = time.get_clock_info("perf_counter").resolution
-        tick = float("inf")
-        for _ in range(32):
-            a = time.perf_counter()
-            b = time.perf_counter()
-            while b <= a:  # pragma: no cover - coarse-clock hosts only
-                b = time.perf_counter()
-            tick = min(tick, b - a)
-        _resolution = max(advertised, tick)
-    return _resolution
+__all__ = ["Timer", "best_of", "time_callable"]
 
 
 class Timer:

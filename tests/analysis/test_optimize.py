@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.optimize import (
     eliminate_dead_stencils,
-    fusion_candidates,
     reorder_for_phases,
 )
 from repro.analysis.dag import greedy_phases
@@ -13,6 +12,7 @@ from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
+from repro.schedule import fusion_chains
 
 INTERIOR = RectDomain((1, 1), (-1, -1))
 LAP5 = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
@@ -100,18 +100,17 @@ class TestFusion:
         s1 = Stencil(LAP5, "a", INTERIOR, name="s1")
         s2 = Stencil(Component("v", WeightArray([[1]])), "b", INTERIOR, name="s2")
         g = StencilGroup([s1, s2])
-        cands = fusion_candidates(g, shapes_of(g))
-        assert [(c.first, c.second) for c in cands] == [(0, 1)]
+        assert fusion_chains(g, shapes_of(g)) == [[0, 1]]
 
     def test_raw_pair_not_fusable(self):
         s1 = Stencil(LAP5, "a", INTERIOR)
         s2 = Stencil(Component("a", WeightArray([[0, 1, 0], [1, 0, 1], [0, 1, 0]])), "b", INTERIOR)
         g = StencilGroup([s1, s2])
-        assert fusion_candidates(g, shapes_of(g)) == []
+        assert fusion_chains(g, shapes_of(g)) == [[0], [1]]
 
     def test_different_domains_not_fusable(self):
         s1 = Stencil(LAP5, "a", INTERIOR)
         s2 = Stencil(Component("v", WeightArray([[1]])), "b",
                      RectDomain((2, 2), (-2, -2)))
         g = StencilGroup([s1, s2])
-        assert fusion_candidates(g, shapes_of(g)) == []
+        assert fusion_chains(g, shapes_of(g)) == [[0], [1]]

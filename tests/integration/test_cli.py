@@ -34,20 +34,31 @@ def test_requires_a_command():
 
 
 def test_stats_reports_telemetry(tmp_path):
-    bench = tmp_path / "BENCH_pipeline.json"
+    import json
+
+    stats = tmp_path / "stats.json"
     proc = run_cli(
-        "stats", "--size", "32", "--calls", "2", "--json", str(bench)
+        "stats", "--size", "32", "--calls", "2", "--json", str(stats)
     )
     assert proc.returncode == 0
     assert "kernel invocations" in proc.stdout
     assert "telemetry mode" in proc.stdout
-    import json
 
-    doc = json.loads(bench.read_text())
-    assert doc["schema"] == "snowflake-telemetry/1"
-    assert doc["stats_schema"] == "snowflake-stats/1"
+    def refuse(token):
+        raise AssertionError(f"bare {token} in the stats document")
+
+    doc = json.loads(stats.read_text(), parse_constant=refuse)
+    assert doc["schema"] == "snowflake-stats/1"
+    assert set(doc) == {
+        "schema", "mode", "counters", "timers", "kernels", "histograms",
+    }
     assert doc["kernels"], "smoke kernel calls must be recorded"
     assert doc["histograms"]["kernel.call"], "latency histogram missing"
+    # the kernels table is a view of the kernel.call series
+    for rec in doc["histograms"]["kernel.call"]:
+        k = doc["kernels"][rec["labels"]["backend"]]
+        assert (k["calls"], k["seconds"]) == (rec["count"], rec["sum"])
+        assert k["calls"] >= 2 and k["points"] >= 2 * 30 * 30
 
 
 def test_stats_respects_off_mode():
@@ -108,15 +119,31 @@ def test_serve_metrics_scrapes(tmp_path):
         assert proc.wait(timeout=60) == 0
 
 
-def test_top_prints_profile_table():
+def test_top_prints_profile_table(tmp_path):
+    import json
+
+    from repro.telemetry import tracing
+
+    out = tmp_path / "top.json"
     proc = run_cli(
         "top", "--backend", "numpy", "--size", "48", "--calls", "8",
-        "--interval", "1.0", timeout=600,
+        "--out", str(out), timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "sampler:" in proc.stdout
-    assert "overhead" in proc.stdout
-    assert "budget" in proc.stdout
+    assert "hot paths (span self time)" in proc.stdout
+    assert "self_s" in proc.stdout and "share" in proc.stdout
+    assert "kernel:" in proc.stdout
+    assert "0 event(s) dropped" in proc.stdout
+    doc = json.loads(out.read_text())
+    assert tracing.validate_chrome_trace(doc) == []
+    calls = [e for e in doc["traceEvents"]
+             if e["ph"] == "X" and e["name"].startswith("kernel:")]
+    assert len(calls) == 8
+
+    # the sampler's knob went with the sampler
+    proc = run_cli("top", "--interval", "1.0")
+    assert proc.returncode == 2
+    assert "--interval" in proc.stderr
 
 
 def test_artifact_dir_redirects_bare_filenames(tmp_path):
@@ -130,13 +157,13 @@ def test_artifact_dir_redirects_bare_filenames(tmp_path):
     )
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "stats", "--size", "16",
-         "--calls", "1", "--backend", "numpy", "--json", "BENCH_cli.json"],
+         "--calls", "1", "--backend", "numpy", "--json", "stats_cli.json"],
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    redirected = tmp_path / "artifacts" / "BENCH_cli.json"
+    redirected = tmp_path / "artifacts" / "stats_cli.json"
     assert redirected.exists()
-    assert json.loads(redirected.read_text())["schema"]
+    assert json.loads(redirected.read_text())["schema"] == "snowflake-stats/1"
 
 
 def test_in_process_main():

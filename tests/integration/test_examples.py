@@ -51,7 +51,9 @@ def test_distributed_smoother():
 
 def test_profile_and_tune():
     out = run_example("profile_and_tune.py")
-    assert "hottest first" in out
+    assert "hot paths (span self time)" in out
+    for stencil in ("gsrb_red", "gsrb_black", "residual", "debug_copy"):
+        assert f"kernel:{stencil}" in out
     assert "dead stencil" in out
 
 

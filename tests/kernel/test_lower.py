@@ -76,19 +76,3 @@ def test_body_for_follows_package_toggle():
     assert rep_on is not None and rep_off is None
     # CSE named the repeated read only on the optimized variant
     assert body_on.lets and not body_off.lets
-
-
-def test_toggle_env_var_disables_optimization():
-    import subprocess
-    import sys
-
-    code = (
-        "from repro.kernel import optimization_enabled;"
-        "import sys; sys.exit(0 if not optimization_enabled() else 1)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"SNOWFLAKE_KERNEL_OPT": "0", "PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-        cwd=__file__.rsplit("/tests/", 1)[0],
-    )
-    assert proc.returncode == 0

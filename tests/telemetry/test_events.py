@@ -62,6 +62,37 @@ class TestRecordShape:
         json.dumps(rec)  # now serializable
         assert validate_events([rec]) == []
 
+    def test_nonfinite_floats_recorded_as_strings(self):
+        # what autotune_schedule(spec=None) sends: no prediction -> inf
+        telemetry.set_mode("events")
+        buf = io.StringIO()
+        events.set_sink(buf)
+        try:
+            telemetry.event(
+                "tuning.trial", predicted_s=float("inf"),
+                lo=float("-inf"), ratio=float("nan"), measured_s=0.5,
+            )
+        finally:
+            events.set_sink(None)
+
+        def refuse(token):
+            raise AssertionError(f"bare {token} in the event log")
+
+        line = json.loads(buf.getvalue(), parse_constant=refuse)
+        (rec,) = events.records()
+        for doc in (line, rec):
+            assert doc["predicted_s"] == "inf"
+            assert doc["lo"] == "-inf"
+            assert doc["ratio"] == "nan"
+            assert doc["measured_s"] == 0.5
+        assert validate_events([rec]) == []
+
+    def test_validate_rejects_nonfinite(self):
+        rec = {"schema": EVENTS_SCHEMA, "t": 0.0, "event": "x",
+               "predicted_s": float("inf")}
+        (problem,) = validate_events([rec])
+        assert "strict JSON" in problem
+
     def test_span_correlation_inside_open_span(self):
         telemetry.set_mode("trace")
         with tracing.session(fresh=True):
@@ -79,7 +110,8 @@ class TestRegistryFunnel:
         telemetry.event("resilience.retry", backend="c")
         (rec,) = events.records()
         assert rec["event"] == "resilience.retry"
-        # events mode must NOT populate the trace-mode ring
+        # the structured log is the only event store: the snapshot
+        # carries no event section of its own
         assert "trace" not in telemetry.snapshot()
 
     def test_registry_event_inert_in_counters_mode(self):

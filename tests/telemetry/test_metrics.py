@@ -101,7 +101,7 @@ class TestPercentileEstimate:
 
 class TestTimersFeedHistograms:
     def test_record_time_lands_in_histogram(self):
-        telemetry.record_time("jit.cc", 0.1)
+        telemetry.observe("jit.cc", 0.1)
         assert snapshot_histograms()["jit.cc"][0]["count"] == 1
 
     def test_kernel_call_lands_labelled(self):
@@ -110,7 +110,7 @@ class TestTimersFeedHistograms:
         assert rec["labels"] == {"backend": "numpy"}
 
     def test_snapshot_carries_histograms(self):
-        telemetry.record_time("t", 0.5)
+        telemetry.observe("t", 0.5)
         snap = telemetry.snapshot()
         assert snap["histograms"]["t"][0]["count"] == 1
 
@@ -194,7 +194,7 @@ class TestConcurrency:
 class TestRenderOpenMetrics:
     def _populate(self):
         telemetry.count("jit.cache.miss", 2)
-        telemetry.record_time("jit.cc", 0.2)
+        telemetry.observe("jit.cc", 0.2)
         telemetry.kernel_call("numpy", 0.01, 1000)
         telemetry.count("codegen.numpy.sources")
         observe("dmem.halo.rtt", 0.003, rank="0")

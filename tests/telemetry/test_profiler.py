@@ -1,145 +1,104 @@
-"""The sampling self-profiler: attribution, budget, exports."""
+"""The profiler is the tracer: ``self_times`` rendered by ``repro top``."""
 
+import json
 import time
 
-import pytest
+import numpy as np
 
-from repro.telemetry import profiler, tracing
-
-
-@pytest.fixture(autouse=True)
-def stopped_profiler():
-    profiler.stop()
-    profiler.reset()
-    yield
-    profiler.stop()
-    profiler.reset()
+from repro import Component, RectDomain, Stencil, WeightArray, telemetry
+from repro.__main__ import main
+from repro.telemetry import tracing
+from repro.telemetry.report import render_top
 
 
 def _busy(seconds):
-    """Spin inside a span long enough for the sampler to land."""
-    with tracing.span("hotspot", cat="kernel"):
-        t0 = time.perf_counter()
-        while time.perf_counter() - t0 < seconds:
-            sum(range(500))
-
-
-class TestAttribution:
-    def test_samples_attribute_to_open_span(self):
-        with profiler.profile(interval=0.002):
-            _busy(0.25)
-        snap = profiler.snapshot()
-        assert snap["samples_total"] > 0
-        assert "hotspot" in snap["spans"]
-        rec = snap["spans"]["hotspot"]
-        assert rec["cat"] == "kernel"
-        assert 0.0 < rec["fraction"] <= 1.0
-
-    def test_spans_maintained_without_trace_recording(self):
-        # the sampler must see stacks even when span *recording* is off
-        assert not tracing.active()
-        with profiler.profile(interval=0.002):
-            _busy(0.25)
-        assert "hotspot" in profiler.snapshot()["spans"]
-
-    def test_idle_time_counted_separately(self):
-        with profiler.profile(interval=0.002):
-            time.sleep(0.1)  # no span open anywhere
-        snap = profiler.snapshot()
-        assert snap["idle_samples"] > 0
-
-    def test_stop_is_idempotent_and_start_restarts(self):
-        profiler.start(interval=0.01)
-        assert profiler.active()
-        profiler.stop()
-        profiler.stop()
-        assert not profiler.active()
-        profiler.start(interval=0.01)
-        assert profiler.active()
-
-
-class TestOverheadBudget:
-    def test_duty_cycle_measured_and_within_budget(self):
-        with profiler.profile(interval=0.002, budget=0.5):
-            _busy(0.3)
-        snap = profiler.snapshot()
-        assert snap["ticks"] > 0
-        assert 0.0 <= snap["duty_cycle"] < 0.5
-        assert snap["within_budget"]
-        assert snap["budget"] == 0.5
-
-    def test_governor_backs_off_when_over_budget(self):
-        # an absurdly tight budget forces the interval to grow
-        # the governor evaluates every 16 sampler ticks; on a loaded host
-        # 16 ticks may not fit a fixed spin, so spin until they happened
-        with profiler.profile(interval=0.001, budget=1e-9):
-            deadline = time.perf_counter() + 10.0
-            while (profiler.snapshot()["ticks"] < 32
-                   and time.perf_counter() < deadline):
-                _busy(0.05)
-        snap = profiler.snapshot()
-        assert snap["backoffs"] >= 1
-        assert snap["interval_s"] > 0.001
-
-    def test_overhead_helper_matches_snapshot(self):
-        with profiler.profile(interval=0.002):
-            _busy(0.1)
-            assert profiler.overhead() == pytest.approx(
-                profiler.snapshot()["duty_cycle"], abs=0.05
-            )
+    """Spin inside a span nest for a known wall time."""
+    with tracing.span("outer", cat="jit"):
+        with tracing.span("hotspot", cat="kernel"):
+            t0 = time.perf_counter()
+            while time.perf_counter() - t0 < seconds:
+                sum(range(500))
 
 
 class TestSurfaces:
     def test_render_top_lists_hot_span(self):
-        with profiler.profile(interval=0.002):
-            _busy(0.25)
-        out = profiler.render_top(limit=5)
-        assert "hotspot" in out
-        assert "overhead" in out
-        assert "%" in out
+        with tracing.session():
+            _busy(0.02)
+        out = render_top(limit=5)
+        assert "hot paths (span self time)" in out
+        lines = out.splitlines()
+        # hottest self time first: the spin, not the span around it
+        assert lines[3].split()[:3] == ["hotspot", "kernel", "1"]
+        assert lines[4].split()[:3] == ["outer", "jit", "1"]
+        assert "%" in lines[3]
+        assert "2 spans over" in out
+        assert "0 event(s) dropped" in out
+
+    def test_render_top_limit_and_explicit_rows(self):
+        rows = [
+            {"name": f"s{i}", "cat": "kernel", "count": 1,
+             "total_s": 1.0, "self_s": 1.0}
+            for i in range(4)
+        ]
+        out = render_top(rows, limit=2)
+        assert "s1" in out and "s2" not in out
+        assert "25.0%" in out  # share is of all rows, not the shown ones
+        assert "4 spans over 4 s" in out
+
+    def test_render_top_reports_dropped_events(self, monkeypatch):
+        monkeypatch.setattr(tracing, "SPAN_CAPACITY", 1)
+        with tracing.session():
+            _busy(0.001)
+        assert "1 event(s) dropped" in render_top()
 
     def test_render_top_empty(self):
-        out = profiler.render_top()
-        assert "no samples" in out
+        tracing.clear()
+        assert "no spans recorded" in render_top()
 
-    def test_chrome_trace_export_is_valid(self, tmp_path):
-        import json
-
-        with profiler.profile(interval=0.002):
-            _busy(0.25)
-        path = tmp_path / "profile.json"
-        doc = profiler.export_chrome_trace(path)
-        assert doc["traceEvents"], "expected at least one sample instant"
-        assert all(e["ph"] == "i" for e in doc["traceEvents"])
+    def test_chrome_trace_export_is_valid(self, tmp_path, capsys):
+        # `repro top --out` writes the tracer's own export: the spans
+        # behind the table, not a second format
+        path = tmp_path / "top.json"
+        assert main(["top", "--backend", "numpy", "--size", "16",
+                     "--calls", "3", "--out", str(path)]) == 0
+        assert "kernel:" in capsys.readouterr().out
+        doc = json.loads(path.read_text())
         assert tracing.validate_chrome_trace(doc) == []
-        on_disk = json.loads(path.read_text())
-        assert tracing.validate_chrome_trace(on_disk) == []
-        assert on_disk["otherData"]["profile"]["samples_total"] > 0
+        assert tracing.self_times(doc["traceEvents"]) == tracing.self_times()
+        calls = [e for e in doc["traceEvents"]
+                 if e["ph"] == "X" and e["name"].startswith("kernel:")]
+        assert len(calls) == 3
 
-    def test_openmetrics_exports_profile_families(self):
-        from repro.telemetry.metrics import (
-            render_openmetrics,
-            validate_openmetrics,
+
+class TestNoHiddenState:
+    def test_top_inside_a_session_leaves_the_call_path_unguarded(
+        self, monkeypatch, capsys
+    ):
+        # regression: the sampler's stop() latched a module flag while
+        # an outer session was open, and every later bound call took
+        # the guards-and-span branch for the rest of the process
+        lap = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
+        kernel = Stencil(lap, "out", RectDomain((1, 1), (-1, -1))).compile(
+            backend="numpy"
         )
+        bound = kernel.bind(u=np.ones((8, 8)), out=np.zeros((8, 8)))
+        assert not kernel.guards.enabled()
 
-        with profiler.profile(interval=0.002):
-            _busy(0.25)
-        text = render_openmetrics()
-        assert validate_openmetrics(text) == []
-        assert 'snowflake_profile_samples_total{cat="kernel",span="hotspot"}' \
-            in text
-        assert "snowflake_profile_overhead_ratio" in text
+        with tracing.session():
+            assert main(["top", "--backend", "numpy", "--size", "16",
+                         "--calls", "2"]) == 0
+        capsys.readouterr()
+        assert not tracing.active()
 
-
-class TestEnvActivation:
-    def test_env_starts_with_interval_ms(self, monkeypatch):
-        monkeypatch.setenv("SNOWFLAKE_PROFILE", "2.5")
-        assert profiler.maybe_start_from_env()
-        assert profiler.active()
-        assert profiler.snapshot()["interval_s"] == pytest.approx(0.0025)
-
-    def test_env_off_values_do_not_start(self, monkeypatch):
-        for off in ("", "0", "off", "false"):
-            monkeypatch.setenv("SNOWFLAKE_PROFILE", off)
-            assert not profiler.maybe_start_from_env()
-            assert not profiler.active()
+        snapshots = []
+        monkeypatch.setattr(
+            type(kernel.guards), "snapshot_invariants",
+            lambda self, arrays: snapshots.append(arrays),
+        )
+        before = telemetry.snapshot()["kernels"]["numpy"]["calls"]
+        bound()
+        assert snapshots == []
+        assert telemetry.snapshot()["kernels"]["numpy"]["calls"] == before + 1
+        with tracing.session():  # and the spy does see the guarded branch
+            bound()
+        assert len(snapshots) == 1

@@ -1,6 +1,7 @@
-"""The telemetry registry itself: modes, hooks, snapshot, export."""
+"""The telemetry registry itself: modes, hooks, snapshot and its views."""
 
 import json
+import sys
 import threading
 import warnings
 
@@ -13,14 +14,12 @@ class TestModes:
     def test_default_is_counters(self):
         assert telemetry.mode() == "counters"
         assert telemetry.enabled()
-        assert not telemetry.events_enabled()
 
     def test_env_controls_mode(self, monkeypatch):
         monkeypatch.setenv("SNOWFLAKE_TELEMETRY", "off")
         assert telemetry.mode() == "off"
         monkeypatch.setenv("SNOWFLAKE_TELEMETRY", "trace")
         assert telemetry.mode() == "trace"
-        assert telemetry.events_enabled()
 
     def test_env_reread_lazily_without_reimport(self, monkeypatch):
         assert telemetry.mode() == "counters"
@@ -54,7 +53,9 @@ class TestCounters:
     def test_off_mode_records_nothing(self):
         telemetry.set_mode("off")
         telemetry.count("x")
-        telemetry.record_time("t", 1.0)
+        telemetry.observe("t", 1.0)
+        with telemetry.timed("block"):
+            pass
         telemetry.kernel_call("c", 1.0, 100)
         telemetry.event("e")
         telemetry.set_mode("counters")
@@ -62,24 +63,53 @@ class TestCounters:
         assert snap["counters"] == {}
         assert snap["timers"] == {}
         assert snap["kernels"] == {}
+        assert snap["histograms"] == {}
 
     def test_thread_safety(self):
-        def worker():
-            for _ in range(1000):
-                telemetry.count("races")
+        # 8 threads hammer a counter, a timer and a kernel series at
+        # once; the snapshot's counters and its timers/kernels views
+        # must match a tally kept independently by each thread
+        tallies = []
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert telemetry.snapshot()["counters"]["races"] == 8000
+        def worker(tag):
+            durs = [(tag * 1000 + i + 1) * 1e-6 for i in range(1000)]
+            for d in durs:
+                telemetry.count("races")
+                telemetry.observe("t.shared", d)
+                telemetry.kernel_call("c", d, 7)
+            tallies.append(durs)
+
+        threads = [
+            threading.Thread(target=worker, args=(tag,)) for tag in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleaving mid-update
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(tallies) == 8, "a worker did not finish"
+        every = [d for durs in tallies for d in durs]
+        snap = telemetry.snapshot()
+        assert snap["counters"]["races"] == 8000
+        timer = snap["timers"]["t.shared"]
+        assert timer["count"] == 8000
+        assert timer["total_s"] == pytest.approx(sum(every))
+        assert timer["min_s"] == min(every)
+        assert timer["max_s"] == max(every)
+        kern = snap["kernels"]["c"]
+        assert kern["calls"] == 8000
+        assert kern["points"] == 8000 * 7
+        assert kern["seconds"] == pytest.approx(sum(every))
 
 
 class TestTimers:
     def test_record_time_aggregates(self):
-        telemetry.record_time("t", 2.0)
-        telemetry.record_time("t", 4.0)
+        telemetry.observe("t", 2.0)
+        telemetry.observe("t", 4.0)
         agg = telemetry.snapshot()["timers"]["t"]
         assert agg["count"] == 2
         assert agg["total_s"] == pytest.approx(6.0)
@@ -98,6 +128,21 @@ class TestTimers:
                 raise RuntimeError("boom")
         assert "block" not in telemetry.snapshot()["timers"]
 
+    def test_timers_view_is_the_unlabelled_series(self):
+        telemetry.observe("a", 0.25)
+        telemetry.observe("a", 0.75)
+        telemetry.observe("b", 0.5, rank="0")  # labelled: no timer row
+        with telemetry.timed("block"):
+            pass
+        snap = telemetry.snapshot()
+        assert sorted(snap["timers"]) == ["a", "block"]
+        for name, timer in snap["timers"].items():
+            (rec,) = snap["histograms"][name]
+            assert rec["labels"] == {}
+            assert (timer["count"], timer["total_s"],
+                    timer["min_s"], timer["max_s"]) == (
+                rec["count"], rec["sum"], rec["min"], rec["max"])
+
 
 class TestKernels:
     def test_kernel_call_rates(self):
@@ -108,31 +153,52 @@ class TestKernels:
         assert k["points"] == 2000
         assert k["points_per_s"] == pytest.approx(2000.0)
 
+        # one shard per (thread, backend): the view sums them, and is
+        # the same series the kernel.call histogram shows
+        telemetry.reset()
+
+        def worker(tag):
+            for _ in range(500):
+                telemetry.kernel_call("c" if tag % 2 else "numpy", 0.001, 10)
+
+        threads = [
+            threading.Thread(target=worker, args=(tag,)) for tag in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        snap = telemetry.snapshot()
+        for backend in ("c", "numpy"):
+            k = snap["kernels"][backend]
+            assert (k["calls"], k["points"]) == (2000, 20000)
+            assert k["seconds"] == pytest.approx(2.0)
+            assert k["points_per_s"] == pytest.approx(10000.0)
+            (rec,) = [r for r in snap["histograms"]["kernel.call"]
+                      if r["labels"] == {"backend": backend}]
+            assert (rec["count"], rec["sum"]) == (k["calls"], k["seconds"])
+
     def test_zero_time_yields_none_not_inf(self):
         telemetry.kernel_call("c", 0.0, 1000)
         assert telemetry.snapshot()["kernels"]["c"]["points_per_s"] is None
 
+    def test_kernel_call_takes_no_lock(self, monkeypatch):
+        from repro.telemetry import metrics, registry
 
-class TestTrace:
-    def test_events_only_in_trace_mode(self):
-        telemetry.event("ignored", a=1)
-        telemetry.set_mode("trace")
-        telemetry.event("seen", a=2)
-        snap = telemetry.snapshot()
-        names = [e["name"] for e in snap["trace"]]
-        assert names == ["seen"]
-        assert snap["trace"][0]["a"] == 2
+        telemetry.kernel_call("c", 0.001, 10)  # publish this thread's shard
 
-    def test_snapshot_omits_trace_outside_trace_mode(self):
-        assert "trace" not in telemetry.snapshot()
+        class Forbidden:
+            def __enter__(self):
+                raise AssertionError("kernel_call acquired a lock")
 
-    def test_ring_buffer_bounded(self):
-        telemetry.set_mode("trace")
-        for i in range(telemetry.TRACE_CAPACITY + 50):
-            telemetry.event("e", i=i)
-        trace = telemetry.snapshot()["trace"]
-        assert len(trace) == telemetry.TRACE_CAPACITY
-        assert trace[-1]["i"] == telemetry.TRACE_CAPACITY + 49
+            def __exit__(self, *exc):
+                pass
+
+        monkeypatch.setattr(metrics, "_lock", Forbidden())
+        monkeypatch.setattr(registry, "_lock", Forbidden())
+        telemetry.kernel_call("c", 0.001, 10)
+        monkeypatch.undo()
+        assert telemetry.snapshot()["kernels"]["c"]["calls"] == 2
 
 
 class TestSnapshotSchema:
@@ -141,9 +207,16 @@ class TestSnapshotSchema:
         assert snap["schema"] == telemetry.STATS_SCHEMA == "snowflake-stats/1"
 
     def test_snapshot_carries_histogram_section(self):
-        telemetry.record_time("t", 0.1)
+        telemetry.observe("t", 0.1)
         snap = telemetry.snapshot()
         assert snap["histograms"]["t"][0]["count"] == 1
+
+    def test_snapshot_sections(self):
+        telemetry.set_mode("trace")
+        telemetry.event("e", a=1)
+        assert sorted(telemetry.snapshot()) == [
+            "counters", "histograms", "kernels", "mode", "schema", "timers",
+        ]
 
     def test_snapshot_under_concurrent_key_registration(self):
         # regression companion to the shard-registration race: threads
@@ -156,7 +229,7 @@ class TestSnapshotSchema:
             started.wait()
             for i in range(300):
                 telemetry.count(f"c.{tag}.{i}")
-                telemetry.record_time(f"t.{tag}.{i}", 0.001)
+                telemetry.observe(f"t.{tag}.{i}", 0.001)
                 telemetry.kernel_call(f"b{tag}", 0.001, 10)
             stop.set()
 
@@ -182,48 +255,24 @@ class TestSnapshotSchema:
 
 class TestReset:
     def test_reset_zeroes_everything(self):
+        telemetry.set_mode("events")
         telemetry.count("x")
-        telemetry.record_time("t", 1.0)
+        telemetry.observe("t", 1.0)
         telemetry.kernel_call("c", 1.0, 10)
+        telemetry.event("e")
         telemetry.reset()
         snap = telemetry.snapshot()
         assert snap["counters"] == {}
         assert snap["timers"] == {}
         assert snap["kernels"] == {}
-
-
-class TestExport:
-    def test_bench_json_schema(self, tmp_path):
-        telemetry.count("x", 3)
-        telemetry.kernel_call("c", 0.5, 500)
-        path = telemetry.export_bench_json(tmp_path / "BENCH_pipeline.json")
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == telemetry.BENCH_SCHEMA
-        assert isinstance(doc["version"], str)
-        assert isinstance(doc["unix_time"], float)
-        assert set(doc["host"]) == {"platform", "machine", "python"}
-        assert doc["counters"]["x"] == 3
-        assert doc["kernels"]["c"]["points_per_s"] == pytest.approx(1000.0)
-
-    def test_bench_json_keeps_stats_schema_alongside(self, tmp_path):
-        # the bench envelope owns "schema"; the embedded registry
-        # snapshot's tag is preserved under "stats_schema"
-        path = telemetry.export_bench_json(tmp_path / "BENCH_x.json")
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == telemetry.BENCH_SCHEMA
-        assert doc["stats_schema"] == telemetry.STATS_SCHEMA
-
-    def test_bench_json_honours_artifact_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNOWFLAKE_ARTIFACT_DIR", str(tmp_path / "art"))
-        path = telemetry.export_bench_json("BENCH_env.json")
-        assert path.parent == tmp_path / "art"
-        assert path.exists()
+        assert snap["histograms"] == {}
+        assert telemetry.events.records() == []
 
 
 class TestReport:
     def test_format_stats_renders_tables(self):
         telemetry.count("jit.cache.miss")
-        telemetry.record_time("jit.cc", 0.25)
+        telemetry.observe("jit.cc", 0.25)
         telemetry.kernel_call("c", 0.5, 500)
         out = telemetry.render_stats()
         assert "kernel invocations" in out

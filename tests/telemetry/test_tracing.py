@@ -82,7 +82,10 @@ class TestSpans:
                     pass
         by_name = {e["name"]: e for e in tracing.events()}
         assert by_name["inner"]["args"]["parent"] == "outer"
+        assert (by_name["inner"]["args"]["parent_id"]
+                == by_name["outer"]["args"]["span_id"])
         assert "parent" not in by_name["outer"]["args"]
+        assert "parent_id" not in by_name["outer"]["args"]
 
     def test_raising_body_is_recorded_with_error(self):
         with tracing.session():
@@ -117,6 +120,76 @@ class TestSpans:
                 tracing.instant("tick")
         assert len(tracing.events()) == 2
         assert tracing.dropped() == 3
+
+
+def _x(name, sid, dur_us, parent_id=None, cat="kernel", tid=1, **args):
+    """A hand-built complete span, as ``tracing.events()`` returns them."""
+    if parent_id is not None:
+        args["parent_id"] = parent_id
+    return {"name": name, "cat": cat, "ph": "X", "ts": 0.0, "dur": dur_us,
+            "pid": 1, "tid": tid, "args": {"span_id": sid, **args}}
+
+
+class TestSelfTimes:
+    def test_hand_built_nest(self):
+        rows = tracing.self_times([
+            _x("leaf", 3, 100.0, parent_id=2),
+            _x("leaf", 4, 150.0, parent_id=2),
+            _x("mid", 2, 400.0, parent_id=1),
+            {"name": "marker", "cat": "kernel", "ph": "i", "ts": 0.0,
+             "pid": 1, "tid": 1, "args": {}},
+            _x("root", 1, 1000.0, cat="jit"),
+            _x("root", 5, 500.0, cat="jit"),
+        ])
+        by = {(r["name"], r["cat"]): r for r in rows}
+        assert by["root", "jit"] == {
+            "name": "root", "cat": "jit", "count": 2,
+            "total_s": pytest.approx(1.5e-3), "self_s": pytest.approx(1.1e-3),
+        }
+        assert by["mid", "kernel"]["self_s"] == pytest.approx(150e-6)
+        leaf = by["leaf", "kernel"]
+        assert (leaf["count"], leaf["total_s"], leaf["self_s"]) == (
+            2, pytest.approx(250e-6), pytest.approx(250e-6))
+        # hottest self time first, and the column sums to the roots
+        assert [r["name"] for r in rows] == ["root", "leaf", "mid"]
+        assert sum(r["self_s"] for r in rows) == pytest.approx(1.5e-3)
+
+    def test_rank_lane_child_comes_out_of_its_stack_parent(self):
+        # the export tid says "another track"; the recording thread's
+        # stack says "inside halo" -- the stack wins
+        rows = tracing.self_times([
+            _x("halo.send", 2, 300.0, parent_id=1, cat="dmem",
+               tid=900_000_000),
+            _x("halo:x", 1, 1000.0, cat="dmem", tid=77),
+        ])
+        by = {r["name"]: r for r in rows}
+        assert by["halo:x"]["self_s"] == pytest.approx(700e-6)
+        assert by["halo.send"]["self_s"] == pytest.approx(300e-6)
+
+    def test_unbuffered_parent_makes_a_root(self):
+        (row,) = tracing.self_times([_x("orphan", 9, 200.0, parent_id=8)])
+        assert row["self_s"] == row["total_s"] == pytest.approx(200e-6)
+
+    def test_live_buffer_self_times_sum_to_root_total(self):
+        with tracing.session():
+            with tracing.span("root", cat="jit"):
+                with tracing.span("child", cat="kernel", lane="rank 0"):
+                    sum(range(2000))
+                with pytest.raises(ValueError):
+                    with tracing.span("doomed", cat="kernel"):
+                        raise ValueError("boom")
+        rows = tracing.self_times()
+        by = {r["name"]: r for r in rows}
+        # an erroring span is still counted, and still a child
+        assert by["doomed"]["count"] == 1
+        root = by["root"]
+        assert root["self_s"] == pytest.approx(
+            root["total_s"] - by["child"]["total_s"] - by["doomed"]["total_s"]
+        )
+        assert sum(r["self_s"] for r in rows) == pytest.approx(root["total_s"])
+
+    def test_empty_buffer(self):
+        assert tracing.self_times() == []
 
 
 class TestLanes:
@@ -246,6 +319,23 @@ class TestPipelineTraceRegression:
         for r in ("rank 0", "rank 1"):
             rank_evs = [e for e in evs if e.get("tid") == lane_names[r]]
             assert any(e["name"].startswith("apply:") for e in rank_evs)
+
+        # nesting follows the driver thread's span stack across lanes:
+        # a rank's apply span (virtual track) owns the kernel span it
+        # ran (real thread), so its self time excludes the kernel
+        by_id = {e["args"]["span_id"]: e for e in evs if e["ph"] == "X"}
+        nested = [
+            e for e in by_id.values()
+            if e["name"].startswith("kernel:")
+            and by_id.get(e["args"].get("parent_id"), {}).get(
+                "name", "").startswith("apply:")
+        ]
+        assert len(nested) == 2
+        assert all(
+            by_id[e["args"]["parent_id"]]["tid"] in lane_names.values()
+            and e["tid"] not in lane_names.values()
+            for e in nested
+        )
 
         # rank-lane timestamps are monotonic within each lane even
         # though both ranks run on the one driver thread

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.util.tables import format_table
-from repro.util.timing import Timer, best_of, clock_resolution, time_callable
+from repro.util.timing import Timer, best_of, time_callable
 
 
 class TestTimer:
@@ -57,15 +57,6 @@ class TestTimer:
                 raise ValueError
         t.reset()
         assert t.aborted == 0
-
-
-class TestClockResolution:
-    def test_positive_and_finite(self):
-        r = clock_resolution()
-        assert 0 < r < 1.0
-
-    def test_cached(self):
-        assert clock_resolution() == clock_resolution()
 
 
 class TestTiming:
