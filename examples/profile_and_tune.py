@@ -9,7 +9,7 @@ without measuring — to a Snowflake stencil pipeline:
    the answer,
 2. let the pass manager clean the group (dead-stencil elimination +
    barrier-minimizing reorder),
-3. autotune the tile size for the hot stencil's backend,
+3. tune the tile size for the hot stencil's backend,
 4. compare the final tuned/fused kernel against the naive compile,
 5. record the whole tuned run as a span trace
    (profile_and_tune.trace.json — open it in https://ui.perfetto.dev
@@ -34,7 +34,8 @@ from repro.hpgmg.operators import (
 )
 from repro.telemetry import tracing
 from repro.telemetry.report import render_top
-from repro.tuning import autotune_tile
+from repro.schedule import ScheduleOptions
+from repro.tuning import search_schedules
 from repro.util.timing import best_of
 
 N = 96
@@ -74,13 +75,15 @@ optimized = pm.run(group, shapes, live_grids={"x", "res"})
 print("\npass pipeline:")
 print(pm.report())
 
-# -- 3. autotune the backend ------------------------------------------------------
-tune = autotune_tile(
+# -- 3. tune the backend ----------------------------------------------------------
+tune = search_schedules(
     optimized, {k: v.copy() for k, v in arrays.items() if k in optimized.grids()},
-    backend="openmp", candidates=(2, 8, 32), repeats=2,
+    backend="openmp", repeats=2, persist=False,
+    candidates=[ScheduleOptions(tile=t) for t in (2, 8, 32)], budget=3,
 )
-print(f"\nautotune: best tile {tune.best_tile} "
-      f"({tune.speedup_over_worst():.2f}x over the worst candidate)")
+worst = max(t.measured_s for t in tune.measured())
+print(f"\ntune: best tile {tune.best.tile} "
+      f"({worst / tune.best_measured_s:.2f}x over the worst candidate)")
 
 # -- 4. final comparison ------------------------------------------------------------
 def timed(g, **opts):
@@ -89,7 +92,7 @@ def timed(g, **opts):
     return best_of(lambda: kernel(**work), warmup=1, repeats=3)
 
 naive = timed(group)
-tuned = timed(optimized, tile=tune.best_tile, fuse=True)
+tuned = timed(optimized, tile=tune.best.tile, fuse=True)
 print(f"\nnaive pipeline:      {naive * 1e3:7.3f} ms")
 print(f"optimized pipeline:  {tuned * 1e3:7.3f} ms "
       f"({naive / tuned:.2f}x, having dropped "
@@ -100,7 +103,7 @@ with tracing.session():
     pipeline = default_pipeline()
     traced = pipeline.run(group, shapes, live_grids={"x", "res"})
     kernel = traced.compile(
-        backend="openmp", shapes=shapes, tile=tune.best_tile, fuse=True,
+        backend="openmp", shapes=shapes, tile=tune.best.tile, fuse=True,
     )
     work = {k: arrays[k].copy() for k in traced.grids()}
     kernel(**work)

@@ -23,10 +23,10 @@ Commands:
                   group: intra-stencil verdicts, which grids forced
                   each barrier, the legality-checked schedule the
                   backend executes, and the backend artifact identity
-* ``tune``      — cost-model-guided schedule search (beam/annealing)
-                  over one paper operator; prints the trial table and
-                  persists the winner to the tuning cache so later
-                  ``schedule_for`` calls reload it transparently
+* ``tune``      — cost-model-guided schedule search over one paper
+                  operator; prints the trial table and persists the
+                  winner to the tuning cache, where
+                  ``compile(..., schedule="tuned")`` finds it
 """
 
 from __future__ import annotations
@@ -360,8 +360,8 @@ def cmd_tune(args) -> int:
     Predicts every candidate with the analytic roofline model, measures
     only the most promising ones (``--budget`` caps measured trials),
     prints the trial table, and persists the winner to the tuning cache
-    — a later process calling :func:`repro.schedule.schedule_for` with
-    no explicit options transparently reloads it.
+    under this backend's name — ``compile(backend=<the same>,
+    schedule="tuned")`` uses it, in this process or a later one.
     """
     import json
 
@@ -394,16 +394,14 @@ def cmd_tune(args) -> int:
         backend=args.backend,
         budget=int(args.budget),
         repeats=int(args.repeats),
-        strategy=args.strategy,
         spec=args.spec,
-        seed=int(args.seed),
         persist=not args.no_persist,
     )
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:
         print(f"tune {args.op} via {args.backend} "
-              f"({args.strategy}, budget {args.budget}, spec {args.spec})")
+              f"(budget {args.budget}, spec {args.spec})")
         print()
         print(result.table())
         print()
@@ -726,17 +724,13 @@ def main(argv=None) -> int:
         help="timed applications per candidate, best-of (default: 3)",
     )
     tu.add_argument(
-        "--strategy", default="beam", choices=("beam", "anneal"),
-        help="search strategy (default: beam)",
-    )
-    tu.add_argument(
         "--spec", default="paper-cpu",
         help="machine model guiding predictions: host, paper-cpu, "
         "paper-gpu (default: paper-cpu)",
     )
     tu.add_argument(
         "--seed", type=int, default=0,
-        help="RNG seed for array data and annealing moves (default: 0)",
+        help="RNG seed for the array data (default: 0)",
     )
     tu.add_argument(
         "--json", action="store_true",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 import time
+from dataclasses import fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from ..core.validate import (
 )
 from ..resilience.faults import InjectedFault, fault_point
 from ..resilience.guards import Guards
+from ..schedule import Schedule, ScheduleOptions, as_schedule
 
 __all__ = [
     "Backend",
@@ -266,6 +268,13 @@ def bind_kernel(kernel: Callable, grids: Mapping[str, np.ndarray]) -> Callable:
     return lambda **params: kernel(**grids, **params)
 
 
+#: ``schedule`` plus every :class:`ScheduleOptions` field but ``policy``,
+#: whose loose spelling is ``schedule="<policy>"``
+_SCHEDULE_NAMES = frozenset(
+    {"schedule"} | ({f.name for f in fields(ScheduleOptions)} - {"policy"})
+)
+
+
 class Backend(abc.ABC):
     """A Snowflake micro-compiler."""
 
@@ -277,12 +286,74 @@ class Backend(abc.ABC):
     #: degradation targets and to thread compile timeouts.
     requires_toolchain: bool = False
 
-    #: declared scheduling knobs (name -> default) drawn from the single
-    #: :class:`repro.schedule.ScheduleOptions` vocabulary.  ``None``
-    #: means the backend manages its own options (user-registered
-    #: backends); the built-in six all declare a subset, validated in
-    #: one place by :func:`repro.schedule.pop_schedule_spec`.
+    #: the scheduling defaults of this backend that differ from
+    #: ``ScheduleOptions()``; loose keyword options fill from it, an
+    #: explicit ``ScheduleOptions`` is taken verbatim.  ``None`` means a
+    #: user-registered backend that manages its own options.
     _KNOBS: Mapping[str, object] | None = None
+
+    def pop_schedule(
+        self, group: StencilGroup, options: dict
+    ) -> Callable[[Mapping[str, Sequence[int]]], Schedule]:
+        """Pop the scheduling options out of ``options``: the one resolver.
+
+        Every built-in backend takes the same names — ``schedule`` (a
+        prebuilt :class:`~repro.schedule.Schedule`, a
+        :class:`~repro.schedule.ScheduleOptions`, a policy string, or
+        ``"tuned"``) and each other ``ScheduleOptions`` field as a loose
+        keyword — so ``tile=8`` and ``schedule=ScheduleOptions(tile=8)``
+        get the same verdict everywhere.  Whatever else is in
+        ``options`` when this is called is unknown and raises the
+        ``TypeError`` that names the valid options.
+
+        Returns ``schedule_at(shapes)``, because a kernel compiled
+        without ``shapes=`` learns them at its first call.
+        ``schedule="tuned"`` looks up the winner ``repro tune`` persisted
+        for this group, shapes, machine and backend and takes its hint
+        fields, ``time_tile`` staying the caller's; with no winner it is
+        the backend's defaults.
+        """
+        bad = sorted(set(options) - _SCHEDULE_NAMES)
+        if bad:
+            raise TypeError(
+                f"unknown options for {self.name!r}: {bad}; "
+                f"valid scheduling options are {sorted(_SCHEDULE_NAMES)}"
+            )
+        spec = options.pop("schedule", "greedy")
+        loose = dict(options)
+        options.clear()
+        tuned = isinstance(spec, str) and spec == "tuned"
+        if isinstance(spec, (Schedule, ScheduleOptions)):
+            if loose:
+                raise TypeError(
+                    f"cannot combine a prebuilt schedule with loose "
+                    f"scheduling options {sorted(loose)}"
+                )
+        elif isinstance(spec, str):
+            spec = ScheduleOptions(
+                policy="greedy" if tuned else spec,
+                **{**(self._KNOBS or {}), **loose},
+            )
+        else:
+            raise TypeError(
+                f"schedule must be a Schedule, ScheduleOptions or policy "
+                f"string, got {type(spec).__name__}"
+            )
+
+        def schedule_at(shapes) -> Schedule:
+            chosen = spec
+            if tuned:
+                from ..tuning.cache import load_winner, options_from_dict
+
+                doc = load_winner(group, shapes, self.name)
+                if doc is not None:
+                    chosen = replace(
+                        options_from_dict(doc["options"]),
+                        time_tile=spec.time_tile,
+                    )
+            return as_schedule(chosen, group, shapes)
+
+        return schedule_at
 
     @abc.abstractmethod
     def specializer(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .. import telemetry
 from ..core.stencil import StencilGroup
-from ..schedule import Schedule, ScheduleOptions, as_schedule, pop_schedule_spec
+from ..schedule import Schedule, ScheduleOptions, as_schedule
 from .base import Backend, register_backend
 from .codegen_c import (
     C_PREAMBLE,
@@ -45,26 +45,19 @@ def generate_c_source(
     shapes: Mapping[str, tuple[int, ...]],
     dtype,
     *,
-    schedule: "Schedule | ScheduleOptions | str | None" = None,
-    tile: int | None = None,
-    multicolor: bool = True,
-    fuse: bool = False,
+    schedule: "Schedule | ScheduleOptions | None" = None,
     func_name: str = "sf_kernel",
 ) -> str:
     """Render the whole group as one C translation unit.
 
-    ``schedule`` may be a prebuilt :class:`~repro.schedule.ir.Schedule`
-    (the loose knobs are then ignored), a :class:`ScheduleOptions`, or a
-    policy string; otherwise one is lowered from the legacy
-    ``tile``/``multicolor``/``fuse`` knobs.  Steps are emitted in
-    schedule order: fused chains share one loop nest, checkerboard
-    unions become one parity-corrected sweep.
+    ``schedule`` is a prebuilt :class:`~repro.schedule.ir.Schedule`, a
+    :class:`ScheduleOptions` to lower one from, or ``None`` for the
+    defaults.  Steps are emitted in schedule order: fused chains share
+    one loop nest, checkerboard unions become one parity-corrected
+    sweep.
     """
     norm = {g: tuple(int(x) for x in shapes[g]) for g in shapes}
-    sched = as_schedule(
-        schedule, group, norm,
-        ScheduleOptions(fuse=fuse, multicolor=multicolor, tile=tile),
-    )
+    sched = as_schedule(schedule, group, norm)
     ctx = CodegenContext(group, norm, ctype_for(dtype))
     lines: list[str] = [C_PREAMBLE]
     lines.append(
@@ -206,41 +199,24 @@ def make_ffi_wrapper(
 class CBackend(Backend):
     """The ``c`` micro-compiler (sequential C99, SectionV-A flag set).
 
-    Scheduling options (see :class:`repro.schedule.ScheduleOptions`):
-    ``schedule`` (a prebuilt Schedule or a policy string), ``tile``,
-    ``multicolor``, ``fuse``; plus ``cc_timeout`` — a hard wall-clock
-    cap on the compiler subprocess.
+    Scheduling options are the :class:`repro.schedule.ScheduleOptions`
+    fields (``block`` has no C lowering and is ignored); plus
+    ``cc_timeout`` — a hard wall-clock cap on the compiler subprocess.
     """
 
     name = "c"
     _openmp = False
     requires_toolchain = True
-
-    #: declared scheduling knobs (name -> default); subclasses override
-    #: to change the vocabulary without touching the specialize pipeline
-    _KNOBS: Mapping[str, object] = {
-        "schedule": "greedy", "tile": None, "multicolor": True,
-        "fuse": False, "time_tile": 1, "unroll": None,
-    }
-
-    def _schedule_spec(self, options: dict):
-        """Split user options into (schedule spec, cc_timeout).
-
-        Consumes ``options``; anything left over is unknown and raises,
-        so the :class:`CompiledKernel` surface stays typo-safe.
-        """
-        cc_timeout = options.pop("cc_timeout", None)
-        spec = pop_schedule_spec(
-            options, backend=self.name, knobs=self._KNOBS
-        )
-        return spec, cc_timeout
+    _KNOBS: Mapping[str, object] = {}
 
     def specializer(self, group: StencilGroup, **options):
-        spec, cc_timeout = self._schedule_spec(options)
+        cc_timeout = options.pop("cc_timeout", None)
+        schedule_at = self.pop_schedule(group, options)
 
         def specialize(shapes, dtype) -> Callable:
-            sched = as_schedule(spec, group, shapes)
-            src = self.generate(group, shapes, dtype, schedule=sched)
+            src = self.generate(
+                group, shapes, dtype, schedule=schedule_at(shapes)
+            )
             telemetry.count(f"codegen.{self.name}.sources")
             telemetry.count(f"codegen.{self.name}.bytes", len(src))
             lib = compile_and_load(
@@ -264,10 +240,10 @@ class CBackend(Backend):
         ``sf_<tag>.c`` / ``sf_<tag>.so``, and ``cached`` says whether
         the shared object is already on disk.
         """
-        spec, _ = self._schedule_spec(dict(options))
+        options.pop("cc_timeout", None)
         shapes = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
         dt = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
-        sched = as_schedule(spec, group, shapes)
+        sched = self.pop_schedule(group, options)(shapes)
         src = self.generate(group, shapes, dt, schedule=sched)
         tag = source_tag(src, openmp=self._openmp)
         d = cache_dir()

@@ -27,7 +27,6 @@ from ..core.flatten import term_scalar
 from ..core.stencil import Stencil, StencilGroup
 from ..core.validate import iteration_shape
 from ..kernel import body_for, eval_rect, eval_scalar_lets
-from ..schedule import as_schedule, pop_schedule_spec
 from .base import Backend, register_backend
 
 __all__ = ["NumpyBackend", "lattice_slices", "split_rect"]
@@ -230,16 +229,13 @@ class NumpyBackend(Backend):
     name = "numpy"
     requires_toolchain = False
 
-    _KNOBS = {
-        "schedule": "greedy", "fuse": False, "multicolor": False,
-        "time_tile": 1,
-    }
+    _KNOBS = {"multicolor": False}
 
     def specializer(self, group: StencilGroup, **options):
-        spec = pop_schedule_spec(options, backend=self.name, knobs=self._KNOBS)
+        schedule_at = self.pop_schedule(group, options)
 
         def specialize(shapes, dtype) -> Callable:
-            sched = as_schedule(spec, group, shapes)
+            sched = schedule_at(shapes)
             order = sched.stencil_order()
             execs = [_StencilExec(group[i], shapes) for i in order]
             telemetry.count("codegen.numpy.stencil_execs", len(execs))

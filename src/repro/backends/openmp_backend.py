@@ -10,7 +10,7 @@ Scheduling follows the paper's design literally:
 * **multicolor reordering**, **fusion** and arbitrary-dimension
   **tiling** arrive precomputed on the
   :class:`~repro.schedule.ir.Schedule` steps; the tile size stays an
-  explicit knob so it can be autotuned (:mod:`repro.tuning.autotune`).
+  explicit option so it can be tuned (:mod:`repro.tuning.search`).
 
 Fused chains are phase-local by construction (see
 :func:`repro.schedule.build_schedule`), so a chain can never straddle a
@@ -41,24 +41,19 @@ def generate_openmp_source(
     shapes: Mapping[str, tuple[int, ...]],
     dtype,
     *,
-    tile: int | None = 8,
-    multicolor: bool = True,
-    schedule: "Schedule | ScheduleOptions | str" = "greedy",
-    fuse: bool = False,
+    schedule: "Schedule | ScheduleOptions | None" = None,
     func_name: str = "sf_kernel",
 ) -> str:
     """Render the group as a task-parallel OpenMP translation unit.
 
-    ``schedule`` may be a prebuilt :class:`~repro.schedule.ir.Schedule`,
-    a :class:`ScheduleOptions`, or a policy string (legacy usage; the
-    remaining knobs then fill in the rest).  Each schedule step becomes
-    one task-tiled nest; ``taskwait`` separates the phases.
+    ``schedule`` is a prebuilt :class:`~repro.schedule.ir.Schedule`, a
+    :class:`ScheduleOptions` to lower one from, or ``None`` for the
+    defaults (untiled: the backend's ``tile=8`` default belongs to
+    :class:`OpenMPBackend`, not to the emitter).  Each schedule step
+    becomes one task-tiled nest; ``taskwait`` separates the phases.
     """
     norm = {g: tuple(int(x) for x in shapes[g]) for g in shapes}
-    sched = as_schedule(
-        schedule, group, norm,
-        ScheduleOptions(fuse=fuse, multicolor=multicolor, tile=tile),
-    )
+    sched = as_schedule(schedule, group, norm)
     ctx = CodegenContext(group, norm, ctype_for(dtype))
 
     lines: list[str] = [C_PREAMBLE, "#include <omp.h>"]
@@ -161,19 +156,13 @@ def generate_openmp_source(
 class OpenMPBackend(CBackend):
     """The ``openmp`` micro-compiler.
 
-    Scheduling options: ``schedule`` (a prebuilt Schedule or one of
-    ``greedy``/``wavefront``/``serial``), ``tile`` (task granularity on
-    the outermost loop, default 8 planes), ``multicolor`` (default
-    True), ``fuse``.
+    Scheduling options as for ``c``; ``tile`` is the task granularity
+    on the outermost loop and defaults to 8 planes.
     """
 
     name = "openmp"
     _openmp = True
-
-    _KNOBS = {
-        "schedule": "greedy", "tile": 8, "multicolor": True, "fuse": False,
-        "time_tile": 1, "unroll": None,
-    }
+    _KNOBS = {"tile": 8}
 
     def generate(self, group, shapes, dtype, *, schedule=None) -> str:
         return generate_openmp_source(group, shapes, dtype, schedule=schedule)

@@ -28,7 +28,6 @@ from ..core.flatten import term_scalar
 from ..core.stencil import Stencil, StencilGroup
 from ..core.validate import iteration_shape
 from ..kernel import body_for, eval_point, eval_scalar_lets
-from ..schedule import as_schedule, pop_schedule_spec
 from .base import Backend, register_backend
 
 __all__ = ["PythonBackend"]
@@ -114,16 +113,13 @@ class PythonBackend(Backend):
 
     name = "python"
 
-    _KNOBS = {
-        "schedule": "greedy", "fuse": False, "multicolor": False,
-        "time_tile": 1,
-    }
+    _KNOBS = {"multicolor": False}
 
     def specializer(self, group: StencilGroup, **options):
-        spec = pop_schedule_spec(options, backend=self.name, knobs=self._KNOBS)
+        schedule_at = self.pop_schedule(group, options)
 
         def specialize(shapes, dtype) -> Callable:
-            sched = as_schedule(spec, group, shapes)
+            sched = schedule_at(shapes)
             order = [group[i] for i in sched.stencil_order()]
             # The oracle form of a time tile is its *definition*: k
             # sequential applications of the whole group per call.

@@ -38,7 +38,7 @@ from .analysis.dependence import intra_stencil_hazards
 from .backends.base import get_backend
 from .core.stencil import Stencil, StencilGroup
 from .kernel import body_for, kernel_cost, swept_cost
-from .schedule import Schedule, as_schedule, pop_schedule_spec
+from .schedule import Schedule
 from .telemetry import tracing
 
 __all__ = [
@@ -122,7 +122,7 @@ class GroupProvenance:
     barriers: tuple[BarrierProvenance, ...]
     artifact: dict | None  # Backend.artifact_info(); None for interpreters
     #: the legality-checked schedule the backend executes; None only for
-    #: user-registered backends that don't declare scheduling knobs
+    #: user-registered backends that manage their own options
     schedule: Schedule | None = None
     #: per-stencil swept-cost prediction (name ->
     #: :meth:`repro.kernel.cost.SweptCost.to_dict`) when the schedule
@@ -130,7 +130,7 @@ class GroupProvenance:
     swept: dict | None = None
     #: the composable transform pipeline the scheduling preset expands
     #: to (:func:`repro.transform.preset_pipeline` descriptions, after
-    #: the ``base_schedule`` seed); empty for knob-less backends
+    #: the ``base_schedule`` seed); empty for such backends
     transforms: tuple = ()
 
     def to_dict(self) -> dict:
@@ -250,16 +250,12 @@ def explain(
     ):
         sched: Schedule | None = None
         if be._KNOBS is not None:
-            # Resolve scheduling options exactly as compile() would: the
-            # backend's declared knobs, validated in one place, lowered
-            # to the Schedule the backend will execute.
+            # the resolver compile() uses, so this is the Schedule the
+            # backend will execute
             probe = dict(options)
             probe.pop("cc_timeout", None)
             probe.setdefault("schedule", policy)
-            spec = pop_schedule_spec(
-                probe, backend=backend, knobs=be._KNOBS
-            )
-            sched = as_schedule(spec, group, shapes)
+            sched = be.pop_schedule(group, probe)(shapes)
             exec_plan = sched.plan
         else:
             exec_plan = plan(group, shapes, policy=policy)

@@ -258,28 +258,16 @@ class ResilientKernel:
                 f"build:{name}", cat="resilience",
                 group=getattr(self.group, "name", "?"),
             ):
-                return self._compile_on(be, name)
-        return self._with_retries(make)
-
-    def _compile_on(self, be, name: str):
-        opts = self._options_for(name)
-        try:
-            return be.compile(
-                self.group,
-                shapes=self._shapes,
-                dtype=self._dtype,
-                **opts,
-            )
-        except TypeError as e:
-            # A chain may cross backend families with different
-            # option vocabularies (e.g. openmp's `tile` means
-            # nothing to numpy): retry bare rather than dying on a
-            # tuning knob.
-            if opts and "option" in str(e):
+                # every link gets the same options: the built-in
+                # backends share one vocabulary, so nothing (least of
+                # all ``time_tile``) is dropped on the way down
                 return be.compile(
-                    self.group, shapes=self._shapes, dtype=self._dtype
+                    self.group,
+                    shapes=self._shapes,
+                    dtype=self._dtype,
+                    **self._options_for(name),
                 )
-            raise
+        return self._with_retries(make)
 
     def _ensure_kernel(self):
         while self._kernel is None:

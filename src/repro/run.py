@@ -47,9 +47,9 @@ def _compile(
         try:
             # shapes= makes specialization eager, so a time-tile
             # refusal (ValueError with evidence) or a backend that
-            # cannot lower it (NotImplementedError, or TypeError for
-            # one without the knob) surfaces here, before any grid is
-            # touched.
+            # cannot lower it (NotImplementedError; a user-registered
+            # backend with its own options may say TypeError) surfaces
+            # here, before any grid is touched.
             return program.compile(time_tile=times, **options), True
         except (ValueError, NotImplementedError, TypeError):
             if strict:
@@ -69,7 +69,7 @@ def run(
 ):
     """Apply ``program`` to ``arrays`` ``times`` times, in place.
 
-    ``options`` are the backend's scheduling knobs (``tile``, ``fuse``,
+    ``options`` are the scheduling options (``tile``, ``fuse``,
     ``multicolor``, ...).  Returns the number of kernel invocations
     performed (1 when the time tile landed, ``times`` on fallback) so
     callers and tests can observe which path ran.

@@ -8,7 +8,8 @@ decisions, each tagged with the Diophantine evidence that legalizes it.
 All six backends consume the same :class:`Schedule` instead of
 re-deriving structure; pass one explicitly via
 ``group.compile(backend=..., schedule=...)`` or let the backend build it
-from its declared :class:`ScheduleOptions` knobs.
+from :class:`ScheduleOptions` — the one option vocabulary of every
+built-in backend.
 """
 
 from .ir import (
@@ -24,7 +25,6 @@ from .lower import (
     base_schedule,
     build_schedule,
     fusion_chains,
-    pop_schedule_spec,
     schedule_for,
 )
 from .options import POLICIES, ScheduleOptions
@@ -40,7 +40,6 @@ __all__ = [
     "base_schedule",
     "build_schedule",
     "fusion_chains",
-    "pop_schedule_spec",
     "schedule_for",
     "POLICIES",
     "ScheduleOptions",

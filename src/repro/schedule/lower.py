@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Mapping, Sequence
 
 from ..analysis.dag import plan
@@ -43,7 +42,6 @@ __all__ = [
     "build_schedule",
     "schedule_for",
     "as_schedule",
-    "pop_schedule_spec",
 ]
 
 
@@ -422,36 +420,8 @@ def _make_step(group, shapes, chain, hazards, options) -> Step:
 
 
 # ---------------------------------------------------------------------------
-# memoized construction + option resolution (the backends' entry points)
+# memoized construction (the backends' entry points)
 # ---------------------------------------------------------------------------
-
-
-def _tuned_or_default(
-    group: StencilGroup,
-    norm: Mapping[str, tuple[int, ...]],
-    base: ScheduleOptions | None = None,
-) -> ScheduleOptions:
-    """Resolve a caller's "no preference" to persisted winner or default.
-
-    Looks up the tuning cache (:mod:`repro.tuning.cache`) for this
-    group/shapes on this machine.  Any cache problem — unreadable file,
-    schema mismatch, missing toolchain for the fingerprint — falls back
-    to the defaults; tuning must never break compilation.
-    """
-    import os
-
-    fallback = base if base is not None else ScheduleOptions()
-    if os.environ.get("SNOWFLAKE_TUNED", "1").strip().lower() in (
-        "0", "off", "no", "false", "",
-    ):
-        return fallback
-    try:
-        from ..tuning.cache import tuned_options
-
-        opts = tuned_options(group, norm)
-    except Exception:
-        return fallback
-    return opts if opts is not None else fallback
 
 
 _CACHE: OrderedDict[tuple, Schedule] = OrderedDict()
@@ -474,14 +444,10 @@ def schedule_for(
     everyone else waits for the memo), while builds for *different* keys
     still proceed in parallel.
 
-    When ``options`` is ``None`` (the caller expressed no preference) a
-    persisted tuning winner for this group/shapes — if one exists in the
-    artifact cache for this machine — is transparently loaded and used
-    instead of the defaults.  Set ``SNOWFLAKE_TUNED=0`` to disable.
+    ``options=None`` is ``ScheduleOptions()``: which schedule comes back
+    depends on the arguments alone.
     """
-    if options is None:
-        norm0 = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
-        options = _tuned_or_default(group, norm0)
+    options = options or ScheduleOptions()
     norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
     key = (group.signature(), tuple(sorted(norm.items())), options)
     with _CACHE_LOCK:
@@ -510,17 +476,17 @@ def schedule_for(
 
 
 def as_schedule(
-    spec: "Schedule | ScheduleOptions | str | None",
+    spec: "Schedule | ScheduleOptions | None",
     group: StencilGroup,
     shapes: Mapping[str, Sequence[int]],
-    options: ScheduleOptions | None = None,
 ) -> Schedule:
-    """Coerce whatever a caller handed a backend into a :class:`Schedule`.
+    """The :class:`Schedule` an emitter runs for ``spec``.
 
-    ``spec`` may be a prebuilt :class:`Schedule` (checked against this
-    group/shapes), a :class:`ScheduleOptions`, a bare policy string
-    (legacy ``schedule="wavefront"`` usage), or ``None``; ``options``
-    supplies the remaining knobs for the string/None forms.
+    ``spec`` is a prebuilt :class:`Schedule` (checked against this
+    group/shapes), a :class:`ScheduleOptions`, or ``None`` for the
+    defaults.  Loose keyword options and policy strings are resolved
+    before this point, by
+    :meth:`repro.backends.base.Backend.pop_schedule`.
     """
     norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
     if isinstance(spec, Schedule):
@@ -535,59 +501,9 @@ def as_schedule(
                 f"asked to execute with {norm}"
             )
         return spec
-    if isinstance(spec, ScheduleOptions):
-        return schedule_for(group, norm, spec)
-    base = options or ScheduleOptions()
-    if spec == "tuned":
-        # Explicit opt-in to the persisted tuning winner: use it when
-        # one exists for this group/shapes/machine, else the base knobs.
-        return schedule_for(group, norm, _tuned_or_default(group, norm, base))
-    if isinstance(spec, str):
-        base = replace(base, policy=spec)
-    elif spec is not None:
+    if spec is not None and not isinstance(spec, ScheduleOptions):
         raise TypeError(
-            f"schedule must be a Schedule, ScheduleOptions or policy "
-            f"string, got {type(spec).__name__}"
+            f"schedule must be a Schedule or ScheduleOptions, "
+            f"got {type(spec).__name__}"
         )
-    return schedule_for(group, norm, base)
-
-
-def pop_schedule_spec(
-    options: dict,
-    *,
-    backend: str,
-    knobs: Mapping[str, object],
-) -> "Schedule | ScheduleOptions":
-    """Validate and consume a backend's scheduling kwargs.
-
-    ``knobs`` is the backend's declared vocabulary (name -> default);
-    ``schedule`` always accepts a prebuilt :class:`Schedule` or a policy
-    string.  Mutates ``options``; raises ``TypeError`` on anything the
-    backend did not declare, naming the valid knobs.
-    """
-    bad = sorted(set(options) - set(knobs))
-    if bad:
-        raise TypeError(
-            f"unknown options for {backend!r}: {bad}; "
-            f"valid scheduling options are {sorted(knobs)}"
-        )
-    spec = options.pop("schedule", knobs.get("schedule", "greedy"))
-    if isinstance(spec, (Schedule, ScheduleOptions)):
-        mixed = sorted(set(options) & set(knobs))
-        if mixed:
-            raise TypeError(
-                f"cannot combine a prebuilt schedule with loose "
-                f"scheduling options {mixed}"
-            )
-        return spec
-    kw: dict = {}
-    for name, default in knobs.items():
-        if name == "schedule":
-            continue
-        kw[name] = options.pop(name, default)
-    if not isinstance(spec, str):
-        raise TypeError(
-            f"schedule must be a Schedule, ScheduleOptions or policy "
-            f"string, got {type(spec).__name__}"
-        )
-    return ScheduleOptions(policy=spec, **kw)
+    return schedule_for(group, norm, spec)

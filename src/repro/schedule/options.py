@@ -1,17 +1,28 @@
 """The single scheduling-option vocabulary shared by every backend.
 
-Before the schedule IR existed, each micro-compiler grew its own kwargs
-(``tile``/``multicolor``/``fuse`` on the C targets, ``schedule`` strings
-on OpenMP and the GPU simulators, ``block`` on CUDA) and validated them
-independently.  :class:`ScheduleOptions` collapses those into one
-declared, validated record; a backend only states *which* of the knobs
-it honours (its ``_KNOBS`` mapping) and the shared resolution helper in
-:mod:`repro.schedule.lower` does the rest.
+The fields of :class:`ScheduleOptions` are the scheduling options of all
+six built-in backends, whichever way they are spelled: loose keyword
+arguments to ``compile`` (``tile=8``, ``schedule="wavefront"``) and
+``schedule=ScheduleOptions(...)`` go through the same check in
+:meth:`repro.backends.base.Backend.pop_schedule`.
+
+There are two kinds of field.
+
+*Hints* — ``policy``, ``fuse``, ``multicolor``, ``tile``, ``block``,
+``unroll`` — reorder or decorate the loops and never change a result.  A
+backend with no lowering for a hint accepts it and ignores it, so the
+same options can be handed to every link of a fallback chain.
+
+``time_tile`` is the one *semantic* field: a kernel built with
+``time_tile=k`` performs ``k`` applications per call.  It is honoured or
+refused loudly (``NotImplementedError`` from a backend that cannot lower
+it, ``TransformError`` with evidence for a group it is illegal on) and
+never dropped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 __all__ = ["POLICIES", "ScheduleOptions"]
 
@@ -119,7 +130,3 @@ class ScheduleOptions:
         if self.unroll is not None:
             parts.append(f"unroll={self.unroll}")
         return " ".join(parts)
-
-
-#: the knob names a backend may declare (sanity check for ``_KNOBS``)
-KNOB_NAMES = frozenset(f.name for f in fields(ScheduleOptions)) | {"schedule"}

@@ -19,7 +19,7 @@ Compose with ``|`` and apply::
 
 ``ScheduleOptions`` presets and ``kernel.optimize`` are thin veneers
 over this API (:func:`preset_pipeline`, :func:`kernel_pipeline`); the
-autotuner (:mod:`repro.tuning`) searches the same space.
+tuner (:mod:`repro.tuning`) searches the same space.
 """
 
 from .base import Pipeline, Transform, TransformError

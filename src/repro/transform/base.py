@@ -32,7 +32,7 @@ class TransformError(ValueError):
     """An illegal transform composition, with the refusing evidence.
 
     Subclasses :class:`ValueError` so every caller that treated
-    schedule refusals as value errors (the autotuner, the backends)
+    schedule refusals as value errors (the tuner, the backends)
     keeps working unchanged.  ``evidence`` is the single
     :class:`~repro.schedule.ir.Evidence` that refused the rewrite;
     ``refusals`` carries the full list when the check found several.

@@ -1,30 +1,20 @@
-"""Autotuning: fixed-grid timing, cost-model-guided search, and the
-persistent per-machine tuning cache.
+"""Schedule tuning: one cost-model-guided search and the persistent
+per-machine, per-backend tuning cache.
 
-:func:`autotune_schedule` times an explicit candidate grid (the paper's
-Section IV-A surface); :func:`search_schedules` replaces enumeration
-with beam/annealing search guided by the analytic cost model, persisting
-winners via :mod:`repro.tuning.cache` so
-:func:`repro.schedule.schedule_for` transparently reloads them in later
-processes.
+:func:`search_schedules` predicts candidate
+:class:`~repro.schedule.ScheduleOptions` with the analytic cost model
+and measures the promising ones (or an explicit ``candidates`` list —
+the paper's Section IV-A "method of tuning tiling sizes"); the winner is
+persisted via :mod:`repro.tuning.cache` and used by
+``compile(..., schedule="tuned")``, never implicitly.
 """
 
-from .autotune import (
-    DEFAULT_CANDIDATES,
-    ScheduleTuneResult,
-    TuneResult,
-    autotune_schedule,
-    autotune_tile,
-    check_tune_model,
-    default_schedule_candidates,
-)
 from .cache import (
     TUNE_SCHEMA,
     load_winner,
     machine_fingerprint,
     save_winner,
     tune_tag,
-    tuned_options,
     winner_path,
 )
 from .search import (
@@ -35,19 +25,11 @@ from .search import (
 )
 
 __all__ = [
-    "DEFAULT_CANDIDATES",
-    "ScheduleTuneResult",
-    "TuneResult",
-    "autotune_schedule",
-    "autotune_tile",
-    "check_tune_model",
-    "default_schedule_candidates",
     "TUNE_SCHEMA",
     "load_winner",
     "machine_fingerprint",
     "save_winner",
     "tune_tag",
-    "tuned_options",
     "winner_path",
     "SearchResult",
     "Trial",

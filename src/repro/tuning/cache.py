@@ -1,21 +1,25 @@
-"""Persistent tuning cache — schema ``snowflake-tune/1``.
+"""Persistent tuning cache — schema ``snowflake-tune/2``.
 
-A search winner is stored per ``(tune_tag, machine fingerprint)``:
+A search winner is stored per ``(tune_tag, backend, machine
+fingerprint)``:
 
 * ``tune_tag`` identifies *what is being tuned* — the
   :func:`repro.backends.jit.source_tag` of the group's baseline C
   rendering (default :class:`~repro.schedule.ScheduleOptions`), which
   keys on the stencil definitions, shapes, dtype **and** the active C
   compiler, exactly like the JIT artifact cache;
+* the backend identifies *what it was measured on* — the best numpy
+  schedule says nothing about the best C one;
 * the machine fingerprint identifies *where it was measured* — a
   winner tuned on one machine must not silently steer another.
 
 Files live in :func:`repro.backends.jit.cache_dir` (honouring
-``SNOWFLAKE_CACHE_DIR``) as ``sf_tune_<tag>.<fingerprint>.json``.
-:func:`tuned_options` is the transparent-reload hook
-:func:`repro.schedule.schedule_for` calls when a caller expresses no
-schedule preference; every failure mode here degrades to ``None`` —
-tuning must never break compilation.
+``SNOWFLAKE_CACHE_DIR``) as
+``sf_tune_<tag>.<backend>.<fingerprint>.json``.  Nothing reads them
+unasked: ``compile(..., schedule="tuned")`` is the one way to use a
+winner (:meth:`repro.backends.base.Backend.pop_schedule`).  Every
+failure mode of :func:`load_winner` degrades to ``None`` — tuning must
+never break compilation.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import hashlib
 import json
 import os
 import platform
-import threading
 import time
 from typing import Mapping
 
@@ -40,16 +43,12 @@ __all__ = [
     "winner_path",
     "save_winner",
     "load_winner",
-    "tuned_options",
     "options_from_dict",
 ]
 
 #: schema tag stamped into every cache file (versioned like
 #: ``snowflake-stats/1`` / ``snowflake-events/1``)
-TUNE_SCHEMA = "snowflake-tune/1"
-
-_MEMO: dict = {}
-_MEMO_LOCK = threading.Lock()
+TUNE_SCHEMA = "snowflake-tune/2"
 
 
 def machine_fingerprint() -> str:
@@ -80,13 +79,16 @@ def tune_tag(
 
 
 def winner_path(
-    group: StencilGroup, shapes: Mapping[str, tuple[int, ...]]
+    group: StencilGroup, shapes: Mapping[str, tuple[int, ...]], backend: str
 ):
-    """Cache-file path for this group/shapes on this machine."""
+    """Cache-file path for this group/shapes/backend on this machine.
+
+    ``backend`` is the registry name (``Backend.name``), not an alias.
+    """
     from ..backends.jit import cache_dir
 
     tag = tune_tag(group, shapes)
-    return cache_dir() / f"sf_tune_{tag}.{machine_fingerprint()}.json"
+    return cache_dir() / f"sf_tune_{tag}.{backend}.{machine_fingerprint()}.json"
 
 
 def options_from_dict(d: Mapping) -> ScheduleOptions:
@@ -111,12 +113,11 @@ def save_winner(
     backend: str,
     measured_s: float,
     predicted_s: float | None = None,
-    strategy: str = "",
     trials: int = 0,
 ) -> str:
     """Persist a search winner; returns the file path written."""
     norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
-    path = winner_path(group, norm)
+    path = winner_path(group, norm, backend)
     doc = {
         "schema": TUNE_SCHEMA,
         "created": round(time.time(), 3),
@@ -128,64 +129,27 @@ def save_winner(
         "options": options.to_dict(),
         "measured_s": measured_s,
         "predicted_s": predicted_s,
-        "strategy": strategy,
         "trials": trials,
     }
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, path)
-    with _MEMO_LOCK:
-        _MEMO.clear()  # a fresh winner must be visible in-process
     return str(path)
 
 
 def load_winner(
-    group: StencilGroup, shapes: Mapping[str, tuple[int, ...]]
+    group: StencilGroup, shapes: Mapping[str, tuple[int, ...]], backend: str
 ) -> dict | None:
-    """Load and validate this group/shapes' winner record, or ``None``."""
+    """Load and validate this group/shapes/backend's winner, or ``None``."""
     try:
-        path = winner_path(group, shapes)
+        path = winner_path(group, shapes, backend)
         if not path.exists():
             return None
         doc = json.loads(path.read_text())
+        options_from_dict(doc["options"])
     except Exception:
         return None
-    if doc.get("schema") != TUNE_SCHEMA:
-        return None
-    if doc.get("fingerprint") != machine_fingerprint():
-        return None
-    if not isinstance(doc.get("options"), dict):
+    wanted = (TUNE_SCHEMA, machine_fingerprint(), backend)
+    if (doc.get("schema"), doc.get("fingerprint"), doc.get("backend")) != wanted:
         return None
     return doc
-
-
-def tuned_options(
-    group: StencilGroup, shapes: Mapping[str, tuple[int, ...]]
-) -> ScheduleOptions | None:
-    """The persisted winner's options for transparent reload, or ``None``.
-
-    ``time_tile`` is stripped back to 1: a time-tiled kernel performs
-    ``k`` group applications per call, so silently reloading it would
-    change call semantics, not just speed.  Winners are memoized per
-    (group signature, shapes) so the hot compile path touches the disk
-    once.
-    """
-    norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
-    key = (group.signature(), tuple(sorted(norm.items())))
-    with _MEMO_LOCK:
-        if key in _MEMO:
-            return _MEMO[key]
-    doc = load_winner(group, norm)
-    opts: ScheduleOptions | None = None
-    if doc is not None:
-        try:
-            opts = options_from_dict(doc["options"])
-            if opts.time_tile != 1:
-                from dataclasses import replace
-
-                opts = replace(opts, time_tile=1)
-        except Exception:
-            opts = None
-    with _MEMO_LOCK:
-        _MEMO[key] = opts
-    return opts

@@ -1,36 +1,38 @@
-"""Cost-model-guided schedule search (beam + simulated annealing).
+"""Cost-model-guided schedule search: the one tuner.
 
-Replaces fixed-candidate enumeration with a real search over the
-transform space: candidates are :class:`~repro.schedule.ScheduleOptions`
-points (each the preset pipeline of transforms
-:func:`repro.transform.preset.preset_pipeline` renders), *predicted*
+The paper's OpenMP micro-compiler "allows the user to specify a tiling
+size ... and provides a method of tuning tiling sizes" (SectionIV-A);
+this is that method for every field of
+:class:`~repro.schedule.ScheduleOptions`.  Candidates are *predicted*
 with the analytic cost model (:mod:`repro.kernel.cost` traffic on a
 :class:`~repro.machine.specs.MachineSpec` roofline), and only the most
-promising predictions are *measured* with the existing min-over-repeats
-timing.  Illegal candidates (time-tile refusals, backends that cannot
-lower a knob) are recorded as ``refused`` trials with the refusing
-evidence kind — and emitted as ``tuning.candidate.refused`` events —
-instead of silently vanishing.
+promising predictions are *measured* with min-over-repeats timing.
+Illegal candidates (time-tile refusals, backends that cannot lower an
+option) are recorded as ``refused`` trials with the refusing evidence
+kind — and emitted as ``tuning.candidate.refused`` events — instead of
+silently vanishing.
 
-Winners persist per ``(tune_tag, machine fingerprint)`` via
-:mod:`repro.tuning.cache` and are transparently reloaded by
-:func:`repro.schedule.schedule_for`.
+``time_tile`` is never searched: a ``k``-deep tile does ``k``
+applications per call, so candidates of different depth are not
+comparable per call.  Every candidate keeps the depth of the seed it
+was derived from.
+
+Winners persist per ``(tune_tag, backend, machine fingerprint)`` via
+:mod:`repro.tuning.cache`; ``compile(..., schedule="tuned")`` uses them.
 
 The prediction is deterministic — pure arithmetic over the kernel IR
-and the spec record — so on ``paper-cpu`` it is bit-exact reproducible;
-:func:`repro.tuning.autotune.check_tune_model` exploits that.
+and the spec record — so on ``paper-cpu`` it is bit-exact reproducible.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .. import telemetry
+from ..backends import get_backend
 from ..core.stencil import StencilGroup
 from ..core.validate import iteration_shape
 from ..kernel.cost import WORD_BYTES, body_cost, swept_cost
@@ -52,8 +54,6 @@ __all__ = [
 TILE_LADDER = (None, 4, 8, 16, 32, 64)
 #: unroll factors the default search neighbourhood draws from
 UNROLL_LADDER = (None, 2, 4, 8)
-#: time-tile depths proposed by the default grid
-TIME_TILE_LADDER = (1, 2, 4)
 
 
 def resolve_search_spec(spec: "MachineSpec | str" = "paper-cpu") -> MachineSpec:
@@ -102,7 +102,6 @@ class SearchResult:
     trials: tuple[Trial, ...]
     backend: str
     budget: int
-    strategy: str
 
     def measured(self) -> list[Trial]:
         return [t for t in self.trials if t.status == "measured"]
@@ -139,7 +138,6 @@ class SearchResult:
         return {
             "schema": "snowflake-tune-search/1",
             "backend": self.backend,
-            "strategy": self.strategy,
             "budget": self.budget,
             "best": None if self.best is None else self.best.to_dict(),
             "best_measured_s": self.best_measured_s,
@@ -218,22 +216,17 @@ def predict_schedule_time(
 # ---------------------------------------------------------------------------
 
 
-def _default_grid(base: ScheduleOptions) -> list[ScheduleOptions]:
-    """The seed candidate grid the beam predicts over."""
-    out: list[ScheduleOptions] = []
-    seen: set = set()
-    for k in TIME_TILE_LADDER:
-        for f in (False, True):
-            for t in TILE_LADDER:
-                cand = replace(base, tile=t, fuse=f, time_tile=k)
-                if cand not in seen:
-                    seen.add(cand)
-                    out.append(cand)
-    return out
+def _default_grid() -> list[ScheduleOptions]:
+    """The seed grid searched when the caller lists no candidates."""
+    return [
+        ScheduleOptions(tile=t, fuse=f)
+        for f in (False, True)
+        for t in TILE_LADDER
+    ]
 
 
 def _neighbours(opts: ScheduleOptions) -> list[ScheduleOptions]:
-    """Single-knob mutations of one candidate (the search moves)."""
+    """Single-option mutations of one candidate (the search moves)."""
     out: list[ScheduleOptions] = []
     ti = TILE_LADDER.index(opts.tile) if opts.tile in TILE_LADDER else 0
     for j in (ti - 1, ti + 1):
@@ -248,14 +241,6 @@ def _neighbours(opts: ScheduleOptions) -> list[ScheduleOptions]:
         if 0 <= j < len(UNROLL_LADDER):
             out.append(replace(opts, unroll=UNROLL_LADDER[j]))
     out.append(replace(opts, fuse=not opts.fuse))
-    ki = (
-        TIME_TILE_LADDER.index(opts.time_tile)
-        if opts.time_tile in TIME_TILE_LADDER
-        else 0
-    )
-    for j in (ki - 1, ki + 1):
-        if 0 <= j < len(TIME_TILE_LADDER):
-            out.append(replace(opts, time_tile=TIME_TILE_LADDER[j]))
     return [o for o in out if o != opts]
 
 
@@ -275,7 +260,7 @@ def _refusal_kind(exc: Exception) -> str:
 
 
 class _Bench:
-    """Compile-and-measure harness shared by both strategies."""
+    """Compile-and-measure harness."""
 
     def __init__(
         self, group, arrays, params, backend, repeats, backend_options
@@ -316,33 +301,34 @@ def search_schedules(
     backend: str = "c",
     budget: int = 12,
     repeats: int = 3,
-    strategy: str = "beam",
     spec: "MachineSpec | str" = "paper-cpu",
-    seed: int = 0,
-    base: ScheduleOptions | None = None,
+    candidates: Sequence[ScheduleOptions] | None = None,
     beam_width: int = 4,
     persist: bool = True,
     **backend_options,
 ) -> SearchResult:
     """Search the schedule space; measure at most ``budget`` candidates.
 
-    ``strategy`` is ``"beam"`` (predict the whole seed grid, measure the
-    ``beam_width`` best predictions, then hill-climb by mutating the
-    measured winner) or ``"anneal"`` (simulated annealing over single-
-    knob mutations with the prediction as the proposal filter).
+    The seed grid is predicted whole, its best predictions are
+    measured, then the search hill-climbs by mutating the measured
+    winner one option at a time.  With ``candidates`` the seed grid is
+    that list and every listed candidate is measured (``budget``
+    permitting) before any neighbour — timing an explicit set of tile
+    sizes is ``candidates=[ScheduleOptions(tile=t) for t in ...],
+    budget=len(candidates)``.  Without it the grid is tile x fuse and
+    the ``beam_width`` best predictions are measured first.
+
     ``arrays`` are working copies — the search mutates them.  The winner
     is persisted to the tuning cache (:mod:`repro.tuning.cache`) unless
-    ``persist=False``, and reloaded transparently by
-    :func:`repro.schedule.schedule_for` in later processes.
+    ``persist=False``; ``compile(backend=..., schedule="tuned")`` uses
+    it, in this process or a later one.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
-    if strategy not in ("beam", "anneal"):
-        raise ValueError(
-            f"unknown strategy {strategy!r}; choose beam or anneal"
-        )
+    backend = get_backend(backend).name
+    grid = _default_grid() if candidates is None else list(candidates)
+    width = beam_width if candidates is None else len(grid)
     mspec = resolve_search_spec(spec)
-    base = base or ScheduleOptions()
     bench = _Bench(group, arrays, params, backend, repeats, backend_options)
     trials: list[Trial] = []
     predictions: dict[ScheduleOptions, float] = {}
@@ -400,14 +386,9 @@ def search_schedules(
 
     with tracing.span(
         "tuning.search", cat="analysis", group=group.name,
-        backend=backend, strategy=strategy, budget=budget,
+        backend=backend, budget=budget,
     ):
-        if strategy == "beam":
-            _run_beam(base, budget, beam_width, predict, measure, bench)
-        else:
-            _run_anneal(
-                base, budget, seed, predict, measure, bench
-            )
+        _run_beam(grid, budget, width, predict, measure, bench)
 
     best: ScheduleOptions | None = None
     best_t = float("inf")
@@ -429,15 +410,13 @@ def search_schedules(
         trials=tuple(trials),
         backend=backend,
         budget=budget,
-        strategy=strategy,
     )
     if best is not None:
         telemetry.event(
             "tuning.winner",
             group=group.name, backend=backend,
             options=best.describe(), measured_s=best_t,
-            predicted_s=best_p, strategy=strategy,
-            trials=len(bench.measured),
+            predicted_s=best_p, trials=len(bench.measured),
         )
         if persist:
             from .cache import save_winner
@@ -447,80 +426,38 @@ def search_schedules(
                     group, bench.shapes, best, backend=backend,
                     measured_s=best_t,
                     predicted_s=None if best_p == float("inf") else best_p,
-                    strategy=strategy, trials=len(bench.measured),
+                    trials=len(bench.measured),
                 )
             except Exception:
                 pass  # persistence is best-effort; the result stands
     return result
 
 
-def _run_beam(base, budget, beam_width, predict, measure, bench) -> None:
+def _run_beam(grid, budget, width, predict, measure, bench) -> None:
     """Predict the grid; measure the beam; hill-climb the winner."""
-    grid = _default_grid(base)
     scored = [
-        (p, o) for o in grid if (p := predict(o)) is not None
+        (p, o) for o in dict.fromkeys(grid) if (p := predict(o)) is not None
     ]
     scored.sort(key=lambda it: it[0])
-    for _, opts in scored[: max(1, beam_width)]:
+    tried: set = set()  # measured or refused at measure time: never again
+    for _, opts in scored[: max(1, width)]:
         if len(bench.measured) >= budget:
             return
+        tried.add(opts)
         measure(opts)
     # hill-climb: mutate the measured winner, measure the most
-    # promising unmeasured prediction, repeat while budget remains
-    while len(bench.measured) < budget:
-        if not bench.measured:
-            return
+    # promising untried prediction, repeat while budget remains
+    while bench.measured and len(bench.measured) < budget:
         cur_best = min(bench.measured, key=bench.measured.get)
         frontier = [
             (p, o)
             for o in _neighbours(cur_best)
-            if o not in bench.measured
-            and (p := predict(o)) is not None
+            if o not in tried and (p := predict(o)) is not None
         ]
-        # fall back to the grid's next-best unmeasured prediction
-        frontier += [
-            (p, o)
-            for p, o in scored
-            if o not in bench.measured
-        ]
-        frontier = [
-            (p, o) for p, o in frontier if o not in bench.measured
-        ]
+        # fall back to the grid's next-best untried prediction
+        frontier += [(p, o) for p, o in scored if o not in tried]
         if not frontier:
             return
-        frontier.sort(key=lambda it: it[0])
-        measure(frontier[0][1])
-
-
-def _run_anneal(base, budget, seed, predict, measure, bench) -> None:
-    """Simulated annealing over single-knob mutations."""
-    rng = random.Random(seed)
-    current = base
-    cur_t = measure(current)
-    attempts = 0
-    while cur_t is None and attempts < 8:
-        # the base itself may be refused on this backend; jitter off it
-        moves = _neighbours(current)
-        if not moves:
-            return
-        current = rng.choice(moves)
-        cur_t = measure(current)
-        attempts += 1
-    if cur_t is None:
-        return
-    temp0 = cur_t  # temperature scale: the starting runtime itself
-    step = 0
-    while len(bench.measured) < budget:
-        moves = [m for m in _neighbours(current) if predict(m) is not None]
-        if not moves:
-            return
-        nxt = rng.choice(moves)
-        nxt_t = measure(nxt)
-        if nxt_t is None:
-            continue
-        step += 1
-        temp = temp0 * max(0.05, 1.0 - step / max(1, budget))
-        if nxt_t < cur_t or rng.random() < math.exp(
-            -(nxt_t - cur_t) / max(temp, 1e-12)
-        ):
-            current, cur_t = nxt, nxt_t
+        opts = min(frontier, key=lambda it: it[0])[1]
+        tried.add(opts)
+        measure(opts)

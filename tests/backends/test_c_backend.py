@@ -14,6 +14,7 @@ from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
 from repro.hpgmg.operators import red_black_domains
+from repro.schedule import ScheduleOptions
 
 INTERIOR = RectDomain((1, 1), (-1, -1))
 LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
@@ -63,10 +64,12 @@ class TestSourceGeneration:
         red, _ = red_black_domains(2)
         s = Stencil(LAP, "u", red)
         fused = generate_c_source(
-            group_of(s), {"u": (12, 12)}, np.float64, tile=None, multicolor=True
+            group_of(s), {"u": (12, 12)}, np.float64,
+            schedule=ScheduleOptions(multicolor=True),
         )
         unfused = generate_c_source(
-            group_of(s), {"u": (12, 12)}, np.float64, tile=None, multicolor=False
+            group_of(s), {"u": (12, 12)}, np.float64,
+            schedule=ScheduleOptions(multicolor=False),
         )
         # fused: one nest with a parity-corrected start; unfused: two nests
         assert fused.count("for (int64_t i0") == 1
@@ -76,7 +79,8 @@ class TestSourceGeneration:
     def test_tiling_emits_tile_loop(self):
         s = Stencil(LAP, "out", INTERIOR)
         src = generate_c_source(
-            group_of(s), {"u": (64, 64), "out": (64, 64)}, np.float64, tile=8
+            group_of(s), {"u": (64, 64), "out": (64, 64)}, np.float64,
+            schedule=ScheduleOptions(tile=8),
         )
         assert "for (int64_t t0" in src
 

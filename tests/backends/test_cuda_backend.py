@@ -15,8 +15,11 @@ INTERIOR = RectDomain((1, 1), (-1, -1))
 LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
 
 
-def program_for(group, shapes, **kw):
-    return generate_gpu_program(group, shapes, np.float64, CUDA, **kw)
+def program_for(group, shapes, schedule=ScheduleOptions(multicolor=False)):
+    """The program the backend builds by default (its ``multicolor=False``)."""
+    return generate_gpu_program(
+        group, shapes, np.float64, CUDA, schedule=schedule
+    )
 
 
 class TestKernelSource:

@@ -9,10 +9,11 @@ from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
-from repro.schedule import fusion_chains
+from repro.schedule import ScheduleOptions, fusion_chains
 
 INTERIOR = RectDomain((1, 1), (-1, -1))
 LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
+FUSED = ScheduleOptions(fuse=True)
 BLUR = Component("u", WeightArray([[0, 0.25, 0], [0.25, 0, 0.25], [0, 0.25, 0]]))
 
 
@@ -66,16 +67,16 @@ class TestFusedCodegen:
     def test_one_loop_nest_for_fused_pair(self):
         g = indep_group(2)
         shapes = shapes_of(g)
-        fused = generate_c_source(g, shapes, np.float64, fuse=True)
-        unfused = generate_c_source(g, shapes, np.float64, fuse=False)
+        fused = generate_c_source(g, shapes, np.float64, schedule=FUSED)
+        unfused = generate_c_source(g, shapes, np.float64)
         assert fused.count("for (int64_t i0") == 1
         assert unfused.count("for (int64_t i0") == 2
 
     def test_openmp_fused_emits_fewer_nests(self):
         g = indep_group(2)
         shapes = shapes_of(g)
-        fused = generate_openmp_source(g, shapes, np.float64, fuse=True)
-        unfused = generate_openmp_source(g, shapes, np.float64, fuse=False)
+        fused = generate_openmp_source(g, shapes, np.float64, schedule=FUSED)
+        unfused = generate_openmp_source(g, shapes, np.float64)
         assert fused.count("/* stencil") < unfused.count("/* stencil")
 
     @pytest.mark.parametrize("backend", ["c", "openmp"])
@@ -110,7 +111,7 @@ class TestFusedCodegen:
             ]
         )
         shapes = shapes_of(g)
-        src = generate_c_source(g, shapes, np.float64, fuse=True)
+        src = generate_c_source(g, shapes, np.float64, schedule=FUSED)
         assert src.count("for (int64_t i0") == 1  # fused AND parity-fused
         u = rng.random((16, 16))
         ref = {"u": u.copy(), "a": np.zeros((16, 16)), "b": np.zeros((16, 16))}

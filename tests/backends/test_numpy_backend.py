@@ -1,7 +1,6 @@
 """Numpy backend specifics: views, snapshots, lattice slicing."""
 
 import numpy as np
-import pytest
 
 from repro.backends.numpy_backend import _StencilExec, lattice_slices
 from repro.core.components import Component
@@ -86,13 +85,3 @@ class TestExecution:
         out = np.zeros((10, 10))
         s.compile(backend="numpy")(u=rng.random((10, 10)), out=out)
         assert not out.any()
-
-    def test_no_options_accepted(self):
-        s = Stencil(LAP, "out", INTERIOR)
-        with pytest.raises(TypeError):
-            s.compile(backend="numpy", tile=8)
-
-    def test_python_backend_no_options(self):
-        s = Stencil(LAP, "out", INTERIOR)
-        with pytest.raises(TypeError):
-            s.compile(backend="python", tile=8)

@@ -9,13 +9,17 @@ from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
 from repro.hpgmg.operators import cc_laplacian, red_black_domains, smooth_group
+from repro.schedule import ScheduleOptions
 
 INTERIOR = RectDomain((1, 1), (-1, -1))
 LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
 
 
-def program_for(group, shapes, **kw):
-    return generate_gpu_program(group, shapes, np.float64, OPENCL, **kw)
+def program_for(group, shapes, schedule=ScheduleOptions(multicolor=False)):
+    """The program the backend builds by default (its ``multicolor=False``)."""
+    return generate_gpu_program(
+        group, shapes, np.float64, OPENCL, schedule=schedule
+    )
 
 
 class TestKernelSource:

@@ -9,13 +9,17 @@ from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
 from repro.hpgmg.operators import cc_laplacian, smooth_group
+from repro.schedule import ScheduleOptions
 
 INTERIOR = RectDomain((1, 1), (-1, -1))
 LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
 
 
 def src_for(group, shapes, **kw):
-    return generate_openmp_source(group, shapes, np.float64, **kw)
+    """The source ``compile(backend="openmp", **kw)`` would build."""
+    return generate_openmp_source(
+        group, shapes, np.float64, schedule=ScheduleOptions(**{"tile": 8, **kw})
+    )
 
 
 class TestStructure:
@@ -70,7 +74,7 @@ class TestStructure:
         g = StencilGroup([Stencil(LAP, "out", INTERIOR)])
         shapes = {"u": (16, 16), "out": (16, 16)}
         for policy in ("greedy", "wavefront", "serial"):
-            assert "omp" in src_for(g, shapes, schedule=policy)
+            assert "omp" in src_for(g, shapes, policy=policy)
 
 
 class TestExecution:

@@ -6,22 +6,27 @@ import subprocess
 import sys
 
 SECOND_PROCESS = """
+from dataclasses import replace
+
 import numpy as np
 from repro.bench import paper_operators
 from repro.core.stencil import StencilGroup
-from repro.schedule import ScheduleOptions, schedule_for
-from repro.tuning.cache import load_winner
+from repro.explain import explain
+from repro.tuning.cache import load_winner, options_from_dict
 
 st = paper_operators({n})["cc_7pt"]
 group = StencilGroup([st], name="cc_7pt")
 shapes = {{g: ({n} + 2,) * st.ndim for g in st.grids()}}
-doc = load_winner(group, shapes)
+doc = load_winner(group, shapes, "numpy")
 assert doc is not None, "winner not found in cache"
-assert doc["schema"] == "snowflake-tune/1"
-sched = schedule_for(group, shapes, None)
-won = ScheduleOptions(**{{**doc["options"], "time_tile": 1}})
-assert sched.options == won, (sched.options, won)
-print("RELOADED", sched.options.describe())
+assert doc["schema"] == "snowflake-tune/2"
+# the path users have: compile(backend="numpy", schedule="tuned")
+prov = explain(group, shapes, backend="numpy", schedule="tuned")
+won = replace(options_from_dict(doc["options"]), time_tile=1)
+assert prov.schedule.options == won, (prov.schedule.options, won)
+kernel = group.compile(backend="numpy", shapes=shapes, schedule="tuned")
+kernel(**{{g: np.ones(s) for g, s in shapes.items()}})
+print("RELOADED", prov.schedule.options.describe())
 """
 
 
@@ -97,15 +102,13 @@ def test_tune_persists_and_second_process_reloads(tmp_path):
     winners = list(tmp_path.glob("sf_tune_*.json"))
     assert len(winners) == 1
     doc = json.loads(winners[0].read_text())
-    assert doc["schema"] == "snowflake-tune/1"
+    assert doc["schema"] == "snowflake-tune/2"
     assert doc["backend"] == "numpy"
 
     second = subprocess.run(
         [sys.executable, "-c", SECOND_PROCESS.format(n=n)],
         capture_output=True, text=True, timeout=300,
-        # pinned: an exported SNOWFLAKE_TUNED=0 (bench/ sets it) would
-        # switch off the very reload this process exists to observe
-        env=dict(os.environ, PYTHONPATH="src", SNOWFLAKE_TUNED="1", **env),
+        env=dict(os.environ, PYTHONPATH="src", **env),
     )
     assert second.returncode == 0, second.stdout + second.stderr
     assert "RELOADED" in second.stdout

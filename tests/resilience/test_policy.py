@@ -102,11 +102,9 @@ class TestFallbackChain:
             kernel(u=rng.random((8, 8)), wrong_name=np.zeros((8, 8)))
         assert kernel.attempts == []
 
-    def test_backend_specific_options_dropped_on_family_switch(
-        self, broken_cc, rng
-    ):
-        # `tile` means something to openmp, nothing to numpy: the chain
-        # must cross anyway rather than die on a tuning knob.
+    def test_options_carried_across_family_switch(self, broken_cc, rng):
+        # `tile` has a lowering on openmp and none on numpy: the chain
+        # crosses with the hint carried (numpy ignores it), not dropped.
         u = rng.random((10, 10))
         out = np.zeros_like(u)
         kernel = make_stencil().compile(
@@ -117,6 +115,41 @@ class TestFallbackChain:
             kernel(u=u, out=out)
         assert kernel.serving_backend == "numpy"
         np.testing.assert_allclose(out, reference(u))
+
+    def test_typo_fails_at_the_first_link_as_without_fallback(self):
+        shapes = {"u": (10, 10), "out": (10, 10)}
+        for chain in (None, ("numpy",)):
+            with pytest.raises(TypeError, match="unknown options.*tilesize"):
+                make_stencil().compile(
+                    backend="numpy", shapes=shapes, fallback=chain, tilesize=4
+                )
+
+    @pytest.mark.parametrize("primary", ["c", "openmp"])
+    def test_fallback_carries_time_tile(self, broken_cc, primary):
+        # time_tile is semantic: k applications per call.  Dropping it
+        # with the hint next to it would halve the work, silently.
+        halve = Stencil(Component("u", WeightArray([[0.5]])), "u", INTERIOR)
+        u = np.ones((10, 10))
+        kernel = halve.compile(
+            backend=primary, fallback=["numpy"], tile=4, time_tile=2
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedExecution)
+            kernel(u=u)
+        assert kernel.serving_backend == "numpy"
+        assert (u[1:-1, 1:-1] == 0.25).all() and u[0, 0] == 1.0
+
+        import repro
+
+        v = np.ones((10, 10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedExecution)
+            calls = repro.run(
+                halve, {"u": v}, times=2, backend=primary, tile=4,
+                fallback=["numpy"],
+            )
+        assert calls == 1  # the time tile landed, on numpy
+        assert (v[1:-1, 1:-1] == 0.25).all()
 
 
 class TestRetries:

@@ -1,16 +1,9 @@
-"""Schedule integration: explain provenance, autotuning, pass manager."""
-
-import numpy as np
+"""Schedule integration: explain provenance, pass manager."""
 
 from repro.explain import explain
 from repro.frontend.passes import default_pipeline
 from repro.schedule import ScheduleOptions, schedule_for
-from repro.tuning import (
-    ScheduleTuneResult,
-    autotune_schedule,
-    default_schedule_candidates,
-)
-from tests.schedule._cases import gsrb_workload, laplacian_pair
+from tests.schedule._cases import gsrb_workload
 
 
 class TestExplainSchedule:
@@ -48,42 +41,6 @@ class TestExplainSchedule:
             group, shapes, ScheduleOptions(fuse=True)
         )
         assert prov.schedule is direct  # same memoized object
-
-
-class TestAutotuneSchedule:
-    def test_picks_best_candidate(self):
-        group, shapes = laplacian_pair(48)
-        rng = np.random.default_rng(0)
-        arrays = {g: rng.random(s) for g, s in shapes.items()}
-        cands = [
-            ScheduleOptions(tile=4),
-            ScheduleOptions(tile=16, fuse=True),
-        ]
-        res = autotune_schedule(
-            group, arrays, candidates=cands, repeats=1
-        )
-        assert isinstance(res, ScheduleTuneResult)
-        assert res.best in cands
-        assert len(res.timings) == 2
-        assert res.best_time() == min(t for _, t in res.timings)
-        assert res.speedup_over_worst() >= 1.0
-
-    def test_default_candidate_grid(self):
-        cands = default_schedule_candidates((2, 4), fuse=(False, True))
-        assert len(cands) == 4
-        assert {c.tile for c in cands} == {2, 4}
-        assert {c.fuse for c in cands} == {False, True}
-
-    def test_interpreter_backend_searchable(self):
-        group, shapes = laplacian_pair(16)
-        rng = np.random.default_rng(0)
-        arrays = {g: rng.random(s) for g, s in shapes.items()}
-        res = autotune_schedule(
-            group, arrays, backend="numpy",
-            candidates=[ScheduleOptions(), ScheduleOptions(fuse=True)],
-            repeats=1,
-        )
-        assert res.best in {ScheduleOptions(), ScheduleOptions(fuse=True)}
 
 
 class TestPassManagerPhaseReuse:

@@ -125,12 +125,13 @@ class TestMemoizationAndCoercion:
         group, shapes = laplacian_pair()
         sched = schedule_for(group, shapes)
         assert as_schedule(sched, group, shapes) is sched
-        assert isinstance(
-            as_schedule("wavefront", group, shapes), Schedule
-        )
-        assert as_schedule(None, group, shapes).options.policy == "greedy"
-        with pytest.raises(TypeError):
-            as_schedule(42, group, shapes)
+        opts = ScheduleOptions(policy="wavefront")
+        assert as_schedule(opts, group, shapes).options == opts
+        assert as_schedule(None, group, shapes).options == ScheduleOptions()
+        # strings are the resolver's job (Backend.pop_schedule)
+        for bad in ("wavefront", 42):
+            with pytest.raises(TypeError):
+                as_schedule(bad, group, shapes)
 
     def test_as_schedule_rejects_wrong_shapes(self):
         group, shapes = laplacian_pair(12)

@@ -1,14 +1,9 @@
-"""ScheduleOptions validation and the one-place knob resolution."""
+"""ScheduleOptions validation and the one resolver, ``Backend.pop_schedule``."""
 
 import pytest
 
-from repro.schedule import (
-    POLICIES,
-    Schedule,
-    ScheduleOptions,
-    pop_schedule_spec,
-    schedule_for,
-)
+from repro.backends import get_backend
+from repro.schedule import POLICIES, Schedule, ScheduleOptions, schedule_for
 from tests.schedule._cases import laplacian_pair
 
 
@@ -62,57 +57,57 @@ class TestScheduleOptions:
         assert o.to_dict()["tile"] == 8
 
 
-KNOBS = {"schedule": "greedy", "tile": None, "multicolor": True,
-         "fuse": False}
+def resolve(options, backend="c"):
+    """What ``compile(backend=..., **options)`` would schedule."""
+    group, shapes = laplacian_pair()
+    return get_backend(backend).pop_schedule(group, options)(shapes)
 
 
 class TestPopScheduleSpec:
     def test_unknown_knob_names_valid_set(self):
         with pytest.raises(TypeError, match="tile"):
-            pop_schedule_spec(
-                {"tilesize": 8}, backend="c", knobs=KNOBS
-            )
+            resolve({"tilesize": 8})
 
     def test_builds_options_from_loose_knobs(self):
         opts = {"fuse": True, "tile": 4}
-        spec = pop_schedule_spec(opts, backend="c", knobs=KNOBS)
-        assert spec == ScheduleOptions(fuse=True, tile=4)
+        assert resolve(opts).options == ScheduleOptions(fuse=True, tile=4)
         assert opts == {}  # consumed
 
     def test_policy_string_accepted(self):
-        spec = pop_schedule_spec(
-            {"schedule": "wavefront"}, backend="c", knobs=KNOBS
-        )
-        assert spec.policy == "wavefront"
+        assert resolve({"schedule": "wavefront"}).options.policy == "wavefront"
+
+    def test_loose_knobs_fill_from_the_backend_defaults(self):
+        assert resolve({}, "openmp").options == ScheduleOptions(tile=8)
+        assert resolve({"tile": 2}, "openmp").options.tile == 2
+        for b in ("numpy", "python", "opencl-sim", "cuda-sim"):
+            assert resolve({}, b).options == ScheduleOptions(multicolor=False)
 
     def test_prebuilt_options_pass_through(self):
+        # an explicit record is taken verbatim: no backend default applies
         o = ScheduleOptions(fuse=True)
-        assert pop_schedule_spec(
-            {"schedule": o}, backend="c", knobs=KNOBS
-        ) is o
+        assert resolve({"schedule": o}, "openmp").options == o
 
     def test_mixing_prebuilt_with_loose_knobs_rejected(self):
         with pytest.raises(TypeError, match="combine"):
-            pop_schedule_spec(
-                {"schedule": ScheduleOptions(), "tile": 8},
-                backend="c", knobs=KNOBS,
-            )
+            resolve({"schedule": ScheduleOptions(), "tile": 8})
 
     def test_mixing_prebuilt_schedule_with_loose_knobs_rejected(self):
         group, shapes = laplacian_pair()
         sched = schedule_for(group, shapes)
         assert isinstance(sched, Schedule)
         with pytest.raises(TypeError, match="combine"):
-            pop_schedule_spec(
-                {"schedule": sched, "fuse": True},
-                backend="c", knobs=KNOBS,
-            )
+            resolve({"schedule": sched, "fuse": True})
 
     def test_non_string_spec_rejected(self):
         with pytest.raises(TypeError, match="policy"):
-            pop_schedule_spec({"schedule": 42}, backend="c", knobs=KNOBS)
+            resolve({"schedule": 42})
+
+    def test_unknown_policy_string_rejected(self):
+        with pytest.raises(ValueError, match="policy"):
+            resolve({"schedule": "eager"})
 
     def test_backend_surface_rejects_undeclared_knob(self):
         group, shapes = laplacian_pair()
-        with pytest.raises(TypeError, match="tile"):
-            group.compile(backend="numpy", shapes=shapes, tile=8)
+        for backend in ("numpy", "c", "cuda-sim"):
+            with pytest.raises(TypeError, match="tile"):
+                group.compile(backend=backend, shapes=shapes, tilesize=8)

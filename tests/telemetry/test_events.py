@@ -63,7 +63,7 @@ class TestRecordShape:
         assert validate_events([rec]) == []
 
     def test_nonfinite_floats_recorded_as_strings(self):
-        # what autotune_schedule(spec=None) sends: no prediction -> inf
+        # a trial with no prediction carries inf
         telemetry.set_mode("events")
         buf = io.StringIO()
         events.set_sink(buf)

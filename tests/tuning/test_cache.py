@@ -1,12 +1,12 @@
-"""Persistent tuning cache: round-trip, validation, transparent reload."""
+"""Persistent tuning cache: round-trip, validation, and ``schedule="tuned"``."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro.explain import explain
 from repro.schedule import ScheduleOptions, schedule_for
-from repro.tuning import cache
 from repro.tuning.cache import (
     TUNE_SCHEMA,
     load_winner,
@@ -14,7 +14,6 @@ from repro.tuning.cache import (
     options_from_dict,
     save_winner,
     tune_tag,
-    tuned_options,
     winner_path,
 )
 from tests.schedule._cases import fusable_pair_group, laplacian_pair
@@ -23,9 +22,7 @@ from tests.schedule._cases import fusable_pair_group, laplacian_pair
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("SNOWFLAKE_CACHE_DIR", str(tmp_path))
-    cache._MEMO.clear()
-    yield tmp_path
-    cache._MEMO.clear()
+    return tmp_path
 
 
 class TestRoundTrip:
@@ -34,17 +31,16 @@ class TestRoundTrip:
         opts = ScheduleOptions(tile=8, fuse=False)
         path = save_winner(
             group, shapes, opts, backend="numpy",
-            measured_s=1.5e-4, predicted_s=2.5e-6,
-            strategy="beam", trials=3,
+            measured_s=1.5e-4, predicted_s=2.5e-6, trials=3,
         )
-        doc = load_winner(group, shapes)
+        doc = load_winner(group, shapes, "numpy")
         assert doc is not None
         assert doc["schema"] == TUNE_SCHEMA
         assert doc["options"] == opts.to_dict()
         assert doc["measured_s"] == 1.5e-4
         assert doc["tune_tag"] == tune_tag(group, shapes)
         assert doc["fingerprint"] == machine_fingerprint()
-        assert str(winner_path(group, shapes)) == path
+        assert str(winner_path(group, shapes, "numpy")) == path
 
     def test_options_round_trip_every_field(self):
         opts = ScheduleOptions(
@@ -53,17 +49,6 @@ class TestRoundTrip:
         )
         assert options_from_dict(opts.to_dict()) == opts
 
-    def test_tuned_options_strips_time_tile(self):
-        group, shapes = laplacian_pair()
-        save_winner(
-            group, shapes, ScheduleOptions(tile=8, time_tile=4),
-            backend="numpy", measured_s=1e-4,
-        )
-        opts = tuned_options(group, shapes)
-        assert opts is not None
-        assert opts.tile == 8
-        assert opts.time_tile == 1  # call semantics must not change
-
     def test_different_shapes_do_not_collide(self):
         group, shapes = laplacian_pair(12)
         _, other = laplacian_pair(16)
@@ -71,15 +56,33 @@ class TestRoundTrip:
             group, shapes, ScheduleOptions(tile=8),
             backend="numpy", measured_s=1e-4,
         )
-        assert tuned_options(group, shapes) is not None
-        assert tuned_options(group, other) is None
+        assert load_winner(group, shapes, "numpy") is not None
+        assert load_winner(group, other, "numpy") is None
+
+    def test_backends_keep_separate_winners(self):
+        # `repro tune --backend numpy` must neither overwrite nor steer
+        # the c winner of the same group
+        group, shapes = laplacian_pair()
+        save_winner(
+            group, shapes, ScheduleOptions(tile=4),
+            backend="c", measured_s=1e-4,
+        )
+        save_winner(
+            group, shapes, ScheduleOptions(tile=32, fuse=True),
+            backend="numpy", measured_s=2e-4,
+        )
+        assert load_winner(group, shapes, "c")["options"]["tile"] == 4
+        assert load_winner(group, shapes, "numpy")["options"]["tile"] == 32
+        assert load_winner(group, shapes, "openmp") is None
+        for b, tile in (("c", 4), ("numpy", 32), ("openmp", 8)):
+            prov = explain(group, shapes, backend=b, schedule="tuned")
+            assert prov.schedule.options.tile == tile
 
 
 class TestValidation:
     def test_missing_file_is_none(self):
         group, shapes = laplacian_pair()
-        assert load_winner(group, shapes) is None
-        assert tuned_options(group, shapes) is None
+        assert load_winner(group, shapes, "numpy") is None
 
     def test_wrong_schema_rejected(self):
         group, shapes = laplacian_pair()
@@ -87,12 +90,22 @@ class TestValidation:
             group, shapes, ScheduleOptions(tile=8),
             backend="numpy", measured_s=1e-4,
         )
-        path = winner_path(group, shapes)
+        path = winner_path(group, shapes, "numpy")
         doc = json.loads(path.read_text())
-        doc["schema"] = "snowflake-tune/999"
+        doc["schema"] = "snowflake-tune/1"  # what the old naming wrote
         path.write_text(json.dumps(doc))
-        cache._MEMO.clear()
-        assert load_winner(group, shapes) is None
+        assert load_winner(group, shapes, "numpy") is None
+
+    def test_file_under_the_old_backendless_name_is_ignored(self):
+        group, shapes = laplacian_pair()
+        save_winner(
+            group, shapes, ScheduleOptions(tile=8),
+            backend="numpy", measured_s=1e-4,
+        )
+        path = winner_path(group, shapes, "numpy")
+        old = path.with_name(path.name.replace(".numpy.", "."))
+        path.rename(old)
+        assert load_winner(group, shapes, "numpy") is None
 
     def test_wrong_fingerprint_rejected(self):
         group, shapes = laplacian_pair()
@@ -100,12 +113,11 @@ class TestValidation:
             group, shapes, ScheduleOptions(tile=8),
             backend="numpy", measured_s=1e-4,
         )
-        path = winner_path(group, shapes)
+        path = winner_path(group, shapes, "numpy")
         doc = json.loads(path.read_text())
         doc["fingerprint"] = "deadbeefdeadbeef"
         path.write_text(json.dumps(doc))
-        cache._MEMO.clear()
-        assert load_winner(group, shapes) is None
+        assert load_winner(group, shapes, "numpy") is None
 
     def test_corrupt_json_degrades_to_none(self):
         group, shapes = laplacian_pair()
@@ -113,21 +125,26 @@ class TestValidation:
             group, shapes, ScheduleOptions(tile=8),
             backend="numpy", measured_s=1e-4,
         )
-        winner_path(group, shapes).write_text("{not json")
-        cache._MEMO.clear()
-        assert load_winner(group, shapes) is None
-        assert tuned_options(group, shapes) is None
+        winner_path(group, shapes, "numpy").write_text("{not json")
+        assert load_winner(group, shapes, "numpy") is None
+        # tuning must never break compilation: "tuned" is the defaults
+        prov = explain(group, shapes, backend="numpy", schedule="tuned")
+        assert prov.schedule.options == ScheduleOptions(multicolor=False)
 
 
-class TestTransparentReload:
-    def test_schedule_for_picks_up_the_winner(self):
+class TestTunedSchedule:
+    """``schedule="tuned"`` is the one way to a persisted winner."""
+
+    def test_schedule_for_is_pure(self):
+        # no ambient winner: None means the defaults, whatever is cached
         group, shapes = laplacian_pair()
         save_winner(
             group, shapes, ScheduleOptions(tile=16),
             backend="numpy", measured_s=1e-4,
         )
-        sched = schedule_for(group, shapes, None)
-        assert sched.options.tile == 16
+        assert schedule_for(group, shapes, None).options == ScheduleOptions()
+        prov = explain(group, shapes, backend="numpy")
+        assert prov.schedule.options.tile is None
 
     def test_explicit_options_always_win(self):
         group, shapes = laplacian_pair()
@@ -138,15 +155,20 @@ class TestTransparentReload:
         sched = schedule_for(group, shapes, ScheduleOptions(tile=4))
         assert sched.options.tile == 4
 
-    def test_env_gate_disables_reload(self, monkeypatch):
+    def test_tuned_takes_hints_and_leaves_time_tile_to_the_caller(self):
         group, shapes = laplacian_pair()
         save_winner(
-            group, shapes, ScheduleOptions(tile=16),
+            group, shapes, ScheduleOptions(tile=8, fuse=True, time_tile=4),
             backend="numpy", measured_s=1e-4,
         )
-        monkeypatch.setenv("SNOWFLAKE_TUNED", "0")
-        sched = schedule_for(group, shapes, None)
-        assert sched.options == ScheduleOptions()
+        prov = explain(group, shapes, backend="numpy", schedule="tuned")
+        assert prov.schedule.options == ScheduleOptions(tile=8, fuse=True)
+        prov = explain(
+            group, shapes, backend="numpy", schedule="tuned", time_tile=2
+        )
+        assert prov.schedule.options == ScheduleOptions(
+            tile=8, fuse=True, time_tile=2
+        )
 
     def test_unrelated_group_unaffected(self):
         group, shapes = laplacian_pair()
@@ -155,8 +177,8 @@ class TestTransparentReload:
             group, shapes, ScheduleOptions(tile=16),
             backend="numpy", measured_s=1e-4,
         )
-        sched = schedule_for(other, other_shapes, None)
-        assert sched.options == ScheduleOptions()
+        prov = explain(other, other_shapes, backend="numpy", schedule="tuned")
+        assert prov.schedule.options == ScheduleOptions(multicolor=False)
 
     def test_winner_executes_correctly(self):
         group, shapes = laplacian_pair()
@@ -167,21 +189,20 @@ class TestTransparentReload:
         rng = np.random.default_rng(5)
         arrays = {g: rng.standard_normal(s) for g, s in shapes.items()}
         ref = {g: a.copy() for g, a in arrays.items()}
-        group.compile(
-            backend="numpy", shapes=shapes,
-            schedule=schedule_for(group, shapes, ScheduleOptions()),
-        )(**ref)
+        group.compile(backend="numpy", shapes=shapes)(**ref)
         got = {g: a.copy() for g, a in arrays.items()}
-        group.compile(backend="numpy", shapes=shapes)(**got)
+        # lazy shapes: the winner is looked up at the first call
+        group.compile(backend="numpy", schedule="tuned")(**got)
         for g in sorted(shapes):
             np.testing.assert_array_equal(got[g], ref[g])
 
-    def test_save_clears_memo_in_process(self):
+    def test_fresh_winner_is_visible_in_process(self):
         group, shapes = laplacian_pair()
-        assert tuned_options(group, shapes) is None  # memoizes the miss
+        before = explain(group, shapes, backend="numpy", schedule="tuned")
+        assert before.schedule.options.tile is None
         save_winner(
             group, shapes, ScheduleOptions(tile=8),
             backend="numpy", measured_s=1e-4,
         )
-        opts = tuned_options(group, shapes)
-        assert opts is not None and opts.tile == 8
+        after = explain(group, shapes, backend="numpy", schedule="tuned")
+        assert after.schedule.options.tile == 8

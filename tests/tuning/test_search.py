@@ -11,12 +11,8 @@ from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
 from repro.schedule import ScheduleOptions
-from repro.tuning import (
-    autotune_schedule,
-    check_tune_model,
-    predict_schedule_time,
-    search_schedules,
-)
+from repro.tuning import predict_schedule_time, search_schedules
+from repro.tuning.search import _default_grid, _neighbours
 LAP = WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]])
 
 
@@ -94,18 +90,48 @@ class TestSearch:
         assert res.best_measured_s == min(
             t.measured_s for t in res.measured()
         )
-        assert res.strategy == "beam"
         json.dumps(res.to_dict())  # artifact must serialize
 
-    def test_anneal_strategy_runs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNOWFLAKE_CACHE_DIR", str(tmp_path))
+    def test_listed_candidates_all_measured_before_any_neighbour(self):
+        # The paper's "method of tuning tiling sizes": time an explicit
+        # list.  budget == len(candidates) measures exactly the list.
         group, shapes, arrays = lap_workload()
+        cands = [ScheduleOptions(tile=t) for t in (2, 4, 64)]
         res = search_schedules(
             group, arrays, backend="numpy", budget=3, repeats=1,
-            strategy="anneal", seed=7, persist=False,
+            candidates=cands, persist=False,
         )
-        assert res.best is not None
-        assert res.strategy == "anneal"
+        assert sorted(t.options.tile for t in res.measured()) == [2, 4, 64]
+        assert res.best in cands
+        # with budget to spare the listed ones still come first
+        res = search_schedules(
+            group, arrays, backend="numpy", budget=5, repeats=1,
+            candidates=cands, persist=False,
+        )
+        first = [t.options for t in res.measured()[:3]]
+        assert set(first) == set(cands)
+        assert len(res.measured()) == 5
+
+    def test_time_tile_is_never_varied(self):
+        # a k-deep tile does k applications per call, so depths are not
+        # comparable per call: every candidate keeps its seed's depth
+        assert len(_default_grid()) == 12
+        assert {o.time_tile for o in _default_grid()} == {1}
+        seed = ScheduleOptions(tile=8, time_tile=2)
+        assert {o.time_tile for o in _neighbours(seed)} == {2}
+        group, shapes, arrays = lap_workload()
+        res = search_schedules(
+            group, arrays, backend="numpy", budget=4, repeats=1,
+            candidates=[seed], persist=False,
+        )
+        assert {t.options.time_tile for t in res.trials} == {2}
+
+    def test_backend_alias_resolves_to_registry_name(self):
+        group, shapes, arrays = lap_workload()
+        res = search_schedules(
+            group, arrays, backend="np", budget=1, repeats=1, persist=False,
+        )
+        assert res.backend == "numpy"
 
     def test_refused_candidates_recorded_with_evidence_kind(
         self, tmp_path, monkeypatch
@@ -116,10 +142,14 @@ class TestSearch:
         group, shapes, arrays = snapshot_workload()
         res = search_schedules(
             group, arrays, backend="numpy", budget=2, repeats=1,
-            base=ScheduleOptions(multicolor=False), persist=False,
+            candidates=[
+                ScheduleOptions(multicolor=False),
+                ScheduleOptions(multicolor=False, time_tile=2),
+            ],
+            persist=False,
         )
         refused = [t for t in res.trials if t.status == "refused"]
-        assert refused, "time-tiled candidates must be refused"
+        assert refused, "an illegal time-tiled seed must be refused"
         assert all(
             t.detail == "time-tile-refused" for t in refused
         )
@@ -156,78 +186,21 @@ class TestSearch:
         group, shapes, arrays = lap_workload()
         with pytest.raises(ValueError):
             search_schedules(group, arrays, backend="numpy", budget=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # one strategy: not an option
             search_schedules(
                 group, arrays, backend="numpy", strategy="genetic"
             )
 
-
-class TestAutotunePredictions:
-    def test_predictions_recorded_next_to_timings(self):
+    def test_backend_refusal_at_measure_time_terminates(self):
+        # cuda-sim predicts a time-tiled seed fine and refuses it when
+        # asked to lower it; the search records that and moves on
         group, shapes, arrays = lap_workload()
-        res = autotune_schedule(
-            group, arrays, backend="numpy",
-            candidates=[ScheduleOptions(), ScheduleOptions(tile=8)],
-            repeats=1,
+        res = search_schedules(
+            group, arrays, backend="cuda-sim", budget=2, repeats=1,
+            candidates=[ScheduleOptions(), ScheduleOptions(time_tile=2)],
+            persist=False,
         )
-        assert len(res.predicted) == len(res.timings) == 2
-        assert all(p > 0 for p in res.predicted)
-
-    def test_check_tune_model_bit_exact(self):
-        group, shapes, arrays = lap_workload()
-        res = autotune_schedule(
-            group, arrays, backend="numpy",
-            candidates=[ScheduleOptions(), ScheduleOptions(tile=8)],
-            repeats=1,
-        )
-        assert check_tune_model(res, group, shapes) == []
-
-    def test_check_tune_model_catches_drift(self):
-        from repro.tuning import ScheduleTuneResult
-
-        group, shapes, arrays = lap_workload()
-        res = autotune_schedule(
-            group, arrays, backend="numpy",
-            candidates=[ScheduleOptions()], repeats=1,
-        )
-        stale = ScheduleTuneResult(
-            res.best, res.timings, (res.predicted[0] * 1.5,)
-        )
-        problems = check_tune_model(stale, group, shapes)
-        assert problems and "recorded" in problems[0]
-
-    def test_check_tune_model_requires_predictions(self):
-        from repro.tuning import ScheduleTuneResult
-
-        group, shapes, arrays = lap_workload()
-        bare = ScheduleTuneResult(ScheduleOptions(), ((ScheduleOptions(), 1.0),))
-        problems = check_tune_model(bare, group, shapes)
-        assert problems == ["result records no predictions; cannot re-derive"]
-
-    def test_legacy_positional_construction_still_works(self):
-        from repro.tuning import ScheduleTuneResult
-
-        r = ScheduleTuneResult(
-            ScheduleOptions(), ((ScheduleOptions(), 1.0),)
-        )
-        assert r.predicted == ()
-        assert r.best_time() == 1.0
-
-    def test_gsrb_refusal_path_emits_event(self, monkeypatch):
-        monkeypatch.setenv("SNOWFLAKE_TELEMETRY", "events")
-        telemetry.events.reset()
-        group, shapes, arrays = snapshot_workload()
-        res = autotune_schedule(
-            group, arrays, backend="numpy",
-            candidates=[
-                ScheduleOptions(multicolor=False),
-                ScheduleOptions(multicolor=False, time_tile=2),
-            ],
-            repeats=1,
-        )
-        assert res.timings[1][1] == float("inf")
-        recs = [
-            r for r in telemetry.events.records()
-            if r["event"] == "tuning.candidate.refused"
-        ]
-        assert recs and recs[0]["kind"] == "time-tile-refused"
+        assert res.best.time_tile == 1 and len(res.measured()) == 2
+        refused = [t for t in res.trials if t.status == "refused"]
+        assert [t.options for t in refused] == [ScheduleOptions(time_tile=2)]
+        assert refused[0].detail == "not-implemented"
