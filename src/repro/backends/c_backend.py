@@ -66,27 +66,6 @@ def generate_c_source(
     lines.append("{")
     for l in ctx.prologue():
         lines.append("  " + l)
-    tt = sched.time_tile
-    if tt is not None and tt.kind == "wavefront":
-        # Single slope-0 step: blocked wavefront nest, all k
-        # applications of a block before the next block starts.
-        (step,) = tuple(sched.steps())
-        chain = list(step.stencils)
-        names = ", ".join(group[i].name for i in chain)
-        lines.append(
-            f"  /* stencil(s) {chain}: {names} — wavefront time tile "
-            f"k={tt.k} */"
-        )
-        loops = StencilLoops(
-            ctx, group[chain[0]], tile=sched.options.tile,
-            parity=step.sweep, snapshot_name=None,
-            fused_with=[group[i] for i in chain[1:]],
-            unroll=sched.options.unroll,
-        )
-        for l in loops.emit_wavefront(tt.k):
-            lines.append("  " + l)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
     body: list[str] = []
     for step in sched.steps():
         chain = list(step.stencils)
@@ -115,6 +94,7 @@ def generate_c_source(
                 unroll=sched.options.unroll,
             )
             body.extend(loops.emit())
+    tt = sched.time_tile
     if tt is not None:
         # Fused time tile: one outer time loop around the whole step
         # sequence — every application runs the full (barrier-ordered)

@@ -376,191 +376,6 @@ class StencilLoops:
             stmts.append(f"{out}[{out_idx}] = {parts.result};")
         return stmts
 
-    def emit_wavefront(
-        self, k: int, task_pragma: str | None = None
-    ) -> list[str]:
-        """Blocked wavefront time tile: ``k`` applications per block.
-
-        Cuts the spatial domain into blocks along the outermost free
-        dimension (``tile`` planes each; the whole extent when untiled)
-        and runs *all* ``k`` applications of one block before the next
-        block starts, keeping the block cache-resident across the time
-        steps.  Only legal when the schedule proved slope 0 (blocks
-        carry no cross-application dependence), which also makes the
-        blocks independent — the OpenMP backend runs them as tasks.
-        """
-        if self.snapshot_name is not None:
-            raise ValueError("time-tiled steps are snapshot-free by legality")
-        lines: list[str] = []
-        for parts in self.parts:
-            lines += parts.scalar_lines
-        if self.parity is not None:
-            lines += self._emit_wavefront_parity(self.parity, k, task_pragma)
-            return lines
-        for rect in self.rects:
-            lines += self._emit_wavefront_rect(rect, k, task_pragma)
-        return lines
-
-    def _plain_rect_nest(
-        self,
-        rect: ResolvedRect,
-        bounds: Mapping[int, tuple[str, str]],
-    ) -> list[str]:
-        """Dense nest over ``rect``; ``bounds`` overrides one dim's
-        (lo, hi) with C expressions (the wavefront block clamp)."""
-        nd = rect.ndim
-        loopvars = [f"i{d}" for d in range(nd)]
-        lines: list[str] = []
-        indent = ""
-        for d in range(nd):
-            lo, st, ct = rect.lows[d], rect.strides[d], rect.counts[d]
-            step = st if st > 0 else 1
-            lo_s, hi_s = bounds.get(d, (str(lo), str(lo + st * (ct - 1))))
-            v = loopvars[d]
-            if d == nd - 1 and self.unroll:
-                lines.append(indent + f"#pragma GCC unroll {self.unroll}")
-            lines.append(
-                indent
-                + f"for (int64_t {v} = {lo_s}; {v} <= {hi_s}; {v} += {step}) {{"
-            )
-            indent += "  "
-        for s in self._store_stmt(loopvars):
-            lines.append(indent + s)
-        while indent:
-            indent = indent[:-2]
-            lines.append(indent + "}")
-        return lines
-
-    def _plain_parity_nest(
-        self, pc: ParityClass, bounds0: tuple[str, str] | None
-    ) -> list[str]:
-        """Parity-corrected dense nest; ``bounds0`` clamps dim 0."""
-        nd = len(pc.base)
-        loopvars = [f"i{d}" for d in range(nd)]
-        lines: list[str] = []
-        indent = ""
-        for d in range(nd - 1):
-            v = loopvars[d]
-            lo_s, hi_s = (
-                bounds0
-                if d == 0 and bounds0 is not None
-                else (str(pc.base[d]), str(pc.high[d]))
-            )
-            lines.append(
-                indent + f"for (int64_t {v} = {lo_s}; {v} <= {hi_s}; ++{v}) {{"
-            )
-            indent += "  "
-        last = nd - 1
-        off_sum = " + ".join(
-            f"({loopvars[d]} - {pc.base[d]})" for d in range(nd - 1)
-        ) or "0"
-        lines.append(
-            indent
-            + f"const int64_t s{last} = {pc.base[last]} + "
-            f"((({pc.parity} - ({off_sum})) % 2 + 2) % 2);"
-        )
-        if self.unroll:
-            lines.append(indent + f"#pragma GCC unroll {self.unroll}")
-        lines.append(
-            indent
-            + f"for (int64_t {loopvars[last]} = s{last}; "
-            f"{loopvars[last]} <= {pc.high[last]}; {loopvars[last]} += 2) {{"
-        )
-        indent += "  "
-        for s in self._store_stmt(loopvars):
-            lines.append(indent + s)
-        while indent:
-            indent = indent[:-2]
-            lines.append(indent + "}")
-        return lines
-
-    def _emit_wavefront_rect(
-        self, rect: ResolvedRect, k: int, task_pragma: str | None
-    ) -> list[str]:
-        nd = rect.ndim
-        lines: list[str] = []
-        indent = ""
-
-        def add(s: str) -> None:
-            lines.append(indent + s)
-
-        tile_dim = next((d for d in range(nd) if rect.counts[d] > 1), None)
-        bounds: dict[int, tuple[str, str]] = {}
-        if (
-            tile_dim is not None
-            and self.tile
-            and rect.counts[tile_dim] > self.tile
-        ):
-            d = tile_dim
-            lo, st, ct = rect.lows[d], rect.strides[d], rect.counts[d]
-            step = st if st > 0 else 1
-            hi = lo + st * (ct - 1)
-            add(
-                f"for (int64_t wb{d} = {lo}; wb{d} <= {hi}; "
-                f"wb{d} += {step * self.tile}) {{"
-            )
-            indent += "  "
-            if task_pragma:
-                add(task_pragma)
-                add("{")
-                indent += "  "
-            add(
-                f"const int64_t we{d} = (wb{d} + {step * (self.tile - 1)} "
-                f"< {hi}) ? wb{d} + {step * (self.tile - 1)} : {hi};"
-            )
-            bounds[d] = (f"wb{d}", f"we{d}")
-        elif task_pragma:
-            add(task_pragma)
-            add("{")
-            indent += "  "
-        add(f"for (int64_t sf_tt = 0; sf_tt < {k}; ++sf_tt) {{")
-        indent += "  "
-        for l in self._plain_rect_nest(rect, bounds):
-            add(l)
-        while indent:
-            indent = indent[:-2]
-            lines.append(indent + "}")
-        return lines
-
-    def _emit_wavefront_parity(
-        self, pc: ParityClass, k: int, task_pragma: str | None
-    ) -> list[str]:
-        lines: list[str] = []
-        indent = ""
-
-        def add(s: str) -> None:
-            lines.append(indent + s)
-
-        lo, hi = pc.base[0], pc.high[0]
-        bounds0: tuple[str, str] | None = None
-        if self.tile and (hi - lo + 1) > self.tile:
-            add(
-                f"for (int64_t wb0 = {lo}; wb0 <= {hi}; "
-                f"wb0 += {self.tile}) {{"
-            )
-            indent += "  "
-            if task_pragma:
-                add(task_pragma)
-                add("{")
-                indent += "  "
-            add(
-                f"const int64_t we0 = (wb0 + {self.tile - 1} < {hi}) "
-                f"? wb0 + {self.tile - 1} : {hi};"
-            )
-            bounds0 = ("wb0", "we0")
-        elif task_pragma:
-            add(task_pragma)
-            add("{")
-            indent += "  "
-        add(f"for (int64_t sf_tt = 0; sf_tt < {k}; ++sf_tt) {{")
-        indent += "  "
-        for l in self._plain_parity_nest(pc, bounds0):
-            add(l)
-        while indent:
-            indent = indent[:-2]
-            lines.append(indent + "}")
-        return lines
-
     def _emit_rect_nest(
         self, rect: ResolvedRect, task_pragma: str | None
     ) -> list[str]:

@@ -29,23 +29,7 @@ from ..core.validate import iteration_shape
 from ..kernel import body_for, eval_rect, eval_scalar_lets
 from .base import Backend, register_backend
 
-__all__ = ["NumpyBackend", "lattice_slices", "split_rect"]
-
-
-def split_rect(rect: ResolvedRect, tile: int | None) -> list[ResolvedRect]:
-    """Cut ``rect`` into blocks of ``tile`` planes along its outermost
-    free dimension (``None``/oversized tile: the rect itself)."""
-    d = next((i for i in range(rect.ndim) if rect.counts[i] > 1), None)
-    if d is None or not tile or rect.counts[d] <= tile:
-        return [rect]
-    subs = []
-    for start in range(0, rect.counts[d], tile):
-        lows = list(rect.lows)
-        lows[d] = rect.lows[d] + rect.strides[d] * start
-        counts = list(rect.counts)
-        counts[d] = min(tile, rect.counts[d] - start)
-        subs.append(ResolvedRect(tuple(lows), rect.strides, tuple(counts)))
-    return subs
+__all__ = ["NumpyBackend", "lattice_slices"]
 
 
 def lattice_slices(
@@ -99,14 +83,6 @@ class _StencilExec:
             }
             for r in self.rects
         ]
-        # Legacy term path: slices per GridRead.
-        self.read_slices = [
-            {
-                read: lattice_slices(r, read.scale, read.offset)
-                for read in stencil.flat.reads()
-            }
-            for r in self.rects
-        ]
 
     def run(
         self, arrays: Mapping[str, np.ndarray], params: Mapping[str, float]
@@ -135,54 +111,6 @@ class _StencilExec:
                 scalar_env,
             )
 
-    def prepare_blocks(self, tile: int | None) -> None:
-        """Precompute the blocked-wavefront traversal (time tiling).
-
-        Each rect is cut into ``tile``-plane blocks along its outermost
-        free dimension; :meth:`run_wavefront` then runs *all* ``k``
-        applications of one block before moving to the next — the
-        blocked reference implementation of the wavefront tile, bitwise
-        equal to ``k`` whole sweeps because the schedule proved slope 0
-        (no read of this step ever crosses a block boundary into
-        another writer's cells).
-        """
-        if self.needs_snapshot:
-            raise ValueError("time-tiled steps are snapshot-free by legality")
-        om = self.stencil.output_map
-        self.blocks = []
-        for rect in self.rects:
-            for sub in split_rect(rect, tile):
-                self.blocks.append(
-                    (
-                        sub,
-                        lattice_slices(sub, om.scale, om.offset),
-                        {
-                            ld.key: lattice_slices(sub, ld.scale, ld.offset)
-                            for ld in self.body.loads()
-                        },
-                    )
-                )
-
-    def run_wavefront(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        params: Mapping[str, float],
-        k: int,
-    ) -> None:
-        """Blocked wavefront: ``k`` applications per spatial block."""
-        out = arrays[self.stencil.output]
-        scalar_env = eval_scalar_lets(self.body, params)
-        for sub, oslc, lslc in self.blocks:
-            for _ in range(k):
-                out[oslc] = eval_rect(
-                    self.body,
-                    lambda ld: arrays[ld.grid][lslc[ld.key]],
-                    params,
-                    sub.counts,
-                    out.dtype,
-                    scalar_env,
-                )
-
     def run_terms(
         self, arrays: Mapping[str, np.ndarray], params: Mapping[str, float]
     ) -> None:
@@ -201,9 +129,12 @@ class _StencilExec:
                 return snapshot
             return arrays[grid]
 
-        for rect_i, (rect, oslc) in enumerate(zip(self.rects, self.out_slices)):
+        for rect, oslc in zip(self.rects, self.out_slices):
             acc: np.ndarray | None = None
-            rslc = self.read_slices[rect_i]
+            rslc = {
+                read: lattice_slices(rect, read.scale, read.offset)
+                for read in stencil.flat.reads()
+            }
             for term in stencil.flat.terms:
                 piece: np.ndarray | float = term_scalar(term, params)
                 for read in term.reads:
@@ -241,35 +172,12 @@ class NumpyBackend(Backend):
             telemetry.count("codegen.numpy.stencil_execs", len(execs))
             tt = sched.time_tile
 
-            if tt is not None and tt.kind == "wavefront":
-                for ex in execs:
-                    ex.prepare_blocks(sched.options.tile)
-
-                def impl(arrays, params):
-                    if telemetry.tracing.active():
-                        with telemetry.tracing.span(
-                            "time_tile", cat="schedule", backend="numpy",
-                            kind="wavefront", k=tt.k,
-                        ):
-                            for ex in execs:
-                                with telemetry.tracing.span(
-                                    f"stencil:{ex.stencil.name}",
-                                    cat="kernel", backend="numpy",
-                                ):
-                                    ex.run_wavefront(arrays, params, tt.k)
-                    else:
-                        for ex in execs:
-                            ex.run_wavefront(arrays, params, tt.k)
-
-                return impl
-
             applications = 1 if tt is None else tt.k
 
             def impl(arrays, params):
                 if tt is not None and telemetry.tracing.active():
                     with telemetry.tracing.span(
-                        "time_tile", cat="schedule", backend="numpy",
-                        kind=tt.kind, k=tt.k,
+                        "time_tile", cat="schedule", backend="numpy", k=tt.k,
                     ):
                         _apply(arrays, params)
                 else:

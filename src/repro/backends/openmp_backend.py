@@ -93,59 +93,44 @@ def generate_openmp_source(
             f"{n} * sizeof({ctx.ctype}));"
         )
 
-    tt = sched.time_tile
     lines.append("  #pragma omp parallel")
     lines.append("  #pragma omp single")
     lines.append("  {")
-    if tt is not None and tt.kind == "wavefront":
-        # Single slope-0 step: spatial blocks are independent across
-        # all k applications, so each block becomes one task carrying
-        # its own inner time loop — no taskwait between applications.
-        loops = step_loops[0][0]
-        names = ", ".join(
-            group[i].name for i in tuple(sched.steps())[0].stencils
-        )
-        lines.append(
-            f"    /* wavefront time tile k={tt.k}: {names} */"
-        )
-        for l in loops.emit_wavefront(tt.k, task_pragma="#pragma omp task"):
-            lines.append("    " + l)
-        lines.append("    #pragma omp taskwait")
-    else:
-        body: list[str] = []
-        for phase, row in zip(sched.phases, step_loops):
-            body.append(f"/* phase {phase.index} */")
-            # Fill snapshots serially before spawning the phase's tasks.
-            for step in phase.steps:
-                snap = snap_names.get(step.head)
-                if snap is not None:
-                    g = group[step.head].output
-                    n = ctx.grid_size(g)
-                    src = ctx.grid_cname[g]
-                    body.append(
-                        f"memcpy({snap}, {src}, {n} * sizeof({ctx.ctype}));"
-                    )
-            for step, loops in zip(phase.steps, row):
-                names = ", ".join(group[i].name for i in step.stencils)
+    body: list[str] = []
+    for phase, row in zip(sched.phases, step_loops):
+        body.append(f"/* phase {phase.index} */")
+        # Fill snapshots serially before spawning the phase's tasks.
+        for step in phase.steps:
+            snap = snap_names.get(step.head)
+            if snap is not None:
+                g = group[step.head].output
+                n = ctx.grid_size(g)
+                src = ctx.grid_cname[g]
                 body.append(
-                    f"/* stencil(s) {list(step.stencils)}: {names} */"
+                    f"memcpy({snap}, {src}, {n} * sizeof({ctx.ctype}));"
                 )
-                # Unsafe in-place stencils were given a snapshot above,
-                # which restores gather semantics — so every step may be
-                # tiled into concurrent tasks.
-                body.extend(loops.emit(task_pragma="#pragma omp task"))
-            body.append("#pragma omp taskwait")
-        if tt is not None:
-            # Fused time tile: the single thread in the `single` region
-            # re-runs the whole barrier-ordered program k times.
-            lines.append(f"    /* fused time tile k={tt.k} */")
-            lines.append(
-                f"    for (int64_t sf_tt = 0; sf_tt < {tt.k}; ++sf_tt) {{"
+        for step, loops in zip(phase.steps, row):
+            names = ", ".join(group[i].name for i in step.stencils)
+            body.append(
+                f"/* stencil(s) {list(step.stencils)}: {names} */"
             )
-            lines.extend("      " + l for l in body)
-            lines.append("    }")
-        else:
-            lines.extend("    " + l for l in body)
+            # Unsafe in-place stencils were given a snapshot above,
+            # which restores gather semantics — so every step may be
+            # tiled into concurrent tasks.
+            body.extend(loops.emit(task_pragma="#pragma omp task"))
+        body.append("#pragma omp taskwait")
+    tt = sched.time_tile
+    if tt is not None:
+        # Fused time tile: the single thread in the `single` region
+        # re-runs the whole barrier-ordered program k times.
+        lines.append(f"    /* fused time tile k={tt.k} */")
+        lines.append(
+            f"    for (int64_t sf_tt = 0; sf_tt < {tt.k}; ++sf_tt) {{"
+        )
+        lines.extend("      " + l for l in body)
+        lines.append("    }")
+    else:
+        lines.extend("    " + l for l in body)
     lines.append("  }")
     for snap in snap_names.values():
         lines.append(f"  free({snap});")

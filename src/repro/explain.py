@@ -37,9 +37,10 @@ from .analysis.dag import ExecutionPlan, plan
 from .analysis.dependence import intra_stencil_hazards
 from .backends.base import get_backend
 from .core.stencil import Stencil, StencilGroup
-from .kernel import body_for, kernel_cost, swept_cost
+from .kernel import kernel_cost
 from .schedule import Schedule
 from .telemetry import tracing
+from .tuning.search import time_tile_cost
 
 __all__ = [
     "StencilProvenance",
@@ -209,13 +210,14 @@ class GroupProvenance:
                 lines.append(f"  {t}")
         if self.swept is not None:
             lines.append("")
-            lines.append("time-tile traffic prediction (cache-resident tiles):")
+            lines.append("time-tile traffic prediction (paper-cpu cache):")
             for name, sc in self.swept.items():
+                fits = "fits" if sc["cache_resident"] else "exceeds"
                 lines.append(
                     f"  {name}: {sc['base_bytes_per_point']:g} -> "
                     f"{sc['swept_bytes_per_point']:g} B/pt "
                     f"(x{sc['traffic_reduction']:.2f} reduction at "
-                    f"k={sc['k']})"
+                    f"k={sc['k']}; working set {fits} the cache)"
                 )
         if self.artifact is not None:
             lines.append("")
@@ -283,8 +285,7 @@ def explain(
             k = sched.time_tile.k
             swept = {}
             for st in group:
-                body, _ = body_for(st)
-                swept[st.name] = swept_cost(body, st.output, k).to_dict()
+                swept[st.name] = time_tile_cost(st, shapes, k).to_dict()
         transforms: tuple = ()
         if sched is not None:
             from .transform import preset_pipeline

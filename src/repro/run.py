@@ -6,8 +6,9 @@ cheapest legal realization:
 
 * when the schedule proves the group time-tileable, the ``k``
   applications are fused into **one** kernel invocation
-  (``ScheduleOptions(time_tile=k)``): one FFI round trip, and on the
-  wavefront path one cache-resident pass instead of ``k`` DRAM sweeps;
+  (``ScheduleOptions(time_tile=k)``): one FFI round trip instead of
+  ``k`` (the DRAM traffic is that of ``k`` sweeps unless the whole
+  working set is cache resident);
 * when time tiling is refused (snapshot-requiring step, unbounded
   footprint such as periodic wrap-around reads) or the backend cannot
   lower it (the GPU simulators), ``run`` transparently falls back to

@@ -123,40 +123,31 @@ class Evidence:
 
 @dataclass(frozen=True)
 class TimeTile:
-    """The schedule's temporal-blocking dimension (ROADMAP item 1).
+    """The schedule's temporal-blocking dimension.
 
     ``k`` successive applications of the whole group are fused into one
-    kernel invocation.  ``kind`` selects the loop structure the CPU
-    emitters lower it to:
+    kernel invocation: every CPU backend lowers it to one outer time
+    loop around the whole phase sequence (barriers intact per
+    application), so the loop structure is read from the schedule's
+    steps alone.  It buys ``k - 1`` call round trips; DRAM traffic only
+    drops when the whole working set is cache resident
+    (:func:`repro.kernel.cost.swept_cost`).
 
-    * ``"wavefront"`` — a single-step schedule whose cross-application
-      RAW footprint has halo ``slope`` (proved by the dependence
-      lattices): the spatial domain is cut into blocks along the
-      outermost free dimension and each block runs all ``k``
-      applications before the next block starts — the skewed
-      (parallelogram) time tile.  With ``slope == 0`` blocks are fully
-      independent, so the OpenMP target runs them as concurrent tasks.
-    * ``"fused"`` — multi-step schedules: one outer time loop around
-      the whole phase sequence (barriers intact per application).
-      Traffic reduction then comes from whole-grid cache residency.
-
-    ``slope`` is the wavefront skew per application (the maximal
-    cross-application RAW halo).  Evidence carries the per-step
-    Diophantine facts that legalize the fusion.
+    ``slope`` is the maximal cross-application RAW halo and
+    ``evidence`` carries the per-step Diophantine facts that legalize
+    the fusion.
     """
 
     k: int
-    kind: str  # "wavefront" | "fused"
     slope: int = 0
     evidence: tuple[Evidence, ...] = ()
 
     def describe(self) -> str:
-        return f"time tile: k={self.k} kind={self.kind} slope={self.slope}"
+        return f"time tile: k={self.k} slope={self.slope}"
 
     def to_dict(self) -> dict:
         return {
             "k": self.k,
-            "kind": self.kind,
             "slope": self.slope,
             "evidence": [str(e) for e in self.evidence],
         }

@@ -108,9 +108,8 @@ def time_tile_verdict(
 
     Returns ``(slope, evidence, refusals)``.  The schedule is
     time-tileable iff ``refusals`` is empty; ``slope`` is then the
-    maximal cross-application RAW halo (the wavefront skew per
-    application) and ``evidence`` carries the per-step Diophantine
-    facts.
+    maximal cross-application RAW halo and ``evidence`` carries the
+    per-step Diophantine facts.
 
     A step is time-tileable iff
 
@@ -159,7 +158,7 @@ def time_tile_verdict(
                     "time-tile-refused",
                     f"step [{names}] requires a gather snapshot each "
                     "application (loop-carried hazard); a time tile "
-                    "cannot re-snapshot mid-wavefront",
+                    "cannot re-snapshot mid-tile",
                 )
             )
             continue
@@ -267,28 +266,15 @@ def _plan_time_tile(
             f"time_tile={k} is not legal for group {group.name!r}: {detail}",
             refusals=tuple(refusals),
         )
-    if len(steps) == 1 and slope == 0:
-        kind = "wavefront"
-        evidence = evidence + [
-            Evidence(
-                "time-tile",
-                f"single step with slope 0: spatial blocks are "
-                f"independent across all {k} applications — blocked "
-                "wavefront nest, tasks may run blocks concurrently",
-            )
-        ]
-    else:
-        kind = "fused"
-        evidence = evidence + [
-            Evidence(
-                "time-tile",
-                f"{len(steps)} step(s), cross-application halo "
-                f"{slope}: fused outer time loop (barriers intact per "
-                "application); traffic reduction from whole-grid cache "
-                "residency",
-            )
-        ]
-    return TimeTile(k=k, kind=kind, slope=slope, evidence=tuple(evidence))
+    evidence.append(
+        Evidence(
+            "time-tile",
+            f"{len(steps)} step(s), cross-application halo {slope}: "
+            "fused outer time loop (barriers intact per application); "
+            "traffic reduction from whole-grid cache residency",
+        )
+    )
+    return TimeTile(k=k, slope=slope, evidence=tuple(evidence))
 
 
 def base_schedule(

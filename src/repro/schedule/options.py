@@ -51,8 +51,8 @@ class ScheduleOptions:
         backend default).
     ``time_tile``
         Temporal blocking: fuse this many successive applications of
-        the whole group into one kernel invocation (one wavefront /
-        fused time tile).  ``1`` (the default) is a single sweep;
+        the whole group into one kernel invocation (one outer time
+        loop around the program).  ``1`` (the default) is a single sweep;
         ``k > 1`` is only legal when every step's cross-application
         footprint is a bounded halo and no step needs a gather
         snapshot — :func:`~repro.schedule.build_schedule` refuses

@@ -224,7 +224,7 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
             problems.append(
                 Evidence(
                     "time-tile-refused",
-                    f"attached time tile assumes wavefront slope "
+                    f"attached time tile assumes cross-application halo "
                     f"{sched.time_tile.slope} but the current steps "
                     f"prove slope {slope}; re-plan the tile after "
                     "restructuring",

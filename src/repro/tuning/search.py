@@ -35,7 +35,7 @@ from .. import telemetry
 from ..backends import get_backend
 from ..core.stencil import StencilGroup
 from ..core.validate import iteration_shape
-from ..kernel.cost import WORD_BYTES, body_cost, swept_cost
+from ..kernel.cost import WORD_BYTES, SweptCost, swept_cost
 from ..kernel.lower import body_for
 from ..machine.specs import PAPER_PLATFORMS, MachineSpec, host_spec
 from ..schedule import ScheduleOptions, schedule_for
@@ -46,6 +46,7 @@ __all__ = [
     "Trial",
     "SearchResult",
     "predict_schedule_time",
+    "time_tile_cost",
     "search_schedules",
     "resolve_search_spec",
 ]
@@ -160,6 +161,31 @@ def _points(stencil, norm: Mapping[str, tuple[int, ...]]) -> int:
     )
 
 
+def _working_set(norm: Mapping[str, tuple[int, ...]]) -> float:
+    """Bytes of every grid the program touches."""
+    return sum(float(np.prod(s)) * WORD_BYTES for s in norm.values())
+
+
+def time_tile_cost(
+    stencil,
+    shapes: Mapping[str, Sequence[int]],
+    k: int,
+    spec: "MachineSpec | str" = "paper-cpu",
+) -> SweptCost:
+    """Swept traffic of ``stencil`` under ``time_tile=k`` on ``spec``.
+
+    The time tile is one outer loop around whole-grid sweeps, so the
+    block that must stay resident across the ``k`` applications is the
+    program's entire working set (``k = 1`` is the single-sweep cost).
+    """
+    body, _ = body_for(stencil)
+    return swept_cost(
+        body, stencil.output, k,
+        tile_bytes=_working_set(shapes),
+        cache_bytes=resolve_search_spec(spec).cache_bytes,
+    )
+
+
 def predict_schedule_time(
     group: StencilGroup,
     shapes: Mapping[str, tuple[int, ...]],
@@ -183,24 +209,14 @@ def predict_schedule_time(
     norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
     sched = schedule_for(group, norm, options)
     k = 1 if sched.time_tile is None else sched.time_tile.k
-    ws = sum(
-        float(np.prod(s)) * WORD_BYTES for s in norm.values()
-    )
-    bw = spec.effective_bw(ws)
+    bw = spec.effective_bw(_working_set(norm))
     seconds = 0.0
     launches = 0
     for step in sched.steps():
         launches += 1
         for i in step.stencils:
             st = group[i]
-            body, _ = body_for(st)
-            if k > 1:
-                bpp = swept_cost(
-                    body, st.output, k,
-                    tile_bytes=ws, cache_bytes=spec.cache_bytes,
-                ).swept_bytes_per_point
-            else:
-                bpp = body_cost(body, st.output).bytes_per_point
+            bpp = time_tile_cost(st, norm, k, spec).swept_bytes_per_point
             seconds += _points(st, norm) * bpp / bw
         if step.snapshot:
             g = group[step.head].output

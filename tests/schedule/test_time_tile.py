@@ -2,9 +2,8 @@
 
 The acceptance bar for ``ScheduleOptions(time_tile=k)`` is *bitwise*
 equality with ``k`` separate kernel invocations on every CPU backend —
-the tiled loop nest reorders (point, application) pairs but each point's
-time order is preserved, so the floating-point result is identical, not
-merely close.
+the time tile is the untiled program inside one outer time loop, so the
+floating-point result is identical, not merely close.
 """
 
 import numpy as np
@@ -12,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends.c_backend import generate_c_source
+from repro.backends.openmp_backend import generate_openmp_source
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
@@ -98,9 +99,8 @@ class TestBitwiseParity:
     @pytest.mark.parametrize("tile", [None, 3])
     def test_tiled_equals_k_sweeps(self, backend, case, tile):
         group, shapes, arrays = CASES[case]()
-        # `tile` is a compiled-backend knob; interpreters take the
-        # untiled nest (their blocked path is covered by the prebuilt-
-        # schedule property test below).
+        # `tile` is a compiled-backend knob; under a time tile it stays
+        # the pure per-application hint it is without one.
         opts = (
             {"tile": tile}
             if tile is not None and backend in ("c", "openmp")
@@ -123,8 +123,8 @@ class TestBitwiseParity:
     )
     def test_parity_over_generated_schedules(self, n, k, tile):
         # Interpreters only: property runs stay toolchain-independent.
-        # A prebuilt schedule carries the spatial tile, exercising the
-        # numpy blocked-wavefront path the loose knobs cannot reach.
+        # A prebuilt schedule carries a spatial tile to numpy, which
+        # must ignore it under a time tile as it does without one.
         group, shapes, arrays = gsrb_case(n)
         sched = schedule_for(
             group, shapes, ScheduleOptions(time_tile=k, tile=tile)
@@ -139,19 +139,51 @@ class TestBitwiseParity:
             np.testing.assert_array_equal(work[g], ref[g])
 
 
-class TestLegality:
-    def test_single_step_is_wavefront(self):
-        group, shapes, _ = gsrb_case()
-        sched = schedule_for(group, shapes, ScheduleOptions(time_tile=4))
-        tt = sched.time_tile
-        assert tt is not None and tt.k == 4
-        assert tt.kind == "wavefront" and tt.slope == 0
-        assert any(e.claim == "time-tile" for e in tt.evidence)
+class TestOneLowering:
+    """``time_tile=k`` is the ``time_tile=1`` program inside one
+    ``sf_tt`` loop — single step or many, spatially tiled or not."""
 
+    @pytest.mark.parametrize(
+        "generate", [generate_c_source, generate_openmp_source]
+    )
+    @pytest.mark.parametrize(
+        "case,tile", [("vc_gsrb", None), ("vc_gsrb", 2), ("smooth", None)]
+    )
+    def test_tiled_source_is_untiled_source_in_one_time_loop(
+        self, generate, case, tile
+    ):
+        group, shapes, _ = CASES[case]()
+        untiled, tiled = (
+            generate(
+                group, shapes, np.float64,
+                schedule=ScheduleOptions(time_tile=k, tile=tile),
+            ).splitlines()
+            for k in (1, 4)
+        )
+        (at,) = [i for i, l in enumerate(tiled) if "int64_t sf_tt" in l]
+        pad = tiled[at][: -len(tiled[at].lstrip())]
+        assert tiled[at - 1] == pad + "/* fused time tile k=4 */"
+        assert tiled[at] == (
+            pad + "for (int64_t sf_tt = 0; sf_tt < 4; ++sf_tt) {"
+        )
+        end = tiled.index(pad + "}", at)
+        body = tiled[at + 1:end]
+        assert all(l.startswith(pad + "  ") for l in body)
+        assert (
+            tiled[:at - 1] + [l[2:] for l in body] + tiled[end + 1:]
+            == untiled
+        )
+
+
+class TestLegality:
     def test_multi_step_group_is_fused(self):
         group, shapes, _ = smooth_case()
         sched = schedule_for(group, shapes, ScheduleOptions(time_tile=2))
-        assert sched.time_tile.kind == "fused"
+        tt = sched.time_tile
+        # red reads what black wrote one application earlier: halo 1
+        assert tt.k == 2 and tt.slope == 1
+        assert len(list(sched.steps())) > 1
+        assert "fused outer time loop" in tt.evidence[-1].basis
 
     def test_no_tile_requested_records_nothing(self):
         group, shapes, _ = jacobi_case()
@@ -195,6 +227,10 @@ class TestLegality:
         group, shapes, _ = gsrb_case()
         sched = schedule_for(group, shapes, ScheduleOptions(time_tile=3))
         text = sched.describe()
-        assert "time tile: k=3" in text
+        assert "time tile: k=3 slope=0" in text
         assert "time-tile:" in text
-        assert sched.to_dict()["time_tile"]["k"] == 3
+        assert sched.to_dict()["time_tile"] == {
+            "k": 3,
+            "slope": 0,
+            "evidence": [str(e) for e in sched.time_tile.evidence],
+        }

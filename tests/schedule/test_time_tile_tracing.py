@@ -1,10 +1,10 @@
 """Tracing coverage for the temporally-blocked execution paths.
 
-A time-tiled run must be observable: the wavefront and fused paths open
-a ``time_tile`` span carrying ``kind``/``k``, each stencil application
-nests under it, and the resulting document exports as a valid Chrome
-trace.  Instrumentation must also be inert — a traced tiled run returns
-bitwise the same arrays as an untraced one.
+A time-tiled run must be observable: it opens one ``time_tile`` span
+carrying ``k``, each stencil application nests under it, and the
+resulting document exports as a valid Chrome trace.  Instrumentation
+must also be inert — a traced tiled run returns bitwise the same arrays
+as an untraced one.
 """
 
 import json
@@ -43,17 +43,19 @@ def _run_tiled(group, shapes, arrays, k):
     return work
 
 
-class TestWavefrontSpans:
-    def test_wavefront_run_opens_time_tile_span(self):
-        group, shapes, arrays = gsrb_case()
-        with tracing.session(fresh=True):
-            _run_tiled(group, shapes, arrays, k=3)
-        spans = [e for e in tracing.events() if e["name"] == "time_tile"]
-        assert len(spans) == 1
-        args = spans[0]["args"]
-        assert args["kind"] == "wavefront"
-        assert args["k"] == 3
-        assert args["backend"] == "numpy"
+class TestTimeTileSpans:
+    def test_run_opens_one_time_tile_span(self):
+        # single-step and multi-step programs take the same path
+        for case in (gsrb_case, smooth_case):
+            group, shapes, arrays = case()
+            with tracing.session(fresh=True):
+                _run_tiled(group, shapes, arrays, k=3)
+            (span,) = [
+                e for e in tracing.events() if e["name"] == "time_tile"
+            ]
+            assert span["args"]["k"] == 3
+            assert span["args"]["backend"] == "numpy"
+            assert "kind" not in span["args"]
 
     def test_stencil_spans_nest_under_time_tile(self):
         group, shapes, arrays = gsrb_case()
@@ -70,16 +72,6 @@ class TestWavefrontSpans:
 
 
 class TestFusedSpans:
-    def test_fused_run_labels_kind_and_k(self):
-        group, shapes, arrays = smooth_case()
-        sched = schedule_for(group, shapes, ScheduleOptions(time_tile=2))
-        assert sched.time_tile.kind == "fused"  # precondition
-        with tracing.session(fresh=True):
-            _run_tiled(group, shapes, arrays, k=2)
-        (span,) = [e for e in tracing.events() if e["name"] == "time_tile"]
-        assert span["args"]["kind"] == "fused"
-        assert span["args"]["k"] == 2
-
     def test_fused_records_every_application(self):
         group, shapes, arrays = smooth_case()
         k = 2

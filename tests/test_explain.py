@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from repro import Component, RectDomain, Stencil, WeightArray
+from repro import Component, RectDomain, Stencil, StencilGroup, WeightArray
 from repro.explain import explain
 from repro.hpgmg.operators import cc_laplacian, smooth_group
+from repro.schedule import ScheduleOptions
+from repro.tuning import predict_schedule_time
 
 LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
 INTERIOR = RectDomain((1, 1), (-1, -1))
@@ -57,6 +59,29 @@ class TestIntraStencilVerdict:
         assert not s.parallel_safe
         assert s.verdict().startswith("serialized:")
         assert s.hazards
+
+
+class TestTimeTilePrediction:
+    @pytest.mark.parametrize("n,resident", [(8, True), (256, False)])
+    def test_swept_agrees_with_the_cost_model_on_residency(self, n, resident):
+        group = StencilGroup([Stencil(
+            cc_laplacian(3, 1.0 / n), "out",
+            RectDomain((1, 1, 1), (-1, -1, -1)), name="cc_7pt",
+        )])
+        shapes = {g: (n + 2,) * 3 for g in ("x", "out")}
+        prov = explain(group, shapes, backend="numpy", time_tile=4)
+        (sc,) = prov.swept.values()
+        assert sc["cache_resident"] is resident
+        assert sc["traffic_reduction"] == (4.0 if resident else 1.0)
+        one, four = (
+            predict_schedule_time(
+                group, shapes, ScheduleOptions(time_tile=k)
+            )
+            for k in (1, 4)
+        )
+        # the model charges four applications less than four calls
+        # exactly when it holds the working set cache resident
+        assert (four < 4 * one) is resident
 
 
 class TestArtifactInfo:

@@ -143,6 +143,31 @@ class TestComposition:
         dist_steps = [st.stencils for st in via_dist.steps()]
         assert split_steps == dist_steps
 
+    @pytest.mark.parametrize("backend", PARITY_BACKENDS)
+    @pytest.mark.parametrize(
+        "unfuse", [distribute(), split(0, 1)], ids=["distribute", "split"]
+    )
+    def test_unfusing_under_a_time_tile_still_runs_every_step(
+        self, backend, unfuse
+    ):
+        # a time tile's loop structure is read from the steps it wraps,
+        # so restructuring after time_tile(k) cannot drop a step
+        group, shapes = fusable_pair_group()
+        k = 3
+        sched = unfuse(time_tile(k)(fuse()(base_schedule(group, shapes))))
+        assert verify_schedule(sched) == []
+        assert [st.stencils for st in sched.steps()] == [(0,), (1,)]
+        rng = np.random.default_rng(11)
+        arrays = {g: rng.standard_normal(shapes[g]) for g in sorted(shapes)}
+        ref = {g: a.copy() for g, a in arrays.items()}
+        sweep = group.compile(backend="python", shapes=shapes)
+        for _ in range(k):
+            sweep(**ref)
+        got = {g: a.copy() for g, a in arrays.items()}
+        group.compile(backend=backend, shapes=shapes, schedule=sched)(**got)
+        for g in sorted(shapes):
+            np.testing.assert_array_equal(got[g], ref[g])
+
     def test_reorder_permutes_a_phase_and_preserves_results(self):
         group, shapes, arrays = gsrb_workload()
         sched = base_schedule(group, shapes)
