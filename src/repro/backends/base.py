@@ -50,10 +50,11 @@ class CompiledKernel:
     them and the specialized kernel is cached per shape tuple.
 
     The call seam has two steps.  :meth:`bind` checks the grids against
-    the call contract and marshals them, once; the :class:`BoundKernel`
-    it returns takes only the params and is what a loop should call.
-    ``kernel(**grids, **params)`` is ``kernel.bind(**grids)(**params)``
-    — the convenience form, which pays for the binding on every call.
+    the call contract and marshals them (and any params it is given),
+    once; the :class:`BoundKernel` it returns takes only the remaining
+    params and is what a loop should call.  ``kernel(**grids,
+    **params)`` is ``kernel.bind(**grids, **params)()`` — the
+    convenience form, which pays for the binding on every call.
 
     Runtime guards (:class:`~repro.resilience.guards.Guards`) attach at
     compile time (``compile(..., guards=...)``) or globally via the
@@ -136,8 +137,12 @@ class CompiledKernel:
             f"{sorted(self._grid_names)}, params are {sorted(self._param_names)}"
         )
 
-    def bind(self, **grids) -> "BoundKernel":
-        """Check ``grids`` against the call contract and marshal them, once.
+    def bind(self, **kwargs) -> "BoundKernel":
+        """Check the grids against the call contract and marshal them, once.
+
+        ``kwargs`` are every grid plus any subset of the params: params
+        given here are fixed for the bound kernel's lifetime (marshalled
+        once, like the grids), the rest are what each call passes.
 
         Everything a call has to establish about its arrays is
         established here: the names, that outputs are writeable
@@ -152,8 +157,13 @@ class CompiledKernel:
         are seen; replacing an array with a new one needs a new ``bind``;
         ``setflags(write=False)`` after ``bind`` is not checked again.
         """
-        for name in grids:
-            if name not in self._grid_names:
+        grids, fixed = {}, {}
+        for name, value in kwargs.items():
+            if name in self._grid_names:
+                grids[name] = value
+            elif name in self._param_names:
+                fixed[name] = float(value)
+            else:
                 raise self._unexpected(name)
         arrays = check_arrays(self._grid_names, self._outputs, grids)
         dt = next(iter(arrays.values())).dtype
@@ -165,15 +175,16 @@ class CompiledKernel:
         impl, points = self._get_impl(shapes, dt)
         bind = getattr(impl, "bind", None)
         if bind is not None:
-            run = bind(arrays)
+            run = bind(arrays, fixed)
         else:
             def run(params):
-                impl(arrays, params)
-        return BoundKernel(self, arrays, run, points)
+                impl(arrays, {**fixed, **params})
+        return BoundKernel(
+            self, arrays, run, points, self._param_names - fixed.keys()
+        )
 
     def __call__(self, **kwargs) -> None:
-        params = {p: kwargs.pop(p) for p in self._param_names if p in kwargs}
-        self.bind(**kwargs)(**params)
+        self.bind(**kwargs)()
 
     @property
     def specializations(self) -> int:
@@ -185,7 +196,8 @@ class BoundKernel:
     """A :class:`CompiledKernel` bound to its arrays: ``bound(**params)``.
 
     Made by :meth:`CompiledKernel.bind`, which has already checked and
-    marshalled the grids, so a call is: params check, the
+    marshalled the grids and any params fixed there, so a call is: check
+    of the remaining params, the
     ``backend.invoke`` fault site, the backend's bound runner, one
     telemetry count.  Guards and the ``kernel:<group>`` span run only
     when switched on.  ``SNOWFLAKE_TELEMETRY`` and ``SNOWFLAKE_FAULTS``
@@ -195,7 +207,7 @@ class BoundKernel:
     the C family) is made per call.
     """
 
-    __slots__ = ("kernel", "arrays", "_run", "_points")
+    __slots__ = ("kernel", "arrays", "_run", "_points", "_free")
 
     def __init__(
         self,
@@ -203,21 +215,24 @@ class BoundKernel:
         arrays: Mapping[str, np.ndarray],
         run: Callable[[Mapping[str, float]], None],
         points: int,
+        free: frozenset[str] = frozenset(),
     ) -> None:
         self.kernel = kernel
         self.arrays = arrays
         self._run = run
         self._points = points
+        self._free = free  # the params not fixed at bind
 
     def __call__(self, **params) -> None:
         k = self.kernel
-        if params.keys() != k._param_names:
-            for name in params:
-                if name not in k._param_names:
-                    raise k._unexpected(name)
+        if params.keys() != self._free:
+            for name in params.keys() - self._free:
+                if name in k._param_names:
+                    raise TypeError(f"param {name!r} was fixed at bind")
+                raise k._unexpected(name)
             raise ValidationError(
                 "missing params at call time: "
-                f"{sorted(k._param_names - params.keys())}"
+                f"{sorted(self._free - params.keys())}"
             )
         if params:
             params = {p: float(v) for p, v in params.items()}
@@ -255,17 +270,18 @@ class BoundKernel:
         )
 
 
-def bind_kernel(kernel: Callable, grids: Mapping[str, np.ndarray]) -> Callable:
-    """``kernel`` bound to ``grids``, as a callable taking only params.
+def bind_kernel(kernel: Callable, args: Mapping[str, object]) -> Callable:
+    """``kernel`` bound to ``args`` (the grids and any fixed params), as
+    a callable taking the remaining params.
 
-    ``kernel.bind(**grids)`` where the kernel has a bind step; a backend
-    whose ``compile`` returns a bare function gets the grids passed on
+    ``kernel.bind(**args)`` where the kernel has a bind step; a backend
+    whose ``compile`` returns a bare function gets ``args`` passed on
     every call instead.
     """
     bind = getattr(kernel, "bind", None)
     if bind is not None:
-        return bind(**grids)
-    return lambda **params: kernel(**grids, **params)
+        return bind(**args)
+    return lambda **params: kernel(**args, **params)
 
 
 #: ``schedule`` plus every :class:`ScheduleOptions` field but ``policy``,
@@ -364,10 +380,12 @@ class Backend(abc.ABC):
         The returned function is invoked once per distinct (shapes,
         dtype) combination and must return
         ``impl(arrays: dict[str, ndarray], params: dict[str, float])``.
-        ``impl`` may carry an attribute ``impl.bind(arrays)`` returning
-        ``run(params)``: its own per-array checks and marshalling, done
-        once for a :class:`BoundKernel`.  Without one, a bound call is
-        ``impl(arrays, params)``.
+        ``impl`` may carry an attribute ``impl.bind(arrays, fixed)``
+        returning ``run(params)``: its own per-array checks and
+        marshalling of the arrays and of the params ``fixed`` at bind,
+        done once for a :class:`BoundKernel`; ``run`` gets the other
+        params.  Without one, a bound call is ``impl(arrays, {**fixed,
+        **params})``.
         """
 
     def artifact_info(

@@ -2,11 +2,16 @@
 
 The generated function has the narrow FFI signature
 
-    void sf_kernel(TYPE** grids, const double* params);
+    void sf_kernel(TYPE** grids, const double* params, const int64_t* dims);
 
-with grids passed in sorted-name order and shapes/strides baked into the
-source (shape-specialized JIT).  Structure — execution order, fusion
-chains, snapshot and multicolor decisions — comes from a
+with grids and params passed in sorted-name order and ``dims`` holding
+every grid's extents in the same order.  The source is *size-generic*:
+loop bounds, strides and snapshot sizes are read from ``dims``, so one
+shared object serves every shape whose schedule renders the same text
+(a multigrid operator compiles once for all its levels), and the
+source-hash cache of :mod:`repro.backends.jit` does the sharing.
+Structure — execution order, fusion chains, snapshot and multicolor
+decisions — comes from a
 :class:`~repro.schedule.ir.Schedule` built by the shared lowering stage;
 this module only emits.  An in-place stencil with a proven loop-carried
 hazard reads its output grid through a snapshot (gather semantics),
@@ -60,12 +65,7 @@ def generate_c_source(
     sched = as_schedule(schedule, group, norm)
     ctx = CodegenContext(group, norm, ctype_for(dtype))
     lines: list[str] = [C_PREAMBLE]
-    lines.append(
-        f"void {func_name}({ctx.ctype}** grids, const double* params)"
-    )
-    lines.append("{")
-    for l in ctx.prologue():
-        lines.append("  " + l)
+    lines.extend(ctx.open_function(func_name))
     body: list[str] = []
     for step in sched.steps():
         chain = list(step.stencils)
@@ -106,6 +106,7 @@ def generate_c_source(
     else:
         lines.extend("  " + l for l in body)
     lines.append("}")
+    lines.extend(ctx.entry_point(func_name))
     return "\n".join(lines) + "\n"
 
 
@@ -116,16 +117,17 @@ def make_ffi_wrapper(
 ) -> Callable:
     """Wrap a compiled kernel in the Python calling convention.
 
-    Returns ``impl(arrays, params)`` carrying ``impl.bind(arrays)``:
-    ``bind`` checks the arrays against the compiled signature and builds
-    the pointer table once, and the ``run(params)`` it returns is one
-    FFI call.  ``impl`` itself is ``bind(arrays)(params)``.
+    Returns ``impl(arrays, params)`` carrying ``impl.bind(arrays,
+    fixed)``: ``bind`` checks the arrays against the compiled signature
+    and builds the pointer table once (the ``dims`` table is built once
+    per specialization, here), and the ``run(params)`` it returns is
+    one FFI call.  Params in ``fixed`` are marshalled at bind; ``run``
+    takes the rest.  ``impl`` itself is ``bind(arrays)(params)``.
     """
     fn = getattr(lib, func_name)
-    fn.argtypes = [
-        ctypes.POINTER(ctypes.c_void_p),
-        ctypes.POINTER(ctypes.c_double),
-    ]
+    # No argtypes: every argument is a ctypes array built below, which
+    # ctypes passes by reference as is; declared POINTER argtypes would
+    # re-check each one on every call (~0.2 us an argument).
     fn.restype = None
     grid_order = list(ctx.grid_order)
     param_order = list(ctx.param_order)
@@ -133,9 +135,14 @@ def make_ffi_wrapper(
     want_dtype = np.dtype(np.float64 if ctx.ctype == "double" else np.float32)
     ptrs_t = ctypes.c_void_p * len(grid_order)
     pvals_t = ctypes.c_double * max(len(param_order), 1)
-    no_params = pvals_t()  # only ever read, so one buffer serves every call
+    table = ctx.dims_table()
+    dims = (ctypes.c_int64 * len(table))(*table)
 
-    def bind(arrays: Mapping[str, np.ndarray]) -> Callable:
+    def bind(
+        arrays: Mapping[str, np.ndarray],
+        fixed: Mapping[str, float] | None = None,
+    ) -> Callable:
+        fixed = fixed or {}
         mats = [arrays[g] for g in grid_order]
         for g, a in zip(grid_order, mats):
             if a.dtype != want_dtype:
@@ -161,10 +168,20 @@ def make_ffi_wrapper(
                     )
         ptrs = ptrs_t(*[a.ctypes.data for a in mats])
 
-        def run(params: Mapping[str, float]) -> None:
-            # a fresh params buffer per call keeps a bound kernel re-entrant
-            fn(ptrs, pvals_t(*[float(params[p]) for p in param_order])
-               if param_order else no_params)
+        if fixed.keys() >= set(param_order):
+            # every param known now: one buffer, only ever read
+            pvals = pvals_t(*[float(fixed[p]) for p in param_order])
+
+            def run(params: Mapping[str, float]) -> None:
+                fn(ptrs, pvals, dims)
+        else:
+            def run(params: Mapping[str, float]) -> None:
+                # a fresh params buffer per call keeps a bound kernel
+                # re-entrant
+                fn(ptrs, pvals_t(*[
+                    float(params[p] if p in params else fixed[p])
+                    for p in param_order
+                ]), dims)
 
         run.arrays = mats  # the buffers behind `ptrs` live as long as `run`
         return run

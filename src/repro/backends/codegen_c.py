@@ -2,7 +2,11 @@
 
 Renders the optimized kernel IR into loop nests.  Responsibilities:
 
-* grid/param naming and row-major stride baking (shape-specialized),
+* grid/param naming, and *size-generic* row-major layout: grid extents
+  arrive at run time in the ``dims`` table, so loop bounds, tile
+  clamps, strides and snapshot sizes are affine expressions in them and
+  one translation unit serves every shape that makes the same
+  decisions (a multigrid operator compiles once, not once per level),
 * rendering a :class:`~repro.kernel.ir.KernelBody` as C99 let-bindings:
   depth-0 bindings become a ``const`` scalar prelude before the loop
   nest, deeper bindings become ``const`` locals in the innermost loop
@@ -24,8 +28,13 @@ Renders the optimized kernel IR into loop nests.  Responsibilities:
 The emitter is purely mechanical: fusion, snapshot and sweep decisions
 arrive precomputed on the :class:`~repro.schedule.ir.Schedule` steps
 (``ParityClass``/``detect_parity_class`` are re-exported here for
-backward compatibility).  The emitter knows nothing about scheduling
-pragmas either; backends inject those through small hook callables.
+backward compatibility).  Every shape-dependent *decision* — those, plus
+which domain boxes are empty, which loop is tiled and whether it is long
+enough to tile — is still taken per shape in Python; only the numbers
+that follow from the decisions are left to run time.  Two shapes share
+a compiled artifact exactly when their generated text is identical.
+The emitter knows nothing about scheduling pragmas either; backends
+inject those through small hook callables.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..analysis.dependence import is_parallel_safe
-from ..core.domains import ResolvedRect
+from ..core.domains import RectDomain, ResolvedRect
 from ..core.stencil import Stencil, StencilGroup
 from ..core.validate import iteration_shape
 from ..kernel.ir import (
@@ -108,72 +117,174 @@ class KernelParts:
     result: str
 
 
+@dataclass(frozen=True)
+class Bound:
+    """One loop bound: the C text ``sym + off``, worth ``value`` at the
+    shape being compiled.
+
+    ``sym`` is an extent expression read from ``dims`` (``None`` for a
+    literal), so a bound anchored to the far end of a grid (``-1`` in a
+    domain) stays correct at every size while one anchored to the near
+    end (``1``) is a plain number.
+    """
+
+    sym: str | None
+    off: int
+    value: int
+
+    @staticmethod
+    def lit(v: int) -> "Bound":
+        return Bound(None, v, v)
+
+    def shift(self, k: int) -> "Bound":
+        return Bound(self.sym, self.off + k, self.value + k)
+
+    def __str__(self) -> str:
+        if self.sym is None:
+            return str(self.off)
+        if self.off == 0:
+            return self.sym
+        sign = "+" if self.off > 0 else "-"
+        return f"({self.sym} {sign} {abs(self.off)})"
+
+
+def _scaled(k: int, sym: str) -> str:
+    return sym if k == 1 else "-" + sym if k == -1 else f"{k}*{sym}"
+
+
+def _sum(terms: Sequence[str]) -> str:
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
 @dataclass
 class CodegenContext:
-    """Shape/dtype-specialized naming and layout information."""
+    """Naming and layout information for one group at one shape.
+
+    ``runtime_sizes`` (the C family) reads every grid extent from the
+    kernel's ``dims`` argument: grids of equal shape share one set of
+    extent/stride locals (``n<c>_<d>``, ``s<c>_<d>`` for shape class
+    ``c``), and :meth:`index_expr`, :meth:`grid_size` and
+    :meth:`iteration_extents` render in terms of them.  Without it
+    (the GPU dialects) strides are baked into the text as numbers.
+    """
 
     group: StencilGroup
     shapes: Mapping[str, tuple[int, ...]]
     ctype: str
+    runtime_sizes: bool = True
 
     grid_order: list[str] = field(init=False)
     param_order: list[str] = field(init=False)
     grid_cname: dict[str, str] = field(init=False)
     param_cname: dict[str, str] = field(init=False)
-    strides: dict[str, tuple[int, ...]] = field(init=False)
+    #: per grid, per dim: an extent local (runtime sizes) or the number
+    extents: dict[str, tuple[int | str, ...]] = field(init=False)
+    #: per grid, per dim: a stride local (runtime sizes) or the number
+    strides: dict[str, tuple[int | str, ...]] = field(init=False)
     _kernel_seq: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self.grid_order = sorted(self.group.grids())
         self.param_order = sorted(self.group.params())
         used: set[str] = set()
-        self.grid_cname = {}
-        for g in self.grid_order:
-            base = "g_" + sanitize(g)
-            c = base
-            k = 1
+
+        def unique(base: str) -> str:
+            c, k = base, 1
             while c in used:
                 c = f"{base}_{k}"
                 k += 1
             used.add(c)
-            self.grid_cname[g] = c
-        self.param_cname = {}
-        for p in self.param_order:
-            base = "p_" + sanitize(p)
-            c = base
-            k = 1
-            while c in used:
-                c = f"{base}_{k}"
-                k += 1
-            used.add(c)
-            self.param_cname[p] = c
-        self.strides = {}
+            return c
+
+        self.grid_cname = {g: unique("g_" + sanitize(g)) for g in self.grid_order}
+        self.param_cname = {
+            p: unique("p_" + sanitize(p)) for p in self.param_order
+        }
+        self.extents, self.strides = {}, {}
+        classes: dict[tuple[int, ...], int] = {}
         for g in self.grid_order:
             shp = tuple(int(x) for x in self.shapes[g])
-            st = [1] * len(shp)
-            for d in range(len(shp) - 2, -1, -1):
-                st[d] = st[d + 1] * shp[d + 1]
+            if self.runtime_sizes:
+                c = classes.setdefault(shp, len(classes))
+                self.extents[g] = tuple(f"n{c}_{d}" for d in range(len(shp)))
+                st: list[int | str] = [f"s{c}_{d}" for d in range(len(shp))]
+                st[-1] = 1
+            else:
+                self.extents[g] = shp
+                st = [1] * len(shp)
+                for d in range(len(shp) - 2, -1, -1):
+                    st[d] = st[d + 1] * shp[d + 1]
             self.strides[g] = tuple(st)
 
-    def grid_size(self, g: str) -> int:
-        n = 1
-        for x in self.shapes[g]:
-            n *= int(x)
-        return n
+    def dims_table(self) -> list[int]:
+        """The ``dims`` argument: every grid's extents, in grid order."""
+        return [int(x) for g in self.grid_order for x in self.shapes[g]]
 
-    def prologue(self) -> list[str]:
-        """Unpack the grids/params arrays into named locals."""
-        lines = []
-        for i, g in enumerate(self.grid_order):
-            lines.append(
-                f"{self.ctype}* restrict {self.grid_cname[g]} = grids[{i}];"
-            )
+    def grid_size(self, g: str) -> str:
+        """Element count of ``g`` as a C expression."""
+        return "*".join(str(x) for x in self.extents[g])
+
+    def open_function(self, func_name: str) -> list[str]:
+        """Head of the kernel body ``<func_name>_body`` up to its open
+        scope: every grid a ``restrict`` parameter, then the params and
+        the extents/strides unpacked from ``params``/``dims`` into named
+        locals.
+
+        The body is a function of its own, called by
+        :meth:`entry_point`, because gcc takes ``restrict`` from
+        parameters but not from locals loaded out of ``grids[]``;
+        without it every loop is versioned on runtime alias checks, one
+        per distinct stride offset, and past gcc's limit on those the
+        loop is not vectorized at all.
+        """
+        grids = ", ".join(
+            f"{self.ctype}* restrict {self.grid_cname[g]}"
+            for g in self.grid_order
+        )
+        lines = [
+            f"static void {func_name}_body({grids}, "
+            "const double* params, const int64_t* dims)",
+            "{",
+        ]
         for i, p in enumerate(self.param_order):
             lines.append(
-                f"const {self.ctype} {self.param_cname[p]} = "
+                f"  const {self.ctype} {self.param_cname[p]} = "
                 f"({self.ctype})params[{i}];"
             )
+        at, seen = 0, set()
+        for g in self.grid_order:
+            ext, st = self.extents[g], self.strides[g]
+            if ext[0] not in seen:
+                seen.add(ext[0])
+                lines.append(
+                    "  const int64_t "
+                    + ", ".join(f"{n} = dims[{at + d}]" for d, n in enumerate(ext))
+                    + ";"
+                )
+                if len(ext) > 1:
+                    lines.append(
+                        "  const int64_t "
+                        + ", ".join(
+                            f"{st[d]} = {ext[d + 1]}"
+                            + ("" if d == len(ext) - 2 else f"*{st[d + 1]}")
+                            for d in range(len(ext) - 2, -1, -1)
+                        )
+                        + ";"
+                    )
+            at += len(ext)
         return lines
+
+    def entry_point(self, func_name: str) -> list[str]:
+        """The exported FFI symbol ``func_name(grids, params, dims)``,
+        forwarding to the body :meth:`open_function` began."""
+        args = ", ".join(f"grids[{i}]" for i in range(len(self.grid_order)))
+        return [
+            f"void {func_name}({self.ctype}** grids, const double* params, "
+            "const int64_t* dims)",
+            "{",
+            f"  {func_name}_body({args}, params, dims);",
+            "}",
+        ]
 
     # -- expressions ---------------------------------------------------------
 
@@ -186,18 +297,52 @@ class CodegenContext:
     ) -> str:
         """Flat row-major index of ``grid[scale*i + offset]``."""
         strides = self.strides[grid]
-        parts = []
-        const = 0
+        if not self.runtime_sizes:
+            parts = []
+            const = 0
+            for s, o, st, v in zip(scale, offset, strides, loopvars):
+                const += o * st
+                coeff = s * st
+                parts.append(v if coeff == 1 else f"{coeff}*{v}")
+            if const != 0 or not parts:
+                parts.append(str(const))
+            return " + ".join(parts)
+        terms, consts = [], []
         for s, o, st, v in zip(scale, offset, strides, loopvars):
-            const += o * st
-            coeff = s * st
-            if coeff == 1:
-                parts.append(v)
+            var = _scaled(s, v)
+            if st == 1:
+                terms.append(var)
+                if o:
+                    consts.append(str(o))
             else:
-                parts.append(f"{coeff}*{v}")
-        if const != 0 or not parts:
-            parts.append(str(const))
-        return " + ".join(parts)
+                terms.append(f"{var}*{st}")
+                if o:
+                    consts.append(_scaled(o, st))
+        return _sum(terms + consts)
+
+    def iteration_extents(self, stencil: Stencil) -> list[Bound]:
+        """The extents ``stencil``'s domain resolves against, as
+        :class:`Bound`\\ s (see :func:`~repro.core.validate.iteration_shape`)."""
+        it = iteration_shape(stencil, self.shapes)
+        grid = stencil.iteration_grid
+        om = stencil.output_map
+        if grid is None and om.is_identity():
+            grid = stencil.output
+        out = []
+        for d, n in enumerate(it):
+            if grid is not None:
+                sym = self.extents[grid][d]
+            else:
+                # a scaled write: ceil((size - offset) / scale)
+                s, o = om.scale[d], om.offset[d]
+                sym = self.extents[stencil.output][d]
+                if not isinstance(sym, str) or n <= 0:
+                    sym = n
+                else:
+                    k = s - 1 - o
+                    sym = f"(({_sum([sym, str(k)]) if k else sym}) / {s})"
+            out.append(Bound(sym, 0, n) if isinstance(sym, str) else Bound.lit(n))
+        return out
 
     # -- kernel IR rendering -------------------------------------------------
 
@@ -276,11 +421,40 @@ class CodegenContext:
 # ---------------------------------------------------------------------------
 
 
+def _rect_bounds(
+    rdom: RectDomain, rect: ResolvedRect, extents: Sequence[Bound]
+) -> list[tuple[Bound, Bound, int]]:
+    """``(low, end, step)`` per dimension of one non-empty box, ``end``
+    exclusive — :meth:`RectDomain.resolve` with the grid-relative
+    (negative) indices kept relative to the extents they resolve
+    against."""
+    out = []
+    for d, (start, end, stride) in enumerate(
+        zip(rdom.start, rdom.end, rdom.stride)
+    ):
+        ext = extents[d]
+        lo = ext.shift(start) if start < 0 else Bound.lit(start)
+        if lo.value != rect.lows[d]:  # starts before the grid: clipped
+            lo = Bound.lit(rect.lows[d])
+        if stride == 0:
+            out.append((lo, lo.shift(1), 1))
+            continue
+        if end < 0:
+            hi = ext.shift(end)
+        elif end <= ext.value:
+            hi = Bound.lit(end)
+        else:
+            hi = ext
+        out.append((lo, hi, stride))
+    return out
+
+
 class StencilLoops:
     """Emit the loop nests of one stencil (all domain boxes).
 
-    ``task_hook(depth_lines, tile_var)`` lets the OpenMP backend wrap the
-    outer tile loop body in a task pragma; ``None`` produces plain loops.
+    ``task_pragma`` (an argument of :meth:`emit`) lets the OpenMP
+    backend wrap each outer tile in a task; ``None`` produces plain
+    loops.
 
     ``fused_with`` carries additional stencils sharing this stencil's
     domain and output map whose stores are emitted in the *same* loop
@@ -296,6 +470,10 @@ class StencilLoops:
     innermost loop — a pure performance hint (the arithmetic and its
     order are unchanged, so results stay bitwise identical); ``None``
     emits nothing.
+
+    Bounds are :class:`Bound`\\ s over the context's extents; whether a
+    box is empty and whether a loop is long enough to tile are decided
+    here, at the shape being compiled.
     """
 
     def __init__(
@@ -318,9 +496,14 @@ class StencilLoops:
         self.fused_with = tuple(fused_with)
         if self.fused_with and snapshot_name is not None:
             raise ValueError("fused clusters must be snapshot-free")
-        it_shape = iteration_shape(stencil, ctx.shapes)
+        extents = ctx.iteration_extents(stencil)
+        it_shape = [e.value for e in extents]
         self.rects = [
-            r for r in stencil.domain.resolve(it_shape) if not r.is_empty()
+            (rect, _rect_bounds(rdom, rect, extents))
+            for rdom, rect in zip(
+                stencil.domain.rects, stencil.domain.resolve(it_shape)
+            )
+            if not rect.is_empty()
         ]
         # Kernel bodies rendered once per StencilLoops: every nest form
         # (rect or parity) uses the same i0..i{d-1} loop variables.
@@ -361,8 +544,12 @@ class StencilLoops:
         if pc is not None:
             lines += self._emit_parity_nest(pc, task_pragma)
             return lines
-        for rect in self.rects:
-            lines += self._emit_rect_nest(rect, task_pragma)
+        for rect, bounds in self.rects:
+            lines += self._nest(
+                [(lo, end, step, ct)
+                 for (lo, end, step), ct in zip(bounds, rect.counts)],
+                task_pragma,
+            )
         return lines
 
     def _store_stmt(self, loopvars: Sequence[str]) -> list[str]:
@@ -376,10 +563,19 @@ class StencilLoops:
             stmts.append(f"{out}[{out_idx}] = {parts.result};")
         return stmts
 
-    def _emit_rect_nest(
-        self, rect: ResolvedRect, task_pragma: str | None
+    def _nest(
+        self,
+        dims: Sequence[tuple[Bound | str, Bound, int, int]],
+        task_pragma: str | None,
+        inner_start: Sequence[str] = (),
     ) -> list[str]:
-        nd = rect.ndim
+        """Loops over ``dims`` — ``(low, end, step, count)`` each — with
+        the outermost one of ``count > 1`` tiled when it is longer than
+        ``tile`` and the task pragma on that loop's body (tiled) or
+        around the whole nest from it (untiled).  ``inner_start`` are
+        the lines that define the innermost loop's low, just before
+        it."""
+        nd = len(dims)
         loopvars = [f"i{d}" for d in range(nd)]
         lines: list[str] = []
         indent = ""
@@ -387,45 +583,36 @@ class StencilLoops:
         def add(s: str) -> None:
             lines.append(indent + s)
 
-        # Outermost free (count>1) dimension gets tiled when requested.
-        tile_dim = next((d for d in range(nd) if rect.counts[d] > 1), None)
-        for d in range(nd):
-            lo, st, ct = rect.lows[d], rect.strides[d], rect.counts[d]
-            step = st if st > 0 else 1
-            hi = lo + st * (ct - 1)
+        tile_dim = next((d for d in range(nd) if dims[d][3] > 1), None)
+        for d, (lo, end, step, count) in enumerate(dims):
             v = loopvars[d]
-            if d == tile_dim and self.tile and ct > self.tile:
-                tstep = step * self.tile
-                add(
-                    f"for (int64_t t{d} = {lo}; t{d} <= {hi}; t{d} += {tstep}) {{"
-                )
+            if d == nd - 1:
+                for s in inner_start:
+                    add(s)
+            if d == tile_dim and self.tile and count > self.tile:
+                span = step * self.tile
+                add(f"for (int64_t t{d} = {lo}; t{d} < {end}; t{d} += {span}) {{")
                 indent += "  "
                 if task_pragma:
                     add(task_pragma)
                     add("{")
                     indent += "  "
                 add(
-                    f"const int64_t e{d} = (t{d} + {step * (self.tile - 1)} "
-                    f"< {hi}) ? t{d} + {step * (self.tile - 1)} : {hi};"
+                    f"const int64_t e{d} = (t{d} + {span} < {end}) "
+                    f"? t{d} + {span} : {end};"
                 )
-                if d == nd - 1 and self.unroll:
-                    add(f"#pragma GCC unroll {self.unroll}")
-                add(f"for (int64_t {v} = t{d}; {v} <= e{d}; {v} += {step}) {{")
+                lo, end = f"t{d}", f"e{d}"
+            elif d == tile_dim and task_pragma:
+                # untiled task: one task wraps the whole nest
+                add(task_pragma)
+                add("{")
                 indent += "  "
-            else:
-                if d == tile_dim and task_pragma:
-                    add(task_pragma.replace("%TILEVAR%", v))
-                    # untiled task: one task wraps the whole nest
-                    add("{")
-                    indent += "  "
-                    task_pragma = None  # consume
-                if d == nd - 1 and self.unroll:
-                    add(f"#pragma GCC unroll {self.unroll}")
-                add(f"for (int64_t {v} = {lo}; {v} <= {hi}; {v} += {step}) {{")
-                indent += "  "
+            if d == nd - 1 and self.unroll:
+                add(f"#pragma GCC unroll {self.unroll}")
+            add(f"for (int64_t {v} = {lo}; {v} < {end}; {v} += {step}) {{")
+            indent += "  "
         for s in self._store_stmt(loopvars):
             add(s)
-        # close braces
         while indent:
             indent = indent[:-2]
             lines.append(indent + "}")
@@ -437,64 +624,25 @@ class StencilLoops:
         """Fused multicolor nest: dense leading loops, parity-corrected
         stride-2 innermost loop (the paper's multicolor reordering)."""
         nd = len(pc.base)
-        loopvars = [f"i{d}" for d in range(nd)]
-        lines: list[str] = []
-        indent = ""
-
-        def add(s: str) -> None:
-            lines.append(indent + s)
-
-        # leading dims: dense
-        for d in range(nd - 1):
-            v = loopvars[d]
-            if d == 0 and self.tile and (pc.high[0] - pc.base[0] + 1) > self.tile:
-                add(
-                    f"for (int64_t t0 = {pc.base[0]}; t0 <= {pc.high[0]}; "
-                    f"t0 += {self.tile}) {{"
-                )
-                indent += "  "
-                if task_pragma:
-                    add(task_pragma)
-                    add("{")
-                    indent += "  "
-                add(
-                    f"const int64_t e0 = (t0 + {self.tile - 1} < {pc.high[0]})"
-                    f" ? t0 + {self.tile - 1} : {pc.high[0]};"
-                )
-                add(f"for (int64_t {v} = t0; {v} <= e0; ++{v}) {{")
-                indent += "  "
-            else:
-                if d == 0 and task_pragma:
-                    add(task_pragma)
-                    add("{")
-                    indent += "  "
-                add(
-                    f"for (int64_t {v} = {pc.base[d]}; {v} <= {pc.high[d]}; "
-                    f"++{v}) {{"
-                )
-                indent += "  "
-        # innermost: stride 2 with parity-corrected start
         last = nd - 1
+        # the dense box [base, high] as bounds: its low is the low of
+        # the box that starts there, its end one past the last point of
+        # the box that reaches furthest
+        dims = []
+        for d in range(nd):
+            lo = next(b[d][0] for _, b in self.rects if b[d][0].value == pc.base[d])
+            b = next(b for r, b in self.rects if r.highs()[d] == pc.high[d])
+            end = b[d][1].shift(pc.high[d] + 1 - b[d][1].value)
+            dims.append((lo, end, 1, pc.high[d] - pc.base[d] + 1))
         off_sum = " + ".join(
-            f"({loopvars[d]} - {pc.base[d]})" for d in range(nd - 1)
+            f"(i{d} - {dims[d][0]})" for d in range(last)
         ) or "0"
-        add(
-            f"const int64_t s{last} = {pc.base[last]} + "
+        start = (
+            f"const int64_t lo{last} = {dims[last][0]} + "
             f"((({pc.parity} - ({off_sum})) % 2 + 2) % 2);"
         )
-        if self.unroll:
-            add(f"#pragma GCC unroll {self.unroll}")
-        add(
-            f"for (int64_t {loopvars[last]} = s{last}; "
-            f"{loopvars[last]} <= {pc.high[last]}; {loopvars[last]} += 2) {{"
-        )
-        indent += "  "
-        for s in self._store_stmt(loopvars):
-            add(s)
-        while indent:
-            indent = indent[:-2]
-            lines.append(indent + "}")
-        return lines
+        dims[last] = (f"lo{last}", dims[last][1], 2, 1)
+        return self._nest(dims, task_pragma, [start])
 
 
 def snapshot_decl(ctx: CodegenContext, stencil: Stencil, name: str) -> list[str]:

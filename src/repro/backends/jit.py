@@ -23,8 +23,11 @@ Hardened for production use:
 * a cached ``.so`` that fails to ``dlopen`` (truncated by a crash, disk
   corruption) is **quarantined** (renamed ``*.so.bad``) and rebuilt from
   source transparently, with one :class:`ResilienceWarning`;
-* ``sf_*.tmp.so`` temporaries left by crashed compiles are swept by
-  :func:`sweep_orphans` (and ``python -m repro doctor``);
+* sources and shared objects are both published by atomic rename
+  from a per-process temporary, so a process rebuilding a tag never
+  truncates a file another process's compiler is reading;
+  ``sf_*.tmp.c`` / ``sf_*.tmp.so`` temporaries left by crashed compiles
+  are swept by :func:`sweep_orphans` (and ``python -m repro doctor``);
 * the spawn/load/cache paths carry named fault-injection sites
   (``jit.spawn``, ``jit.load``, ``jit.cache.read``, ``jit.cache.write``
   — see :mod:`repro.resilience.faults`).
@@ -106,7 +109,7 @@ def default_cc_timeout() -> float | None:
 
 def clear_disk_cache() -> int:
     """Delete cached artifacts — sources, shared objects, quarantined
-    ``*.so.bad`` and orphaned ``*.tmp.so`` — returning the number of
+    ``*.so.bad`` and orphaned temporaries — returning the number of
     files *actually* deleted (a concurrent sweeper's work is not
     double-counted)."""
     n = 0
@@ -130,12 +133,14 @@ def _pid_alive(pid: int) -> bool:
 
 
 def sweep_orphans() -> int:
-    """Remove ``sf_*.tmp.so`` temporaries whose owning process is gone
-    (crashed mid-compile); returns the number removed.  Temporaries of
-    live processes — including this one — are left alone."""
+    """Remove ``sf_*.tmp.c`` / ``sf_*.tmp.so`` temporaries whose owning
+    process is gone (crashed mid-compile); returns the number removed.
+    Temporaries of live processes — including this one — are left
+    alone."""
     n = 0
-    for f in cache_dir().glob("sf_*.tmp.so"):
-        parts = f.name.split(".")  # sf_<tag> . <pid> . tmp . so
+    d = cache_dir()
+    for f in [*d.glob("sf_*.tmp.c"), *d.glob("sf_*.tmp.so")]:
+        parts = f.name.split(".")  # sf_<tag> . <pid> . tmp . c|so
         try:
             pid = int(parts[-3]) if len(parts) >= 4 else -1
         except ValueError:
@@ -210,9 +215,15 @@ def _build(
     extra_flags: tuple[str, ...],
     timeout: float | None,
 ) -> None:
-    """Compile ``source`` and atomically publish ``so_path``."""
+    """Compile ``source`` and atomically publish ``so_path``.
+
+    The source is published the same way: a second process building the
+    same tag replaces ``sf_<tag>.c`` with a new file rather than
+    rewriting the one this process's compiler may be reading."""
     c_path = d / f"sf_{tag}.c"
-    c_path.write_text(source)
+    tmp_c = d / f"sf_{tag}.{os.getpid()}.tmp.c"
+    tmp_c.write_text(source)
+    os.replace(tmp_c, c_path)
     cmd = [_cc(), *_DEFAULT_FLAGS]
     if openmp:
         cmd.append("-fopenmp")

@@ -57,12 +57,7 @@ def generate_openmp_source(
     ctx = CodegenContext(group, norm, ctype_for(dtype))
 
     lines: list[str] = [C_PREAMBLE, "#include <omp.h>"]
-    lines.append(
-        f"void {func_name}({ctx.ctype}** grids, const double* params)"
-    )
-    lines.append("{")
-    for l in ctx.prologue():
-        lines.append("  " + l)
+    lines.extend(ctx.open_function(func_name))
 
     # Pre-plan loops per step so snapshot allocation happens once,
     # outside the parallel region.
@@ -135,6 +130,7 @@ def generate_openmp_source(
     for snap in snap_names.values():
         lines.append(f"  free({snap});")
     lines.append("}")
+    lines.extend(ctx.entry_point(func_name))
     return "\n".join(lines) + "\n"
 
 

@@ -86,17 +86,36 @@ def red_black_domains(ndim: int) -> tuple[DomainUnion, DomainUnion]:
 # ---------------------------------------------------------------------------
 
 
-def cc_laplacian(ndim: int, h: float, grid: str = "x") -> Expr:
+def _lam_expr(ndim: int, lam: "float | str | Expr") -> Expr:
+    """``lam`` as an expression: a constant, a grid read at the centre
+    (a name), or an expression (e.g. a runtime :class:`Param`)."""
+    if isinstance(lam, Expr):
+        return lam
+    if isinstance(lam, str):
+        return Component(lam, SparseArray({(0,) * ndim: 1.0}))
+    return Constant(float(lam))
+
+
+def cc_laplacian(
+    ndim: int, h: float, grid: str = "x", *, inv_h2: "Expr | None" = None
+) -> Expr:
     """Constant-coefficient (2d+1)-point Laplacian ``A = -∇² / h²``.
 
     Sign convention matches HPGMG: ``A`` is positive definite, i.e.
-    ``(A x)_i = (2d x_i - sum of neighbours) / h²``.
+    ``(A x)_i = (2d x_i - sum of neighbours) / h²``.  ``inv_h2`` stands
+    in for the constant ``1/h²`` (``h`` is then unused): with a
+    :class:`~repro.core.expr.Param` the operator is the same kernel at
+    every mesh spacing.
     """
-    inv_h2 = 1.0 / (h * h)
-    entries: dict[tuple[int, ...], float] = {(0,) * ndim: 2.0 * ndim * inv_h2}
+    if inv_h2 is None:
+        s = 1.0 / (h * h)
+        center, side = 2.0 * ndim * s, -s
+    else:
+        center, side = Constant(2.0 * ndim) * inv_h2, -inv_h2
+    entries: dict[tuple[int, ...], "float | Expr"] = {(0,) * ndim: center}
     for d in range(ndim):
-        entries[_unit(ndim, d, +1)] = -inv_h2
-        entries[_unit(ndim, d, -1)] = -inv_h2
+        entries[_unit(ndim, d, +1)] = side
+        entries[_unit(ndim, d, -1)] = side
     return Component(grid, SparseArray(entries))
 
 
@@ -108,6 +127,8 @@ def vc_laplacian(
     a: float = 0.0,
     alpha_grid: str | None = None,
     b: float = 1.0,
+    *,
+    inv_h2: "Expr | None" = None,
 ) -> Expr:
     """Variable-coefficient operator ``A x = a·α·x - b·∇·(β ∇x)``.
 
@@ -115,9 +136,15 @@ def vc_laplacian(
     *low* face of cell ``i`` in dimension ``d``, so the flux through the
     high face of cell ``i`` uses ``beta_d[i + e_d]``.  The β reads are
     nested *inside* the weight array of the ``x`` component — the exact
-    construction of the paper's Fig.4 (lines1-5).
+    construction of the paper's Fig.4 (lines1-5).  ``inv_h2`` stands in
+    for ``1/h²`` as in :func:`cc_laplacian`.
     """
-    inv_h2 = b / (h * h)
+    if inv_h2 is None:
+        s = b / (h * h)
+        w, neg_w = Constant(s), Constant(-s)
+    else:
+        w = inv_h2 if b == 1.0 else Constant(b) * inv_h2
+        neg_w = -w
     center = (0,) * ndim
     entries: dict[tuple[int, ...], Expr] = {}
     diag_terms: list[Expr] = []
@@ -128,13 +155,13 @@ def vc_laplacian(
         # -e_d weight reads hi_face there: beta_d[(i-e_d)+e_d] = beta_d[i],
         # the low face of cell i; the +e_d weight reads lo_face there:
         # beta_d[i+e_d], the high face of cell i.
-        entries[_unit(ndim, d, -1)] = Constant(-inv_h2) * hi_face
-        entries[_unit(ndim, d, +1)] = Constant(-inv_h2) * lo_face
+        entries[_unit(ndim, d, -1)] = neg_w * hi_face
+        entries[_unit(ndim, d, +1)] = neg_w * lo_face
         diag_terms.append(lo_face + hi_face)
     diag: Expr = diag_terms[0]
     for t in diag_terms[1:]:
         diag = diag + t
-    entries[center] = Constant(inv_h2) * diag
+    entries[center] = w * diag
     Ax: Expr = Component(grid, SparseArray(entries))
     if a != 0.0:
         if alpha_grid is None:
@@ -168,13 +195,14 @@ def jacobi_stencil(
     grid: str = "x",
     out: str = "tmp",
     rhs: str = "rhs",
-    lam: "float | str" = 0.0,
+    lam: "float | str | Expr" = 0.0,
     weight: float = 2.0 / 3.0,
 ) -> Stencil:
     """Weighted Jacobi: ``out = x + w·λ·(rhs - A x)`` (paper SectionV-A).
 
-    ``lam`` is either the constant ``1/diag(A)`` or the name of a
-    precomputed ``1/diag`` grid for variable-coefficient operators.
+    ``lam`` is the constant ``1/diag(A)``, an expression for it (a
+    runtime param), or the name of a precomputed ``1/diag`` grid for
+    variable-coefficient operators.
     Out-of-place (ping-pong) by default; pass ``out=grid`` for the
     in-place variant (the analysis will detect the hazard and backends
     will restore gather semantics with a snapshot).
@@ -182,11 +210,7 @@ def jacobi_stencil(
     center = (0,) * ndim
     x = Component(grid, SparseArray({center: 1.0}))
     b = Component(rhs, SparseArray({center: 1.0}))
-    if isinstance(lam, str):
-        lam_e: Expr = Component(lam, SparseArray({center: 1.0}))
-    else:
-        lam_e = Constant(float(lam))
-    body = x + Constant(weight) * lam_e * (b - Ax)
+    body = x + Constant(weight) * _lam_expr(ndim, lam) * (b - Ax)
     return Stencil(body, out, interior(ndim), name=f"jacobi_{out}")
 
 
@@ -196,7 +220,7 @@ def gsrb_stencils(
     *,
     grid: str = "x",
     rhs: str = "rhs",
-    lam: "float | str",
+    lam: "float | str | Expr",
 ) -> tuple[Stencil, Stencil]:
     """Gauss-Seidel red-black: two in-place colored half-sweeps.
 
@@ -208,11 +232,7 @@ def gsrb_stencils(
     center = (0,) * ndim
     x = Component(grid, SparseArray({center: 1.0}))
     b = Component(rhs, SparseArray({center: 1.0}))
-    if isinstance(lam, str):
-        lam_e: Expr = Component(lam, SparseArray({center: 1.0}))
-    else:
-        lam_e = Constant(float(lam))
-    body = x + lam_e * (b - Ax)
+    body = x + _lam_expr(ndim, lam) * (b - Ax)
     red, black = red_black_domains(ndim)
     return (
         Stencil(body, grid, red, name="gsrb_red"),
@@ -318,7 +338,7 @@ def smooth_group(
     *,
     grid: str = "x",
     rhs: str = "rhs",
-    lam: "float | str",
+    lam: "float | str | Expr",
     n_smooths: int = 1,
 ) -> StencilGroup:
     """One (or more) full GSRB smooths with interspersed boundaries.

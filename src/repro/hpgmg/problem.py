@@ -36,11 +36,16 @@ def smooth_u_exact(level: Level) -> np.ndarray:
     return out
 
 
-def operator_expr(level: Level, grid: str = "x"):
-    """The level's discrete operator ``A`` as a Snowflake expression."""
+def operator_expr(level: Level, grid: str = "x", *, inv_h2=None):
+    """The level's discrete operator ``A`` as a Snowflake expression.
+
+    By default ``1/h²`` is the level's constant; an expression for
+    ``inv_h2`` (the solver passes ``Param("inv_h2")``) makes the
+    operator the same stencil on every level of a hierarchy.
+    """
     if level.coefficients == "constant":
-        return cc_laplacian(level.ndim, level.h, grid=grid)
-    return vc_laplacian(level.ndim, level.h, grid=grid)
+        return cc_laplacian(level.ndim, level.h, grid=grid, inv_h2=inv_h2)
+    return vc_laplacian(level.ndim, level.h, grid=grid, inv_h2=inv_h2)
 
 
 def apply_operator(

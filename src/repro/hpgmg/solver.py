@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..backends import bind_kernel
+from ..core.expr import Param
 from ..core.stencil import StencilGroup
 from ..util.timing import Timer
 from .level import Level
@@ -103,15 +104,24 @@ class MultigridSolver:
             )
 
         # -- compiled kernels ------------------------------------------------
+        # Smooth and residual read the level's 1/h² (and, for constant
+        # coefficients, λ) as runtime params, bound per level below, so
+        # each is one size-generic kernel for the whole hierarchy.
         self._smooth: list[Callable] = []
         self._residual: list[Callable] = []
         self._restrict: list[Callable] = []   # [k] : level k -> k+1
         self._interp: list[Callable] = []     # [k] : level k+1 -> k (add)
-        self._interp_full: list[Callable] = []  # F-cycle: overwrite interp
+        # F-cycle only: built by the first f_cycle()
+        self._interp_full: list[Callable] = []  # overwrite interp
         self._restrict_rhs: list[Callable] = []
-        for k, level in enumerate(self.levels):
+        for level in self.levels:
             self._smooth.append(self._build_smoother(level))
             self._residual.append(self._build_residual(level))
+        interp_builder = (
+            interpolation_pc_group
+            if self.interpolation == "pc"
+            else interpolation_linear_group
+        )
         for k in range(len(self.levels) - 1):
             fine_l, coarse_l = self.levels[k], self.levels[k + 1]
             self._restrict.append(
@@ -121,6 +131,23 @@ class MultigridSolver:
                     {"res": "res", "coarse_rhs": "rhs"},
                 )
             )
+            self._interp.append(
+                self._compile_pair(
+                    StencilGroup(
+                        boundary_stencils(fine_l.ndim, "coarse_x")
+                        + list(interp_builder(fine_l.ndim, add=True)),
+                        "interp",
+                    ),
+                    {"coarse_x": coarse_l, "x": fine_l},
+                    {"coarse_x": "x", "x": "x"},
+                )
+            )
+
+    def _build_fmg_kernels(self) -> None:
+        """The F-cycle's rhs restriction and full interpolation, compiled
+        on first use: a V-cycle-only solver never builds them."""
+        for k in range(len(self.levels) - 1):
+            fine_l, coarse_l = self.levels[k], self.levels[k + 1]
             self._restrict_rhs.append(
                 self._compile_pair(
                     StencilGroup(
@@ -131,26 +158,10 @@ class MultigridSolver:
                     {"rhs": "rhs", "coarse_rhs": "rhs"},
                 )
             )
-            interp_builder = (
-                interpolation_pc_group
-                if self.interpolation == "pc"
-                else interpolation_linear_group
-            )
-            bc_coarse = boundary_stencils(fine_l.ndim, "coarse_x")
-            self._interp.append(
-                self._compile_pair(
-                    StencilGroup(
-                        bc_coarse + list(interp_builder(fine_l.ndim, add=True)),
-                        "interp",
-                    ),
-                    {"coarse_x": coarse_l, "x": fine_l},
-                    {"coarse_x": "x", "x": "x"},
-                )
-            )
             self._interp_full.append(
                 self._compile_pair(
                     StencilGroup(
-                        bc_coarse
+                        boundary_stencils(fine_l.ndim, "coarse_x")
                         + list(
                             interpolation_linear_group(fine_l.ndim, add=False)
                         ),
@@ -163,15 +174,30 @@ class MultigridSolver:
 
     # -- kernel construction ---------------------------------------------------
 
-    def _lam_of(self, level: Level):
+    @staticmethod
+    def _level_params(level: Level) -> dict[str, float]:
+        """Values of the level-dependent scalars smooth and residual
+        read: ``inv_h2`` = 1/h², and λ = 1/diag(A) when it is a
+        constant (variable coefficients read the ``lam`` grid)."""
+        params = {"inv_h2": 1.0 / (level.h * level.h)}
         if level.coefficients == "constant":
-            return 1.0 / cc_diagonal(level.ndim, level.h)
-        return "lam"
+            params["lam"] = 1.0 / cc_diagonal(level.ndim, level.h)
+        return params
+
+    @staticmethod
+    def _lam_of(level: Level):
+        return Param("lam") if level.coefficients == "constant" else "lam"
+
+    @staticmethod
+    def _operator(level: Level, grid: str = "x"):
+        return operator_expr(level, grid, inv_h2=Param("inv_h2"))
 
     def _compile(self, group: StencilGroup, level: Level) -> Callable:
         names = group.grids()
+        used = group.params()
         return self._compile_pair(
-            group, dict.fromkeys(names, level), {g: g for g in names}
+            group, dict.fromkeys(names, level), {g: g for g in names},
+            {p: v for p, v in self._level_params(level).items() if p in used},
         )
 
     def _compile_pair(
@@ -179,11 +205,13 @@ class MultigridSolver:
         group: StencilGroup,
         level_of: dict[str, Level],
         grid_of: dict[str, str],
+        params: dict[str, float] | None = None,
     ) -> Callable:
-        """Compile ``group`` and bind it to its level arrays, so a cycle
-        pays for argument checking and marshalling once, here.  The
-        kernels run on these array objects for the solver's lifetime:
-        fill them in place, never replace them."""
+        """Compile ``group`` and bind it to its level arrays (and the
+        level's ``params``), so a cycle pays for argument checking and
+        marshalling once, here.  The kernels run on these array objects
+        for the solver's lifetime: fill them in place, never replace
+        them."""
         names = group.grids()
         shapes = {g: level_of[g].shape for g in names}
         kernel = group.compile(
@@ -191,11 +219,11 @@ class MultigridSolver:
             dtype=self.levels[0].dtype, **self.backend_options,
         )
         grids = {g: level_of[g].grids[grid_of[g]] for g in names}
-        return bind_kernel(kernel, grids)
+        return bind_kernel(kernel, {**grids, **(params or {})})
 
     def _build_smoother(self, level: Level) -> Callable:
         ndim = level.ndim
-        Ax = operator_expr(level)
+        Ax = self._operator(level)
         lam = self._lam_of(level)
         if self.smoother == "gsrb":
             group = smooth_group(ndim, Ax, lam=lam, n_smooths=1)
@@ -205,7 +233,7 @@ class MultigridSolver:
             # the result lands back in x.
             bc_x = boundary_stencils(ndim, "x")
             bc_t = boundary_stencils(ndim, "tmp")
-            Ax_t = operator_expr(level, grid="tmp")
+            Ax_t = self._operator(level, grid="tmp")
             fwd = jacobi_stencil(ndim, Ax, grid="x", out="tmp", lam=lam)
             bwd = jacobi_stencil(ndim, Ax_t, grid="tmp", out="x", lam=lam,
                                  rhs="rhs")
@@ -219,7 +247,7 @@ class MultigridSolver:
         # recompilation when the weights change.
         bc_x = boundary_stencils(ndim, "x")
         bc_t = boundary_stencils(ndim, "tmp")
-        Ax_t = operator_expr(level, grid="tmp")
+        Ax_t = self._operator(level, grid="tmp")
         fwd = self._cheby_stencil(ndim, Ax, "x", "tmp", lam, "cheb_w0")
         bwd = self._cheby_stencil(ndim, Ax_t, "tmp", "x", lam, "cheb_w1")
         group = StencilGroup(bc_x + [fwd] + bc_t + [bwd], name="cheby_smooth")
@@ -234,21 +262,14 @@ class MultigridSolver:
     @staticmethod
     def _cheby_stencil(ndim, Ax, grid, out, lam, wname):
         from ..core.components import Component
-        from ..core.expr import Constant, Param
+        from ..core.stencil import Stencil
         from ..core.weights import SparseArray
-        from .operators import interior
+        from .operators import _lam_expr, interior
 
         center = (0,) * ndim
         x = Component(grid, SparseArray({center: 1.0}))
         b = Component("rhs", SparseArray({center: 1.0}))
-        lam_e = (
-            Component(lam, SparseArray({center: 1.0}))
-            if isinstance(lam, str)
-            else Constant(float(lam))
-        )
-        from ..core.stencil import Stencil
-
-        body = x + Param(wname) * lam_e * (b - Ax)
+        body = x + Param(wname) * _lam_expr(ndim, lam) * (b - Ax)
         return Stencil(body, out, interior(ndim), name=f"cheby_{out}")
 
     # -- multigrid cycles --------------------------------------------------------
@@ -263,7 +284,7 @@ class MultigridSolver:
             self._residual[k]()
 
     def _build_residual(self, level: Level) -> Callable:
-        group = residual_group(level.ndim, operator_expr(level))
+        group = residual_group(level.ndim, self._operator(level))
         return self._compile(group, level)
 
     def restrict_residual(self, k: int) -> None:
@@ -295,6 +316,8 @@ class MultigridSolver:
 
     def f_cycle(self) -> None:
         """Full multigrid (F-cycle): coarse-to-fine nested V-cycles."""
+        if not self._restrict_rhs:
+            self._build_fmg_kernels()
         # Push the rhs down the hierarchy.
         for k in range(len(self.levels) - 1):
             self._restrict_rhs[k]()

@@ -131,7 +131,8 @@ class ResilientKernel:
 
     Behaves like the :class:`~repro.backends.base.CompiledKernel` it
     wraps — ``kernel(**grids, **params)``, or ``kernel.bind(**grids)``
-    once and ``bound(**params)`` in the loop — plus:
+    (plus any params to fix) once and ``bound(**params)`` in the loop —
+    plus:
 
     * ``serving_backend`` — who actually served the last successful
       call (``None`` until one succeeds);
@@ -153,7 +154,6 @@ class ResilientKernel:
             if name not in chain:
                 chain.append(name)
         self.group = group
-        self._param_names = frozenset(group.params())
         self.chain: tuple[str, ...] = tuple(chain)
         self.policy = policy
         self.attempts: list[tuple[str, str]] = []
@@ -179,8 +179,9 @@ class ResilientKernel:
     def degraded(self) -> bool:
         return self._serving is not None and self._serving != self.chain[0]
 
-    def bind(self, **grids) -> Callable:
-        """Bind ``grids`` on the serving backend; returns ``bound(**params)``.
+    def bind(self, **kwargs) -> Callable:
+        """Bind the grids (and any params to fix) in ``kwargs`` on the
+        serving backend; returns ``bound(**params)`` for the rest.
 
         The grids are checked now, against the backend currently at the
         head of the chain.  When a bound call fails there (or another
@@ -201,7 +202,7 @@ class ResilientKernel:
                     return name
                 try:
                     bound = self._with_retries(
-                        lambda: bind_kernel(kernel, grids)
+                        lambda: bind_kernel(kernel, kwargs)
                     )
                 except FALLBACK_ERRORS as e:
                     self._fail(name, e)
@@ -223,8 +224,7 @@ class ResilientKernel:
         return call
 
     def __call__(self, **kwargs) -> None:
-        params = {p: kwargs.pop(p) for p in self._param_names if p in kwargs}
-        self.bind(**kwargs)(**params)
+        self.bind(**kwargs)()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

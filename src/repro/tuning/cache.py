@@ -6,8 +6,9 @@ fingerprint)``:
 * ``tune_tag`` identifies *what is being tuned* — the
   :func:`repro.backends.jit.source_tag` of the group's baseline C
   rendering (default :class:`~repro.schedule.ScheduleOptions`), which
-  keys on the stencil definitions, shapes, dtype **and** the active C
-  compiler, exactly like the JIT artifact cache;
+  keys on the stencil definitions, dtype **and** the active C compiler
+  exactly like the JIT artifact cache, hashed together with the shapes
+  (the rendering is size-generic, a winner is not);
 * the backend identifies *what it was measured on* — the best numpy
   schedule says nothing about the best C one;
 * the machine fingerprint identifies *where it was measured* — a
@@ -63,7 +64,8 @@ def machine_fingerprint() -> str:
 def tune_tag(
     group: StencilGroup, shapes: Mapping[str, tuple[int, ...]]
 ) -> str:
-    """Identity of the tuned program: source tag of the baseline render.
+    """Identity of the tuned program: source tag of the baseline render
+    and the shapes.
 
     Rendering is pure Python (no compiler invoked), so the tag is
     available even where the C toolchain is not.
@@ -75,7 +77,8 @@ def tune_tag(
     source = generate_c_source(
         group, norm, np.float64, schedule=ScheduleOptions()
     )
-    return source_tag(source)
+    raw = source_tag(source) + repr(sorted(norm.items()))
+    return hashlib.sha256(raw.encode()).hexdigest()[:24]
 
 
 def winner_path(

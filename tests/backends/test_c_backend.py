@@ -1,5 +1,7 @@
 """Sequential C backend: codegen structure, FFI wrapper guards, caching."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.backends.codegen_c import (
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
-from repro.core.weights import WeightArray
+from repro.core.weights import SparseArray, WeightArray
 from repro.hpgmg.operators import red_black_domains
 from repro.schedule import ScheduleOptions
 
@@ -28,14 +30,43 @@ class TestSourceGeneration:
     def test_signature_and_prologue(self):
         g = group_of(Stencil(LAP, "out", INTERIOR))
         src = generate_c_source(g, {"u": (8, 8), "out": (8, 8)}, np.float64)
-        assert "void sf_kernel(double** grids, const double* params)" in src
-        assert "double* restrict g_out = grids[0];" in src
-        assert "double* restrict g_u = grids[1];" in src
+        assert (
+            "void sf_kernel(double** grids, const double* params, "
+            "const int64_t* dims)" in src
+        )
+        # the grids are restrict *parameters* of the body (gcc ignores
+        # restrict on locals loaded from grids[])
+        assert (
+            "static void sf_kernel_body(double* restrict g_out, "
+            "double* restrict g_u, const double* params, "
+            "const int64_t* dims)" in src
+        )
+        assert "sf_kernel_body(grids[0], grids[1], params, dims);" in src
+        # equal shapes share one set of extents, read from dims
+        assert "const int64_t n0_0 = dims[0], n0_1 = dims[1];" in src
+        assert "n1_0" not in src
 
-    def test_strides_baked(self):
+    def test_sizes_read_at_run_time(self):
+        """No extent or stride of the grids appears in the source, and
+        the artifact is the same one at 16^3 and 32^3."""
+        from repro import get_backend
+
         g = group_of(Stencil(LAP, "out", INTERIOR))
         src = generate_c_source(g, {"u": (8, 16), "out": (8, 16)}, np.float64)
-        assert "16*i0" in src  # row stride of the 8x16 grid
+        assert not re.search(r"\b(6|7|8|14|15|16)\b", src)
+        assert "i0*s0_0" in src  # row stride, from dims
+        lap3 = Component("u", SparseArray({(0, 0, 0): -6.0, (1, 0, 0): 1.0}))
+        st = Stencil(lap3, "out", RectDomain((1,) * 3, (-1,) * 3))
+        info = [
+            get_backend(b).artifact_info(
+                group_of(st), {"u": (n,) * 3, "out": (n,) * 3}
+            )
+            for b in ("c", "openmp")
+            for n in (18, 34)
+        ]
+        assert info[0]["cache_key"] == info[1]["cache_key"]
+        assert info[2]["cache_key"] == info[3]["cache_key"]
+        assert info[0]["cache_key"] != info[2]["cache_key"]
 
     def test_float32_ctype(self):
         g = group_of(Stencil(LAP, "out", INTERIOR))

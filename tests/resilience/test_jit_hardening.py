@@ -144,10 +144,48 @@ class TestCacheAccounting:
         live.write_bytes(b"x")
         junk = d / "sf_weird.notapid.tmp.so"
         junk.write_bytes(b"x")
-        assert sweep_orphans() == 2  # dead + unparsable; live spared
-        assert live.exists()
-        assert not dead.exists()
+        dead_src = d / f"sf_dead.{proc.pid}.tmp.c"
+        dead_src.write_text("int x;")
+        live_src = d / f"sf_live.{os.getpid()}.tmp.c"
+        live_src.write_text("int x;")
+        assert sweep_orphans() == 3  # dead .so/.c + unparsable; live spared
+        assert live.exists() and live_src.exists()
+        assert not dead.exists() and not dead_src.exists()
         assert not junk.exists()
+
+
+@needs_gcc
+class TestSourcePublish:
+    def test_rebuilding_a_tag_never_rewrites_the_source_in_place(
+        self, real_gcc, fresh_jit, monkeypatch
+    ):
+        """A second build of the same tag (another process, in the
+        field) while this build's compiler has the source open must not
+        truncate and rewrite that file: it publishes a new one by
+        rename, and the open file still reads whole."""
+        src = "double sf_torn(void){ return 5.0; }\n"
+        tag = jit._tag(src)
+        d = cache_dir()
+        real_run = subprocess.run
+        seen = {}
+
+        def compiler(cmd, **kw):
+            if not seen:
+                c_path = cmd[cmd.index("-o") - 1]
+                with open(c_path) as reading:
+                    seen["open"] = True
+                    jit._build(tag, src, d, d / "sf_other.so", False, (), None)
+                    seen["text"] = reading.read()
+                    seen["same_file"] = os.path.samestat(
+                        os.fstat(reading.fileno()), os.stat(c_path)
+                    )
+            return real_run(cmd, **kw)
+
+        monkeypatch.setattr(jit.subprocess, "run", compiler)
+        assert _value_of(compile_and_load(src), "sf_torn") == 5.0
+        assert seen["text"] == src
+        assert not seen["same_file"]
+        assert not list(d.glob("sf_*.tmp.c"))
 
 
 class TestHardTimeout:
