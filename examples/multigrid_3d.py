@@ -5,7 +5,8 @@ geometric multigrid solver — GSRB smoothing with interspersed Dirichlet
 boundaries, residual, full-weighting restriction, interpolation —
 written once in Python and executed through interchangeable backends.
 Prints the per-cycle residual history, the error against a manufactured
-solution, per-phase timing, and a backend comparison.
+solution, the kernel calls telemetry counted, and a backend comparison.
+On the C family a V-cycle is one call of the solver's compiled program.
 
 Run:  python examples/multigrid_3d.py [size]
 """
@@ -15,6 +16,7 @@ import time
 
 import numpy as np
 
+from repro import telemetry
 from repro.hpgmg import MultigridSolver, setup_problem
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 32
@@ -28,6 +30,7 @@ solver = MultigridSolver(level, backend="c", smoother="gsrb",
 print(f"hierarchy: {[lvl.n for lvl in solver.levels]} "
       f"({len(solver.levels)} levels)")
 
+telemetry.reset()
 t0 = time.perf_counter()
 history = solver.solve(cycles=10)
 elapsed = time.perf_counter() - t0
@@ -42,9 +45,10 @@ print(f"\nmax error vs manufactured solution: {err:.3e}")
 print(f"solve time: {elapsed:.3f}s "
       f"({10 * level.dof / elapsed / 1e6:.2f} MDOF/s over 10 V-cycles)")
 
-print("\nper-operation time:")
-for op, t in sorted(solver.timers.items()):
-    print(f"  {op:9s} {t.elapsed:7.3f}s  ({t.count} calls)")
+print("\nkernel calls (telemetry.snapshot()['kernels']):")
+for backend, row in sorted(telemetry.snapshot()["kernels"].items()):
+    print(f"  {backend:9s} {row['seconds']:7.3f}s  ({row['calls']} calls, "
+          f"{row['points_per_s'] / 1e6:.1f} Mpts/s)")
 
 # -- the single-source portability claim --------------------------------------
 print("\nsame Python source, other backends (2 cycles each):")

@@ -11,6 +11,7 @@ from .base import (
     Backend,
     BoundKernel,
     CompiledKernel,
+    Zero,
     available_backends,
     bind_kernel,
     get_backend,
@@ -34,6 +35,7 @@ __all__ = [
     "Backend",
     "BoundKernel",
     "CompiledKernel",
+    "Zero",
     "available_backends",
     "bind_kernel",
     "get_backend",

@@ -34,6 +34,7 @@ __all__ = [
     "Backend",
     "BoundKernel",
     "CompiledKernel",
+    "Zero",
     "bind_kernel",
     "register_backend",
     "get_backend",
@@ -73,6 +74,7 @@ class CompiledKernel:
         backend_name: str | None = None,
     ) -> None:
         self.group = group
+        self.name = group.name
         self.backend_name = backend_name
         self.guards = guards if guards is not None else Guards.from_env()
         # names come from a walk of every stencil's expression tree:
@@ -180,7 +182,8 @@ class CompiledKernel:
             def run(params):
                 impl(arrays, {**fixed, **params})
         return BoundKernel(
-            self, arrays, run, points, self._param_names - fixed.keys()
+            self, arrays, run, points, self._param_names - fixed.keys(),
+            self._outputs,
         )
 
     def __call__(self, **kwargs) -> None:
@@ -205,9 +208,14 @@ class BoundKernel:
 
     Safe to share between threads: per-call state (the params buffer of
     the C family) is made per call.
+
+    A bound C-family *program* (``CompiledProgram.bind``) is a
+    ``BoundKernel`` too: ``kernel`` is the program, ``arrays`` and
+    ``outputs`` the union over its steps, so a whole step sequence
+    passes this seam once.
     """
 
-    __slots__ = ("kernel", "arrays", "_run", "_points", "_free")
+    __slots__ = ("kernel", "arrays", "_run", "_points", "_free", "_outputs")
 
     def __init__(
         self,
@@ -215,13 +223,15 @@ class BoundKernel:
         arrays: Mapping[str, np.ndarray],
         run: Callable[[Mapping[str, float]], None],
         points: int,
-        free: frozenset[str] = frozenset(),
+        free: frozenset[str],
+        outputs: Sequence[str],
     ) -> None:
         self.kernel = kernel
         self.arrays = arrays
         self._run = run
         self._points = points
         self._free = free  # the params not fixed at bind
+        self._outputs = outputs  # the grids the guards scan
 
     def __call__(self, **params) -> None:
         k = self.kernel
@@ -239,7 +249,7 @@ class BoundKernel:
         if fault_point("backend.invoke"):
             raise InjectedFault(
                 f"injected fault: invoke {k._label} "
-                f"kernel for {k.group.name!r}"
+                f"kernel for {k.name!r}"
             )
         mode = telemetry.mode()
         tracing = telemetry.tracing
@@ -255,7 +265,7 @@ class BoundKernel:
             ):
                 self._timed_run(params, mode)
             k.guards.check_invariants(before, self.arrays)
-            k.guards.scan_nonfinite(self.arrays, k._outputs)
+            k.guards.scan_nonfinite(self.arrays, self._outputs)
         else:
             self._timed_run(params, mode)
 
@@ -282,6 +292,26 @@ def bind_kernel(kernel: Callable, args: Mapping[str, object]) -> Callable:
     if bind is not None:
         return bind(**args)
     return lambda **params: kernel(**args, **params)
+
+
+class Zero:
+    """A step that zero-fills the grid ``array`` (called ``name``).
+
+    A step list is ``(callable, reps)`` pairs, run as ``for fn, reps in
+    steps: for _ in range(reps): fn()``.  When every callable is a
+    ``Zero`` or a bound kernel of one C-family program, the list can
+    instead be bound as that program (``CompiledProgram.bind``), where a
+    ``Zero`` is a ``memset``.
+    """
+
+    __slots__ = ("name", "array")
+
+    def __init__(self, name: str, array: np.ndarray) -> None:
+        self.name = name
+        self.array = array
+
+    def __call__(self) -> None:
+        self.array.fill(0)
 
 
 #: ``schedule`` plus every :class:`ScheduleOptions` field but ``policy``,

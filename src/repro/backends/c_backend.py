@@ -16,19 +16,32 @@ decisions — comes from a
 this module only emits.  An in-place stencil with a proven loop-carried
 hazard reads its output grid through a snapshot (gather semantics),
 matching the reference interpreter exactly.
+
+:meth:`CBackend.compile_program` compiles several groups into one
+translation unit: each distinct kernel body once, plus
+``sf_program(steps, nsteps, G, P, D)``, which walks a step table, so a
+whole solver cycle is one FFI call (:class:`CompiledProgram`).
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .. import telemetry
 from ..core.stencil import StencilGroup
+from ..core.validate import check_group
+from ..resilience.guards import Guards
 from ..schedule import Schedule, ScheduleOptions, as_schedule
-from .base import Backend, register_backend
+from .base import (
+    Backend,
+    BoundKernel,
+    CompiledKernel,
+    Zero,
+    register_backend,
+)
 from .codegen_c import (
     C_PREAMBLE,
     CodegenContext,
@@ -40,8 +53,10 @@ from .jit import cache_dir, compile_and_load, source_tag
 
 __all__ = [
     "CBackend",
+    "CompiledProgram",
     "generate_c_source",
     "make_ffi_wrapper",
+    "program_source",
 ]
 
 
@@ -174,6 +189,9 @@ def make_ffi_wrapper(
 
             def run(params: Mapping[str, float]) -> None:
                 fn(ptrs, pvals, dims)
+
+            # what a program step needs to make this same call itself
+            run.ffi = (fn, ptrs, pvals, dims)
         else:
             def run(params: Mapping[str, float]) -> None:
                 # a fresh params buffer per call keeps a bound kernel
@@ -191,6 +209,173 @@ def make_ffi_wrapper(
 
     impl.bind = bind
     return impl
+
+
+#: ints per row of a program's step table: op, grid, param and dims
+#: offsets, repetitions
+_ROW = 5
+
+
+def program_source(bodies: Sequence[str], ctype: str) -> str:
+    """One translation unit from kernel sources exporting ``sf_op0``,
+    ``sf_op1``, … (their ``#include`` lines hoisted, once each), plus
+    the walker ``sf_program(steps, nsteps, G, P, D)``.
+
+    ``steps`` holds ``nsteps`` rows of ``(op, g, p, d, reps)``: run
+    forwarder ``op`` on ``(G + g, P + p, D + d)`` ``reps`` times, or
+    for ``op == -1`` zero ``D[d]`` bytes at ``G[g]``.  The text depends
+    only on the bodies, never on the step list: a hierarchy of any
+    depth, and any cycle over it, is data for the same artifact.
+    """
+    includes: dict[str, None] = {}
+    rest: list[str] = []
+    for src in bodies:
+        for line in src.splitlines():
+            if line.startswith("#include"):
+                includes[line] = None
+            else:
+                rest.append(line)
+    sig = f"({ctype}**, const double*, const int64_t*)"
+    ops = ", ".join(f"sf_op{j}" for j in range(len(bodies)))
+    return "\n".join([
+        *includes, *rest,
+        f"typedef void (*sf_op_fn){sig};",
+        f"static const sf_op_fn sf_ops[] = {{{ops}}};",
+        f"void sf_program(const int64_t* steps, int64_t nsteps, {ctype}** G, "
+        "const double* P, const int64_t* D)",
+        "{",
+        "  for (int64_t s = 0; s < nsteps; ++s) {",
+        f"    const int64_t* st = steps + {_ROW} * s;",
+        "    for (int64_t r = 0; r < st[4]; ++r) {",
+        "      if (st[0] < 0)",
+        "        memset(G[st[1]], 0, (size_t)D[st[3]]);",
+        "      else",
+        "        sf_ops[st[0]](G + st[1], P + st[2], D + st[3]);",
+        "    }",
+        "  }",
+        "}",
+    ]) + "\n"
+
+
+def _address(fn) -> int:
+    return ctypes.cast(fn, ctypes.c_void_p).value
+
+
+class CompiledProgram:
+    """What :meth:`CBackend.compile_program` returns.
+
+    ``kernels[i]`` is unit ``i``'s :class:`CompiledKernel`, served by
+    its forwarder in the program's shared object (a shape other than the
+    unit's compiles on its own, as usual).  :meth:`bind` turns a step
+    list over bound kernels of these into one :class:`BoundKernel`.
+    ``source`` is the translation unit and ``cache_key`` its JIT tag.
+    """
+
+    def __init__(
+        self, name: str, lib: ctypes.CDLL, n_ops: int,
+        kernels: Sequence[CompiledKernel], backend_name: str,
+        guards: Guards, source: str, cache_key: str,
+    ) -> None:
+        self.name = name
+        self.kernels = tuple(kernels)
+        self.guards = guards
+        self.source = source
+        self.cache_key = cache_key
+        # what BoundKernel.__call__ reads from its kernel
+        self._label = backend_name
+        self._span_name = f"kernel:{name}"
+        self._param_names: frozenset[str] = frozenset()
+        self._fn = lib.sf_program
+        self._fn.restype = None
+        self._ops = {
+            _address(getattr(lib, f"sf_op{j}")): j for j in range(n_ops)
+        }
+
+    def _unexpected(self, name: str) -> TypeError:
+        return TypeError(
+            f"unexpected argument {name!r}; a bound program takes no params"
+        )
+
+    def bind(self, steps: Sequence[tuple[Callable, int]]) -> BoundKernel:
+        """The ``(callable, reps)`` step list as one bound call.
+
+        Each callable is a :class:`~repro.backends.base.Zero` or a
+        :class:`BoundKernel` of one of :attr:`kernels` with every param
+        fixed at its bind; anything else raises ``TypeError``.  The steps'
+        own checks and marshalling are reused: their pointer, param and
+        dims tables are copied into the program's, once per distinct
+        bound kernel.  The result's ``arrays`` are every distinct array
+        of the steps, named ``<grid>#<n>``, and its outputs every one a
+        step writes, so the guards scan them once per call; its point
+        count is the steps' sum.
+        """
+        table: list[int] = []
+        G: list[int] = []
+        P: list[float] = []
+        D: list[int] = []
+        placed: dict[int, tuple[int, int, int, int]] = {}
+        names: dict[int, str] = {}
+        arrays: dict[str, np.ndarray] = {}
+        outputs: dict[str, None] = {}
+        points = 0
+
+        def name(grid: str, a: np.ndarray) -> str:
+            key = names.get(id(a))
+            if key is None:
+                key = names[id(a)] = f"{grid}#{len(names)}"
+                arrays[key] = a
+            return key
+
+        for fn, reps in steps:
+            if isinstance(fn, Zero):
+                a = fn.array
+                if not (
+                    isinstance(a, np.ndarray)
+                    and a.flags["C_CONTIGUOUS"] and a.flags["WRITEABLE"]
+                ):
+                    raise ValueError(
+                        f"zeroed grid {fn.name!r} must be a writeable "
+                        "C-contiguous numpy.ndarray"
+                    )
+                table += [-1, len(G), 0, len(D), reps]
+                G.append(a.ctypes.data)
+                D.append(a.nbytes)
+                outputs[name(fn.name, a)] = None
+                continue
+            ffi = getattr(getattr(fn, "_run", None), "ffi", None)
+            op = None if ffi is None else self._ops.get(_address(ffi[0]))
+            if op is None:
+                raise TypeError(
+                    f"program step {fn!r} is not a kernel of this program "
+                    "bound with every param fixed"
+                )
+            at = placed.get(id(fn))
+            if at is None:
+                _, ptrs, pvals, dims = ffi
+                at = placed[id(fn)] = (op, len(G), len(P), len(D))
+                G += ptrs
+                P += pvals
+                D += dims
+            table += [*at, reps]
+            points += fn._points * reps
+            for g, a in fn.arrays.items():
+                key = name(g, a)
+                if g in fn._outputs:
+                    outputs[key] = None
+
+        c_steps = (ctypes.c_int64 * len(table))(*table)
+        nsteps = ctypes.c_int64(len(table) // _ROW)
+        c_grids = (ctypes.c_void_p * max(len(G), 1))(*G)
+        c_params = (ctypes.c_double * max(len(P), 1))(*P)
+        c_dims = (ctypes.c_int64 * max(len(D), 1))(*D)
+        call = self._fn
+
+        def run(params: Mapping[str, float]) -> None:
+            call(c_steps, nsteps, c_grids, c_params, c_dims)
+
+        return BoundKernel(
+            self, arrays, run, points, frozenset(), tuple(outputs)
+        )
 
 
 class CBackend(Backend):
@@ -224,9 +409,80 @@ class CBackend(Backend):
 
         return specialize
 
-    def generate(self, group, shapes, dtype, *, schedule=None) -> str:
+    def generate(
+        self, group, shapes, dtype, *, schedule=None, func_name="sf_kernel"
+    ) -> str:
         """Source-generation hook (overridden by the OpenMP backend)."""
-        return generate_c_source(group, shapes, dtype, schedule=schedule)
+        return generate_c_source(
+            group, shapes, dtype, schedule=schedule, func_name=func_name
+        )
+
+    def compile_program(
+        self,
+        units: Sequence[tuple[StencilGroup, Mapping[str, Sequence[int]]]],
+        dtype=None,
+        guards: Guards | None = None,
+        name: str = "program",
+        **options,
+    ) -> "CompiledProgram":
+        """Compile the ``(group, shapes)`` units into one shared object.
+
+        Each distinct kernel body — units whose per-kernel source text is
+        identical, such as one operator on every level of a hierarchy —
+        is rendered once, behind its exported forwarder ``sf_op<j>``;
+        :func:`program_source` adds the step-table walker
+        ``sf_program``.  ``options`` are the scheduling options and
+        ``cc_timeout`` of :meth:`compile`, applied to every unit.  One
+        compiler run, however many units and levels.
+        """
+        cc_timeout = options.pop("cc_timeout", None)
+        dt = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
+        ops: dict[str, int] = {}  # per-kernel text -> forwarder index
+        bodies: list[str] = []
+        plan = []
+        for group, shapes in units:
+            shapes = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
+            check_group(group, shapes)
+            sched = self.pop_schedule(group, dict(options))(shapes)
+            op = ops.setdefault(
+                self.generate(group, shapes, dt, schedule=sched), len(ops)
+            )
+            if op == len(bodies):
+                bodies.append(self.generate(
+                    group, shapes, dt, schedule=sched, func_name=f"sf_op{op}"
+                ))
+            plan.append((group, shapes, op))
+        source = program_source(bodies, ctype_for(dt))
+        telemetry.count(f"codegen.{self.name}.sources")
+        telemetry.count(f"codegen.{self.name}.bytes", len(source))
+        with telemetry.tracing.span(
+            f"compile_program:{name}", cat="kernel", backend=self.name,
+            units=len(plan), bodies=len(bodies),
+        ):
+            lib = compile_and_load(
+                source, openmp=self._openmp, timeout=cc_timeout
+            )
+        guards = guards if guards is not None else Guards.from_env()
+        kernels = []
+        for group, shapes, op in plan:
+
+            def specialize(s, d, group=group, shapes=shapes, op=op) -> Callable:
+                if s == shapes and d == dt:
+                    ctx = CodegenContext(group, shapes, ctype_for(dt))
+                    return make_ffi_wrapper(lib, f"sf_op{op}", ctx)
+                # another shape is not in the program: its own artifact
+                return self.specializer(
+                    group, cc_timeout=cc_timeout, **options
+                )(s, d)
+
+            kernels.append(CompiledKernel(
+                group, specialize, shapes, dt, guards=guards,
+                backend_name=self.name,
+            ))
+        return CompiledProgram(
+            name, lib, len(bodies), kernels, self.name, guards, source,
+            source_tag(source, openmp=self._openmp),
+        )
 
     def artifact_info(self, group, shapes, dtype=None, **options):
         """Cache identity of the artifact this group would compile to.

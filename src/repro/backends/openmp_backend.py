@@ -145,8 +145,12 @@ class OpenMPBackend(CBackend):
     _openmp = True
     _KNOBS = {"tile": 8}
 
-    def generate(self, group, shapes, dtype, *, schedule=None) -> str:
-        return generate_openmp_source(group, shapes, dtype, schedule=schedule)
+    def generate(
+        self, group, shapes, dtype, *, schedule=None, func_name="sf_kernel"
+    ) -> str:
+        return generate_openmp_source(
+            group, shapes, dtype, schedule=schedule, func_name=func_name
+        )
 
 
 register_backend(OpenMPBackend(), "omp")

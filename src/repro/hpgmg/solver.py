@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..backends import bind_kernel
+from ..backends import Zero, bind_kernel, get_backend
 from ..core.expr import Param
 from ..core.stencil import StencilGroup
-from ..util.timing import Timer
 from .level import Level
 from .operators import (
     boundary_stencils,
@@ -58,6 +57,12 @@ class MultigridSolver:
     each), restriction by cell averaging, correction interpolation
     (piecewise constant by default, linear available), and a
     fixed-iteration smoother bottom solve.
+
+    On a backend with ``compile_program`` (the C family) ``program`` is
+    the solver's :class:`~repro.backends.c_backend.CompiledProgram` and
+    each ``v_cycle(k)`` is one call of it.  Otherwise, or when
+    ``backend_options`` carry ``fallback``/``policy``, ``program`` is
+    ``None`` and a cycle runs the same steps one kernel call at a time.
     """
 
     def __init__(
@@ -84,10 +89,6 @@ class MultigridSolver:
         self.n_post = n_post
         self.interpolation = interpolation
         self.bottom_smooths = bottom_smooths
-        self.timers: dict[str, Timer] = {
-            k: Timer()
-            for k in ("smooth", "residual", "restrict", "interp", "bottom")
-        }
 
         # -- hierarchy -----------------------------------------------------
         self.levels: list[Level] = [fine]
@@ -104,85 +105,107 @@ class MultigridSolver:
             )
 
         # -- compiled kernels ------------------------------------------------
-        # Smooth and residual read the level's 1/h² (and, for constant
-        # coefficients, λ) as runtime params, bound per level below, so
-        # each is one size-generic kernel for the whole hierarchy.
-        self._smooth: list[Callable] = []
-        self._residual: list[Callable] = []
-        self._restrict: list[Callable] = []   # [k] : level k -> k+1
-        self._interp: list[Callable] = []     # [k] : level k+1 -> k (add)
-        # F-cycle only: built by the first f_cycle()
-        self._interp_full: list[Callable] = []  # overwrite interp
-        self._restrict_rhs: list[Callable] = []
-        for level in self.levels:
-            self._smooth.append(self._build_smoother(level))
-            self._residual.append(self._build_residual(level))
+        # Every scalar a kernel reads (the level's 1/h², λ for constant
+        # coefficients, the Chebyshev weights) is a runtime param fixed
+        # at bind, so each operator is one size-generic kernel for the
+        # whole hierarchy and every bound call takes no arguments.  On a
+        # backend with ``compile_program`` (the C family) they are one
+        # program, and a V-cycle is one call of it; a fallback chain
+        # keeps them separate, since it degrades call by call.
+        #: the C family's CompiledProgram, when the solver has one
+        self.program = None
+        ndim = fine.ndim
         interp_builder = (
             interpolation_pc_group
             if self.interpolation == "pc"
             else interpolation_linear_group
         )
-        for k in range(len(self.levels) - 1):
-            fine_l, coarse_l = self.levels[k], self.levels[k + 1]
-            self._restrict.append(
-                self._compile_pair(
-                    StencilGroup([restriction_stencil(fine_l.ndim)], "restrict"),
-                    {"res": fine_l, "coarse_rhs": coarse_l},
-                    {"res": "res", "coarse_rhs": "rhs"},
-                )
-            )
-            self._interp.append(
-                self._compile_pair(
-                    StencilGroup(
-                        boundary_stencils(fine_l.ndim, "coarse_x")
-                        + list(interp_builder(fine_l.ndim, add=True)),
-                        "interp",
-                    ),
-                    {"coarse_x": coarse_l, "x": fine_l},
-                    {"coarse_x": "x", "x": "x"},
-                )
-            )
+        restrict = StencilGroup([restriction_stencil(ndim)], "restrict")
+        interp = StencilGroup(
+            boundary_stencils(ndim, "coarse_x")
+            + list(interp_builder(ndim, add=True)),
+            "interp",
+        )
+        units = [
+            self._on_level(group, lvl)
+            for lvl in self.levels
+            for group in (self._smoother_group(lvl), self._residual_group(lvl))
+        ]
+        bound = self._bind(
+            units + self._transfer_units(restrict, "res", interp),
+            program=hasattr(get_backend(backend), "compile_program")
+            and not {"fallback", "policy"} & self.backend_options.keys(),
+        )
+        nl = len(self.levels)
+        self._smooth: list[Callable] = bound[0:2 * nl:2]
+        self._residual: list[Callable] = bound[1:2 * nl:2]
+        self._restrict: list[Callable] = bound[2 * nl::2]  # [k]: k -> k+1
+        self._interp: list[Callable] = bound[2 * nl + 1::2]  # [k]: k+1 -> k
+        # F-cycle only: built by the first f_cycle()
+        self._restrict_rhs: list[Callable] = []
+        self._interp_full: list[Callable] = []  # overwrite interp
+        # v_cycle(k), for every start level k
+        self._cycles = [
+            self._run_steps(self._cycle_steps(k)) for k in range(nl)
+        ]
 
     def _build_fmg_kernels(self) -> None:
         """The F-cycle's rhs restriction and full interpolation, compiled
-        on first use: a V-cycle-only solver never builds them."""
-        for k in range(len(self.levels) - 1):
-            fine_l, coarse_l = self.levels[k], self.levels[k + 1]
-            self._restrict_rhs.append(
-                self._compile_pair(
-                    StencilGroup(
-                        [restriction_stencil(fine_l.ndim, fine="rhs")],
-                        "restrict_rhs",
-                    ),
-                    {"rhs": fine_l, "coarse_rhs": coarse_l},
-                    {"rhs": "rhs", "coarse_rhs": "rhs"},
-                )
-            )
-            self._interp_full.append(
-                self._compile_pair(
-                    StencilGroup(
-                        boundary_stencils(fine_l.ndim, "coarse_x")
-                        + list(
-                            interpolation_linear_group(fine_l.ndim, add=False)
-                        ),
-                        "interp_full",
-                    ),
-                    {"coarse_x": coarse_l, "x": fine_l},
-                    {"coarse_x": "x", "x": "x"},
-                )
-            )
+        on first use (as kernels of their own: a V-cycle-only solver
+        never builds them)."""
+        ndim = self.levels[0].ndim
+        restrict = StencilGroup(
+            [restriction_stencil(ndim, fine="rhs")], "restrict_rhs"
+        )
+        interp = StencilGroup(
+            boundary_stencils(ndim, "coarse_x")
+            + list(interpolation_linear_group(ndim, add=False)),
+            "interp_full",
+        )
+        bound = self._bind(
+            self._transfer_units(restrict, "rhs", interp), program=False
+        )
+        self._restrict_rhs = bound[0::2]
+        self._interp_full = bound[1::2]
 
     # -- kernel construction ---------------------------------------------------
 
-    @staticmethod
-    def _level_params(level: Level) -> dict[str, float]:
-        """Values of the level-dependent scalars smooth and residual
-        read: ``inv_h2`` = 1/h², and λ = 1/diag(A) when it is a
-        constant (variable coefficients read the ``lam`` grid)."""
-        params = {"inv_h2": 1.0 / (level.h * level.h)}
+    def _params(self, level: Level) -> dict[str, float]:
+        """Values of the scalars the kernels read, fixed at bind:
+        ``inv_h2`` = 1/h², λ = 1/diag(A) when it is a constant (variable
+        coefficients read the ``lam`` grid), and the Chebyshev step
+        weights."""
+        w0, w1 = _chebyshev_weights(degree=2)
+        params = {"inv_h2": 1.0 / (level.h * level.h),
+                  "cheb_w0": w0, "cheb_w1": w1}
         if level.coefficients == "constant":
             params["lam"] = 1.0 / cc_diagonal(level.ndim, level.h)
         return params
+
+    def _on_level(self, group: StencilGroup, level: Level):
+        """``group`` as a unit on ``level``: its grids are the level's
+        grids of the same names, its params the level's values."""
+        used = group.params()
+        return group, {
+            **{g: level.grids[g] for g in group.grids()},
+            **{p: v for p, v in self._params(level).items() if p in used},
+        }
+
+    def _transfer_units(
+        self, restrict: StencilGroup, fine: str, interp: StencilGroup
+    ) -> list:
+        """Per (fine, coarse) level pair: ``restrict`` from the fine
+        grid ``fine`` into the coarse ``rhs``, then ``interp`` from the
+        coarse ``x`` into the fine ``x``."""
+        units = []
+        for f, c in zip(self.levels, self.levels[1:]):
+            units.append(
+                (restrict, {fine: f.grids[fine], "coarse_rhs": c.grids["rhs"]})
+            )
+            units.append(
+                (interp, {"coarse_x": c.grids["x"], "x": f.grids["x"]})
+            )
+        return units
 
     @staticmethod
     def _lam_of(level: Level):
@@ -192,72 +215,54 @@ class MultigridSolver:
     def _operator(level: Level, grid: str = "x"):
         return operator_expr(level, grid, inv_h2=Param("inv_h2"))
 
-    def _compile(self, group: StencilGroup, level: Level) -> Callable:
-        names = group.grids()
-        used = group.params()
-        return self._compile_pair(
-            group, dict.fromkeys(names, level), {g: g for g in names},
-            {p: v for p, v in self._level_params(level).items() if p in used},
-        )
+    def _bind(self, units, *, program: bool) -> list[Callable]:
+        """Compile the ``(group, args)`` units — as the solver's program
+        when ``program`` — and bind each to its args (grids and params),
+        so a cycle pays for argument checking and marshalling once,
+        here.  The kernels run on these array objects for the solver's
+        lifetime: fill them in place, never replace them."""
+        dtype = self.levels[0].dtype
+        shapes = [
+            {g: args[g].shape for g in group.grids()} for group, args in units
+        ]
+        if program:
+            self.program = get_backend(self.backend).compile_program(
+                [(group, s) for (group, _), s in zip(units, shapes)],
+                dtype=dtype, name="vcycle", **self.backend_options,
+            )
+            kernels = self.program.kernels
+        else:
+            kernels = [
+                group.compile(backend=self.backend, shapes=s, dtype=dtype,
+                              **self.backend_options)
+                for (group, _), s in zip(units, shapes)
+            ]
+        return [bind_kernel(k, args) for k, (_, args) in zip(kernels, units)]
 
-    def _compile_pair(
-        self,
-        group: StencilGroup,
-        level_of: dict[str, Level],
-        grid_of: dict[str, str],
-        params: dict[str, float] | None = None,
-    ) -> Callable:
-        """Compile ``group`` and bind it to its level arrays (and the
-        level's ``params``), so a cycle pays for argument checking and
-        marshalling once, here.  The kernels run on these array objects
-        for the solver's lifetime: fill them in place, never replace
-        them."""
-        names = group.grids()
-        shapes = {g: level_of[g].shape for g in names}
-        kernel = group.compile(
-            backend=self.backend, shapes=shapes,
-            dtype=self.levels[0].dtype, **self.backend_options,
-        )
-        grids = {g: level_of[g].grids[grid_of[g]] for g in names}
-        return bind_kernel(kernel, {**grids, **(params or {})})
-
-    def _build_smoother(self, level: Level) -> Callable:
+    def _smoother_group(self, level: Level) -> StencilGroup:
         ndim = level.ndim
         Ax = self._operator(level)
         lam = self._lam_of(level)
         if self.smoother == "gsrb":
-            group = smooth_group(ndim, Ax, lam=lam, n_smooths=1)
-            return self._compile(group, level)
-        if self.smoother == "jacobi":
-            # One "smooth" = two weighted-Jacobi ping-pong applications so
-            # the result lands back in x.
-            bc_x = boundary_stencils(ndim, "x")
-            bc_t = boundary_stencils(ndim, "tmp")
-            Ax_t = self._operator(level, grid="tmp")
-            fwd = jacobi_stencil(ndim, Ax, grid="x", out="tmp", lam=lam)
-            bwd = jacobi_stencil(ndim, Ax_t, grid="tmp", out="x", lam=lam,
-                                 rhs="rhs")
-            group = StencilGroup(
-                bc_x + [fwd] + bc_t + [bwd], name="jacobi_smooth"
-            )
-            return self._compile(group, level)
-        # Chebyshev polynomial smoother: two Jacobi-like half-steps whose
-        # step weights are runtime Params set to the inverse Chebyshev
-        # roots over the (diagonally scaled) smoothing band — no
-        # recompilation when the weights change.
+            return smooth_group(ndim, Ax, lam=lam, n_smooths=1)
         bc_x = boundary_stencils(ndim, "x")
         bc_t = boundary_stencils(ndim, "tmp")
         Ax_t = self._operator(level, grid="tmp")
+        if self.smoother == "jacobi":
+            # One "smooth" = two weighted-Jacobi ping-pong applications so
+            # the result lands back in x.
+            fwd = jacobi_stencil(ndim, Ax, grid="x", out="tmp", lam=lam)
+            bwd = jacobi_stencil(ndim, Ax_t, grid="tmp", out="x", lam=lam,
+                                 rhs="rhs")
+            return StencilGroup(
+                bc_x + [fwd] + bc_t + [bwd], name="jacobi_smooth"
+            )
+        # Chebyshev polynomial smoother: two Jacobi-like half-steps whose
+        # step weights, the inverse Chebyshev roots over the (diagonally
+        # scaled) smoothing band, are params fixed at bind.
         fwd = self._cheby_stencil(ndim, Ax, "x", "tmp", lam, "cheb_w0")
         bwd = self._cheby_stencil(ndim, Ax_t, "tmp", "x", lam, "cheb_w1")
-        group = StencilGroup(bc_x + [fwd] + bc_t + [bwd], name="cheby_smooth")
-        inner = self._compile(group, level)
-        ws = _chebyshev_weights(degree=2)
-
-        def run():
-            inner(cheb_w0=ws[0], cheb_w1=ws[1])
-
-        return run
+        return StencilGroup(bc_x + [fwd] + bc_t + [bwd], name="cheby_smooth")
 
     @staticmethod
     def _cheby_stencil(ndim, Ax, grid, out, lam, wname):
@@ -272,47 +277,59 @@ class MultigridSolver:
         body = x + Param(wname) * _lam_expr(ndim, lam) * (b - Ax)
         return Stencil(body, out, interior(ndim), name=f"cheby_{out}")
 
+    def _residual_group(self, level: Level) -> StencilGroup:
+        return residual_group(level.ndim, self._operator(level))
+
     # -- multigrid cycles --------------------------------------------------------
 
+    def _cycle_steps(self, k: int) -> list[tuple[Callable, int]]:
+        """The V(n_pre, n_post) cycle from level ``k`` as ``(callable,
+        reps)`` steps: the one definition of the cycle."""
+        last = len(self.levels) - 1
+        if k == last:
+            return [(self._smooth[last], self.bottom_smooths)]
+        return [
+            (self._smooth[k], self.n_pre),
+            (self._residual[k], 1),
+            (Zero("x", self.levels[k + 1].grids["x"]), 1),
+            (self._restrict[k], 1),
+            *self._cycle_steps(k + 1),
+            (self._interp[k], 1),
+            (self._smooth[k], self.n_post),
+        ]
+
+    def _run_steps(self, steps: list[tuple[Callable, int]]) -> Callable:
+        """``steps`` as one callable: the bound program when there is
+        one, else each step in turn."""
+        if self.program is not None:
+            return self.program.bind(steps)
+
+        def run() -> None:
+            for fn, reps in steps:
+                for _ in range(reps):
+                    fn()
+
+        return run
+
     def smooth(self, k: int, times: int = 1) -> None:
-        with self.timers["smooth"]:
-            for _ in range(times):
-                self._smooth[k]()
+        for _ in range(times):
+            self._smooth[k]()
 
     def residual(self, k: int) -> None:
-        with self.timers["residual"]:
-            self._residual[k]()
-
-    def _build_residual(self, level: Level) -> Callable:
-        group = residual_group(level.ndim, self._operator(level))
-        return self._compile(group, level)
+        self._residual[k]()
 
     def restrict_residual(self, k: int) -> None:
-        with self.timers["restrict"]:
-            self._restrict[k]()
+        self._restrict[k]()
 
     def interpolate_correction(self, k: int) -> None:
-        with self.timers["interp"]:
-            self._interp[k]()
+        self._interp[k]()
 
     def bottom_solve(self) -> None:
-        with self.timers["bottom"]:
-            for _ in range(self.bottom_smooths):
-                self._smooth[-1]()
+        self.smooth(len(self.levels) - 1, self.bottom_smooths)
 
     def v_cycle(self, k: int = 0) -> None:
         """Standard V(n_pre, n_post) cycle starting at level ``k``."""
-        if k == len(self.levels) - 1:
-            self.bottom_solve()
-            return
-        self.smooth(k, self.n_pre)
-        self.residual(k)
-        coarse = self.levels[k + 1]
-        coarse.zero("x")
-        self.restrict_residual(k)
-        self.v_cycle(k + 1)
-        self.interpolate_correction(k)
-        self.smooth(k, self.n_post)
+        self._cycles[k]()
 
     def f_cycle(self) -> None:
         """Full multigrid (F-cycle): coarse-to-fine nested V-cycles."""

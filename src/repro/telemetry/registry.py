@@ -117,7 +117,7 @@ def timed(name: str):
     """Time a block into duration series ``name``.
 
     Records only on clean exit — an aborted body must not pollute the
-    mean (the same contract as :class:`repro.util.timing.Timer`).
+    mean.
     """
     if mode() == "off":
         yield

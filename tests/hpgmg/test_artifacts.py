@@ -2,8 +2,9 @@
 
 Smooth and residual read the level's ``1/h²`` as a runtime param and the
 C emitter reads extents from ``dims``, so a whole hierarchy shares one
-artifact per operator.  The F-cycle's kernels are built by the first
-``f_cycle()``.
+kernel body per operator, and the C family compiles a solver's bodies
+into one program.  The F-cycle's kernels are built, as kernels of their
+own, by the first ``f_cycle()``.
 """
 
 import shutil
@@ -50,14 +51,14 @@ def _first_vcycle(backend: str, n: int = 32) -> np.ndarray:
     return level.grids["x"]
 
 
-def test_32cubed_solver_is_four_compiler_runs(private_jit):
-    """Smooth, residual, restrict, interp: one artifact each across all
-    five levels; the V-cycle is bitwise the numpy backend's (which no
-    C code touches)."""
+def test_32cubed_solver_is_one_compiler_run(private_jit):
+    """Smooth, residual, restrict, interp on all five levels: one
+    program, so one translation unit and one artifact; the V-cycle is
+    bitwise the numpy backend's (which no C code touches)."""
     before = _misses()
     x = _first_vcycle("c")
-    assert _misses() - before <= 4
-    assert len(list(private_jit.glob("sf_*.so"))) <= 4
+    assert _misses() - before == 1
+    assert len(list(private_jit.glob("sf_*.so"))) == 1
     np.testing.assert_array_equal(x, _first_vcycle("numpy"))
 
 

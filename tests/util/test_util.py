@@ -5,58 +5,7 @@ import time
 import pytest
 
 from repro.util.tables import format_table
-from repro.util.timing import Timer, best_of, time_callable
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            pass
-        with t:
-            pass
-        assert t.count == 2
-        assert t.elapsed >= 0
-        assert t.mean == t.elapsed / 2
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.count == 0 and t.elapsed == 0.0
-
-    def test_mean_of_empty_is_zero(self):
-        assert Timer().mean == 0.0
-
-    def test_raised_body_does_not_accumulate(self):
-        # Regression: __exit__ used to record the aborted interval,
-        # poisoning elapsed/mean with partial work.
-        t = Timer()
-        with pytest.raises(RuntimeError):
-            with t:
-                raise RuntimeError("boom")
-        assert t.count == 0
-        assert t.elapsed == 0.0
-        assert t.aborted == 1
-
-    def test_clean_use_after_abort_records_normally(self):
-        t = Timer()
-        with pytest.raises(ValueError):
-            with t:
-                raise ValueError
-        with t:
-            pass
-        assert t.count == 1
-        assert t.aborted == 1
-
-    def test_reset_clears_aborted(self):
-        t = Timer()
-        with pytest.raises(ValueError):
-            with t:
-                raise ValueError
-        t.reset()
-        assert t.aborted == 0
+from repro.util.timing import best_of, time_callable
 
 
 class TestTiming:
