@@ -10,8 +10,6 @@ Commands:
                   and print the telemetry report (``--json`` also writes
                   the ``snowflake-stats/1`` snapshot;
                   ``--openmetrics`` prints OpenMetrics exposition text)
-* ``serve-metrics`` — serve ``/metrics`` (OpenMetrics), ``/events``
-                  and ``/healthz`` over stdlib HTTP, foreground
 * ``top``       — run a GSRB workload under the span tracer and
                   print the hottest spans by self time
 * ``trace``     — run a traced workload spanning frontend, analysis,
@@ -144,45 +142,6 @@ def cmd_stats(args) -> int:
             print(f"wrote {path}", file=sys.stderr)
         else:
             print(f"\nwrote {path}")
-    return 0
-
-
-def cmd_serve_metrics(args) -> int:
-    """Serve the OpenMetrics endpoint over stdlib HTTP, foreground.
-
-    Runs the same smoke workload as ``stats`` first (so a fresh process
-    scrapes non-empty families), prints the URL, then blocks serving
-    ``/metrics``, ``/events`` and ``/healthz`` until interrupted.
-    ``--port 0`` binds an ephemeral port and prints the real one —
-    tests and CI use that to avoid collisions.
-    """
-    import numpy as np
-
-    from . import Component, RectDomain, Stencil, WeightArray, telemetry
-    from .telemetry.metrics import MetricsServer
-
-    n = int(args.size)
-    lap = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
-    stencil = Stencil(lap, "out", RectDomain((1, 1), (-1, -1)))
-    kernel = stencil.compile(
-        backend="numpy", shapes={"u": (n, n), "out": (n, n)}
-    )
-    rng = np.random.default_rng(0)
-    u = rng.random((n, n))
-    out = np.zeros_like(u)
-    for _ in range(int(args.calls)):
-        kernel(u=u, out=out)
-
-    server = MetricsServer(args.host, int(args.port))
-    print(f"serving OpenMetrics on http://{server.host}:{server.port}/metrics "
-          f"(mode {telemetry.mode()}; /events, /healthz also routed)",
-          flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
     return 0
 
 
@@ -584,27 +543,6 @@ def main(argv=None) -> int:
         help="print the snapshot as OpenMetrics exposition text "
         "instead of the fixed-width report",
     )
-    sm = sub.add_parser(
-        "serve-metrics",
-        help="serve the OpenMetrics endpoint over stdlib HTTP",
-    )
-    sm.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default: 127.0.0.1)",
-    )
-    sm.add_argument(
-        "--port", type=int, default=9464,
-        help="bind port; 0 picks an ephemeral port and prints it "
-        "(default: 9464)",
-    )
-    sm.add_argument(
-        "--size", type=int, default=64,
-        help="grid edge length for the warm-up smoke kernel (default: 64)",
-    )
-    sm.add_argument(
-        "--calls", type=int, default=3,
-        help="warm-up kernel applications to record (default: 3)",
-    )
     tp = sub.add_parser(
         "top",
         help="run a GSRB workload and print the hottest spans by self time",
@@ -755,8 +693,6 @@ def main(argv=None) -> int:
         return cmd_doctor()
     if args.command == "stats":
         return cmd_stats(args)
-    if args.command == "serve-metrics":
-        return cmd_serve_metrics(args)
     if args.command == "top":
         return cmd_top(args)
     if args.command == "trace":

@@ -23,6 +23,7 @@ from ..core.stencil import StencilGroup
 from ..core.validate import (
     ValidationError,
     check_arrays,
+    check_dtype,
     check_group,
     iteration_shape,
 )
@@ -86,7 +87,7 @@ class CompiledKernel:
         self._span_name = f"kernel:{group.name}"
         self._specialize = specialize
         self._cache: dict[tuple, Callable] = {}
-        self._pinned_dtype = np.dtype(dtype) if dtype is not None else None
+        self._pinned_dtype = check_dtype(dtype) if dtype is not None else None
         if shapes is not None:
             norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
             dt = self._pinned_dtype or np.dtype(np.float64)
@@ -147,12 +148,13 @@ class CompiledKernel:
         once, like the grids), the rest are what each call passes.
 
         Everything a call has to establish about its arrays is
-        established here: the names, that outputs are writeable
-        ``np.ndarray`` objects, dtype coherence and the pinned dtype,
-        the shape specialization (compiled now if new) and whatever the
-        backend's own ``impl.bind`` requires (the C family: contiguity,
-        no two grids overlapping in memory).  Array-like *inputs* are
-        converted here.
+        established here, the same way on every backend: the call
+        contract of :func:`~repro.core.validate.check_arrays` (names,
+        writeable ``np.ndarray`` outputs, one float dtype and the pinned
+        one, C-contiguity, no output overlapping another grid), then the
+        shape specialization (compiled now if new) and the backend's
+        marshalling (``impl.bind``).  Array-like *inputs* are converted
+        here.
 
         Ownership: the bound kernel holds the array objects it was given
         and runs on them.  In-place writes (``fill``, slice assignment)
@@ -167,12 +169,10 @@ class CompiledKernel:
                 fixed[name] = float(value)
             else:
                 raise self._unexpected(name)
-        arrays = check_arrays(self._grid_names, self._outputs, grids)
+        arrays = check_arrays(
+            self._grid_names, self._outputs, grids, self._pinned_dtype
+        )
         dt = next(iter(arrays.values())).dtype
-        if self._pinned_dtype is not None and dt != self._pinned_dtype:
-            raise TypeError(
-                f"kernel compiled for dtype {self._pinned_dtype}, got {dt}"
-            )
         shapes = {g: a.shape for g, a in arrays.items()}
         impl, points = self._get_impl(shapes, dt)
         bind = getattr(impl, "bind", None)
@@ -301,14 +301,18 @@ class Zero:
     steps: for _ in range(reps): fn()``.  When every callable is a
     ``Zero`` or a bound kernel of one C-family program, the list can
     instead be bound as that program (``CompiledProgram.bind``), where a
-    ``Zero`` is a ``memset``.
+    ``Zero`` is a ``memset``.  ``array`` meets the call contract of an
+    output grid (:func:`~repro.core.validate.check_arrays`), checked
+    here, so both ways of running the list accept the same arrays.
     """
 
     __slots__ = ("name", "array")
 
     def __init__(self, name: str, array: np.ndarray) -> None:
         self.name = name
-        self.array = array
+        self.array = check_arrays(
+            frozenset({name}), (name,), {name: array}
+        )[name]
 
     def __call__(self) -> None:
         self.array.fill(0)
@@ -410,12 +414,15 @@ class Backend(abc.ABC):
         The returned function is invoked once per distinct (shapes,
         dtype) combination and must return
         ``impl(arrays: dict[str, ndarray], params: dict[str, float])``.
-        ``impl`` may carry an attribute ``impl.bind(arrays, fixed)``
-        returning ``run(params)``: its own per-array checks and
-        marshalling of the arrays and of the params ``fixed`` at bind,
-        done once for a :class:`BoundKernel`; ``run`` gets the other
-        params.  Without one, a bound call is ``impl(arrays, {**fixed,
-        **params})``.
+        The arrays ``impl`` gets already meet the call contract
+        (:func:`~repro.core.validate.check_arrays`) and have the shapes
+        and dtype it was specialized for: a backend checks nothing
+        about them and states no relaxation of the contract.  ``impl``
+        may carry an attribute ``impl.bind(arrays, fixed)`` returning
+        ``run(params)``: its marshalling of the arrays and of the params
+        ``fixed`` at bind, done once for a :class:`BoundKernel`; ``run``
+        gets the other params.  Without one, a bound call is
+        ``impl(arrays, {**fixed, **params})``.
         """
 
     def artifact_info(

@@ -32,7 +32,7 @@ import numpy as np
 
 from .. import telemetry
 from ..core.stencil import StencilGroup
-from ..core.validate import check_group
+from ..core.validate import check_dtype, check_group
 from ..resilience.guards import Guards
 from ..schedule import Schedule, ScheduleOptions, as_schedule
 from .base import (
@@ -133,11 +133,12 @@ def make_ffi_wrapper(
     """Wrap a compiled kernel in the Python calling convention.
 
     Returns ``impl(arrays, params)`` carrying ``impl.bind(arrays,
-    fixed)``: ``bind`` checks the arrays against the compiled signature
-    and builds the pointer table once (the ``dims`` table is built once
-    per specialization, here), and the ``run(params)`` it returns is
-    one FFI call.  Params in ``fixed`` are marshalled at bind; ``run``
-    takes the rest.  ``impl`` itself is ``bind(arrays)(params)``.
+    fixed)``: ``bind`` builds the pointer table once (the ``dims`` table
+    is built once per specialization, here), and the ``run(params)`` it
+    returns is one FFI call.  Params in ``fixed`` are marshalled at
+    bind; ``run`` takes the rest.  ``impl`` itself is
+    ``bind(arrays)(params)``.  The arrays already meet the call
+    contract, with the shapes and dtype of ``ctx``: this only marshals.
     """
     fn = getattr(lib, func_name)
     # No argtypes: every argument is a ctypes array built below, which
@@ -146,8 +147,6 @@ def make_ffi_wrapper(
     fn.restype = None
     grid_order = list(ctx.grid_order)
     param_order = list(ctx.param_order)
-    shapes = {g: tuple(ctx.shapes[g]) for g in grid_order}
-    want_dtype = np.dtype(np.float64 if ctx.ctype == "double" else np.float32)
     ptrs_t = ctypes.c_void_p * len(grid_order)
     pvals_t = ctypes.c_double * max(len(param_order), 1)
     table = ctx.dims_table()
@@ -159,28 +158,6 @@ def make_ffi_wrapper(
     ) -> Callable:
         fixed = fixed or {}
         mats = [arrays[g] for g in grid_order]
-        for g, a in zip(grid_order, mats):
-            if a.dtype != want_dtype:
-                raise TypeError(
-                    f"grid {g!r} has dtype {a.dtype}, kernel wants {want_dtype}"
-                )
-            if tuple(a.shape) != shapes[g]:
-                raise ValueError(
-                    f"grid {g!r} has shape {a.shape}, kernel compiled "
-                    f"for {shapes[g]}"
-                )
-            if not a.flags["C_CONTIGUOUS"]:
-                raise ValueError(
-                    f"grid {g!r} must be C-contiguous for compiled backends"
-                )
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                if np.shares_memory(mats[i], mats[j]):
-                    raise ValueError(
-                        f"grids {grid_order[i]!r} and {grid_order[j]!r} "
-                        "alias the same memory; compiled kernels assume "
-                        "distinct (restrict) buffers"
-                    )
         ptrs = ptrs_t(*[a.ctypes.data for a in mats])
 
         if fixed.keys() >= set(param_order):
@@ -329,14 +306,6 @@ class CompiledProgram:
         for fn, reps in steps:
             if isinstance(fn, Zero):
                 a = fn.array
-                if not (
-                    isinstance(a, np.ndarray)
-                    and a.flags["C_CONTIGUOUS"] and a.flags["WRITEABLE"]
-                ):
-                    raise ValueError(
-                        f"zeroed grid {fn.name!r} must be a writeable "
-                        "C-contiguous numpy.ndarray"
-                    )
                 table += [-1, len(G), 0, len(D), reps]
                 G.append(a.ctypes.data)
                 D.append(a.nbytes)
@@ -436,7 +405,7 @@ class CBackend(Backend):
         compiler run, however many units and levels.
         """
         cc_timeout = options.pop("cc_timeout", None)
-        dt = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
+        dt = check_dtype(np.float64 if dtype is None else dtype)
         ops: dict[str, int] = {}  # per-kernel text -> forwarder index
         bodies: list[str] = []
         plan = []

@@ -1,20 +1,48 @@
-"""Static validation of stencils against concrete grid shapes.
+"""Static validation of stencils against shapes, and the call contract.
 
 Catches, before any code generation, the classic stencil bugs: reads or
-writes that fall outside a grid, shape-incoherent multi-grid operators
-(restriction/interpolation ratios), and missing grids/params at call
-time.  All backends funnel through :func:`check_group` so error messages
-are uniform across micro-compilers.
+writes that fall outside a grid and shape-incoherent multi-grid
+operators (restriction/interpolation ratios).  All backends funnel
+through :func:`check_group`, so error messages are uniform across
+micro-compilers.
+
+The **call contract** lives here too, in :func:`check_arrays`: the one
+place that decides whether a kernel may run on the given arrays.
+:meth:`~repro.backends.base.CompiledKernel.bind` calls it once, for
+every backend, so the same arrays are accepted or refused — with the
+same exception and text — on all of them:
+
+* **names** — every grid the kernel uses is given;
+* **outputs** — each output grid is a writeable ``np.ndarray``;
+* **dtype** — all grids share one dtype, ``float64`` or ``float32``
+  (and the pinned one, for a kernel compiled with ``dtype=``);
+* **layout** — every grid is C-contiguous;
+* **overlap** — no output grid shares memory with any other grid.  The
+  dependence proofs reason about grid *names*, so an overlap would void
+  them; two read-only grids may share memory.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .domains import ResolvedRect
 from .stencil import Stencil, StencilGroup
 
-__all__ = ["ValidationError", "check_stencil", "check_group", "footprint_bounds"]
+__all__ = [
+    "ValidationError",
+    "check_arrays",
+    "check_dtype",
+    "check_group",
+    "check_stencil",
+    "footprint_bounds",
+    "iteration_shape",
+]
+
+#: the grid dtypes every backend runs on
+_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 
 class ValidationError(ValueError):
@@ -66,7 +94,7 @@ def check_stencil(
     # Domains resolve against the *iteration* shape.  For identity output
     # maps that is the output grid; for scaled writes, the domain is in
     # iteration space and the write footprint must land inside the output.
-    iter_shape = _iteration_shape(stencil, shapes)
+    iter_shape = iteration_shape(stencil, shapes)
     for rect in stencil.domain.resolve(iter_shape):
         if rect.is_empty():
             continue
@@ -93,7 +121,7 @@ def check_stencil(
                     )
 
 
-def _iteration_shape(
+def iteration_shape(
     stencil: Stencil, shapes: Mapping[str, Sequence[int]]
 ) -> tuple[int, ...]:
     """Shape the domain's relative (negative) indices resolve against.
@@ -120,13 +148,6 @@ def _iteration_shape(
     )
 
 
-def iteration_shape(
-    stencil: Stencil, shapes: Mapping[str, Sequence[int]]
-) -> tuple[int, ...]:
-    """Public alias used by backends."""
-    return _iteration_shape(stencil, shapes)
-
-
 def check_group(
     group: StencilGroup, shapes: Mapping[str, Sequence[int]]
 ) -> None:
@@ -134,21 +155,30 @@ def check_group(
         check_stencil(s, shapes)
 
 
+def check_dtype(dtype) -> np.dtype:
+    """``dtype`` as a ``np.dtype``, if grids of it may run; else ``TypeError``."""
+    dt = np.dtype(dtype)
+    if dt not in _DTYPES:
+        raise TypeError(
+            f"grid dtype {dt} is not supported: grids are float64 or float32"
+        )
+    return dt
+
+
 def check_arrays(
     needed: frozenset[str],
     outputs: Sequence[str],
-    grids: Mapping[str, "object"],
-) -> dict:
-    """Bind-time validation of the arrays a kernel is about to run on.
+    grids: Mapping[str, object],
+    dtype: np.dtype | None = None,
+) -> dict[str, np.ndarray]:
+    """The call contract (module docstring), checked once, at bind.
 
-    Every ``needed`` grid is present; every output grid is a writeable
-    ``np.ndarray`` (an array-like output would be copied by
-    ``np.asarray`` and the result dropped; a read-only one must not be
-    written through a raw pointer); dtypes are coherent.  Array-like
-    *inputs* are accepted and converted here.  Returns name -> ndarray.
+    ``needed`` are the grids the kernel uses, ``outputs`` those it
+    writes and ``dtype`` the pinned dtype, if any.  An array-like output
+    would be copied by ``np.asarray`` and the result dropped, so outputs
+    must be arrays already; array-like *inputs* are converted here.
+    Returns name -> ndarray.
     """
-    import numpy as np
-
     missing = needed - grids.keys()
     if missing:
         raise ValidationError(f"missing grids at call time: {sorted(missing)}")
@@ -168,4 +198,18 @@ def check_arrays(
     dtypes = {a.dtype for a in arrays.values()}
     if len(dtypes) > 1:
         raise ValidationError(f"grids have mixed dtypes: {sorted(map(str, dtypes))}")
+    dt = check_dtype(dtypes.pop())
+    if dtype is not None and dt != dtype:
+        raise TypeError(f"kernel compiled for dtype {dtype}, got {dt}")
+    named = sorted(arrays.items())
+    for g, a in named:
+        if not a.flags["C_CONTIGUOUS"]:
+            raise ValueError(f"grid {g!r} must be C-contiguous")
+    for g in outputs:
+        for h, b in named:
+            if h != g and np.shares_memory(arrays[g], b):
+                raise ValueError(
+                    f"output grid {g!r} shares memory with grid {h!r}: "
+                    "a kernel's outputs must not overlap its other grids"
+                )
     return arrays

@@ -183,12 +183,14 @@ class ResilientKernel:
         """Bind the grids (and any params to fix) in ``kwargs`` on the
         serving backend; returns ``bound(**params)`` for the rest.
 
-        The grids are checked now, against the backend currently at the
-        head of the chain.  When a bound call fails there (or another
-        caller has already moved the chain on), the same grids are bound
-        again on the next backend and the call is served from it, with
-        the usual ``attempts`` / ``serving_backend`` / ``degraded``
-        bookkeeping.  Ownership is as for
+        The grids are checked now, against the call contract, which is
+        the same on every link: a refusal raises here and never advances
+        the chain, with or without a working toolchain.  When a bound
+        call fails on the serving backend (or another caller has already
+        moved the chain on), the same grids are bound again on the next
+        backend and the call is served from it, with the usual
+        ``attempts`` / ``serving_backend`` / ``degraded`` bookkeeping.
+        Ownership is as for
         :meth:`~repro.backends.base.CompiledKernel.bind`.
         """
         source = bound = None  # `bound` was made from chain kernel `source`

@@ -28,8 +28,8 @@ compare):
   series together — its ``timers`` and ``kernels`` tables are views of
   the series — ``python -m repro stats`` renders it, and the same
   module renders everything as **OpenMetrics** text
-  (:func:`render_openmetrics`), served over stdlib HTTP by ``python -m
-  repro serve-metrics``;
+  (:func:`render_openmetrics`, printed by ``python -m repro stats
+  --openmetrics``);
 * the **structured event log** (:mod:`repro.telemetry.events`) —
   one-line ``snowflake-events/1`` JSON records for every pipeline
   event (fallbacks, guard trips, quarantines, rank crashes,
@@ -47,7 +47,6 @@ from . import events, metrics, tracing
 from .metrics import (
     observe,
     render_openmetrics,
-    serve_metrics,
     snapshot_histograms,
     validate_openmetrics,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "render_openmetrics",
     "render_stats",
     "reset",
-    "serve_metrics",
     "set_mode",
     "snapshot",
     "snapshot_histograms",

@@ -26,10 +26,8 @@ The second half of the module is the **OpenMetrics text exporter**
 (:func:`render_openmetrics`): every counter, kernel stat, histogram
 and structured-event count the process has collected, rendered as
 well-typed ``snowflake_*`` metric families with ``backend``/``kernel``
-labels, terminated by ``# EOF``.  Serve it from a long-lived process
-with :func:`serve_metrics` (stdlib ``http.server`` only — ``python -m
-repro serve-metrics``) or dump it once with ``python -m repro stats
---openmetrics``.
+labels, terminated by ``# EOF``.  ``python -m repro stats
+--openmetrics`` prints it.
 
 Metric-name stability: the families emitted here are a public contract
 (dashboards reference them); see ``docs/OBSERVABILITY.md``.
@@ -49,9 +47,6 @@ __all__ = [
     "reset_histograms",
     "render_openmetrics",
     "validate_openmetrics",
-    "serve_metrics",
-    "MetricsServer",
-    "OPENMETRICS_CONTENT_TYPE",
 ]
 
 #: Fixed histogram bucket upper bounds, in seconds: a 1-2.5-5 ladder
@@ -239,10 +234,6 @@ def reset_histograms() -> None:
 
 # -- OpenMetrics rendering ----------------------------------------------------
 
-OPENMETRICS_CONTENT_TYPE = (
-    "application/openmetrics-text; version=1.0.0; charset=utf-8"
-)
-
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_]")
 
 #: dotted-name patterns whose middle component is really a label;
@@ -428,100 +419,3 @@ def validate_openmetrics(text: str) -> list[str]:
                 bucket_last[series] = le
     return problems
 
-
-# -- stdlib HTTP exporter -----------------------------------------------------
-
-
-class MetricsServer:
-    """A background ``/metrics`` endpoint (stdlib ``http.server`` only).
-
-    Routes: ``/metrics`` (OpenMetrics text), ``/events`` (the structured
-    event ring as JSON lines), ``/healthz``.  Start with
-    :func:`serve_metrics`; ``port=0`` binds an ephemeral port, read the
-    real one from ``.port``.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 9464) -> None:
-        import json as _json
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        from . import events as _events
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                path = self.path.split("?", 1)[0]
-                if path in ("/metrics", "/"):
-                    body = render_openmetrics().encode()
-                    ctype = OPENMETRICS_CONTENT_TYPE
-                elif path == "/events":
-                    body = (
-                        "\n".join(
-                            _json.dumps(r, sort_keys=True)
-                            for r in _events.records()
-                        )
-                        + "\n"
-                    ).encode()
-                    ctype = "application/x-ndjson"
-                elif path == "/healthz":
-                    body, ctype = b"ok\n", "text/plain"
-                else:
-                    self.send_error(404)
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args) -> None:  # silence per-request spam
-                pass
-
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
-        self._httpd.daemon_threads = True
-        self.host = host
-        self.port = self._httpd.server_address[1]
-        self._thread: threading.Thread | None = None
-        self._serving = False
-
-    def start(self) -> "MetricsServer":
-        self._serving = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="snowflake-metrics",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Block serving requests (the CLI foreground path)."""
-        self._serving = True
-        self._httpd.serve_forever()
-
-    def close(self) -> None:
-        if self._serving:
-            # shutdown() waits on serve_forever's exit handshake and
-            # would block forever on a server that never served
-            self._httpd.shutdown()
-            self._serving = False
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def serve_metrics(
-    host: str = "127.0.0.1", port: int = 9464
-) -> MetricsServer:
-    """Start a background OpenMetrics endpoint; returns the server.
-
-    The caller owns shutdown (``server.close()`` or use as a context
-    manager).  ``python -m repro serve-metrics`` wraps this in a
-    foreground loop.
-    """
-    return MetricsServer(host, port).start()

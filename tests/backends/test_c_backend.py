@@ -1,4 +1,4 @@
-"""Sequential C backend: codegen structure, FFI wrapper guards, caching."""
+"""Sequential C backend: codegen structure, options."""
 
 import re
 
@@ -174,47 +174,6 @@ class TestParityDetection:
             (1, 2), (-1, -1), (2, 2)
         )
         assert detect_parity_class(self._rects(dom, (12, 12))) is None
-
-
-class TestWrapperGuards:
-    def _kernel(self):
-        return Stencil(LAP, "out", INTERIOR).compile(
-            backend="c", shapes={"u": (8, 8), "out": (8, 8)}
-        )
-
-    def test_noncontiguous_rejected(self, rng):
-        k = self._kernel()
-        u = np.asfortranarray(rng.random((8, 8)))
-        with pytest.raises(ValueError, match="contiguous"):
-            k(u=u, out=np.zeros((8, 8)))
-
-    def test_aliasing_rejected(self, rng):
-        k = self._kernel()
-        u = rng.random((8, 8))
-        with pytest.raises(ValueError, match="alias"):
-            k(u=u, out=u)
-
-    def test_overlapping_views_rejected(self, rng):
-        k = self._kernel()
-        buf = rng.random((9, 8))
-        with pytest.raises(ValueError, match="alias"):
-            k(u=buf[:8], out=buf[1:])
-
-    def test_wrong_shape_recompiles_not_crashes(self, rng):
-        # CompiledKernel lazily respecializes on new shapes
-        k = self._kernel()
-        u = rng.random((10, 10))
-        out = np.zeros((10, 10))
-        k(u=u, out=out)
-        assert out[1:-1, 1:-1].any()
-
-    def test_dtype_pinning(self, rng):
-        k = Stencil(LAP, "out", INTERIOR).compile(
-            backend="c", shapes={"u": (8, 8), "out": (8, 8)}, dtype=np.float64
-        )
-        with pytest.raises(TypeError):
-            k(u=rng.random((8, 8)).astype(np.float32),
-              out=np.zeros((8, 8), dtype=np.float32))
 
 
 class TestOptions:

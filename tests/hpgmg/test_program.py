@@ -164,8 +164,10 @@ def test_program_bind_refuses_what_it_cannot_run():
     other = group.compile(backend="numpy").bind(**grids, inv_h2=1.0)
     with pytest.raises(TypeError, match="not a kernel of this program"):
         prog.bind([(other, 1)])
-    with pytest.raises(ValueError, match="C-contiguous"):
-        prog.bind([(Zero("x", level.grids["x"][:, ::2]), 1)])
+    # a zeroed grid meets the contract of an output, checked by Zero
+    # itself, so the step-by-step path refuses it too
+    with pytest.raises(ValueError, match="grid 'x' must be C-contiguous"):
+        Zero("x", level.grids["x"][:, ::2])
     # another shape compiles on its own and runs
     small = Level(4, 3)
     prog.kernels[0](**{g: small.grids[g] for g in group.grids()}, inv_h2=1.0)

@@ -88,37 +88,6 @@ def test_stats_openmetrics_exposition():
     assert "snowflake_kernel_call_seconds_bucket" in proc.stdout
 
 
-def test_serve_metrics_scrapes(tmp_path):
-    import re
-    import signal
-    import urllib.request
-
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve-metrics", "--port", "0",
-         "--size", "16", "--calls", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    try:
-        banner = proc.stdout.readline()
-        m = re.search(r"http://([\d.]+):(\d+)/metrics", banner)
-        assert m, f"no endpoint in banner: {banner!r}"
-        host, port = m.group(1), int(m.group(2))
-        body = urllib.request.urlopen(
-            f"http://{host}:{port}/metrics", timeout=30
-        ).read().decode()
-        from repro.telemetry.metrics import validate_openmetrics
-
-        assert validate_openmetrics(body) == []
-        assert "snowflake_kernel_calls_total" in body
-        hz = urllib.request.urlopen(
-            f"http://{host}:{port}/healthz", timeout=30
-        )
-        assert hz.read() == b"ok\n"
-    finally:
-        proc.send_signal(signal.SIGINT)
-        assert proc.wait(timeout=60) == 0
-
-
 def test_top_prints_profile_table(tmp_path):
     import json
 

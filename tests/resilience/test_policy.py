@@ -116,6 +116,49 @@ class TestFallbackChain:
         assert kernel.serving_backend == "numpy"
         np.testing.assert_allclose(out, reference(u))
 
+    @pytest.mark.parametrize("case", ["fortran-order input", "out is u"])
+    def test_refusal_does_not_depend_on_the_toolchain(
+        self, case, monkeypatch, rng
+    ):
+        """The arrays decide a refusal, not the host: with gcc and with
+        ``SNOWFLAKE_CC=false``, the same ``ValueError`` and text through
+        ``compile(fallback=)`` and ``repro.run``, and the chain does not
+        advance (numpy used to serve these when the compiler was gone)."""
+        import shutil
+
+        import repro
+
+        u = rng.random((8, 8))
+        grids, want = {
+            "fortran-order input": (
+                {"u": np.asfortranarray(u), "out": np.zeros((8, 8))},
+                "grid 'u' must be C-contiguous",
+            ),
+            "out is u": (
+                {"u": u, "out": u},
+                "output grid 'out' shares memory with grid 'u': a kernel's "
+                "outputs must not overlap its other grids",
+            ),
+        }[case]
+        seen = []
+        for cc in ("false", "gcc") if shutil.which("gcc") else ("false",):
+            monkeypatch.setenv("SNOWFLAKE_CC", cc)
+            kernel = make_stencil().compile(backend="c", fallback=["numpy"])
+            with pytest.raises(ValueError) as ei:
+                kernel(**grids)
+            assert kernel.attempts == []
+            seen.append(str(ei.value))
+            with warnings.catch_warnings():
+                # without a compiler, run's eager compile degrades first
+                warnings.simplefilter("ignore", DegradedExecution)
+                with pytest.raises(ValueError) as ei:
+                    repro.run(
+                        make_stencil(), grids, backend="c", fallback=["numpy"]
+                    )
+            seen.append(str(ei.value))
+        assert seen == [want] * len(seen)
+        np.testing.assert_array_equal(grids["u"], u)  # nothing was written
+
     def test_typo_fails_at_the_first_link_as_without_fallback(self):
         shapes = {"u": (10, 10), "out": (10, 10)}
         for chain in (None, ("numpy",)):

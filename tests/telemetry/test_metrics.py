@@ -1,8 +1,6 @@
-"""Latency histograms and the OpenMetrics exporter/endpoint."""
+"""Latency histograms and the OpenMetrics exporter."""
 
 import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -10,8 +8,6 @@ from repro import telemetry
 from repro.telemetry import metrics
 from repro.telemetry.metrics import (
     BUCKETS,
-    OPENMETRICS_CONTENT_TYPE,
-    MetricsServer,
     observe,
     percentile_from_buckets,
     render_openmetrics,
@@ -247,37 +243,6 @@ class TestRenderOpenMetrics:
         text = render_openmetrics()
         assert validate_openmetrics(text) == []
         assert '\\"' in text and "\\n" in text
-
-
-class TestHTTPServer:
-    def test_scrape_metrics_events_healthz(self):
-        telemetry.kernel_call("numpy", 0.01, 100)
-        with MetricsServer(port=0) as srv:
-            base = f"http://127.0.0.1:{srv.port}"
-            resp = urllib.request.urlopen(f"{base}/metrics", timeout=10)
-            body = resp.read().decode()
-            assert resp.headers["Content-Type"] == OPENMETRICS_CONTENT_TYPE
-            assert validate_openmetrics(body) == []
-            assert "snowflake_kernel_calls_total" in body
-            hz = urllib.request.urlopen(f"{base}/healthz", timeout=10)
-            assert hz.read() == b"ok\n"
-            ev = urllib.request.urlopen(f"{base}/events", timeout=10)
-            assert ev.status == 200
-
-    def test_unknown_route_is_404(self):
-        with MetricsServer(port=0) as srv:
-            with pytest.raises(urllib.error.HTTPError) as ei:
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{srv.port}/nope", timeout=10
-                )
-            assert ei.value.code == 404
-
-    def test_ephemeral_port_is_real(self):
-        srv = MetricsServer(port=0)
-        try:
-            assert srv.port > 0
-        finally:
-            srv.close()
 
 
 class TestReset:
