@@ -217,9 +217,7 @@ class SimComm:
         """
         self._fabric.stats.barriers += 1
         telemetry.count("dmem.barriers")
-        telemetry.tracing.instant(
-            "barrier", cat="dmem", lane=f"rank {self._rank}",
-        )
+        telemetry.event("dmem.barrier", lane=f"rank {self._rank}")
         if strict is None:
             strict = self._fabric.strict_barriers
         if strict:
@@ -250,9 +248,8 @@ class SimComm:
             self._fabric.dead.add(rank)
             self._fabric.stats.crashes += 1
             telemetry.count("dmem.crashes")
-            telemetry.event("dmem.rank.crash", rank=rank)
-            telemetry.tracing.instant(
-                "rank.crash", cat="dmem", lane=f"rank {rank}",
+            telemetry.event(
+                "dmem.rank.crash", lane=f"rank {rank}", rank=rank
             )
 
     def revive(self, rank: int) -> None:

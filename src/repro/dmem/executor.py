@@ -257,8 +257,8 @@ class DistributedKernel:
         for r, slabs in enumerate(self.slabs):
             if not alive(r):
                 continue  # a dead rank sends nothing; neighbours notice
-            telemetry.tracing.instant(
-                "halo.send", cat="dmem", lane=f"rank {r}",
+            telemetry.event(
+                "dmem.halo.send", lane=f"rank {r}",
                 grid=grid, dim=dim, width=width,
             )
             s = slabs[dim]

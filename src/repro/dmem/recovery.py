@@ -108,10 +108,6 @@ class Checkpoint:
         ]
         telemetry.count("dmem.recovery.checkpoints")
         telemetry.event("dmem.checkpoint", sweep=sweep, ranks=len(blocks))
-        telemetry.tracing.instant(
-            "recovery.checkpoint", cat="dmem", sweep=sweep,
-            ranks=len(blocks),
-        )
         return cls(
             sweep=sweep, blocks=blocks, crcs=crcs,
             fault_arms=faults.snapshot_arms(),
@@ -232,9 +228,5 @@ class RecoveryManager:
             telemetry.event(
                 "dmem.restore",
                 sweep=ckpt.sweep, restart=self.restarts,
-                purged_messages=purged,
-            )
-            telemetry.tracing.instant(
-                "recovery.restored", cat="dmem", sweep=ckpt.sweep,
                 purged_messages=purged,
             )

@@ -384,13 +384,9 @@ class ReliableComm:
             self.stats.retransmits += 1
             telemetry.count("dmem.transport.retransmits")
         telemetry.event(
-            "dmem.retransmit",
+            "dmem.retransmit", lane=f"rank {source}",
             source=source, dest=self.rank, tag=tag,
             want=want, window=len(ch.log),
-        )
-        telemetry.tracing.instant(
-            "retransmit", cat="dmem", lane=f"rank {source}",
-            dest=self.rank, tag=tag, window=len(ch.log),
         )
 
     # -- recovery hooks ------------------------------------------------------

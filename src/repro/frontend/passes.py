@@ -129,6 +129,10 @@ class PassManager:
                 telemetry.count(
                     "frontend.stencils_eliminated", before_n - after_n
                 )
+                telemetry.event(
+                    "frontend.eliminated",
+                    pass_name=p.name, eliminated=before_n - after_n,
+                )
             phases_n = len(greedy_phases(group, shapes))
             self.records.append(
                 PassRecord(
@@ -138,11 +142,6 @@ class PassManager:
                     before_ph,
                     phases_n,
                 )
-            )
-            telemetry.event(
-                "frontend.pass",
-                pass_name=p.name,
-                stencils=after_n,
             )
         return group
 

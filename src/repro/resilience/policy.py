@@ -298,11 +298,6 @@ class ResilientKernel:
                 "resilience.retry",
                 backend=self.chain[self._pos],
                 error=type(e).__name__,
-            )
-            telemetry.tracing.instant(
-                "retry", cat="resilience",
-                backend=self.chain[self._pos],
-                error=type(e).__name__,
                 attempt=attempt + 1,
             )
 
@@ -318,17 +313,12 @@ class ResilientKernel:
     def _fail(self, name: str, e: BaseException) -> None:
         self.attempts.append((name, f"{type(e).__name__}: {e}"))
         telemetry.count("resilience.fallback.advances")
-        telemetry.event(
-            "resilience.fallback",
-            failed=name,
-            error=type(e).__name__,
-        )
         next_name = (
             self.chain[self._pos + 1]
             if self._pos + 1 < len(self.chain) else None
         )
-        telemetry.tracing.instant(
-            "fallback", cat="resilience",
+        telemetry.event(
+            "resilience.fallback",
             failed=name, error=type(e).__name__, next=next_name,
         )
         self._kernel = None
@@ -343,10 +333,6 @@ class ResilientKernel:
             telemetry.count("resilience.fallback.activations")
             telemetry.event(
                 "resilience.degraded",
-                primary=self.chain[0], serving=name,
-            )
-            telemetry.tracing.instant(
-                "degraded", cat="resilience",
                 primary=self.chain[0], serving=name,
             )
             log = "; ".join(f"{b}: {e}" for b, e in self.attempts)

@@ -1,4 +1,4 @@
-"""Pipeline telemetry: one duration store, one event log, one tracer.
+"""Pipeline telemetry: one duration store, one tracer.
 
 "You cannot claim a hot path got faster without counters and traces" —
 this package is the observability layer under the repo's measurement
@@ -13,9 +13,9 @@ discipline.  Every stage of the compile/execute pipeline reports here:
 * the simulated distributed fabric (messages, bytes, barriers,
   exchange wall time, halo round-trip latency, retransmits).
 
-Four collection surfaces (see ``docs/OBSERVABILITY.md`` for the full
+Three collection surfaces (see ``docs/OBSERVABILITY.md`` for the full
 map and the name-stability contract), controlled with
-``SNOWFLAKE_TELEMETRY=off|counters|events|trace`` (default
+``SNOWFLAKE_TELEMETRY=off|counters|trace`` (default
 ``counters``; ``off`` reduces every hook to one cached string
 compare):
 
@@ -30,20 +30,18 @@ compare):
   module renders everything as **OpenMetrics** text
   (:func:`render_openmetrics`, printed by ``python -m repro stats
   --openmetrics``);
-* the **structured event log** (:mod:`repro.telemetry.events`) —
-  one-line ``snowflake-events/1`` JSON records for every pipeline
-  event (fallbacks, guard trips, quarantines, rank crashes,
-  checkpoint/restore, time-tile refusals), ring-buffered, span-
-  correlated, sinkable to file/stderr (``SNOWFLAKE_EVENTS_SINK``);
 * the **span tracer** (:mod:`repro.telemetry.tracing`) — hierarchical
   timed spans across every subsystem, exported as Chrome trace-event
   JSON for Perfetto (``python -m repro trace``).  Records inside a
   ``tracing.session()`` block or whenever ``SNOWFLAKE_TELEMETRY=trace``.
+  Every pipeline event (:func:`event`: fallbacks, guard trips,
+  quarantines, rank crashes, checkpoint/restore, time-tile refusals)
+  is one instant in the same buffer, linked to the span it fired in.
   It is also the profiler: ``tracing.self_times()`` folds the exact
   span durations into a hot-path table (``python -m repro top``).
 """
 
-from . import events, metrics, tracing
+from . import metrics, tracing
 from .metrics import (
     observe,
     render_openmetrics,
@@ -51,6 +49,7 @@ from .metrics import (
     validate_openmetrics,
 )
 from .registry import (
+    KNOWN_EVENTS,
     MODES,
     STATS_SCHEMA,
     count,
@@ -66,12 +65,12 @@ from .registry import (
 from .report import format_stats, render_stats
 
 __all__ = [
+    "KNOWN_EVENTS",
     "MODES",
     "STATS_SCHEMA",
     "count",
     "enabled",
     "event",
-    "events",
     "format_stats",
     "kernel_call",
     "metrics",

@@ -303,13 +303,11 @@ def render_openmetrics(snap: dict | None = None) -> str:
     """Render the full process state as OpenMetrics text.
 
     ``snap`` defaults to a live :func:`~repro.telemetry.snapshot` (which
-    embeds the merged histograms).  Every counter, kernel stat,
-    histogram series and structured-event total is emitted as a
-    ``snowflake_*`` family; the document ends with ``# EOF`` per the
+    embeds the merged histograms).  Every counter, kernel stat and
+    histogram series is emitted as a ``snowflake_*`` family; the document ends with ``# EOF`` per the
     OpenMetrics spec.
     """
     from .. import __version__
-    from . import events as _events
     from .registry import snapshot
 
     if snap is None:
@@ -354,13 +352,6 @@ def render_openmetrics(snap: dict | None = None) -> str:
                 doc.sample(full + "_bucket", {**labels, "le": le}, cum)
             doc.sample(full + "_count", labels, rec["count"])
             doc.sample(full + "_sum", labels, rec["sum"])
-
-    ev_counts = _events.counts_by_name()
-    if ev_counts:
-        doc.family("snowflake_events", "counter",
-                   "structured events emitted, by event name")
-        for name, n in sorted(ev_counts.items()):
-            doc.sample("snowflake_events_total", {"event": name}, n)
 
     return "\n".join(doc.lines) + "\n# EOF\n"
 

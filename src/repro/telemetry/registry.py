@@ -6,7 +6,7 @@ invocations, the resilience layer, and the simulated distributed
 fabric.  Zero third-party dependencies, thread-safe, and near-free
 when switched off.
 
-Four modes, selected by ``SNOWFLAKE_TELEMETRY`` (re-read lazily, so
+Three modes, selected by ``SNOWFLAKE_TELEMETRY`` (re-read lazily, so
 tests may monkeypatch the environment) or programmatically with
 :func:`set_mode`:
 
@@ -14,10 +14,8 @@ tests may monkeypatch the environment) or programmatically with
 * ``counters`` — the default: counters and the duration store
   (:mod:`repro.telemetry.metrics`: every timed seam and every kernel
   invocation is one histogram series);
-* ``events``   — counters plus the structured JSON event log
-  (:mod:`repro.telemetry.events`, schema ``snowflake-events/1``);
-* ``trace``    — everything: counters, structured events, and span
-  recording (:mod:`repro.telemetry.tracing`).
+* ``trace``    — everything: counters plus span and event recording
+  (:mod:`repro.telemetry.tracing`).
 
 Naming convention: dotted lowercase paths, coarse-to-fine
 (``jit.cache.hit.disk``, ``guards.trip.nonfinite``,
@@ -35,6 +33,7 @@ import warnings
 from collections import Counter
 from contextlib import contextmanager
 
+from . import tracing
 from .metrics import _histograms, _merged, _record, observe, reset_histograms
 
 __all__ = [
@@ -46,12 +45,39 @@ __all__ = [
     "timed",
     "kernel_call",
     "event",
+    "KNOWN_EVENTS",
     "snapshot",
     "reset",
     "STATS_SCHEMA",
 ]
 
-MODES = ("off", "counters", "events", "trace")
+MODES = ("off", "counters", "trace")
+
+#: the event-name vocabulary instrumented across the pipeline — a
+#: *stability contract*: renaming any of these is a breaking change to
+#: downstream trace consumers (docs/OBSERVABILITY.md)
+KNOWN_EVENTS = (
+    "backend.specialize",
+    "jit.cc",
+    "jit.quarantine",
+    "guards.trip",
+    "faults.fired",
+    "frontend.eliminated",
+    "resilience.retry",
+    "resilience.fallback",
+    "resilience.degraded",
+    "dmem.barrier",
+    "dmem.halo.send",
+    "dmem.rank.crash",
+    "dmem.rank.failure",
+    "dmem.retransmit",
+    "dmem.checkpoint",
+    "dmem.restore",
+    "schedule.time_tile.refused",
+    "tuning.trial",
+    "tuning.candidate.refused",
+    "tuning.winner",
+)
 
 #: schema tag stamped into every :func:`snapshot` (and so into
 #: ``repro stats --json`` output)
@@ -144,17 +170,24 @@ def kernel_call(
     _record(("kernel.call", (("backend", backend),)), seconds).points += points
 
 
-def event(name: str, **fields) -> None:
-    """Record one named pipeline event in the structured event log.
+def _plain(v):
+    """``v`` if strict JSON can carry it as a scalar, else its repr."""
+    if isinstance(v, (str, int, float, bool, type(None))):
+        return tracing._finite(v)
+    return repr(v)
 
-    ``events`` or ``trace`` mode: one ``snowflake-events/1`` record with
-    span correlation (:mod:`repro.telemetry.events`).  Inert in
-    ``off``/``counters`` modes, so hot paths may call it freely.
+
+def event(name: str, *, lane: str | None = None, **fields) -> None:
+    """Record one named pipeline event as a trace instant (``ph="i"``).
+
+    While spans record, appends it to the trace buffer: ``cat`` is the
+    first dotted component of ``name``, ``args`` are ``fields`` as
+    strict-JSON scalars (anything else is stored as its repr) plus
+    ``parent_id``, the ``span_id`` of this thread's innermost open span.
+    Otherwise a no-op after one mode check.
     """
-    if mode() in ("events", "trace"):
-        from .events import emit
-
-        emit(name, **fields)
+    if tracing.active():
+        tracing._instant(name, lane, {k: _plain(v) for k, v in fields.items()})
 
 
 # -- reading ------------------------------------------------------------------
@@ -208,10 +241,7 @@ def snapshot() -> dict:
 
 
 def reset() -> None:
-    """Zero the counters, every duration series and the event log."""
-    from .events import reset as reset_events
-
+    """Zero the counters and every duration series."""
     with _lock:
         _counters.clear()
     reset_histograms()
-    reset_events()

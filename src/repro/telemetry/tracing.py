@@ -10,7 +10,8 @@ specialization, which contains the JIT compile, which contains the
 ``cc`` subprocess), carry monotonic timestamps and real thread ids, and
 export as the Chrome trace-event format [1], so one ``trace.json`` is
 directly loadable in Perfetto (https://ui.perfetto.dev) or
-``chrome://tracing``.
+``chrome://tracing``.  Pipeline events (:func:`repro.telemetry.event`)
+are instants in the same buffer, linked to their span by ``parent_id``.
 
 Activation: spans record while a :func:`session` is open (or after an
 explicit :func:`start`), and also whenever ``SNOWFLAKE_TELEMETRY=trace``.
@@ -20,7 +21,7 @@ The tracer is also the profiler: every span's duration is exact, so
 "where did the time go" is a fold over the buffer (:func:`self_times`,
 ``python -m repro top``) rather than a second, sampled estimate.
 
-Lanes: events are keyed ``(pid, tid)``.  By default ``tid`` is the real
+Lanes: records are keyed ``(pid, tid)``.  By default ``tid`` is the real
 OS thread id, so multi-threaded compiles interleave truthfully.  A span
 may instead name a *virtual lane* (``lane="rank 0"``) — the simulated
 distributed ranks all run on one driver thread, but each rank's work
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import threading
 import time
@@ -53,10 +55,8 @@ __all__ = [
     "clear",
     "session",
     "span",
-    "instant",
     "events",
     "dropped",
-    "current_span_id",
     "self_times",
     "export_chrome_trace",
     "validate_chrome_trace",
@@ -187,19 +187,6 @@ def _stack() -> list:
     return st
 
 
-def current_span_id() -> int | None:
-    """Correlation id of this thread's innermost open span, if any.
-
-    The id is also recorded in the span's exported ``args["span_id"]``,
-    so a structured event (:mod:`repro.telemetry.events`) emitted inside
-    the span links back to the exact trace record.
-    """
-    st = getattr(_local, "stack", None)
-    if not st:
-        return None
-    return st[-1][1]
-
-
 @contextmanager
 def span(name: str, cat: str = "misc", lane: str | None = None, **args):
     """Record the block as one complete trace event (``ph="X"``).
@@ -210,8 +197,7 @@ def span(name: str, cat: str = "misc", lane: str | None = None, **args):
     a virtual lane.  A raising body is still recorded — where the time
     went matters most on the failing path — with ``args["error"]``
     naming the exception type.  Each span carries a process-unique
-    ``span_id`` (see :func:`current_span_id`) correlating it with
-    structured events.
+    ``span_id``, which events fired inside it carry as ``parent_id``.
     """
     if not active():
         yield
@@ -251,20 +237,22 @@ def span(name: str, cat: str = "misc", lane: str | None = None, **args):
         )
 
 
-def instant(name: str, cat: str = "misc", lane: str | None = None, **args) -> None:
-    """Record a zero-duration marker (``ph="i"``, thread scope)."""
-    if not active():
-        return
+def _instant(name: str, lane: str | None, args: dict) -> None:
+    """Append one thread-scoped instant (``ph="i"``): the writer behind
+    :func:`repro.telemetry.event`, which checks :func:`active`."""
+    stack = getattr(_local, "stack", None)
+    if stack:
+        args["parent_id"] = stack[-1][1]
     _emit(
         {
             "name": name,
-            "cat": cat,
+            "cat": name.split(".", 1)[0],
             "ph": "i",
             "s": "t",
             "ts": round(_now_us(), 3),
             "pid": os.getpid(),
             "tid": _tid(lane),
-            "args": dict(args),
+            "args": args,
         }
     )
 
@@ -341,13 +329,18 @@ def _metadata_events() -> list[dict]:
 def export_chrome_trace(path: str | os.PathLike | None = None) -> dict:
     """Assemble the Chrome trace-event document (and write it if asked).
 
-    Returns the document; with ``path`` it is also serialized as JSON.
-    Load the file in Perfetto or ``chrome://tracing`` as-is.
+    Returns the document; with ``path`` it is also serialized as strict
+    JSON (a non-finite arg value is written as its repr, since Perfetto
+    rejects a bare ``Infinity``).  Load the file in Perfetto or
+    ``chrome://tracing`` as-is.
     """
     from .. import __version__
 
+    evs = events()
+    for ev in evs:
+        ev["args"] = {k: _finite(v) for k, v in ev["args"].items()}
     doc = {
-        "traceEvents": _metadata_events() + events(),
+        "traceEvents": _metadata_events() + evs,
         "displayTimeUnit": "ms",
         "otherData": {
             "schema": TRACE_SCHEMA,
@@ -357,21 +350,34 @@ def export_chrome_trace(path: str | os.PathLike | None = None) -> dict:
         },
     }
     if path is not None:
-        Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+        text = json.dumps(doc, indent=1, allow_nan=False)
+        Path(path).write_text(text + "\n")
     return doc
+
+
+def _finite(v):
+    """``v``, or its repr when it is a float strict JSON cannot carry."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(float(v))
+    return v
 
 
 def validate_chrome_trace(doc: dict) -> list[str]:
     """Structural check of an exported document; returns problems.
 
     Used by ``python -m repro trace --smoke`` and the CI trace job: an
-    empty list means every event is a well-formed trace-event record
-    with monotonic, non-negative timestamps per thread.
+    empty list means the document is strict JSON and every event is a
+    well-formed trace-event record with monotonic, non-negative
+    timestamps per thread.
     """
     problems: list[str] = []
     evs = doc.get("traceEvents")
     if not isinstance(evs, list) or not evs:
         return ["traceEvents missing or empty"]
+    try:
+        json.dumps(doc, allow_nan=False)
+    except (TypeError, ValueError) as e:
+        problems.append(f"not strict JSON ({e})")
     if doc.get("otherData", {}).get("schema") != TRACE_SCHEMA:
         problems.append(f"schema != {TRACE_SCHEMA!r}")
     last_ts: dict[tuple[int, int], float] = {}

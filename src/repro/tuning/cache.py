@@ -48,15 +48,16 @@ __all__ = [
 ]
 
 #: schema tag stamped into every cache file (versioned like
-#: ``snowflake-stats/1`` / ``snowflake-events/1``)
+#: ``snowflake-stats/1``)
 TUNE_SCHEMA = "snowflake-tune/2"
 
 
 def machine_fingerprint() -> str:
     """Short stable fingerprint of the measuring machine + toolchain."""
-    cc = os.environ.get("SNOWFLAKE_CC", "gcc")
+    from ..backends.jit import _cc
+
     raw = repr(
-        (platform.system(), platform.machine(), os.cpu_count(), cc)
+        (platform.system(), platform.machine(), os.cpu_count(), _cc())
     )
     return hashlib.sha256(raw.encode()).hexdigest()[:16]
 

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro import telemetry
-from repro.telemetry import metrics
+from repro.telemetry import metrics, tracing
 from repro.telemetry.metrics import (
     BUCKETS,
     observe,
@@ -219,11 +219,15 @@ class TestRenderOpenMetrics:
                 in text)
 
     def test_event_counts_exported(self):
-        telemetry.set_mode("events")
-        telemetry.event("guards.trip", guard="nonfinite")
-        telemetry.set_mode("counters")
+        # a happening is counted by its own counter; the event itself
+        # is a trace instant, not a second metric family
+        from repro.resilience.guards import GuardWarning, Guards
+
+        with tracing.session(), pytest.warns(GuardWarning):
+            Guards(nonfinite="warn").report("nonfinite", "boom")
         text = render_openmetrics()
-        assert 'snowflake_events_total{event="guards.trip"} 1' in text
+        assert "snowflake_guards_trip_nonfinite_total 1" in text
+        assert "snowflake_events" not in text
 
     def test_validator_rejects_garbage(self):
         assert validate_openmetrics("snowflake_x_total 1\n") != []

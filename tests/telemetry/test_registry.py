@@ -27,10 +27,11 @@ class TestModes:
         assert telemetry.mode() == "off"
 
     def test_invalid_env_falls_back_to_counters(self, monkeypatch):
-        monkeypatch.setenv("SNOWFLAKE_TELEMETRY", "verbose")
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            assert telemetry.mode() == "counters"
+        for raw in ("verbose", "events"):
+            monkeypatch.setenv("SNOWFLAKE_TELEMETRY", raw)
+            with warnings.catch_warnings(record=True):
+                warnings.simplefilter("always")
+                assert telemetry.mode() == "counters"
 
     def test_set_mode_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("SNOWFLAKE_TELEMETRY", "off")
@@ -40,8 +41,10 @@ class TestModes:
         assert telemetry.mode() == "off"
 
     def test_set_mode_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            telemetry.set_mode("loud")
+        assert telemetry.MODES == ("off", "counters", "trace")
+        for bad in ("loud", "events"):
+            with pytest.raises(ValueError):
+                telemetry.set_mode(bad)
 
 
 class TestCounters:
@@ -255,7 +258,7 @@ class TestSnapshotSchema:
 
 class TestReset:
     def test_reset_zeroes_everything(self):
-        telemetry.set_mode("events")
+        telemetry.set_mode("trace")
         telemetry.count("x")
         telemetry.observe("t", 1.0)
         telemetry.kernel_call("c", 1.0, 10)
@@ -266,7 +269,6 @@ class TestReset:
         assert snap["timers"] == {}
         assert snap["kernels"] == {}
         assert snap["histograms"] == {}
-        assert telemetry.events.records() == []
 
 
 class TestReport:

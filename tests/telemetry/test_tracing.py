@@ -26,13 +26,6 @@ LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
 INTERIOR = RectDomain((1, 1), (-1, -1))
 
 
-@pytest.fixture(autouse=True)
-def clean_tracer():
-    tracing.clear()
-    yield
-    tracing.clear()
-
-
 class TestActivation:
     def test_inactive_by_default(self):
         assert not tracing.active()
@@ -53,9 +46,9 @@ class TestActivation:
 
     def test_session_fresh_clears_stale_events(self):
         with tracing.session():
-            tracing.instant("old")
+            telemetry.event("old")
         with tracing.session(fresh=True):
-            tracing.instant("new")
+            telemetry.event("new")
         assert [e["name"] for e in tracing.events()] == ["new"]
 
     def test_trace_mode_activates_without_session(self):
@@ -107,17 +100,18 @@ class TestSpans:
 
     def test_instant_marker(self):
         with tracing.session():
-            tracing.instant("tick", cat="dmem", grid="u")
+            telemetry.event("dmem.tick", grid="u")
         (ev,) = tracing.events()
         assert ev["ph"] == "i"
         assert ev["s"] == "t"
+        assert ev["cat"] == "dmem"
         assert ev["args"]["grid"] == "u"
 
     def test_capacity_counts_drops(self, monkeypatch):
         monkeypatch.setattr(tracing, "SPAN_CAPACITY", 2)
         with tracing.session():
             for _ in range(5):
-                tracing.instant("tick")
+                telemetry.event("tick")
         assert len(tracing.events()) == 2
         assert tracing.dropped() == 3
 
@@ -195,9 +189,9 @@ class TestSelfTimes:
 class TestLanes:
     def test_lane_maps_to_synthetic_tid(self):
         with tracing.session():
-            tracing.instant("a", lane="rank 0")
-            tracing.instant("b", lane="rank 1")
-            tracing.instant("c", lane="rank 0")
+            telemetry.event("a", lane="rank 0")
+            telemetry.event("b", lane="rank 1")
+            telemetry.event("c", lane="rank 0")
         a, b, c = tracing.events()
         assert a["tid"] >= 900_000_000
         assert a["tid"] != b["tid"]
@@ -219,7 +213,7 @@ class TestLanes:
 
     def test_lane_named_in_export_metadata(self):
         with tracing.session():
-            tracing.instant("a", lane="rank 0")
+            telemetry.event("a", lane="rank 0")
             doc = tracing.export_chrome_trace()
         names = {
             e["args"]["name"]
@@ -234,7 +228,7 @@ class TestExportAndValidate:
         path = tmp_path / "trace.json"
         with tracing.session():
             with tracing.span("work", cat="kernel"):
-                tracing.instant("mark", cat="kernel")
+                telemetry.event("kernel.mark")
             tracing.export_chrome_trace(path)
         doc = json.loads(path.read_text())
         assert doc["otherData"]["schema"] == tracing.TRACE_SCHEMA
@@ -305,7 +299,7 @@ class TestPipelineTraceRegression:
         assert {"resilience", "dmem", "kernel", "jit"} <= cats
 
         # the c -> numpy transition is recorded as a fallback instant
-        fb = [e for e in evs if e["name"] == "fallback"]
+        fb = [e for e in evs if e["name"] == "resilience.fallback"]
         assert fb and fb[0]["args"]["failed"] == "c"
         assert fb[0]["args"]["next"] == "numpy"
 

@@ -1,16 +1,17 @@
 """Cost-model-guided schedule search: prediction, search, telemetry."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
 from repro.schedule import ScheduleOptions
+from repro.telemetry import tracing
 from repro.tuning import predict_schedule_time, search_schedules
 from repro.tuning.search import _default_grid, _neighbours
 LAP = WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]])
@@ -137,39 +138,37 @@ class TestSearch:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("SNOWFLAKE_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("SNOWFLAKE_TELEMETRY", "events")
-        telemetry.events.reset()
         group, shapes, arrays = snapshot_workload()
-        res = search_schedules(
-            group, arrays, backend="numpy", budget=2, repeats=1,
-            candidates=[
-                ScheduleOptions(multicolor=False),
-                ScheduleOptions(multicolor=False, time_tile=2),
-            ],
-            persist=False,
-        )
+        with tracing.session():
+            res = search_schedules(
+                group, arrays, backend="numpy", budget=2, repeats=1,
+                candidates=[
+                    ScheduleOptions(multicolor=False),
+                    ScheduleOptions(multicolor=False, time_tile=2),
+                ],
+                persist=False,
+            )
         refused = [t for t in res.trials if t.status == "refused"]
         assert refused, "an illegal time-tiled seed must be refused"
         assert all(
             t.detail == "time-tile-refused" for t in refused
         )
         recs = [
-            r for r in telemetry.events.records()
-            if r["event"] == "tuning.candidate.refused"
+            e["args"] for e in tracing.events()
+            if e["name"] == "tuning.candidate.refused"
         ]
         assert recs and recs[0]["kind"] == "time-tile-refused"
 
     def test_trial_and_winner_events_emitted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SNOWFLAKE_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("SNOWFLAKE_TELEMETRY", "events")
-        telemetry.events.reset()
         group, shapes, arrays = lap_workload()
-        search_schedules(
-            group, arrays, backend="numpy", budget=2, repeats=1,
-        )
-        counts = telemetry.events.counts_by_name()
-        assert counts.get("tuning.trial", 0) >= 1
-        assert counts.get("tuning.winner", 0) == 1
+        with tracing.session():
+            search_schedules(
+                group, arrays, backend="numpy", budget=2, repeats=1,
+            )
+        counts = Counter(e["name"] for e in tracing.events())
+        assert counts["tuning.trial"] >= 1
+        assert counts["tuning.winner"] == 1
 
     def test_table_renders_all_trials(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SNOWFLAKE_CACHE_DIR", str(tmp_path))
