@@ -7,24 +7,26 @@ without measuring — to a Snowflake stencil pipeline:
    actually hot?) — each stencil runs as its own group under the span
    tracer, and the ``kernel:<stencil>`` rows of ``self_times()`` are
    the answer,
-2. let the pass manager clean the group (dead-stencil elimination +
+2. clean the group (dead-stencil elimination, then a
    barrier-minimizing reorder),
 3. tune the tile size for the hot stencil's backend,
 4. compare the final tuned/fused kernel against the naive compile,
 5. record the whole tuned run as a span trace
    (profile_and_tune.trace.json — open it in https://ui.perfetto.dev
-   to see passes, JIT compiles and kernel calls on a timeline).
+   to see the group rewrites, JIT compiles and kernel calls on a
+   timeline).
 
 Run:  python examples/profile_and_tune.py
 """
 
 import numpy as np
 
+from repro.analysis import greedy_phases
+from repro.analysis.optimize import eliminate_dead_stencils, reorder_for_phases
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
-from repro.frontend import default_pipeline
 from repro.hpgmg.operators import (
     boundary_stencils,
     cc_diagonal,
@@ -69,11 +71,18 @@ print(render_top(
 ))
 
 # -- 2. optimize the group -------------------------------------------------------
-pm = default_pipeline()
 shapes = {g: SHAPE for g in group.grids()}
-optimized = pm.run(group, shapes, live_grids={"x", "res"})
-print("\npass pipeline:")
-print(pm.report())
+
+
+def optimize(g):
+    live = eliminate_dead_stencils(g, shapes, live_grids={"x", "res"})
+    return reorder_for_phases(live, shapes)
+
+
+optimized = optimize(group)
+print(f"\ngroup: {len(group)} -> {len(optimized)} stencils, "
+      f"{len(greedy_phases(group, shapes))} -> "
+      f"{len(greedy_phases(optimized, shapes))} phases")
 
 # -- 3. tune the backend ----------------------------------------------------------
 tune = search_schedules(
@@ -100,8 +109,7 @@ print(f"optimized pipeline:  {tuned * 1e3:7.3f} ms "
 
 # -- 5. trace the tuned pipeline -----------------------------------------------
 with tracing.session():
-    pipeline = default_pipeline()
-    traced = pipeline.run(group, shapes, live_grids={"x", "res"})
+    traced = optimize(group)
     kernel = traced.compile(
         backend="openmp", shapes=shapes, tile=tune.best.tile, fuse=True,
     )

@@ -199,8 +199,8 @@ def _gsrb_workload(n: int):
 def cmd_trace(args) -> int:
     """Run a multi-subsystem workload under the span tracer and export.
 
-    The workload: GSRB smoother group through the frontend pipeline and
-    barrier planner, compiled with a fallback chain (JIT spans), applied
+    The workload: GSRB smoother group through dead-stencil elimination,
+    reordering and the barrier planner, compiled with a fallback chain (JIT spans), applied
     ``--calls`` times (kernel spans), then re-run on a 2-rank simulated
     distributed executor (dmem halo/apply spans on per-rank lanes).
     """
@@ -209,8 +209,8 @@ def cmd_trace(args) -> int:
     import numpy as np
 
     from .analysis.dag import plan
+    from .analysis.optimize import eliminate_dead_stencils, reorder_for_phases
     from .dmem.executor import DistributedKernel
-    from .frontend.passes import optimize_group
     from .telemetry import tracing
     from .util.artifacts import artifact_path
 
@@ -226,7 +226,9 @@ def cmd_trace(args) -> int:
         return arrays
 
     with tracing.session(fresh=True):
-        opt = optimize_group(group, shapes)
+        opt = reorder_for_phases(
+            eliminate_dead_stencils(group, shapes), shapes
+        )
         plan(opt, shapes)
         kernel = opt.compile(
             backend="c", shapes=shapes, fallback=("c", "numpy")

@@ -284,33 +284,35 @@ def group_fma(expr: KExpr) -> tuple[KExpr, int]:
 # ---------------------------------------------------------------------------
 
 
+def _map_counted(body: KernelBody, rewrite) -> tuple[KernelBody, int]:
+    """Apply a counting expression rewrite to every binding and the result."""
+    n = 0
+
+    def go(e: KExpr) -> KExpr:
+        nonlocal n
+        out, k = rewrite(e)
+        n += k
+        return out
+
+    return body.map_exprs(go), n
+
+
 def optimize_kernel(raw: KernelBody) -> tuple[KernelBody, OptReport]:
-    """Run the full pipeline on a raw body; returns (body, report).
-
-    The pipeline is the fixed transform sequence
-    :func:`repro.transform.kernel_pipeline` (fold → CSE → hoist → FMA);
-    each transform records its tally and this driver assembles the
-    report.  Composing the same transforms by hand through
-    :mod:`repro.transform` produces bitwise-identical bodies.
-    """
-    # Imported lazily: repro.transform imports this module for the
-    # underlying pass functions.
-    from ..transform.kernel_tx import kernel_pipeline
-
-    nodes_before = raw.node_count()
-    tallies: dict[str, int] = {}
-    body = raw
-    for t in kernel_pipeline():
-        body = t(body)
-        tallies.update(t.tally)
-
+    """Run fold → CSE → hoist → FMA on a raw body; returns (body, report)."""
+    body, folded = _map_counted(raw, fold_constants)
+    body, deduped, bound = _cse(body)
+    body = _hoist(body)
+    # FMA grouping never adds or removes lets, so the hoisted body's
+    # scalar prelude is the final one.
+    hoisted = len(body.scalar_lets())
+    body, fmas = _map_counted(body, group_fma)
     report = OptReport(
-        nodes_before=nodes_before,
+        nodes_before=raw.node_count(),
         nodes_after=body.node_count(),
-        consts_folded=tallies.get("consts_folded", 0),
-        reads_deduped=tallies.get("reads_deduped", 0),
-        cse_bound=tallies.get("cse_bound", 0),
-        bindings_hoisted=tallies.get("bindings_hoisted", 0),
-        fma_grouped=tallies.get("fma_grouped", 0),
+        consts_folded=folded,
+        reads_deduped=deduped,
+        cse_bound=bound,
+        bindings_hoisted=hoisted,
+        fma_grouped=fmas,
     )
     return body, report

@@ -3,7 +3,11 @@
 This is the one place fusion legality, snapshot decisions and
 checkerboard recognition run; the backends and emitters consume the
 :class:`~repro.schedule.ir.Schedule` it builds and decide none of it
-themselves.
+themselves.  Each legality rule is one function — :func:`fusion_refusals`
+("may these stencils share a loop nest") and :func:`step_flags` (a
+step's parallel and snapshot flags) — called alike by the lowering, by
+explicit ``Fuse(chains)`` and by
+:func:`~repro.transform.schedule_tx.verify_schedule`.
 
 Chains are computed *within* dependence phases, which closes a latent
 race in the legacy OpenMP path: a program-order chain could straddle a
@@ -16,10 +20,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ..analysis.dag import ExecutionPlan, plan
-from ..analysis.dependence import group_dependences, intra_stencil_hazards
 from ..analysis.footprint import map_lattice
 from ..core.stencil import StencilGroup
 from ..core.validate import iteration_shape
@@ -36,6 +39,8 @@ from .ir import (
 from .options import ScheduleOptions
 
 __all__ = [
+    "step_flags",
+    "fusion_refusals",
     "fusion_chains",
     "time_tile_verdict",
     "base_schedule",
@@ -45,6 +50,73 @@ __all__ = [
 ]
 
 
+def step_flags(
+    group: StencilGroup, chain: Sequence[int], hazards: Sequence
+) -> tuple[bool, bool]:
+    """The snapshot and parallel rule: ``(parallel, snapshot)`` of a step.
+
+    A step runs in parallel iff no member carries a loop-carried hazard.
+    It takes a gather snapshot iff it is one in-place stencil with a
+    hazard — copying the output grid restores gather semantics.  A
+    fused step never takes one: :func:`fusion_refusals` refuses a member
+    whose own step would.
+    """
+    parallel = all(not hazards[i] for i in chain)
+    head = chain[0]
+    snapshot = (
+        len(chain) == 1 and group[head].is_inplace() and bool(hazards[head])
+    )
+    return parallel, snapshot
+
+
+def fusion_refusals(
+    group: StencilGroup,
+    chain: Sequence[int],
+    deps: Mapping[tuple[int, int], set],
+    hazards: Sequence,
+) -> Iterator[Evidence]:
+    """The fusion rule: why ``chain`` may not share one loop nest.
+
+    Yields one ``fuse-refused`` :class:`Evidence` per violation (none ==
+    legal): every member shares the head's domain and output map, no
+    member needs a gather snapshot, and no two members carry a RAW/WAW
+    dependence (transitive safety — pairwise adjacency is not enough
+    once three stencils share one nest).  Lazy, so a
+    caller that only asks *whether* stops at the first refusal.
+    """
+    head = group[chain[0]]
+    for j in chain[1:]:
+        if group[j].domain != head.domain:
+            yield Evidence(
+                "fuse-refused",
+                f"{group[j].name} and {head.name} iterate different domains",
+            )
+        if group[j].output_map != head.output_map:
+            yield Evidence(
+                "fuse-refused",
+                f"{group[j].name} and {head.name} write through different "
+                "output maps",
+            )
+    for i in chain:
+        if step_flags(group, (i,), hazards)[1]:
+            yield Evidence(
+                "fuse-refused",
+                f"{group[i].name} needs a gather snapshot (loop-carried "
+                "hazard); fused chains must be snapshot-free",
+            )
+    ordered = sorted(chain)  # dependence edges point forward
+    for a, i in enumerate(ordered):
+        for j in ordered[a + 1:]:
+            bad = {"RAW", "WAW"} & set(deps.get((i, j), ()))
+            if bad:
+                yield Evidence(
+                    "fuse-refused",
+                    f"{group[i].name} -> {group[j].name} carries "
+                    f"{sorted(bad)} dependence (lattice intersection); "
+                    "members must be independent",
+                )
+
+
 def fusion_chains(
     group: StencilGroup,
     shapes: Mapping[str, tuple[int, ...]],
@@ -52,47 +124,22 @@ def fusion_chains(
 ) -> list[list[int]]:
     """Maximal runs of adjacent stencils legal to fuse into one nest.
 
-    A stencil joins the current chain when it shares the chain's domain
-    and output map, has no RAW/WAW dependence with *any* chain member
-    (transitive safety — pairwise adjacency is not enough once three
-    stencils share one loop nest), and needs no gather snapshot.
-
-    With ``exec_plan`` chains stay within its phases and read its
-    dependence edges and hazards; without one they run over full
-    program order on a fresh analysis.
+    A stencil joins the current chain when the extended chain passes
+    :func:`fusion_refusals`.  Chains stay within the phases of
+    ``exec_plan`` (planned here when not given) and read its dependence
+    edges and hazards.
     """
     if exec_plan is None:
-        deps = group_dependences(group, shapes)
-        hazards = [intra_stencil_hazards(s, shapes) for s in group]
-        within = None
-    else:
-        deps, hazards = exec_plan.dependences, exec_plan.hazards
-        within = exec_plan.phases
-
-    def needs_snapshot(i: int) -> bool:
-        return group[i].is_inplace() and bool(hazards[i])
-
-    sequences = (
-        [list(range(len(group)))]
-        if within is None
-        else [list(seq) for seq in within if seq]
-    )
+        exec_plan = plan(group, shapes)
+    deps, hazards = exec_plan.dependences, exec_plan.hazards
     chains: list[list[int]] = []
-    for seq in sequences:
+    for seq in exec_plan.phases:
+        if not seq:
+            continue
         current = [seq[0]]
         for j in seq[1:]:
-            head = group[current[0]]
-            ok = (
-                group[j].domain == head.domain
-                and group[j].output_map == head.output_map
-                and not needs_snapshot(j)
-                and not needs_snapshot(current[0])
-                and all(
-                    not ({"RAW", "WAW"} & set(deps.get((i, j), ())))
-                    for i in current
-                )
-            )
-            if ok:
+            refusal = fusion_refusals(group, current + [j], deps, hazards)
+            if next(refusal, None) is None:
                 current.append(j)
             else:
                 chains.append(current)
@@ -361,9 +408,8 @@ def _sweep_verdict(
 
 def _make_step(group, shapes, chain, hazards, options) -> Step:
     si = chain[0]
-    head = group[si]
     evidence: list[Evidence] = []
-    parallel = all(not hazards[i] for i in chain)
+    parallel, snapshot = step_flags(group, chain, hazards)
     if parallel:
         evidence.append(
             Evidence("parallel", "no loop-carried lattice intersection")
@@ -375,7 +421,6 @@ def _make_step(group, shapes, chain, hazards, options) -> Step:
                 "; ".join(str(h) for i in chain for h in hazards[i]),
             )
         )
-    snapshot = len(chain) == 1 and head.is_inplace() and bool(hazards[si])
     if snapshot:
         evidence.append(
             Evidence(

@@ -4,7 +4,7 @@
 this package is the observability layer under the repo's measurement
 discipline.  Every stage of the compile/execute pipeline reports here:
 
-* frontend passes (``frontend.pass.*`` timers, stencils eliminated),
+* the group rewrites (``frontend`` spans, stencils eliminated),
 * the JIT (cache hit/miss/quarantine, compiler wall time, lock waits),
 * every backend's kernel invocations (calls, seconds, points/s, and
   per-call latency histograms),

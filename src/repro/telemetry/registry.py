@@ -1,7 +1,7 @@
 """The telemetry registry: modes, counters, durations, events, snapshot.
 
 One process-wide registry instrumented across the whole pipeline —
-frontend passes, JIT cache/compiler, every backend's kernel
+group rewrites, JIT cache/compiler, every backend's kernel
 invocations, the resilience layer, and the simulated distributed
 fabric.  Zero third-party dependencies, thread-safe, and near-free
 when switched off.
@@ -19,7 +19,7 @@ tests may monkeypatch the environment) or programmatically with
 
 Naming convention: dotted lowercase paths, coarse-to-fine
 (``jit.cache.hit.disk``, ``guards.trip.nonfinite``,
-``frontend.pass.reorder``).  Counters and durations share one
+``frontend.stencils_eliminated``).  Counters and durations share one
 namespace but live in separate stores; :func:`snapshot` returns both
 as plain dicts, ready for JSON.
 """

@@ -2,7 +2,7 @@
 
 Where the registry (:mod:`repro.telemetry.registry`) answers "how much,
 how often", this module answers *where the time went inside one solve*:
-every stage of the pipeline — frontend passes, dependence analysis, JIT
+every stage of the pipeline — group rewrites, dependence analysis, JIT
 compile/cache traffic, kernel invocations, resilience fallback
 transitions, and simulated-fabric halo exchanges — opens a :func:`span`
 around its work.  Spans nest (a kernel call contains its lazy

@@ -1,12 +1,11 @@
-"""``repro.transform``: composable, legality-checked IR rewrites.
+"""``repro.transform``: composable, legality-checked schedule rewrites.
 
-The externalized scheduling surface (ROADMAP item 2, in the style of
-Exo): :class:`Transform` objects rewrite a
-:class:`~repro.schedule.ir.Schedule` or a
-:class:`~repro.kernel.ir.KernelBody` into a new one, every schedule
-rewrite re-validated against the Diophantine/dependence evidence; an
-illegal composition raises :class:`TransformError` carrying the
-refusing :class:`~repro.schedule.ir.Evidence`.
+The externalized scheduling surface (in the style of Exo):
+:class:`Transform` objects rewrite a
+:class:`~repro.schedule.ir.Schedule` into a new one, every rewrite
+re-validated against the Diophantine/dependence evidence; an illegal
+composition raises :class:`TransformError` carrying the refusing
+:class:`~repro.schedule.ir.Evidence`.
 
 Compose with ``|`` and apply::
 
@@ -17,23 +16,12 @@ Compose with ``|`` and apply::
         base_schedule(group, shapes)
     )
 
-``ScheduleOptions`` presets and ``kernel.optimize`` are thin veneers
-over this API (:func:`preset_pipeline`, :func:`kernel_pipeline`); the
-tuner (:mod:`repro.tuning`) searches the same space.
+``ScheduleOptions`` presets are a thin veneer over this API
+(:func:`preset_pipeline`); the tuner (:mod:`repro.tuning`) searches the
+same space.
 """
 
 from .base import Pipeline, Transform, TransformError
-from .kernel_tx import (
-    Cse,
-    FmaGroup,
-    FoldConstants,
-    Hoist,
-    cse,
-    fma_group,
-    fold,
-    hoist,
-    kernel_pipeline,
-)
 from .preset import preset_pipeline
 from .schedule_tx import (
     Block,
@@ -63,8 +51,6 @@ __all__ = [
     "TransformError",
     "verify_schedule",
     "preset_pipeline",
-    "kernel_pipeline",
-    # schedule transforms
     "Fuse",
     "Distribute",
     "Split",
@@ -83,13 +69,4 @@ __all__ = [
     "block",
     "unroll",
     "time_tile",
-    # kernel transforms
-    "FoldConstants",
-    "Cse",
-    "Hoist",
-    "FmaGroup",
-    "fold",
-    "cse",
-    "hoist",
-    "fma_group",
 ]

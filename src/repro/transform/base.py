@@ -1,11 +1,10 @@
-"""The transform protocol: legality-checked rewrites of the two IRs.
+"""The transform protocol: legality-checked rewrites of the schedule IR.
 
 A :class:`Transform` is a small, composable rewrite object: it takes a
-:class:`~repro.schedule.ir.Schedule` or a
-:class:`~repro.kernel.ir.KernelBody` and returns a **new** one (both
-IRs are immutable; nothing is rewritten in place).  Every schedule
-rewrite is re-validated against the Diophantine/dependence evidence
-the lowering stage produced — an illegal composition raises a typed
+:class:`~repro.schedule.ir.Schedule` and returns a **new** one (the IR
+is immutable; nothing is rewritten in place).  Every result is
+re-validated against the Diophantine/dependence evidence the lowering
+stage produced — an illegal composition raises a typed
 :class:`TransformError` carrying the refusing
 :class:`~repro.schedule.ir.Evidence` instead of producing wrong code.
 
@@ -22,7 +21,6 @@ record as one (the presets are now a thin veneer over this API).
 
 from __future__ import annotations
 
-from ..kernel.ir import KernelBody
 from ..schedule.ir import Evidence, Schedule
 
 __all__ = ["TransformError", "Transform", "Pipeline"]
@@ -54,12 +52,11 @@ class TransformError(ValueError):
 
 
 class Transform:
-    """One rewrite of a :class:`Schedule` or :class:`KernelBody`.
+    """One rewrite of a :class:`Schedule`.
 
-    Subclasses implement :meth:`apply_schedule` and/or
-    :meth:`apply_kernel`; applying a transform to the IR kind it does
-    not understand raises :class:`TransformError` (claim
-    ``target-mismatch``).  Schedule results are re-validated with
+    Subclasses implement :meth:`apply_schedule`; applying a transform
+    to anything but a :class:`Schedule` raises :class:`TransformError`
+    (claim ``target-mismatch``).  Results are re-validated with
     :func:`repro.transform.schedule_tx.verify_schedule` after every
     application — a transform cannot hand back a schedule that violates
     the dependence plan, the snapshot verdicts or the sweep recognition
@@ -70,49 +67,29 @@ class Transform:
     name = "transform"
 
     def __call__(self, obj):
-        if isinstance(obj, Schedule):
-            out = self.apply_schedule(obj)
-            from .schedule_tx import verify_schedule
+        if not isinstance(obj, Schedule):
+            raise TransformError(
+                f"{self.describe()} cannot rewrite {type(obj).__name__}; "
+                "transforms take a Schedule",
+                evidence=Evidence(
+                    "target-mismatch",
+                    f"{self.describe()} applied to {type(obj).__name__}",
+                ),
+            )
+        out = self.apply_schedule(obj)
+        from .schedule_tx import verify_schedule
 
-            problems = verify_schedule(out)
-            if problems:
-                raise TransformError(
-                    f"{self.describe()} produced an illegal schedule: "
-                    + "; ".join(str(p) for p in problems),
-                    refusals=tuple(problems),
-                )
-            return out
-        if isinstance(obj, KernelBody):
-            return self.apply_kernel(obj)
-        raise TransformError(
-            f"{self.describe()} cannot rewrite {type(obj).__name__}; "
-            "transforms take a Schedule or a KernelBody",
-            evidence=Evidence(
-                "target-mismatch",
-                f"{self.describe()} applied to {type(obj).__name__}",
-            ),
-        )
-
-    # -- per-kind hooks (subclasses override the one(s) they support) ------
+        problems = verify_schedule(out)
+        if problems:
+            raise TransformError(
+                f"{self.describe()} produced an illegal schedule: "
+                + "; ".join(str(p) for p in problems),
+                refusals=tuple(problems),
+            )
+        return out
 
     def apply_schedule(self, sched: Schedule) -> Schedule:
-        raise TransformError(
-            f"{self.describe()} is a kernel transform; it cannot rewrite "
-            "a Schedule",
-            evidence=Evidence(
-                "target-mismatch", f"{self.describe()} applied to a Schedule"
-            ),
-        )
-
-    def apply_kernel(self, body: KernelBody) -> KernelBody:
-        raise TransformError(
-            f"{self.describe()} is a schedule transform; it cannot "
-            "rewrite a KernelBody",
-            evidence=Evidence(
-                "target-mismatch",
-                f"{self.describe()} applied to a KernelBody",
-            ),
-        )
+        raise NotImplementedError
 
     def describe(self) -> str:
         return f"{self.name}()"

@@ -26,6 +26,8 @@ from ..schedule.lower import (
     _plan_time_tile,
     _sweep_verdict,
     fusion_chains,
+    fusion_refusals,
+    step_flags,
     time_tile_verdict,
 )
 from .base import Transform, TransformError
@@ -63,12 +65,12 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
 
     Returns a list of refusing :class:`Evidence` (empty == legal).
     Checks, in order: coverage (every stencil exactly once), barrier
-    ordering (no dependence edge within or across phases the wrong
-    way), fused-step legality (shared domain/output map, snapshot-free,
-    no RAW/WAW among members), snapshot/parallel flag correctness
-    against the hazard lattices, sweep correctness against parity-class
-    recognition, and — when a time tile is attached — the time-tile
-    verdict including slope staleness.
+    ordering (no dependence edge between steps of one phase or across
+    phases the wrong way), then per step the parallel/snapshot flags
+    (:func:`~repro.schedule.lower.step_flags`), fused-step legality
+    (:func:`~repro.schedule.lower.fusion_refusals`) and sweep
+    correctness against parity-class recognition, and — when a time
+    tile is attached — the time-tile verdict including slope staleness.
     """
     problems: list[Evidence] = []
     group = sched.group
@@ -120,22 +122,12 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
 
     # barrier ordering: a dependence edge (i, j) must cross a barrier
     # (steps of one phase may run concurrently), unless both ends share
-    # a fused step — where only RAW/WAW is illegal (the fusion rule).
-    for (i, j), kinds in sorted(exec_plan.dependences.items()):
+    # a fused step — which the fusion rule judges below.
+    deps = exec_plan.dependences
+    for (i, j), kinds in sorted(deps.items()):
         if i not in step_of or j not in step_of:
             continue
-        if step_of[i] is step_of[j]:
-            bad = {"RAW", "WAW"} & set(kinds)
-            if bad:
-                problems.append(
-                    Evidence(
-                        "fuse-refused",
-                        f"{group[i].name} and {group[j].name} share a "
-                        f"fused step but carry {sorted(bad)} dependence "
-                        "(lattice intersection)",
-                    )
-                )
-        elif phase_of[i] >= phase_of[j]:
+        if step_of[i] is not step_of[j] and phase_of[i] >= phase_of[j]:
             problems.append(
                 Evidence(
                     "order-refused",
@@ -146,12 +138,13 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
                 )
             )
 
-    # per-step flags against the hazard lattices + sweep recognition
+    # per-step flags and fusion against the hazard lattices + sweep
+    # recognition
     hazards = exec_plan.hazards
     for ph in sched.phases:
         for s in ph.steps:
             names = ", ".join(group[i].name for i in s.stencils)
-            expect_par = all(not hazards[i] for i in s.stencils)
+            expect_par, expect_snap = step_flags(group, s.stencils, hazards)
             if s.parallel != expect_par:
                 problems.append(
                     Evidence(
@@ -162,11 +155,6 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
                         f"{'parallel' if expect_par else 'serialized'}",
                     )
                 )
-            expect_snap = (
-                len(s.stencils) == 1
-                and group[s.head].is_inplace()
-                and bool(hazards[s.head])
-            )
             if s.snapshot != expect_snap:
                 problems.append(
                     Evidence(
@@ -176,34 +164,9 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
                     )
                 )
             if s.fused:
-                head = group[s.head]
-                for j in s.stencils[1:]:
-                    if (
-                        group[j].domain != head.domain
-                        or group[j].output_map != head.output_map
-                    ):
-                        problems.append(
-                            Evidence(
-                                "fuse-refused",
-                                f"fused step members {head.name} and "
-                                f"{group[j].name} differ in domain or "
-                                "output map",
-                            )
-                        )
-                snapshot_members = [
-                    group[i].name
-                    for i in s.stencils
-                    if group[i].is_inplace() and hazards[i]
-                ]
-                if snapshot_members:
-                    problems.append(
-                        Evidence(
-                            "fuse-refused",
-                            f"fused step [{names}] contains members "
-                            f"needing a gather snapshot: "
-                            f"{snapshot_members}",
-                        )
-                    )
+                problems.extend(
+                    fusion_refusals(group, s.stencils, deps, hazards)
+                )
             if s.sweep is not None:
                 want, _ = _sweep_verdict(group, norm, s.head)
                 if want != s.sweep:
@@ -273,7 +236,13 @@ class Fuse(Transform):
             chains = fusion_chains(group, norm, exec_plan)
         else:
             chains = [list(c) for c in self.chains]
-            problems = _check_chains(group, exec_plan, chains)
+            problems = _check_chains(group, exec_plan, chains) or [
+                e
+                for c in chains
+                for e in fusion_refusals(
+                    group, c, exec_plan.dependences, hazards
+                )
+            ]
             if problems:
                 raise TransformError(
                     f"{self.describe()} is illegal: "
@@ -296,12 +265,16 @@ class Fuse(Transform):
 
 
 def _check_chains(group, exec_plan, chains) -> list[Evidence]:
-    """Validate explicit fusion chains; returns refusing evidence."""
+    """Check explicit fusion chains as caller input; returns refusals.
+
+    Empty, out-of-range, overlapping, non-increasing and barrier-
+    straddling chains are malformed requests; whether a well-formed
+    chain may share one nest is :func:`fusion_refusals`' call.
+    """
     problems: list[Evidence] = []
     phase_of = {
         i: pi for pi, ph in enumerate(exec_plan.phases) for i in ph
     }
-    deps = exec_plan.dependences
     taken: set[int] = set()
     for c in chains:
         if not c:
@@ -344,46 +317,6 @@ def _check_chains(group, exec_plan, chains) -> list[Evidence]:
                     f"span phases {chain_phases}",
                 )
             )
-        head = group[c[0]]
-        for j in c[1:]:
-            if group[j].domain != head.domain:
-                problems.append(
-                    Evidence(
-                        "fuse-refused",
-                        f"{group[j].name} and {head.name} iterate "
-                        "different domains",
-                    )
-                )
-            if group[j].output_map != head.output_map:
-                problems.append(
-                    Evidence(
-                        "fuse-refused",
-                        f"{group[j].name} and {head.name} write through "
-                        "different output maps",
-                    )
-                )
-        for i in c:
-            if group[i].is_inplace() and exec_plan.hazards[i]:
-                problems.append(
-                    Evidence(
-                        "fuse-refused",
-                        f"{group[i].name} needs a gather snapshot "
-                        "(loop-carried hazard); fused chains must be "
-                        "snapshot-free",
-                    )
-                )
-        for a in range(len(c)):
-            for b in range(a + 1, len(c)):
-                bad = {"RAW", "WAW"} & set(deps.get((c[a], c[b]), ()))
-                if bad:
-                    problems.append(
-                        Evidence(
-                            "fuse-refused",
-                            f"{group[c[a]].name} -> {group[c[b]].name} "
-                            f"carries {sorted(bad)} dependence (lattice "
-                            "intersection); members must be independent",
-                        )
-                    )
     return problems
 
 

@@ -4,12 +4,29 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import base
 from repro.core.stencil import Stencil, StencilGroup
 
 #: every registered backend that must agree on every stencil
 ALL_BACKENDS = ("python", "numpy", "c", "openmp", "opencl-sim", "cuda-sim")
 #: fast subset for tests that only need one compiled target
 COMPILED_BACKENDS = ("c", "openmp", "opencl-sim")
+
+
+class RecordingBackend(base.Backend):
+    """Compiles nothing; records the ``(group, shapes)`` units asked for."""
+
+    name = "test-record"
+
+    def __init__(self) -> None:
+        self.units: list[tuple] = []
+
+    def specializer(self, group, **options):
+        raise NotImplementedError("records only")
+
+    def compile(self, group, shapes=None, dtype=None, guards=None, **options):
+        self.units.append((group, dict(shapes)))
+        return lambda **kwargs: None
 
 
 def run_group(

@@ -1,22 +1,13 @@
-"""Pass manager and built-in passes."""
+"""The group pass pipeline: dead-stencil elimination, then phase reordering."""
 
 import numpy as np
-import pytest
 
+from repro.analysis.dag import greedy_phases
+from repro.analysis.optimize import eliminate_dead_stencils, reorder_for_phases
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
-from repro.core.validate import ValidationError
 from repro.core.weights import WeightArray
-from repro.frontend import (
-    DeadStencilElimination,
-    GroupPass,
-    PassManager,
-    Reorder,
-    Validate,
-    default_pipeline,
-    optimize_group,
-)
 
 INTERIOR = RectDomain((1, 1), (-1, -1))
 LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
@@ -35,49 +26,26 @@ def shapes_of(g, shape=(12, 12)):
     return {k: shape for k in g.grids()}
 
 
+def optimize_group(g, shapes, live_grids=None):
+    return reorder_for_phases(eliminate_dead_stencils(g, shapes, live_grids), shapes)
+
+
 class TestPassManager:
     def test_default_pipeline_eliminates_and_reorders(self):
         g = messy_group()
-        pm = default_pipeline()
-        out = pm.run(g, shapes_of(g), live_grids={"a2", "b"})
-        names = [s.name for s in out]
-        assert "dead" not in names
-        assert names.index("a1") < names.index("a2")
-        # records capture the shrink
-        rec = {r.name: r for r in pm.records}
-        assert rec["dead-stencil-elimination"].stencils_after == 3
-
-    def test_report_format(self):
-        pm = default_pipeline()
-        g = messy_group()
-        pm.run(g, shapes_of(g), live_grids={"a2", "b"})
-        rep = pm.report()
-        assert "dead-stencil-elimination" in rep
-        assert "->" in rep
+        shapes = shapes_of(g)
+        pruned = eliminate_dead_stencils(g, shapes, live_grids={"a2", "b"})
+        assert len(pruned) == 3
+        names = [s.name for s in reorder_for_phases(pruned, shapes)]
+        assert names == ["a1", "b", "a2"]
 
     def test_phase_count_never_increases(self):
-        from repro.analysis.dag import greedy_phases
-
         g = messy_group()
         shapes = shapes_of(g)
         before = len(greedy_phases(g, shapes))
         out = optimize_group(g, shapes, live_grids={"a2", "b"})
         after = len(greedy_phases(out, shapes))
         assert after <= before
-
-    def test_validate_pass_catches_broken_custom_pass(self):
-        class Breaker(GroupPass):
-            name = "breaker"
-
-            def run(self, group, shapes, live_grids):
-                # produce a stencil reading out of bounds
-                bad = Stencil(LAP, "u", RectDomain((0, 0), (-1, -1)))
-                return StencilGroup([bad])
-
-        pm = PassManager([Breaker()], validate_each=True)
-        g = messy_group()
-        with pytest.raises(ValidationError):
-            pm.run(g, shapes_of(g))
 
     def test_default_live_set_is_conservative(self):
         g = messy_group()

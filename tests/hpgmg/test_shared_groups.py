@@ -10,6 +10,7 @@ give the same signatures, schedules and program.
 import shutil
 
 import pytest
+from _helpers import RecordingBackend
 
 from repro.backends import base, get_backend
 from repro.core import stencil as stencil_mod
@@ -30,24 +31,8 @@ needs_gcc = pytest.mark.skipif(
 )
 
 
-class _Recorder(base.Backend):
-    """Compiles nothing; records the ``(group, shapes)`` units asked for."""
-
-    name = "test-record"
-
-    def __init__(self) -> None:
-        self.units: list[tuple] = []
-
-    def specializer(self, group, **options):
-        raise NotImplementedError("records only")
-
-    def compile(self, group, shapes=None, dtype=None, guards=None, **options):
-        self.units.append((group, dict(shapes)))
-        return lambda **kwargs: None
-
-
 def _record(monkeypatch, n=8, **kw):
-    rec = _Recorder()
+    rec = RecordingBackend()
     monkeypatch.setitem(base._REGISTRY, rec.name, rec)
     level = Level(n, 3, coefficients=kw.pop("coefficients", "variable"))
     solver = MultigridSolver(level, backend=rec.name, **kw)

@@ -62,3 +62,20 @@ def gsrb_workload(n=10, ndim=2):
     rng = np.random.default_rng(7)
     arrays = {g: rng.standard_normal(shape) for g in group.grids()}
     return group, shapes, arrays
+
+
+
+def solver_units(n=32):
+    """The ``(group, shapes)`` units an ``n``^3 variable-coefficient
+    ``MultigridSolver`` compiles, recorded without compiling any."""
+    from _helpers import RecordingBackend
+    from repro.backends import base
+    from repro.hpgmg import Level, MultigridSolver
+
+    rec = RecordingBackend()
+    base._REGISTRY[rec.name] = rec
+    try:
+        MultigridSolver(Level(n, 3, coefficients="variable"), backend=rec.name)
+    finally:
+        del base._REGISTRY[rec.name]
+    return rec.units

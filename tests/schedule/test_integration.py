@@ -1,7 +1,6 @@
-"""Schedule integration: explain provenance, pass manager."""
+"""Schedule integration: explain provenance."""
 
 from repro.explain import explain
-from repro.frontend.passes import default_pipeline
 from repro.schedule import ScheduleOptions, schedule_for
 from tests.schedule._cases import gsrb_workload
 
@@ -42,29 +41,3 @@ class TestExplainSchedule:
         )
         assert prov.schedule is direct  # same memoized object
 
-
-class TestPassManagerPhaseReuse:
-    def test_greedy_phases_called_n_plus_one_times(self, monkeypatch):
-        # Satellite perf fix: each pass's after-count is the next pass's
-        # before-count, so N passes cost N+1 phase analyses, not 2N.
-        import repro.frontend.passes as passes_mod
-
-        calls = {"n": 0}
-        real = passes_mod.greedy_phases
-
-        def counting(group, shapes):
-            calls["n"] += 1
-            return real(group, shapes)
-
-        monkeypatch.setattr(passes_mod, "greedy_phases", counting)
-        group, shapes, _ = gsrb_workload()
-        pm = default_pipeline()
-        pm.run(group, shapes)
-        assert calls["n"] == len(pm.passes) + 1
-
-    def test_records_chain_before_after(self):
-        group, shapes, _ = gsrb_workload()
-        pm = default_pipeline()
-        pm.run(group, shapes)
-        for prev, nxt in zip(pm.records, pm.records[1:]):
-            assert prev.phases_after == nxt.phases_before

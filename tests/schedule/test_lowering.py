@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.dag import plan
 from repro.schedule import (
     Schedule,
     ScheduleOptions,
@@ -19,14 +20,17 @@ from tests.schedule._cases import (
 
 
 class TestFusionChains:
-    def test_program_order_glues_across_barrier(self):
-        # The legacy view: s1/s2 share a domain and have no mutual
-        # dependence, so program-order chaining merges them...
+    def test_unplanned_chains_are_the_planned_chains(self):
+        # s1/s2 share a domain and have no mutual dependence, but s2
+        # RAW-depends on s0, so they sit in different phases; without a
+        # plan given, fusion_chains plans one rather than chaining in
+        # program order across that barrier.
         group, shapes = straddle_group()
-        assert fusion_chains(group, shapes) == [[0], [1, 2]]
+        planned = fusion_chains(group, shapes, plan(group, shapes))
+        assert fusion_chains(group, shapes) == planned == [[0], [1], [2]]
 
     def test_phase_local_chains_respect_barriers(self):
-        # ...but s2 RAW-depends on s0, which bars it from s1's phase:
+        # s2 RAW-depends on s0, which bars it from s1's phase:
         # a chain straddling that barrier would hoist s2's reads of
         # ``a`` ahead of the taskwait that publishes them.
         group, shapes = straddle_group()

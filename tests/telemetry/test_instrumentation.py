@@ -115,10 +115,15 @@ class TestDmemCounters:
 
 
 class TestFrontendCounters:
-    def test_pass_timers_recorded(self):
-        from repro.frontend.passes import optimize_group
+    def test_eliminated_stencils_counted(self):
+        from repro.analysis.optimize import eliminate_dead_stencils
 
-        group = StencilGroup([make_stencil()])
-        optimize_group(group, {"u": (16, 16), "out": (16, 16)})
-        timers = telemetry.snapshot()["timers"]
-        assert any(name.startswith("frontend.pass.") for name in timers)
+        dead = Stencil(
+            Component("u", WeightArray([[1]])), "scratch",
+            INTERIOR, name="dead",
+        )
+        group = StencilGroup([dead, make_stencil()])
+        shapes = {g: (16, 16) for g in group.grids()}
+        eliminate_dead_stencils(group, shapes, live_grids={"out"})
+        counters = telemetry.snapshot()["counters"]
+        assert counters.get("frontend.stencils_eliminated") == 1

@@ -6,6 +6,8 @@ compositions must raise a typed :class:`TransformError` carrying the
 refusing :class:`~repro.schedule.Evidence`.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,10 @@ from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
 from repro.kernel.lower import body_for
-from repro.kernel.optimize import optimize_kernel
 from repro.schedule import (
     Evidence,
     ScheduleOptions,
+    SchedulePhase,
     base_schedule,
     build_schedule,
 )
@@ -25,10 +27,8 @@ from repro.transform import (
     Pipeline,
     Transform,
     TransformError,
-    cse,
     distribute,
     fuse,
-    kernel_pipeline,
     preset_pipeline,
     reorder,
     split,
@@ -40,6 +40,8 @@ from repro.transform import (
 from tests.schedule._cases import (
     fusable_pair_group,
     gsrb_workload,
+    laplacian_pair,
+    solver_units,
     straddle_group,
 )
 
@@ -63,6 +65,27 @@ def snapshot_group(n=10):
         name="inplace",
     )
     return StencilGroup([s], name="snap"), {"u": (n, n)}
+
+
+def snapshot_pair_group(n=10):
+    """The snapshot stencil plus an independent same-domain one."""
+    group, shapes = snapshot_group(n)
+    other = Stencil(
+        Component("v", WeightArray([[1]])), "b", RectDomain((1, 1), (-1, -1)),
+        name="copy",
+    )
+    return group + other, {**shapes, "v": (n, n), "b": (n, n)}
+
+
+def raw_pair_group(n=10):
+    """Two same-domain stencils, the second reading what the first wrote."""
+    interior = RectDomain((1, 1), (-1, -1))
+    w = WeightArray([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    s0 = Stencil(Component("u", w), "a", interior, name="write_a")
+    s1 = Stencil(Component("a", w), "b", interior, name="read_a")
+    return StencilGroup([s0, s1], name="raw"), {
+        g: (n, n) for g in ("u", "a", "b")
+    }
 
 
 class TestPresetEquivalence:
@@ -191,19 +214,21 @@ class TestComposition:
             np.testing.assert_array_equal(got[g], ref[g])
 
     def test_verify_schedule_accepts_every_preset(self):
-        group, shapes, _ = gsrb_workload()
-        for opts in PRESETS:
-            sched = build_schedule(group, shapes, opts)
-            assert verify_schedule(sched) == []
-
-    def test_kernel_pipeline_matches_optimize_kernel(self):
-        group, _, _ = gsrb_workload()
-        for st in group:
-            raw, _ = body_for(st, optimize=False)
-            via_opt, report = optimize_kernel(raw)
-            via_chain = kernel_pipeline()(raw)
-            assert via_chain.signature() == via_opt.signature()
-            assert report is not None
+        # the presets with fuse=True step exactly the fusion_chains
+        units = [
+            gsrb_workload()[:2], laplacian_pair(), straddle_group(),
+            fusable_pair_group(), *solver_units(32),
+        ]
+        for group, shapes in units:
+            for opts in PRESETS:
+                try:
+                    sched = build_schedule(group, shapes, opts)
+                except TransformError as e:
+                    # a refused time tile is a verdict, not a schedule
+                    assert opts.time_tile > 1
+                    assert e.evidence.claim == "time-tile-refused"
+                    continue
+                assert verify_schedule(sched) == []
 
 
 class TestIllegalCompositions:
@@ -274,11 +299,30 @@ class TestIllegalCompositions:
         with pytest.raises(TransformError):
             tile(4)(body)
 
-    def test_kernel_transform_rejects_schedule(self):
-        group, shapes = fusable_pair_group()
+    @pytest.mark.parametrize("case", ["domain", "snapshot", "raw"])
+    def test_verifier_refuses_an_illegal_fused_step(self, case):
+        # one rule judges fusion wherever it is asked: a hand-built
+        # fused step of stencils 0 and 1 fails it for each reason
+        group, shapes = {
+            "domain": straddle_group,
+            "snapshot": snapshot_pair_group,
+            "raw": raw_pair_group,
+        }[case]()
         sched = base_schedule(group, shapes)
-        with pytest.raises(TransformError):
-            cse()(sched)
+        first = next(st for st in sched.steps() if st.stencils == (0,))
+        fused = replace(first, stencils=(0, 1), snapshot=False)
+        phases = tuple(
+            SchedulePhase(ph.index, tuple(
+                fused if st is first else st
+                for st in ph.steps if st.stencils != (1,)
+            ))
+            for ph in sched.phases
+        )
+        problems = verify_schedule(replace(sched, phases=phases))
+        assert [p.claim for p in problems] == ["fuse-refused"]
+        with pytest.raises(TransformError) as ei:
+            fuse(chains=((0, 1),))(sched)
+        assert ei.value.evidence.claim == "fuse-refused"
 
     def test_refused_chain_stops_at_the_refusing_transform(self):
         group, shapes = snapshot_group()
