@@ -283,14 +283,6 @@ def cmd_explain(args) -> int:
         group, shapes, backend=args.backend, policy=args.policy,
         **options,
     )
-    if args.transforms:
-        # Just the composable-rewrite expansion of the preset.
-        if args.json:
-            print(json.dumps(list(prov.transforms), indent=2))
-        else:
-            for t in prov.transforms:
-                print(t)
-        return 0
     dmem_doc = None
     dmem_text = None
     if args.dmem:
@@ -628,11 +620,6 @@ def main(argv=None) -> int:
         help="also report the distributed execution plan over RANKS "
         "simulated ranks: decomposition, reliable-transport and "
         "guard configuration",
-    )
-    ex.add_argument(
-        "--transforms", action="store_true",
-        help="print only the composable transform pipeline the "
-        "scheduling preset expands to",
     )
     ex.add_argument(
         "--json", action="store_true",

@@ -17,7 +17,7 @@ from .dependence import (
     intra_stencil_hazards,
     is_parallel_safe,
 )
-from .diophantine import (
+from ..util.diophantine import (
     BoxedLinearSystem,
     extended_gcd,
     lattice_range_intersect,

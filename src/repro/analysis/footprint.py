@@ -5,7 +5,7 @@ The crucial closure property: applying an affine access map
 *another* strided box of grid indices — so footprints of Snowflake
 stencils are exactly representable as :class:`ResolvedRect` lattices, and
 footprint-intersection questions stay in the linear Diophantine fragment
-solved by :mod:`repro.analysis.diophantine`.
+solved by :mod:`repro.util.diophantine`.
 """
 
 from __future__ import annotations

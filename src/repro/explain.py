@@ -128,10 +128,6 @@ class GroupProvenance:
     #: :meth:`repro.kernel.cost.SweptCost.to_dict`) when the schedule
     #: carries a time tile; None otherwise
     swept: dict | None = None
-    #: the composable transform pipeline the scheduling preset expands
-    #: to (:func:`repro.transform.preset_pipeline` descriptions, after
-    #: the ``base_schedule`` seed); empty for such backends
-    transforms: tuple = ()
 
     def to_dict(self) -> dict:
         """JSON-able view (frozensets become sorted lists)."""
@@ -173,7 +169,6 @@ class GroupProvenance:
             ],
             "artifact": self.artifact,
             "swept": self.swept,
-            "transforms": list(self.transforms),
         }
 
     def render(self) -> str:
@@ -202,11 +197,6 @@ class GroupProvenance:
             lines.append("schedule:")
             for l in self.schedule.describe().splitlines():
                 lines.append("  " + l)
-        if self.transforms:
-            lines.append("")
-            lines.append("transform pipeline (the preset as rewrites):")
-            for t in self.transforms:
-                lines.append(f"  {t}")
         if self.swept is not None:
             lines.append("")
             lines.append("time-tile traffic prediction (paper-cpu cache):")
@@ -285,15 +275,6 @@ def explain(
             swept = {}
             for st in group:
                 swept[st.name] = time_tile_cost(st, shapes, k).to_dict()
-        transforms: tuple = ()
-        if sched is not None:
-            from .transform import preset_pipeline
-
-            transforms = (
-                f"base_schedule(policy={sched.options.policy!r})",
-            ) + tuple(
-                t.describe() for t in preset_pipeline(sched.options)
-            )
         artifact = be.artifact_info(group, shapes, dtype, **options)
     return GroupProvenance(
         group=group.name,
@@ -304,5 +285,4 @@ def explain(
         artifact=artifact,
         schedule=sched,
         swept=swept,
-        transforms=transforms,
     )

@@ -21,11 +21,12 @@ from .ir import (
     detect_parity_class,
 )
 from .lower import (
+    ScheduleError,
     as_schedule,
-    base_schedule,
     build_schedule,
     fusion_chains,
     schedule_for,
+    verify_schedule,
 )
 from .options import POLICIES, ScheduleOptions
 
@@ -36,11 +37,12 @@ __all__ = [
     "SchedulePhase",
     "Step",
     "detect_parity_class",
+    "ScheduleError",
     "as_schedule",
-    "base_schedule",
     "build_schedule",
     "fusion_chains",
     "schedule_for",
+    "verify_schedule",
     "POLICIES",
     "ScheduleOptions",
 ]

@@ -5,9 +5,10 @@ checkerboard recognition run; the backends and emitters consume the
 :class:`~repro.schedule.ir.Schedule` it builds and decide none of it
 themselves.  Each legality rule is one function — :func:`fusion_refusals`
 ("may these stencils share a loop nest") and :func:`step_flags` (a
-step's parallel and snapshot flags) — called alike by the lowering, by
-explicit ``Fuse(chains)`` and by
-:func:`~repro.transform.schedule_tx.verify_schedule`.
+step's parallel and snapshot flags) — called alike by the lowering and
+by :func:`verify_schedule`, the one check every schedule passes: once at
+the end of :func:`build_schedule`, and again wherever a prebuilt
+:class:`~repro.schedule.ir.Schedule` enters, in :func:`as_schedule`.
 
 Chains are computed *within* dependence phases, which closes a latent
 race in the legacy OpenMP path: a program-order chain could straddle a
@@ -39,15 +40,31 @@ from .ir import (
 from .options import ScheduleOptions
 
 __all__ = [
+    "ScheduleError",
     "step_flags",
     "fusion_refusals",
     "fusion_chains",
     "time_tile_verdict",
-    "base_schedule",
+    "verify_schedule",
     "build_schedule",
     "schedule_for",
     "as_schedule",
 ]
+
+
+class ScheduleError(ValueError):
+    """An illegal schedule, with the refusing evidence.
+
+    Subclasses :class:`ValueError` so callers that treat schedule
+    refusals as value errors (the tuner, the backends) need nothing
+    else.  ``refusals`` is the full list of refusing
+    :class:`~repro.schedule.ir.Evidence`; ``evidence`` is its first.
+    """
+
+    def __init__(self, message: str, refusals: Sequence[Evidence]) -> None:
+        super().__init__(message)
+        self.refusals = tuple(refusals)
+        self.evidence = self.refusals[0]
 
 
 def step_flags(
@@ -163,7 +180,7 @@ def time_tile_verdict(
     A step is time-tileable iff
 
     * it needs no gather snapshot (a snapshot per application would
-      have to be re-taken inside the tile — the transform's whole point
+      have to be re-taken inside the tile — the time tile's whole point
       is to *not* round-trip the grid per application);
     * its output map is the identity scale (a scaled write footprint
       moves per application, so the halo is unbounded);
@@ -304,16 +321,15 @@ def _plan_time_tile(
     if refusals:
         detail = "; ".join(e.basis for e in refusals)
         from .. import telemetry
-        from ..transform.base import TransformError
 
         telemetry.count("schedule.time_tile.refusals")
         telemetry.event(
             "schedule.time_tile.refused",
             group=group.name, k=k, detail=detail,
         )
-        raise TransformError(
+        raise ScheduleError(
             f"time_tile={k} is not legal for group {group.name!r}: {detail}",
-            refusals=tuple(refusals),
+            refusals,
         )
     evidence.append(
         Evidence(
@@ -326,30 +342,139 @@ def _plan_time_tile(
     return TimeTile(k=k, slope=slope, evidence=tuple(evidence))
 
 
-def base_schedule(
-    group: StencilGroup,
-    shapes: Mapping[str, Sequence[int]],
-    policy: str = "greedy",
-) -> Schedule:
-    """The untransformed schedule: the dependence plan, nothing else.
+def verify_schedule(sched: Schedule) -> list[Evidence]:
+    """Re-validate a schedule against its group's dependence evidence.
 
-    One singleton step per stencil in plan-phase order, each tagged with
-    its parallel/snapshot verdict; no fusion, no sweep recognition, no
-    tiling.  This is the starting point every
-    :class:`~repro.transform.base.Transform` rewrites — and what
-    :func:`build_schedule` feeds the preset pipeline.
+    Returns a list of refusing :class:`Evidence` (empty == legal).
+    Checks, in order: coverage (every stencil exactly once), barrier
+    ordering (no dependence edge between steps of one phase or across
+    phases the wrong way), then per step the parallel/snapshot flags
+    (:func:`step_flags`), fused-step legality (:func:`fusion_refusals`)
+    and sweep correctness against parity-class recognition, and — when
+    a time tile is attached — the time-tile verdict including slope
+    staleness.
     """
-    norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
-    options = ScheduleOptions(policy=policy, multicolor=False)
-    exec_plan = plan(group, norm, policy=policy)
-    phases: list[SchedulePhase] = []
-    for pi, phase in enumerate(exec_plan.phases):
-        steps = tuple(
-            _make_step(group, norm, [si], exec_plan.hazards, options)
-            for si in phase
+    problems: list[Evidence] = []
+    group = sched.group
+    norm = dict(sched.shapes)
+    exec_plan = sched.plan
+    n = len(group)
+
+    # coverage: each group index exactly once
+    seen: dict[int, int] = {}
+    for ph in sched.phases:
+        for s in ph.steps:
+            for i in s.stencils:
+                seen[i] = seen.get(i, 0) + 1
+    missing = sorted(i for i in range(n) if i not in seen)
+    dup = sorted(i for i, c in seen.items() if c > 1)
+    extra = sorted(i for i in seen if not 0 <= i < n)
+    if missing:
+        problems.append(
+            Evidence(
+                "coverage-refused",
+                f"stencil indices {missing} are executed by no step",
+            )
         )
-        phases.append(SchedulePhase(pi, steps))
-    return Schedule(group, norm, options, exec_plan, tuple(phases), None)
+    if dup:
+        problems.append(
+            Evidence(
+                "coverage-refused",
+                f"stencil indices {dup} appear in more than one step",
+            )
+        )
+    if extra:
+        problems.append(
+            Evidence(
+                "coverage-refused",
+                f"step indices {extra} do not name stencils of group "
+                f"{group.name!r} (size {n})",
+            )
+        )
+    if problems:
+        return problems  # downstream checks assume a sane index map
+
+    phase_of: dict[int, int] = {}
+    step_of: dict[int, object] = {}
+    for pi, ph in enumerate(sched.phases):
+        for s in ph.steps:
+            for i in s.stencils:
+                phase_of[i] = pi
+                step_of[i] = s
+
+    # barrier ordering: a dependence edge (i, j) must cross a barrier
+    # (steps of one phase may run concurrently), unless both ends share
+    # a fused step — which the fusion rule judges below.
+    deps = exec_plan.dependences
+    for (i, j), kinds in sorted(deps.items()):
+        if i not in step_of or j not in step_of:
+            continue
+        if step_of[i] is not step_of[j] and phase_of[i] >= phase_of[j]:
+            problems.append(
+                Evidence(
+                    "order-refused",
+                    f"dependence {group[i].name} -> {group[j].name} "
+                    f"({sorted(kinds)}) requires a barrier between "
+                    f"them, but they sit in phases {phase_of[i]} and "
+                    f"{phase_of[j]}",
+                )
+            )
+
+    # per-step flags and fusion against the hazard lattices + sweep
+    # recognition
+    hazards = exec_plan.hazards
+    for ph in sched.phases:
+        for s in ph.steps:
+            names = ", ".join(group[i].name for i in s.stencils)
+            expect_par, expect_snap = step_flags(group, s.stencils, hazards)
+            if s.parallel != expect_par:
+                problems.append(
+                    Evidence(
+                        "parallel-refused",
+                        f"step [{names}] is marked "
+                        f"{'parallel' if s.parallel else 'serialized'} "
+                        "but the hazard lattices say "
+                        f"{'parallel' if expect_par else 'serialized'}",
+                    )
+                )
+            if s.snapshot != expect_snap:
+                problems.append(
+                    Evidence(
+                        "snapshot-refused",
+                        f"step [{names}] snapshot flag is {s.snapshot} "
+                        f"but the hazard analysis requires {expect_snap}",
+                    )
+                )
+            if s.fused:
+                problems.extend(
+                    fusion_refusals(group, s.stencils, deps, hazards)
+                )
+            if s.sweep is not None:
+                want, _ = _sweep_verdict(group, norm, s.head)
+                if want != s.sweep:
+                    problems.append(
+                        Evidence(
+                            "multicolor-refused",
+                            f"step [{names}] claims a parity-class "
+                            "sweep the domain union does not form",
+                        )
+                    )
+
+    if sched.time_tile is not None:
+        steps = list(sched.steps())
+        slope, _, refusals = time_tile_verdict(group, norm, steps)
+        problems.extend(refusals)
+        if not refusals and slope != sched.time_tile.slope:
+            problems.append(
+                Evidence(
+                    "time-tile-refused",
+                    f"attached time tile assumes cross-application halo "
+                    f"{sched.time_tile.slope} but the current steps "
+                    f"prove slope {slope}; re-plan the tile after "
+                    "restructuring",
+                )
+            )
+    return problems
 
 
 def build_schedule(
@@ -357,26 +482,58 @@ def build_schedule(
     shapes: Mapping[str, Sequence[int]],
     options: ScheduleOptions | None = None,
 ) -> Schedule:
-    """Lower ``group`` to a :class:`Schedule` under ``options``.
+    """Lower ``group`` to a :class:`Schedule` under ``options``, in one pass.
 
-    A thin preset over the transform API: :func:`base_schedule` runs the
-    dependence plan (edges and per-stencil hazards, once), then the
-    pipeline :func:`repro.transform.preset.preset_pipeline` renders from
-    ``options`` applies fusion chaining, checkerboard recognition,
-    tiling and temporal blocking — every rewrite re-validated and tagged
-    with its legalizing evidence.
+    The dependence plan runs once (edges and per-stencil hazards); each
+    plan phase is then stepped as its :func:`fusion_chains`
+    (``fuse=True``) or as singletons, every step tagged with its
+    parallel/snapshot verdict and, under ``multicolor=True``, its
+    parity-class sweep; ``time_tile > 1`` attaches the legalized time
+    tile.  The result carries ``options`` verbatim and passes
+    :func:`verify_schedule` once, or :class:`ScheduleError` is raised.
     """
     options = options or ScheduleOptions()
     norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
-    from ..transform.preset import preset_pipeline
-
     with tracing.span(
         "schedule", cat="analysis", group=group.name,
         policy=options.policy, fuse=options.fuse,
         multicolor=options.multicolor,
     ):
-        sched = base_schedule(group, norm, options.policy)
-        sched = preset_pipeline(options)(sched)
+        exec_plan = plan(group, norm, policy=options.policy)
+        chain_of = (
+            {c[0]: c for c in fusion_chains(group, norm, exec_plan)}
+            if options.fuse else {}
+        )
+        phases: list[SchedulePhase] = []
+        for pi, phase in enumerate(exec_plan.phases):
+            steps = []
+            emitted: set[int] = set()
+            for si in phase:
+                if si in emitted:
+                    continue
+                chain = chain_of.get(si, [si])
+                emitted.update(chain)
+                steps.append(
+                    _make_step(
+                        group, norm, chain, exec_plan.hazards, options
+                    )
+                )
+            phases.append(SchedulePhase(pi, tuple(steps)))
+        tt = (
+            _plan_time_tile(group, norm, phases, options.time_tile)
+            if options.time_tile > 1 else None
+        )
+        sched = Schedule(
+            group, norm, options, exec_plan, tuple(phases), tt
+        )
+        problems = verify_schedule(sched)
+    if problems:
+        raise ScheduleError(
+            f"lowering {options.describe()} produced an illegal schedule "
+            f"for group {group.name!r}: "
+            + "; ".join(str(p) for p in problems),
+            problems,
+        )
     return sched
 
 
@@ -516,13 +673,16 @@ def as_schedule(
     """The :class:`Schedule` an emitter runs for ``spec``.
 
     ``spec`` is a prebuilt :class:`Schedule` (checked against this
-    group/shapes), a :class:`ScheduleOptions`, or ``None`` for the
+    group/shapes and by :func:`verify_schedule`, refusing with
+    :class:`ScheduleError`), a :class:`ScheduleOptions`, or ``None`` for the
     defaults.  Loose keyword options and policy strings are resolved
     before this point, by
     :meth:`repro.backends.base.Backend.pop_schedule`.
     """
     norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
     if isinstance(spec, Schedule):
+        # a prebuilt schedule may have been assembled by hand: it passes
+        # the same check a lowered one does before anything runs it
         if spec.group.signature() != group.signature():
             raise ValueError(
                 f"schedule was built for group {spec.group.name!r} "
@@ -532,6 +692,13 @@ def as_schedule(
             raise ValueError(
                 f"schedule was built for shapes {dict(spec.shapes)}, "
                 f"asked to execute with {norm}"
+            )
+        problems = verify_schedule(spec)
+        if problems:
+            raise ScheduleError(
+                f"prebuilt schedule for group {group.name!r} is illegal: "
+                + "; ".join(str(p) for p in problems),
+                problems,
             )
         return spec
     if spec is not None and not isinstance(spec, ScheduleOptions):

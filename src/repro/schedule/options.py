@@ -16,7 +16,7 @@ same options can be handed to every link of a fallback chain.
 ``time_tile`` is the one *semantic* field: a kernel built with
 ``time_tile=k`` performs ``k`` applications per call.  It is honoured or
 refused loudly (``NotImplementedError`` from a backend that cannot lower
-it, ``TransformError`` with evidence for a group it is illegal on) and
+it, ``ScheduleError`` with evidence for a group it is illegal on) and
 never dropped.
 """
 

@@ -203,7 +203,7 @@ def predict_schedule_time(
     the gather copy; every step launch pays the spec's per-launch
     overhead.  Raises whatever :func:`~repro.schedule.schedule_for`
     raises on an illegal candidate (typed
-    :class:`~repro.transform.TransformError` for refused rewrites).
+    :class:`~repro.schedule.ScheduleError` for refused options).
     """
     spec = resolve_search_spec(spec)
     norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.diophantine import (
+from repro.util.diophantine import (
     BoxedLinearSystem,
     count_lattice_points,
     extended_gcd,

@@ -113,22 +113,3 @@ def test_tune_persists_and_second_process_reloads(tmp_path):
     assert second.returncode == 0, second.stdout + second.stderr
     assert "RELOADED" in second.stdout
 
-
-def test_explain_transforms_flag():
-    proc = run_cli(
-        "explain", "--size", "8", "--transforms", "--fuse", "--tile", "8",
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.strip().splitlines()
-    assert lines[0].startswith("base_schedule(")
-    assert "fuse()" in lines
-    assert "tile(8)" in lines
-
-
-def test_explain_transforms_json():
-    proc = run_cli(
-        "explain", "--size", "8", "--transforms", "--json",
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    doc = json.loads(proc.stdout)
-    assert isinstance(doc, list) and doc[0].startswith("base_schedule(")

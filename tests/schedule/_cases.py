@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
+from repro.schedule import SchedulePhase
 
 LAP = WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]])
 
@@ -63,6 +66,55 @@ def gsrb_workload(n=10, ndim=2):
     arrays = {g: rng.standard_normal(shape) for g in group.grids()}
     return group, shapes, arrays
 
+
+def snapshot_group(n=10):
+    """In-place symmetric read: serialized step with a gather snapshot."""
+    w = WeightArray([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    s = Stencil(
+        Component("u", w), "u", RectDomain((1, 1), (-1, -1)),
+        name="inplace",
+    )
+    return StencilGroup([s], name="snap"), {"u": (n, n)}
+
+
+def snapshot_pair_group(n=10):
+    """The snapshot stencil plus an independent same-domain one."""
+    group, shapes = snapshot_group(n)
+    other = Stencil(
+        Component("v", WeightArray([[1]])), "b", RectDomain((1, 1), (-1, -1)),
+        name="copy",
+    )
+    return group + other, {**shapes, "v": (n, n), "b": (n, n)}
+
+
+def raw_pair_group(n=10):
+    """Two same-domain stencils, the second reading what the first wrote."""
+    interior = RectDomain((1, 1), (-1, -1))
+    w = WeightArray([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    s0 = Stencil(Component("u", w), "a", interior, name="write_a")
+    s1 = Stencil(Component("a", w), "b", interior, name="read_a")
+    return StencilGroup([s0, s1], name="raw"), {
+        g: (n, n) for g in ("u", "a", "b")
+    }
+
+
+def fuse_by_hand(sched, i=0, j=1):
+    """``sched`` with stencil ``j`` folded into stencil ``i``'s step.
+
+    Built with ``dataclasses.replace`` and no legality check, the way a
+    caller assembles a custom schedule; the merged step keeps ``i``'s
+    place and flags (snapshot off, as a fused step must be).
+    """
+    first = next(st for st in sched.steps() if st.stencils == (i,))
+    fused = replace(first, stencils=(i, j), snapshot=False)
+    phases = tuple(
+        SchedulePhase(ph.index, tuple(
+            fused if st is first else st
+            for st in ph.steps if st.stencils != (j,)
+        ))
+        for ph in sched.phases
+    )
+    return replace(sched, phases=phases)
 
 
 def solver_units(n=32):

@@ -1,9 +1,8 @@
 """Schedule construction analyses each (group, shapes) once.
 
 ``analysis.plan`` makes one pairwise dependence pass and one hazard
-analysis per stencil; the preset transforms and the verifier that runs
-after each of them read those verdicts off the plan instead of
-re-deriving them.
+analysis per stencil; the lowering and the verifier that checks its
+result read those verdicts off the plan instead of re-deriving them.
 """
 
 import sys

@@ -1,10 +1,12 @@
 """Lowering: chains, evidence, memoization, coercion."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.dag import plan
 from repro.schedule import (
     Schedule,
+    ScheduleError,
     ScheduleOptions,
     as_schedule,
     build_schedule,
@@ -13,8 +15,10 @@ from repro.schedule import (
 )
 from tests.schedule._cases import (
     fusable_pair_group,
+    fuse_by_hand,
     gsrb_workload,
     laplacian_pair,
+    raw_pair_group,
     straddle_group,
 )
 
@@ -143,9 +147,41 @@ class TestMemoizationAndCoercion:
         with pytest.raises(ValueError, match="shapes"):
             as_schedule(sched, group, {"u": (16, 16), "out": (16, 16)})
 
+    @pytest.mark.parametrize("backend", ("python", "numpy", "c", "openmp"))
+    @pytest.mark.parametrize(
+        "make", [raw_pair_group, straddle_group], ids=["raw", "straddle"]
+    )
+    def test_as_schedule_refuses_an_illegal_prebuilt_schedule(
+        self, make, backend
+    ):
+        # stencils 0 and 1 may not share a nest (a RAW edge; different
+        # domains): a hand-fused step is refused before anything runs it
+        group, shapes = make()
+        bad = fuse_by_hand(
+            build_schedule(group, shapes, ScheduleOptions(multicolor=False))
+        )
+        arrays = {g: np.zeros(s) for g, s in shapes.items()}
+        with pytest.raises(ScheduleError) as ei:
+            group.compile(backend=backend, shapes=shapes, schedule=bad)(
+                **arrays
+            )
+        assert [e.claim for e in ei.value.refusals] == ["fuse-refused"]
+
     def test_as_schedule_rejects_wrong_group(self):
         group, shapes = laplacian_pair()
         other, other_shapes = straddle_group()
         sched = schedule_for(other, other_shapes)
         with pytest.raises(ValueError, match="signature"):
             as_schedule(sched, group, shapes)
+
+    def test_tuned_spec_without_winner_is_the_defaults(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.backends import get_backend
+
+        monkeypatch.setenv("SNOWFLAKE_CACHE_DIR", str(tmp_path))
+        group, shapes = fusable_pair_group()
+        sched = get_backend("c").pop_schedule(
+            group, {"schedule": "tuned"}
+        )(shapes)
+        assert sched.options == ScheduleOptions()

@@ -25,7 +25,7 @@ from repro.hpgmg.operators import (
     smooth_group,
     vc_laplacian,
 )
-from repro.schedule import ScheduleOptions, schedule_for
+from repro.schedule import POLICIES, ScheduleOptions, schedule_for
 from repro.schedule.lower import time_tile_verdict
 
 #: the four backends the parity criterion covers
@@ -115,20 +115,31 @@ class TestBitwiseParity:
                 err_msg=f"{case}/{backend} (tile={tile}) diverges on {g!r}",
             )
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=25, deadline=None)
     @given(
+        case=st.sampled_from(("vc_gsrb", "smooth")),
         n=st.integers(min_value=5, max_value=12),
-        k=st.integers(min_value=2, max_value=4),
+        k=st.integers(min_value=1, max_value=4),
+        policy=st.sampled_from(POLICIES),
+        fuse=st.booleans(),
+        multicolor=st.booleans(),
         tile=st.sampled_from([None, 2, 3]),
+        unroll=st.sampled_from([None, 2, 4]),
     )
-    def test_parity_over_generated_schedules(self, n, k, tile):
-        # Interpreters only: property runs stay toolchain-independent.
-        # A prebuilt schedule carries a spatial tile to numpy, which
-        # must ignore it under a time tile as it does without one.
-        group, shapes, arrays = gsrb_case(n)
-        sched = schedule_for(
-            group, shapes, ScheduleOptions(time_tile=k, tile=tile)
-        )
+    def test_parity_over_generated_schedules(
+        self, case, n, k, policy, fuse, multicolor, tile, unroll
+    ):
+        # Every ScheduleOptions point computes k plain sweeps, bit for
+        # bit.  Interpreters only: property runs stay toolchain-
+        # independent.  A prebuilt schedule carries the compiled-backend
+        # hints to numpy, which must ignore them with or without a time
+        # tile.
+        make = gsrb_case if case == "vc_gsrb" else smooth_case
+        group, shapes, arrays = make(n)
+        sched = schedule_for(group, shapes, ScheduleOptions(
+            policy=policy, fuse=fuse, multicolor=multicolor, tile=tile,
+            time_tile=k, unroll=unroll,
+        ))
         ref = apply_untiled(group, shapes, arrays, "python", k)
         work = {g: a.copy() for g, a in arrays.items()}
         group.compile(

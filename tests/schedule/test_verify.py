@@ -1,0 +1,211 @@
+"""The one schedule check: :func:`verify_schedule`.
+
+Every schedule passes it once — at the end of ``build_schedule``, or, for
+a schedule built by hand, where it enters through ``as_schedule`` — and a
+refusal is a typed :class:`ScheduleError` carrying the refusing
+:class:`~repro.schedule.Evidence`.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.schedule import (
+    ScheduleError,
+    ScheduleOptions,
+    SchedulePhase,
+    as_schedule,
+    build_schedule,
+    verify_schedule,
+)
+from tests.schedule._cases import (
+    fusable_pair_group,
+    fuse_by_hand,
+    gsrb_workload,
+    laplacian_pair,
+    raw_pair_group,
+    snapshot_group,
+    snapshot_pair_group,
+    solver_units,
+    straddle_group,
+)
+
+PARITY_BACKENDS = ("python", "numpy", "c", "openmp")
+
+PRESETS = [
+    ScheduleOptions(),
+    ScheduleOptions(fuse=True),
+    ScheduleOptions(multicolor=False),
+    ScheduleOptions(fuse=True, multicolor=True, tile=4),
+    ScheduleOptions(tile=8, unroll=2),
+    ScheduleOptions(fuse=True, time_tile=2),
+]
+
+PLAIN = ScheduleOptions(multicolor=False)
+
+
+class TestVerifier:
+    def test_verify_schedule_accepts_every_preset(self):
+        # the presets with fuse=True step exactly the fusion_chains
+        units = [
+            gsrb_workload()[:2], laplacian_pair(), straddle_group(),
+            fusable_pair_group(), *solver_units(32),
+        ]
+        for group, shapes in units:
+            for opts in PRESETS:
+                try:
+                    sched = build_schedule(group, shapes, opts)
+                except ScheduleError as e:
+                    # a refused time tile is a verdict, not a schedule
+                    assert opts.time_tile > 1
+                    assert e.evidence.claim == "time-tile-refused"
+                    continue
+                assert sched.options == opts
+                assert verify_schedule(sched) == []
+
+    @pytest.mark.parametrize("case", ["domain", "snapshot", "raw"])
+    def test_verifier_refuses_an_illegal_fused_step(self, case):
+        # one rule judges fusion wherever it is asked: a hand-built
+        # fused step of stencils 0 and 1 fails it for each reason
+        group, shapes = {
+            "domain": straddle_group,
+            "snapshot": snapshot_pair_group,
+            "raw": raw_pair_group,
+        }[case]()
+        bad = fuse_by_hand(build_schedule(group, shapes, PLAIN))
+        assert [p.claim for p in verify_schedule(bad)] == ["fuse-refused"]
+
+    def test_time_tile_of_snapshot_step_is_refused(self):
+        group, shapes = snapshot_group()
+        with pytest.raises(ScheduleError) as ei:
+            build_schedule(
+                group, shapes, ScheduleOptions(multicolor=False, time_tile=2)
+            )
+        err = ei.value
+        assert isinstance(err, ValueError)  # the tuner catches ValueError
+        assert err.evidence.claim == "time-tile-refused"
+        assert err.refusals  # the full refusal list rides along
+        assert all(r.claim == "time-tile-refused" for r in err.refusals)
+
+    def test_fuse_dependent_pair_is_refused(self):
+        # s2 reads what s0 writes: one step cannot run both
+        group, shapes = straddle_group()
+        sched = build_schedule(
+            group, shapes, ScheduleOptions(policy="serial", multicolor=False)
+        )
+        bad = fuse_by_hand(sched, 0, 2)
+        with pytest.raises(ScheduleError) as ei:
+            as_schedule(bad, group, shapes)
+        assert ei.value.evidence.claim == "fuse-refused"
+
+    def test_fusing_across_a_barrier_is_refused(self):
+        # s2 reads what s0 writes: hoisting it into s1's step in the
+        # first phase drops the barrier it must wait on
+        group, shapes = straddle_group()
+        bad = fuse_by_hand(build_schedule(group, shapes, PLAIN), 1, 2)
+        with pytest.raises(ScheduleError, match="barrier") as ei:
+            as_schedule(bad, group, shapes)
+        assert [e.claim for e in ei.value.refusals] == ["order-refused"]
+
+    def test_stencil_run_twice_or_never_is_refused(self):
+        group, shapes, _ = gsrb_workload()
+        sched = build_schedule(group, shapes)
+        pi = next(
+            i for i, ph in enumerate(sched.phases) if len(ph.steps) >= 2
+        )
+        ph = sched.phases[pi]
+        phases = list(sched.phases)
+        phases[pi] = SchedulePhase(ph.index, ph.steps[:1] * len(ph.steps))
+        bad = replace(sched, phases=tuple(phases))
+        with pytest.raises(ScheduleError) as ei:
+            as_schedule(bad, group, shapes)
+        assert {e.claim for e in ei.value.refusals} == {"coverage-refused"}
+
+
+class TestHandBuiltSchedules:
+    """A legal schedule assembled by hand is accepted and runs."""
+
+    def test_reordered_phase_preserves_results(self):
+        # steps of one phase are independent, so any order is legal
+        group, shapes, arrays = gsrb_workload()
+        sched = build_schedule(group, shapes)
+        pi = next(
+            i for i, ph in enumerate(sched.phases) if len(ph.steps) >= 2
+        )
+        phases = list(sched.phases)
+        ph = phases[pi]
+        phases[pi] = SchedulePhase(ph.index, ph.steps[::-1])
+        swapped = replace(sched, phases=tuple(phases))
+        assert as_schedule(swapped, group, shapes) is swapped
+        ref = {g: a.copy() for g, a in arrays.items()}
+        group.compile(backend="numpy", shapes=shapes, schedule=sched)(**ref)
+        got = {g: a.copy() for g, a in arrays.items()}
+        group.compile(backend="numpy", shapes=shapes, schedule=swapped)(
+            **got
+        )
+        for g in sorted(shapes):
+            np.testing.assert_array_equal(got[g], ref[g])
+
+    @pytest.mark.parametrize("backend", PARITY_BACKENDS)
+    def test_bitwise_backend_parity(self, backend):
+        # the lowered preset, reassembled step by step, enters through
+        # the as_schedule gate and computes bit for bit what the
+        # options compute
+        opts = ScheduleOptions(fuse=True, multicolor=True, tile=4)
+        group, shapes, arrays = gsrb_workload()
+        sched = build_schedule(group, shapes, opts)
+        by_hand = replace(sched, phases=tuple(
+            SchedulePhase(ph.index, tuple(replace(st) for st in ph.steps))
+            for ph in sched.phases
+        ))
+        assert by_hand.to_dict() == sched.to_dict()
+        assert as_schedule(by_hand, group, shapes) is by_hand
+        ref = {g: a.copy() for g, a in arrays.items()}
+        group.compile(backend=backend, shapes=shapes, schedule=opts)(**ref)
+        got = {g: a.copy() for g, a in arrays.items()}
+        group.compile(backend=backend, shapes=shapes, schedule=by_hand)(
+            **got
+        )
+        for g in sorted(shapes):
+            np.testing.assert_array_equal(
+                got[g], ref[g],
+                err_msg=f"hand-built schedule diverges on {backend}/{g}",
+            )
+
+    @pytest.mark.parametrize("backend", PARITY_BACKENDS)
+    def test_unfusing_under_a_time_tile_still_runs_every_step(self, backend):
+        # a time tile's loop structure is read from the steps it wraps,
+        # so splitting a fused step after lowering cannot drop a step
+        group, shapes = fusable_pair_group()
+        k = 3
+        sched = build_schedule(
+            group, shapes, ScheduleOptions(fuse=True, time_tile=k)
+        )
+        fused = next(st for st in sched.steps() if st.fused)
+        parts = tuple(
+            replace(
+                fused, stencils=(i,),
+                evidence=tuple(e for e in fused.evidence if e.claim != "fuse"),
+            )
+            for i in fused.stencils
+        )
+        sched = replace(sched, phases=tuple(
+            SchedulePhase(ph.index, tuple(
+                x for st in ph.steps
+                for x in (parts if st is fused else (st,))
+            ))
+            for ph in sched.phases
+        ))
+        assert verify_schedule(sched) == []
+        assert [st.stencils for st in sched.steps()] == [(0,), (1,)]
+        rng = np.random.default_rng(11)
+        arrays = {g: rng.standard_normal(shapes[g]) for g in sorted(shapes)}
+        ref = {g: a.copy() for g, a in arrays.items()}
+        sweep = group.compile(backend="python", shapes=shapes)
+        for _ in range(k):
+            sweep(**ref)
+        got = {g: a.copy() for g, a in arrays.items()}
+        group.compile(backend=backend, shapes=shapes, schedule=sched)(**got)
+        for g in sorted(shapes):
+            np.testing.assert_array_equal(got[g], ref[g])

@@ -61,10 +61,10 @@ class TestPredict:
         assert base < tiled < 4 * base
 
     def test_refused_candidate_raises_through(self):
-        from repro.transform import TransformError
+        from repro.schedule import ScheduleError
 
         group, shapes, _ = snapshot_workload()
-        with pytest.raises(TransformError):
+        with pytest.raises(ScheduleError):
             predict_schedule_time(
                 group, shapes,
                 ScheduleOptions(multicolor=False, time_tile=2),
