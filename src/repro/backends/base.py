@@ -481,4 +481,8 @@ def get_backend(name: str) -> Backend:
 
 
 def available_backends() -> list[str]:
-    return sorted(_REGISTRY)
+    """The canonical name of each registered backend, once.
+
+    Aliases are not listed; :func:`get_backend` still resolves them.
+    """
+    return sorted({backend.name for backend in _REGISTRY.values()})

@@ -26,28 +26,25 @@ compare):
   per-thread shards, count/sum/min/max exact, p50/p95/p99 on read.
   :func:`snapshot` (schema ``snowflake-stats/1``) reads counters and
   series together — its ``timers`` and ``kernels`` tables are views of
-  the series — ``python -m repro stats`` renders it, and the same
-  module renders everything as **OpenMetrics** text
-  (:func:`render_openmetrics`, printed by ``python -m repro stats
-  --openmetrics``);
+  the series;
 * the **span tracer** (:mod:`repro.telemetry.tracing`) — hierarchical
   timed spans across every subsystem, exported as Chrome trace-event
-  JSON for Perfetto (``python -m repro trace``).  Records inside a
-  ``tracing.session()`` block or whenever ``SNOWFLAKE_TELEMETRY=trace``.
-  Every pipeline event (:func:`event`: fallbacks, guard trips,
-  quarantines, rank crashes, checkpoint/restore, time-tile refusals)
-  is one instant in the same buffer, linked to the span it fired in.
-  It is also the profiler: ``tracing.self_times()`` folds the exact
-  span durations into a hot-path table (``python -m repro top``).
+  JSON for Perfetto.  Records inside a ``tracing.session()`` block or
+  whenever ``SNOWFLAKE_TELEMETRY=trace``.  Every pipeline event
+  (:func:`event`: fallbacks, guard trips, quarantines, rank crashes,
+  checkpoint/restore, time-tile refusals) is one instant in the same
+  buffer, linked to the span it fired in.  It is also the profiler:
+  ``tracing.self_times()`` folds the exact span durations into a
+  hot-path table.
+
+``python -m repro trace`` is the one diagnostic run over all three: a
+GSRB workload under one ``tracing.session()``, then the counters report
+(:func:`render_stats`), the hot-path table, the Chrome trace and, with
+``--json``, the snapshot.
 """
 
 from . import metrics, tracing
-from .metrics import (
-    observe,
-    render_openmetrics,
-    snapshot_histograms,
-    validate_openmetrics,
-)
+from .metrics import observe, snapshot_histograms
 from .registry import (
     KNOWN_EVENTS,
     MODES,
@@ -76,7 +73,6 @@ __all__ = [
     "metrics",
     "mode",
     "observe",
-    "render_openmetrics",
     "render_stats",
     "reset",
     "set_mode",
@@ -84,5 +80,4 @@ __all__ = [
     "snapshot_histograms",
     "timed",
     "tracing",
-    "validate_openmetrics",
 ]

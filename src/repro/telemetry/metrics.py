@@ -1,12 +1,13 @@
-"""The duration store: latency histograms and the OpenMetrics exporter.
+"""The duration store: fixed-bucket latency histograms.
 
 Every duration the pipeline measures is folded by :func:`observe` into a
 fixed-bucket log-scale histogram series, and nowhere else: the series
 holds count/sum/min/max exactly and p50/p95/p99 to bucket resolution,
-without storing samples.  The ``timers`` and ``kernels`` tables of
-:func:`repro.telemetry.snapshot` are views of these series.  Fixed
-bucket boundaries make histograms mergeable — across threads, across
-scrapes, across processes.
+without storing samples.  The ``timers``, ``kernels`` and
+``histograms`` tables of :func:`repro.telemetry.snapshot` (schema
+``snowflake-stats/1``, written by ``python -m repro trace --json``) are
+views of these series.  Fixed bucket boundaries make histograms
+mergeable — across threads, across snapshots, across processes.
 
 Designed for the hot path:
 
@@ -21,21 +22,10 @@ Designed for the hot path:
   threads may still be bumping: a reader can be at most one in-flight
   observation stale, never torn (CPython attribute and list-slot
   stores are whole-object stores).
-
-The second half of the module is the **OpenMetrics text exporter**
-(:func:`render_openmetrics`): every counter, kernel stat, histogram
-and structured-event count the process has collected, rendered as
-well-typed ``snowflake_*`` metric families with ``backend``/``kernel``
-labels, terminated by ``# EOF``.  ``python -m repro stats
---openmetrics`` prints it.
-
-Metric-name stability: the families emitted here are a public contract
-(dashboards reference them); see ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
-import re
 import threading
 from bisect import bisect_left
 
@@ -45,13 +35,11 @@ __all__ = [
     "percentile_from_buckets",
     "snapshot_histograms",
     "reset_histograms",
-    "render_openmetrics",
-    "validate_openmetrics",
 ]
 
 #: Fixed histogram bucket upper bounds, in seconds: a 1-2.5-5 ladder
 #: from 1µs to 100s.  Fixed boundaries are the whole design — shards,
-#: scrapes and processes merge by elementwise addition.  Changing them
+#: snapshots and processes merge by elementwise addition.  Changing them
 #: is a metrics-schema break (see docs/OBSERVABILITY.md).
 BUCKETS: tuple[float, ...] = tuple(
     float(f"{base * mult:.6g}")  # exact decimal bounds (2.5e-06, not 2.4999...)
@@ -121,8 +109,8 @@ def _record(key: tuple, value: float) -> _Shard:
 def observe(name: str, value: float, **labels) -> None:
     """Fold one duration (seconds) into histogram series ``name``.
 
-    The one write function of the duration store.  Labels become
-    OpenMetrics labels (``observe("dmem.halo.rtt", dt, rank="0")``); an
+    The one write function of the duration store.  Labels split the
+    series (``observe("dmem.halo.rtt", dt, rank="0")``); an
     unlabelled series is also a row of the ``timers`` table.  No-op
     when telemetry is off.  Lock-free after the first observation of a
     series on a thread.
@@ -219,7 +207,7 @@ def snapshot_histograms() -> dict:
 
     Each record: ``{"labels", "count", "sum", "min", "max", "p50",
     "p95", "p99", "buckets"}`` where ``buckets`` pairs each boundary
-    (``+Inf`` last) with its *cumulative* count, OpenMetrics-style.
+    (``+Inf`` last) with its *cumulative* count.
     """
     return _histograms(_merged())
 
@@ -230,183 +218,3 @@ def reset_histograms() -> None:
     with _lock:
         _generation += 1
         _series.clear()
-
-
-# -- OpenMetrics rendering ----------------------------------------------------
-
-_NAME_OK = re.compile(r"[^a-zA-Z0-9_]")
-
-#: dotted-name patterns whose middle component is really a label;
-#: everything else sanitizes verbatim.  Order matters: first match wins.
-_LABEL_RULES: tuple[tuple[re.Pattern, str, str], ...] = (
-    (re.compile(r"^codegen\.([a-z0-9_-]+)\.(sources|bytes)$"),
-     "codegen_\\2", "backend"),
-    (re.compile(r"^backend\.([a-z0-9_-]+)\.(specialize)$"),
-     "backend_\\2", "backend"),
-)
-
-
-def _sanitize(name: str) -> str:
-    return _NAME_OK.sub("_", name.replace(".", "_").replace("-", "_"))
-
-
-def _family(name: str) -> tuple[str, dict[str, str]]:
-    """Map a dotted registry name to (family_suffix, extracted_labels)."""
-    for pat, repl, label in _LABEL_RULES:
-        m = pat.match(name)
-        if m:
-            return pat.sub(repl, name), {label: m.group(1)}
-    return _sanitize(name), {}
-
-
-def _labelstr(labels: dict) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{_sanitize(str(k))}="{_escape(str(v))}"'
-        for k, v in sorted(labels.items())
-    )
-    return "{" + inner + "}"
-
-
-def _escape(v: str) -> str:
-    return v.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _num(v: float) -> str:
-    if v == float("inf"):
-        return "+Inf"
-    if v != v:  # NaN
-        return "NaN"
-    return repr(float(v))
-
-
-class _Doc:
-    """Accumulates families, enforcing one TYPE/HELP block per family."""
-
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self._seen: set[str] = set()
-
-    def family(self, name: str, mtype: str, help_: str) -> None:
-        if name in self._seen:
-            return
-        self._seen.add(name)
-        self.lines.append(f"# TYPE {name} {mtype}")
-        self.lines.append(f"# HELP {name} {help_}")
-
-    def sample(self, name: str, labels: dict, value: float) -> None:
-        self.lines.append(f"{name}{_labelstr(labels)} {_num(value)}")
-
-
-def render_openmetrics(snap: dict | None = None) -> str:
-    """Render the full process state as OpenMetrics text.
-
-    ``snap`` defaults to a live :func:`~repro.telemetry.snapshot` (which
-    embeds the merged histograms).  Every counter, kernel stat and
-    histogram series is emitted as a ``snowflake_*`` family; the document ends with ``# EOF`` per the
-    OpenMetrics spec.
-    """
-    from .. import __version__
-    from .registry import snapshot
-
-    if snap is None:
-        snap = snapshot()
-    doc = _Doc()
-
-    doc.family("snowflake_build", "info", "repro-snowflake build metadata")
-    doc.sample(
-        "snowflake_build_info",
-        {"version": __version__, "stats_schema": snap.get("schema", "?")},
-        1,
-    )
-
-    for name, n in sorted(snap.get("counters", {}).items()):
-        fam, labels = _family(name)
-        full = f"snowflake_{fam}"
-        doc.family(full, "counter", f"registry counter {name}")
-        doc.sample(full + "_total", labels, n)
-
-    kernels = snap.get("kernels", {})
-    if kernels:
-        # one family block at a time: OpenMetrics requires a family's
-        # samples contiguous under its metadata
-        for field, help_ in (
-            ("calls", "compiled-kernel invocations per backend"),
-            ("seconds", "wall time inside compiled kernels per backend"),
-            ("points", "stencil applications computed per backend"),
-        ):
-            fam = f"snowflake_kernel_{field}"
-            doc.family(fam, "counter", help_)
-            for backend, k in sorted(kernels.items()):
-                doc.sample(fam + "_total", {"backend": backend}, k[field])
-
-    for name, series in sorted(snap.get("histograms", {}).items()):
-        fam, base_labels = _family(name)
-        full = f"snowflake_{fam}_seconds"
-        doc.family(full, "histogram", f"latency histogram {name}")
-        for rec in series:
-            labels = {**base_labels, **rec["labels"]}
-            for bound, cum in rec["buckets"]:
-                le = bound if isinstance(bound, str) else _num(bound)
-                doc.sample(full + "_bucket", {**labels, "le": le}, cum)
-            doc.sample(full + "_count", labels, rec["count"])
-            doc.sample(full + "_sum", labels, rec["sum"])
-
-    return "\n".join(doc.lines) + "\n# EOF\n"
-
-
-_SAMPLE_RE = re.compile(
-    r"^[a-zA-Z_][a-zA-Z0-9_]*(\{[^}]*\})? [^ ]+( [0-9.e+-]+)?$"
-)
-
-
-def validate_openmetrics(text: str) -> list[str]:
-    """Structural check of an OpenMetrics document; returns problems.
-
-    Not a full spec parser — verifies what the CI scrape job needs:
-    ``# EOF`` termination, well-formed sample/metadata lines, TYPE
-    metadata preceding every family's samples, and histogram bucket
-    monotonicity.
-    """
-    problems: list[str] = []
-    lines = text.splitlines()
-    if not lines or lines[-1] != "# EOF":
-        problems.append("document does not end with # EOF")
-    typed: set[str] = set()
-    bucket_last: dict[str, float] = {}
-    for i, line in enumerate(lines):
-        if not line or line == "# EOF":
-            continue
-        if line.startswith("#"):
-            parts = line.split(" ", 3)
-            if len(parts) < 3 or parts[1] not in ("TYPE", "HELP", "UNIT"):
-                problems.append(f"line {i}: bad metadata {line!r}")
-            elif parts[1] == "TYPE":
-                typed.add(parts[2])
-            continue
-        if not _SAMPLE_RE.match(line):
-            problems.append(f"line {i}: bad sample line {line!r}")
-            continue
-        metric = line.split("{", 1)[0].split(" ", 1)[0]
-        base = re.sub(
-            r"_(total|count|sum|bucket|created|info)$", "", metric
-        )
-        if metric not in typed and base not in typed:
-            problems.append(f"line {i}: sample {metric} has no TYPE")
-        if metric.endswith("_bucket"):
-            m = re.search(r'le="([^"]+)"', line)
-            series = line.rsplit(" ", 1)[0].replace(
-                f'le="{m.group(1)}"', "") if m else metric
-            if m is None:
-                problems.append(f"line {i}: bucket sample without le=")
-            else:
-                le = float("inf") if m.group(1) == "+Inf" else float(m.group(1))
-                prev = bucket_last.get(series)
-                if prev is not None and le <= prev:
-                    problems.append(
-                        f"line {i}: bucket le={m.group(1)} not increasing"
-                    )
-                bucket_last[series] = le
-    return problems
-

@@ -80,7 +80,7 @@ KNOWN_EVENTS = (
 )
 
 #: schema tag stamped into every :func:`snapshot` (and so into
-#: ``repro stats --json`` output)
+#: ``repro trace --json`` output)
 STATS_SCHEMA = "snowflake-stats/1"
 
 _lock = threading.Lock()
@@ -159,11 +159,11 @@ def kernel_call(
     """Record one compiled-kernel invocation for ``backend``.
 
     One update of the calling thread's ``kernel.call{backend}`` shard —
-    the per-call distribution behind the p50/p95/p99 of ``repro stats``
-    and the OpenMetrics exporter, with the points computed carried in
-    the same shard; no lock is taken.  ``resolved`` is the active
-    :func:`mode` when the caller already has it (a bound kernel call
-    resolves it once and passes it down).
+    the per-call distribution behind the p50/p95/p99 of the counters
+    report, with the points computed carried in the same shard; no
+    lock is taken.  ``resolved`` is the active :func:`mode` when the
+    caller already has it (a bound kernel call resolves it once and
+    passes it down).
     """
     if (resolved or mode()) == "off":
         return

@@ -1,9 +1,9 @@
 """Render telemetry as fixed-width :mod:`repro.util.tables`.
 
-``python -m repro stats`` prints :func:`format_stats`: one table per
-collection family (kernel invocations, timers, labelled histograms,
-counters), diff-able and stable-sorted.  ``python -m repro top`` prints
-:func:`render_top`: the span tracer's self-time fold, hottest first.
+``python -m repro trace`` prints both: :func:`format_stats`, one table
+per collection family (kernel invocations, timers, labelled histograms,
+counters), diff-able and stable-sorted; then :func:`render_top`, the
+span tracer's self-time fold, hottest first.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def render_stats() -> str:
 
 
 def render_top(rows: list[dict] | None = None, limit: int = 20) -> str:
-    """The ``repro top`` table: hottest spans by self time.
+    """The hot-path table: hottest spans by self time.
 
     ``rows`` defaults to :func:`repro.telemetry.tracing.self_times` of
     the live buffer.  ``share`` is a row's self time over the root

@@ -19,7 +19,8 @@ When inactive every hook is a single boolean check.
 
 The tracer is also the profiler: every span's duration is exact, so
 "where did the time go" is a fold over the buffer (:func:`self_times`,
-``python -m repro top``) rather than a second, sampled estimate.
+printed by ``python -m repro trace``) rather than a second, sampled
+estimate.
 
 Lanes: records are keyed ``(pid, tid)``.  By default ``tid`` is the real
 OS thread id, so multi-threaded compiles interleave truthfully.  A span

@@ -1,7 +1,7 @@
 """Where exported artifacts land: ``SNOWFLAKE_ARTIFACT_DIR`` plumbing.
 
-Every exporter in the repo (``repro stats --json``, ``trace.json``,
-``repro top --out``) historically wrote into the current working
+Every exporter in the repo (``repro trace --out`` and ``--json``,
+``repro tune --out``) historically wrote into the current working
 directory — fine for a one-shot CLI, littering for a long-lived
 service.  :func:`artifact_path` is the one
 policy point: explicit paths are honoured verbatim, *bare filenames*

@@ -25,6 +25,15 @@ class TestRegistry:
                          "cuda-sim"):
             assert expected in names
 
+    def test_each_backend_listed_once_by_canonical_name(self):
+        names = available_backends()
+        backends = [get_backend(n) for n in names]
+        assert [b.name for b in backends] == names  # no alias listed
+        assert len({id(b) for b in backends}) == len(names)
+        for alias in ("np", "omp", "ref", "cl", "opencl", "cuda", "c99"):
+            assert alias not in names
+            assert get_backend(alias).name in names
+
     def test_aliases_resolve_to_same_backend(self):
         assert get_backend("np") is get_backend("numpy")
         assert get_backend("omp") is get_backend("openmp")

@@ -14,18 +14,62 @@ def run_cli(*args, timeout=300):
 
 
 def test_info():
-    proc = run_cli("info")
-    assert proc.returncode == 0
+    # the environment report heads `repro doctor`
+    proc = run_cli("doctor")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "repro-snowflake" in proc.stdout
+    assert "python " in proc.stdout and "numpy " in proc.stdout
     assert "backends:" in proc.stdout
-    assert "compiler:" in proc.stdout
+    assert "] compiler" in proc.stdout
+    assert "STREAM-dot" in proc.stdout or "host bandwidth" in proc.stdout
 
 
 def test_selftest_passes():
-    proc = run_cli("selftest")
-    assert proc.returncode == 0
-    assert "PASS" in proc.stdout
+    # `repro doctor` runs the probe stencil on every backend
+    from repro import available_backends
+
+    proc = run_cli("doctor")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "MISMATCH" not in proc.stdout
+    for backend in available_backends():
+        assert f"[ ok ] {backend:18s} matches python" in proc.stdout
+
+
+def test_cli_has_four_commands(capsys):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{doctor,trace,explain,tune}" in capsys.readouterr().out
+    for gone in ("info", "selftest", "stats", "top"):
+        with pytest.raises(SystemExit) as exc:
+            main([gone])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["explain", "--policy", "bogus"], "--policy"),
+    (["explain", "--size", "0"], "--size"),
+    (["explain", "--dmem", "0"], "--dmem"),
+    (["tune", "--op", "bogus"], "--op"),
+    (["tune", "--spec", "bogus"], "--spec"),
+    (["tune", "--size", "0"], "--size"),
+    (["tune", "--budget", "0"], "--budget"),
+    (["tune", "--repeats", "-1"], "--repeats"),
+    (["trace", "--size", "0"], "--size"),
+    (["trace", "--calls", "0"], "--calls"),
+    (["trace", "--limit", "0"], "--limit"),
+])
+def test_bad_input_is_refused_by_the_parser(argv, flag, capsys):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid" in err, err
 
 
 def test_requires_a_command():
@@ -33,14 +77,20 @@ def test_requires_a_command():
     assert proc.returncode != 0
 
 
+#: ``kernel:`` spans of the 2-rank distributed re-run in ``repro trace``:
+#: the GSRB group's 8 stencils, each applied once per rank
+DMEM_KERNEL_SPANS = 16
+
+
 def test_stats_reports_telemetry(tmp_path):
     import json
 
     stats = tmp_path / "stats.json"
     proc = run_cli(
-        "stats", "--size", "32", "--calls", "2", "--json", str(stats)
+        "trace", "--size", "32", "--calls", "2",
+        "--out", str(tmp_path / "trace.json"), "--json", str(stats),
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "kernel invocations" in proc.stdout
     assert "telemetry mode" in proc.stdout
 
@@ -52,40 +102,36 @@ def test_stats_reports_telemetry(tmp_path):
     assert set(doc) == {
         "schema", "mode", "counters", "timers", "kernels", "histograms",
     }
-    assert doc["kernels"], "smoke kernel calls must be recorded"
+    assert doc["kernels"], "workload kernel calls must be recorded"
     assert doc["histograms"]["kernel.call"], "latency histogram missing"
     # the kernels table is a view of the kernel.call series
     for rec in doc["histograms"]["kernel.call"]:
         k = doc["kernels"][rec["labels"]["backend"]]
         assert (k["calls"], k["seconds"]) == (rec["count"], rec["sum"])
-        assert k["calls"] >= 2 and k["points"] >= 2 * 30 * 30
+    kernels = doc["kernels"].values()
+    assert sum(k["calls"] for k in kernels) == 2 + DMEM_KERNEL_SPANS
+    # two sweeps and the distributed one: n*n colored points plus the
+    # four boundary stencils (n points each) before each color
+    assert sum(k["points"] for k in kernels) == 3 * (32 * 32 + 8 * 32)
 
 
-def test_stats_respects_off_mode():
+def test_stats_respects_off_mode(tmp_path):
+    import json
     import os
 
+    from repro.telemetry import tracing
+
+    out = tmp_path / "trace.json"
     env = dict(os.environ, SNOWFLAKE_TELEMETRY="off", PYTHONPATH="src")
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "stats", "--size", "16",
-         "--calls", "1", "--backend", "numpy"],
+        [sys.executable, "-m", "repro", "trace", "--size", "16",
+         "--calls", "1", "--backend", "numpy", "--out", str(out)],
         capture_output=True, text=True, timeout=300, env=env,
     )
-    assert proc.returncode == 0
-    assert "telemetry is off" in proc.stdout
-
-
-def test_stats_openmetrics_exposition():
-    from repro.telemetry.metrics import validate_openmetrics
-
-    proc = run_cli(
-        "stats", "--size", "16", "--calls", "1", "--backend", "numpy",
-        "--openmetrics",
-    )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert validate_openmetrics(proc.stdout) == []
-    assert proc.stdout.endswith("# EOF\n")
-    assert "snowflake_kernel_calls_total" in proc.stdout
-    assert "snowflake_kernel_call_seconds_bucket" in proc.stdout
+    assert "telemetry is off" in proc.stdout
+    # the session records spans whatever the mode
+    assert tracing.validate_chrome_trace(json.loads(out.read_text())) == []
 
 
 def test_top_prints_profile_table(tmp_path):
@@ -95,7 +141,7 @@ def test_top_prints_profile_table(tmp_path):
 
     out = tmp_path / "top.json"
     proc = run_cli(
-        "top", "--backend", "numpy", "--size", "48", "--calls", "8",
+        "trace", "--backend", "numpy", "--size", "48", "--calls", "8",
         "--out", str(out), timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -105,14 +151,10 @@ def test_top_prints_profile_table(tmp_path):
     assert "0 event(s) dropped" in proc.stdout
     doc = json.loads(out.read_text())
     assert tracing.validate_chrome_trace(doc) == []
-    calls = [e for e in doc["traceEvents"]
+    calls = [e["name"] for e in doc["traceEvents"]
              if e["ph"] == "X" and e["name"].startswith("kernel:")]
-    assert len(calls) == 8
-
-    # the sampler's knob went with the sampler
-    proc = run_cli("top", "--interval", "1.0")
-    assert proc.returncode == 2
-    assert "--interval" in proc.stderr
+    assert calls.count("kernel:gsrb_smooth_x1") == 8
+    assert len(calls) == 8 + DMEM_KERNEL_SPANS
 
 
 def test_artifact_dir_redirects_bare_filenames(tmp_path):
@@ -125,38 +167,47 @@ def test_artifact_dir_redirects_bare_filenames(tmp_path):
         PYTHONPATH="src",
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "stats", "--size", "16",
-         "--calls", "1", "--backend", "numpy", "--json", "stats_cli.json"],
+        [sys.executable, "-m", "repro", "trace", "--size", "16",
+         "--calls", "1", "--backend", "numpy", "--out", "trace_cli.json",
+         "--json", "stats_cli.json"],
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     redirected = tmp_path / "artifacts" / "stats_cli.json"
     assert redirected.exists()
     assert json.loads(redirected.read_text())["schema"] == "snowflake-stats/1"
+    assert (tmp_path / "artifacts" / "trace_cli.json").exists()
 
 
-def test_in_process_main():
+def test_in_process_main(capsys):
     from repro.__main__ import main
 
-    assert main(["selftest"]) == 0
+    assert main(["doctor"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
 
 
 def test_trace_smoke_covers_subsystems(tmp_path):
     import json
 
     out = tmp_path / "trace.json"
+    stats = tmp_path / "stats.json"
     proc = run_cli(
         "trace", "--smoke", "--size", "24", "--calls", "1",
-        "--out", str(out), timeout=600,
+        "--out", str(out), "--json", str(stats), timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "smoke: PASS" in proc.stdout
+    assert "telemetry mode" in proc.stdout  # the counters report
+    assert "hot paths (span self time)" in proc.stdout
     from repro.telemetry import tracing
 
     doc = json.loads(out.read_text())
     assert tracing.validate_chrome_trace(doc) == []
     cats = {e.get("cat") for e in doc["traceEvents"]}
     assert {"frontend", "jit", "kernel", "dmem"} <= cats
+    snap = json.loads(stats.read_text())
+    assert snap["schema"] == "snowflake-stats/1"
+    assert snap["kernels"] and snap["histograms"]["kernel.call"]
 
 
 def test_explain_names_barrier_grids():

@@ -86,7 +86,8 @@ def test_tune_unknown_operator(tmp_path):
         env={"SNOWFLAKE_CACHE_DIR": str(tmp_path)},
     )
     assert proc.returncode == 2
-    assert "unknown operator" in proc.stdout
+    assert "argument --op: invalid choice: 'nonesuch'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_tune_persists_and_second_process_reloads(tmp_path):

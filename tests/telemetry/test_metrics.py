@@ -1,4 +1,4 @@
-"""Latency histograms and the OpenMetrics exporter."""
+"""Latency histograms: the duration store behind ``snapshot()``."""
 
 import threading
 
@@ -10,9 +10,7 @@ from repro.telemetry.metrics import (
     BUCKETS,
     observe,
     percentile_from_buckets,
-    render_openmetrics,
     snapshot_histograms,
-    validate_openmetrics,
 )
 
 
@@ -187,66 +185,30 @@ class TestConcurrency:
         assert rec["count"] == 2
 
 
-class TestRenderOpenMetrics:
-    def _populate(self):
-        telemetry.count("jit.cache.miss", 2)
-        telemetry.observe("jit.cc", 0.2)
-        telemetry.kernel_call("numpy", 0.01, 1000)
-        telemetry.count("codegen.numpy.sources")
-        observe("dmem.halo.rtt", 0.003, rank="0")
-
-    def test_output_validates(self):
-        self._populate()
-        text = render_openmetrics()
-        assert validate_openmetrics(text) == []
-        assert text.endswith("# EOF\n")
-
-    def test_families_present_and_typed(self):
-        self._populate()
-        text = render_openmetrics()
-        assert "# TYPE snowflake_jit_cache_miss counter" in text
-        assert 'snowflake_kernel_calls_total{backend="numpy"} 1' in text
-        assert "# TYPE snowflake_kernel_call_seconds histogram" in text
-        assert 'le="+Inf"' in text
-        assert ('snowflake_dmem_halo_rtt_seconds_bucket'
-                '{le="1e-06",rank="0"}' in text)
-        assert "snowflake_build_info" in text
-
-    def test_backend_label_extracted_from_counter_names(self):
-        telemetry.count("codegen.numpy.sources", 3)
-        text = render_openmetrics()
-        assert ('snowflake_codegen_sources_total{backend="numpy"} 3'
-                in text)
-
+class TestSnapshotSeries:
     def test_event_counts_exported(self):
         # a happening is counted by its own counter; the event itself
-        # is a trace instant, not a second metric family
+        # is a trace instant, not a second series in the snapshot
         from repro.resilience.guards import GuardWarning, Guards
 
         with tracing.session(), pytest.warns(GuardWarning):
             Guards(nonfinite="warn").report("nonfinite", "boom")
-        text = render_openmetrics()
-        assert "snowflake_guards_trip_nonfinite_total 1" in text
-        assert "snowflake_events" not in text
-
-    def test_validator_rejects_garbage(self):
-        assert validate_openmetrics("snowflake_x_total 1\n") != []
-        assert validate_openmetrics("") != []
-        # bucket le must be monotonically increasing
-        bad = (
-            "# TYPE snowflake_t_seconds histogram\n"
-            "# HELP snowflake_t_seconds h\n"
-            'snowflake_t_seconds_bucket{le="0.5"} 1\n'
-            'snowflake_t_seconds_bucket{le="0.1"} 2\n'
-            "# EOF\n"
-        )
-        assert any("not increasing" in p for p in validate_openmetrics(bad))
+        snap = telemetry.snapshot()
+        assert snap["counters"]["guards.trip.nonfinite"] == 1
+        assert "events" not in snap
 
     def test_label_values_escaped(self):
-        observe("t", 0.001, detail='quo"te\nnewline\\slash')
-        text = render_openmetrics()
-        assert validate_openmetrics(text) == []
-        assert '\\"' in text and "\\n" in text
+        import json
+
+        observe("dmem.halo.rtt", 0.003, rank="0")
+        detail = 'quo"te\nnewline\\slash'
+        observe("t", 0.001, detail=detail)
+        text = json.dumps(telemetry.snapshot())
+        assert '\\"' in text and "\\n" in text and "\n" not in text
+        snap = json.loads(text)
+        (rtt,) = snap["histograms"]["dmem.halo.rtt"]
+        assert rtt["labels"] == {"rank": "0"} and rtt["count"] == 1
+        assert snap["histograms"]["t"][0]["labels"] == {"detail": detail}
 
 
 class TestReset:

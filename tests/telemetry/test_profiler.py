@@ -1,4 +1,4 @@
-"""The profiler is the tracer: ``self_times`` rendered by ``repro top``."""
+"""The profiler is the tracer: ``self_times`` rendered by ``repro trace``."""
 
 import json
 import time
@@ -56,23 +56,25 @@ class TestSurfaces:
         assert "no spans recorded" in render_top()
 
     def test_chrome_trace_export_is_valid(self, tmp_path, capsys):
-        # `repro top --out` writes the tracer's own export: the spans
-        # behind the table, not a second format
-        path = tmp_path / "top.json"
-        assert main(["top", "--backend", "numpy", "--size", "16",
+        # `repro trace --out` writes the tracer's own export: the spans
+        # behind the hot-path table, not a second format
+        path = tmp_path / "trace.json"
+        assert main(["trace", "--backend", "numpy", "--size", "16",
                      "--calls", "3", "--out", str(path)]) == 0
         assert "kernel:" in capsys.readouterr().out
         doc = json.loads(path.read_text())
         assert tracing.validate_chrome_trace(doc) == []
         assert tracing.self_times(doc["traceEvents"]) == tracing.self_times()
-        calls = [e for e in doc["traceEvents"]
+        calls = [e["name"] for e in doc["traceEvents"]
                  if e["ph"] == "X" and e["name"].startswith("kernel:")]
-        assert len(calls) == 3
+        # 3 calls of the group, then its 8 stencils once on each of 2 ranks
+        assert calls.count("kernel:gsrb_smooth_x1") == 3
+        assert len(calls) == 3 + 16
 
 
 class TestNoHiddenState:
     def test_top_inside_a_session_leaves_the_call_path_unguarded(
-        self, monkeypatch, capsys
+        self, monkeypatch, capsys, tmp_path
     ):
         # regression: the sampler's stop() latched a module flag while
         # an outer session was open, and every later bound call took
@@ -85,8 +87,9 @@ class TestNoHiddenState:
         assert not kernel.guards.enabled()
 
         with tracing.session():
-            assert main(["top", "--backend", "numpy", "--size", "16",
-                         "--calls", "2"]) == 0
+            assert main(["trace", "--backend", "numpy", "--size", "16",
+                         "--calls", "2",
+                         "--out", str(tmp_path / "trace.json")]) == 0
         capsys.readouterr()
         assert not tracing.active()
 
