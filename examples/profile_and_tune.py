@@ -19,6 +19,8 @@ without measuring — to a Snowflake stencil pipeline:
 Run:  python examples/profile_and_tune.py
 """
 
+import time
+
 import numpy as np
 
 from repro.analysis import greedy_phases
@@ -38,7 +40,6 @@ from repro.telemetry import tracing
 from repro.telemetry.report import render_top
 from repro.schedule import ScheduleOptions
 from repro.tuning import search_schedules
-from repro.util.timing import best_of
 
 N = 96
 SHAPE = (N + 2, N + 2)
@@ -98,7 +99,13 @@ print(f"\ntune: best tile {tune.best.tile} "
 def timed(g, **opts):
     kernel = g.compile(backend="openmp", **opts)
     work = {k: arrays[k].copy() for k in g.grids()}
-    return best_of(lambda: kernel(**work), warmup=1, repeats=3)
+    kernel(**work)  # untimed warmup
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        kernel(**work)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 naive = timed(group)
 tuned = timed(optimized, tile=tune.best.tile, fuse=True)

@@ -45,7 +45,7 @@ from .core import (
     WeightArray,
 )
 from .backends import available_backends, get_backend, register_backend
-from .resilience import ExecutionPolicy, Guards
+from .resilience import Guards
 from .run import run
 from .schedule import Schedule, ScheduleOptions, build_schedule, schedule_for
 
@@ -67,7 +67,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "register_backend",
-    "ExecutionPolicy",
     "Guards",
     "Schedule",
     "ScheduleOptions",

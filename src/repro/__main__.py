@@ -359,7 +359,7 @@ def cmd_doctor() -> int:
              f"{type(e).__name__}: {e}".splitlines()[0][:90])
 
     # Degradation report: walk the default fallback chain exactly the
-    # way ExecutionPolicy would.
+    # way compile(fallback=...) would.
     chain = ("openmp", "c", "numpy")
     serving = next((b for b in chain if healthy[b]), None)
     print(f"degradation report (chain {' -> '.join(chain)}):")

@@ -351,8 +351,8 @@ class CBackend(Backend):
     """The ``c`` micro-compiler (sequential C99, SectionV-A flag set).
 
     Scheduling options are the :class:`repro.schedule.ScheduleOptions`
-    fields (``block`` has no C lowering and is ignored); plus
-    ``cc_timeout`` — a hard wall-clock cap on the compiler subprocess.
+    fields (``block`` has no C lowering and is ignored).  The compiler
+    subprocess runs under ``SNOWFLAKE_CC_TIMEOUT``.
     """
 
     name = "c"
@@ -361,7 +361,6 @@ class CBackend(Backend):
     _KNOBS: Mapping[str, object] = {}
 
     def specializer(self, group: StencilGroup, **options):
-        cc_timeout = options.pop("cc_timeout", None)
         schedule_at = self.pop_schedule(group, options)
 
         def specialize(shapes, dtype) -> Callable:
@@ -370,9 +369,7 @@ class CBackend(Backend):
             )
             telemetry.count(f"codegen.{self.name}.sources")
             telemetry.count(f"codegen.{self.name}.bytes", len(src))
-            lib = compile_and_load(
-                src, openmp=self._openmp, timeout=cc_timeout
-            )
+            lib = compile_and_load(src, openmp=self._openmp)
             ctx = CodegenContext(group, shapes, ctype_for(dtype))
             return make_ffi_wrapper(lib, "sf_kernel", ctx)
 
@@ -400,11 +397,10 @@ class CBackend(Backend):
         identical, such as one operator on every level of a hierarchy —
         is rendered once, behind its exported forwarder ``sf_op<j>``;
         :func:`program_source` adds the step-table walker
-        ``sf_program``.  ``options`` are the scheduling options and
-        ``cc_timeout`` of :meth:`compile`, applied to every unit.  One
-        compiler run, however many units and levels.
+        ``sf_program``.  ``options`` are the scheduling options of
+        :meth:`compile`, applied to every unit.  One compiler run,
+        however many units and levels.
         """
-        cc_timeout = options.pop("cc_timeout", None)
         dt = check_dtype(np.float64 if dtype is None else dtype)
         ops: dict[str, int] = {}  # text up to its name -> forwarder index
         bodies: list[str] = []
@@ -427,9 +423,7 @@ class CBackend(Backend):
             f"compile_program:{name}", cat="kernel", backend=self.name,
             units=len(plan), bodies=len(bodies),
         ):
-            lib = compile_and_load(
-                source, openmp=self._openmp, timeout=cc_timeout
-            )
+            lib = compile_and_load(source, openmp=self._openmp)
         guards = guards if guards is not None else Guards.from_env()
         kernels = []
         for group, shapes, op in plan:
@@ -439,9 +433,7 @@ class CBackend(Backend):
                     ctx = CodegenContext(group, shapes, ctype_for(dt))
                     return make_ffi_wrapper(lib, f"sf_op{op}", ctx)
                 # another shape is not in the program: its own artifact
-                return self.specializer(
-                    group, cc_timeout=cc_timeout, **options
-                )(s, d)
+                return self.specializer(group, **options)(s, d)
 
             kernels.append(CompiledKernel(
                 group, specialize, shapes, dt, guards=guards,
@@ -461,7 +453,6 @@ class CBackend(Backend):
         ``sf_<tag>.c`` / ``sf_<tag>.so``, and ``cached`` says whether
         the shared object is already on disk.
         """
-        options.pop("cc_timeout", None)
         shapes = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
         dt = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
         sched = self.pop_schedule(group, options)(shapes)

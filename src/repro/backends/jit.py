@@ -18,8 +18,8 @@ Hardened for production use:
   building different stencils run their compiler subprocesses
   concurrently;
 * every compiler subprocess runs under a hard wall-clock timeout
-  (``SNOWFLAKE_CC_TIMEOUT`` seconds, default 300; per-call override via
-  ``timeout=``), raising the retryable :class:`CompileTimeout`;
+  (``SNOWFLAKE_CC_TIMEOUT`` seconds, default 300 — its one source),
+  raising the retryable :class:`CompileTimeout`;
 * a cached ``.so`` that fails to ``dlopen`` (truncated by a crash, disk
   corruption) is **quarantined** (renamed ``*.so.bad``) and rebuilt from
   source transparently, with one :class:`ResilienceWarning`;
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import tempfile
@@ -93,17 +94,19 @@ def cache_dir() -> Path:
 
 def default_cc_timeout() -> float | None:
     """Hard compiler timeout in seconds (``SNOWFLAKE_CC_TIMEOUT``;
-    ``<= 0`` disables; default 300)."""
+    ``<= 0`` disables; default 300; ``nan``/``inf`` are refused)."""
     raw = os.environ.get("SNOWFLAKE_CC_TIMEOUT", "").strip()
     if not raw:
         return 300.0
     try:
         val = float(raw)
     except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
         raise ValueError(
             f"SNOWFLAKE_CC_TIMEOUT must be a number of seconds, "
             f"got {raw!r}"
-        ) from None
+        )
     return None if val <= 0 else val
 
 
@@ -161,29 +164,22 @@ def _cc() -> str:
     return os.environ.get("SNOWFLAKE_CC", "gcc")
 
 
-def _tag(
-    source: str,
-    openmp: bool = False,
-    extra_flags: tuple[str, ...] = (),
-) -> str:
+def _tag(source: str, openmp: bool = False) -> str:
     """Cache key: source text + everything that changes the binary."""
+    # the () stood for extra compiler flags; kept so every tag is unchanged
     return hashlib.sha256(
-        source.encode() + repr((openmp, extra_flags, _cc())).encode()
+        source.encode() + repr((openmp, (), _cc())).encode()
     ).hexdigest()[:24]
 
 
-def source_tag(
-    source: str,
-    openmp: bool = False,
-    extra_flags: tuple[str, ...] = (),
-) -> str:
+def source_tag(source: str, openmp: bool = False) -> str:
     """The cache key :func:`compile_and_load` would use for ``source``.
 
     Public so provenance reports (:mod:`repro.explain`) can name the
     exact cached artifact (``sf_<tag>.c`` / ``sf_<tag>.so`` under
     :func:`cache_dir`) without compiling anything.
     """
-    return _tag(source, openmp, extra_flags)
+    return _tag(source, openmp)
 
 
 def _quarantine(so_path: Path) -> Path:
@@ -207,13 +203,7 @@ def _load(so_path: Path) -> ctypes.CDLL:
 
 
 def _build(
-    tag: str,
-    source: str,
-    d: Path,
-    so_path: Path,
-    openmp: bool,
-    extra_flags: tuple[str, ...],
-    timeout: float | None,
+    tag: str, source: str, d: Path, so_path: Path, openmp: bool
 ) -> None:
     """Compile ``source`` and atomically publish ``so_path``.
 
@@ -227,11 +217,9 @@ def _build(
     cmd = [_cc(), *_DEFAULT_FLAGS]
     if openmp:
         cmd.append("-fopenmp")
-    cmd += list(extra_flags)
     tmp_so = d / f"sf_{tag}.{os.getpid()}.tmp.so"
     cmd += [str(c_path), "-o", str(tmp_so), "-lm"]
-    if timeout is None:
-        timeout = default_cc_timeout()
+    timeout = default_cc_timeout()
     if fault_point("jit.spawn"):
         raise CompileError(f"injected fault: compiler spawn ({cmd[0]})")
     t0 = time.perf_counter()
@@ -261,13 +249,7 @@ def _build(
     os.replace(tmp_so, so_path)  # atomic publish for concurrent procs
 
 
-def _materialize(
-    tag: str,
-    source: str,
-    openmp: bool,
-    extra_flags: tuple[str, ...],
-    timeout: float | None,
-) -> ctypes.CDLL:
+def _materialize(tag: str, source: str, openmp: bool) -> ctypes.CDLL:
     d = cache_dir()
     so_path = d / f"sf_{tag}.so"
     if so_path.exists():
@@ -296,23 +278,17 @@ def _materialize(
                 stacklevel=3,
             )
     telemetry.count("jit.cache.miss")
-    _build(tag, source, d, so_path, openmp, extra_flags, timeout)
+    _build(tag, source, d, so_path, openmp)
     return _load(so_path)
 
 
-def compile_and_load(
-    source: str,
-    *,
-    openmp: bool = False,
-    extra_flags: tuple[str, ...] = (),
-    timeout: float | None = None,
-) -> ctypes.CDLL:
+def compile_and_load(source: str, *, openmp: bool = False) -> ctypes.CDLL:
     """Compile C ``source`` to a shared object and dlopen it (cached).
 
     Serialized per source tag: concurrent callers compiling *different*
     stencils proceed in parallel; callers racing on the *same* stencil
     share one compile."""
-    tag = _tag(source, openmp, extra_flags)
+    tag = _tag(source, openmp)
     with _lock:
         lib = _loaded.get(tag)
         if lib is not None:
@@ -328,7 +304,7 @@ def compile_and_load(
                 if lib is not None:
                     telemetry.count("jit.cache.hit.memory")
                     return lib
-            lib = _materialize(tag, source, openmp, extra_flags, timeout)
+            lib = _materialize(tag, source, openmp)
             with _lock:
                 _loaded[tag] = lib
     return lib

@@ -16,7 +16,9 @@ group is the unit over which cross-stencil dependence analysis finds
 parallelism and places barriers.
 
 Both expose ``compile(backend=...)`` returning a cached Python callable —
-the paper's JIT micro-compiler entry point.
+the paper's JIT micro-compiler entry point.  ``compile(fallback=(...))``
+is the one way to ask for a backend chain that degrades instead of
+failing (:mod:`repro.resilience.policy`).
 """
 
 from __future__ import annotations
@@ -196,13 +198,12 @@ class Stencil:
         dtype=None,
         *,
         fallback: Sequence[str] | None = None,
-        policy=None,
         **options,
     ) -> Callable:
         """JIT-compile this stencil alone; see :meth:`StencilGroup.compile`."""
         return StencilGroup([self], name=self.name).compile(
             backend=backend, shapes=shapes, dtype=dtype,
-            fallback=fallback, policy=policy, **options
+            fallback=fallback, **options
         )
 
 
@@ -278,7 +279,6 @@ class StencilGroup:
         dtype=None,
         *,
         fallback: Sequence[str] | None = None,
-        policy=None,
         **options,
     ) -> Callable:
         """Compile via the named micro-compiler backend.
@@ -289,27 +289,18 @@ class StencilGroup:
         kernel for subsequent same-shape calls.
 
         ``fallback`` names backends tried in order when ``backend``
-        fails (broken toolchain, compile timeout, corrupted cache);
-        ``policy`` is a full :class:`~repro.resilience.policy.
-        ExecutionPolicy` (retry budget, backoff, compile timeout).
-        Either one routes through the resilient compile path and
-        returns a :class:`~repro.resilience.policy.ResilientKernel`
-        that records which backend actually serves.
+        fails (broken toolchain, compile timeout, corrupted cache); it
+        routes through the resilient compile path and returns a
+        :class:`~repro.resilience.policy.ResilientKernel` that records
+        which backend actually serves.
         """
         from ..backends import get_backend  # local import: avoid cycle
 
-        if fallback is not None or policy is not None:
-            from ..resilience.policy import (
-                ExecutionPolicy,
-                compile_resilient,
-            )
+        if fallback is not None:
+            from ..resilience.policy import ResilientKernel
 
-            pol = policy or ExecutionPolicy()
-            if fallback is not None:
-                pol = pol.with_fallback(tuple(fallback))
-            return compile_resilient(
-                self, backend=backend, shapes=shapes, dtype=dtype,
-                policy=pol, **options
+            return ResilientKernel(
+                self, backend, shapes, dtype, fallback, options
             )
         return get_backend(backend).compile(
             self, shapes=shapes, dtype=dtype, **options

@@ -109,7 +109,6 @@ class DistributedKernel:
         dtype=np.float64,
         fallback: Sequence[str] | None = None,
         guards: Guards | None = None,
-        transport_retries: int = 4,
         **backend_options,
     ) -> None:
         self.group = group
@@ -119,7 +118,6 @@ class DistributedKernel:
         self.backend = backend
         self.fallback = tuple(fallback) if fallback else None
         self.guards = guards if guards is not None else Guards.from_env()
-        self.transport_retries = int(transport_retries)
         self.backend_options = dict(backend_options)
 
         nd = len(self.ranks)
@@ -167,10 +165,7 @@ class DistributedKernel:
             for coords in np.ndindex(*self.ranks)
         ]
         self.comms = SimComm.world(len(self.slabs))
-        self.transport = ReliableComm.attach(
-            self.comms, guards=self.guards,
-            max_retries=self.transport_retries,
-        )
+        self.transport = ReliableComm.attach(self.comms, guards=self.guards)
 
         # Per-rank, per-stencil sub-stencils + compiled kernels.
         rects = [
@@ -440,7 +435,7 @@ class DistributedKernel:
             "backend": self.backend,
             "serving_backends": sorted(self.serving_backends),
             "transport": {
-                "max_retries": self.transport_retries,
+                "max_retries": self.transport[0].max_retries,
                 "delivery": "exactly-once (seq + CRC + ack/retransmit)",
             },
             "guards": {

@@ -7,13 +7,12 @@ rank's in-flight sweep.  This module gives
 coordinated-checkpoint protocol:
 
 * every ``interval`` sweeps, :class:`Checkpoint` captures a deep copy
-  of each rank's local blocks, the sweep counter, and the deterministic
-  fault-injection schedule (:func:`repro.resilience.faults.snapshot_arms`
-  — this repo's stand-in for fault-RNG state);
+  of each rank's local blocks and the sweep counter;
 * each captured block is fingerprinted with
-  :func:`~repro.resilience.guards.halo_crc`, and restore re-verifies
-  every fingerprint plus the dtype/shape invariants the runtime guards
-  check, so a corrupted checkpoint can never be silently replayed;
+  :func:`~repro.resilience.guards.halo_crc`, and every restore
+  re-verifies every fingerprint plus the dtype/shape invariants the
+  runtime guards check, so a corrupted checkpoint can never be silently
+  replayed;
 * on a :class:`RankFailure`, :class:`RecoveryManager` revives the dead
   ranks, resets the reliable transport (rolling back invalidates every
   in-flight message and sequence number — all ranks restart from one
@@ -29,12 +28,11 @@ never crashed — the acceptance property the dmem fault matrix asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import telemetry
-from ..resilience import faults
 from ..resilience.guards import halo_crc
 
 __all__ = [
@@ -68,16 +66,13 @@ class RecoveryPolicy:
 
     ``interval`` — sweeps between snapshots (1 = after every sweep);
     ``max_restarts`` — crash recoveries tolerated per ``run()`` before
-    :class:`RecoveryExhausted`; ``verify`` — re-verify block CRCs and
-    grid invariants on every restore; ``restore_faults`` — also re-arm
-    the captured injection schedule on restore (off by default: a
-    replayed crash would loop the recovery it triggered).
+    :class:`RecoveryExhausted`.  A restore always re-verifies block
+    CRCs and grid invariants; the fault-injection schedule is never
+    re-armed (a replayed crash would loop the recovery it triggered).
     """
 
     interval: int = 1
     max_restarts: int = 3
-    verify: bool = True
-    restore_faults: bool = False
 
     def __post_init__(self) -> None:
         if self.interval < 1:
@@ -93,7 +88,6 @@ class Checkpoint:
     sweep: int
     blocks: list[dict[str, np.ndarray]]
     crcs: list[dict[str, int]]
-    fault_arms: dict = field(default_factory=dict)
 
     @classmethod
     def capture(
@@ -108,10 +102,7 @@ class Checkpoint:
         ]
         telemetry.count("dmem.recovery.checkpoints")
         telemetry.event("dmem.checkpoint", sweep=sweep, ranks=len(blocks))
-        return cls(
-            sweep=sweep, blocks=blocks, crcs=crcs,
-            fault_arms=faults.snapshot_arms(),
-        )
+        return cls(sweep=sweep, blocks=blocks, crcs=crcs)
 
     def verify(self) -> None:
         """Re-fingerprint every captured block; a mismatch means the
@@ -127,21 +118,15 @@ class Checkpoint:
                         "corrupted, refusing to restore"
                     )
 
-    def restore_into(
-        self,
-        locals_: list[dict[str, np.ndarray]],
-        *,
-        verify: bool = True,
-    ) -> None:
+    def restore_into(self, locals_: list[dict[str, np.ndarray]]) -> None:
         """Copy the snapshot back over the live rank state.
 
-        With ``verify`` (the default) the block CRCs are re-checked
-        first, and every target grid must still satisfy the dtype/shape
-        invariants the runtime guards watch — a restore may never
-        scribble a differently-shaped timeline over live arrays.
+        The block CRCs are re-checked first, and every target grid must
+        still satisfy the dtype/shape invariants the runtime guards
+        watch — a restore may never scribble a differently-shaped
+        timeline over live arrays.
         """
-        if verify:
-            self.verify()
+        self.verify()
         if len(locals_) != len(self.blocks):
             raise CheckpointError(
                 f"checkpoint spans {len(self.blocks)} rank(s), live "
@@ -155,7 +140,7 @@ class Checkpoint:
                 )
             for g, a in snap.items():
                 tgt = live[g]
-                if verify and (tgt.dtype != a.dtype or tgt.shape != a.shape):
+                if tgt.dtype != a.dtype or tgt.shape != a.shape:
                     raise CheckpointError(
                         f"rank {r} grid {g!r} invariants changed since "
                         f"checkpoint: dtype {a.dtype}->{tgt.dtype}, "
@@ -220,9 +205,7 @@ class RecoveryManager:
             for r in sorted(comm.dead_ranks()):
                 comm.revive(r)
             purged = dk.transport[0].reset()
-            ckpt.restore_into(dk._locals, verify=self.policy.verify)
-            if self.policy.restore_faults:
-                faults.restore_arms(ckpt.fault_arms)
+            ckpt.restore_into(dk._locals)
             comm.stats.restores += 1
             telemetry.count("dmem.restores")
             telemetry.event(

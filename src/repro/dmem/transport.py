@@ -20,8 +20,10 @@ actually needs:
 * **acked + retransmitted** — senders keep every envelope in a
   per-channel log until the receiver confirms delivery; a receiver
   that comes up empty requests retransmission of the whole unacked
-  window, with the bounded-backoff retry loop shared with the backend
-  fallback machinery (:func:`repro.resilience.policy.retry_call`);
+  window, up to ``max_retries`` times, with the retry loop shared with
+  the backend fallback machinery
+  (:func:`repro.resilience.policy.retry_call`) and no sleep between
+  requests — the in-process wire has nothing to wait for;
 * **failure-typed** — waiting on a rank the fabric knows is dead
   raises :class:`~repro.dmem.comm.RankFailure` (the in-process
   stand-in for recv timeout / ack loss) so the checkpoint/restart
@@ -164,16 +166,12 @@ class ReliableComm:
         *,
         guards: Guards | None = None,
         max_retries: int = 4,
-        backoff: float = 0.0,
-        sleep=None,
     ) -> None:
         self._sim = sim
         self._state = state
         self._world: list["ReliableComm"] = []
         self.guards = guards if guards is not None else Guards()
         self.max_retries = int(max_retries)
-        self.backoff = float(backoff)
-        self._sleep = sleep if sleep is not None else (lambda _d: None)
 
     # -- construction --------------------------------------------------------
 
@@ -184,13 +182,10 @@ class ReliableComm:
         guards: Guards | None = None,
         strict_barriers: bool = False,
         max_retries: int = 4,
-        backoff: float = 0.0,
-        sleep=None,
     ) -> list["ReliableComm"]:
         return ReliableComm.attach(
             SimComm.world(size, strict_barriers=strict_barriers),
             guards=guards, max_retries=max_retries,
-            backoff=backoff, sleep=sleep,
         )
 
     @staticmethod
@@ -199,16 +194,11 @@ class ReliableComm:
         *,
         guards: Guards | None = None,
         max_retries: int = 4,
-        backoff: float = 0.0,
-        sleep=None,
     ) -> list["ReliableComm"]:
         """Layer reliable endpoints over an existing SimComm world."""
         state = _TransportState()
         world = [
-            ReliableComm(
-                sim, state, guards=guards, max_retries=max_retries,
-                backoff=backoff, sleep=sleep,
-            )
+            ReliableComm(sim, state, guards=guards, max_retries=max_retries)
             for sim in sims
         ]
         for rc in world:
@@ -275,10 +265,10 @@ class ReliableComm:
 
         Drains the wire, dedups and reorders, then — if the expected
         envelope is still missing — requests retransmission of the
-        sender's unacked window under the shared bounded-backoff retry
-        loop.  Raises :class:`RankFailure` when the peer is dead with
-        nothing recoverable in flight, :class:`TransportError` when
-        loss outlives ``max_retries`` retransmit requests.
+        sender's unacked window under the shared retry loop.  Raises
+        :class:`RankFailure` when the peer is dead with nothing
+        recoverable in flight, :class:`TransportError` when loss
+        outlives ``max_retries`` retransmit requests.
         """
         from ..resilience.policy import retry_call
 
@@ -308,8 +298,7 @@ class ReliableComm:
             payload = retry_call(
                 attempt,
                 max_retries=self.max_retries,
-                backoff=self.backoff,
-                sleep=self._sleep,
+                backoff=0.0,
                 transient=(_LostEnvelope,),
                 on_retry=on_retry,
             )

@@ -244,7 +244,6 @@ def explain(
             # the resolver compile() uses, so this is the Schedule the
             # backend will execute
             probe = dict(options)
-            probe.pop("cc_timeout", None)
             probe.setdefault("schedule", policy)
             sched = be.pop_schedule(group, probe)(shapes)
             exec_plan = sched.plan

@@ -61,7 +61,7 @@ class MultigridSolver:
     On a backend with ``compile_program`` (the C family) ``program`` is
     the solver's :class:`~repro.backends.c_backend.CompiledProgram` and
     each ``v_cycle(k)`` is one call of it.  Otherwise, or when
-    ``backend_options`` carry ``fallback``/``policy``, ``program`` is
+    ``backend_options`` carry ``fallback``, ``program`` is
     ``None`` and a cycle runs the same steps one kernel call at a time.
     """
 
@@ -136,7 +136,7 @@ class MultigridSolver:
         bound = self._bind(
             units + self._transfer_units(restrict, "res", interp),
             program=hasattr(get_backend(backend), "compile_program")
-            and not {"fallback", "policy"} & self.backend_options.keys(),
+            and "fallback" not in self.backend_options,
         )
         nl = len(self.levels)
         self._smooth: list[Callable] = bound[0:2 * nl:2]

@@ -5,8 +5,8 @@ Three cooperating pieces (each importable on its own):
 * :mod:`repro.resilience.faults` — deterministic, site-addressed fault
   injection compiled into the JIT, backend, and communication paths;
 * :mod:`repro.resilience.policy` — ordered backend fallback chains with
-  bounded retry/backoff and hard compile timeouts
-  (``Stencil.compile(..., fallback=("c", "numpy"))``);
+  bounded retry/backoff (``Stencil.compile(..., fallback=("c", "numpy"))``);
+  the compiler's hard timeout is ``SNOWFLAKE_CC_TIMEOUT``;
 * :mod:`repro.resilience.guards` — opt-in runtime guards (NaN/Inf
   output scan, dtype/shape invariants, halo checksums) with
   off/warn/raise severities.
@@ -35,9 +35,7 @@ _POLICY_NAMES = frozenset(
     {
         "BackendChainError",
         "DegradedExecution",
-        "ExecutionPolicy",
         "ResilientKernel",
-        "compile_resilient",
         "retry_call",
     }
 )

@@ -57,8 +57,6 @@ __all__ = [
     "reached",
     "fired",
     "reset",
-    "snapshot_arms",
-    "restore_arms",
 ]
 
 
@@ -244,33 +242,6 @@ def fault_point(site: str) -> bool:
             f"injected fault at {site!r}"
         )
     return True
-
-
-def snapshot_arms() -> dict[str, tuple[int | None, int, str]]:
-    """Checkpointable image of the injection schedule: per armed site,
-    ``(remaining, after, source)``.
-
-    Fault injection is this repo's "randomness" — the deterministic
-    stand-in for a fault RNG — so distributed checkpoints
-    (:mod:`repro.dmem.recovery`) record it alongside the numerical
-    state.  Restore is *opt-in*: replaying an already-fired crash by
-    default would loop a recovery forever, so recovery stores the
-    snapshot for forensics and only re-arms when asked.
-    """
-    with _lock:
-        _sync_env_locked()
-        return {s: (a.remaining, a.after, a.source) for s, a in _arms.items()}
-
-
-def restore_arms(snap: dict[str, tuple[int | None, int, str]]) -> None:
-    """Reinstate an injection schedule captured by :func:`snapshot_arms`."""
-    for site in snap:
-        _check_site(site)
-    with _lock:
-        for site in [s for s, a in _arms.items() if a.source != "env"]:
-            del _arms[site]
-        for site, (remaining, after, source) in snap.items():
-            _arms[site] = _Arm(remaining, after, None, source)
 
 
 def active() -> dict[str, tuple[int | None, int]]:

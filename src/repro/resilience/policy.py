@@ -1,12 +1,14 @@
 """Backend fallback chains and retry policy for kernel compilation.
 
 The paper's portability story ("every lowering path has a verified
-correct fallback") becomes executable here: an :class:`ExecutionPolicy`
-names an ordered chain of micro-compilers, and :class:`ResilientKernel`
-walks it — retrying *transient* failures (compiler timeout, spawn
-``OSError``, lost cache write) with bounded exponential backoff on the
-same backend, and degrading to the next backend on *persistent* ones
-(codegen ``CompileError``, un-dlopen-able artifact, injected faults).
+correct fallback") becomes executable here: ``fallback=`` names an
+ordered chain of micro-compilers, and :class:`ResilientKernel` walks it
+— retrying *transient* failures (compiler timeout, spawn ``OSError``,
+lost cache write) in place, :data:`MAX_RETRIES` times with exponential
+backoff from :data:`BACKOFF`, and degrading to the next backend on
+*persistent* ones (codegen ``CompileError``, un-dlopen-able artifact,
+injected faults).  The compiler's hard timeout is the deployment
+setting ``SNOWFLAKE_CC_TIMEOUT`` (:func:`repro.backends.jit.default_cc_timeout`).
 
 Because every backend compiles the same canonical flat form, a
 degraded kernel is slower but never wrong; the chain bottoms out at
@@ -14,16 +16,14 @@ degraded kernel is slower but never wrong; the chain bottoms out at
 loud (one :class:`DegradedExecution` warning per kernel) and queryable
 (``kernel.serving_backend``, ``kernel.attempts``).
 
-Entry points: ``Stencil.compile(..., fallback=("c", "numpy"))`` /
-``StencilGroup.compile(..., fallback=...)`` or :func:`compile_resilient`
-directly.
+Entry point: ``Stencil.compile(..., fallback=("c", "numpy"))`` /
+``StencilGroup.compile(..., fallback=...)``.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
-from dataclasses import dataclass, field, replace
+from time import sleep
 from typing import Callable, Mapping, Sequence
 
 from .. import telemetry
@@ -34,13 +34,16 @@ from .faults import InjectedFault, ResilienceWarning
 __all__ = [
     "DegradedExecution",
     "BackendChainError",
-    "ExecutionPolicy",
     "ResilientKernel",
-    "compile_resilient",
     "retry_call",
     "TRANSIENT_ERRORS",
     "FALLBACK_ERRORS",
 ]
+
+#: Extra in-place attempts per backend for a transient failure.
+MAX_RETRIES = 2
+#: Seconds before the first retry; doubles for each one after.
+BACKOFF = 0.05
 
 #: Retried in place (same backend, bounded backoff) before degrading.
 TRANSIENT_ERRORS = (CompileTimeout, OSError)
@@ -54,9 +57,8 @@ FALLBACK_ERRORS = (CompileError, OSError, InjectedFault)
 def retry_call(
     fn: Callable,
     *,
-    max_retries: int = 2,
-    backoff: float = 0.05,
-    sleep: Callable[[float], None] = time.sleep,
+    max_retries: int,
+    backoff: float,
     transient: tuple[type[BaseException], ...] = TRANSIENT_ERRORS,
     give_up: Callable[[BaseException], bool] | None = None,
     on_retry: Callable[[int, BaseException], None] | None = None,
@@ -69,7 +71,8 @@ def retry_call(
     ``give_up(e)`` short-circuits retries for errors that cannot heal
     (a missing compiler binary, a dead peer rank); ``on_retry(attempt,
     e)`` runs before each sleep — transports use it to re-send the
-    lost message, kernels to emit telemetry.
+    lost message, kernels to emit telemetry.  A zero ``backoff`` never
+    sleeps.
     """
     delay = backoff
     for attempt in range(max_retries + 1):
@@ -81,7 +84,8 @@ def retry_call(
             if on_retry is not None:
                 on_retry(attempt, e)
             telemetry.observe("resilience.retry.backoff", delay)
-            sleep(delay)
+            if delay:
+                sleep(delay)
             delay *= 2
     raise AssertionError("unreachable")  # pragma: no cover
 
@@ -100,30 +104,6 @@ class BackendChainError(RuntimeError):
             f"all {len(self.attempts)} backend(s) in the fallback chain "
             f"failed:\n{lines}"
         )
-
-
-@dataclass(frozen=True)
-class ExecutionPolicy:
-    """How a kernel compiles and degrades.
-
-    ``fallback`` — backends tried, in order, after the primary;
-    ``max_retries`` — extra in-place attempts per backend for transient
-    failures; ``backoff`` — initial sleep between retries, doubling each
-    time (``sleep`` is injectable so tests stay instant);
-    ``compile_timeout`` — hard wall-clock cap on each compiler
-    subprocess, passed to toolchain backends as ``cc_timeout``.
-    """
-
-    fallback: tuple[str, ...] = ()
-    max_retries: int = 2
-    backoff: float = 0.05
-    compile_timeout: float | None = None
-    sleep: Callable[[float], None] = field(
-        default=time.sleep, repr=False, compare=False
-    )
-
-    def with_fallback(self, chain: Sequence[str]) -> "ExecutionPolicy":
-        return replace(self, fallback=tuple(chain))
 
 
 class ResilientKernel:
@@ -146,16 +126,15 @@ class ResilientKernel:
         backend: str,
         shapes: Mapping[str, Sequence[int]] | None,
         dtype,
-        policy: ExecutionPolicy,
+        fallback: Sequence[str],
         options: Mapping | None = None,
     ) -> None:
         chain: list[str] = []
-        for name in (backend, *policy.fallback):
+        for name in (backend, *fallback):
             if name not in chain:
                 chain.append(name)
         self.group = group
         self.chain: tuple[str, ...] = tuple(chain)
-        self.policy = policy
         self.attempts: list[tuple[str, str]] = []
         self._shapes = shapes
         self._dtype = dtype
@@ -242,16 +221,6 @@ class ResilientKernel:
             raise BackendChainError(self.attempts)
         return self.chain[self._pos]
 
-    def _options_for(self, name: str) -> dict:
-        opts = dict(self._options)
-        be = get_backend(name)
-        if (
-            self.policy.compile_timeout is not None
-            and getattr(be, "requires_toolchain", False)
-        ):
-            opts.setdefault("cc_timeout", self.policy.compile_timeout)
-        return opts
-
     def _build(self, name: str):
         be = get_backend(name)
 
@@ -267,7 +236,7 @@ class ResilientKernel:
                     self.group,
                     shapes=self._shapes,
                     dtype=self._dtype,
-                    **self._options_for(name),
+                    **self._options,
                 )
         return self._with_retries(make)
 
@@ -285,7 +254,7 @@ class ResilientKernel:
         return self._kernel, self.chain[self._pos]
 
     def _with_retries(self, fn: Callable):
-        """Run ``fn``, retrying transient failures per the policy.
+        """Run ``fn``, retrying transient failures in place.
 
         A missing compiler binary (``FileNotFoundError``) is OSError
         but not transient — it won't reappear between retries, so it
@@ -303,9 +272,8 @@ class ResilientKernel:
 
         return retry_call(
             fn,
-            max_retries=self.policy.max_retries,
-            backoff=self.policy.backoff,
-            sleep=self.policy.sleep,
+            max_retries=MAX_RETRIES,
+            backoff=BACKOFF,
             give_up=lambda e: isinstance(e, FileNotFoundError),
             on_retry=on_retry,
         )
@@ -343,17 +311,3 @@ class ResilientKernel:
                 ),
                 stacklevel=3,
             )
-
-
-def compile_resilient(
-    group,
-    backend: str = "numpy",
-    shapes: Mapping[str, Sequence[int]] | None = None,
-    dtype=None,
-    policy: ExecutionPolicy | None = None,
-    **options,
-) -> ResilientKernel:
-    """Compile ``group`` under a fallback policy (see module docs)."""
-    return ResilientKernel(
-        group, backend, shapes, dtype, policy or ExecutionPolicy(), options
-    )

@@ -91,7 +91,10 @@ def run(
     memo = program.__dict__.setdefault("_run_kernels", {})
     key = (
         tuple(sorted(shapes.items())), dtype.str, backend, times,
-        tuple(sorted(options.items())),
+        tuple(sorted(
+            (k, tuple(v) if isinstance(v, list) else v)
+            for k, v in options.items()
+        )),
     )
     try:
         entry = memo.get(key)

@@ -26,6 +26,7 @@ and the spec record — so on ``paper-cpu`` it is bit-exact reproducible.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -40,7 +41,6 @@ from ..kernel.lower import body_for
 from ..machine.specs import PAPER_PLATFORMS, MachineSpec, host_spec
 from ..schedule import ScheduleOptions, schedule_for
 from ..telemetry import tracing
-from ..util.timing import best_of
 
 __all__ = [
     "Trial",
@@ -301,10 +301,12 @@ class _Bench:
             backend=self.backend, shapes=self.shapes, schedule=sched,
             **self.backend_options,
         )
-        t = best_of(
-            lambda: kernel(**self.arrays, **self.params),
-            warmup=1, repeats=self.repeats,
-        )
+        kernel(**self.arrays, **self.params)  # untimed warmup
+        t = float("inf")
+        for _ in range(self.repeats):
+            t0 = time.perf_counter()
+            kernel(**self.arrays, **self.params)
+            t = min(t, time.perf_counter() - t0)
         self.measured[opts] = t
         return t
 

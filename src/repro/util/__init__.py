@@ -1,10 +1,7 @@
-"""Shared utilities: timing, table formatting, deterministic RNG."""
+"""Shared utilities: table formatting, artifact paths, Diophantine solvers."""
 
-from .timing import best_of, time_callable
 from .tables import format_table
 
 __all__ = [
-    "best_of",
-    "time_callable",
     "format_table",
 ]

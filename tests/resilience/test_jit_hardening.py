@@ -174,7 +174,7 @@ class TestSourcePublish:
                 c_path = cmd[cmd.index("-o") - 1]
                 with open(c_path) as reading:
                     seen["open"] = True
-                    jit._build(tag, src, d, d / "sf_other.so", False, (), None)
+                    jit._build(tag, src, d, d / "sf_other.so", False)
                     seen["text"] = reading.read()
                     seen["same_file"] = os.path.samestat(
                         os.fstat(reading.fileno()), os.stat(c_path)
@@ -196,8 +196,9 @@ class TestHardTimeout:
         hung.write_text("#!/bin/sh\nsleep 30\n")
         hung.chmod(0o755)
         monkeypatch.setenv("SNOWFLAKE_CC", str(hung))
+        monkeypatch.setenv("SNOWFLAKE_CC_TIMEOUT", "0.2")
         with pytest.raises(CompileTimeout, match="hard timeout"):
-            compile_and_load("int sf_hang(void){return 0;}\n", timeout=0.2)
+            compile_and_load("int sf_hang(void){return 0;}\n")
         assert not list(cache_dir().glob("sf_*.tmp.so"))
 
     def test_timeout_env_knob(self, monkeypatch):
@@ -207,6 +208,12 @@ class TestHardTimeout:
         assert jit.default_cc_timeout() is None
         monkeypatch.delenv("SNOWFLAKE_CC_TIMEOUT")
         assert jit.default_cc_timeout() == 300.0
+        # the one timeout source: a non-finite value must not silently
+        # disable the cap
+        for bad in ("nan", "inf"):
+            monkeypatch.setenv("SNOWFLAKE_CC_TIMEOUT", bad)
+            with pytest.raises(ValueError, match="SNOWFLAKE_CC_TIMEOUT"):
+                jit.default_cc_timeout()
 
     def test_timeout_is_a_compile_error(self):
         # fallback policies treat CompileTimeout as transient *and* as a

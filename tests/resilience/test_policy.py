@@ -5,8 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import Component, ExecutionPolicy, RectDomain, Stencil, WeightArray
+from repro import Component, RectDomain, Stencil, WeightArray
+from repro.dmem.recovery import RecoveryPolicy
+from repro.dmem.transport import ReliableComm
 from repro.resilience import BackendChainError, DegradedExecution, InjectedFault
+from repro.resilience import policy
 from repro.resilience.faults import arm, inject
 
 pytestmark = pytest.mark.faults
@@ -28,6 +31,15 @@ def reference(u):
 @pytest.fixture
 def broken_cc(monkeypatch):
     monkeypatch.setenv("SNOWFLAKE_CC", "/nonexistent/snowflake-cc")
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """A 0.01 s first backoff; returns the list the backoff sleeps land in."""
+    slept = []
+    monkeypatch.setattr(policy, "BACKOFF", 0.01)
+    monkeypatch.setattr(policy, "sleep", slept.append)
+    return slept
 
 
 class TestFallbackChain:
@@ -196,13 +208,11 @@ class TestFallbackChain:
 
 
 class TestRetries:
-    def test_transient_specialize_failure_retried_in_place(self, rng):
-        sleeps = []
-        policy = ExecutionPolicy(
-            fallback=("python",), max_retries=2, backoff=0.01,
-            sleep=sleeps.append,
-        )
-        kernel = make_stencil().compile(backend="numpy", policy=policy)
+    def test_transient_specialize_failure_retried_in_place(
+        self, rng, monkeypatch, sleeps
+    ):
+        monkeypatch.setattr(policy, "MAX_RETRIES", 2)
+        kernel = make_stencil().compile(backend="numpy", fallback=("python",))
         arm("backend.specialize", times=1, exc=OSError)
         u = rng.random((8, 8))
         out = np.zeros_like(u)
@@ -213,13 +223,9 @@ class TestRetries:
         assert sleeps == [0.01]  # one backoff sleep, then success
         np.testing.assert_allclose(out, reference(u))
 
-    def test_retry_budget_bounded_then_degrades(self, rng):
-        sleeps = []
-        policy = ExecutionPolicy(
-            fallback=("python",), max_retries=2, backoff=0.01,
-            sleep=sleeps.append,
-        )
-        kernel = make_stencil().compile(backend="numpy", policy=policy)
+    def test_retry_budget_bounded_then_degrades(self, rng, monkeypatch, sleeps):
+        monkeypatch.setattr(policy, "MAX_RETRIES", 2)
+        kernel = make_stencil().compile(backend="numpy", fallback=("python",))
         # exactly numpy's whole budget (1 try + 2 retries); python then
         # specializes cleanly
         arm("backend.specialize", times=3, exc=OSError)
@@ -234,13 +240,11 @@ class TestRetries:
         assert any(isinstance(x.message, DegradedExecution) for x in w)
         np.testing.assert_allclose(out, reference(u))
 
-    def test_missing_compiler_skips_retry_budget(self, broken_cc, rng):
-        sleeps = []
-        policy = ExecutionPolicy(
-            fallback=("numpy",), max_retries=5, backoff=0.01,
-            sleep=sleeps.append,
-        )
-        kernel = make_stencil().compile(backend="c", policy=policy)
+    def test_missing_compiler_skips_retry_budget(
+        self, broken_cc, rng, monkeypatch, sleeps
+    ):
+        monkeypatch.setattr(policy, "MAX_RETRIES", 5)
+        kernel = make_stencil().compile(backend="c", fallback=("numpy",))
         u = rng.random((8, 8))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedExecution)
@@ -251,20 +255,17 @@ class TestRetries:
 
 class TestCompileTimeout:
     def test_hung_compiler_hits_hard_timeout_then_degrades(
-        self, tmp_path, monkeypatch, rng
+        self, tmp_path, monkeypatch, rng, sleeps
     ):
         hung = tmp_path / "hung-cc"
         hung.write_text("#!/bin/sh\nsleep 30\n")
         hung.chmod(0o755)
         monkeypatch.setenv("SNOWFLAKE_CC", str(hung))
-        sleeps = []
-        policy = ExecutionPolicy(
-            fallback=("numpy",), max_retries=1, backoff=0.01,
-            compile_timeout=0.2, sleep=sleeps.append,
-        )
+        monkeypatch.setenv("SNOWFLAKE_CC_TIMEOUT", "0.2")
+        monkeypatch.setattr(policy, "MAX_RETRIES", 1)
         u = rng.random((8, 8))
         out = np.zeros_like(u)
-        kernel = make_stencil().compile(backend="c", policy=policy)
+        kernel = make_stencil().compile(backend="c", fallback=("numpy",))
         with warnings.catch_warnings(record=True) as w:
             warnings.simplefilter("always")
             kernel(u=u, out=out)
@@ -273,6 +274,39 @@ class TestCompileTimeout:
         assert any("CompileTimeout" in e for _, e in kernel.attempts)
         assert any(isinstance(x.message, DegradedExecution) for x in w)
         np.testing.assert_allclose(out, reference(u))
+
+    def test_timeout_env_does_not_reach_the_fallback_links(
+        self, monkeypatch, rng
+    ):
+        # the timeout is the compiler's own setting, not a compile
+        # option every link of the chain would have to accept
+        monkeypatch.setenv("SNOWFLAKE_CC", "false")
+        monkeypatch.setenv("SNOWFLAKE_CC_TIMEOUT", "5")
+        u = rng.random((8, 8))
+        out = np.zeros_like(u)
+        kernel = make_stencil().compile(backend="c", fallback=("numpy",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedExecution)
+            kernel(u=u, out=out)
+        assert kernel.serving_backend == "numpy"
+        np.testing.assert_allclose(out, reference(u))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: make_stencil().compile(backend="numpy", policy="wavefront"),
+         "unknown options.*'policy'.*valid scheduling options"),
+        (lambda: make_stencil().compile(backend="c", cc_timeout=5),
+         "unknown options.*'cc_timeout'.*valid scheduling options"),
+        (lambda: ReliableComm.world(2, backoff=0.1), "backoff"),
+        (lambda: RecoveryPolicy(verify=False), "verify"),
+    ],
+    ids=["compile-policy", "compile-cc_timeout", "comm-backoff", "recovery-verify"],
+)
+def test_deleted_knobs_are_refused(call, match):
+    with pytest.raises(TypeError, match=match):
+        call()
 
 
 class TestInjectedJitFaults:
@@ -288,7 +322,7 @@ class TestInjectedJitFaults:
         np.testing.assert_allclose(out, reference(u))
 
     def test_plain_compile_unaffected_by_policy_machinery(self, rng):
-        # no fallback/policy argument -> the classic direct path, which
+        # no fallback argument -> the classic direct path, which
         # surfaces injected faults raw
         kernel = make_stencil().compile(backend="numpy")
         with inject("backend.invoke"):

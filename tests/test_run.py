@@ -143,6 +143,15 @@ class TestRunMemo:
         gc.collect()
         assert kernel() is None
 
+    @pytest.mark.parametrize(
+        "options", ({"fallback": ["numpy"]}, {"block": [32, 4]})
+    )
+    def test_list_valued_option_compiles_once(self, options):
+        group, _, arrays = jacobi_case()
+        for _ in range(5):
+            run(group, arrays, backend="c", **options)
+        assert self.compiles()[0] == 1
+
     def test_unhashable_option_value_still_runs(self):
         group, _, arrays = jacobi_case()
         work = {g: a.copy() for g, a in arrays.items()}

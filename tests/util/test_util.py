@@ -1,27 +1,8 @@
-"""Utility helpers: timing and table formatting."""
-
-import time
+"""Utility helpers: table formatting."""
 
 import pytest
 
 from repro.util.tables import format_table
-from repro.util.timing import best_of, time_callable
-
-
-class TestTiming:
-    def test_time_callable_counts(self):
-        calls = []
-        times = time_callable(lambda: calls.append(1), warmup=2, repeats=3)
-        assert len(times) == 3
-        assert len(calls) == 5
-
-    def test_best_of_is_min(self):
-        ts = iter([0.0, 0.3, 0.0, 0.1, 0.0, 0.2])
-
-        def fn():
-            time.sleep(0.001)
-
-        assert best_of(fn, warmup=0, repeats=3) > 0
 
 
 class TestFormatTable:
