@@ -88,7 +88,7 @@ print(f"\ngroup: {len(group)} -> {len(optimized)} stencils, "
 # -- 3. tune the backend ----------------------------------------------------------
 tune = search_schedules(
     optimized, {k: v.copy() for k, v in arrays.items() if k in optimized.grids()},
-    backend="openmp", repeats=2, persist=False,
+    backend="openmp", repeats=2,
     candidates=[ScheduleOptions(tile=t) for t in (2, 8, 32)], budget=3,
 )
 worst = max(t.measured_s for t in tune.measured())

@@ -19,9 +19,10 @@ Commands:
                 barrier, the legality-checked schedule the backend
                 executes, and the backend artifact identity
 * ``tune``    — cost-model-guided schedule search over one paper
-                operator; prints the trial table and persists the
-                winner to the tuning cache, where
-                ``compile(..., schedule="tuned")`` finds it
+                operator; prints the trial table and the winner's
+                ``to_dict()``, which ``ScheduleOptions(**...)`` rebuilds
+                for ``compile(..., schedule=...)``; persists no
+                winner (``--out`` writes the search result)
 """
 
 from __future__ import annotations
@@ -181,9 +182,9 @@ def cmd_tune(args) -> int:
 
     Predicts every candidate with the analytic roofline model, measures
     only the most promising ones (``--budget`` caps measured trials),
-    prints the trial table, and persists the winner to the tuning cache
-    under this backend's name — ``compile(backend=<the same>,
-    schedule="tuned")`` uses it, in this process or a later one.
+    and prints the trial table and the winner.  The winner's
+    ``to_dict()`` is printed so it can be pasted as
+    ``compile(backend=<the same>, schedule=ScheduleOptions(**...))``.
     """
     import json
 
@@ -212,7 +213,6 @@ def cmd_tune(args) -> int:
         budget=args.budget,
         repeats=args.repeats,
         spec=args.spec,
-        persist=not args.no_persist,
     )
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -228,8 +228,7 @@ def cmd_tune(args) -> int:
             print(f"winner: {result.best.describe()} "
                   f"({result.best_measured_s * 1e6:.1f}us measured, "
                   f"{result.best_predicted_s * 1e6:.1f}us predicted)")
-            print("persisted: " + ("no (--no-persist)" if args.no_persist
-                                   else "yes (tuning cache)"))
+            print(f"ScheduleOptions(**{result.best.to_dict()!r})")
     if args.out:
         out = artifact_path(args.out)
         out.write_text(
@@ -394,6 +393,22 @@ def positive_int(text: str) -> int:
     return value
 
 
+def backend_name(text: str) -> str:
+    """argparse ``type=`` for ``--backend``: the registry name of ``text``.
+
+    Aliases resolve (``np`` is ``numpy``); an unknown name is an
+    argparse exit 2 that lists the available backends.
+    """
+    from .backends import available_backends, get_backend
+
+    try:
+        return get_backend(text).name
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"invalid backend {text!r}; available: {available_backends()}"
+        ) from None
+
+
 def main(argv=None) -> int:
     from .schedule.options import POLICIES
 
@@ -410,7 +425,7 @@ def main(argv=None) -> int:
         "hottest spans, export Chrome trace-event JSON",
     )
     tr.add_argument(
-        "--backend", default="c",
+        "--backend", type=backend_name, default="c",
         help="primary backend for the traced kernel (default: c)",
     )
     tr.add_argument(
@@ -444,7 +459,7 @@ def main(argv=None) -> int:
         help="print analysis provenance for a GSRB smoother group",
     )
     ex.add_argument(
-        "--backend", default="c",
+        "--backend", type=backend_name, default="c",
         help="backend whose artifact identity to report (default: c)",
     )
     ex.add_argument(
@@ -484,10 +499,10 @@ def main(argv=None) -> int:
     )
     tu = sub.add_parser(
         "tune",
-        help="cost-model-guided schedule search; persists the winner",
+        help="cost-model-guided schedule search; prints the winner",
     )
     tu.add_argument(
-        "--backend", default="c",
+        "--backend", type=backend_name, default="c",
         help="backend to tune for (default: c)",
     )
     tu.add_argument(
@@ -522,10 +537,6 @@ def main(argv=None) -> int:
     tu.add_argument(
         "--out", metavar="PATH", default=None,
         help="also write the search result JSON to PATH",
-    )
-    tu.add_argument(
-        "--no-persist", action="store_true",
-        help="do not write the winner to the tuning cache",
     )
     args = ap.parse_args(argv)
 

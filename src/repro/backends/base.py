@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -349,19 +349,17 @@ class Backend(abc.ABC):
 
         Every built-in backend takes the same names — ``schedule`` (a
         prebuilt :class:`~repro.schedule.Schedule`, a
-        :class:`~repro.schedule.ScheduleOptions`, a policy string, or
-        ``"tuned"``) and each other ``ScheduleOptions`` field as a loose
+        :class:`~repro.schedule.ScheduleOptions`, or a policy string)
+        and each other ``ScheduleOptions`` field as a loose
         keyword — so ``tile=8`` and ``schedule=ScheduleOptions(tile=8)``
         get the same verdict everywhere.  Whatever else is in
         ``options`` when this is called is unknown and raises the
         ``TypeError`` that names the valid options.
 
         Returns ``schedule_at(shapes)``, because a kernel compiled
-        without ``shapes=`` learns them at its first call.
-        ``schedule="tuned"`` looks up the winner ``repro tune`` persisted
-        for this group, shapes, machine and backend and takes its hint
-        fields, ``time_tile`` staying the caller's; with no winner it is
-        the backend's defaults.
+        without ``shapes=`` learns them at its first call.  A tuned
+        schedule is passed like any other: ``schedule=result.best`` of
+        :func:`repro.tuning.search_schedules`.
         """
         bad = sorted(set(options) - _SCHEDULE_NAMES)
         if bad:
@@ -372,7 +370,6 @@ class Backend(abc.ABC):
         spec = options.pop("schedule", "greedy")
         loose = dict(options)
         options.clear()
-        tuned = isinstance(spec, str) and spec == "tuned"
         if isinstance(spec, (Schedule, ScheduleOptions)):
             if loose:
                 raise TypeError(
@@ -381,29 +378,14 @@ class Backend(abc.ABC):
                 )
         elif isinstance(spec, str):
             spec = ScheduleOptions(
-                policy="greedy" if tuned else spec,
-                **{**(self._KNOBS or {}), **loose},
+                policy=spec, **{**(self._KNOBS or {}), **loose},
             )
         else:
             raise TypeError(
                 f"schedule must be a Schedule, ScheduleOptions or policy "
                 f"string, got {type(spec).__name__}"
             )
-
-        def schedule_at(shapes) -> Schedule:
-            chosen = spec
-            if tuned:
-                from ..tuning.cache import load_winner, options_from_dict
-
-                doc = load_winner(group, shapes, self.name)
-                if doc is not None:
-                    chosen = replace(
-                        options_from_dict(doc["options"]),
-                        time_tile=spec.time_tile,
-                    )
-            return as_schedule(chosen, group, shapes)
-
-        return schedule_at
+        return lambda shapes: as_schedule(spec, group, shapes)
 
     @abc.abstractmethod
     def specializer(

@@ -65,21 +65,18 @@ PAPER_PLATFORMS = {"cpu": I7_4765T, "gpu": K20C}
 _HOST_CACHE: MachineSpec | None = None
 
 
-def host_spec(measure: bool = True) -> MachineSpec:
+def host_spec() -> MachineSpec:
     """Spec for the machine we are running on.
 
-    Bandwidth comes from the STREAM-dot measurement when ``measure``;
-    otherwise a conservative placeholder is returned.  Cached after the
-    first measurement.
+    Bandwidth comes from the STREAM-dot measurement, taken once and
+    cached for the process.
     """
     global _HOST_CACHE
     if _HOST_CACHE is not None:
         return _HOST_CACHE
-    bw = 10e9
-    if measure:
-        from .stream import stream_dot_bandwidth
+    from .stream import stream_dot_bandwidth
 
-        bw = stream_dot_bandwidth(n=2**22, repeats=3, flavor="c")
+    bw = stream_dot_bandwidth(n=2**22, repeats=3, flavor="c")
     _HOST_CACHE = MachineSpec(
         name="host",
         kind="cpu",

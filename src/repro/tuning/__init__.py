@@ -1,22 +1,13 @@
-"""Schedule tuning: one cost-model-guided search and the persistent
-per-machine, per-backend tuning cache.
+"""Schedule tuning: one cost-model-guided search, a pure function.
 
 :func:`search_schedules` predicts candidate
 :class:`~repro.schedule.ScheduleOptions` with the analytic cost model
 and measures the promising ones (or an explicit ``candidates`` list —
-the paper's Section IV-A "method of tuning tiling sizes"); the winner is
-persisted via :mod:`repro.tuning.cache` and used by
-``compile(..., schedule="tuned")``, never implicitly.
+the paper's Section IV-A "method of tuning tiling sizes").  It returns
+the winner as ``SearchResult.best``; the caller passes it on as
+``compile(..., schedule=result.best)``.  No winner is written to disk.
 """
 
-from .cache import (
-    TUNE_SCHEMA,
-    load_winner,
-    machine_fingerprint,
-    save_winner,
-    tune_tag,
-    winner_path,
-)
 from .search import (
     SearchResult,
     Trial,
@@ -25,12 +16,6 @@ from .search import (
 )
 
 __all__ = [
-    "TUNE_SCHEMA",
-    "load_winner",
-    "machine_fingerprint",
-    "save_winner",
-    "tune_tag",
-    "winner_path",
     "SearchResult",
     "Trial",
     "predict_schedule_time",

@@ -17,8 +17,9 @@ applications per call, so candidates of different depth are not
 comparable per call.  Every candidate keeps the depth of the seed it
 was derived from.
 
-Winners persist per ``(tune_tag, backend, machine fingerprint)`` via
-:mod:`repro.tuning.cache`; ``compile(..., schedule="tuned")`` uses them.
+The search is a pure function of its arguments: it returns the winner
+(``SearchResult.best``) and persists nothing; the caller passes it on
+as ``compile(..., schedule=result.best)``.
 
 The prediction is deterministic — pure arithmetic over the kernel IR
 and the spec record — so on ``paper-cpu`` it is bit-exact reproducible.
@@ -55,6 +56,8 @@ __all__ = [
 TILE_LADDER = (None, 4, 8, 16, 32, 64)
 #: unroll factors the default search neighbourhood draws from
 UNROLL_LADDER = (None, 2, 4, 8)
+#: best default-grid predictions measured before the hill-climb
+BEAM_WIDTH = 4
 
 
 def resolve_search_spec(spec: "MachineSpec | str" = "paper-cpu") -> MachineSpec:
@@ -62,10 +65,10 @@ def resolve_search_spec(spec: "MachineSpec | str" = "paper-cpu") -> MachineSpec:
     if isinstance(spec, MachineSpec):
         return spec
     if spec == "host":
-        return host_spec(measure=True)
-    if spec in ("paper-cpu", "cpu"):
+        return host_spec()
+    if spec == "paper-cpu":
         return PAPER_PLATFORMS["cpu"]
-    if spec in ("paper-gpu", "gpu"):
+    if spec == "paper-gpu":
         return PAPER_PLATFORMS["gpu"]
     raise ValueError(
         f"unknown machine spec {spec!r}; choose host, paper-cpu or "
@@ -321,8 +324,6 @@ def search_schedules(
     repeats: int = 3,
     spec: "MachineSpec | str" = "paper-cpu",
     candidates: Sequence[ScheduleOptions] | None = None,
-    beam_width: int = 4,
-    persist: bool = True,
     **backend_options,
 ) -> SearchResult:
     """Search the schedule space; measure at most ``budget`` candidates.
@@ -334,18 +335,19 @@ def search_schedules(
     permitting) before any neighbour — timing an explicit set of tile
     sizes is ``candidates=[ScheduleOptions(tile=t) for t in ...],
     budget=len(candidates)``.  Without it the grid is tile x fuse and
-    the ``beam_width`` best predictions are measured first.
+    the :data:`BEAM_WIDTH` best predictions are measured first.
 
     ``arrays`` are working copies — the search mutates them.  The winner
-    is persisted to the tuning cache (:mod:`repro.tuning.cache`) unless
-    ``persist=False``; ``compile(backend=..., schedule="tuned")`` uses
-    it, in this process or a later one.
+    is not persisted: pass ``result.best`` on as
+    ``compile(backend=..., schedule=result.best)``.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats!r}")
     backend = get_backend(backend).name
     grid = _default_grid() if candidates is None else list(candidates)
-    width = beam_width if candidates is None else len(grid)
+    width = BEAM_WIDTH if candidates is None else len(grid)
     mspec = resolve_search_spec(spec)
     bench = _Bench(group, arrays, params, backend, repeats, backend_options)
     trials: list[Trial] = []
@@ -436,18 +438,6 @@ def search_schedules(
             options=best.describe(), measured_s=best_t,
             predicted_s=best_p, trials=len(bench.measured),
         )
-        if persist:
-            from .cache import save_winner
-
-            try:
-                save_winner(
-                    group, bench.shapes, best, backend=backend,
-                    measured_s=best_t,
-                    predicted_s=None if best_p == float("inf") else best_p,
-                    trials=len(bench.measured),
-                )
-            except Exception:
-                pass  # persistence is best-effort; the result stands
     return result
 
 

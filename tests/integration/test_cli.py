@@ -61,6 +61,9 @@ def test_cli_has_four_commands(capsys):
     (["trace", "--size", "0"], "--size"),
     (["trace", "--calls", "0"], "--calls"),
     (["trace", "--limit", "0"], "--limit"),
+    (["trace", "--backend", "nonesuch"], "--backend"),
+    (["explain", "--backend", "nonesuch"], "--backend"),
+    (["tune", "--backend", "nonesuch"], "--backend"),
 ])
 def test_bad_input_is_refused_by_the_parser(argv, flag, capsys):
     from repro.__main__ import main
@@ -70,6 +73,13 @@ def test_bad_input_is_refused_by_the_parser(argv, flag, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: invalid" in err, err
+
+
+def test_backend_flag_resolves_aliases():
+    from repro.__main__ import backend_name
+
+    assert backend_name("np") == "numpy"
+    assert backend_name("c99") == "c"
 
 
 def test_requires_a_command():

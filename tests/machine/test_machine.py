@@ -39,6 +39,16 @@ class TestSpecs:
         assert I7_4765T.effective_bw(small) > I7_4765T.effective_bw(big)
         assert I7_4765T.effective_bw(big) == I7_4765T.stream_bw
 
+    def test_host_spec_takes_no_arguments(self, monkeypatch):
+        # always measured: no unmeasured placeholder can stick in the
+        # per-process cache
+        from repro.machine import specs
+
+        monkeypatch.setattr(specs, "_HOST_CACHE", None)
+        with pytest.raises(TypeError):
+            specs.host_spec(measure=False)
+        assert specs._HOST_CACHE is None
+
 
 class TestRooflineConstants:
     """SectionV-B: 24 / 40 / 64 bytes per stencil (E6 in DESIGN.md)."""

@@ -173,15 +173,3 @@ class TestMemoizationAndCoercion:
         sched = schedule_for(other, other_shapes)
         with pytest.raises(ValueError, match="signature"):
             as_schedule(sched, group, shapes)
-
-    def test_tuned_spec_without_winner_is_the_defaults(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.backends import get_backend
-
-        monkeypatch.setenv("SNOWFLAKE_CACHE_DIR", str(tmp_path))
-        group, shapes = fusable_pair_group()
-        sched = get_backend("c").pop_schedule(
-            group, {"schedule": "tuned"}
-        )(shapes)
-        assert sched.options == ScheduleOptions()

@@ -56,6 +56,20 @@ class TestScheduleOptions:
         assert "fuse=on" in o.describe() and "tile=8" in o.describe()
         assert o.to_dict()["tile"] == 8
 
+    def test_options_round_trip_every_field(self):
+        # how a tuned winner travels: `repro tune --json` prints
+        # to_dict(), ScheduleOptions(**...) rebuilds it (block from a list)
+        o = ScheduleOptions(
+            policy="wavefront", fuse=True, multicolor=False,
+            tile=16, block=(8, 4), time_tile=2, unroll=4,
+        )
+        assert set(o.to_dict()) == set(ScheduleOptions.__dataclass_fields__)
+        assert ScheduleOptions(**o.to_dict()) == o
+
+    def test_schedule_for_none_is_the_defaults(self):
+        group, shapes = laplacian_pair()
+        assert schedule_for(group, shapes, None).options == ScheduleOptions()
+
 
 def resolve(options, backend="c"):
     """What ``compile(backend=..., **options)`` would schedule."""

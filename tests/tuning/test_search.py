@@ -72,16 +72,17 @@ class TestPredict:
             )
 
     def test_unknown_spec_rejected(self):
+        # host, paper-cpu and paper-gpu are the names, as on the CLI
         group, shapes, _ = lap_workload()
-        with pytest.raises(ValueError, match="unknown machine spec"):
-            predict_schedule_time(
-                group, shapes, ScheduleOptions(), spec="nonesuch"
-            )
+        for spec in ("nonesuch", "cpu", "gpu"):
+            with pytest.raises(ValueError, match="unknown machine spec"):
+                predict_schedule_time(
+                    group, shapes, ScheduleOptions(), spec=spec
+                )
 
 
 class TestSearch:
-    def test_beam_measures_at_most_budget(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNOWFLAKE_CACHE_DIR", str(tmp_path))
+    def test_beam_measures_at_most_budget(self):
         group, shapes, arrays = lap_workload()
         res = search_schedules(
             group, arrays, backend="numpy", budget=3, repeats=1,
@@ -100,14 +101,14 @@ class TestSearch:
         cands = [ScheduleOptions(tile=t) for t in (2, 4, 64)]
         res = search_schedules(
             group, arrays, backend="numpy", budget=3, repeats=1,
-            candidates=cands, persist=False,
+            candidates=cands,
         )
         assert sorted(t.options.tile for t in res.measured()) == [2, 4, 64]
         assert res.best in cands
         # with budget to spare the listed ones still come first
         res = search_schedules(
             group, arrays, backend="numpy", budget=5, repeats=1,
-            candidates=cands, persist=False,
+            candidates=cands,
         )
         first = [t.options for t in res.measured()[:3]]
         assert set(first) == set(cands)
@@ -123,21 +124,18 @@ class TestSearch:
         group, shapes, arrays = lap_workload()
         res = search_schedules(
             group, arrays, backend="numpy", budget=4, repeats=1,
-            candidates=[seed], persist=False,
+            candidates=[seed],
         )
         assert {t.options.time_tile for t in res.trials} == {2}
 
     def test_backend_alias_resolves_to_registry_name(self):
         group, shapes, arrays = lap_workload()
         res = search_schedules(
-            group, arrays, backend="np", budget=1, repeats=1, persist=False,
+            group, arrays, backend="np", budget=1, repeats=1,
         )
         assert res.backend == "numpy"
 
-    def test_refused_candidates_recorded_with_evidence_kind(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("SNOWFLAKE_CACHE_DIR", str(tmp_path))
+    def test_refused_candidates_recorded_with_evidence_kind(self):
         group, shapes, arrays = snapshot_workload()
         with tracing.session():
             res = search_schedules(
@@ -146,7 +144,6 @@ class TestSearch:
                     ScheduleOptions(multicolor=False),
                     ScheduleOptions(multicolor=False, time_tile=2),
                 ],
-                persist=False,
             )
         refused = [t for t in res.trials if t.status == "refused"]
         assert refused, "an illegal time-tiled seed must be refused"
@@ -159,8 +156,7 @@ class TestSearch:
         ]
         assert recs and recs[0]["kind"] == "time-tile-refused"
 
-    def test_trial_and_winner_events_emitted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNOWFLAKE_CACHE_DIR", str(tmp_path))
+    def test_trial_and_winner_events_emitted(self):
         group, shapes, arrays = lap_workload()
         with tracing.session():
             search_schedules(
@@ -170,21 +166,53 @@ class TestSearch:
         assert counts["tuning.trial"] >= 1
         assert counts["tuning.winner"] == 1
 
-    def test_table_renders_all_trials(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNOWFLAKE_CACHE_DIR", str(tmp_path))
+    def test_table_renders_all_trials(self):
         group, shapes, arrays = lap_workload()
         res = search_schedules(
             group, arrays, backend="numpy", budget=2, repeats=1,
-            persist=False,
         )
         table = res.table()
         assert "measured" in table and "predicted" in table
         assert table.count("\n") + 1 >= len(res.trials)
 
+    def test_search_writes_nothing_and_returns_a_compilable_winner(
+        self, tmp_path, monkeypatch
+    ):
+        # a pure function of its arguments: the winner is the return
+        # value, passed on as schedule=, and no file appears anywhere
+        monkeypatch.setenv("SNOWFLAKE_CACHE_DIR", str(tmp_path))
+        group, shapes, arrays = lap_workload()
+        ref = {g: a.copy() for g, a in arrays.items()}
+        res = search_schedules(
+            group, {g: a.copy() for g, a in arrays.items()},
+            backend="numpy", budget=2, repeats=1,
+        )
+        assert list(tmp_path.iterdir()) == []
+        got = {g: a.copy() for g, a in arrays.items()}
+        group.compile(backend="numpy", schedule=res.best)(**got)
+        group.compile(backend="python")(**ref)
+        for g in sorted(shapes):
+            np.testing.assert_allclose(got[g], ref[g], rtol=1e-12)
+
+    def test_beam_width_is_a_constant(self):
+        from repro.tuning.search import BEAM_WIDTH
+
+        assert BEAM_WIDTH == 4
+        group, shapes, arrays = lap_workload()
+        with pytest.raises(TypeError, match="beam_width"):
+            search_schedules(
+                group, arrays, backend="numpy", budget=1, repeats=1,
+                beam_width=2,
+            )
+
     def test_bad_budget_and_strategy_rejected(self):
         group, shapes, arrays = lap_workload()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="budget"):
             search_schedules(group, arrays, backend="numpy", budget=0)
+        with pytest.raises(ValueError, match="repeats"):  # nothing timed
+            search_schedules(
+                group, arrays, backend="numpy", budget=2, repeats=0
+            )
         with pytest.raises(TypeError):  # one strategy: not an option
             search_schedules(
                 group, arrays, backend="numpy", strategy="genetic"
@@ -197,7 +225,6 @@ class TestSearch:
         res = search_schedules(
             group, arrays, backend="cuda-sim", budget=2, repeats=1,
             candidates=[ScheduleOptions(), ScheduleOptions(time_tile=2)],
-            persist=False,
         )
         assert res.best.time_tile == 1 and len(res.measured()) == 2
         refused = [t for t in res.trials if t.status == "refused"]
