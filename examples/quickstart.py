@@ -50,11 +50,10 @@ for backend, out in results.items():
 print("\nall five backends agree bit-for-bit (up to FP reassociation)")
 
 # -- 3. peek at the generated code -------------------------------------------
-from repro.backends.c_backend import generate_c_source
+from repro import StencilGroup, get_backend
 
-src = generate_c_source(
-    __import__("repro").StencilGroup([stencil]), {"u": u.shape, "out": u.shape},
-    np.float64,
+src = get_backend("c").generate(
+    StencilGroup([stencil]), {"u": u.shape, "out": u.shape}, np.float64,
 )
 print("\n--- generated C (first 25 lines) ---")
 print("\n".join(src.splitlines()[:25]))

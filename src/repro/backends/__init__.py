@@ -24,7 +24,6 @@ from . import numpy_backend as _numpy_backend  # noqa: F401
 
 try:  # compiled backends need a working C compiler
     from . import c_backend as _c_backend  # noqa: F401
-    from . import openmp_backend as _openmp_backend  # noqa: F401
     from . import gpu_backend as _gpu_backend  # noqa: F401
 
     HAVE_COMPILED_BACKENDS = True

@@ -1,4 +1,19 @@
-"""Sequential C micro-compiler: flat form -> C99 -> gcc -> ctypes callable.
+"""C-family CPU micro-compilers: flat form -> C99 -> gcc -> ctypes callable.
+
+One step walker, :meth:`CBackend.generate`, serves both CPU targets;
+everything that tells them apart is data, a :class:`Target` row.
+:data:`C` is sequential C99.  :data:`OPENMP` is C + OpenMP, following
+the paper's design (SectionIV-A) literally:
+
+* each step becomes an **OpenMP task**, with larger nests split into
+  sub-tasks by tiling the outermost free loop (``tile`` defaults to 8
+  planes, so it can be tuned by :mod:`repro.tuning.search`);
+* the dependence analysis groups stencils into **phases** using the
+  greedy policy — a barrier (``taskwait``) ends each phase, so one is
+  inserted only when an upcoming stencil consumes what an in-flight one
+  produced.  Fused chains are phase-local by construction (see
+  :func:`repro.schedule.build_schedule`), so a chain never straddles
+  a barrier.
 
 The generated function has the narrow FFI signature
 
@@ -26,6 +41,7 @@ whole solver cycle is one FFI call (:class:`CompiledProgram`).
 from __future__ import annotations
 
 import ctypes
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -34,7 +50,7 @@ from .. import telemetry
 from ..core.stencil import StencilGroup
 from ..core.validate import check_dtype, check_group
 from ..resilience.guards import Guards
-from ..schedule import Schedule, ScheduleOptions, as_schedule
+from ..schedule import as_schedule
 from .base import (
     Backend,
     BoundKernel,
@@ -42,87 +58,47 @@ from .base import (
     Zero,
     register_backend,
 )
-from .codegen_c import (
-    C_PREAMBLE,
-    CodegenContext,
-    StencilLoops,
-    ctype_for,
-    snapshot_decl,
-)
+from .codegen_c import C_PREAMBLE, CodegenContext, StencilLoops, ctype_for
 from .jit import cache_dir, compile_and_load, source_tag
 
 __all__ = [
+    "Target",
+    "C",
+    "OPENMP",
     "CBackend",
     "CompiledProgram",
-    "generate_c_source",
     "make_ffi_wrapper",
     "program_source",
 ]
 
 
-def generate_c_source(
-    group: StencilGroup,
-    shapes: Mapping[str, tuple[int, ...]],
-    dtype,
-    *,
-    schedule: "Schedule | ScheduleOptions | None" = None,
-    func_name: str = "sf_kernel",
-) -> str:
-    """Render the whole group as one C translation unit.
+@dataclass(frozen=True, eq=False)
+class Target:
+    """Everything target-specific about one C-family CPU language: the
+    decoration :meth:`CBackend.generate` puts around the shared walk."""
 
-    ``schedule`` is a prebuilt :class:`~repro.schedule.ir.Schedule`, a
-    :class:`ScheduleOptions` to lower one from, or ``None`` for the
-    defaults.  Steps are emitted in schedule order: fused chains share
-    one loop nest, checkerboard unions become one parity-corrected
-    sweep.
-    """
-    norm = {g: tuple(int(x) for x in shapes[g]) for g in shapes}
-    sched = as_schedule(schedule, group, norm)
-    ctx = CodegenContext(group, norm, ctype_for(dtype))
-    lines: list[str] = [C_PREAMBLE]
-    lines.extend(ctx.open_function(func_name))
-    body: list[str] = []
-    for step in sched.steps():
-        chain = list(step.stencils)
-        si = chain[0]
-        stencil = group[si]
-        names = ", ".join(group[i].name for i in chain)
-        body.append(f"/* stencil(s) {chain}: {names} */")
-        fused = [group[i] for i in chain[1:]]
-        if step.snapshot:
-            snap = f"snap_{si}"
-            loops = StencilLoops(
-                ctx, stencil, tile=sched.options.tile, parity=step.sweep,
-                snapshot_name=snap, unroll=sched.options.unroll,
-            )
-            body.append("{")
-            for l in snapshot_decl(ctx, stencil, snap):
-                body.append("  " + l)
-            for l in loops.emit():
-                body.append("  " + l)
-            body.append(f"  free({snap});")
-            body.append("}")
-        else:
-            loops = StencilLoops(
-                ctx, stencil, tile=sched.options.tile, parity=step.sweep,
-                snapshot_name=None, fused_with=fused,
-                unroll=sched.options.unroll,
-            )
-            body.extend(loops.emit())
-    tt = sched.time_tile
-    if tt is not None:
-        # Fused time tile: one outer time loop around the whole step
-        # sequence — every application runs the full (barrier-ordered)
-        # program, so the result is k sequential sweeps by construction.
-        lines.append(f"  /* fused time tile k={tt.k} */")
-        lines.append(f"  for (int64_t sf_tt = 0; sf_tt < {tt.k}; ++sf_tt) {{")
-        lines.extend("    " + l for l in body)
-        lines.append("  }")
-    else:
-        lines.extend("  " + l for l in body)
-    lines.append("}")
-    lines.extend(ctx.entry_point(func_name))
-    return "\n".join(lines) + "\n"
+    name: str  #: backend registry name
+    aliases: tuple[str, ...]
+    knobs: Mapping[str, object]  #: scheduling defaults (``Backend._KNOBS``)
+    openmp: bool  #: compile and link with ``-fopenmp``
+    includes: tuple[str, ...] = ()  #: ``#include`` lines after the preamble
+    region: tuple[str, ...] = ()  #: lines opening a region around the steps
+    task_pragma: str | None = None  #: on each (tiled) nest of a step
+    phase_end: tuple[str, ...] = ()  #: the barrier lines closing a phase
+
+
+C = Target(name="c", aliases=("c99",), knobs={}, openmp=False)
+
+OPENMP = Target(
+    name="openmp",
+    aliases=("omp",),
+    knobs={"tile": 8},
+    openmp=True,
+    includes=("#include <omp.h>",),
+    region=("#pragma omp parallel", "#pragma omp single"),
+    task_pragma="#pragma omp task",
+    phase_end=("#pragma omp taskwait",),
+)
 
 
 def make_ffi_wrapper(
@@ -348,17 +324,23 @@ class CompiledProgram:
 
 
 class CBackend(Backend):
-    """The ``c`` micro-compiler (sequential C99, SectionV-A flag set).
+    """One C-family CPU micro-compiler, instantiated per :class:`Target`:
+    ``c`` (sequential C99) and ``openmp`` (task-parallel C), both with
+    the SectionV-A flag set.
 
     Scheduling options are the :class:`repro.schedule.ScheduleOptions`
-    fields (``block`` has no C lowering and is ignored).  The compiler
-    subprocess runs under ``SNOWFLAKE_CC_TIMEOUT``.
+    fields (``block`` has no CPU lowering and is ignored); on
+    ``openmp``, ``tile`` is the task granularity on the outermost loop
+    and defaults to 8 planes.  The compiler subprocess runs under
+    ``SNOWFLAKE_CC_TIMEOUT``.
     """
 
-    name = "c"
-    _openmp = False
     requires_toolchain = True
-    _KNOBS: Mapping[str, object] = {}
+
+    def __init__(self, target: Target) -> None:
+        self.target = target
+        self.name = target.name
+        self._KNOBS = target.knobs
 
     def specializer(self, group: StencilGroup, **options):
         schedule_at = self.pop_schedule(group, options)
@@ -369,7 +351,7 @@ class CBackend(Backend):
             )
             telemetry.count(f"codegen.{self.name}.sources")
             telemetry.count(f"codegen.{self.name}.bytes", len(src))
-            lib = compile_and_load(src, openmp=self._openmp)
+            lib = compile_and_load(src, openmp=self.target.openmp)
             ctx = CodegenContext(group, shapes, ctype_for(dtype))
             return make_ffi_wrapper(lib, "sf_kernel", ctx)
 
@@ -378,10 +360,79 @@ class CBackend(Backend):
     def generate(
         self, group, shapes, dtype, *, schedule=None, func_name="sf_kernel"
     ) -> str:
-        """Source-generation hook (overridden by the OpenMP backend)."""
-        return generate_c_source(
-            group, shapes, dtype, schedule=schedule, func_name=func_name
-        )
+        """Render the whole group as one translation unit of this target.
+
+        ``schedule`` is a prebuilt :class:`~repro.schedule.ir.Schedule`, a
+        :class:`ScheduleOptions` to lower one from, or ``None`` for
+        ``ScheduleOptions()`` (the target's ``knobs`` are defaults of
+        :meth:`compile`, not of the emitter).  Steps are emitted in
+        schedule order: fused chains share one loop nest, checkerboard
+        unions become one parity-corrected sweep, and a fused time tile
+        wraps the whole step sequence in one ``sf_tt`` loop.  Snapshots
+        are allocated once at the top, filled at the start of their
+        step's phase (a phase's steps are mutually independent) and
+        freed at the end.
+        """
+        t = self.target
+        norm = {g: tuple(int(x) for x in shapes[g]) for g in shapes}
+        sched = as_schedule(schedule, group, norm)
+        ctx = CodegenContext(group, norm, ctype_for(dtype))
+
+        def nbytes(grid: str) -> str:
+            return f"{ctx.grid_size(grid)} * sizeof({ctx.ctype})"
+
+        snaps = {s.head: f"snap_{s.head}" for s in sched.steps() if s.snapshot}
+        body: list[str] = []
+        for phase in sched.phases:
+            if t.phase_end:  # phases are marked where a barrier ends them
+                body.append(f"/* phase {phase.index} */")
+            for step in phase.steps:
+                if step.head in snaps:
+                    g = group[step.head].output
+                    body.append(
+                        f"memcpy({snaps[step.head]}, {ctx.grid_cname[g]}, "
+                        f"{nbytes(g)});"
+                    )
+            for step in phase.steps:
+                names = ", ".join(group[i].name for i in step.stencils)
+                body.append(f"/* stencil(s) {list(step.stencils)}: {names} */")
+                loops = StencilLoops(
+                    ctx, group[step.head], tile=sched.options.tile,
+                    parity=step.sweep, snapshot_name=snaps.get(step.head),
+                    fused_with=[group[i] for i in step.stencils[1:]],
+                    unroll=sched.options.unroll,
+                )
+                body.extend(loops.emit(t.task_pragma))
+            body.extend(t.phase_end)
+
+        lines = [C_PREAMBLE, *t.includes, *ctx.open_function(func_name)]
+        for i, snap in snaps.items():
+            lines.append(
+                f"  {ctx.ctype}* {snap} = ({ctx.ctype}*)malloc("
+                f"{nbytes(group[i].output)});"
+            )
+        pad = "  "
+        if t.region:
+            lines.extend(pad + l for l in (*t.region, "{"))
+            pad += "  "
+        tt = sched.time_tile
+        if tt is not None:
+            # every application runs the full barrier-ordered program,
+            # so the result is k sequential sweeps by construction
+            lines.append(f"{pad}/* fused time tile k={tt.k} */")
+            lines.append(
+                f"{pad}for (int64_t sf_tt = 0; sf_tt < {tt.k}; ++sf_tt) {{"
+            )
+            lines.extend(pad + "  " + l for l in body)
+            lines.append(pad + "}")
+        else:
+            lines.extend(pad + l for l in body)
+        if t.region:
+            lines.append("  }")
+        lines.extend(f"  free({snap});" for snap in snaps.values())
+        lines.append("}")
+        lines.extend(ctx.entry_point(func_name))
+        return "\n".join(lines) + "\n"
 
     def compile_program(
         self,
@@ -423,7 +474,7 @@ class CBackend(Backend):
             f"compile_program:{name}", cat="kernel", backend=self.name,
             units=len(plan), bodies=len(bodies),
         ):
-            lib = compile_and_load(source, openmp=self._openmp)
+            lib = compile_and_load(source, openmp=self.target.openmp)
         guards = guards if guards is not None else Guards.from_env()
         kernels = []
         for group, shapes, op in plan:
@@ -441,7 +492,7 @@ class CBackend(Backend):
             ))
         return CompiledProgram(
             name, lib, len(bodies), kernels, self.name, guards, source,
-            source_tag(source, openmp=self._openmp),
+            source_tag(source, openmp=self.target.openmp),
         )
 
     def artifact_info(self, group, shapes, dtype=None, **options):
@@ -457,7 +508,7 @@ class CBackend(Backend):
         dt = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
         sched = self.pop_schedule(group, options)(shapes)
         src = self.generate(group, shapes, dt, schedule=sched)
-        tag = source_tag(src, openmp=self._openmp)
+        tag = source_tag(src, openmp=self.target.openmp)
         d = cache_dir()
         so = d / f"sf_{tag}.so"
         return {
@@ -470,4 +521,5 @@ class CBackend(Backend):
         }
 
 
-register_backend(CBackend(), "c99")
+for _target in (C, OPENMP):
+    register_backend(CBackend(_target), *_target.aliases)

@@ -22,19 +22,21 @@ Renders the optimized kernel IR into loop nests.  Responsibilities:
   loop start is parity corrected, replacing 2^(d-1) strided sweeps with
   one cache-friendly sweep,
 * arbitrary-dimension tiling of the outermost free loop (used by the
-  OpenMP backend to form tasks, and by the sequential backend for cache
+  OpenMP target to form tasks, and by the sequential one for cache
   blocking).
 
 The emitter is purely mechanical: fusion, snapshot and sweep decisions
-arrive precomputed on the :class:`~repro.schedule.ir.Schedule` steps
-(``ParityClass``/``detect_parity_class`` are re-exported here for
-backward compatibility).  Every shape-dependent *decision* — those, plus
-which domain boxes are empty, which loop is tiled and whether it is long
-enough to tile — is still taken per shape in Python; only the numbers
-that follow from the decisions are left to run time.  Two shapes share
-a compiled artifact exactly when their generated text is identical.
-The emitter knows nothing about scheduling pragmas either; backends
-inject those through small hook callables.
+arrive precomputed on the :class:`~repro.schedule.ir.Schedule` steps.
+Every shape-dependent *decision* — those, plus which domain boxes are
+empty, which loop is tiled and whether it is long enough to tile — is
+still taken per shape in Python; only the numbers that follow from the
+decisions are left to run time.  Two shapes share a compiled artifact
+exactly when their generated text is identical.  The emitter knows
+nothing about scheduling pragmas either: they are fields of the
+backend's :class:`~repro.backends.c_backend.Target` row, and
+:meth:`StencilLoops.emit` takes the task pragma as an argument.
+:meth:`CodegenContext.stores` is the one store emission, shared by the
+CPU nests and the GPU kernel bodies.
 """
 
 from __future__ import annotations
@@ -60,16 +62,13 @@ from ..kernel.ir import (
     KRef,
 )
 from ..kernel.lower import body_for
-from ..schedule.ir import ParityClass, detect_parity_class
+from ..schedule.ir import ParityClass
 
 __all__ = [
     "CodegenContext",
-    "KernelParts",
     "StencilLoops",
     "C_PREAMBLE",
     "ctype_for",
-    "ParityClass",
-    "detect_parity_class",
 ]
 
 
@@ -99,21 +98,6 @@ def sanitize(name: str) -> str:
 
 def _lit(value: float, ctype: str) -> str:
     return f"(({ctype}){value!r})"
-
-
-@dataclass
-class KernelParts:
-    """One stencil's kernel body rendered to C fragments.
-
-    ``scalar_lines`` (depth-0 bindings) belong *before* the loop nest,
-    ``inner_lines`` in the innermost loop body just above the store of
-    ``result``.  Names are already ``k<n>_``-prefixed, unique within
-    the :class:`CodegenContext` that produced them.
-    """
-
-    scalar_lines: list[str]
-    inner_lines: list[str]
-    result: str
 
 
 @dataclass(frozen=True)
@@ -345,15 +329,6 @@ class CodegenContext:
 
     # -- kernel IR rendering -------------------------------------------------
 
-    def fresh_prefix(self) -> str:
-        """Unique let-binding prefix — the same :class:`Stencil` object
-        may be emitted several times in one translation unit (a group
-        can list it at multiple indices), so names cannot key on the
-        stencil."""
-        p = f"k{self._kernel_seq}_"
-        self._kernel_seq += 1
-        return p
-
     def render_kexpr(
         self,
         expr: KExpr,
@@ -390,29 +365,42 @@ class CodegenContext:
             return f"({r(expr.a)} * {r(expr.b)} + {r(expr.c)})"
         raise TypeError(f"cannot render {type(expr).__name__}")
 
-    def kernel_parts(
+    def stores(
         self,
-        stencil: Stencil,
+        stencils: Sequence[Stencil],
         loopvars: Sequence[str],
         source_name: Callable[[str], str],
-        optimize: bool | None = None,
-    ) -> KernelParts:
-        """Render ``stencil``'s (cached) kernel body to C fragments."""
-        body, _ = body_for(stencil, optimize)
-        prefix = self.fresh_prefix()
-        names = {l.name: prefix + l.name for l in body.lets}
-        scalar: list[str] = []
-        inner: list[str] = []
-        for let in body.lets:
-            line = (
-                f"const {self.ctype} {names[let.name]} = "
-                f"{self.render_kexpr(let.expr, loopvars, source_name, names)};"
-            )
-            (scalar if let.depth == 0 else inner).append(line)
-        return KernelParts(
-            scalar, inner,
-            self.render_kexpr(body.result, loopvars, source_name, names),
-        )
+    ) -> tuple[list[str], list[str]]:
+        """The (cached) kernel bodies of ``stencils`` — a fused chain,
+        head first — as C lines ``(prelude, stores)``; loads go through
+        ``source_name``, writes hit the live output grids.
+
+        The prelude holds the depth-0 bindings and belongs before the
+        loop nest (or at kernel top, before the launch-grid guards);
+        the stores hold each member's deeper bindings and assignment,
+        unindented, for the innermost scope.  Binding names get a fresh
+        ``k<n>_`` prefix per member: the same :class:`Stencil` may be
+        emitted several times in one translation unit.
+        """
+        prelude: list[str] = []
+        lines: list[str] = []
+        for st in stencils:
+            body, _ = body_for(st)
+            prefix = f"k{self._kernel_seq}_"
+            self._kernel_seq += 1
+            names = {l.name: prefix + l.name for l in body.lets}
+
+            def render(e: KExpr) -> str:
+                return self.render_kexpr(e, loopvars, source_name, names)
+
+            for let in body.lets:
+                (prelude if let.depth == 0 else lines).append(
+                    f"const {self.ctype} {names[let.name]} = {render(let.expr)};"
+                )
+            om = st.output_map
+            out = self.index_expr(st.output, om.scale, om.offset, loopvars)
+            lines.append(f"{self.grid_cname[st.output]}[{out}] = {render(body.result)};")
+        return prelude, lines
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +439,9 @@ def _rect_bounds(
 class StencilLoops:
     """Emit the loop nests of one stencil (all domain boxes).
 
-    ``task_pragma`` (an argument of :meth:`emit`) lets the OpenMP
-    backend wrap each outer tile in a task; ``None`` produces plain
-    loops.
+    ``task_pragma`` (an argument of :meth:`emit`, the target row's
+    :attr:`~repro.backends.c_backend.Target.task_pragma`) wraps each
+    outer tile in a task; ``None`` produces plain loops.
 
     ``fused_with`` carries additional stencils sharing this stencil's
     domain and output map whose stores are emitted in the *same* loop
@@ -506,13 +494,13 @@ class StencilLoops:
         ]
         # Kernel bodies rendered once per StencilLoops: every nest form
         # (rect or parity) uses the same i0..i{d-1} loop variables.
-        loopvars = [f"i{d}" for d in range(stencil.ndim)]
-        self.parts = [ctx.kernel_parts(stencil, loopvars, self.source_name)]
-        for st in self.fused_with:
-            # fused members are snapshot-free by construction
-            self.parts.append(
-                ctx.kernel_parts(st, loopvars, lambda g: ctx.grid_cname[g])
-            )
+        # Fused members are snapshot-free, so source_name reads them
+        # from the live grids.
+        self.prelude, self.stores = ctx.stores(
+            (stencil, *self.fused_with),
+            [f"i{d}" for d in range(stencil.ndim)],
+            self.source_name,
+        )
 
     # -- naming --------------------------------------------------------------
 
@@ -531,9 +519,7 @@ class StencilLoops:
         the prelude precedes the task pragmas; the ``const`` locals are
         firstprivate-captured by the tasks.
         """
-        lines: list[str] = []
-        for parts in self.parts:
-            lines += parts.scalar_lines
+        lines = list(self.prelude)
         pc = self.parity
         if pc is not None:
             lines += self._emit_parity_nest(pc, task_pragma)
@@ -545,17 +531,6 @@ class StencilLoops:
                 task_pragma,
             )
         return lines
-
-    def _store_stmt(self, loopvars: Sequence[str]) -> list[str]:
-        ctx = self.ctx
-        stmts = []
-        for st, parts in zip((self.stencil, *self.fused_with), self.parts):
-            om = st.output_map
-            out_idx = ctx.index_expr(st.output, om.scale, om.offset, loopvars)
-            stmts.extend(parts.inner_lines)
-            out = ctx.grid_cname[st.output]
-            stmts.append(f"{out}[{out_idx}] = {parts.result};")
-        return stmts
 
     def _nest(
         self,
@@ -605,7 +580,7 @@ class StencilLoops:
                 add(f"#pragma GCC unroll {self.unroll}")
             add(f"for (int64_t {v} = {lo}; {v} < {end}; {v} += {step}) {{")
             indent += "  "
-        for s in self._store_stmt(loopvars):
+        for s in self.stores:
             add(s)
         while indent:
             indent = indent[:-2]
@@ -638,13 +613,3 @@ class StencilLoops:
         dims[last] = (f"lo{last}", dims[last][1], 2, 1)
         return self._nest(dims, task_pragma, [start])
 
-
-def snapshot_decl(ctx: CodegenContext, stencil: Stencil, name: str) -> list[str]:
-    """Allocate + fill a gather-semantics snapshot of the output grid."""
-    g = stencil.output
-    n = ctx.grid_size(g)
-    src = ctx.grid_cname[g]
-    return [
-        f"{ctx.ctype}* {name} = ({ctx.ctype}*)malloc({n} * sizeof({ctx.ctype}));",
-        f"memcpy({name}, {src}, {n} * sizeof({ctx.ctype}));",
-    ]

@@ -317,33 +317,6 @@ def generate_gpu_program(
     )
 
 
-def _stores(
-    ctx: CodegenContext,
-    stencils: Sequence[Stencil],
-    loopvars: Sequence[str],
-    source_name,
-) -> tuple[list[str], list[str]]:
-    """Kernel-IR bodies of the (fused) members; writes hit live buffers.
-
-    Returns ``(prelude, stores)``: the prelude carries the hoisted
-    depth-0 bindings and belongs at kernel top (before the launch-grid
-    guards); the stores carry the per-point bindings and assignments,
-    unindented — callers nest them in their innermost scope.
-    """
-    prelude: list[str] = []
-    lines: list[str] = []
-    for st in stencils:
-        parts = ctx.kernel_parts(st, loopvars, source_name)
-        prelude.extend(parts.scalar_lines)
-        om = st.output_map
-        out_idx = ctx.index_expr(st.output, om.scale, om.offset, loopvars)
-        lines.extend(parts.inner_lines)
-        lines.append(
-            f"{ctx.grid_cname[st.output]}[{out_idx}] = {parts.result};"
-        )
-    return prelude, lines
-
-
 def _nest(heads: Sequence[str], inner: Sequence[str]) -> list[str]:
     """``inner`` wrapped in the rolled-dimension loops ``heads``."""
     lines: list[str] = []
@@ -373,7 +346,7 @@ def _rect_kernel_body(
     """
     nd = rect.ndim
     loopvars = [f"i{d}" for d in range(nd)]
-    lines, stores = _stores(ctx, stencils, loopvars, source_name)
+    lines, stores = ctx.stores(stencils, loopvars, source_name)
     launch_dims = [nd - 1] if nd == 1 else [nd - 1, nd - 2]
     for g, d in enumerate(launch_dims):
         lo, st = rect.lows[d], max(rect.strides[d], 1)
@@ -408,7 +381,7 @@ def _parity_kernel_body(
     nd = len(pc.base)
     last = nd - 1
     loopvars = [f"i{d}" for d in range(nd)]
-    lines, stores = _stores(ctx, stencils, loopvars, source_name)
+    lines, stores = ctx.stores(stencils, loopvars, source_name)
     n0 = (pc.high[last] - pc.base[last]) // 2 + 1
     lines.append(f"const long k0 = (long){dialect.global_index[0]};")
     lines.append(f"if (k0 >= {n0}) return;")

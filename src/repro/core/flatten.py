@@ -223,9 +223,6 @@ class FlatStencil:
         seen = {r for t in self.terms for r in t.reads}
         return sorted(seen, key=lambda r: r.signature())
 
-    def reads_of(self, grid: str) -> list[GridRead]:
-        return [r for r in self.reads() if r.grid == grid]
-
     def radius(self) -> int:
         """Max Chebyshev offset over unit-scale reads (stencil reach)."""
         r = 0

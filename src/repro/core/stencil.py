@@ -135,14 +135,6 @@ class Stencil:
         """The canonical lowered body (cached at construction)."""
         return self._flat
 
-    def kernel_body(self, optimize: bool | None = None):
-        """The :class:`~repro.kernel.ir.KernelBody` every backend
-        consumes (cached per instance; ``optimize=None`` follows the
-        package toggle)."""
-        from ..kernel import body_for  # local import: core <- kernel
-
-        return body_for(self, optimize)[0]
-
     def opt_report(self):
         """The :class:`~repro.kernel.optimize.OptReport` of the
         optimized kernel body."""

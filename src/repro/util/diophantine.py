@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
@@ -403,27 +402,3 @@ def first_lattice_point(
         return k
     return None
 
-
-def rational_line_box_hit(
-    x0: Fraction, y0: Fraction, dx: Fraction, dy: Fraction,
-    xlo: int, xhi: int, ylo: int, yhi: int,
-) -> bool:
-    """Does the *rational* line ``(x0+dx*t, y0+dy*t)`` meet the integer box?
-
-    Only used as a fast necessary condition before exact integer search in
-    degenerate analyses; kept exact via :class:`fractions.Fraction`.
-    """
-    def interval(v0: Fraction, dv: Fraction, lo: int, hi: int):
-        if dv == 0:
-            return None if not (lo <= v0 <= hi) else (Fraction(-10**18), Fraction(10**18))
-        a = (Fraction(lo) - v0) / dv
-        b = (Fraction(hi) - v0) / dv
-        return (min(a, b), max(a, b))
-
-    ix = interval(x0, dx, xlo, xhi)
-    if ix is None:
-        return False
-    iy = interval(y0, dy, ylo, yhi)
-    if iy is None:
-        return False
-    return max(ix[0], iy[0]) <= min(ix[1], iy[1])

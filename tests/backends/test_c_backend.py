@@ -5,18 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from repro.backends.c_backend import generate_c_source
-from repro.backends.codegen_c import (
-    CodegenContext,
-    detect_parity_class,
-    ctype_for,
-)
+from repro.backends import get_backend
+from repro.backends.codegen_c import CodegenContext, ctype_for
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import SparseArray, WeightArray
 from repro.hpgmg.operators import red_black_domains
-from repro.schedule import ScheduleOptions
+from repro.schedule import ScheduleOptions, detect_parity_class
 
 INTERIOR = RectDomain((1, 1), (-1, -1))
 LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
@@ -29,7 +25,7 @@ def group_of(*stencils):
 class TestSourceGeneration:
     def test_signature_and_prologue(self):
         g = group_of(Stencil(LAP, "out", INTERIOR))
-        src = generate_c_source(g, {"u": (8, 8), "out": (8, 8)}, np.float64)
+        src = get_backend("c").generate(g, {"u": (8, 8), "out": (8, 8)}, np.float64)
         assert (
             "void sf_kernel(double** grids, const double* params, "
             "const int64_t* dims)" in src
@@ -52,7 +48,7 @@ class TestSourceGeneration:
         from repro import get_backend
 
         g = group_of(Stencil(LAP, "out", INTERIOR))
-        src = generate_c_source(g, {"u": (8, 16), "out": (8, 16)}, np.float64)
+        src = get_backend("c").generate(g, {"u": (8, 16), "out": (8, 16)}, np.float64)
         assert not re.search(r"\b(6|7|8|14|15|16)\b", src)
         assert "i0*s0_0" in src  # row stride, from dims
         lap3 = Component("u", SparseArray({(0, 0, 0): -6.0, (1, 0, 0): 1.0}))
@@ -70,35 +66,35 @@ class TestSourceGeneration:
 
     def test_float32_ctype(self):
         g = group_of(Stencil(LAP, "out", INTERIOR))
-        src = generate_c_source(g, {"u": (8, 8), "out": (8, 8)}, np.float32)
+        src = get_backend("c").generate(g, {"u": (8, 8), "out": (8, 8)}, np.float32)
         assert "float* restrict" in src
         with pytest.raises(TypeError):
             ctype_for(np.int32)
 
     def test_snapshot_emitted_only_for_hazards(self):
         safe = Stencil(LAP, "out", INTERIOR)
-        src = generate_c_source(
+        src = get_backend("c").generate(
             group_of(safe), {"u": (8, 8), "out": (8, 8)}, np.float64
         )
         assert "memcpy" not in src
         hazard = Stencil(LAP, "u", INTERIOR)
-        src = generate_c_source(group_of(hazard), {"u": (8, 8)}, np.float64)
+        src = get_backend("c").generate(group_of(hazard), {"u": (8, 8)}, np.float64)
         assert "memcpy" in src and "snap_0" in src and "free(snap_0)" in src
 
     def test_gsrb_colors_need_no_snapshot(self):
         red, _ = red_black_domains(2)
         s = Stencil(LAP, "u", red)
-        src = generate_c_source(group_of(s), {"u": (10, 10)}, np.float64)
+        src = get_backend("c").generate(group_of(s), {"u": (10, 10)}, np.float64)
         assert "memcpy" not in src
 
     def test_multicolor_fusion_collapses_boxes(self):
         red, _ = red_black_domains(2)
         s = Stencil(LAP, "u", red)
-        fused = generate_c_source(
+        fused = get_backend("c").generate(
             group_of(s), {"u": (12, 12)}, np.float64,
             schedule=ScheduleOptions(multicolor=True),
         )
-        unfused = generate_c_source(
+        unfused = get_backend("c").generate(
             group_of(s), {"u": (12, 12)}, np.float64,
             schedule=ScheduleOptions(multicolor=False),
         )
@@ -109,7 +105,7 @@ class TestSourceGeneration:
 
     def test_tiling_emits_tile_loop(self):
         s = Stencil(LAP, "out", INTERIOR)
-        src = generate_c_source(
+        src = get_backend("c").generate(
             group_of(s), {"u": (64, 64), "out": (64, 64)}, np.float64,
             schedule=ScheduleOptions(tile=8),
         )
@@ -119,7 +115,7 @@ class TestSourceGeneration:
         from repro.core.expr import Param
 
         s = Stencil(Param("w") * LAP, "out", INTERIOR)
-        src = generate_c_source(
+        src = get_backend("c").generate(
             group_of(s), {"u": (8, 8), "out": (8, 8)}, np.float64
         )
         assert "const double p_w = (double)params[0];" in src
@@ -128,7 +124,7 @@ class TestSourceGeneration:
         c = Component("beta-x.1", WeightArray([[1]]))
         s = Stencil(c, "out grid", INTERIOR)
         shapes = {"beta-x.1": (8, 8), "out grid": (8, 8)}
-        src = generate_c_source(group_of(s), shapes, np.float64)
+        src = get_backend("c").generate(group_of(s), shapes, np.float64)
         assert "g_beta_x_1" in src and "g_out_grid" in src
         # and it actually compiles + runs
         arrays = {"beta-x.1": np.ones((8, 8)), "out grid": np.zeros((8, 8))}

@@ -48,10 +48,10 @@ def test_gsrb_smoother_float32(backend, rng):
 
 
 def test_float32_kernel_source_uses_float(rng):
-    from repro.backends.c_backend import generate_c_source
+    from repro.backends import get_backend
 
     g = StencilGroup([Stencil(LAP, "out", INTERIOR)])
-    src = generate_c_source(g, {"u": (8, 8), "out": (8, 8)}, np.float32)
+    src = get_backend("c").generate(g, {"u": (8, 8), "out": (8, 8)}, np.float32)
     assert "float* restrict" in src
     assert "double* restrict" not in src
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backends.c_backend import generate_c_source
-from repro.backends.openmp_backend import generate_openmp_source
+from repro.backends import get_backend
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
@@ -67,16 +66,16 @@ class TestFusedCodegen:
     def test_one_loop_nest_for_fused_pair(self):
         g = indep_group(2)
         shapes = shapes_of(g)
-        fused = generate_c_source(g, shapes, np.float64, schedule=FUSED)
-        unfused = generate_c_source(g, shapes, np.float64)
+        fused = get_backend("c").generate(g, shapes, np.float64, schedule=FUSED)
+        unfused = get_backend("c").generate(g, shapes, np.float64)
         assert fused.count("for (int64_t i0") == 1
         assert unfused.count("for (int64_t i0") == 2
 
     def test_openmp_fused_emits_fewer_nests(self):
         g = indep_group(2)
         shapes = shapes_of(g)
-        fused = generate_openmp_source(g, shapes, np.float64, schedule=FUSED)
-        unfused = generate_openmp_source(g, shapes, np.float64)
+        fused = get_backend("openmp").generate(g, shapes, np.float64, schedule=FUSED)
+        unfused = get_backend("openmp").generate(g, shapes, np.float64)
         assert fused.count("/* stencil") < unfused.count("/* stencil")
 
     @pytest.mark.parametrize("backend", ["c", "openmp"])
@@ -111,7 +110,7 @@ class TestFusedCodegen:
             ]
         )
         shapes = shapes_of(g)
-        src = generate_c_source(g, shapes, np.float64, schedule=FUSED)
+        src = get_backend("c").generate(g, shapes, np.float64, schedule=FUSED)
         assert src.count("for (int64_t i0") == 1  # fused AND parity-fused
         u = rng.random((16, 16))
         ref = {"u": u.copy(), "a": np.zeros((16, 16)), "b": np.zeros((16, 16))}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backends.openmp_backend import generate_openmp_source
+from repro.backends import get_backend
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
@@ -17,7 +17,7 @@ LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
 
 def src_for(group, shapes, **kw):
     """The source ``compile(backend="openmp", **kw)`` would build."""
-    return generate_openmp_source(
+    return get_backend("openmp").generate(
         group, shapes, np.float64, schedule=ScheduleOptions(**{"tile": 8, **kw})
     )
 
@@ -60,15 +60,27 @@ class TestStructure:
         # the task pragma sits inside the tile loop
         assert src.index("for (int64_t t0") < src.index("#pragma omp task")
 
-    def test_snapshot_alloc_outside_parallel_region(self):
+    @pytest.mark.parametrize("lead", [0, 1], ids=["alone", "second"])
+    @pytest.mark.parametrize("backend", ["c", "openmp"])
+    def test_snapshot_alloc_outside_parallel_region(self, backend, lead):
+        # one malloc before the first step (and the parallel region),
+        # the fill at the start of the snapshot step's phase, one free
+        # after the last loop; `lead` puts another phase in front of it
         hazard = Stencil(
             Component("u", WeightArray([[0, 1, 0], [1, 0, 1], [0, 1, 0]])),
             "u", INTERIOR,
         )
-        g = StencilGroup([hazard])
-        src = src_for(g, {"u": (16, 16)})
-        assert src.index("malloc") < src.index("#pragma omp parallel")
-        assert "memcpy" in src and "free(snap_0);" in src
+        g = StencilGroup([Stencil(LAP, "out", INTERIOR)] * lead + [hazard])
+        src = get_backend(backend).generate(
+            g, {k: (16, 16) for k in g.grids()}, np.float64,
+            schedule=ScheduleOptions(tile=8),
+        )
+        assert src.count("malloc") == 1
+        assert src.index("malloc") < src.index("/* stencil(s)")
+        if backend == "openmp":
+            assert src.index("malloc") < src.index("#pragma omp parallel")
+        assert src.index("memcpy") < src.index(f"/* stencil(s) [{lead}]")
+        assert src.index(f"free(snap_{lead});") > src.rindex("for (int64_t")
 
     def test_schedule_policies(self):
         g = StencilGroup([Stencil(LAP, "out", INTERIOR)])

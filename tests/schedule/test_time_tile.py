@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends.c_backend import generate_c_source
-from repro.backends.openmp_backend import generate_openmp_source
+from repro.backends import get_backend
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
@@ -155,7 +154,9 @@ class TestOneLowering:
     ``sf_tt`` loop — single step or many, spatially tiled or not."""
 
     @pytest.mark.parametrize(
-        "generate", [generate_c_source, generate_openmp_source]
+        "generate",
+        [get_backend("c").generate, get_backend("openmp").generate],
+        ids=["c", "openmp"],
     )
     @pytest.mark.parametrize(
         "case,tile", [("vc_gsrb", None), ("vc_gsrb", 2), ("smooth", None)]
