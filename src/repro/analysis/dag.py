@@ -59,9 +59,6 @@ class ExecutionPlan:
     def n_barriers(self) -> int:
         return max(0, len(self.phases) - 1)
 
-    def stencil_count(self) -> int:
-        return sum(len(p) for p in self.phases)
-
     def barrier_edges(
         self, k: int
     ) -> list[tuple[tuple[int, int], dict[str, frozenset[str]]]]:

@@ -62,9 +62,6 @@ class StencilAccesses:
     def all(self) -> tuple[Access, ...]:
         return self.writes + self.reads
 
-    def grids_written(self) -> set[str]:
-        return {a.grid for a in self.writes}
-
     def grids_read(self) -> set[str]:
         return {a.grid for a in self.reads}
 

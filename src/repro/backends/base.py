@@ -35,6 +35,7 @@ __all__ = [
     "Backend",
     "BoundKernel",
     "CompiledKernel",
+    "Program",
     "Zero",
     "bind_kernel",
     "register_backend",
@@ -440,6 +441,37 @@ class Backend(abc.ABC):
             guards=guards,
             backend_name=self.name,
         )
+
+    def compile_program(
+        self, units: Sequence[tuple[StencilGroup, Mapping]], dtype=None,
+        guards: Guards | None = None, name: str = "program", **options,
+    ) -> "Program":
+        """The ``(group, shapes)`` units as one :class:`Program` of one
+        :meth:`compile` each; the C family overrides this with one
+        translation unit, where a bound step list is one call."""
+        return Program(name, [
+            self.compile(group, shapes=shapes, dtype=dtype, guards=guards,
+                         **options)
+            for group, shapes in units
+        ])
+
+
+class Program:
+    """What :meth:`Backend.compile_program` returns off the C family:
+    ``kernels[i]`` is unit ``i``'s kernel, and :meth:`bind` makes a
+    ``(callable, reps)`` step list one callable that runs the steps one
+    call at a time."""
+
+    def __init__(self, name: str, kernels: Sequence[Callable]) -> None:
+        self.name, self.kernels = name, tuple(kernels)
+
+    def bind(self, steps: Sequence[tuple[Callable, int]]) -> Callable:
+        def run() -> None:
+            for fn, reps in steps:
+                for _ in range(reps):
+                    fn()
+
+        return run
 
 
 _REGISTRY: dict[str, Backend] = {}

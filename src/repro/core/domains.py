@@ -79,14 +79,6 @@ class ResolvedRect:
         ]
         return itertools.product(*axes)
 
-    def ranges(self) -> tuple[range, ...]:
-        """Per-dimension ``range`` objects (stride-1 view for pinned dims)."""
-        out = []
-        for lo, st, ct in zip(self.lows, self.strides, self.counts):
-            step = st if st > 0 else 1
-            out.append(range(lo, lo + step * ct, step))
-        return tuple(out)
-
     def intersects(self, other: "ResolvedRect") -> bool:
         """Exact lattice-intersection test (per-dimension Diophantine)."""
         if other.ndim != self.ndim:

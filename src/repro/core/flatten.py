@@ -230,12 +230,6 @@ class FlatStencil:
             r = max(r, max((abs(o) for o in read.offset), default=0))
         return r
 
-    def is_linear(self) -> bool:
-        return all(t.degree() <= 1 for t in self.terms)
-
-    def max_degree(self) -> int:
-        return max((t.degree() for t in self.terms), default=0)
-
     def signature(self) -> str:
         return f"F{self.ndim}d(" + "+".join(t.signature() for t in self.terms) + ")"
 

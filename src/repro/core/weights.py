@@ -92,23 +92,6 @@ class _WeightsBase:
             return 0
         return max(max(abs(c) for c in off) for off in self._entries)
 
-    def is_symmetric(self) -> bool:
-        """Point symmetry of numeric weights about the centre.
-
-        Expression-valued weights are compared structurally.
-        """
-        for off, w in self._entries.items():
-            neg = tuple(-c for c in off)
-            other = self._entries.get(neg)
-            if other is None:
-                return False
-            if isinstance(w, numbers.Real) and isinstance(other, numbers.Real):
-                if float(w) != float(other):
-                    return False
-            elif w != other:
-                return False
-        return True
-
     def signature(self) -> str:
         parts = []
         for off, w in sorted(self._entries.items()):

@@ -123,12 +123,6 @@ class SimComm:
 
     # -- mpi4py-flavoured surface ----------------------------------------------
 
-    def Get_rank(self) -> int:
-        return self._rank
-
-    def Get_size(self) -> int:
-        return self._fabric.size
-
     @property
     def rank(self) -> int:
         return self._rank
@@ -191,21 +185,6 @@ class SimComm:
                 "deadlock"
             )
         return box.popleft()
-
-    def sendrecv(
-        self,
-        senddata: np.ndarray,
-        dest: int,
-        recvsource: int,
-        tag: int = 0,
-    ) -> np.ndarray:
-        """Paired exchange (the halo-swap primitive).
-
-        Under the lock-step driver both sides' sends are enqueued before
-        any recv executes, so this decomposes safely.
-        """
-        self.send(senddata, dest, tag)
-        return self.recv(recvsource, tag)
 
     def barrier(self, strict: bool | None = None) -> None:
         """Synchronization point (a counter on the lock-step fabric).
@@ -276,9 +255,6 @@ class SimComm:
         self._check_rank(source)
         box = self._fabric.boxes.get((source, self._rank, tag))
         return len(box) if box else 0
-
-    def pending_messages(self) -> int:
-        return sum(len(b) for b in self._fabric.boxes.values())
 
     def purge(self) -> int:
         """Discard every undelivered message fabric-wide; returns the

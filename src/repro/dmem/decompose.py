@@ -37,9 +37,6 @@ class RankSlab:
     def rows(self) -> int:
         return self.stop - self.base
 
-    def to_local(self, global_row: int) -> int:
-        return global_row - self.base
-
 
 class BlockDecomposition:
     """Split one axis of ``n_rows`` across ``size`` ranks with a ``halo`` overlap."""
@@ -73,9 +70,3 @@ class BlockDecomposition:
                 )
             )
             lo = hi
-
-    def owner_of(self, global_row: int) -> int:
-        for s in self.slabs:
-            if s.own_lo <= global_row < s.own_hi:
-                return s.rank
-        raise IndexError(global_row)

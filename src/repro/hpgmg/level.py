@@ -139,11 +139,6 @@ class Level:
             return float(np.max(np.abs(v)))
         raise ValueError(f"unknown norm kind {kind!r}")
 
-    def coarsen_shape(self) -> int:
-        if self.n % 2 != 0:
-            raise ValueError(f"cannot coarsen odd level size {self.n}")
-        return self.n // 2
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"Level(n={self.n}, ndim={self.ndim}, "

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..backends import Zero, bind_kernel, get_backend
+from ..backends import Zero, bind_kernel
 from ..core.expr import Param
 from ..core.stencil import StencilGroup
+from ..resilience.policy import compile_program
 from .level import Level
 from .operators import (
     boundary_stencils,
@@ -58,11 +59,11 @@ class MultigridSolver:
     (piecewise constant by default, linear available), and a
     fixed-iteration smoother bottom solve.
 
-    On a backend with ``compile_program`` (the C family) ``program`` is
-    the solver's :class:`~repro.backends.c_backend.CompiledProgram` and
-    each ``v_cycle(k)`` is one call of it.  Otherwise, or when
-    ``backend_options`` carry ``fallback``, ``program`` is
-    ``None`` and a cycle runs the same steps one kernel call at a time.
+    ``program`` is the operators compiled as one program and each
+    ``v_cycle(k)`` one bound call of it: on the C family one translation
+    unit and one FFI call, elsewhere the same steps one kernel call at a
+    time.  With ``fallback`` in ``backend_options`` it is a
+    :class:`~repro.resilience.policy.ResilientProgram`, degraded whole.
     """
 
     def __init__(
@@ -109,12 +110,9 @@ class MultigridSolver:
         # coefficients, the Chebyshev weights) is a runtime param fixed
         # at bind, so each operator is one group — one size-generic
         # kernel — for the whole hierarchy, built once and bound per
-        # level, and every bound call takes no arguments.  On a backend
-        # with ``compile_program`` (the C family) they are one program,
-        # and a V-cycle is one call of it; a fallback chain keeps them
-        # separate, since it degrades call by call.
-        #: the C family's CompiledProgram, when the solver has one
-        self.program = None
+        # level, and every bound call takes no arguments.  They are one
+        # program, and a V-cycle is one call of it; with a fallback
+        # chain the program degrades as a whole.
         ndim = fine.ndim
         interp_builder = (
             interpolation_pc_group
@@ -133,10 +131,8 @@ class MultigridSolver:
             for lvl in self.levels
             for group in (smooth, residual)
         ]
-        bound = self._bind(
-            units + self._transfer_units(restrict, "res", interp),
-            program=hasattr(get_backend(backend), "compile_program")
-            and "fallback" not in self.backend_options,
+        self.program, bound = self._bind(
+            units + self._transfer_units(restrict, "res", interp), "vcycle"
         )
         nl = len(self.levels)
         self._smooth: list[Callable] = bound[0:2 * nl:2]
@@ -148,12 +144,12 @@ class MultigridSolver:
         self._interp_full: list[Callable] = []  # overwrite interp
         # v_cycle(k), for every start level k
         self._cycles = [
-            self._run_steps(self._cycle_steps(k)) for k in range(nl)
+            self.program.bind(self._cycle_steps(k)) for k in range(nl)
         ]
 
     def _build_fmg_kernels(self) -> None:
         """The F-cycle's rhs restriction and full interpolation, compiled
-        on first use (as kernels of their own: a V-cycle-only solver
+        on first use (as a program of their own: a V-cycle-only solver
         never builds them)."""
         ndim = self.levels[0].ndim
         restrict = StencilGroup(
@@ -164,8 +160,8 @@ class MultigridSolver:
             + list(interpolation_linear_group(ndim, add=False)),
             "interp_full",
         )
-        bound = self._bind(
-            self._transfer_units(restrict, "rhs", interp), program=False
+        _, bound = self._bind(
+            self._transfer_units(restrict, "rhs", interp), "fcycle"
         )
         self._restrict_rhs = bound[0::2]
         self._interp_full = bound[1::2]
@@ -217,29 +213,22 @@ class MultigridSolver:
     def _operator(level: Level, grid: str = "x"):
         return operator_expr(level, grid, inv_h2=Param("inv_h2"))
 
-    def _bind(self, units, *, program: bool) -> list[Callable]:
-        """Compile the ``(group, args)`` units — as the solver's program
-        when ``program`` — and bind each to its args (grids and params),
-        so a cycle pays for argument checking and marshalling once,
-        here.  The kernels run on these array objects for the solver's
-        lifetime: fill them in place, never replace them."""
-        dtype = self.levels[0].dtype
-        shapes = [
-            {g: args[g].shape for g in group.grids()} for group, args in units
+    def _bind(self, units, name: str):
+        """Compile the ``(group, args)`` units as one program ``name``
+        and bind each to its args (grids and params), so a cycle pays
+        for argument checking and marshalling once, here; returns the
+        program and the bound units.  The kernels run on these array
+        objects for the solver's lifetime: fill them in place, never
+        replace them."""
+        program = compile_program(
+            self.backend,
+            [(group, {g: args[g].shape for g in group.grids()})
+             for group, args in units],
+            dtype=self.levels[0].dtype, name=name, **self.backend_options,
+        )
+        return program, [
+            bind_kernel(k, args) for k, (_, args) in zip(program.kernels, units)
         ]
-        if program:
-            self.program = get_backend(self.backend).compile_program(
-                [(group, s) for (group, _), s in zip(units, shapes)],
-                dtype=dtype, name="vcycle", **self.backend_options,
-            )
-            kernels = self.program.kernels
-        else:
-            kernels = [
-                group.compile(backend=self.backend, shapes=s, dtype=dtype,
-                              **self.backend_options)
-                for (group, _), s in zip(units, shapes)
-            ]
-        return [bind_kernel(k, args) for k, (_, args) in zip(kernels, units)]
 
     def _smoother_group(self, level: Level) -> StencilGroup:
         ndim = level.ndim
@@ -299,19 +288,6 @@ class MultigridSolver:
             (self._interp[k], 1),
             (self._smooth[k], self.n_post),
         ]
-
-    def _run_steps(self, steps: list[tuple[Callable, int]]) -> Callable:
-        """``steps`` as one callable: the bound program when there is
-        one, else each step in turn."""
-        if self.program is not None:
-            return self.program.bind(steps)
-
-        def run() -> None:
-            for fn, reps in steps:
-                for _ in range(reps):
-                    fn()
-
-        return run
 
     def smooth(self, k: int, times: int = 1) -> None:
         for _ in range(times):

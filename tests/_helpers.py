@@ -29,6 +29,14 @@ class RecordingBackend(base.Backend):
         return lambda **kwargs: None
 
 
+def owner_of(decomposition, global_row: int) -> int:
+    """The rank whose slab of ``decomposition`` owns ``global_row``."""
+    for s in decomposition.slabs:
+        if s.own_lo <= global_row < s.own_hi:
+            return s.rank
+    raise IndexError(global_row)
+
+
 def run_group(
     group: "StencilGroup | Stencil",
     arrays: dict[str, np.ndarray],

@@ -51,7 +51,7 @@ class TestStencilAccesses:
     def test_out_of_place(self):
         s = Stencil(LAP5, "out", RectDomain((1, 1), (-1, -1)))
         acc = stencil_accesses(s, {"u": (8, 8), "out": (8, 8)})
-        assert acc.grids_written() == {"out"}
+        assert {a.grid for a in acc.writes} == {"out"}
         assert acc.grids_read() == {"u"}
         assert len(acc.writes) == 1
         assert len(acc.reads) == 5  # one lattice per distinct offset

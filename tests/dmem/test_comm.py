@@ -9,8 +9,8 @@ from repro.dmem.comm import CommError, SimComm
 class TestWorld:
     def test_world_construction(self):
         world = SimComm.world(4)
-        assert [c.Get_rank() for c in world] == [0, 1, 2, 3]
-        assert all(c.Get_size() == 4 for c in world)
+        assert [c.rank for c in world] == [0, 1, 2, 3]
+        assert all(c.size == 4 for c in world)
 
     def test_bad_size(self):
         with pytest.raises(ValueError):
@@ -58,10 +58,11 @@ class TestSendRecv:
             w[0].recv(source=-1)
 
     def test_sendrecv_pair(self):
+        # a halo swap: both sides send before either receives
         w = SimComm.world(2)
         w[1].send(np.array([10.0]), 0, tag=3)
-        got = w[0].sendrecv(np.array([20.0]), dest=1, recvsource=1, tag=3)
-        assert got[0] == 10.0
+        w[0].send(np.array([20.0]), 1, tag=3)
+        assert w[0].recv(1, tag=3)[0] == 10.0
         assert w[1].recv(0, tag=3)[0] == 20.0
 
 
@@ -77,11 +78,11 @@ class TestAccounting:
 
     def test_pending_messages(self):
         w = SimComm.world(2)
-        assert w[0].pending_messages() == 0
+        assert w[1].probe(0) == 0
         w[0].send(np.zeros(1), 1)
-        assert w[1].pending_messages() == 1
+        assert w[1].probe(0) == 1
         w[1].recv(0)
-        assert w[1].pending_messages() == 0
+        assert w[1].probe(0) == 0
 
 
 class TestStrictBarriers:

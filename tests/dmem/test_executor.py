@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _helpers import owner_of
 
 from repro.core.components import Component
 from repro.core.domains import RectDomain
@@ -43,10 +44,10 @@ class TestBlockDecomposition:
 
     def test_owner_of(self):
         d = BlockDecomposition(8, 2, halo=1)
-        assert d.owner_of(0) == 0
-        assert d.owner_of(7) == 1
+        assert owner_of(d, 0) == 0
+        assert owner_of(d, 7) == 1
         with pytest.raises(IndexError):
-            d.owner_of(8)
+            owner_of(d, 8)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -69,9 +69,10 @@ def test_fcycle_kernels_are_built_by_the_first_fcycle(private_jit):
     v_only = len(list(private_jit.glob("sf_*.so")))
     before = _misses()
     solver.f_cycle()
-    # restrict_rhs and the overwriting interpolation: one artifact each
-    assert _misses() - before == 2
-    assert len(list(private_jit.glob("sf_*.so"))) == v_only + 2
+    # restrict_rhs and the overwriting interpolation: one program, so
+    # one artifact for both
+    assert _misses() - before == 1
+    assert len(list(private_jit.glob("sf_*.so"))) == v_only + 1
 
 
 def test_fcycle_history_matches_numpy_bitwise(private_jit):

@@ -88,11 +88,6 @@ class TestViewsAndNorms:
         with pytest.raises(ValueError):
             lvl.norm("res", "l7")
 
-    def test_coarsen_shape(self):
-        assert Level(8, 2).coarsen_shape() == 4
-        with pytest.raises(ValueError):
-            Level(9, 2).coarsen_shape()
-
     def test_cell_centers(self):
         lvl = Level(4, 1)
         pts = lvl.cell_centers()

@@ -2,8 +2,9 @@
 
 On the C family ``MultigridSolver`` compiles its operators with
 ``compile_program`` and binds each ``v_cycle(k)`` as one call of the
-program's step-table walker.  The oracle is the numpy backend, which runs
-the same step list one kernel at a time.
+program's step-table walker; a fallback chain degrades that program as a
+whole.  The oracle is the numpy backend, which runs the same step list
+one kernel at a time.
 """
 
 import functools
@@ -190,11 +191,90 @@ def test_program_runs_steps_in_order_with_reps():
     np.testing.assert_array_equal(coarse.grids["rhs"][coarse.interior], 1.0)
 
 
+def _assert_same_grids(solver, ref):
+    for lv, rv in zip(solver.levels, ref.levels, strict=True):
+        for g in ("x", "rhs", "res"):
+            np.testing.assert_array_equal(lv.grids[g], rv.grids[g])
+
+
+def _kernel_calls() -> int:
+    return telemetry.snapshot()["kernels"].get("c", {}).get("calls", 0)
+
+
+@needs_gcc
+@pytest.mark.parametrize(
+    "fallback", [None, (), ["numpy"]], ids=["None", "empty", "numpy"]
+)
+def test_fallback_keeps_the_one_call_program(fallback):
+    """A fallback chain, an empty one, or ``None`` (no chain): with a
+    working compiler the solver has its program and a V-cycle is one
+    kernel call, bitwise the numpy solver."""
+    s = MultigridSolver(
+        _level("vc3d16"), backend="c", backend_options={"fallback": fallback}
+    )
+    assert s.program is not None
+    before = _kernel_calls()
+    s.v_cycle(0)
+    assert _kernel_calls() - before == 1
+    s.v_cycle(0)
+    ref = MultigridSolver(_level("vc3d16"), backend="numpy")
+    ref.v_cycle(0)
+    ref.v_cycle(0)
+    _assert_same_grids(s, ref)
+
+
+@needs_gcc
+@pytest.mark.parametrize("site", ["backend.invoke", "backend.specialize"])
+def test_fault_before_the_call_advances_the_whole_program_once(site):
+    """A fault before the program's FFI call (at its build, or at the
+    cycle's call) moves the whole program to the next link, once; the
+    cycle is served from it, and so are the per-unit calls
+    (``residual_norm``) after it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with faults.inject(site, times=1):
+            s = MultigridSolver(
+                _level("vc3d16"), backend="c",
+                backend_options={"fallback": ["numpy"]},
+            )
+            s.v_cycle(0)
+    assert [b for b, _ in s.program.attempts] == ["c"]
+    assert s.program.serving_backend == "numpy"
+    assert sum(issubclass(w.category, DegradedExecution) for w in caught) == 1
+    s.v_cycle(0)
+    ref = MultigridSolver(_level("vc3d16"), backend="numpy")
+    ref.v_cycle(0)
+    ref.v_cycle(0)
+    assert s.residual_norm() == ref.residual_norm()
+    _assert_same_grids(s, ref)
+    assert len(s.program.attempts) == 1
+
+
+def test_a_step_loop_link_resumes_at_the_failed_step():
+    """On a step-loop link each step follows the chain itself: a fault
+    at the sixth call of a cycle moves the program on, that step runs
+    again on the next link, and no step before it runs twice."""
+    s = MultigridSolver(
+        _level("cc2d32"), backend="numpy",
+        backend_options={"fallback": ["python"]},
+    )
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        with faults.inject("backend.invoke", times=1, after=5):
+            s.v_cycle(0)
+    assert [b for b, _ in s.program.attempts] == ["numpy"]
+    assert s.program.serving_backend == "python"
+    ref = MultigridSolver(_level("cc2d32"), backend="numpy")
+    ref.v_cycle(0)
+    _assert_same_grids(s, ref)
+
+
 @pytest.mark.faults
-def test_fallback_chain_keeps_the_per_kernel_path(monkeypatch, tmp_path):
-    """With ``fallback=`` the solver degrades call by call, so it builds
-    no program; on a broken toolchain numpy serves every kernel, bitwise
-    the numpy solver."""
+def test_broken_toolchain_degrades_the_program_once(monkeypatch, tmp_path):
+    """Under a compiler that always fails, a ``fallback=["numpy"]``
+    solver still builds: its one program degrades to numpy with one
+    warning (not one per unit), and it solves bitwise as the numpy
+    solver does."""
     monkeypatch.setenv("SNOWFLAKE_CC", "false")
     monkeypatch.setenv("SNOWFLAKE_CACHE_DIR", str(tmp_path / "jit"))
     with warnings.catch_warnings(record=True) as caught:
@@ -203,13 +283,10 @@ def test_fallback_chain_keeps_the_per_kernel_path(monkeypatch, tmp_path):
             _level("cc2d32"), backend="c",
             backend_options={"fallback": ["numpy"]},
         )
-    assert s.program is None
-    assert any(issubclass(w.category, DegradedExecution) for w in caught)
-    s.v_cycle(0)
-    s.v_cycle(0)
+        hist = s.solve(cycles=3)
+    degraded = [w for w in caught if issubclass(w.category, DegradedExecution)]
+    assert len(degraded) == 1
+    assert s.program.serving_backend == "numpy"
     ref = MultigridSolver(_level("cc2d32"), backend="numpy")
-    ref.v_cycle(0)
-    ref.v_cycle(0)
-    for lv, rv in zip(s.levels, ref.levels, strict=True):
-        for g in ("x", "rhs", "res"):
-            np.testing.assert_array_equal(lv.grids[g], rv.grids[g])
+    assert hist == ref.solve(cycles=3)
+    _assert_same_grids(s, ref)

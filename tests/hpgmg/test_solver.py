@@ -5,6 +5,7 @@ import functools
 import numpy as np
 import pytest
 
+from repro.backends.base import Program
 from repro.hpgmg.level import Level
 from repro.hpgmg.problem import apply_operator, setup_problem, smooth_u_exact
 from repro.hpgmg.solver import MultigridSolver, _chebyshev_weights
@@ -85,13 +86,14 @@ class TestSmootherVariants:
                 del params["cheb_w0"], params["cheb_w1"]
                 return params
 
-            def _bind(self, units, *, program):
+            def _bind(self, units, name):
                 ws = dict(zip(("cheb_w0", "cheb_w1"), _chebyshev_weights()))
-                return [
+                _, bound = super()._bind(units, name)
+                # the weights are passed on every call, so the cycle
+                # runs its steps one call at a time
+                return Program(name, ()), [
                     functools.partial(b, **ws) if "cheb_w0" in g.params() else b
-                    for b, (g, _) in zip(
-                        super()._bind(units, program=False), units
-                    )
+                    for b, (g, _) in zip(bound, units)
                 ]
 
         hist = []
