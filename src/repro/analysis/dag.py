@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .. import telemetry
 from ..core.stencil import StencilGroup
 from ..telemetry import tracing
 from .dependence import (
@@ -21,6 +22,7 @@ from .dependence import (
     group_dependences,
     intra_stencil_hazards,
 )
+from .structure import verdict
 
 __all__ = ["ExecutionPlan", "greedy_phases", "wavefront_phases", "plan"]
 
@@ -180,22 +182,29 @@ def plan(
     One pairwise pass (:func:`group_dependence_details`) yields the
     edge set, its grid provenance and the phases; one intra-stencil
     pass per stencil yields the hazards.  Everything downstream reads
-    them off the plan.
+    them off the plan.  At or above the group's structure threshold
+    both passes are the shape family's, taken once
+    (:func:`repro.analysis.structure.verdict`); below it, or for a group
+    without one, they run at ``shapes``.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown scheduling policy {policy!r}")
-    with tracing.span(
-        "plan", cat="analysis", group=group.name, policy=policy,
-        stencils=len(group),
-    ):
-        details = group_dependence_details(group, shapes)
-        deps = {edge: frozenset(kinds) for edge, kinds in details.items()}
-        phases = _POLICIES[policy](len(group), deps)
-        hazards = tuple(
-            tuple(intra_stencil_hazards(s, shapes)) for s in group
-        )
+    keyed = verdict(group, shapes)
+    if keyed is not None:
+        details, hazards = keyed.details, keyed.hazards
+    else:
+        telemetry.count("analysis.plans")
+        with tracing.span(
+            "plan", cat="analysis", group=group.name, policy=policy,
+            stencils=len(group),
+        ):
+            details = group_dependence_details(group, shapes)
+            hazards = tuple(
+                tuple(intra_stencil_hazards(s, shapes)) for s in group
+            )
+    deps = {edge: frozenset(kinds) for edge, kinds in details.items()}
     return ExecutionPlan(
-        tuple(tuple(p) for p in phases),
+        tuple(tuple(p) for p in _POLICIES[policy](len(group), deps)),
         hazards,
         deps,
         details,

@@ -19,7 +19,7 @@ costs the same as an 8**3 one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..core.domains import ResolvedRect
 from ..core.stencil import Stencil, StencilGroup
@@ -80,8 +80,20 @@ def intra_stencil_hazards(
     This rule is exact for identity write maps (all smoothers, boundary
     stencils) and errs conservative for exotic scaled self-references.
     """
-    it_shape = iteration_shape(stencil, shapes)
-    rects = [r for r in stencil.domain.resolve(it_shape) if not r.is_empty()]
+    return hazards_of(
+        stencil, stencil.domain.resolve(iteration_shape(stencil, shapes))
+    )
+
+
+def hazards_of(
+    stencil: Stencil,
+    resolved: Sequence[ResolvedRect],
+    meets: Callable[[ResolvedRect, ResolvedRect], bool] = ResolvedRect.intersects,
+) -> list[Hazard]:
+    """:func:`intra_stencil_hazards` over the stencil's resolved domain
+    boxes ``resolved`` (empty boxes are skipped, as there); ``meets`` is
+    the lattice-intersection test."""
+    rects = [r for r in resolved if not r.is_empty()]
     om = stencil.output_map
     hazards: list[Hazard] = []
 
@@ -91,16 +103,15 @@ def intra_stencil_hazards(
     for read in stencil.flat.reads():
         if read.grid != stencil.output:
             continue
+        same_map = _maps_equal(om.scale, om.offset, read.scale, read.offset)
         for wi, (wrect, wlat) in enumerate(zip(rects, write_lattices)):
             for ri, rrect in enumerate(rects):
-                rlat = map_lattice(rrect, read.scale, read.offset)
-                if not wlat.intersects(rlat):
-                    continue
-                same_box = wi == ri
-                same_map = _maps_equal(om.scale, om.offset, read.scale, read.offset)
-                if same_box and same_map:
+                if wi == ri and same_map:
                     continue  # diagonal-only: safe self-read
-                if not same_box and same_map and not wrect.intersects(rrect):
+                rlat = map_lattice(rrect, read.scale, read.offset)
+                if not meets(wlat, rlat):
+                    continue
+                if same_map and not meets(wrect, rrect):
                     # p1 in box wi, p2 in box ri with map(p1)==map(p2)
                     # forces p1==p2 (injective), impossible across
                     # disjoint boxes.
@@ -118,7 +129,7 @@ def intra_stencil_hazards(
     # write vs write (overlapping union boxes writing the same cells)
     for wi in range(len(rects)):
         for wj in range(wi + 1, len(rects)):
-            if write_lattices[wi].intersects(write_lattices[wj]):
+            if meets(write_lattices[wi], write_lattices[wj]):
                 hazards.append(
                     Hazard(
                         stencil.output,

@@ -11,7 +11,7 @@ solved by :mod:`repro.util.diophantine`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..core.domains import ResolvedRect
 from ..core.stencil import Stencil
@@ -70,12 +70,21 @@ def stencil_accesses(
     stencil: Stencil, shapes: Mapping[str, Sequence[int]]
 ) -> StencilAccesses:
     """Resolve every read/write of ``stencil`` into concrete lattices."""
-    it_shape = iteration_shape(stencil, shapes)
+    return accesses_of(
+        stencil, stencil.domain.resolve(iteration_shape(stencil, shapes))
+    )
+
+
+def accesses_of(
+    stencil: Stencil, rects: Sequence[ResolvedRect]
+) -> StencilAccesses:
+    """:func:`stencil_accesses` over the stencil's resolved domain
+    ``rects`` (empty boxes are skipped)."""
     writes: list[Access] = []
     reads: list[Access] = []
     om = stencil.output_map
     distinct_reads = stencil.flat.reads()
-    for rect in stencil.domain.resolve(it_shape):
+    for rect in rects:
         if rect.is_empty():
             continue
         writes.append(
@@ -89,7 +98,9 @@ def stencil_accesses(
 
 
 def access_conflict_details(
-    a: StencilAccesses, b: StencilAccesses
+    a: StencilAccesses,
+    b: StencilAccesses,
+    meets: Callable[[Access, Access], bool] = Access.intersects,
 ) -> dict[str, frozenset[str]]:
     """Dependence kinds *and the grids carrying them* between two stencils.
 
@@ -99,20 +110,21 @@ def access_conflict_details(
     :func:`access_conflicts` this scans every access pair — the grid
     sets are complete, which is what provenance reports
     (:mod:`repro.explain`, ``ExecutionPlan.describe``) need to name
-    *every* grid that forced a barrier.
+    *every* grid that forced a barrier.  ``meets`` is the intersection
+    test, called once per access pair.
     """
     kinds: dict[str, set[str]] = {}
     for w in a.writes:
         for r in b.reads:
-            if w.intersects(r):
+            if meets(w, r):
                 kinds.setdefault("RAW", set()).add(w.grid)
     for r in a.reads:
         for w in b.writes:
-            if r.intersects(w):
+            if meets(r, w):
                 kinds.setdefault("WAR", set()).add(w.grid)
     for w1 in a.writes:
         for w2 in b.writes:
-            if w1.intersects(w2):
+            if meets(w1, w2):
                 kinds.setdefault("WAW", set()).add(w1.grid)
     return {k: frozenset(v) for k, v in kinds.items()}
 

@@ -19,12 +19,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .. import telemetry
+from ..analysis.structure import check_once
 from ..core.stencil import StencilGroup
 from ..core.validate import (
     ValidationError,
     check_arrays,
     check_dtype,
-    check_group,
     iteration_shape,
 )
 from ..resilience.faults import InjectedFault, fault_point
@@ -113,7 +113,7 @@ class CompiledKernel:
         key = self._key(shapes, dtype)
         entry = self._cache.get(key)
         if entry is None:
-            check_group(self.group, shapes)
+            check_once(self.group, shapes)
             if fault_point("backend.specialize"):
                 raise InjectedFault(
                     f"injected fault: specialize "

@@ -47,8 +47,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .. import telemetry
+from ..analysis.structure import check_once, verdict
 from ..core.stencil import StencilGroup
-from ..core.validate import check_dtype, check_group
+from ..core.validate import check_dtype
 from ..resilience.guards import Guards
 from ..schedule import as_schedule
 from .base import (
@@ -58,7 +59,13 @@ from .base import (
     Zero,
     register_backend,
 )
-from .codegen_c import C_PREAMBLE, CodegenContext, StencilLoops, ctype_for
+from .codegen_c import (
+    C_PREAMBLE,
+    CodegenContext,
+    StencilLoops,
+    ctype_for,
+    render_decisions,
+)
 from .jit import cache_dir, compile_and_load, source_tag
 
 __all__ = [
@@ -374,6 +381,7 @@ class CBackend(Backend):
         freed at the end.
         """
         t = self.target
+        telemetry.count(f"codegen.{self.name}.renders")
         norm = {g: tuple(int(x) for x in shapes[g]) for g in shapes}
         sched = as_schedule(schedule, group, norm)
         ctx = CodegenContext(group, norm, ctype_for(dtype))
@@ -446,26 +454,45 @@ class CBackend(Backend):
 
         Each distinct kernel body — units whose per-kernel source text is
         identical, such as one operator on every level of a hierarchy —
-        is rendered once, behind its exported forwarder ``sf_op<j>``;
+        is emitted once, behind its exported forwarder ``sf_op<j>``;
         :func:`program_source` adds the step-table walker
-        ``sf_program``.  ``options`` are the scheduling options of
+        ``sf_program``.  Units at or above their group's structure
+        threshold share a key (:func:`~repro.analysis.structure.verdict`,
+        with the emitter's own decisions, :func:`render_decisions`), so
+        they are rendered once per key and checked once per group; the
+        rest are rendered one by one and share a body when the text
+        matches.  ``options`` are the scheduling options of
         :meth:`compile`, applied to every unit.  One compiler run,
         however many units and levels.
         """
         dt = check_dtype(np.float64 if dtype is None else dtype)
         ops: dict[str, int] = {}  # text up to its name -> forwarder index
+        keyed_ops: dict[tuple, int] = {}  # structure key -> forwarder index
         bodies: list[str] = []
         plan = []
         for group, shapes in units:
             shapes = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
-            check_group(group, shapes)
+            check_once(group, shapes)
             sched = self.pop_schedule(group, dict(options))(shapes)
-            # rendered once, under the name it gets if it is new
-            fresh = f"sf_op{len(bodies)}"
-            src = self.generate(group, shapes, dt, schedule=sched, func_name=fresh)
-            op = ops.setdefault(src.replace(fresh, "sf_op"), len(bodies))
-            if op == len(bodies):
-                bodies.append(src)
+            keyed = verdict(group, shapes, (
+                render_decisions, sched.options.tile,
+                self.target.task_pragma is not None,
+            ))
+            key = None if keyed is None else (
+                keyed.key, tuple(st.name for st in group), sched.options
+            )
+            op = keyed_ops.get(key)
+            if op is None:
+                # rendered once, under the name it gets if it is new
+                fresh = f"sf_op{len(bodies)}"
+                src = self.generate(
+                    group, shapes, dt, schedule=sched, func_name=fresh
+                )
+                op = ops.setdefault(src.replace(fresh, "sf_op"), len(bodies))
+                if op == len(bodies):
+                    bodies.append(src)
+                if key is not None:
+                    keyed_ops[key] = op
             plan.append((group, shapes, op))
         source = program_source(bodies, ctype_for(dt))
         telemetry.count(f"codegen.{self.name}.sources")

@@ -47,9 +47,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..analysis.structure import Unbounded
 from ..core.domains import RectDomain, ResolvedRect
 from ..core.stencil import Stencil, StencilGroup
-from ..core.validate import iteration_shape
+from ..core.validate import iteration_extents, iteration_shape
 from ..kernel.ir import (
     KAdd,
     KConst,
@@ -62,13 +63,14 @@ from ..kernel.ir import (
     KRef,
 )
 from ..kernel.lower import body_for
-from ..schedule.ir import ParityClass
+from ..schedule.ir import ParityClass, detect_parity_class
 
 __all__ = [
     "CodegenContext",
     "StencilLoops",
     "C_PREAMBLE",
     "ctype_for",
+    "render_decisions",
 ]
 
 
@@ -436,6 +438,69 @@ def _rect_bounds(
     return out
 
 
+def _tiling(counts: Sequence[int], tile: int | None) -> tuple[int | None, bool]:
+    """``(dim, tiled)``: the outermost loop of more than one iteration,
+    which carries the tiles (and the task pragma), and whether it is
+    longer than ``tile``."""
+    dim = next((d for d, c in enumerate(counts) if c > 1), None)
+    return dim, dim is not None and bool(tile) and counts[dim] > tile
+
+
+def _parity_box(
+    rects: Sequence[tuple[ResolvedRect, list]], pc: ParityClass
+) -> list[tuple[Bound, Bound, int, int]]:
+    """The dense box ``[base, high]`` of a parity class as ``(low, end,
+    step, count)`` per dimension: its low is the low of the box that
+    starts there, its end one past the last point of the box that
+    reaches furthest (``rects`` pairs each box with its bounds)."""
+    dims = []
+    for d in range(len(pc.base)):
+        lo = next(b[d][0] for _, b in rects if b[d][0].value == pc.base[d])
+        b = next(b for r, b in rects if r.highs()[d] == pc.high[d])
+        end = b[d][1].shift(pc.high[d] + 1 - b[d][1].value)
+        dims.append((lo, end, 1, pc.high[d] - pc.base[d] + 1))
+    return dims
+
+
+def render_decisions(
+    group: StencilGroup, shapes, rects, tile: int | None, tasks: bool
+) -> None:
+    """Take every shape-dependent decision :class:`CodegenContext` and
+    :class:`StencilLoops` take for ``group`` at ``shapes``, for the
+    thresholds they record: run as the ``extra`` of
+    :func:`repro.analysis.structure.verdict` (on symbolic ``shapes``
+    and the stencils' bound domain boxes ``rects``), it settles the
+    shape classes, empty and clipped boxes, the parity-class sweeps
+    and, when there are tiles or tasks (``tile``, ``tasks``), the loop
+    that carries them, so every shape above the threshold renders the
+    same text.  A bound whose text would change with the shape raises
+    :class:`~repro.analysis.structure.Unbounded`."""
+    grids = sorted(group.grids())
+    # (each ``_ =`` below is a decision taken for its recorded threshold)
+    # which grids share extent locals: CodegenContext's shape classes
+    _ = [shapes[g] == shapes[h] for g in grids for h in grids if g < h]
+    for stencil, resolved in zip(group, rects):
+        it = iteration_extents(stencil, shapes)
+        if stencil.iteration_grid is None and not stencil.output_map.is_identity():
+            _ = [n <= 0 for n in it]  # is a scaled write's extent symbolic
+        extents = [Bound("n", 0, n) for n in it]
+        boxes = [
+            (rect, _rect_bounds(rdom, rect, extents))
+            for rdom, rect in zip(stencil.domain.rects, resolved)
+            if not rect.is_empty()
+        ]
+        nests = [(bounds, rect.counts) for rect, bounds in boxes]
+        pc = detect_parity_class([rect for rect, _ in boxes])
+        if pc is not None:
+            dims = _parity_box(boxes, pc)
+            nests.append(([d[:2] for d in dims], [d[3] for d in dims[:-1]] + [1]))
+        for bounds, counts in nests:
+            if tile or tasks:
+                _tiling(counts, tile)
+            if any(not isinstance(b.off, int) for lh in bounds for b in lh[:2]):
+                raise Unbounded("a loop bound's text depends on the shape")
+
+
 class StencilLoops:
     """Emit the loop nests of one stencil (all domain boxes).
 
@@ -552,13 +617,13 @@ class StencilLoops:
         def add(s: str) -> None:
             lines.append(indent + s)
 
-        tile_dim = next((d for d in range(nd) if dims[d][3] > 1), None)
+        tile_dim, tiled = _tiling([c for *_, c in dims], self.tile)
         for d, (lo, end, step, count) in enumerate(dims):
             v = loopvars[d]
             if d == nd - 1:
                 for s in inner_start:
                     add(s)
-            if d == tile_dim and self.tile and count > self.tile:
+            if d == tile_dim and tiled:
                 span = step * self.tile
                 add(f"for (int64_t t{d} = {lo}; t{d} < {end}; t{d} += {span}) {{")
                 indent += "  "
@@ -592,17 +657,8 @@ class StencilLoops:
     ) -> list[str]:
         """Fused multicolor nest: dense leading loops, parity-corrected
         stride-2 innermost loop (the paper's multicolor reordering)."""
-        nd = len(pc.base)
-        last = nd - 1
-        # the dense box [base, high] as bounds: its low is the low of
-        # the box that starts there, its end one past the last point of
-        # the box that reaches furthest
-        dims = []
-        for d in range(nd):
-            lo = next(b[d][0] for _, b in self.rects if b[d][0].value == pc.base[d])
-            b = next(b for r, b in self.rects if r.highs()[d] == pc.high[d])
-            end = b[d][1].shift(pc.high[d] + 1 - b[d][1].value)
-            dims.append((lo, end, 1, pc.high[d] - pc.base[d] + 1))
+        last = len(pc.base) - 1
+        dims = _parity_box(self.rects, pc)
         off_sum = " + ".join(
             f"(i{d} - {dims[d][0]})" for d in range(last)
         ) or "0"

@@ -229,6 +229,7 @@ def generate_gpu_program(
     ``schedule`` is a prebuilt :class:`~repro.schedule.ir.Schedule`, a
     :class:`ScheduleOptions` to lower one from, or ``None`` for the
     defaults."""
+    telemetry.count(f"codegen.{dialect.name}.renders")
     ctype = ctype_for(dtype)
     norm = {g: tuple(int(x) for x in shapes[g]) for g in shapes}
     sched = as_schedule(schedule, group, norm)

@@ -145,6 +145,13 @@ class RectDomain:
             raise ValueError(
                 f"domain is {self.ndim}-D but shape {shape} is {len(shape)}-D"
             )
+        return self.bind(shape)
+
+    def bind(self, shape: Sequence) -> ResolvedRect:
+        """:meth:`resolve` without normalizing ``shape``: its extents may
+        be any integer-like values with ``+``, ``//`` and comparisons
+        (the symbolic extents of :mod:`repro.analysis.structure` run
+        the same arithmetic and branches)."""
         lows, strides, counts = [], [], []
         for st, en, sd, size in zip(self.start, self.end, self.stride, shape):
             lo = _resolve_index(st, size)

@@ -94,8 +94,23 @@ def check_stencil(
     # Domains resolve against the *iteration* shape.  For identity output
     # maps that is the output grid; for scaled writes, the domain is in
     # iteration space and the write footprint must land inside the output.
-    iter_shape = iteration_shape(stencil, shapes)
-    for rect in stencil.domain.resolve(iter_shape):
+    norm = {
+        g: tuple(int(s) for s in shapes[g])
+        for g in stencil.input_grids() | {stencil.output}
+    }
+    check_footprints(
+        stencil, stencil.domain.resolve(iteration_shape(stencil, shapes)), norm
+    )
+
+
+def check_footprints(
+    stencil: Stencil, rects: Sequence[ResolvedRect], shapes: Mapping
+) -> None:
+    """The footprint half of :func:`check_stencil`: every write and read
+    of the non-empty ``rects`` (the stencil's domain, resolved) lands
+    inside its grid of ``shapes``."""
+    out_shape = shapes[stencil.output]
+    for rect in rects:
         if rect.is_empty():
             continue
         # write footprint
@@ -109,7 +124,7 @@ def check_stencil(
                 )
         # read footprints
         for read in stencil.flat.reads():
-            gs = tuple(int(s) for s in shapes[read.grid])
+            gs = shapes[read.grid]
             for d, (lo, hi) in enumerate(
                 footprint_bounds(rect, read.scale, read.offset)
             ):
@@ -132,19 +147,32 @@ def iteration_shape(
     every index whose write lands in bounds,
     ``ceil((out_size - offset) / scale)``.
     """
+    grid = stencil.iteration_grid
+    if grid is None:
+        grid = stencil.output
+    elif grid not in shapes:
+        raise ValidationError(
+            f"{stencil.name}: iteration grid {grid!r} missing from shapes"
+        )
+    return iteration_extents(
+        stencil, {grid: tuple(int(s) for s in shapes[grid])}
+    )
+
+
+def iteration_extents(
+    stencil: Stencil, shapes: Mapping[str, Sequence]
+) -> tuple:
+    """:func:`iteration_shape` over already-normalized ``shapes``, whose
+    extents may be any integer-like values (see
+    :meth:`~repro.core.domains.RectDomain.bind`)."""
     if stencil.iteration_grid is not None:
-        if stencil.iteration_grid not in shapes:
-            raise ValidationError(
-                f"{stencil.name}: iteration grid "
-                f"{stencil.iteration_grid!r} missing from shapes"
-            )
-        return tuple(int(s) for s in shapes[stencil.iteration_grid])
-    out_shape = tuple(int(s) for s in shapes[stencil.output])
+        return tuple(shapes[stencil.iteration_grid])
     om = stencil.output_map
     if om.is_identity():
-        return out_shape
+        return tuple(shapes[stencil.output])
     return tuple(
-        -((-(n - o)) // s) for n, s, o in zip(out_shape, om.scale, om.offset)
+        -((-(n - o)) // s)
+        for n, s, o in zip(shapes[stencil.output], om.scale, om.offset)
     )
 
 

@@ -17,14 +17,15 @@ import numpy as np
 __all__ = ["Level", "default_beta"]
 
 
-def default_beta(points: np.ndarray) -> np.ndarray:
+def default_beta(*coords: np.ndarray) -> np.ndarray:
     """Smooth, strictly positive heterogeneous coefficient field.
 
-    ``points`` has shape (..., ndim) in physical coordinates [0, 1]^d.
+    ``coords`` are physical coordinates in [0, 1]^d, one broadcastable
+    axis per dimension (the :meth:`Level.cell_centers` convention).
     """
-    acc = np.ones(points.shape[:-1])
-    for d in range(points.shape[-1]):
-        acc = acc + 0.25 * np.sin(2.0 * np.pi * points[..., d] + 0.5 * d)
+    acc = 1.0
+    for d, x in enumerate(coords):
+        acc = acc + 0.25 * np.sin(2.0 * np.pi * x + 0.5 * d)
     return acc
 
 
@@ -34,6 +35,14 @@ class Level:
     ``n`` interior cells per dimension, one ghost cell per side, so every
     array has shape ``(n+2,)*ndim``; mesh spacing ``h = 1/n``; the cell
     center of interior index ``i`` is ``(i - 0.5) * h``.
+
+    With ``coefficients="variable"``, ``beta_fn(*coords)`` gives the
+    coefficient β at physical coordinates: it is called once per face
+    field with one broadcastable axis per dimension (the
+    :meth:`cell_centers` convention, shifted half a cell down in the
+    face's dimension) and must return an array broadcastable to
+    :attr:`shape` (a scalar is fine); anything else raises
+    ``ValueError``.  It defaults to :func:`default_beta`.
     """
 
     def __init__(
@@ -42,7 +51,7 @@ class Level:
         ndim: int = 3,
         *,
         coefficients: str = "constant",
-        beta_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+        beta_fn: Callable[..., np.ndarray] | None = None,
         dtype=np.float64,
     ) -> None:
         if n < 2:
@@ -68,16 +77,19 @@ class Level:
 
     # -- coefficient setup ----------------------------------------------------
 
-    def cell_centers(self) -> np.ndarray:
-        """Physical coordinates of every array cell, shape (*shape, ndim).
+    def cell_centers(self) -> tuple[np.ndarray, ...]:
+        """Physical cell-center coordinates as open-grid axes, one per
+        dimension (the ``np.ogrid`` convention): axis ``d`` has shape
+        ``n+2`` along dimension ``d`` and 1 elsewhere, so the axes
+        broadcast to :attr:`shape` without ever being materialized.
 
         Ghost cells get the (out-of-domain) continuation of the formula.
         """
-        axes = [
-            (np.arange(self.n + 2) - 0.5) * self.h for _ in range(self.ndim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        axis = (np.arange(self.n + 2) - 0.5) * self.h
+        return tuple(
+            axis.reshape([-1 if k == d else 1 for k in range(self.ndim)])
+            for d in range(self.ndim)
+        )
 
     def _face_field(self, d: int, beta_fn) -> np.ndarray:
         """Evaluate β on the *low faces* of dimension ``d``.
@@ -86,10 +98,19 @@ class Level:
         i.e. at coordinate ``(i-1) * h`` in dimension ``d`` and cell
         centers elsewhere.
         """
-        pts = self.cell_centers()
-        pts = pts.copy()
-        pts[..., d] -= 0.5 * self.h
-        return np.ascontiguousarray(beta_fn(pts).astype(self.dtype))
+        coords = list(self.cell_centers())
+        coords[d] = coords[d] - 0.5 * self.h
+        beta = np.asarray(beta_fn(*coords))
+        try:
+            beta = np.broadcast_to(beta, self.shape)
+        except ValueError:
+            raise ValueError(
+                f"beta_fn returned shape {beta.shape}, which does not "
+                f"broadcast to the level's grid {self.shape}"
+            ) from None
+        out = np.empty(self.shape, dtype=self.dtype)
+        out[...] = beta
+        return out
 
     def _inverse_diagonal(self) -> np.ndarray:
         """``lam = 1 / diag(A)`` for the VC operator (interior cells).

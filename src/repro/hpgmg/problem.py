@@ -27,10 +27,9 @@ __all__ = ["smooth_u_exact", "setup_problem", "operator_expr", "apply_operator"]
 def smooth_u_exact(level: Level) -> np.ndarray:
     """``u*(x) = prod_d sin(pi x_d)`` at cell centers — zero on the boundary
     faces (up to discretization), smooth, and nontrivial in every dim."""
-    pts = level.cell_centers()
     u = np.ones(level.shape, dtype=level.dtype)
-    for d in range(level.ndim):
-        u *= np.sin(np.pi * pts[..., d])
+    for x in level.cell_centers():
+        u *= np.sin(np.pi * x)
     out = np.zeros_like(u)
     out[level.interior] = u[level.interior]
     return out

@@ -191,7 +191,7 @@ class SchedulePhase:
         return tuple(i for s in self.steps for i in s.stencils)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Schedule:
     """The complete, legality-checked execution recipe for one group.
 

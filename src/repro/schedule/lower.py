@@ -7,7 +7,7 @@ themselves.  Each legality rule is one function — :func:`fusion_refusals`
 ("may these stencils share a loop nest") and :func:`step_flags` (a
 step's parallel and snapshot flags) — called alike by the lowering and
 by :func:`verify_schedule`, the one check every schedule passes: once at
-the end of :func:`build_schedule`, and again wherever a prebuilt
+the end of :func:`build_schedule`, and wherever a hand-built
 :class:`~repro.schedule.ir.Schedule` enters, in :func:`as_schedule`.
 
 Chains are computed *within* dependence phases, which closes a latent
@@ -20,6 +20,7 @@ Phase-local chains make that impossible by construction.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Iterator, Mapping, Sequence
 
@@ -534,6 +535,7 @@ def build_schedule(
             + "; ".join(str(p) for p in problems),
             problems,
         )
+    _VERIFIED.add(sched)
     return sched
 
 
@@ -619,6 +621,8 @@ _CACHE_LOCK = threading.Lock()
 _CACHE_CAP = 128
 #: per-key build locks so concurrent misses on the *same* key build once
 _BUILDING: dict[tuple, threading.Lock] = {}
+#: every schedule :func:`build_schedule` made, so verified already
+_VERIFIED: "weakref.WeakSet[Schedule]" = weakref.WeakSet()
 
 
 def schedule_for(
@@ -647,21 +651,24 @@ def schedule_for(
             return sched
         build_lock = _BUILDING.setdefault(key, threading.Lock())
     with build_lock:
-        # re-check: another thread may have finished the build while we
-        # waited on its lock
-        with _CACHE_LOCK:
-            sched = _CACHE.get(key)
-            if sched is not None:
+        try:
+            # re-check: another thread may have finished the build while
+            # we waited on its lock
+            with _CACHE_LOCK:
+                sched = _CACHE.get(key)
+                if sched is not None:
+                    _CACHE.move_to_end(key)
+                    return sched
+            sched = build_schedule(group, norm, options)
+            with _CACHE_LOCK:
+                _CACHE[key] = sched
                 _CACHE.move_to_end(key)
+                while len(_CACHE) > _CACHE_CAP:
+                    _CACHE.popitem(last=False)
+        finally:
+            # a refused build leaves no lock behind either
+            with _CACHE_LOCK:
                 _BUILDING.pop(key, None)
-                return sched
-        sched = build_schedule(group, norm, options)
-        with _CACHE_LOCK:
-            _CACHE[key] = sched
-            _CACHE.move_to_end(key)
-            while len(_CACHE) > _CACHE_CAP:
-                _CACHE.popitem(last=False)
-            _BUILDING.pop(key, None)
     return sched
 
 
@@ -673,9 +680,10 @@ def as_schedule(
     """The :class:`Schedule` an emitter runs for ``spec``.
 
     ``spec`` is a prebuilt :class:`Schedule` (checked against this
-    group/shapes and by :func:`verify_schedule`, refusing with
-    :class:`ScheduleError`), a :class:`ScheduleOptions`, or ``None`` for the
-    defaults.  Loose keyword options and policy strings are resolved
+    group/shapes and, unless :func:`build_schedule` made it and so has
+    verified it, by :func:`verify_schedule`, refusing with
+    :class:`ScheduleError`), a :class:`ScheduleOptions`, or ``None`` for
+    the defaults.  Loose keyword options and policy strings are resolved
     before this point, by
     :meth:`repro.backends.base.Backend.pop_schedule`.
     """
@@ -693,7 +701,7 @@ def as_schedule(
                 f"schedule was built for shapes {dict(spec.shapes)}, "
                 f"asked to execute with {norm}"
             )
-        problems = verify_schedule(spec)
+        problems = [] if spec in _VERIFIED else verify_schedule(spec)
         if problems:
             raise ScheduleError(
                 f"prebuilt schedule for group {group.name!r} is illegal: "

@@ -109,18 +109,22 @@ def _floor_div(a: int, b: int) -> int:
     return a // b
 
 
+#: the bound standing for "unbounded" in a ``t`` interval
+T_UNBOUNDED = 1 << 62
+
+
 def _t_interval(v0: int, step: int, lo: int, hi: int) -> tuple[int, int] | None:
     """Integer ``t`` interval with ``lo <= v0 + step*t <= hi`` (inclusive).
 
     Returns ``None`` for an empty interval.  ``step == 0`` means the value
-    is fixed: the interval is all of Z (represented by a huge interval) if
+    is fixed: the interval is all of Z (``±T_UNBOUNDED``) if
     ``lo <= v0 <= hi``, else empty.
     """
     if lo > hi:
         return None
     if step == 0:
         if lo <= v0 <= hi:
-            return (-(1 << 62), 1 << 62)
+            return (-T_UNBOUNDED, T_UNBOUNDED)
         return None
     if step > 0:
         t_lo = _ceil_div(lo - v0, step)

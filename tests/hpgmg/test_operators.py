@@ -235,9 +235,11 @@ class TestTransfers:
         # cell-centered trilinear interpolation is exact on affine fields
         nc = 4
         cl = Level(nc, 2)
-        coarse = cl.cell_centers()[..., 0] + 2 * cl.cell_centers()[..., 1]
+        x, y = cl.cell_centers()
+        coarse = x + 2 * y
         fl = Level(2 * nc, 2)
-        fine_exact = fl.cell_centers()[..., 0] + 2 * fl.cell_centers()[..., 1]
+        x, y = fl.cell_centers()
+        fine_exact = x + 2 * y
         group = interpolation_linear_group(2, add=False)
         got = run_group(
             group, {"coarse_x": coarse, "x": np.zeros(fl.shape)}

@@ -290,3 +290,109 @@ def test_broken_toolchain_degrades_the_program_once(monkeypatch, tmp_path):
     ref = MultigridSolver(_level("cc2d32"), backend="numpy")
     assert hist == ref.solve(cycles=3)
     _assert_same_grids(s, ref)
+
+
+# -- what a structure-keyed build must not change --------------------------
+
+#: sha256 of the 32^3 programs' sources and their JIT cache keys with the
+#: default compiler, taken before builds were keyed on structure
+PINNED_PROGRAMS = {
+    "variable": (
+        "0e0d7251473d9ac8ab88d4741e85aad38a92023e4758ae410dc109846af9b2e6",
+        "1bae4dbe280cc1eaabef70f4",
+    ),
+    "constant": (
+        "ada8c5e359769318591aef2cea8b6e73f29f242c6124234ceac646805f9025fe",
+        "d3c8066fae68877d864d3630",
+    ),
+}
+#: sha256 of every 32^3 solver unit's ``Schedule.describe()`` (c defaults),
+#: joined by blank lines in unit order; the same for both hierarchies
+PINNED_DESCRIBE = (
+    "3610f8bad5c70e4d8cfade907a39a60134170008e92199473819bd3c86510ce8"
+)
+
+
+def _units(coefficients: str) -> list:
+    from tests._helpers import RecordingBackend
+    from repro.backends import base
+
+    rec = RecordingBackend()
+    base._REGISTRY[rec.name] = rec
+    try:
+        MultigridSolver(Level(32, 3, coefficients=coefficients),
+                        backend=rec.name)
+    finally:
+        del base._REGISTRY[rec.name]
+    return rec.units
+
+
+@needs_gcc
+@pytest.mark.parametrize("coefficients", sorted(PINNED_PROGRAMS))
+def test_program_source_and_cache_key_are_pinned(monkeypatch, coefficients):
+    import hashlib
+
+    monkeypatch.delenv("SNOWFLAKE_CC", raising=False)
+    program = MultigridSolver(
+        Level(32, 3, coefficients=coefficients), backend="c"
+    ).program
+    digest = hashlib.sha256(program.source.encode()).hexdigest()
+    assert (digest, program.cache_key) == PINNED_PROGRAMS[coefficients]
+
+
+@pytest.mark.parametrize("coefficients", sorted(PINNED_PROGRAMS))
+def test_every_unit_schedule_is_pinned(coefficients):
+    import hashlib
+
+    c = get_backend("c")
+    units = _units(coefficients)
+    text = "\n\n".join(
+        c.pop_schedule(group, {})(shapes).describe() for group, shapes in units
+    )
+    assert len(units) == 18
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DESCRIBE
+
+
+@pytest.fixture
+def cold_memos(monkeypatch):
+    """Empty structure, check and schedule memos, and fresh counters."""
+    from repro.analysis import structure
+    from repro.schedule import lower
+
+    monkeypatch.setattr(structure, "_VERDICTS", type(structure._VERDICTS)())
+    monkeypatch.setattr(structure, "_CHECKED", type(structure._CHECKED)())
+    monkeypatch.setattr(lower, "_CACHE", type(lower._CACHE)())
+    monkeypatch.delenv("SNOWFLAKE_TELEMETRY", raising=False)
+    telemetry.set_mode("counters")
+    telemetry.reset()
+    yield
+    telemetry.set_mode(None)
+    telemetry.reset()
+
+
+@needs_gcc
+def test_build_costs_per_structure_not_per_level(monkeypatch, cold_memos):
+    """A 32^3 variable-coefficient build: 18 units, 4 operators.  One
+    analysis and one render per operator, no per-extent plan, and each
+    stencil checked at most twice (a boundary stencil sits in two
+    operators)."""
+    from collections import Counter
+
+    from repro.core import validate
+
+    checks = Counter()
+    real = validate.check_stencil
+
+    def counting(stencil, shapes):
+        checks[id(stencil)] += 1
+        return real(stencil, shapes)
+
+    monkeypatch.setattr(validate, "check_stencil", counting)
+    solver = MultigridSolver(Level(32, 3, coefficients="variable"),
+                             backend="c")
+    counters = telemetry.snapshot()["counters"]
+    assert len(solver.program.kernels) == 18
+    assert counters["analysis.plans"] == counters["analysis.plans.keyed"] == 4
+    assert counters["codegen.c.renders"] == 4
+    assert solver.program.source.count("static void sf_op") == 4
+    assert max(checks.values()) <= 2

@@ -114,7 +114,10 @@ def test_program_matches_per_level_construction():
 
 
 @needs_gcc
-def test_program_renders_each_unit_once(monkeypatch):
+def test_program_renders_each_structure_once(monkeypatch):
+    """Every level of an operator is above its structure threshold, so
+    the 10 units of an 8^3 hierarchy render once per body: each render
+    is a new forwarder, and every body is rendered."""
     backend = get_backend("c")
     real = type(backend).generate
     renders = []
@@ -125,4 +128,7 @@ def test_program_renders_each_unit_once(monkeypatch):
 
     monkeypatch.setattr(type(backend), "generate", counting)
     solver = MultigridSolver(Level(8, 3, coefficients="variable"), backend="c")
-    assert len(renders) == len(solver.program.kernels)
+    bodies = solver.program.source.count("static void sf_op")
+    assert len(solver.program.kernels) == 10
+    assert renders == [f"sf_op{j}" for j in range(bodies)]
+    assert bodies == 4

@@ -1,7 +1,8 @@
 """Schedule construction analyses each (group, shapes) once.
 
 ``analysis.plan`` makes one pairwise dependence pass and one hazard
-analysis per stencil; the lowering and the verifier that checks its
+analysis per stencil (above the structure threshold, the shape family's
+one symbolic pass); the lowering and the verifier that checks its
 result read those verdicts off the plan instead of re-deriving them.
 """
 
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from repro.analysis import dag, dependence, footprint
+from repro.analysis import dag, dependence, footprint, structure
 from repro.core.expr import Param
 from repro.hpgmg.operators import smooth_group, vc_laplacian
 from repro.schedule import ScheduleOptions, build_schedule
@@ -43,6 +44,8 @@ def _count(monkeypatch, real) -> list:
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_build_schedule_analyses_once(monkeypatch, preset):
+    # a fresh structure memo: the one analysis happens in this build
+    monkeypatch.setattr(structure, "_VERDICTS", type(structure._VERDICTS)())
     group = smooth_group(3, vc_laplacian(3, 0.1, inv_h2=Param("inv_h2")), lam="lam")
     shapes = {g: (10, 10, 10) for g in group.grids()}
     plans = _count(monkeypatch, dag.plan)

@@ -1,12 +1,15 @@
 """The ``schedule_for`` memo: LRU recency and build-once concurrency."""
 
+import shutil
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.schedule import ScheduleOptions, schedule_for
 from repro.schedule import lower
+from tests.schedule import _cases
 from tests.schedule._cases import laplacian_pair
 
 
@@ -95,3 +98,56 @@ class TestBuildOnce:
         for t in threads:
             t.join()
         assert len(counted_builds) == 2
+
+
+class TestRefusedBuild:
+    def test_refused_build_leaves_no_build_lock(self, monkeypatch):
+        monkeypatch.setattr(lower, "_CACHE", type(lower._CACHE)())
+        monkeypatch.setattr(lower, "_BUILDING", {})
+        group, shapes = _cases.snapshot_group()
+        with pytest.raises(lower.ScheduleError):
+            schedule_for(group, shapes, ScheduleOptions(time_tile=2))
+        with pytest.raises(ValueError):
+            schedule_for(group, shapes, ScheduleOptions(policy="nonesuch"))
+        assert lower._BUILDING == {}
+        assert len(lower._CACHE) == 0
+
+
+class TestVerifiedOnce:
+    """A schedule :func:`schedule_for` built is verified once: handing it
+    back to :func:`as_schedule` (as ``compile_program`` hands it to
+    ``generate``) does not check it again; a hand-built one is."""
+
+    @pytest.fixture
+    def verifications(self, monkeypatch):
+        calls = []
+        real = lower.verify_schedule
+        monkeypatch.setattr(
+            lower, "verify_schedule", lambda s: calls.append(s) or real(s)
+        )
+        monkeypatch.setattr(lower, "_CACHE", type(lower._CACHE)())
+        return calls
+
+    def test_memoized_schedule_is_not_reverified(self, verifications):
+        group, shapes = _cases.gsrb_workload()[:2]
+        sched = schedule_for(group, shapes)
+        assert len(verifications) == 1
+        assert lower.as_schedule(sched, group, shapes) is sched
+        assert len(verifications) == 1
+
+    def test_hand_built_schedule_is_verified_where_it_enters(
+        self, verifications
+    ):
+        group, shapes = _cases.gsrb_workload()[:2]
+        by_hand = replace(schedule_for(group, shapes))
+        lower.as_schedule(by_hand, group, shapes)
+        assert verifications[-1] is by_hand
+
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="requires gcc")
+    def test_solver_program_verifies_each_unit_once(self, verifications):
+        from repro.hpgmg import Level, MultigridSolver
+
+        solver = MultigridSolver(
+            Level(8, 3, coefficients="variable"), backend="c"
+        )
+        assert len(verifications) == len(solver.program.kernels) == 10
