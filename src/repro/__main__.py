@@ -317,10 +317,10 @@ def cmd_doctor() -> int:
     if cache_ok:
         swept = jit.sweep_orphans()
         if swept:
-            line("warn", "orphans", f"removed {swept} stale *.tmp.so "
+            line("warn", "orphans", f"removed {swept} stale *.tmp.{{c,o,so}} "
                  "from crashed compiles")
         else:
-            line("ok", "orphans", "no stale *.tmp.so temporaries")
+            line("ok", "orphans", "no stale *.tmp.{c,o,so} temporaries")
         bad = len(list(jit.cache_dir().glob("sf_*.so.bad")))
         line("warn" if bad else "ok", "quarantine",
              f"{bad} quarantined artifact(s)" if bad

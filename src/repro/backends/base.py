@@ -448,7 +448,7 @@ class Backend(abc.ABC):
     ) -> "Program":
         """The ``(group, shapes)`` units as one :class:`Program` of one
         :meth:`compile` each; the C family overrides this with one
-        translation unit, where a bound step list is one call."""
+        shared object, where a bound step list is one call."""
         return Program(name, [
             self.compile(group, shapes=shapes, dtype=dtype, guards=guards,
                          **options)

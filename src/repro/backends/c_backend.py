@@ -33,9 +33,11 @@ hazard reads its output grid through a snapshot (gather semantics),
 matching the reference interpreter exactly.
 
 :meth:`CBackend.compile_program` compiles several groups into one
-translation unit: each distinct kernel body once, plus
-``sf_program(steps, nsteps, G, P, D)``, which walks a step table, so a
-whole solver cycle is one FFI call (:class:`CompiledProgram`).
+shared object: each distinct kernel body once, as a translation unit of
+its own, plus a unit for ``sf_program(steps, nsteps, G, P, D)``, which
+walks a step table, so a whole solver cycle is one FFI call
+(:class:`CompiledProgram`).  Every innermost loop of a step the
+analysis proved parallel carries ``#pragma GCC ivdep``.
 """
 
 from __future__ import annotations
@@ -176,10 +178,12 @@ def make_ffi_wrapper(
 _ROW = 5
 
 
-def program_source(bodies: Sequence[str], ctype: str) -> str:
-    """One translation unit from kernel sources exporting ``sf_op0``,
-    ``sf_op1``, … (their ``#include`` lines hoisted, once each), plus
-    the walker ``sf_program(steps, nsteps, G, P, D)``.
+def program_source(bodies: Sequence[str], ctype: str) -> tuple[str, ...]:
+    """The translation units of one program: each kernel source
+    exporting ``sf_op0``, ``sf_op1``, … as rendered, one unit apiece,
+    then the walker unit — the bodies' ``#include`` lines (once each),
+    a declaration of every ``sf_op<j>``, and ``sf_program(steps, nsteps,
+    G, P, D)``.
 
     ``steps`` holds ``nsteps`` rows of ``(op, g, p, d, reps)``: run
     forwarder ``op`` on ``(G + g, P + p, D + d)`` ``reps`` times, or
@@ -187,18 +191,15 @@ def program_source(bodies: Sequence[str], ctype: str) -> str:
     only on the bodies, never on the step list: a hierarchy of any
     depth, and any cycle over it, is data for the same artifact.
     """
-    includes: dict[str, None] = {}
-    rest: list[str] = []
-    for src in bodies:
-        for line in src.splitlines():
-            if line.startswith("#include"):
-                includes[line] = None
-            else:
-                rest.append(line)
+    includes = dict.fromkeys(
+        line for src in bodies for line in src.splitlines()
+        if line.startswith("#include")
+    )
     sig = f"({ctype}**, const double*, const int64_t*)"
     ops = ", ".join(f"sf_op{j}" for j in range(len(bodies)))
-    return "\n".join([
-        *includes, *rest,
+    walker = "\n".join([
+        *includes,
+        *(f"void sf_op{j}{sig};" for j in range(len(bodies))),
         f"typedef void (*sf_op_fn){sig};",
         f"static const sf_op_fn sf_ops[] = {{{ops}}};",
         f"void sf_program(const int64_t* steps, int64_t nsteps, {ctype}** G, "
@@ -215,6 +216,7 @@ def program_source(bodies: Sequence[str], ctype: str) -> str:
         "  }",
         "}",
     ]) + "\n"
+    return (*bodies, walker)
 
 
 def _address(fn) -> int:
@@ -228,18 +230,21 @@ class CompiledProgram:
     its forwarder in the program's shared object (a shape other than the
     unit's compiles on its own, as usual).  :meth:`bind` turns a step
     list over bound kernels of these into one :class:`BoundKernel`.
-    ``source`` is the translation unit and ``cache_key`` its JIT tag.
+    ``units`` are the translation units of :func:`program_source`,
+    ``source`` their text NUL-joined, and ``cache_key`` the JIT tag,
+    which hashes exactly that text.
     """
 
     def __init__(
         self, name: str, lib: ctypes.CDLL, n_ops: int,
         kernels: Sequence[CompiledKernel], backend_name: str,
-        guards: Guards, source: str, cache_key: str,
+        guards: Guards, units: Sequence[str], cache_key: str,
     ) -> None:
         self.name = name
         self.kernels = tuple(kernels)
         self.guards = guards
-        self.source = source
+        self.units = tuple(units)
+        self.source = "\0".join(self.units)
         self.cache_key = cache_key
         # what BoundKernel.__call__ reads from its kernel
         self._label = backend_name
@@ -408,7 +413,7 @@ class CBackend(Backend):
                     ctx, group[step.head], tile=sched.options.tile,
                     parity=step.sweep, snapshot_name=snaps.get(step.head),
                     fused_with=[group[i] for i in step.stencils[1:]],
-                    unroll=sched.options.unroll,
+                    unroll=sched.options.unroll, parallel=step.parallel,
                 )
                 body.extend(loops.emit(t.task_pragma))
             body.extend(t.phase_end)
@@ -454,16 +459,18 @@ class CBackend(Backend):
 
         Each distinct kernel body — units whose per-kernel source text is
         identical, such as one operator on every level of a hierarchy —
-        is emitted once, behind its exported forwarder ``sf_op<j>``;
-        :func:`program_source` adds the step-table walker
-        ``sf_program``.  Units at or above their group's structure
-        threshold share a key (:func:`~repro.analysis.structure.verdict`,
-        with the emitter's own decisions, :func:`render_decisions`), so
-        they are rendered once per key and checked once per group; the
-        rest are rendered one by one and share a body when the text
-        matches.  ``options`` are the scheduling options of
-        :meth:`compile`, applied to every unit.  One compiler run,
-        however many units and levels.
+        is emitted once, behind its exported forwarder ``sf_op<j>``, as
+        a translation unit of its own; :func:`program_source` adds the
+        unit of the step-table walker ``sf_program``.  Units at or above
+        their group's structure threshold share a key
+        (:func:`~repro.analysis.structure.verdict`, with the emitter's
+        own decisions, :func:`render_decisions`), so they are rendered
+        once per key and checked once per group; the rest are rendered
+        one by one and share a body when the text matches.  ``options`` are the scheduling options of
+        :meth:`compile`, applied to every unit.  One shared object and
+        one JIT tag, however many units and levels: the translation
+        units compile concurrently and link once
+        (:func:`~repro.backends.jit.compile_and_load`).
         """
         dt = check_dtype(np.float64 if dtype is None else dtype)
         ops: dict[str, int] = {}  # text up to its name -> forwarder index
@@ -494,14 +501,16 @@ class CBackend(Backend):
                 if key is not None:
                     keyed_ops[key] = op
             plan.append((group, shapes, op))
-        source = program_source(bodies, ctype_for(dt))
+        sources = program_source(bodies, ctype_for(dt))
         telemetry.count(f"codegen.{self.name}.sources")
-        telemetry.count(f"codegen.{self.name}.bytes", len(source))
+        telemetry.count(
+            f"codegen.{self.name}.bytes", sum(len(u) for u in sources)
+        )
         with telemetry.tracing.span(
             f"compile_program:{name}", cat="kernel", backend=self.name,
             units=len(plan), bodies=len(bodies),
         ):
-            lib = compile_and_load(source, openmp=self.target.openmp)
+            lib = compile_and_load(sources, openmp=self.target.openmp)
         guards = guards if guards is not None else Guards.from_env()
         kernels = []
         for group, shapes, op in plan:
@@ -518,8 +527,8 @@ class CBackend(Backend):
                 backend_name=self.name,
             ))
         return CompiledProgram(
-            name, lib, len(bodies), kernels, self.name, guards, source,
-            source_tag(source, openmp=self.target.openmp),
+            name, lib, len(bodies), kernels, self.name, guards, sources,
+            source_tag(sources, openmp=self.target.openmp),
         )
 
     def artifact_info(self, group, shapes, dtype=None, **options):

@@ -518,10 +518,14 @@ class StencilLoops:
     a :class:`~repro.schedule.ir.ParityClass` selects the fused dense
     nest, ``None`` emits one nest per domain box.
 
-    ``unroll`` emits ``#pragma GCC unroll N`` immediately before each
-    innermost loop — a pure performance hint (the arithmetic and its
-    order are unchanged, so results stay bitwise identical); ``None``
-    emits nothing.
+    ``parallel`` is the step's verdict that no member carries a
+    loop-carried hazard (:attr:`~repro.schedule.ir.Step.parallel`, the
+    dependence analysis's proof): it emits ``#pragma GCC ivdep`` before
+    each innermost loop, so gcc vectorizes it without versioning on
+    runtime alias checks.  ``unroll`` emits ``#pragma GCC unroll N``
+    there too, after it.  Both are pure performance hints (the
+    arithmetic and its order are unchanged, and nothing is reassociated
+    without ``-ffast-math``, so results stay bitwise identical).
 
     Bounds are :class:`Bound`\\ s over the context's extents; whether a
     box is empty and whether a loop is long enough to tile are decided
@@ -538,6 +542,7 @@ class StencilLoops:
         snapshot_name: str | None = None,
         fused_with: Sequence[Stencil] = (),
         unroll: int | None = None,
+        parallel: bool = False,
     ) -> None:
         self.ctx = ctx
         self.stencil = stencil
@@ -545,6 +550,7 @@ class StencilLoops:
         self.parity = parity
         self.snapshot_name = snapshot_name
         self.unroll = unroll
+        self.parallel = parallel
         self.fused_with = tuple(fused_with)
         if self.fused_with and snapshot_name is not None:
             raise ValueError("fused clusters must be snapshot-free")
@@ -641,6 +647,8 @@ class StencilLoops:
                 add(task_pragma)
                 add("{")
                 indent += "  "
+            if d == nd - 1 and self.parallel:
+                add("#pragma GCC ivdep")
             if d == nd - 1 and self.unroll:
                 add(f"#pragma GCC unroll {self.unroll}")
             add(f"for (int64_t {v} = {lo}; {v} < {end}; {v} += {step}) {{")

@@ -117,21 +117,28 @@ class Level:
 
         diag(A)_i = (1/h²) * sum_d (beta_d[i] + beta_d[i+e_d]).
         Ghost entries are left at 1.0; smoothers never read them.
+        The diagonal accumulates in ``lam``'s own interior, in the
+        order ``((b_0 + b_0') + (b_1 + b_1')) + …``, so the peak is one
+        interior-sized temporary beyond ``lam``.
         """
-        diag = np.zeros(self.shape, dtype=self.dtype)
-        inner = tuple(slice(1, -1) for _ in range(self.ndim))
+        lam = np.ones(self.shape, dtype=self.dtype)
+        inner = self.interior
+        diag = lam[inner]
+        pair = None
         for d in range(self.ndim):
             beta = self.grids[f"beta_{d}"]
-            lo = beta[inner]
             hi_idx = tuple(
                 slice(2, None) if k == d else slice(1, -1)
                 for k in range(self.ndim)
             )
-            diag[inner] += lo + beta[hi_idx]
-        diag[inner] /= self.h * self.h
-        lam = np.ones(self.shape, dtype=self.dtype)
-        lam[inner] = 1.0 / diag[inner]
-        return np.ascontiguousarray(lam)
+            if d == 0:
+                np.add(beta[inner], beta[hi_idx], out=diag)
+                continue
+            pair = np.add(beta[inner], beta[hi_idx], out=pair)
+            diag += pair
+        diag /= self.h * self.h
+        np.divide(1.0, diag, out=diag)
+        return lam
 
     # -- views and norms --------------------------------------------------------
 

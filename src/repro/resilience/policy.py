@@ -12,7 +12,7 @@ and degrading to the next backend on *persistent* ones (codegen
 compiler's hard timeout is the deployment setting
 ``SNOWFLAKE_CC_TIMEOUT`` (:func:`repro.backends.jit.default_cc_timeout`).
 A program is degraded as a whole: every link compiles all its units
-(one translation unit on the C family), and a failure of any of its
+(one shared object on the C family), and a failure of any of its
 calls moves all of them to the next link.
 
 Because every backend compiles the same canonical flat form, a
@@ -338,7 +338,7 @@ class ResilientProgram(_Chain):
 
     def bind(self, steps: Sequence[tuple[Callable, int]]) -> Callable:
         """The ``(callable, reps)`` steps, over ``Zero``s and bound units,
-        as one callable.  With one translation unit they are its own
+        as one callable.  With one shared object they are its own
         kernels and one call, so a failure before it moves the whole list
         on; on a step loop (:class:`~repro.backends.base.Program`) each
         step follows the chain itself, so none runs twice."""

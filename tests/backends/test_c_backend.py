@@ -133,6 +133,63 @@ class TestSourceGeneration:
         assert arrays["out grid"][1:-1, 1:-1].all()
 
 
+LAP3 = Component("u", SparseArray({
+    (0, 0, 0): -6.0, **{o: 1.0 for o in (
+        (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))},
+}))
+
+
+def _innermost_pragmas(src: str, ndim: int) -> dict[str, list[list[str]]]:
+    """Per step comment, the ``#pragma GCC`` lines directly above each
+    of the step's innermost loops."""
+    lines = [line.strip() for line in src.splitlines()]
+    steps: dict[str, list[list[str]]] = {}
+    for k, line in enumerate(lines):
+        if line.startswith("/* stencil(s)"):
+            current = steps.setdefault(line, [])
+        elif line.startswith(f"for (int64_t i{ndim - 1} "):
+            j = k
+            while lines[j - 1].startswith("#pragma GCC"):
+                j -= 1
+            current.append(lines[j:k])
+    return steps
+
+
+class TestIvdep:
+    """``#pragma GCC ivdep`` marks exactly the innermost loops of the
+    steps the dependence analysis proved parallel."""
+
+    @pytest.mark.parametrize("backend", ["c", "openmp"])
+    @pytest.mark.parametrize("unroll", [None, 4])
+    def test_parallel_steps_only(self, backend, unroll):
+        red, _ = red_black_domains(3)
+        interior = RectDomain((1,) * 3, (-1,) * 3)
+        group = group_of(
+            Stencil(LAP3, "out", interior),  # parallel, out of place
+            Stencil(LAP3, "v", red),  # parallel, one parity sweep
+            Stencil(LAP3, "u", interior),  # hazard: a snapshot step
+        )
+        shapes = {g: (12, 12, 12) for g in ("u", "v", "out")}
+        be = get_backend(backend)
+        options = {} if unroll is None else {"unroll": unroll}
+        sched = be.pop_schedule(group, dict(options))(shapes)
+        src = be.generate(group, shapes, np.float64, schedule=sched)
+        found = _innermost_pragmas(src, 3)
+        kinds, ivdeps = set(), 0
+        for step in sched.steps():
+            loops = found[next(k for k in found if str(list(step.stencils)) in k)]
+            assert loops
+            want = ["#pragma GCC ivdep"] if step.parallel else []
+            if unroll is not None:
+                want.append(f"#pragma GCC unroll {unroll}")
+            assert all(pragmas == want for pragmas in loops), (step, loops)
+            kinds.add((step.parallel, step.snapshot, step.sweep is not None))
+            ivdeps += len(loops) if step.parallel else 0
+        assert {(True, False, False), (True, False, True),
+                (False, True, False)} <= kinds
+        assert src.count("#pragma GCC ivdep") == ivdeps  # nowhere else
+
+
 class TestParityDetection:
     def _rects(self, dom, shape):
         from repro.core.domains import as_domain

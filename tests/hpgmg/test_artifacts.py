@@ -53,7 +53,7 @@ def _first_vcycle(backend: str, n: int = 32) -> np.ndarray:
 
 def test_32cubed_solver_is_one_compiler_run(private_jit):
     """Smooth, residual, restrict, interp on all five levels: one
-    program, so one translation unit and one artifact; the V-cycle is
+    program, so one JIT build and one artifact; the V-cycle is
     bitwise the numpy backend's (which no C code touches)."""
     before = _misses()
     x = _first_vcycle("c")

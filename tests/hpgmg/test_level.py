@@ -56,6 +56,28 @@ class TestCoefficients:
         ) / h2
         np.testing.assert_allclose(lvl.grids["lam"][1:-1, 1:-1], 1.0 / diag)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_lam_is_bitwise_the_full_grid_formula(self, ndim, dtype):
+        """``lam`` accumulated in place equals, bit for bit, the formula
+        over a full ``diag`` grid and a ``lo + hi`` temporary per
+        dimension, written out here as the oracle."""
+        lvl = Level(33, ndim, coefficients="variable",
+                    dtype=dtype)
+        inner = tuple(slice(1, -1) for _ in range(ndim))
+        diag = np.zeros(lvl.shape, dtype=lvl.dtype)
+        for d in range(ndim):
+            beta = lvl.grids[f"beta_{d}"]
+            hi = tuple(slice(2, None) if k == d else slice(1, -1)
+                       for k in range(ndim))
+            diag[inner] += beta[inner] + beta[hi]
+        diag[inner] /= lvl.h * lvl.h
+        want = np.ones(lvl.shape, dtype=lvl.dtype)
+        want[inner] = 1.0 / diag[inner]
+        got = lvl.grids["lam"]
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
     def test_face_field_offset_half_cell(self):
         lvl = Level(8, 1, coefficients="variable",
                     beta_fn=lambda x: x + 10.0)

@@ -1,4 +1,4 @@
-"""A solver's program: one translation unit, a V-cycle one FFI call.
+"""A solver's program: one shared object, a V-cycle one FFI call.
 
 On the C family ``MultigridSolver`` compiles its operators with
 ``compile_program`` and binds each ``v_cycle(k)`` as one call of the
@@ -95,9 +95,10 @@ def test_program_is_bitwise_the_numpy_solver(
     "coefficients, sizes", [("constant", (32, 128)), ("variable", (32, 64))]
 )
 def test_hierarchies_of_any_depth_share_one_program(coefficients, sizes):
-    """The translation unit does not depend on depth: hierarchies of 5,
-    6 and 7 levels are one artifact.  The constant 128^3 level is
-    untouched zeros, so it costs next to no memory."""
+    """The translation units do not depend on depth: hierarchies of 5,
+    6 and 7 levels are one artifact, every unit the same text.  The
+    constant 128^3 level is untouched zeros, so it costs next to no
+    memory."""
     programs = [
         MultigridSolver(Level(n, 3, coefficients=coefficients),
                         backend="c").program
@@ -105,6 +106,8 @@ def test_hierarchies_of_any_depth_share_one_program(coefficients, sizes):
     ]
     assert programs[0].cache_key == programs[1].cache_key
     assert programs[0].source == programs[1].source
+    assert programs[0].units == programs[1].units
+    assert len(programs[0].units) == 5  # four operator bodies, one walker
 
 
 @needs_gcc
@@ -294,16 +297,19 @@ def test_broken_toolchain_degrades_the_program_once(monkeypatch, tmp_path):
 
 # -- what a structure-keyed build must not change --------------------------
 
-#: sha256 of the 32^3 programs' sources and their JIT cache keys with the
-#: default compiler, taken before builds were keyed on structure
+#: sha256 of the 32^3 programs' translation units, in order and
+#: NUL-joined, and their JIT cache keys with the default compiler.  The
+#: units are the parent's one unit split apart: each kernel body as
+#: rendered, with ``#pragma GCC ivdep`` on every innermost loop of a
+#: parallel step, then the walker declaring the bodies' forwarders.
 PINNED_PROGRAMS = {
     "variable": (
-        "0e0d7251473d9ac8ab88d4741e85aad38a92023e4758ae410dc109846af9b2e6",
-        "1bae4dbe280cc1eaabef70f4",
+        "4429df62aab86b28d98b1a8409cba4dfe150cbd9179d573d6bb75c485c97904a",
+        "fbbb5f43ed178b6d8f3be123",
     ),
     "constant": (
-        "ada8c5e359769318591aef2cea8b6e73f29f242c6124234ceac646805f9025fe",
-        "d3c8066fae68877d864d3630",
+        "2d3933debe8cc12cc6711e9650028ea8d5add0632e8dcdfe086e3487617c0b47",
+        "7d0d04b49b4ad50bfb4f0621",
     ),
 }
 #: sha256 of every 32^3 solver unit's ``Schedule.describe()`` (c defaults),
@@ -336,7 +342,8 @@ def test_program_source_and_cache_key_are_pinned(monkeypatch, coefficients):
     program = MultigridSolver(
         Level(32, 3, coefficients=coefficients), backend="c"
     ).program
-    digest = hashlib.sha256(program.source.encode()).hexdigest()
+    digest = hashlib.sha256("\0".join(program.units).encode()).hexdigest()
+    assert program.source == "\0".join(program.units)
     assert (digest, program.cache_key) == PINNED_PROGRAMS[coefficients]
 
 

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import threading
+import time
 
 import pytest
 
@@ -26,6 +27,32 @@ pytestmark = pytest.mark.faults
 needs_gcc = pytest.mark.skipif(
     shutil.which("gcc") is None, reason="requires a C toolchain"
 )
+
+
+def _running(pid: int) -> bool:
+    """``pid`` exists and is not a zombie (an init that does not reap
+    keeps killed orphans in the table, and in their process group)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _none_running(pid_file, wait_s: float = 5.0) -> bool:
+    """Every pid in ``pid_file`` is gone (or a zombie) within ``wait_s``."""
+    pids = [int(p) for p in pid_file.read_text().split()]
+    assert pids, "the compiler never started its child"
+    deadline = time.monotonic() + wait_s
+    while any(_running(p) for p in pids):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
 
 
 def _value_of(lib, name):
@@ -148,10 +175,17 @@ class TestCacheAccounting:
         dead_src.write_text("int x;")
         live_src = d / f"sf_live.{os.getpid()}.tmp.c"
         live_src.write_text("int x;")
-        assert sweep_orphans() == 3  # dead .so/.c + unparsable; live spared
-        assert live.exists() and live_src.exists()
+        # a program's per-unit objects: sf_<tag>.<unit>.<pid>.tmp.o
+        dead_obj = d / f"sf_dead.2.{proc.pid}.tmp.o"
+        dead_obj.write_bytes(b"x")
+        live_obj = d / f"sf_live.2.{os.getpid()}.tmp.o"
+        live_obj.write_bytes(b"x")
+        assert sweep_orphans() == 4  # dead .so/.c/.o + unparsable; live spared
+        assert live.exists() and live_src.exists() and live_obj.exists()
         assert not dead.exists() and not dead_src.exists()
+        assert not dead_obj.exists()
         assert not junk.exists()
+        assert clear_disk_cache() == 3  # the live temporaries, .o included
 
 
 @needs_gcc
@@ -166,7 +200,7 @@ class TestSourcePublish:
         src = "double sf_torn(void){ return 5.0; }\n"
         tag = jit._tag(src)
         d = cache_dir()
-        real_run = subprocess.run
+        real_popen = subprocess.Popen
         seen = {}
 
         def compiler(cmd, **kw):
@@ -174,14 +208,14 @@ class TestSourcePublish:
                 c_path = cmd[cmd.index("-o") - 1]
                 with open(c_path) as reading:
                     seen["open"] = True
-                    jit._build(tag, src, d, d / "sf_other.so", False)
+                    jit._build(tag, (src,), d, d / "sf_other.so", False)
                     seen["text"] = reading.read()
                     seen["same_file"] = os.path.samestat(
                         os.fstat(reading.fileno()), os.stat(c_path)
                     )
-            return real_run(cmd, **kw)
+            return real_popen(cmd, **kw)
 
-        monkeypatch.setattr(jit.subprocess, "run", compiler)
+        monkeypatch.setattr(jit.subprocess, "Popen", compiler)
         assert _value_of(compile_and_load(src), "sf_torn") == 5.0
         assert seen["text"] == src
         assert not seen["same_file"]
@@ -200,6 +234,60 @@ class TestHardTimeout:
         with pytest.raises(CompileTimeout, match="hard timeout"):
             compile_and_load("int sf_hang(void){return 0;}\n")
         assert not list(cache_dir().glob("sf_*.tmp.so"))
+
+    def test_timeout_kills_the_compilers_whole_group(
+        self, tmp_path, monkeypatch, fresh_jit
+    ):
+        """A timeout takes what the compiler started along (gcc's
+        ``cc1``, here a background ``sleep``), not only the driver."""
+        pids = tmp_path / "pids"
+        cc = tmp_path / "forking-cc"
+        cc.write_text(f"#!/bin/sh\nsleep 30 &\necho $! >> {pids}\nwait\n")
+        cc.chmod(0o755)
+        monkeypatch.setenv("SNOWFLAKE_CC", str(cc))
+        monkeypatch.setenv("SNOWFLAKE_CC_TIMEOUT", "0.5")
+        t0 = time.perf_counter()
+        with pytest.raises(CompileTimeout, match="hard timeout"):
+            compile_and_load("int sf_orphan(void){return 0;}\n")
+        assert time.perf_counter() - t0 < 15  # not the child's 30 s
+        assert _none_running(pids)
+        assert not list(cache_dir().glob("sf_*.tmp.*"))
+
+    @needs_gcc
+    def test_a_failing_unit_kills_the_units_still_running(
+        self, tmp_path, monkeypatch, fresh_jit
+    ):
+        """Of three units compiled at once, one hangs and one is broken:
+        the broken one's error kills the hung one's group at once."""
+        pids = tmp_path / "pids"
+        cc = tmp_path / "unit-cc"
+        cc.write_text(
+            "#!/bin/sh\n"
+            'for a in "$@"; do case "$a" in *.c) src="$a";; esac; done\n'
+            'if [ -n "$src" ] && grep -q HANG "$src"; then\n'
+            f"  sleep 30 &\n  echo $! >> {pids}\n  wait\n  exit 1\nfi\n"
+            'if [ -n "$src" ] && grep -q BROKEN "$src"; then\n'
+            f"  while [ ! -s {pids} ]; do sleep 0.02; done\nfi\n"
+            'exec gcc "$@"\n'
+        )
+        cc.chmod(0o755)
+        monkeypatch.setenv("SNOWFLAKE_CC", str(cc))
+        monkeypatch.setenv("SNOWFLAKE_CC_TIMEOUT", "60")
+        monkeypatch.setattr(jit, "_jobs", lambda: 3)
+        units = (
+            "/* HANG, and the largest unit, so it starts first */\n"
+            "int sf_u0(void){return 0;}\n",
+            "/* BROKEN */ int sf_u1(void){return 1}\n",
+            "int sf_u2(void){return 2;}\n",
+        )
+        t0 = time.perf_counter()
+        with pytest.raises(CompileError, match="compiler failed") as e:
+            compile_and_load(units)
+        assert time.perf_counter() - t0 < 30
+        assert not isinstance(e.value, CompileTimeout)
+        assert f"sf_{jit.source_tag(units)}.1.c" in str(e.value)
+        assert _none_running(pids)
+        assert not list(cache_dir().glob("sf_*.tmp.*"))
 
     def test_timeout_env_knob(self, monkeypatch):
         monkeypatch.setenv("SNOWFLAKE_CC_TIMEOUT", "7.5")
