@@ -64,7 +64,9 @@ from .footprint import (
     accesses_of,
 )
 
-__all__ = ["Unbounded", "Lin", "Verdict", "verdict", "check_once"]
+__all__ = [
+    "Unbounded", "Lin", "Verdict", "verdict", "check_once", "first_meeting",
+]
 
 
 class Unbounded(Exception):
@@ -223,12 +225,15 @@ class _Run:
 class Verdict:
     """A group's analysis over one shape family, valid at every member
     with ``m >= n0``: the pairwise dependence details and per-stencil
-    hazards :func:`repro.analysis.plan` reads, under ``key``."""
+    hazards :func:`repro.analysis.plan` reads, under ``key``; ``extra``
+    is what the ``extra`` decisions of :func:`verdict` returned, equally
+    valid there."""
 
     key: tuple
     n0: int
     details: Mapping[tuple[int, int], Mapping[str, frozenset[str]]]
     hazards: tuple[tuple[Hazard, ...], ...]
+    extra: object = None
 
 
 def _family(shapes: Mapping[str, tuple[int, ...]]):
@@ -324,6 +329,31 @@ def _meets_settled(x: ResolvedRect, y: ResolvedRect) -> bool:
     return hit
 
 
+def first_meeting(
+    pairs: Sequence[tuple[ResolvedRect, ResolvedRect]],
+) -> int | None:
+    """The index of a pair of boxes in ``pairs`` that intersect, or
+    ``None``, in a symbolic run.  Only whether one meets is settled,
+    with the thresholds of a disjunction: from the earliest ``t`` one
+    of the meeting pairs meets (that pair's index is returned), or,
+    when none meets, the latest ``t`` from which every pair misses."""
+    run = _LOCAL.run
+    best = misses = None
+    for k, (x, y) in enumerate(pairs):
+        hit, t0 = _meets(x, y)
+        if not hit:
+            misses = t0 if misses is None else max(misses, t0)
+        elif t0 <= run.t0:
+            return k  # settled no later than the run already is
+        elif best is None or t0 < best[0]:
+            best = (t0, k)
+    if best is None:
+        run.t0 = max(run.t0, misses or 0)
+        return None
+    run.t0 = best[0]
+    return best[1]
+
+
 _KINDS = {(True, False): "RAW", (False, True): "WAR", (True, True): "WAW"}
 
 
@@ -413,7 +443,8 @@ def verdict(
     ``extra`` is ``(fn, *args)``, a further set of decisions to settle:
     ``fn(group, shapes, rects, *args)`` runs symbolically on the affine
     shapes and every stencil's bound domain boxes (a backend's emitter
-    decisions, say).  It joins the key, and its threshold raises ``n0``.
+    decisions, say).  It joins the key, its threshold raises ``n0``, and
+    what it returns is the verdict's ``extra``.
     """
     norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
     found = _family(norm)
@@ -453,7 +484,7 @@ def verdict(
             if out is None:
                 return None
             n0 = max(v.n0, r + M * max(out[0], 0))
-            return Verdict(key + (extra,), n0, v.details, v.hazards)
+            return Verdict(key + (extra,), n0, v.details, v.hazards, out[1])
 
         v = _memo(key + (extra,), settle_extra)
     if v is None or m < v.n0:

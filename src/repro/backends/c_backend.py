@@ -54,6 +54,7 @@ from ..core.stencil import StencilGroup
 from ..core.validate import check_dtype
 from ..resilience.guards import Guards
 from ..schedule import as_schedule
+from ..schedule.lower import plane_lag_facts
 from .base import (
     Backend,
     BoundKernel,
@@ -63,6 +64,7 @@ from .base import (
 )
 from .codegen_c import (
     C_PREAMBLE,
+    Bound,
     CodegenContext,
     StencilLoops,
     ctype_for,
@@ -94,6 +96,9 @@ class Target:
     region: tuple[str, ...] = ()  #: lines opening a region around the steps
     task_pragma: str | None = None  #: on each (tiled) nest of a step
     phase_end: tuple[str, ...] = ()  #: the barrier lines closing a phase
+    #: run a plane-lagged schedule as one loop over axis-0 planes (else
+    #: each step stays a whole sweep, which is legal for any schedule)
+    plane_loop: bool = True
 
 
 C = Target(name="c", aliases=("c99",), knobs={}, openmp=False)
@@ -107,6 +112,9 @@ OPENMP = Target(
     region=("#pragma omp parallel", "#pragma omp single"),
     task_pragma="#pragma omp task",
     phase_end=("#pragma omp taskwait",),
+    # a task and a barrier per step and plane cost more than the plane
+    # reuse saves: the 128^3 smoother's bound call took 4x as long
+    plane_loop=False,
 )
 
 
@@ -379,16 +387,20 @@ class CBackend(Backend):
         ``ScheduleOptions()`` (the target's ``knobs`` are defaults of
         :meth:`compile`, not of the emitter).  Steps are emitted in
         schedule order: fused chains share one loop nest, checkerboard
-        unions become one parity-corrected sweep, and a fused time tile
-        wraps the whole step sequence in one ``sf_tt`` loop.  Snapshots
-        are allocated once at the top, filled at the start of their
-        step's phase (a phase's steps are mutually independent) and
-        freed at the end.
+        unions become one parity-corrected sweep, a plane-lagged
+        schedule runs every step inside one loop over axis-0 planes
+        ``sf_t`` (step ``q`` on plane ``sf_t - lag``, the steps'
+        preludes hoisted before it) when the target's ``plane_loop`` is
+        on, and a fused time tile wraps the whole step sequence in one
+        ``sf_tt`` loop.  Snapshots are allocated once at the top, filled
+        at the start of their step's phase (a phase's steps are mutually
+        independent) and freed at the end.
         """
         t = self.target
         telemetry.count(f"codegen.{self.name}.renders")
         norm = {g: tuple(int(x) for x in shapes[g]) for g in shapes}
         sched = as_schedule(schedule, group, norm)
+        lagged = t.plane_loop and sched.lagged
         ctx = CodegenContext(group, norm, ctype_for(dtype))
 
         def nbytes(grid: str) -> str:
@@ -396,6 +408,8 @@ class CBackend(Backend):
 
         snaps = {s.head: f"snap_{s.head}" for s in sched.steps() if s.snapshot}
         body: list[str] = []
+        prelude: list[str] = []  # a lagged schedule's, hoisted out of sf_t
+        ends: dict[str, Bound] = {}  # per axis-0 extent: it + the max lag
         for phase in sched.phases:
             if t.phase_end:  # phases are marked where a barrier ends them
                 body.append(f"/* phase {phase.index} */")
@@ -408,15 +422,40 @@ class CBackend(Backend):
                     )
             for step in phase.steps:
                 names = ", ".join(group[i].name for i in step.stencils)
+                if lagged:
+                    names += f", lag {step.lag}"
                 body.append(f"/* stencil(s) {list(step.stencils)}: {names} */")
                 loops = StencilLoops(
                     ctx, group[step.head], tile=sched.options.tile,
                     parity=step.sweep, snapshot_name=snaps.get(step.head),
                     fused_with=[group[i] for i in step.stencils[1:]],
                     unroll=sched.options.unroll, parallel=step.parallel,
+                    plane=step.lag if lagged else None,
                 )
-                body.extend(loops.emit(t.task_pragma))
+                if not lagged:
+                    body.extend(loops.emit(t.task_pragma))
+                    continue
+                prelude.extend(loops.prelude)
+                body.extend(loops.nests(t.task_pragma))
+                ext = loops.extents[0]
+                ends[str(ext)] = max(
+                    ends.get(str(ext), ext), ext.shift(step.lag),
+                    key=lambda b: b.off,
+                )
             body.extend(t.phase_end)
+        if ends:
+            # one pass: plane sf_t runs each step on its plane sf_t - lag
+            end, *more = map(str, ends.values())
+            if more:
+                prelude.append(f"int64_t sf_tn = {end};")
+                prelude += [f"if ({e} > sf_tn) sf_tn = {e};" for e in more]
+                end = "sf_tn"
+            body = [
+                *prelude,
+                f"for (int64_t sf_t = 0; sf_t < {end}; ++sf_t) {{",
+                *("  " + l for l in body),
+                "}",
+            ]
 
         lines = [C_PREAMBLE, *t.includes, *ctx.open_function(func_name)]
         for i, snap in snaps.items():
@@ -463,13 +502,12 @@ class CBackend(Backend):
         a translation unit of its own; :func:`program_source` adds the
         unit of the step-table walker ``sf_program``.  Units at or above
         their group's structure threshold share a key
-        (:func:`~repro.analysis.structure.verdict`, with the emitter's
-        own decisions, :func:`render_decisions`), so they are rendered
-        once per key and checked once per group; the rest are rendered
-        one by one and share a body when the text matches.  ``options`` are the scheduling options of
-        :meth:`compile`, applied to every unit.  One shared object and
-        one JIT tag, however many units and levels: the translation
-        units compile concurrently and link once
+        (:meth:`render_key`), so they are rendered once per key and
+        checked once per group; the rest are rendered one by one and
+        share a body when the text matches.  ``options`` are the
+        scheduling options of :meth:`compile`, applied to every unit.
+        One shared object and one JIT tag, however many units and
+        levels: the translation units compile concurrently and link once
         (:func:`~repro.backends.jit.compile_and_load`).
         """
         dt = check_dtype(np.float64 if dtype is None else dtype)
@@ -481,13 +519,7 @@ class CBackend(Backend):
             shapes = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
             check_once(group, shapes)
             sched = self.pop_schedule(group, dict(options))(shapes)
-            keyed = verdict(group, shapes, (
-                render_decisions, sched.options.tile,
-                self.target.task_pragma is not None,
-            ))
-            key = None if keyed is None else (
-                keyed.key, tuple(st.name for st in group), sched.options
-            )
+            key = self.render_key(group, shapes, sched)
             op = keyed_ops.get(key)
             if op is None:
                 # rendered once, under the name it gets if it is new
@@ -530,6 +562,31 @@ class CBackend(Backend):
             name, lib, len(bodies), kernels, self.name, guards, sources,
             source_tag(sources, openmp=self.target.openmp),
         )
+
+    def render_key(self, group, shapes, sched) -> tuple | None:
+        """The key under which ``group`` scheduled as ``sched`` renders
+        the same text at every shape of its family from a threshold on,
+        or ``None`` below it: the structure verdict with this target's
+        emitter decisions (:func:`render_decisions`) and, when the walker
+        runs the schedule's plane lags, the lags' own
+        (:func:`~repro.schedule.lower.plane_lag_facts`)."""
+        lagged = self.target.plane_loop and sched.lagged
+        keyed = verdict(group, shapes, (
+            render_decisions, sched.options.tile,
+            self.target.task_pragma is not None, lagged,
+        ))
+        if keyed is None:
+            return None
+        lags = None
+        if lagged:
+            lags = (
+                tuple(st.stencils for st in sched.steps()),
+                tuple(sorted(sched.plan.dependences)),
+            )
+            if verdict(group, shapes, (plane_lag_facts, *lags)) is None:
+                return None
+        return (keyed.key, lags, tuple(st.name for st in group),
+                sched.options)
 
     def artifact_info(self, group, shapes, dtype=None, **options):
         """Cache identity of the artifact this group would compile to.

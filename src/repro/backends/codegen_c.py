@@ -23,7 +23,10 @@ Renders the optimized kernel IR into loop nests.  Responsibilities:
   one cache-friendly sweep,
 * arbitrary-dimension tiling of the outermost free loop (used by the
   OpenMP target to form tasks, and by the sequential one for cache
-  blocking).
+  blocking),
+* the nests of one axis-0 plane, for a plane-lagged schedule: each
+  step's nest runs inside the walker's plane loop with its axis-0 loop
+  replaced by a guard on ``i0``.
 
 The emitter is purely mechanical: fusion, snapshot and sweep decisions
 arrive precomputed on the :class:`~repro.schedule.ir.Schedule` steps.
@@ -463,7 +466,8 @@ def _parity_box(
 
 
 def render_decisions(
-    group: StencilGroup, shapes, rects, tile: int | None, tasks: bool
+    group: StencilGroup, shapes, rects, tile: int | None, tasks: bool,
+    lagged: bool = False,
 ) -> None:
     """Take every shape-dependent decision :class:`CodegenContext` and
     :class:`StencilLoops` take for ``group`` at ``shapes``, for the
@@ -472,8 +476,11 @@ def render_decisions(
     and the stencils' bound domain boxes ``rects``), it settles the
     shape classes, empty and clipped boxes, the parity-class sweeps
     and, when there are tiles or tasks (``tile``, ``tasks``), the loop
-    that carries them, so every shape above the threshold renders the
-    same text.  A bound whose text would change with the shape raises
+    that carries them — within a plane when the nests run plane-lagged
+    (``lagged``; the lags themselves are settled on their own, by
+    :func:`~repro.schedule.lower.plane_lag_facts`) — so every shape
+    above the threshold renders the same text.  A bound whose text
+    would change with the shape raises
     :class:`~repro.analysis.structure.Unbounded`."""
     grids = sorted(group.grids())
     # (each ``_ =`` below is a decision taken for its recorded threshold)
@@ -496,9 +503,26 @@ def render_decisions(
             nests.append(([d[:2] for d in dims], [d[3] for d in dims[:-1]] + [1]))
         for bounds, counts in nests:
             if tile or tasks:
-                _tiling(counts, tile)
+                _tiling([1, *counts[1:]] if lagged else counts, tile)
             if any(not isinstance(b.off, int) for lh in bounds for b in lh[:2]):
                 raise Unbounded("a loop bound's text depends on the shape")
+
+
+def _on_plane(lo: Bound, end: Bound, step: int) -> str:
+    """The C condition that plane ``i0`` lies in ``[lo, end)`` on the
+    stride ``step`` from ``lo``.
+
+    A range is one unsigned comparison: gcc splits a loop at a two-sided
+    guard on its induction variable, and the plane loop's whole body
+    would be compiled twice."""
+    if end == lo.shift(1):  # a pinned dimension: one plane
+        return f"i0 == {lo}"
+    rel = "i0" if lo == Bound.lit(0) else f"i0 - {lo}"
+    span = end.shift(-lo.off) if lo.sym is None else f"({end} - {lo})"
+    cond = f"(uint64_t)({rel}) < (uint64_t){span}"
+    if step > 1:
+        cond += f" && ({rel}) % {step} == 0"
+    return cond
 
 
 class StencilLoops:
@@ -527,6 +551,12 @@ class StencilLoops:
     arithmetic and its order are unchanged, and nothing is reassociated
     without ``-ffast-math``, so results stay bitwise identical).
 
+    ``plane`` is the step's plane lag (:attr:`~repro.schedule.ir.Step.lag`)
+    in a plane-lagged schedule: the nests then run inside the walker's
+    loop over planes ``sf_t``, on the one plane ``i0 = sf_t - plane``
+    guarded to each box's axis-0 range and stride, and the tiles (and
+    tasks) go on the outermost of the remaining loops.
+
     Bounds are :class:`Bound`\\ s over the context's extents; whether a
     box is empty and whether a loop is long enough to tile are decided
     here, at the shape being compiled.
@@ -543,6 +573,7 @@ class StencilLoops:
         fused_with: Sequence[Stencil] = (),
         unroll: int | None = None,
         parallel: bool = False,
+        plane: int | None = None,
     ) -> None:
         self.ctx = ctx
         self.stencil = stencil
@@ -551,10 +582,11 @@ class StencilLoops:
         self.snapshot_name = snapshot_name
         self.unroll = unroll
         self.parallel = parallel
+        self.plane = plane
         self.fused_with = tuple(fused_with)
         if self.fused_with and snapshot_name is not None:
             raise ValueError("fused clusters must be snapshot-free")
-        extents = ctx.iteration_extents(stencil)
+        self.extents = extents = ctx.iteration_extents(stencil)
         it_shape = [e.value for e in extents]
         self.rects = [
             (rect, _rect_bounds(rdom, rect, extents))
@@ -590,18 +622,29 @@ class StencilLoops:
         the prelude precedes the task pragmas; the ``const`` locals are
         firstprivate-captured by the tasks.
         """
-        lines = list(self.prelude)
+        return self.prelude + self.nests(task_pragma)
+
+    def nests(self, task_pragma: str | None = None) -> list[str]:
+        """The loop nests alone: :meth:`emit` without the prelude.  On a
+        plane they sit in a block that fixes ``i0``."""
         pc = self.parity
         if pc is not None:
-            lines += self._emit_parity_nest(pc, task_pragma)
+            lines = self._emit_parity_nest(pc, task_pragma)
+        else:
+            lines = []
+            for rect, bounds in self.rects:
+                lines += self._nest(
+                    [(lo, end, step, ct)
+                     for (lo, end, step), ct in zip(bounds, rect.counts)],
+                    task_pragma,
+                )
+        if self.plane is None:
             return lines
-        for rect, bounds in self.rects:
-            lines += self._nest(
-                [(lo, end, step, ct)
-                 for (lo, end, step), ct in zip(bounds, rect.counts)],
-                task_pragma,
-            )
-        return lines
+        at = f"sf_t - {self.plane}" if self.plane else "sf_t"
+        return [
+            "{", f"  const int64_t i0 = {at};",
+            *("  " + l for l in lines), "}",
+        ]
 
     def _nest(
         self,
@@ -623,9 +666,16 @@ class StencilLoops:
         def add(s: str) -> None:
             lines.append(indent + s)
 
-        tile_dim, tiled = _tiling([c for *_, c in dims], self.tile)
+        counts = [c for *_, c in dims]
+        if self.plane is not None:
+            counts[0] = 1  # the plane: one i0 per sf_t
+        tile_dim, tiled = _tiling(counts, self.tile)
         for d, (lo, end, step, count) in enumerate(dims):
             v = loopvars[d]
+            if d == 0 and self.plane is not None:
+                add(f"if ({_on_plane(lo, end, step)}) {{")
+                indent += "  "
+                continue
             if d == nd - 1:
                 for s in inner_start:
                     add(s)

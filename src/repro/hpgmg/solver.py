@@ -120,8 +120,13 @@ class MultigridSolver:
             else interpolation_linear_group
         )
         restrict = StencilGroup([restriction_stencil(ndim)], "restrict")
+        # Linear interpolation reads the coarse ghosts, so it refreshes
+        # them first; piecewise-constant reads only coarse centres, and
+        # the ghosts are stale by the next read anyway (the next cycle
+        # zeroes the coarse x and its smoother refills them).
         interp = StencilGroup(
-            boundary_stencils(ndim, "coarse_x")
+            (boundary_stencils(ndim, "coarse_x")
+             if self.interpolation == "linear" else [])
             + list(interp_builder(ndim, add=True)),
             "interp",
         )

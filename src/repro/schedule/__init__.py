@@ -25,6 +25,7 @@ from .lower import (
     as_schedule,
     build_schedule,
     fusion_chains,
+    plane_lag_verdict,
     schedule_for,
     verify_schedule,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "as_schedule",
     "build_schedule",
     "fusion_chains",
+    "plane_lag_verdict",
     "schedule_for",
     "verify_schedule",
     "POLICIES",

@@ -163,6 +163,11 @@ class Step:
     gather snapshot; fused chains are snapshot-free by construction.
     ``sweep`` is the dense parity-class nest replacing the member's
     strided color boxes, when recognized and enabled.
+    ``lag`` is the step's plane lag: in a lagged schedule every step
+    runs inside one loop over axis-0 planes ``t``, on plane ``t - lag``
+    (:func:`repro.schedule.plane_lag_verdict` decides, the step's
+    ``lag`` evidence names the dependence that fixed it); ``None``
+    means the schedule runs each step as a whole sweep.
     """
 
     stencils: tuple[int, ...]
@@ -170,6 +175,7 @@ class Step:
     snapshot: bool
     sweep: ParityClass | None = None
     evidence: tuple[Evidence, ...] = ()
+    lag: int | None = None
 
     @property
     def head(self) -> int:
@@ -222,6 +228,11 @@ class Schedule:
     def n_steps(self) -> int:
         return sum(len(ph.steps) for ph in self.phases)
 
+    @property
+    def lagged(self) -> bool:
+        """Whether the steps run plane-lagged in one axis-0 plane loop."""
+        return any(s.lag is not None for s in self.steps())
+
     def step_for(self, stencil_index: int) -> Step:
         for s in self.steps():
             if stencil_index in s.stencils:
@@ -242,6 +253,13 @@ class Schedule:
             lines.append(self.time_tile.describe())
             for ev in self.time_tile.evidence:
                 lines.append(f"  - {ev}")
+        if self.lagged:
+            lags = [s.lag for s in self.steps()]
+            lines.append(
+                f"plane lags {lags}: step q on plane t - lag[q] of one "
+                "axis-0 plane loop (c; the other backends run the steps "
+                "in order)"
+            )
         for ph in self.phases:
             lines.append(f"phase {ph.index}:")
             for s in ph.steps:
@@ -253,6 +271,8 @@ class Schedule:
                     tags.append("snapshot")
                 if s.parallel:
                     tags.append("parallel")
+                if s.lag is not None:
+                    tags.append(f"lag {s.lag}")
                 tag = f" ({', '.join(tags)})" if tags else ""
                 lines.append(
                     f"  {kind} {list(s.stencils)}: {self._names(s.stencils)}{tag}"
@@ -290,6 +310,7 @@ class Schedule:
                                     "parity": s.sweep.parity,
                                 }
                             ),
+                            "lag": s.lag,
                             "evidence": [str(e) for e in s.evidence],
                         }
                         for s in ph.steps

@@ -4,8 +4,10 @@ This is the one place fusion legality, snapshot decisions and
 checkerboard recognition run; the backends and emitters consume the
 :class:`~repro.schedule.ir.Schedule` it builds and decide none of it
 themselves.  Each legality rule is one function — :func:`fusion_refusals`
-("may these stencils share a loop nest") and :func:`step_flags` (a
-step's parallel and snapshot flags) — called alike by the lowering and
+("may these stencils share a loop nest"), :func:`step_flags` (a
+step's parallel and snapshot flags) and :func:`plane_lag_verdict`
+("how many axis-0 planes must each step trail the ones before it") —
+called alike by the lowering and
 by :func:`verify_schedule`, the one check every schedule passes: once at
 the end of :func:`build_schedule`, and wherever a hand-built
 :class:`~repro.schedule.ir.Schedule` enters, in :func:`as_schedule`.
@@ -22,13 +24,17 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Iterator, Mapping, Sequence
+from dataclasses import replace
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ..analysis.dag import ExecutionPlan, plan
 from ..analysis.footprint import map_lattice
+from ..analysis.structure import first_meeting, verdict
+from ..core.domains import ResolvedRect
 from ..core.stencil import StencilGroup
 from ..core.validate import iteration_shape
 from ..telemetry import tracing
+from ..util.diophantine import lattice_ranges_intersect_nonempty
 from .ir import (
     Evidence,
     ParityClass,
@@ -46,6 +52,8 @@ __all__ = [
     "fusion_refusals",
     "fusion_chains",
     "time_tile_verdict",
+    "plane_lag_verdict",
+    "plane_lag_facts",
     "verify_schedule",
     "build_schedule",
     "schedule_for",
@@ -310,6 +318,276 @@ def time_tile_verdict(
     return slope, evidence, refusals
 
 
+def _hazard_refusals(
+    group: StencilGroup, steps: Sequence[Step]
+) -> list[Evidence]:
+    """The steps that may not be split into planes: a loop-carried
+    hazard (or the gather snapshot it takes) orders a step's own
+    points."""
+    return [
+        Evidence(
+            "lag-refused",
+            f"step [{', '.join(group[i].name for i in s.stencils)}] "
+            "carries a loop-carried hazard"
+            + (" (gather snapshot)" if s.snapshot else "")
+            + ": its points cannot be split into planes",
+        )
+        for s in steps if s.snapshot or not s.parallel
+    ]
+
+
+def _lag_refusals(
+    group: StencilGroup,
+    shapes: Mapping[str, tuple[int, ...]],
+    steps: Sequence[Step],
+) -> list[Evidence]:
+    """Why the accesses of ``steps`` allow no constant plane distance
+    (none == they do)."""
+    if group[steps[0].head].ndim < 2:
+        return [Evidence(
+            "lag-refused",
+            "a 1-d grid's plane is one point: one plane loop would "
+            "unvectorize every step",
+        )]
+    written = {group[i].output for s in steps for i in s.stencils}
+    refusals: list[Evidence] = []
+    for step in steps:
+        names = ", ".join(group[i].name for i in step.stencils)
+        for i in step.stencils:
+            st = group[i]
+            if any(s != 1 for s in st.output_map.scale):
+                refusals.append(Evidence(
+                    "lag-refused",
+                    f"step [{names}] writes through scaled output map "
+                    f"{st.output_map.signature()}: its planes are not the "
+                    "planes it writes",
+                ))
+                continue
+            for read in st.flat.reads():
+                if read.grid not in written:
+                    continue
+                if any(s != 1 for s in read.scale):
+                    refusals.append(Evidence(
+                        "lag-refused",
+                        f"step [{names}] reads written grid {read.grid!r} "
+                        f"through scaled map {read.signature()}: no "
+                        "constant plane distance",
+                    ))
+                elif 2 * abs(read.offset[0]) > shapes[read.grid][0]:
+                    refusals.append(Evidence(
+                        "lag-refused",
+                        f"step [{names}] reads {read.grid!r} at axis-0 "
+                        f"offset {read.offset[0]}, beyond half the grid "
+                        "extent: a wrap-around footprint, not a halo",
+                    ))
+    return refusals
+
+
+_KIND = {(True, False): "RAW", (False, True): "WAR", (True, True): "WAW"}
+
+
+def _meeting_test() -> Callable[[list], int | None]:
+    """A ``first_meeting`` for concrete lattices: the index of the first
+    pair that intersects, or ``None``, with the per-dimension
+    Diophantine answers memoized (a stencil's boxes and offsets repeat
+    a few one-dimensional questions many times)."""
+    memo: dict[tuple, bool] = {}
+
+    def meets(x: ResolvedRect, y: ResolvedRect) -> bool:
+        for q in zip(x.lows, x.strides, x.counts, y.lows, y.strides,
+                     y.counts):
+            hit = memo.get(q)
+            if hit is None:
+                hit = memo[q] = lattice_ranges_intersect_nonempty(*q)
+            if not hit:
+                return False
+        return True
+
+    return lambda pairs: next(
+        (k for k, (x, y) in enumerate(pairs) if meets(x, y)), None
+    )
+
+
+def _plane_distances(
+    group: StencilGroup,
+    shapes: Mapping[str, tuple[int, ...]],
+    steps: Sequence[Step],
+    deps: Mapping[tuple[int, int], object],
+    rects: Sequence[Sequence[ResolvedRect]] | None,
+    first_meeting: Callable[[list], int | None],
+) -> dict[tuple[int, int], tuple[int, str]]:
+    """``{(q0, q): (distance, what)}`` over step pairs ``q0 < q`` whose
+    members share a dependence edge: the largest ``p0 - p`` over the
+    point pairs (plane ``p0`` of step ``q0``, plane ``p`` of step ``q``)
+    that touch one cell of a written grid, at least one of them writing.
+
+    With identity-scale maps a cell ``c = x0 + o0 = x + o`` gives
+    ``p0 - p = o[0] - o0[0]``: one constant per pair of accesses, so the
+    distance is the largest such constant whose two footprint lattices
+    meet.  Distances are tried largest first, each a disjunction over
+    its access pairs (``first_meeting``); the first that meets decides.
+    ``rects`` are the stencils' domain boxes (resolved at ``shapes``
+    when ``None``).
+    """
+    written = {group[i].output for s in steps for i in s.stencils}
+    # per stencil, per access of a written grid: (grid, writes, axis-0
+    # offset, the footprint lattice of each box)
+    acc: dict[int, list] = {}
+    for step in steps:
+        for i in step.stencils:
+            st = group[i]
+            boxes = (
+                rects[i] if rects is not None
+                else st.domain.resolve(iteration_shape(st, shapes))
+            )
+            boxes = [r for r in boxes if not r.is_empty()]
+            om = st.output_map
+            maps = [(st.output, om.scale, om.offset, True)] + [
+                (rd.grid, rd.scale, rd.offset, False)
+                for rd in st.flat.reads() if rd.grid in written
+            ]
+            acc[i] = [
+                (g, w, off[0], [map_lattice(r, sc, off) for r in boxes])
+                for g, sc, off, w in maps
+            ]
+    out: dict[tuple[int, int], tuple[int, str]] = {}
+    for q, step in enumerate(steps):
+        for q0 in range(q):
+            levels: dict[int, list] = {}
+            for i0 in steps[q0].stencils:
+                for i in step.stencils:
+                    if (i0, i) not in deps:
+                        continue
+                    for g0, w0, o0, lats0 in acc[i0]:
+                        for g, w, o, lats in acc[i]:
+                            if g0 != g or not (w0 or w):
+                                continue
+                            what = (i0, i, w0, w, g)
+                            levels.setdefault(o - o0, []).extend(
+                                (x, y, what) for x in lats0 for y in lats
+                            )
+            for d in sorted(levels, reverse=True):
+                cands = levels[d]
+                k = first_meeting([c[:2] for c in cands])
+                if k is not None:
+                    i0, i, w0, w, g = cands[k][2]
+                    out[(q0, q)] = (d, (
+                        f"{group[i0].name} -> {group[i].name} "
+                        f"{_KIND[w0, w]} on {g!r}"
+                    ))
+                    break
+    return out
+
+
+def plane_lag_facts(
+    group: StencilGroup,
+    shapes: Mapping[str, tuple[int, ...]],
+    rects: Sequence[Sequence[ResolvedRect]] | None,
+    chains: Sequence[Sequence[int]],
+    edges: Sequence[tuple[int, int]],
+) -> tuple[list[Evidence], dict[tuple[int, int], tuple[int, str]]]:
+    """The extent-dependent half of :func:`plane_lag_verdict`:
+    ``(refusals, distances)`` for steps running ``chains`` under the
+    dependence ``edges`` — the access refusals, and when there are none
+    every step pair's plane distance ``{(q0, q): (d, what)}``.
+
+    Both are extent-independent above a threshold, so this is the
+    ``extra`` of :func:`repro.analysis.structure.verdict` that keys them
+    on the shape family: there ``rects`` are the stencils' bound boxes
+    and each distance is settled as a disjunction over its access pairs
+    (:func:`repro.analysis.structure.first_meeting`).  ``rects=None``
+    takes the facts at the concrete ``shapes``.
+    """
+    steps = [Step(tuple(c), parallel=True, snapshot=False) for c in chains]
+    refusals = _lag_refusals(group, shapes, steps)
+    if refusals:
+        return refusals, {}
+    return [], _plane_distances(
+        group, shapes, steps, dict.fromkeys(edges), rects,
+        _meeting_test() if rects is None else first_meeting,
+    )
+
+
+def _lag_facts(
+    group: StencilGroup,
+    shapes: Mapping[str, tuple[int, ...]],
+    steps: Sequence[Step],
+    deps: Mapping[tuple[int, int], object],
+) -> tuple[list[Evidence], dict[tuple[int, int], tuple[int, str]]]:
+    """:func:`plane_lag_facts` at ``shapes``: the shape family's, taken
+    once per structure key, at or above its threshold; else this
+    extent's own."""
+    chains = tuple(s.stencils for s in steps)
+    edges = tuple(sorted(deps))
+    keyed = verdict(group, shapes, (plane_lag_facts, chains, edges))
+    if keyed is not None:
+        return keyed.extra
+    return plane_lag_facts(group, shapes, None, chains, edges)
+
+
+def plane_lag_verdict(
+    group: StencilGroup,
+    shapes: Mapping[str, tuple[int, ...]],
+    steps: Sequence[Step],
+    deps: Mapping[tuple[int, int], object],
+) -> tuple[list[int], list[Evidence], list[Evidence]]:
+    """The plane-lag rule: may ``steps`` run in one loop over axis-0
+    planes, and how far must each trail the steps before it?
+
+    Returns ``(lags, evidence, refusals)``; ``lags`` (one per step, in
+    order) and ``evidence`` (what fixed each lag) are meaningful iff
+    ``refusals`` is empty.  In a lagged schedule plane ``t`` of the
+    loop runs every step in order, step ``q`` on its plane
+    ``t - lags[q]``.  That keeps every dependence ``q0 -> q`` in order
+    iff ``lags[q] >= lags[q0] + d`` for its plane distance ``d`` (the
+    largest ``p0 - p`` over the cells both touch,
+    :func:`_plane_distances`), so ``lags[q]`` is the largest such bound,
+    and at least 0.  ``deps`` is the plan's dependence edge set.
+
+    The steps qualify under the conditions :func:`time_tile_verdict`
+    states, along axis 0: every step is hazard-free (so snapshot-free:
+    its points may be split into planes), writes through an
+    identity-scale map and reads each written grid through an
+    identity-scale map at an axis-0 offset within half the grid extent
+    (a wrap-around read would lag a step by the whole grid), and the
+    grids have a second axis, so a plane is a loop nest of its own.
+    Everything but the hazards depends on the extents only below a
+    threshold, and is taken once per shape family above it
+    (:func:`plane_lag_facts`).
+    """
+    refusals = _hazard_refusals(group, steps)
+    if refusals:
+        return [], [], refusals
+    refusals, need = _lag_facts(group, shapes, steps, deps)
+    if refusals:
+        return [], [], refusals
+    lags: list[int] = []
+    evidence: list[Evidence] = []
+    for q in range(len(steps)):
+        best = None
+        for q0 in range(q):
+            found = need.get((q0, q))
+            if found is not None and (
+                best is None or lags[q0] + found[0] > best[0]
+            ):
+                best = (lags[q0] + found[0], q0, *found)
+        if best is None:
+            lags.append(0)
+            evidence.append(Evidence(
+                "lag", "0, independent of every earlier step"
+            ))
+            continue
+        bound, q0, d, what = best
+        lags.append(max(bound, 0))
+        names = ", ".join(group[i].name for i in steps[q0].stencils)
+        evidence.append(Evidence(
+            "lag",
+            f"{lags[-1]} {'=' if bound >= 0 else '>'} lag {lags[q0]} of "
+            f"[{names}] + plane distance {d} ({what})",
+        ))
+    return lags, evidence, refusals
+
+
 def _plan_time_tile(
     group: StencilGroup,
     shapes: Mapping[str, tuple[int, ...]],
@@ -351,9 +629,11 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
     ordering (no dependence edge between steps of one phase or across
     phases the wrong way), then per step the parallel/snapshot flags
     (:func:`step_flags`), fused-step legality (:func:`fusion_refusals`)
-    and sweep correctness against parity-class recognition, and — when
-    a time tile is attached — the time-tile verdict including slope
-    staleness.
+    and sweep correctness against parity-class recognition; then, when
+    the steps carry plane lags and passed so far, that every step has
+    one, the plane-lag rule admits them and each lag covers every plane
+    distance (:func:`plane_lag_verdict`); and — when a time tile is
+    attached — the time-tile verdict including slope staleness.
     """
     problems: list[Evidence] = []
     group = sched.group
@@ -461,6 +741,10 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
                         )
                     )
 
+    if sched.lagged and not problems:
+        # lags are distances between steps: judged on legal steps only
+        problems.extend(_lag_problems(sched))
+
     if sched.time_tile is not None:
         steps = list(sched.steps())
         slope, _, refusals = time_tile_verdict(group, norm, steps)
@@ -478,6 +762,73 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
     return problems
 
 
+def _lag_problems(sched: Schedule) -> list[Evidence]:
+    """The plane-lag part of :func:`verify_schedule`."""
+    group = sched.group
+    steps = list(sched.steps())
+
+    def names(q: int) -> str:
+        return ", ".join(group[i].name for i in steps[q].stencils)
+
+    bare = [q for q, s in enumerate(steps) if s.lag is None]
+    if bare:
+        return [Evidence(
+            "lag-refused",
+            f"step(s) {[names(q) for q in bare]} carry no plane lag while "
+            "others do: one plane loop runs every step",
+        )]
+    refusals = _hazard_refusals(group, steps)
+    if refusals:
+        return refusals
+    refusals, need = _lag_facts(
+        group, sched.shapes, steps, sched.plan.dependences
+    )
+    if refusals:
+        return refusals
+    problems = [
+        Evidence(
+            "lag-refused",
+            f"step [{names(q)}] has negative lag {s.lag}: its first "
+            "planes would never run",
+        )
+        for q, s in enumerate(steps) if s.lag < 0
+    ]
+    for (q0, q), (d, what) in sorted(need.items()):
+        if steps[q].lag < steps[q0].lag + d:
+            problems.append(Evidence(
+                "lag-refused",
+                f"step [{names(q)}] at lag {steps[q].lag} must trail "
+                f"[{names(q0)}] (lag {steps[q0].lag}) by plane distance "
+                f"{d} ({what}): it needs lag >= {steps[q0].lag + d}",
+            ))
+    return problems
+
+
+def _lag_steps(
+    group: StencilGroup,
+    shapes: Mapping[str, tuple[int, ...]],
+    phases: Sequence[SchedulePhase],
+    deps: Mapping[tuple[int, int], object],
+) -> list[SchedulePhase]:
+    """``phases`` with every step's plane lag and its evidence attached,
+    when there are several steps and :func:`plane_lag_verdict` admits
+    them; else ``phases`` unchanged."""
+    steps = [s for ph in phases for s in ph.steps]
+    if len(steps) < 2:
+        return list(phases)
+    lags, evidence, refusals = plane_lag_verdict(group, shapes, steps, deps)
+    if refusals:
+        return list(phases)
+    lagged = iter(zip(lags, evidence))
+    return [
+        SchedulePhase(ph.index, tuple(
+            replace(s, lag=lag, evidence=s.evidence + (ev,))
+            for s, (lag, ev) in zip(ph.steps, lagged)
+        ))
+        for ph in phases
+    ]
+
+
 def build_schedule(
     group: StencilGroup,
     shapes: Mapping[str, Sequence[int]],
@@ -489,9 +840,11 @@ def build_schedule(
     plan phase is then stepped as its :func:`fusion_chains`
     (``fuse=True``) or as singletons, every step tagged with its
     parallel/snapshot verdict and, under ``multicolor=True``, its
-    parity-class sweep; ``time_tile > 1`` attaches the legalized time
-    tile.  The result carries ``options`` verbatim and passes
-    :func:`verify_schedule` once, or :class:`ScheduleError` is raised.
+    parity-class sweep; several steps that :func:`plane_lag_verdict`
+    admits get their plane lags; ``time_tile > 1`` attaches the
+    legalized time tile.  The result carries ``options`` verbatim and
+    passes :func:`verify_schedule` once, or :class:`ScheduleError` is
+    raised.
     """
     options = options or ScheduleOptions()
     norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
@@ -520,6 +873,7 @@ def build_schedule(
                     )
                 )
             phases.append(SchedulePhase(pi, tuple(steps)))
+        phases = _lag_steps(group, norm, phases, exec_plan.dependences)
         tt = (
             _plan_time_tile(group, norm, phases, options.time_tile)
             if options.time_tile > 1 else None

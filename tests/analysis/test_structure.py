@@ -23,7 +23,6 @@ from repro.analysis.dependence import (
 )
 from repro.analysis.structure import Lin, Unbounded, verdict
 from repro.backends import get_backend
-from repro.backends.codegen_c import render_decisions
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
@@ -165,15 +164,13 @@ def test_one_render_serves_the_structure_key(unit, target):
     of a residue class renders the same text."""
     _, group, shapes = unit
     backend = get_backend(target)
-    tile = backend._KNOBS.get("tile")
-    extra = (render_decisions, tile, target == "openmp")
     M = structure._modulus(group)
     for r in range(M):
         texts = set()
         for m in range(r or M, 25, M):
             at = _member(shapes, m)
-            if verdict(group, at, extra) is not None:
-                sched = backend.pop_schedule(group, {})(at)
+            sched = backend.pop_schedule(group, {})(at)
+            if backend.render_key(group, at, sched) is not None:
                 texts.add(backend.generate(group, at, np.float64,
                                            schedule=sched))
         assert len(texts) <= 1

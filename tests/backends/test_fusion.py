@@ -68,8 +68,12 @@ class TestFusedCodegen:
         shapes = shapes_of(g)
         fused = get_backend("c").generate(g, shapes, np.float64, schedule=FUSED)
         unfused = get_backend("c").generate(g, shapes, np.float64)
+        # one innermost loop per nest (two steps run plane-lagged, a
+        # guard on i0 inside one plane loop instead of an i0 loop each)
+        assert fused.count("for (int64_t i1") == 1
+        assert unfused.count("for (int64_t i1") == 2
         assert fused.count("for (int64_t i0") == 1
-        assert unfused.count("for (int64_t i0") == 2
+        assert unfused.count("for (int64_t sf_t") == 1
 
     def test_openmp_fused_emits_fewer_nests(self):
         g = indep_group(2)

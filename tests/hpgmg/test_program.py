@@ -298,24 +298,26 @@ def test_broken_toolchain_degrades_the_program_once(monkeypatch, tmp_path):
 # -- what a structure-keyed build must not change --------------------------
 
 #: sha256 of the 32^3 programs' translation units, in order and
-#: NUL-joined, and their JIT cache keys with the default compiler.  The
-#: units are the parent's one unit split apart: each kernel body as
-#: rendered, with ``#pragma GCC ivdep`` on every innermost loop of a
-#: parallel step, then the walker declaring the bodies' forwarders.
+#: NUL-joined, and their JIT cache keys with the default compiler.  Each
+#: kernel body as rendered, with ``#pragma GCC ivdep`` on every innermost
+#: loop of a parallel step, the smoother and residual bodies each one
+#: loop over axis-0 planes with every step on its plane lag, the
+#: piecewise-constant interpolation without the coarse ghost refresh,
+#: then the walker declaring the bodies' forwarders.
 PINNED_PROGRAMS = {
     "variable": (
-        "4429df62aab86b28d98b1a8409cba4dfe150cbd9179d573d6bb75c485c97904a",
-        "fbbb5f43ed178b6d8f3be123",
+        "ede5cade06663118d997f10249809bba07b05dea48a77c4acdeae5b766a4c923",
+        "33e882d67d5e91928fd45586",
     ),
     "constant": (
-        "2d3933debe8cc12cc6711e9650028ea8d5add0632e8dcdfe086e3487617c0b47",
-        "7d0d04b49b4ad50bfb4f0621",
+        "c173187d56ead2c36e4efe3fab3ea3c05f3c737d369ad851c3426780c5aff3f9",
+        "83478e50aa4e66b07806fe78",
     ),
 }
 #: sha256 of every 32^3 solver unit's ``Schedule.describe()`` (c defaults),
 #: joined by blank lines in unit order; the same for both hierarchies
 PINNED_DESCRIBE = (
-    "3610f8bad5c70e4d8cfade907a39a60134170008e92199473819bd3c86510ce8"
+    "ed93e1ea6a0fde41c0c38a9f1df27d46ba8967ca45955fbc6457e87e624a2c0f"
 )
 
 

@@ -228,6 +228,17 @@ def test_explain_names_barrier_grids():
     assert "gsrb_red" in proc.stdout
 
 
+def test_explain_prints_every_plane_lag():
+    proc = run_cli("explain", "--size", "12", "--backend", "numpy")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "plane lags [0, 0, 0, 0, 1, 2, 0, 1, 1, 2]" in proc.stdout
+    assert "gsrb_black (parallel, lag 2)" in proc.stdout
+    assert (
+        "lag: 2 = lag 1 of [gsrb_red] + plane distance 1 "
+        "(gsrb_red -> gsrb_black RAW on 'x')"
+    ) in proc.stdout
+
+
 def test_explain_json_artifact(tmp_path):
     import json
 

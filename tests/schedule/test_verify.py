@@ -76,6 +76,39 @@ class TestVerifier:
         bad = fuse_by_hand(build_schedule(group, shapes, PLAIN))
         assert [p.claim for p in verify_schedule(bad)] == ["fuse-refused"]
 
+    def test_verifier_refuses_a_lag_one_plane_short(self):
+        # one rule judges plane lags wherever it is asked: a hand-built
+        # black half-sweep one plane closer to red than their plane
+        # distance allows fails it, naming that distance
+        group, shapes, _ = gsrb_workload()
+        sched = build_schedule(group, shapes, PLAIN)
+        black = list(sched.steps())[-1]
+        short = replace(black, lag=black.lag - 1)
+        bad = replace(sched, phases=tuple(
+            SchedulePhase(ph.index, tuple(
+                short if st is black else st for st in ph.steps
+            ))
+            for ph in sched.phases
+        ))
+        assert [p.claim for p in verify_schedule(bad)] == ["lag-refused"]
+        with pytest.raises(ScheduleError, match="plane distance 1") as ei:
+            as_schedule(bad, group, shapes)
+        assert "gsrb_red -> gsrb_black RAW on 'x'" in ei.value.evidence.basis
+        assert f"needs lag >= {black.lag}" in ei.value.evidence.basis
+
+    def test_verifier_refuses_lags_on_part_of_the_steps(self):
+        group, shapes, _ = gsrb_workload()
+        sched = build_schedule(group, shapes, PLAIN)
+        first = next(sched.steps())
+        bad = replace(sched, phases=tuple(
+            SchedulePhase(ph.index, tuple(
+                replace(st, lag=None) if st is first else st
+                for st in ph.steps
+            ))
+            for ph in sched.phases
+        ))
+        assert [p.claim for p in verify_schedule(bad)] == ["lag-refused"]
+
     def test_time_tile_of_snapshot_step_is_refused(self):
         group, shapes = snapshot_group()
         with pytest.raises(ScheduleError) as ei:
