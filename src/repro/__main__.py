@@ -484,8 +484,8 @@ def main(argv=None) -> int:
     )
     ex.add_argument(
         "--time-tile", type=int, default=None, metavar="K",
-        help="fuse K applications into one time tile and report the "
-        "legality evidence and predicted traffic reduction",
+        help="run K applications in one call (one time loop) and report "
+        "the predicted traffic reduction",
     )
     ex.add_argument(
         "--dmem", type=positive_int, default=None, metavar="RANKS",

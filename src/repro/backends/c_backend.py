@@ -467,13 +467,13 @@ class CBackend(Backend):
         if t.region:
             lines.extend(pad + l for l in (*t.region, "{"))
             pad += "  "
-        tt = sched.time_tile
-        if tt is not None:
+        k = sched.options.time_tile
+        if k > 1:
             # every application runs the full barrier-ordered program,
             # so the result is k sequential sweeps by construction
-            lines.append(f"{pad}/* fused time tile k={tt.k} */")
+            lines.append(f"{pad}/* fused time tile k={k} */")
             lines.append(
-                f"{pad}for (int64_t sf_tt = 0; sf_tt < {tt.k}; ++sf_tt) {{"
+                f"{pad}for (int64_t sf_tt = 0; sf_tt < {k}; ++sf_tt) {{"
             )
             lines.extend(pad + "  " + l for l in body)
             lines.append(pad + "}")

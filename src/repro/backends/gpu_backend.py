@@ -233,11 +233,6 @@ def generate_gpu_program(
     ctype = ctype_for(dtype)
     norm = {g: tuple(int(x) for x in shapes[g]) for g in shapes}
     sched = as_schedule(schedule, group, norm)
-    if sched.time_tile is not None:
-        raise NotImplementedError(
-            f"{dialect.name} does not lower time-tiled schedules; drop "
-            "time_tile or use a CPU backend"
-        )
     ctx = CodegenContext(group, norm, ctype, runtime_sizes=False)
 
     # Snapshot buffers for hazardous in-place stencils (schedule-decided).
@@ -422,8 +417,8 @@ class GpuSimBackend(Backend):
     fields: ``multicolor`` is off by default, ``block`` is the 2-D
     thread-block shape on ``cuda-sim`` (default (32, 4); the OpenCL
     runtime picks its own), ``tile``/``unroll`` have no GPU lowering and
-    are ignored, and ``time_tile > 1`` is refused with
-    ``NotImplementedError``.
+    are ignored, and ``time_tile=k`` runs the built executor ``k`` times
+    per call — the oracle's definition, as ``python`` does.
     """
 
     _KNOBS = {"multicolor": False}
@@ -438,13 +433,22 @@ class GpuSimBackend(Backend):
         def specialize(shapes, dtype):
             from ..gpusim import build_executor
 
+            sched = schedule_at(shapes)
             program = generate_gpu_program(
-                group, shapes, dtype, self.dialect,
-                schedule=schedule_at(shapes),
+                group, shapes, dtype, self.dialect, schedule=sched,
             )
             telemetry.count(f"codegen.{self.name}.sources")
             telemetry.count(f"codegen.{self.name}.bytes", len(program.source))
-            return build_executor(program, shapes, dtype)
+            execute = build_executor(program, shapes, dtype)
+            k = sched.options.time_tile
+            if k == 1:
+                return execute
+
+            def impl(arrays, params):
+                for _ in range(k):
+                    execute(arrays, params)
+
+            return impl
 
         return specialize
 

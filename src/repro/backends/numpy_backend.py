@@ -172,14 +172,13 @@ class NumpyBackend(Backend):
                 for i in step.stencils
             ]
             telemetry.count("codegen.numpy.stencil_execs", len(execs))
-            tt = sched.time_tile
-
-            applications = 1 if tt is None else tt.k
+            applications = sched.options.time_tile
 
             def impl(arrays, params):
-                if tt is not None and telemetry.tracing.active():
+                if applications > 1 and telemetry.tracing.active():
                     with telemetry.tracing.span(
-                        "time_tile", cat="schedule", backend="numpy", k=tt.k,
+                        "time_tile", cat="schedule", backend="numpy",
+                        k=applications,
                     ):
                         _apply(arrays, params)
                 else:

@@ -123,7 +123,7 @@ class PythonBackend(Backend):
             order = [group[i] for i in sched.stencil_order()]
             # The oracle form of a time tile is its *definition*: k
             # sequential applications of the whole group per call.
-            applications = 1 if sched.time_tile is None else sched.time_tile.k
+            applications = sched.options.time_tile
             telemetry.count("codegen.python.interpreted_stencils", len(group))
 
             def impl(arrays, params):

@@ -269,8 +269,8 @@ def explain(
             for k in range(exec_plan.n_barriers)
         )
         swept: dict | None = None
-        if sched is not None and sched.time_tile is not None:
-            k = sched.time_tile.k
+        if sched is not None and sched.options.time_tile > 1:
+            k = sched.options.time_tile
             swept = {}
             for st in group:
                 swept[st.name] = time_tile_cost(st, shapes, k).to_dict()

@@ -32,7 +32,6 @@ __all__ = [
     "ParityClass",
     "detect_parity_class",
     "Evidence",
-    "TimeTile",
     "Step",
     "SchedulePhase",
     "Schedule",
@@ -122,38 +121,6 @@ class Evidence:
 
 
 @dataclass(frozen=True)
-class TimeTile:
-    """The schedule's temporal-blocking dimension.
-
-    ``k`` successive applications of the whole group are fused into one
-    kernel invocation: every CPU backend lowers it to one outer time
-    loop around the whole phase sequence (barriers intact per
-    application), so the loop structure is read from the schedule's
-    steps alone.  It buys ``k - 1`` call round trips; DRAM traffic only
-    drops when the whole working set is cache resident
-    (:func:`repro.kernel.cost.swept_cost`).
-
-    ``slope`` is the maximal cross-application RAW halo and
-    ``evidence`` carries the per-step Diophantine facts that legalize
-    the fusion.
-    """
-
-    k: int
-    slope: int = 0
-    evidence: tuple[Evidence, ...] = ()
-
-    def describe(self) -> str:
-        return f"time tile: k={self.k} slope={self.slope}"
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "slope": self.slope,
-            "evidence": [str(e) for e in self.evidence],
-        }
-
-
-@dataclass(frozen=True)
 class Step:
     """One loop nest / kernel launch: a fused chain or a singleton.
 
@@ -205,7 +172,9 @@ class Schedule:
     six backends.  ``plan`` keeps the underlying
     :class:`~repro.analysis.dag.ExecutionPlan` (dependence edges and
     barrier provenance); ``phases`` refine it with fusion, snapshot and
-    sweep decisions.
+    sweep decisions.  ``options.time_tile`` is the depth of one outer
+    loop every backend runs around the whole program, ``k``
+    applications per call; it needs no node or evidence of its own.
     """
 
     group: StencilGroup
@@ -213,8 +182,6 @@ class Schedule:
     options: ScheduleOptions
     plan: ExecutionPlan
     phases: tuple[SchedulePhase, ...] = field(default_factory=tuple)
-    #: temporal-blocking decision; ``None`` means one sweep per call
-    time_tile: "TimeTile | None" = None
 
     def steps(self) -> Iterator[Step]:
         for ph in self.phases:
@@ -249,10 +216,8 @@ class Schedule:
             f"{len(self.group)} stencil(s), {len(self.phases)} phase(s), "
             f"{self.n_steps} step(s) [{self.options.describe()}]"
         ]
-        if self.time_tile is not None:
-            lines.append(self.time_tile.describe())
-            for ev in self.time_tile.evidence:
-                lines.append(f"  - {ev}")
+        if self.options.time_tile > 1:
+            lines.append(f"time tile: k={self.options.time_tile}")
         if self.lagged:
             lags = [s.lag for s in self.steps()]
             lines.append(
@@ -286,9 +251,6 @@ class Schedule:
         return {
             "group": self.group.name,
             "options": self.options.to_dict(),
-            "time_tile": (
-                None if self.time_tile is None else self.time_tile.to_dict()
-            ),
             "phases": [
                 {
                     "index": ph.index,

@@ -41,7 +41,6 @@ from .ir import (
     Schedule,
     SchedulePhase,
     Step,
-    TimeTile,
     detect_parity_class,
 )
 from .options import ScheduleOptions
@@ -51,7 +50,6 @@ __all__ = [
     "step_flags",
     "fusion_refusals",
     "fusion_chains",
-    "time_tile_verdict",
     "plane_lag_verdict",
     "plane_lag_facts",
     "verify_schedule",
@@ -172,150 +170,6 @@ def fusion_chains(
                 current = [j]
         chains.append(current)
     return chains
-
-
-def time_tile_verdict(
-    group: StencilGroup,
-    shapes: Mapping[str, tuple[int, ...]],
-    steps: Sequence[Step],
-) -> tuple[int, list[Evidence], list[Evidence]]:
-    """Decide whether ``k`` successive group applications may be fused.
-
-    Returns ``(slope, evidence, refusals)``.  The schedule is
-    time-tileable iff ``refusals`` is empty; ``slope`` is then the
-    maximal cross-application RAW halo and ``evidence`` carries the
-    per-step Diophantine facts.
-
-    A step is time-tileable iff
-
-    * it needs no gather snapshot (a snapshot per application would
-      have to be re-taken inside the tile — the time tile's whole point
-      is to *not* round-trip the grid per application);
-    * its output map is the identity scale (a scaled write footprint
-      moves per application, so the halo is unbounded);
-    * every read of a grid written by the schedule is an identity-scale
-      read whose offset stays a *bounded halo* — at most half the grid
-      extent per dimension.  Whole-grid wrap-around reads (periodic
-      boundaries) are refused: their footprint spans the domain, so no
-      cache-sized tile covers the dependence.
-
-    The halo a read contributes is refined by the same lattice
-    arithmetic the snapshot analysis uses: a read whose lattice never
-    meets the writer's lattice (e.g. the red half-sweep reading its
-    *black* neighbours) carries no cross-application dependence and
-    contributes slope 0.
-    """
-    written: dict[str, list[int]] = {}
-    for step in steps:
-        for i in step.stencils:
-            written.setdefault(group[i].output, []).append(i)
-    write_lattices: dict[int, list] = {}
-    for idxs in written.values():
-        for j in idxs:
-            st = group[j]
-            it_shape = iteration_shape(st, shapes)
-            rects = [
-                r for r in st.domain.resolve(it_shape) if not r.is_empty()
-            ]
-            om = st.output_map
-            write_lattices[j] = [
-                map_lattice(r, om.scale, om.offset) for r in rects
-            ]
-
-    slope = 0
-    evidence: list[Evidence] = []
-    refusals: list[Evidence] = []
-    for step in steps:
-        names = ", ".join(group[i].name for i in step.stencils)
-        if step.snapshot:
-            refusals.append(
-                Evidence(
-                    "time-tile-refused",
-                    f"step [{names}] requires a gather snapshot each "
-                    "application (loop-carried hazard); a time tile "
-                    "cannot re-snapshot mid-tile",
-                )
-            )
-            continue
-        step_halo = 0
-        for i in step.stencils:
-            st = group[i]
-            if any(s != 1 for s in st.output_map.scale):
-                refusals.append(
-                    Evidence(
-                        "time-tile-refused",
-                        f"step [{names}] writes through scaled output "
-                        f"map {st.output_map.signature()}: the write "
-                        "footprint moves per application (unbounded "
-                        "halo)",
-                    )
-                )
-                continue
-            it_shape = iteration_shape(st, shapes)
-            rects = [
-                r for r in st.domain.resolve(it_shape) if not r.is_empty()
-            ]
-            for read in st.flat.reads():
-                if read.grid not in written:
-                    continue
-                if any(s != 1 for s in read.scale):
-                    refusals.append(
-                        Evidence(
-                            "time-tile-refused",
-                            f"step [{names}] reads written grid "
-                            f"{read.grid!r} through scaled map "
-                            f"{read.signature()}: footprint is not a "
-                            "bounded halo",
-                        )
-                    )
-                    continue
-                halo = max((abs(o) for o in read.offset), default=0)
-                limit = min(
-                    x // 2 for x in shapes[read.grid]
-                )
-                if halo > limit:
-                    refusals.append(
-                        Evidence(
-                            "time-tile-refused",
-                            f"step [{names}] reads {read.grid!r} at "
-                            f"offset {list(read.offset)} — beyond half "
-                            "the grid extent, an unbounded (wrap-"
-                            "around) footprint, not a halo",
-                        )
-                    )
-                    continue
-                if halo == 0:
-                    continue  # centre read: per-point recurrence
-                # Lattice refinement: does this read ever touch cells
-                # another schedule member writes?  (Reads of the *own*
-                # stencil's writes are diagonal-only — proven by the
-                # snapshot analysis, or the step would carry one.)
-                carried = False
-                for j in written[read.grid]:
-                    if j == i:
-                        continue
-                    rl = [
-                        map_lattice(r, read.scale, read.offset)
-                        for r in rects
-                    ]
-                    if any(
-                        a.intersects(b)
-                        for a in rl
-                        for b in write_lattices[j]
-                    ):
-                        carried = True
-                        break
-                if carried:
-                    step_halo = max(step_halo, halo)
-        slope = max(slope, step_halo)
-        evidence.append(
-            Evidence(
-                "time-tile",
-                f"step [{names}]: snapshot-free, RAW footprint per "
-                f"application is a bounded halo (radius {step_halo})",
-            )
-        )
-    return slope, evidence, refusals
 
 
 def _hazard_refusals(
@@ -544,13 +398,14 @@ def plane_lag_verdict(
     :func:`_plane_distances`), so ``lags[q]`` is the largest such bound,
     and at least 0.  ``deps`` is the plan's dependence edge set.
 
-    The steps qualify under the conditions :func:`time_tile_verdict`
-    states, along axis 0: every step is hazard-free (so snapshot-free:
+    The steps qualify iff every step is hazard-free (so snapshot-free:
     its points may be split into planes), writes through an
-    identity-scale map and reads each written grid through an
-    identity-scale map at an axis-0 offset within half the grid extent
-    (a wrap-around read would lag a step by the whole grid), and the
-    grids have a second axis, so a plane is a loop nest of its own.
+    identity-scale map (a scaled write's planes are not the planes it
+    writes) and reads each written grid through an identity-scale map
+    (a scaled read has no constant plane distance) at an axis-0 offset
+    within half the grid extent (a wrap-around read would lag a step by
+    the whole grid), and the grids have a second axis, so a plane is a
+    loop nest of its own.
     Everything but the hazards depends on the extents only below a
     threshold, and is taken once per shape family above it
     (:func:`plane_lag_facts`).
@@ -588,39 +443,6 @@ def plane_lag_verdict(
     return lags, evidence, refusals
 
 
-def _plan_time_tile(
-    group: StencilGroup,
-    shapes: Mapping[str, tuple[int, ...]],
-    phases: Sequence[SchedulePhase],
-    k: int,
-) -> TimeTile:
-    """Legalize ``time_tile=k`` over the lowered phases, or raise."""
-    steps = [s for ph in phases for s in ph.steps]
-    slope, evidence, refusals = time_tile_verdict(group, shapes, steps)
-    if refusals:
-        detail = "; ".join(e.basis for e in refusals)
-        from .. import telemetry
-
-        telemetry.count("schedule.time_tile.refusals")
-        telemetry.event(
-            "schedule.time_tile.refused",
-            group=group.name, k=k, detail=detail,
-        )
-        raise ScheduleError(
-            f"time_tile={k} is not legal for group {group.name!r}: {detail}",
-            refusals,
-        )
-    evidence.append(
-        Evidence(
-            "time-tile",
-            f"{len(steps)} step(s), cross-application halo {slope}: "
-            "fused outer time loop (barriers intact per application); "
-            "traffic reduction from whole-grid cache residency",
-        )
-    )
-    return TimeTile(k=k, slope=slope, evidence=tuple(evidence))
-
-
 def verify_schedule(sched: Schedule) -> list[Evidence]:
     """Re-validate a schedule against its group's dependence evidence.
 
@@ -632,8 +454,9 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
     and sweep correctness against parity-class recognition; then, when
     the steps carry plane lags and passed so far, that every step has
     one, the plane-lag rule admits them and each lag covers every plane
-    distance (:func:`plane_lag_verdict`); and — when a time tile is
-    attached — the time-tile verdict including slope staleness.
+    distance (:func:`plane_lag_verdict`).  ``options.time_tile`` needs
+    no check: ``k`` applications are the verified program run ``k``
+    times.
     """
     problems: list[Evidence] = []
     group = sched.group
@@ -745,20 +568,6 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
         # lags are distances between steps: judged on legal steps only
         problems.extend(_lag_problems(sched))
 
-    if sched.time_tile is not None:
-        steps = list(sched.steps())
-        slope, _, refusals = time_tile_verdict(group, norm, steps)
-        problems.extend(refusals)
-        if not refusals and slope != sched.time_tile.slope:
-            problems.append(
-                Evidence(
-                    "time-tile-refused",
-                    f"attached time tile assumes cross-application halo "
-                    f"{sched.time_tile.slope} but the current steps "
-                    f"prove slope {slope}; re-plan the tile after "
-                    "restructuring",
-                )
-            )
     return problems
 
 
@@ -841,8 +650,9 @@ def build_schedule(
     (``fuse=True``) or as singletons, every step tagged with its
     parallel/snapshot verdict and, under ``multicolor=True``, its
     parity-class sweep; several steps that :func:`plane_lag_verdict`
-    admits get their plane lags; ``time_tile > 1`` attaches the
-    legalized time tile.  The result carries ``options`` verbatim and
+    admits get their plane lags.  The result carries ``options``
+    verbatim (``time_tile`` is read from there: the depth of one outer
+    loop around the whole program, with no rule of its own) and
     passes :func:`verify_schedule` once, or :class:`ScheduleError` is
     raised.
     """
@@ -874,13 +684,7 @@ def build_schedule(
                 )
             phases.append(SchedulePhase(pi, tuple(steps)))
         phases = _lag_steps(group, norm, phases, exec_plan.dependences)
-        tt = (
-            _plan_time_tile(group, norm, phases, options.time_tile)
-            if options.time_tile > 1 else None
-        )
-        sched = Schedule(
-            group, norm, options, exec_plan, tuple(phases), tt
-        )
+        sched = Schedule(group, norm, options, exec_plan, tuple(phases))
         problems = verify_schedule(sched)
     if problems:
         raise ScheduleError(

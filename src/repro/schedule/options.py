@@ -14,10 +14,9 @@ backend with no lowering for a hint accepts it and ignores it, so the
 same options can be handed to every link of a fallback chain.
 
 ``time_tile`` is the one *semantic* field: a kernel built with
-``time_tile=k`` performs ``k`` applications per call.  It is honoured or
-refused loudly (``NotImplementedError`` from a backend that cannot lower
-it, ``ScheduleError`` with evidence for a group it is illegal on) and
-never dropped.
+``time_tile=k`` performs ``k`` applications per call.  Every built-in
+backend honours it on every group (one outer loop around the whole
+program), and none drops it.
 """
 
 from __future__ import annotations
@@ -52,11 +51,9 @@ class ScheduleOptions:
     ``time_tile``
         Temporal blocking: fuse this many successive applications of
         the whole group into one kernel invocation (one outer time
-        loop around the program).  ``1`` (the default) is a single sweep;
-        ``k > 1`` is only legal when every step's cross-application
-        footprint is a bounded halo and no step needs a gather
-        snapshot — :func:`~repro.schedule.build_schedule` refuses
-        otherwise, with evidence.
+        loop around the program).  ``1`` (the default) is a single sweep.
+        Each application runs the whole barrier-ordered program, so
+        ``k > 1`` is ``k`` calls by construction, legal on every group.
     ``unroll``
         Innermost-loop unroll factor hint for the C-family targets
         (emitted as ``#pragma GCC unroll N``); a pure performance hint

@@ -32,7 +32,7 @@ compare):
   JSON for Perfetto.  Records inside a ``tracing.session()`` block or
   whenever ``SNOWFLAKE_TELEMETRY=trace``.  Every pipeline event
   (:func:`event`: fallbacks, guard trips, quarantines, rank crashes,
-  checkpoint/restore, time-tile refusals) is one instant in the same
+  checkpoint/restore, tuner refusals) is one instant in the same
   buffer, linked to the span it fired in.  It is also the profiler:
   ``tracing.self_times()`` folds the exact span durations into a
   hot-path table.

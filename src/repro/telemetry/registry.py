@@ -73,7 +73,6 @@ KNOWN_EVENTS = (
     "dmem.retransmit",
     "dmem.checkpoint",
     "dmem.restore",
-    "schedule.time_tile.refused",
     "tuning.trial",
     "tuning.candidate.refused",
     "tuning.winner",

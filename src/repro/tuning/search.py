@@ -7,10 +7,10 @@ this is that method for every field of
 with the analytic cost model (:mod:`repro.kernel.cost` traffic on a
 :class:`~repro.machine.specs.MachineSpec` roofline), and only the most
 promising predictions are *measured* with min-over-repeats timing.
-Illegal candidates (time-tile refusals, backends that cannot lower an
-option) are recorded as ``refused`` trials with the refusing evidence
-kind — and emitted as ``tuning.candidate.refused`` events — instead of
-silently vanishing.
+A candidate that cannot be built (a :class:`~repro.schedule.ScheduleError`
+from the lowering, a backend that cannot lower an option) is recorded
+as a ``refused`` trial with the refusing evidence kind — and emitted as
+a ``tuning.candidate.refused`` event — instead of silently vanishing.
 
 ``time_tile`` is never searched: a ``k``-deep tile does ``k``
 applications per call, so candidates of different depth are not
@@ -211,7 +211,7 @@ def predict_schedule_time(
     spec = resolve_search_spec(spec)
     norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
     sched = schedule_for(group, norm, options)
-    k = 1 if sched.time_tile is None else sched.time_tile.k
+    k = sched.options.time_tile
     bw = spec.effective_bw(_working_set(norm))
     seconds = 0.0
     launches = 0

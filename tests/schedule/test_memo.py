@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.schedule import ScheduleOptions, schedule_for
+from repro.schedule import Evidence, ScheduleOptions, schedule_for
 from repro.schedule import lower
 from tests.schedule import _cases
 from tests.schedule._cases import laplacian_pair
@@ -104,9 +104,15 @@ class TestRefusedBuild:
     def test_refused_build_leaves_no_build_lock(self, monkeypatch):
         monkeypatch.setattr(lower, "_CACHE", type(lower._CACHE)())
         monkeypatch.setattr(lower, "_BUILDING", {})
+        verify = lower.verify_schedule
+        monkeypatch.setattr(
+            lower, "verify_schedule",
+            lambda sched: [Evidence("fuse-refused", "refused for the test")]
+            if sched.options.fuse else verify(sched),
+        )
         group, shapes = _cases.snapshot_group()
         with pytest.raises(lower.ScheduleError):
-            schedule_for(group, shapes, ScheduleOptions(time_tile=2))
+            schedule_for(group, shapes, ScheduleOptions(fuse=True))
         with pytest.raises(ValueError):
             schedule_for(group, shapes, ScheduleOptions(policy="nonesuch"))
         assert lower._BUILDING == {}

@@ -13,11 +13,9 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.schedule import ScheduleOptions, schedule_for
 from repro.telemetry import tracing
 from tests.schedule.test_time_tile import (
     gsrb_case,
-    periodic_case,
     smooth_case,
 )
 
@@ -116,17 +114,3 @@ class TestInertInstrumentation:
         group, shapes, arrays = gsrb_case()
         _run_tiled(group, shapes, arrays, k=3)
         assert tracing.events() == []
-
-
-class TestRefusalTelemetry:
-    def test_refusal_bumps_counter(self):
-        group, shapes = periodic_case()
-        before = telemetry.snapshot()["counters"].get(
-            "schedule.time_tile.refusals", 0
-        )
-        with pytest.raises(ValueError):
-            schedule_for(group, shapes, ScheduleOptions(time_tile=2))
-        after = telemetry.snapshot()["counters"][
-            "schedule.time_tile.refusals"
-        ]
-        assert after == before + 1

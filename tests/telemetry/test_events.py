@@ -161,22 +161,6 @@ class TestPipelineEvents:
         (deg,) = instants("resilience.degraded")
         assert deg["args"] == {"primary": "c", "serving": "numpy"}
 
-    def test_time_tile_refusal_emits_event(self):
-        from repro.core.stencil import StencilGroup
-        from repro.hpgmg.operators import periodic_boundary_stencils
-        from repro.schedule import ScheduleOptions, schedule_for
-
-        group = StencilGroup(
-            periodic_boundary_stencils(2, 8, grid="x"), name="periodic"
-        )
-        shapes = {g: (10, 10) for g in group.grids()}
-        with tracing.session(), pytest.raises(ValueError):
-            schedule_for(group, shapes, ScheduleOptions(time_tile=2))
-        (ev,) = instants("schedule.time_tile.refused")
-        assert ev["cat"] == "schedule"
-        assert ev["args"]["group"] == "periodic" and ev["args"]["k"] == 2
-        assert ev["args"]["detail"]
-
     @pytest.mark.faults
     def test_transport_retransmit_emits_event(self):
         import numpy as np

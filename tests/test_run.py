@@ -11,37 +11,34 @@ from tests.schedule.test_time_tile import (
 )
 
 
+def assert_one_invocation(case, backend, times):
+    """``run(times=times)`` is one call, bitwise ``times`` plain calls."""
+    group, shapes, arrays = case
+    work = {g: a.copy() for g, a in arrays.items()}
+    assert run(group, work, times=times, backend=backend) == 1
+    ref = {g: a.copy() for g, a in arrays.items()}
+    kernel = group.compile(backend=backend, shapes=shapes)
+    for _ in range(times):
+        kernel(**ref)
+    for g in sorted(shapes):
+        np.testing.assert_array_equal(work[g], ref[g])
+
+
 class TestRun:
     def test_time_tile_lands_in_one_invocation(self):
-        group, shapes, arrays = gsrb_case()
-        tiled = {g: a.copy() for g, a in arrays.items()}
-        assert run(group, tiled, times=4, backend="numpy") == 1
-        ref = {g: a.copy() for g, a in arrays.items()}
-        kernel = group.compile(
-            backend="numpy", shapes=shapes, dtype=np.float64
-        )
-        for _ in range(4):
-            kernel(**ref)
-        for g in sorted(shapes):
-            np.testing.assert_array_equal(tiled[g], ref[g])
+        assert_one_invocation(gsrb_case(), "numpy", 4)
 
-    def test_refused_group_falls_back_to_k_calls(self):
-        group, shapes = periodic_case()
-        rng = np.random.default_rng(0)
-        arrays = {g: rng.standard_normal(shapes[g]) for g in shapes}
-        assert run(group, arrays, times=3, backend="numpy") == 3
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    def test_periodic_group_runs_in_one_invocation(self, backend):
+        assert_one_invocation(periodic_case(), backend, 3)
 
-    def test_strict_surfaces_the_refusal(self):
-        group, shapes = periodic_case()
-        rng = np.random.default_rng(0)
-        arrays = {g: rng.standard_normal(shapes[g]) for g in shapes}
-        with pytest.raises(ValueError, match="not legal"):
+    def test_gpu_sim_runs_in_one_invocation(self):
+        assert_one_invocation(jacobi_case(), "cuda-sim", 2)
+
+    def test_strict_is_not_an_option(self):
+        group, _, arrays = periodic_case()
+        with pytest.raises(TypeError, match="strict"):
             run(group, arrays, times=3, backend="numpy", strict=True)
-
-    def test_gpu_sim_falls_back(self):
-        group, shapes, arrays = jacobi_case()
-        work = {g: a.copy() for g, a in arrays.items()}
-        assert run(group, work, times=2, backend="cuda-sim") == 2
 
     def test_times_one_is_a_plain_call(self):
         group, _, arrays = jacobi_case()
@@ -108,20 +105,15 @@ class TestRunMemo:
         run(group, arrays, backend="c")
         assert self.compiles() == (n[0] + 3, n[1] + 3)
 
-    def test_refusal_fallback_is_memoised_and_strict_still_raises(self):
+    def test_periodic_kernel_is_memoised(self):
         from repro import telemetry
 
-        group, shapes = periodic_case()
-        rng = np.random.default_rng(0)
-        arrays = {g: rng.standard_normal(shapes[g]) for g in shapes}
-        assert run(group, arrays, times=3, backend="numpy") == 3
+        group, _, arrays = periodic_case()
+        assert run(group, arrays, times=3, backend="numpy") == 1
         specialized = telemetry.snapshot()["timers"]["backend.numpy.specialize"]
-        assert run(group, arrays, times=3, backend="numpy") == 3
+        assert run(group, arrays, times=3, backend="numpy") == 1
         again = telemetry.snapshot()["timers"]["backend.numpy.specialize"]
         assert again["count"] == specialized["count"]
-        for _ in range(2):
-            with pytest.raises(ValueError, match="not legal"):
-                run(group, arrays, times=3, backend="numpy", strict=True)
 
     def test_memo_is_bounded_and_dies_with_the_program(self):
         import gc
@@ -133,7 +125,7 @@ class TestRunMemo:
         for times in range(1, _MEMO_SIZE + 4):
             run(group, arrays, times=times, backend="numpy")
         assert len(group._run_kernels) == _MEMO_SIZE
-        kernel = weakref.ref(next(iter(group._run_kernels.values()))[0])
+        kernel = weakref.ref(next(iter(group._run_kernels.values())))
         del group
         # schedule_for's bounded LRU also holds the group; with that
         # aged out, nothing run() made keeps program or kernel alive

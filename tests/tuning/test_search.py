@@ -9,6 +9,8 @@ import pytest
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
+from repro.backends import base
+from repro.backends.numpy_backend import NumpyBackend
 from repro.core.weights import WeightArray
 from repro.schedule import ScheduleOptions
 from repro.telemetry import tracing
@@ -26,18 +28,32 @@ def lap_workload(n=12):
     return group, shapes, arrays
 
 
-def snapshot_workload(n=10):
-    """In-place symmetric read — refuses time tiling (snapshot step)."""
-    w = WeightArray([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    s = Stencil(
-        Component("u", w), "u", RectDomain((1, 1), (-1, -1)),
-        name="inplace",
+@pytest.fixture
+def refuse_fused(monkeypatch):
+    """A lowering that refuses every ``fuse=True`` candidate, as a
+    legality rule would: the tuner records the refusal and goes on."""
+    from repro.schedule import Evidence, lower
+
+    monkeypatch.setattr(lower, "_CACHE", type(lower._CACHE)())
+    verify = lower.verify_schedule
+    monkeypatch.setattr(
+        lower, "verify_schedule",
+        lambda sched: (
+            [Evidence("fuse-refused", "refused for the test")]
+            if sched.options.fuse else verify(sched)
+        ),
     )
-    group = StencilGroup([s], name="snap")
-    shapes = {"u": (n, n)}
-    rng = np.random.default_rng(3)
-    arrays = {g: rng.standard_normal(sh) for g, sh in shapes.items()}
-    return group, shapes, arrays
+
+
+class NoTimeTileBackend(NumpyBackend):
+    """A backend with no lowering for ``time_tile``: it refuses one."""
+
+    name = "test-no-time-tile"
+
+    def compile(self, group, **options):
+        if options["schedule"].options.time_tile > 1:
+            raise NotImplementedError("no time_tile lowering")
+        return super().compile(group, **options)
 
 
 class TestPredict:
@@ -60,15 +76,13 @@ class TestPredict:
         # k applications per call: more than base, less than k * base
         assert base < tiled < 4 * base
 
-    def test_refused_candidate_raises_through(self):
+    def test_refused_candidate_raises_through(self, refuse_fused):
         from repro.schedule import ScheduleError
 
-        group, shapes, _ = snapshot_workload()
+        group, shapes, _ = lap_workload()
         with pytest.raises(ScheduleError):
             predict_schedule_time(
-                group, shapes,
-                ScheduleOptions(multicolor=False, time_tile=2),
-                spec="paper-cpu",
+                group, shapes, ScheduleOptions(fuse=True), spec="paper-cpu",
             )
 
     def test_unknown_spec_rejected(self):
@@ -135,26 +149,23 @@ class TestSearch:
         )
         assert res.backend == "numpy"
 
-    def test_refused_candidates_recorded_with_evidence_kind(self):
-        group, shapes, arrays = snapshot_workload()
+    def test_refused_candidates_recorded_with_evidence_kind(
+        self, refuse_fused
+    ):
+        group, shapes, arrays = lap_workload()
         with tracing.session():
             res = search_schedules(
                 group, arrays, backend="numpy", budget=2, repeats=1,
-                candidates=[
-                    ScheduleOptions(multicolor=False),
-                    ScheduleOptions(multicolor=False, time_tile=2),
-                ],
+                candidates=[ScheduleOptions(), ScheduleOptions(fuse=True)],
             )
         refused = [t for t in res.trials if t.status == "refused"]
-        assert refused, "an illegal time-tiled seed must be refused"
-        assert all(
-            t.detail == "time-tile-refused" for t in refused
-        )
+        assert refused, "a refused seed must be recorded"
+        assert all(t.detail == "fuse-refused" for t in refused)
         recs = [
             e["args"] for e in tracing.events()
             if e["name"] == "tuning.candidate.refused"
         ]
-        assert recs and recs[0]["kind"] == "time-tile-refused"
+        assert recs and recs[0]["kind"] == "fuse-refused"
 
     def test_trial_and_winner_events_emitted(self):
         group, shapes, arrays = lap_workload()
@@ -218,12 +229,14 @@ class TestSearch:
                 group, arrays, backend="numpy", strategy="genetic"
             )
 
-    def test_backend_refusal_at_measure_time_terminates(self):
-        # cuda-sim predicts a time-tiled seed fine and refuses it when
+    def test_backend_refusal_at_measure_time_terminates(self, monkeypatch):
+        # a time-tiled seed is predicted fine and refused by a backend
         # asked to lower it; the search records that and moves on
+        be = NoTimeTileBackend()
+        monkeypatch.setitem(base._REGISTRY, be.name, be)
         group, shapes, arrays = lap_workload()
         res = search_schedules(
-            group, arrays, backend="cuda-sim", budget=2, repeats=1,
+            group, arrays, backend=be.name, budget=2, repeats=1,
             candidates=[ScheduleOptions(), ScheduleOptions(time_tile=2)],
         )
         assert res.best.time_tile == 1 and len(res.measured()) == 2
