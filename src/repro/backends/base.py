@@ -388,6 +388,15 @@ class Backend(abc.ABC):
             )
         return lambda shapes: as_schedule(spec, group, shapes)
 
+    def lags_applications(self, sched: Schedule) -> bool:
+        """Whether this backend runs ``sched``'s time tile as its
+        application lag says (:attr:`~repro.schedule.ir.Schedule.app_lag`:
+        the ``k`` applications in one loop over axis-0 planes, the grids
+        streamed once) rather than as ``k`` whole sweeps.  Only the
+        ``c`` walker does; the cost model (:mod:`repro.tuning.search`)
+        and :mod:`repro.explain` charge traffic by this answer."""
+        return False
+
     @abc.abstractmethod
     def specializer(
         self, group: StencilGroup, **options

@@ -20,7 +20,8 @@ The generated function has the narrow FFI signature
     void sf_kernel(TYPE** grids, const double* params, const int64_t* dims);
 
 with grids and params passed in sorted-name order and ``dims`` holding
-every grid's extents in the same order.  The source is *size-generic*:
+every grid's extents in the same order, then, for ``time_tile = k > 1``,
+the depth ``k`` (read into ``sf_k``).  The source is *size-generic*:
 loop bounds, strides and snapshot sizes are read from ``dims``, so one
 shared object serves every shape whose schedule renders the same text
 (a multigrid operator compiles once for all its levels), and the
@@ -53,8 +54,8 @@ from ..analysis.structure import check_once, verdict
 from ..core.stencil import StencilGroup
 from ..core.validate import check_dtype
 from ..resilience.guards import Guards
-from ..schedule import as_schedule
-from ..schedule.lower import plane_lag_facts
+from ..schedule import Schedule, as_schedule
+from ..schedule.lower import lag_fact_args, plane_lag_facts
 from .base import (
     Backend,
     BoundKernel,
@@ -366,16 +367,21 @@ class CBackend(Backend):
         schedule_at = self.pop_schedule(group, options)
 
         def specialize(shapes, dtype) -> Callable:
-            src = self.generate(
-                group, shapes, dtype, schedule=schedule_at(shapes)
-            )
+            sched = schedule_at(shapes)
+            src = self.generate(group, shapes, dtype, schedule=sched)
             telemetry.count(f"codegen.{self.name}.sources")
             telemetry.count(f"codegen.{self.name}.bytes", len(src))
             lib = compile_and_load(src, openmp=self.target.openmp)
-            ctx = CodegenContext(group, shapes, ctype_for(dtype))
+            ctx = CodegenContext(
+                group, shapes, ctype_for(dtype),
+                time_tile=sched.options.time_tile,
+            )
             return make_ffi_wrapper(lib, "sf_kernel", ctx)
 
         return specialize
+
+    def lags_applications(self, sched: Schedule) -> bool:
+        return self.target.plane_loop and sched.app_lag is not None
 
     def generate(
         self, group, shapes, dtype, *, schedule=None, func_name="sf_kernel"
@@ -391,17 +397,23 @@ class CBackend(Backend):
         schedule runs every step inside one loop over axis-0 planes
         ``sf_t`` (step ``q`` on plane ``sf_t - lag``, the steps'
         preludes hoisted before it) when the target's ``plane_loop`` is
-        on, and a fused time tile wraps the whole step sequence in one
-        ``sf_tt`` loop.  Snapshots are allocated once at the top, filled
-        at the start of their step's phase (a phase's steps are mutually
-        independent) and freed at the end.
+        on.  A time tile of ``sf_k`` applications (the depth is read
+        from ``dims``, so one text serves every ``k > 1``) runs them in
+        that plane loop too when the schedule lags its applications,
+        application ``sf_a`` on plane ``sf_t - lag - sf_a*app_lag``, and
+        otherwise wraps the whole step sequence in one ``sf_tt`` loop.
+        Snapshots are allocated once at the top, filled at the start of
+        their step's phase (a phase's steps are mutually independent)
+        and freed at the end.
         """
         t = self.target
         telemetry.count(f"codegen.{self.name}.renders")
         norm = {g: tuple(int(x) for x in shapes[g]) for g in shapes}
         sched = as_schedule(schedule, group, norm)
         lagged = t.plane_loop and sched.lagged
-        ctx = CodegenContext(group, norm, ctype_for(dtype))
+        k = sched.options.time_tile
+        app = sched.app_lag if self.lags_applications(sched) else None
+        ctx = CodegenContext(group, norm, ctype_for(dtype), time_tile=k)
 
         def nbytes(grid: str) -> str:
             return f"{ctx.grid_size(grid)} * sizeof({ctx.ctype})"
@@ -430,7 +442,7 @@ class CBackend(Backend):
                     parity=step.sweep, snapshot_name=snaps.get(step.head),
                     fused_with=[group[i] for i in step.stencils[1:]],
                     unroll=sched.options.unroll, parallel=step.parallel,
-                    plane=step.lag if lagged else None,
+                    plane=step.lag if lagged else None, app_lag=app,
                 )
                 if not lagged:
                     body.extend(loops.emit(t.task_pragma))
@@ -445,11 +457,22 @@ class CBackend(Backend):
             body.extend(t.phase_end)
         if ends:
             # one pass: plane sf_t runs each step on its plane sf_t - lag
+            # (and application sf_a app_lag planes behind sf_a - 1)
             end, *more = map(str, ends.values())
-            if more:
+            if more or app:
                 prelude.append(f"int64_t sf_tn = {end};")
                 prelude += [f"if ({e} > sf_tn) sf_tn = {e};" for e in more]
+                if app:
+                    prelude.append(f"sf_tn += (sf_k - 1) * {app};")
                 end = "sf_tn"
+            if app is not None:
+                prelude.insert(0, "/* fused time tile: sf_k applications, "
+                               f"each {app} plane(s) behind the last */")
+                body = [
+                    "for (int64_t sf_a = 0; sf_a < sf_k; ++sf_a) {",
+                    *("  " + l for l in body),
+                    "}",
+                ]
             body = [
                 *prelude,
                 f"for (int64_t sf_t = 0; sf_t < {end}; ++sf_t) {{",
@@ -467,13 +490,12 @@ class CBackend(Backend):
         if t.region:
             lines.extend(pad + l for l in (*t.region, "{"))
             pad += "  "
-        k = sched.options.time_tile
-        if k > 1:
+        if k > 1 and app is None:
             # every application runs the full barrier-ordered program,
             # so the result is k sequential sweeps by construction
-            lines.append(f"{pad}/* fused time tile k={k} */")
+            lines.append(f"{pad}/* fused time tile: sf_k applications */")
             lines.append(
-                f"{pad}for (int64_t sf_tt = 0; sf_tt < {k}; ++sf_tt) {{"
+                f"{pad}for (int64_t sf_tt = 0; sf_tt < sf_k; ++sf_tt) {{"
             )
             lines.extend(pad + "  " + l for l in body)
             lines.append(pad + "}")
@@ -532,7 +554,7 @@ class CBackend(Backend):
                     bodies.append(src)
                 if key is not None:
                     keyed_ops[key] = op
-            plan.append((group, shapes, op))
+            plan.append((group, shapes, op, sched.options.time_tile))
         sources = program_source(bodies, ctype_for(dt))
         telemetry.count(f"codegen.{self.name}.sources")
         telemetry.count(
@@ -545,11 +567,15 @@ class CBackend(Backend):
             lib = compile_and_load(sources, openmp=self.target.openmp)
         guards = guards if guards is not None else Guards.from_env()
         kernels = []
-        for group, shapes, op in plan:
+        for group, shapes, op, k in plan:
 
-            def specialize(s, d, group=group, shapes=shapes, op=op) -> Callable:
+            def specialize(
+                s, d, group=group, shapes=shapes, op=op, k=k
+            ) -> Callable:
                 if s == shapes and d == dt:
-                    ctx = CodegenContext(group, shapes, ctype_for(dt))
+                    ctx = CodegenContext(
+                        group, shapes, ctype_for(dt), time_tile=k
+                    )
                     return make_ffi_wrapper(lib, f"sf_op{op}", ctx)
                 # another shape is not in the program: its own artifact
                 return self.specializer(group, **options)(s, d)
@@ -569,7 +595,10 @@ class CBackend(Backend):
         or ``None`` below it: the structure verdict with this target's
         emitter decisions (:func:`render_decisions`) and, when the walker
         runs the schedule's plane lags, the lags' own
-        (:func:`~repro.schedule.lower.plane_lag_facts`)."""
+        (:func:`~repro.schedule.lower.plane_lag_facts` of each
+        :func:`~repro.schedule.lower.lag_fact_args`, which also say
+        whether the applications are lagged: that depends on the grids'
+        bytes, not the structure)."""
         lagged = self.target.plane_loop and sched.lagged
         keyed = verdict(group, shapes, (
             render_decisions, sched.options.tile,
@@ -577,14 +606,12 @@ class CBackend(Backend):
         ))
         if keyed is None:
             return None
-        lags = None
-        if lagged:
-            lags = (
-                tuple(st.stencils for st in sched.steps()),
-                tuple(sorted(sched.plan.dependences)),
-            )
-            if verdict(group, shapes, (plane_lag_facts, *lags)) is None:
-                return None
+        lags = lag_fact_args(sched) if lagged else None
+        if lags is not None and any(
+            verdict(group, shapes, (plane_lag_facts, *f)) is None
+            for f in lags
+        ):
+            return None
         return (keyed.key, lags, tuple(st.name for st in group),
                 sched.options)
 

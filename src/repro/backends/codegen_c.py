@@ -154,12 +154,16 @@ class CodegenContext:
     ``c``), and :meth:`index_expr`, :meth:`grid_size` and
     :meth:`iteration_extents` render in terms of them.  Without it
     (the GPU dialects) strides are baked into the text as numbers.
+    ``time_tile`` is the depth ``k`` of a time tile: past one it rides
+    in ``dims`` too, after the extents, and the body reads it into
+    ``sf_k``, so the text is the same for every ``k > 1``.
     """
 
     group: StencilGroup
     shapes: Mapping[str, tuple[int, ...]]
     ctype: str
     runtime_sizes: bool = True
+    time_tile: int = 1
 
     grid_order: list[str] = field(init=False)
     param_order: list[str] = field(init=False)
@@ -205,8 +209,10 @@ class CodegenContext:
             self.strides[g] = tuple(st)
 
     def dims_table(self) -> list[int]:
-        """The ``dims`` argument: every grid's extents, in grid order."""
-        return [int(x) for g in self.grid_order for x in self.shapes[g]]
+        """The ``dims`` argument: every grid's extents, in grid order,
+        then the time tile's depth when it is past one."""
+        table = [int(x) for g in self.grid_order for x in self.shapes[g]]
+        return table + [self.time_tile] if self.time_tile > 1 else table
 
     def grid_size(self, g: str) -> str:
         """Element count of ``g`` as a C expression."""
@@ -260,6 +266,8 @@ class CodegenContext:
                         + ";"
                     )
             at += len(ext)
+        if self.time_tile > 1:
+            lines.append(f"  const int64_t sf_k = dims[{at}];")
         return lines
 
     def entry_point(self, func_name: str) -> list[str]:
@@ -555,7 +563,11 @@ class StencilLoops:
     in a plane-lagged schedule: the nests then run inside the walker's
     loop over planes ``sf_t``, on the one plane ``i0 = sf_t - plane``
     guarded to each box's axis-0 range and stride, and the tiles (and
-    tasks) go on the outermost of the remaining loops.
+    tasks) go on the outermost of the remaining loops.  ``app_lag`` is
+    the schedule's application lag
+    (:attr:`~repro.schedule.ir.Schedule.app_lag`) when the walker runs a
+    time tile's applications ``sf_a`` in the plane loop too: the plane
+    is then ``sf_t - plane - app_lag*sf_a``.
 
     Bounds are :class:`Bound`\\ s over the context's extents; whether a
     box is empty and whether a loop is long enough to tile are decided
@@ -574,6 +586,7 @@ class StencilLoops:
         unroll: int | None = None,
         parallel: bool = False,
         plane: int | None = None,
+        app_lag: int | None = None,
     ) -> None:
         self.ctx = ctx
         self.stencil = stencil
@@ -583,6 +596,7 @@ class StencilLoops:
         self.unroll = unroll
         self.parallel = parallel
         self.plane = plane
+        self.app_lag = app_lag
         self.fused_with = tuple(fused_with)
         if self.fused_with and snapshot_name is not None:
             raise ValueError("fused clusters must be snapshot-free")
@@ -641,6 +655,8 @@ class StencilLoops:
         if self.plane is None:
             return lines
         at = f"sf_t - {self.plane}" if self.plane else "sf_t"
+        if self.app_lag:
+            at += f" - {_scaled(self.app_lag, 'sf_a')}"
         return [
             "{", f"  const int64_t i0 = {at};",
             *("  " + l for l in lines), "}",

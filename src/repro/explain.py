@@ -39,7 +39,7 @@ from .core.stencil import Stencil, StencilGroup
 from .kernel import kernel_cost
 from .schedule import Schedule
 from .telemetry import tracing
-from .tuning.search import time_tile_cost
+from .tuning.search import resident_bytes, time_tile_cost
 
 __all__ = [
     "StencilProvenance",
@@ -200,13 +200,16 @@ class GroupProvenance:
         if self.swept is not None:
             lines.append("")
             lines.append("time-tile traffic prediction (paper-cpu cache):")
+            block = "working set"
+            if get_backend(self.backend).lags_applications(self.schedule):
+                block = f"lag window of {self.schedule.lag_window()} planes"
             for name, sc in self.swept.items():
                 fits = "fits" if sc["cache_resident"] else "exceeds"
                 lines.append(
                     f"  {name}: {sc['base_bytes_per_point']:g} -> "
                     f"{sc['swept_bytes_per_point']:g} B/pt "
                     f"(x{sc['traffic_reduction']:.2f} reduction at "
-                    f"k={sc['k']}; working set {fits} the cache)"
+                    f"k={sc['k']}; {block} {fits} the cache)"
                 )
         if self.artifact is not None:
             lines.append("")
@@ -271,9 +274,13 @@ def explain(
         swept: dict | None = None
         if sched is not None and sched.options.time_tile > 1:
             k = sched.options.time_tile
-            swept = {}
-            for st in group:
-                swept[st.name] = time_tile_cost(st, shapes, k).to_dict()
+            resident = resident_bytes(sched, be)
+            swept = {
+                st.name: time_tile_cost(
+                    st, shapes, k, resident=resident
+                ).to_dict()
+                for st in group
+            }
         artifact = be.artifact_info(group, shapes, dtype, **options)
     return GroupProvenance(
         group=group.name,

@@ -6,7 +6,14 @@ from .roofline import (
     roofline_stencils_per_s,
     roofline_time,
 )
-from .specs import I7_4765T, K20C, PAPER_PLATFORMS, MachineSpec, host_spec
+from .specs import (
+    I7_4765T,
+    K20C,
+    PAPER_PLATFORMS,
+    MachineSpec,
+    host_spec,
+    l2_bytes,
+)
 from .stream import STREAM_DOT_C_SOURCE, stream_dot_bandwidth
 
 __all__ = [
@@ -19,6 +26,7 @@ __all__ = [
     "PAPER_PLATFORMS",
     "MachineSpec",
     "host_spec",
+    "l2_bytes",
     "STREAM_DOT_C_SOURCE",
     "stream_dot_bandwidth",
 ]

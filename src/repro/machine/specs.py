@@ -11,8 +11,12 @@ is *measured* with the modified STREAM benchmark (Fig.6).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
-__all__ = ["MachineSpec", "I7_4765T", "K20C", "host_spec", "PAPER_PLATFORMS"]
+__all__ = [
+    "MachineSpec", "I7_4765T", "K20C", "host_spec", "PAPER_PLATFORMS",
+    "l2_bytes",
+]
 
 
 @dataclass(frozen=True)
@@ -86,3 +90,31 @@ def host_spec() -> MachineSpec:
         launch_overhead=2e-6,
     )
     return _HOST_CACHE
+
+
+#: where Linux lists cpu0's caches, one ``index*`` directory each
+SYSFS_CACHES = Path("/sys/devices/system/cpu/cpu0/cache")
+_L2: list[int | None] = []  # the one reading, once taken
+
+
+def l2_bytes() -> int | None:
+    """Per-core L2 capacity in bytes, as sysfs lists it for cpu0.
+
+    Read once per process; ``None`` when sysfs has no level-2 data or
+    unified cache entry.
+    """
+    if not _L2:
+        found = None
+        for d in sorted(SYSFS_CACHES.glob("index*")):
+            try:
+                level, kind, size = (
+                    (d / f).read_text().strip()
+                    for f in ("level", "type", "size")
+                )
+            except OSError:
+                continue
+            if level == "2" and kind in ("Unified", "Data"):
+                mult = {"K": 2**10, "M": 2**20, "G": 2**30}.get(size[-1:], 1)
+                found = int(size.rstrip("KMG")) * mult
+        _L2.append(found)
+    return _L2[0]

@@ -172,9 +172,15 @@ class Schedule:
     six backends.  ``plan`` keeps the underlying
     :class:`~repro.analysis.dag.ExecutionPlan` (dependence edges and
     barrier provenance); ``phases`` refine it with fusion, snapshot and
-    sweep decisions.  ``options.time_tile`` is the depth of one outer
-    loop every backend runs around the whole program, ``k``
-    applications per call; it needs no node or evidence of its own.
+    sweep decisions.  ``options.time_tile`` is ``k`` applications per
+    call, one outer loop around the whole program on every backend
+    unless ``app_lag`` is set.  ``app_lag`` is the *application lag*
+    ``Δ`` of a time tile lowered into the steps' plane loop: application
+    ``a`` runs step ``q`` on plane ``t - lag[q] - a*Δ``, so the ``k``
+    applications stream the grids once
+    (:func:`repro.schedule.lower.application_lag_verdict` decides).
+    ``evidence`` holds the time tile's facts: why the lowering was or
+    was not taken, and which dependence fixed ``Δ``.
     """
 
     group: StencilGroup
@@ -182,6 +188,8 @@ class Schedule:
     options: ScheduleOptions
     plan: ExecutionPlan
     phases: tuple[SchedulePhase, ...] = field(default_factory=tuple)
+    app_lag: int | None = None
+    evidence: tuple[Evidence, ...] = ()
 
     def steps(self) -> Iterator[Step]:
         for ph in self.phases:
@@ -199,6 +207,22 @@ class Schedule:
     def lagged(self) -> bool:
         """Whether the steps run plane-lagged in one axis-0 plane loop."""
         return any(s.lag is not None for s in self.steps())
+
+    def lag_window(self) -> int | None:
+        """Planes of every grid in flight at once in the plane loop of a
+        lagged time tile: the span of the steps' planes at one ``t``
+        (``max lag + (k - 1)*Δ``) plus the axis-0 reach of their reads
+        on either side; ``None`` unless ``app_lag`` is set."""
+        if self.app_lag is None:
+            return None
+        reach = max(
+            (abs(rd.offset[0]) for st in self.group for rd in st.flat.reads()),
+            default=0,
+        )
+        span = max(s.lag for s in self.steps()) + (
+            self.options.time_tile - 1
+        ) * self.app_lag
+        return span + 1 + 2 * reach
 
     def step_for(self, stencil_index: int) -> Step:
         for s in self.steps():
@@ -218,12 +242,19 @@ class Schedule:
         ]
         if self.options.time_tile > 1:
             lines.append(f"time tile: k={self.options.time_tile}")
+            lines.extend(f"  - {ev}" for ev in self.evidence)
         if self.lagged:
             lags = [s.lag for s in self.steps()]
             lines.append(
                 f"plane lags {lags}: step q on plane t - lag[q] of one "
                 "axis-0 plane loop (c; the other backends run the steps "
                 "in order)"
+            )
+        if self.app_lag is not None:
+            lines.append(
+                f"application lag {self.app_lag}: application a on plane "
+                f"t - lag[q] - a*{self.app_lag}, a lag window of "
+                f"{self.lag_window()} planes (c)"
             )
         for ph in self.phases:
             lines.append(f"phase {ph.index}:")
@@ -251,6 +282,9 @@ class Schedule:
         return {
             "group": self.group.name,
             "options": self.options.to_dict(),
+            "app_lag": self.app_lag,
+            "lag_window": self.lag_window(),
+            "evidence": [str(e) for e in self.evidence],
             "phases": [
                 {
                     "index": ph.index,

@@ -6,7 +6,9 @@ checkerboard recognition run; the backends and emitters consume the
 themselves.  Each legality rule is one function — :func:`fusion_refusals`
 ("may these stencils share a loop nest"), :func:`step_flags` (a
 step's parallel and snapshot flags) and :func:`plane_lag_verdict`
-("how many axis-0 planes must each step trail the ones before it") —
+("how many axis-0 planes must each step trail the ones before it")
+and :func:`application_lag_verdict` ("how many must each application
+of a time tile trail the one before it") —
 called alike by the lowering and
 by :func:`verify_schedule`, the one check every schedule passes: once at
 the end of :func:`build_schedule`, and wherever a hand-built
@@ -21,6 +23,7 @@ Phase-local chains make that impossible by construction.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from collections import OrderedDict
@@ -52,6 +55,8 @@ __all__ = [
     "fusion_chains",
     "plane_lag_verdict",
     "plane_lag_facts",
+    "application_lag_verdict",
+    "lag_fact_args",
     "verify_schedule",
     "build_schedule",
     "schedule_for",
@@ -443,6 +448,80 @@ def plane_lag_verdict(
     return lags, evidence, refusals
 
 
+def _all_pairs(group: StencilGroup) -> dict[tuple[int, int], None]:
+    """Every ordered stencil pair, each stencil with itself too: the
+    edges between two applications, where any stencil may touch what
+    any stencil of the application before it wrote."""
+    n = len(group)
+    return dict.fromkeys((i, j) for i in range(n) for j in range(n))
+
+
+def application_lag_verdict(
+    group: StencilGroup,
+    shapes: Mapping[str, tuple[int, ...]],
+    steps: Sequence[Step],
+) -> tuple[int, Evidence | None, list[Evidence]]:
+    """The application-lag rule: how many planes must application
+    ``a + 1`` of a time tile trail application ``a`` in the steps' plane
+    loop?
+
+    Returns ``(delta, evidence, refusals)``; ``delta`` and ``evidence``
+    (the dependence that fixed it) are meaningful iff ``refusals`` is
+    empty.  Application ``a`` runs step ``q`` on plane
+    ``t - lag[q] - a*delta``, applications in order within one ``t``;
+    the steps carry their plane lags (:func:`plane_lag_verdict`).  The
+    rule is the plane-lag rule on ``steps`` listed twice, with every
+    stencil pair an edge between the two copies: ``delta`` is the
+    smallest value ``>= 0`` with ``lag[q] + delta >= lag[q0] + d`` for
+    every pair (``q0`` of application ``a``, ``q`` of application
+    ``a + 1``) at plane distance ``d``.  A ``delta >= 0`` legal for
+    consecutive applications is legal for every later pair: application
+    ``a + j`` trails by ``j*delta >= delta``.
+    """
+    refusals = _hazard_refusals(group, steps)
+    if refusals:
+        return 0, None, refusals
+    refusals, need = _lag_facts(
+        group, shapes, [*steps, *steps], _all_pairs(group)
+    )
+    if refusals:
+        return 0, None, refusals
+    m = len(steps)
+    cross = [
+        (steps[q0].lag + d - steps[q - m].lag, q0, q - m, d, what)
+        for (q0, q), (d, what) in sorted(need.items()) if q0 < m <= q
+    ]
+    if not cross:
+        return 0, Evidence(
+            "app-lag", "0: no application touches what the one before "
+            "it wrote",
+        ), []
+    bound, q0, q, d, what = max(cross, key=lambda c: c[0])
+
+    def at(q: int) -> str:
+        names = ", ".join(group[i].name for i in steps[q].stencils)
+        return f"lag {steps[q].lag} of [{names}]"
+
+    delta = max(bound, 0)
+    return delta, Evidence(
+        "app-lag",
+        f"{delta} {'=' if bound >= 0 else '>'} {at(q0)} + plane distance "
+        f"{d} ({what}) - {at(q)} of the next application",
+    ), []
+
+
+def lag_fact_args(sched: Schedule) -> tuple[tuple, ...]:
+    """The ``(chains, edges)`` of every :func:`plane_lag_facts` a
+    lagged schedule's lags rest on: its steps under the plan's edges,
+    and, when it lags its applications, its steps listed twice under
+    every stencil pair (:func:`application_lag_verdict`)."""
+    chains = tuple(s.stencils for s in sched.steps())
+    out = [(chains, tuple(sorted(sched.plan.dependences)))]
+    if sched.app_lag is not None:
+        out.append((chains * 2, tuple(_all_pairs(sched.group))))
+    return tuple(out)
+
+
 def verify_schedule(sched: Schedule) -> list[Evidence]:
     """Re-validate a schedule against its group's dependence evidence.
 
@@ -454,9 +533,12 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
     and sweep correctness against parity-class recognition; then, when
     the steps carry plane lags and passed so far, that every step has
     one, the plane-lag rule admits them and each lag covers every plane
-    distance (:func:`plane_lag_verdict`).  ``options.time_tile`` needs
-    no check: ``k`` applications are the verified program run ``k``
-    times.
+    distance (:func:`plane_lag_verdict`); then, when the schedule lags
+    its applications, that it is a lagged time tile and ``app_lag``
+    covers every plane distance between consecutive applications
+    (:func:`application_lag_verdict`).  A time tile without an
+    application lag needs no check: ``k`` applications are the
+    verified program run ``k`` times.
     """
     problems: list[Evidence] = []
     group = sched.group
@@ -567,6 +649,8 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
     if sched.lagged and not problems:
         # lags are distances between steps: judged on legal steps only
         problems.extend(_lag_problems(sched))
+    if sched.app_lag is not None and not problems:
+        problems.extend(_app_lag_problems(sched))
 
     return problems
 
@@ -613,17 +697,41 @@ def _lag_problems(sched: Schedule) -> list[Evidence]:
     return problems
 
 
+def _app_lag_problems(sched: Schedule) -> list[Evidence]:
+    """The application-lag part of :func:`verify_schedule`."""
+    k, delta = sched.options.time_tile, sched.app_lag
+    if k == 1 or not sched.lagged:
+        return [Evidence(
+            "lag-refused",
+            f"application lag {delta} without "
+            + ("a time tile" if k == 1 else "plane lags")
+            + ": only a time tile's plane loop lags applications",
+        )]
+    need, evidence, refusals = application_lag_verdict(
+        sched.group, sched.shapes, list(sched.steps())
+    )
+    if refusals:
+        return refusals
+    if delta < need:
+        return [Evidence(
+            "lag-refused",
+            f"application lag {delta} is short: it needs {evidence.basis}",
+        )]
+    return []
+
+
 def _lag_steps(
     group: StencilGroup,
     shapes: Mapping[str, tuple[int, ...]],
     phases: Sequence[SchedulePhase],
     deps: Mapping[tuple[int, int], object],
+    least: int = 2,
 ) -> list[SchedulePhase]:
     """``phases`` with every step's plane lag and its evidence attached,
-    when there are several steps and :func:`plane_lag_verdict` admits
-    them; else ``phases`` unchanged."""
+    when there are at least ``least`` steps and :func:`plane_lag_verdict`
+    admits them; else ``phases`` unchanged."""
     steps = [s for ph in phases for s in ph.steps]
-    if len(steps) < 2:
+    if len(steps) < least:
         return list(phases)
     lags, evidence, refusals = plane_lag_verdict(group, shapes, steps, deps)
     if refusals:
@@ -638,6 +746,72 @@ def _lag_steps(
     ]
 
 
+#: per-core L2s of grids above which lagged applications beat ``k``
+#: whole sweeps.  Not a cache level: the knee measured on the reference
+#: host (2 MiB L2, an L3 that sysfs lists as 300 MiB but other tenants
+#: share), where every paper operator's lagged ``time_tile=4`` call was
+#: slower with 30.9 MB of grids or less and faster with 35.2 MB or more
+#: (DESIGN decision 7).  Below it, whole sweeps re-read grids a cache
+#: still holds, and the lagged body read 1.03-1.12x their time.
+LAG_KNEE_L2S = 16
+
+
+def _lag_applications(
+    group: StencilGroup,
+    shapes: Mapping[str, tuple[int, ...]],
+    phases: list[SchedulePhase],
+    deps: Mapping[tuple[int, int], object],
+    k: int,
+) -> tuple[list[SchedulePhase], int | None, tuple[Evidence, ...]]:
+    """A time tile's lowering: ``(phases, app_lag, evidence)``.
+
+    ``k > 1`` applications are lagged in the steps' plane loop when the
+    grids the group touches exceed :data:`LAG_KNEE_L2S` per-core L2s
+    (the L2 read once, by :func:`repro.machine.l2_bytes`), so ``k``
+    whole sweeps would stream them from memory ``k`` times, and
+    :func:`application_lag_verdict` admits the steps; a single step
+    then gets its plane lag too.  Otherwise the phases are unchanged
+    and the tile stays ``k`` whole sweeps.  The evidence says which,
+    and why.
+    """
+    if k == 1:
+        return phases, None, ()
+    # imported here: repro.machine imports the backends, which import
+    # this module
+    from ..machine.specs import l2_bytes
+
+    # the schedule knows no dtype: 8 bytes a point, float64's width
+    touched = 8 * sum(math.prod(shapes[g]) for g in group.grids())
+    l2 = l2_bytes()
+
+    def whole(why: str) -> tuple[list[SchedulePhase], None, tuple]:
+        return phases, None, (
+            Evidence("app-lag-select", f"{k} whole sweeps: {why}"),
+        )
+
+    if l2 is None:
+        return whole("no per-core L2 size is listed")
+    knee = f"{LAG_KNEE_L2S} per-core L2s of {l2} B"
+    if touched <= LAG_KNEE_L2S * l2:
+        return whole(f"the grids touch {touched} B, within {knee}")
+    lagged = phases  # several steps already have their lags, or none
+    if sum(len(ph.steps) for ph in phases) == 1:
+        lagged = _lag_steps(group, shapes, phases, deps, least=1)
+    delta, evidence, refusals = application_lag_verdict(
+        group, shapes, [s for ph in lagged for s in ph.steps]
+    )
+    if refusals:
+        return whole(refusals[0].basis)
+    return lagged, delta, (
+        Evidence(
+            "app-lag-select",
+            f"applications lagged: the grids touch {touched} B, more "
+            f"than {knee}",
+        ),
+        evidence,
+    )
+
+
 def build_schedule(
     group: StencilGroup,
     shapes: Mapping[str, Sequence[int]],
@@ -650,11 +824,12 @@ def build_schedule(
     (``fuse=True``) or as singletons, every step tagged with its
     parallel/snapshot verdict and, under ``multicolor=True``, its
     parity-class sweep; several steps that :func:`plane_lag_verdict`
-    admits get their plane lags.  The result carries ``options``
-    verbatim (``time_tile`` is read from there: the depth of one outer
-    loop around the whole program, with no rule of its own) and
-    passes :func:`verify_schedule` once, or :class:`ScheduleError` is
-    raised.
+    admits get their plane lags, and a time tile whose grids exceed
+    :data:`LAG_KNEE_L2S` per-core L2s gets its application lag
+    (:func:`_lag_applications`).
+    The result carries ``options`` verbatim (``time_tile`` is read from
+    there) and passes :func:`verify_schedule` once, or
+    :class:`ScheduleError` is raised.
     """
     options = options or ScheduleOptions()
     norm = {g: tuple(int(x) for x in s) for g, s in shapes.items()}
@@ -684,7 +859,13 @@ def build_schedule(
                 )
             phases.append(SchedulePhase(pi, tuple(steps)))
         phases = _lag_steps(group, norm, phases, exec_plan.dependences)
-        sched = Schedule(group, norm, options, exec_plan, tuple(phases))
+        phases, app_lag, evidence = _lag_applications(
+            group, norm, phases, exec_plan.dependences, options.time_tile
+        )
+        sched = Schedule(
+            group, norm, options, exec_plan, tuple(phases), app_lag,
+            evidence,
+        )
         problems = verify_schedule(sched)
     if problems:
         raise ScheduleError(

@@ -16,7 +16,8 @@ same options can be handed to every link of a fallback chain.
 ``time_tile`` is the one *semantic* field: a kernel built with
 ``time_tile=k`` performs ``k`` applications per call.  Every built-in
 backend honours it on every group (one outer loop around the whole
-program), and none drops it.
+program, or on ``c`` the applications lagged in one plane loop), and
+none drops it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,10 @@ class ScheduleOptions:
         the whole group into one kernel invocation (one outer time
         loop around the program).  ``1`` (the default) is a single sweep.
         Each application runs the whole barrier-ordered program, so
-        ``k > 1`` is ``k`` calls by construction, legal on every group.
+        ``k > 1`` is ``k`` calls by construction, legal on every group;
+        where the grids pass the measured knee, ``c`` runs the
+        applications in one plane loop instead, each its proven
+        application lag behind the last (still ``k`` calls bit for bit).
     ``unroll``
         Innermost-loop unroll factor hint for the C-family targets
         (emitted as ``#pragma GCC unroll N``); a pure performance hint

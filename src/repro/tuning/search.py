@@ -35,12 +35,13 @@ import numpy as np
 
 from .. import telemetry
 from ..backends import get_backend
+from ..backends.base import Backend
 from ..core.stencil import StencilGroup
 from ..core.validate import iteration_shape
 from ..kernel.cost import WORD_BYTES, SweptCost, swept_cost
 from ..kernel.lower import body_for
 from ..machine.specs import PAPER_PLATFORMS, MachineSpec, host_spec
-from ..schedule import ScheduleOptions, schedule_for
+from ..schedule import Schedule, ScheduleOptions, schedule_for
 from ..telemetry import tracing
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "SearchResult",
     "predict_schedule_time",
     "time_tile_cost",
+    "resident_bytes",
     "search_schedules",
     "resolve_search_spec",
 ]
@@ -169,22 +171,39 @@ def _working_set(norm: Mapping[str, tuple[int, ...]]) -> float:
     return sum(float(np.prod(s)) * WORD_BYTES for s in norm.values())
 
 
+def resident_bytes(sched: Schedule, backend: Backend | None) -> float:
+    """Bytes that must stay cached across the applications of
+    ``sched``'s time tile on ``backend``: the lag window of planes of
+    every grid when the backend runs the applications lagged
+    (:meth:`~repro.backends.base.Backend.lags_applications`: one pass
+    over the grids), else the whole working set (``k`` whole sweeps,
+    which is also what a ``None`` backend models)."""
+    norm = sched.shapes
+    if backend is None or not backend.lags_applications(sched):
+        return _working_set(norm)
+    return sched.lag_window() * sum(
+        float(np.prod(norm[g][1:])) * WORD_BYTES for g in sched.group.grids()
+    )
+
+
 def time_tile_cost(
     stencil,
     shapes: Mapping[str, Sequence[int]],
     k: int,
     spec: "MachineSpec | str" = "paper-cpu",
+    *,
+    resident: float,
 ) -> SweptCost:
     """Swept traffic of ``stencil`` under ``time_tile=k`` on ``spec``.
 
-    The time tile is one outer loop around whole-grid sweeps, so the
-    block that must stay resident across the ``k`` applications is the
-    program's entire working set (``k = 1`` is the single-sweep cost).
+    ``resident`` is the block that must stay cached across the ``k``
+    applications, :func:`resident_bytes` of the schedule (``k = 1`` is
+    the single-sweep cost).
     """
     body, _ = body_for(stencil)
     return swept_cost(
         body, stencil.output, k,
-        tile_bytes=_working_set(shapes),
+        tile_bytes=resident,
         cache_bytes=resolve_search_spec(spec).cache_bytes,
     )
 
@@ -195,14 +214,18 @@ def predict_schedule_time(
     options: ScheduleOptions,
     *,
     spec: "MachineSpec | str" = "paper-cpu",
+    backend: str | None = None,
 ) -> float:
-    """Model seconds per kernel call for ``group`` under ``options``.
+    """Model seconds per kernel call for ``group`` under ``options`` on
+    ``backend`` (``None``: a time tile runs as ``k`` whole sweeps).
 
     Deterministic compulsory-traffic model: each step moves
     ``points x bytes/point`` through the roofline bandwidth the working
     set earns (:meth:`~repro.machine.specs.MachineSpec.effective_bw`);
     a time tile of depth ``k`` performs ``k`` applications per call
-    using the swept (cache-resident) traffic model; snapshot steps pay
+    using the swept traffic model, whose resident block is the lag
+    window when ``backend`` lags the schedule's applications
+    (:func:`resident_bytes`); snapshot steps pay
     the gather copy; every step launch pays the spec's per-launch
     overhead.  Raises whatever :func:`~repro.schedule.schedule_for`
     raises on an illegal candidate (typed
@@ -213,13 +236,18 @@ def predict_schedule_time(
     sched = schedule_for(group, norm, options)
     k = sched.options.time_tile
     bw = spec.effective_bw(_working_set(norm))
+    resident = resident_bytes(
+        sched, None if backend is None else get_backend(backend)
+    )
     seconds = 0.0
     launches = 0
     for step in sched.steps():
         launches += 1
         for i in step.stencils:
             st = group[i]
-            bpp = time_tile_cost(st, norm, k, spec).swept_bytes_per_point
+            bpp = time_tile_cost(
+                st, norm, k, spec, resident=resident
+            ).swept_bytes_per_point
             seconds += _points(st, norm) * bpp / bw
         if step.snapshot:
             g = group[step.head].output
@@ -362,7 +390,7 @@ def search_schedules(
             return None
         try:
             p = predict_schedule_time(
-                group, bench.shapes, opts, spec=mspec
+                group, bench.shapes, opts, spec=mspec, backend=backend
             )
         except (ValueError, NotImplementedError) as e:
             kind = _refusal_kind(e)

@@ -248,3 +248,30 @@ def test_explain_json_artifact(tmp_path):
     assert all(b["grids"] == ["x"] for b in doc["barriers"])
     assert doc["artifact"]["backend"] == "c"
     assert doc["artifact"]["cache_key"]
+
+
+def test_explain_json_records_the_time_tile_selection():
+    # whatever the host's L2, the lowering says which way it went
+    import json
+
+    proc = run_cli("explain", "--time-tile", "4", "--json")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    (select,) = [
+        e for e in doc["schedule"]["evidence"]
+        if e.startswith("app-lag-select: ")
+    ]
+    assert ("applications lagged" in select) is (
+        doc["schedule"]["app_lag"] is not None
+    )
+
+
+def test_explain_prints_the_application_lag(always_lag, capsys):
+    from repro.__main__ import main
+
+    assert main(["explain", "--time-tile", "4", "--size", "12"]) == 0
+    out = capsys.readouterr().out
+    assert "app-lag-select: applications lagged: the grids touch " in out
+    assert "app-lag: 3 = lag 2 of [gsrb_black]" in out
+    assert "application lag 3: " in out
+    assert "a lag window of 14 planes" in out

@@ -113,8 +113,17 @@ class TestRefusedBuild:
         group, shapes = _cases.snapshot_group()
         with pytest.raises(lower.ScheduleError):
             schedule_for(group, shapes, ScheduleOptions(fuse=True))
-        with pytest.raises(ValueError):
-            schedule_for(group, shapes, ScheduleOptions(policy="nonesuch"))
+        # a plain ValueError raised inside the build, under its lock
+        held = []
+
+        def refusing_plan(*args, **kwargs):
+            held.append(dict(lower._BUILDING))
+            raise ValueError("plan refused for the test")
+
+        monkeypatch.setattr(lower, "plan", refusing_plan)
+        with pytest.raises(ValueError, match="plan refused for the test"):
+            schedule_for(group, shapes, ScheduleOptions())
+        assert [len(h) for h in held] == [1]
         assert lower._BUILDING == {}
         assert len(lower._CACHE) == 0
 

@@ -2,9 +2,12 @@
 
 The acceptance bar for ``ScheduleOptions(time_tile=k)`` is *bitwise*
 equality with ``k`` separate kernel invocations on every backend — the
-time tile is the untiled program inside one outer time loop, so the
+time tile is the untiled program inside one outer time loop, or, on
+``c`` when its grids exceed ``LAG_KNEE_L2S`` per-core L2s, its
+applications lagged in the steps' plane loop; either way the
 floating-point result is identical, not merely close, on every group:
-wrap-around reads, gather snapshots and scaled maps included.
+wrap-around reads, gather snapshots and scaled maps included.  The suite's L2 is fixed
+(``tests/conftest.py``); ``always_lag`` sets it to 0 bytes.
 """
 
 import hashlib
@@ -213,22 +216,55 @@ PINNED_TILED = {
     "smooth": lambda: smooth_case()[:2],
 }
 
-#: sha256 of ``generate(..., ScheduleOptions(time_tile=4))``
+#: sha256 of ``generate(..., ScheduleOptions(time_tile=4))`` with the
+#: suite's L2, which these grids fit: ``k`` whole sweeps
 PINNED_SOURCES = {
-    ("cc_7pt", "c"): "80e43328e1de816a3f77fb9514e7f0eff88081caaa650e0e4f260bd4b4926c40",
-    ("cc_7pt", "openmp"): "ba956ac8d27bf4c5a54d367ef6061cc2a6933e9e09d009ecbf099c4568802401",
-    ("cc_jacobi", "c"): "3ecf23caf54d1f67e6299856f698803041838c1231fe22fa96bd0a195bf9e4f2",
-    ("cc_jacobi", "openmp"): "cf1df702c089e7a77406f8de4610f3e38064f4e60c65f658a9a79a7dd0d6fe5a",
-    ("smooth", "c"): "82a47c2d12fc18234adad3a6a29326d898350c962e73921d7549fa55af5c4b9a",
-    ("smooth", "openmp"): "48e725034d9030ff8c1f2c84b8b066b1abe519578bf2b4d0e226864bfa7c1764",
-    ("vc_gsrb", "c"): "6c6360d2143f5fc23e59e391086589a18842910c3c38f4d33546300877e8b424",
-    ("vc_gsrb", "openmp"): "932c37512aa25d55d89e680ceb5bc193832a63071b015c7934d3e0ffa3e870a3",
+    ("cc_7pt", "c"): "81fb97257835cf8ab65c7b9e9a1b698e22c6446d8205e6c99558bc33b1039e9f",
+    ("cc_7pt", "openmp"): "37d8f83a5b8ccf8a713238f514451031858fd3fe035f3992cad30261b3718ec0",
+    ("cc_jacobi", "c"): "35ac772cf85ca2bf8172436abc309e5d50c8fe090fe5bc2618c5340bdf8c058f",
+    ("cc_jacobi", "openmp"): "236cec67aa5b94d2c6712e3498b05a511e87b491d30aa1a4684929902cec0d66",
+    ("smooth", "c"): "b0df58f0378662394e072a97778cb1d67b5db57138eee54ff5739ef1d0b7209e",
+    ("smooth", "openmp"): "bdb10aa3c4522fdb389b73ac03eed9de974e560005c7193d239c50a91ff0d38b",
+    ("vc_gsrb", "c"): "a3aff95e7ac2cfbfe6b8cbab756cedefb8264ffc95b390d331c504f6a009316b",
+    ("vc_gsrb", "openmp"): "ceac838697dff69b02edc544fa49a34c325c217d21dd18ebe8461cc68c95807e",
+}
+
+#: the same on ``c`` under ``always_lag``: the applications lagged
+PINNED_LAGGED = {
+    "cc_7pt": "4ea9914ca94ddd7fb23e5116c9561bb088123b28f494eddd537bc9fc45407549",
+    "cc_jacobi": "1a2244917b8a8f8b238f3dbcbfa5062d37f7b424ebc20c4af796625028c94b85",
+    "smooth": "906940374e35c235f94db6fbc46747774e0237d7cbc7388d75d249dd44045124",
+    "vc_gsrb": "5db0f560b65c0e2673bbe60fcd528a777499e92b2bb6797c37aa2864f57a813e",
+}
+
+#: sha256 of the ``time_tile=1`` sources of the groups whose lags are
+#: refused, as they were before the application lag existed
+PINNED_REFUSED = {
+    ("periodic", "c"): "d34250c9d37c4dacfaa665bccadc790c0654c1bc6cdc5e676af6cbec664377b7",
+    ("periodic", "openmp"): "2153f6ff648314f67b17bcd25ea7f6a0c4ff3254d42a9f77b2accbeb33063ef8",
+    ("carry", "c"): "324243da6b5540934607c4b90ac731aebe859193b4b0f12d907ba16efbe47384",
+    ("carry", "openmp"): "2be552ab0ea07d1cd77ffd1230082aedfbde4cea3f0aa425aedb28a370d98e26",
+    ("interp_pc", "c"): "c1e8e370df6c1f73b32e311d4d6eda550e3366e7ac2ba3dac34ed9254f1e6355",
+    ("interp_pc", "openmp"): "bdfcd60f207a92da03976b32359b5f2e109b5e3ddcf5781a8c716f69598f88bf",
 }
 
 
+def _source(backend, group, shapes, k, **options):
+    return get_backend(backend).generate(
+        group, shapes, np.float64,
+        schedule=ScheduleOptions(time_tile=k, **options),
+    )
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestOneLowering:
-    """``time_tile=k`` is the ``time_tile=1`` program inside one
-    ``sf_tt`` loop — single step or many, spatially tiled or not."""
+    """Where the grids fit the L2, ``time_tile=k`` is the
+    ``time_tile=1`` program inside one ``sf_tt`` loop of ``sf_k``
+    applications, the depth read from ``dims`` — single step or many,
+    spatially tiled or not."""
 
     @pytest.mark.parametrize(
         "generate",
@@ -251,11 +287,14 @@ class TestOneLowering:
             ).splitlines()
             for k in (1, 4)
         )
+        # the depth is the one dims entry past the extents
+        n_dims = sum(len(s) for s in shapes.values())
+        tiled.remove(f"  const int64_t sf_k = dims[{n_dims}];")
         (at,) = [i for i, l in enumerate(tiled) if "int64_t sf_tt" in l]
         pad = tiled[at][: -len(tiled[at].lstrip())]
-        assert tiled[at - 1] == pad + "/* fused time tile k=4 */"
+        assert tiled[at - 1] == pad + "/* fused time tile: sf_k applications */"
         assert tiled[at] == (
-            pad + "for (int64_t sf_tt = 0; sf_tt < 4; ++sf_tt) {"
+            pad + "for (int64_t sf_tt = 0; sf_tt < sf_k; ++sf_tt) {"
         )
         end = tiled.index(pad + "}", at)
         body = tiled[at + 1:end]
@@ -274,11 +313,143 @@ class TestOneLowering:
     def test_source_is_pinned(self, backend, case):
         # the time-tiled sources of these groups do not move
         group, shapes = PINNED_TILED[case]()
-        src = get_backend(backend).generate(
-            group, shapes, np.float64, schedule=ScheduleOptions(time_tile=4)
+        src = _source(backend, group, shapes, 4)
+        assert _sha(src) == PINNED_SOURCES[case, backend]
+
+    @pytest.mark.parametrize("backend", ["c", "openmp"])
+    @pytest.mark.parametrize("case", ["cc_jacobi", "smooth", "periodic"])
+    def test_text_is_the_same_for_every_depth(self, backend, case):
+        # k rides in dims: one artifact serves every k > 1
+        group, shapes, _ = CASES[case]()
+        assert len({_source(backend, group, shapes, k) for k in (2, 3, 8)}) == 1
+
+
+class TestLaggedApplications:
+    """Where the grids pass the knee, ``c`` runs a time tile's
+    applications in the steps' plane loop, each ``app_lag`` planes
+    behind the one before: one pass over the grids, ``k`` calls bit for
+    bit."""
+
+    @pytest.mark.parametrize("tile", [None, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_lagged_tile_equals_k_calls(self, always_lag, case, k, tile):
+        group, shapes, arrays = CASES[case]()
+        opts = {} if tile is None else {"tile": tile}
+        ref = apply_untiled(group, shapes, arrays, "c", k, **opts)
+        got = apply_tiled(group, shapes, arrays, "c", k, **opts)
+        for g in sorted(shapes):
+            np.testing.assert_array_equal(
+                got[g], ref[g],
+                err_msg=f"{case} k={k} (tile={tile}) diverges on {g!r}",
+            )
+
+    @pytest.mark.parametrize(
+        "case,lags,app_lag",
+        [("cc_jacobi", [0], 0), ("vc_gsrb", [0], 0), ("restrict", [0], 0),
+         ("smooth", [0, 0, 0, 0, 1, 2, 0, 1, 1, 2], 3)],
+    )
+    def test_schedule_carries_the_application_lag(
+        self, always_lag, case, lags, app_lag
+    ):
+        group, shapes, _ = CASES[case]()
+        sched = schedule_for(group, shapes, ScheduleOptions(time_tile=4))
+        assert [s.lag for s in sched.steps()] == lags
+        assert all(
+            [e.claim for e in s.evidence].count("lag") == 1
+            for s in sched.steps()
         )
-        assert hashlib.sha256(src.encode()).hexdigest() == (
-            PINNED_SOURCES[case, backend]
+        assert sched.app_lag == app_lag
+        assert [e.claim for e in sched.evidence] == [
+            "app-lag-select", "app-lag"
+        ]
+        assert "applications lagged" in sched.evidence[0].basis
+        assert sched.evidence[1].basis.startswith(f"{app_lag} = ")
+        text = sched.describe()
+        assert f"\napplication lag {app_lag}: " in text
+        assert f"a lag window of {sched.lag_window()} planes" in text
+        doc = sched.to_dict()
+        assert doc["app_lag"] == app_lag
+        assert doc["lag_window"] == max(lags) + 3 * app_lag + 1 + 2
+
+    def test_smooth_application_lag_names_its_dependence(self, always_lag):
+        group, shapes, _ = smooth_case()
+        sched = schedule_for(group, shapes, ScheduleOptions(time_tile=2))
+        assert str(sched.evidence[1]) == (
+            "app-lag: 3 = lag 2 of [gsrb_black] + plane distance 1 "
+            "(gsrb_black -> bc_x_d0lo RAW on 'x') - lag 0 of [bc_x_d0lo] "
+            "of the next application"
+        )
+
+    @pytest.mark.parametrize("case", ["periodic", "carry", "interp_pc"])
+    @pytest.mark.parametrize("backend", ["c", "openmp"])
+    def test_refused_groups_render_as_before(
+        self, l2, backend, case
+    ):
+        # the lags are refused, so the lowering is never taken: the
+        # time-tiled text is the one a fitting L2 gives, and the
+        # time_tile=1 text is the one from before the application lag
+        group, shapes, _ = CASES[case]()
+        plain = _source(backend, group, shapes, 4)
+        l2(0)
+        assert _source(backend, group, shapes, 4) == plain
+        assert _sha(_source(backend, group, shapes, 1)) == (
+            PINNED_REFUSED[case, backend]
+        )
+        sched = schedule_for(group, shapes, ScheduleOptions(time_tile=4))
+        assert sched.app_lag is None
+        (ev,) = sched.evidence
+        assert ev.claim == "app-lag-select"
+        assert ev.basis.startswith("4 whole sweeps: ")
+
+    @pytest.mark.parametrize("case", sorted(PINNED_LAGGED))
+    def test_lagged_source_is_pinned(self, always_lag, case):
+        group, shapes = PINNED_TILED[case]()
+        src = _source("c", group, shapes, 4)
+        assert "int64_t sf_a = 0; sf_a < sf_k" in src
+        assert "sf_tt" not in src
+        assert _sha(src) == PINNED_LAGGED[case]
+
+    def test_openmp_keeps_its_loop(self, always_lag):
+        # plane_loop is off on openmp: the schedule's lags are not run
+        group, shapes, _ = smooth_case()
+        src = _source("openmp", group, shapes, 4)
+        assert schedule_for(
+            group, shapes, ScheduleOptions(time_tile=4)
+        ).app_lag == 3
+        assert "sf_tt < sf_k" in src and "sf_a" not in src
+
+    def test_time_tile_one_is_untouched(self, always_lag):
+        group, shapes, _ = smooth_case()
+        sched = schedule_for(group, shapes, ScheduleOptions())
+        assert sched.app_lag is None and sched.evidence == ()
+
+    @pytest.mark.parametrize(
+        "nbytes,why",
+        [(None, "no per-core L2 size is listed"),
+         (2 * 2**20, "the grids touch 3456 B, within 16 per-core L2s of "
+          "2097152 B"),
+         # the knee is inclusive: 16 L2s of 216 B are the grids' 3456 B
+         (216, "the grids touch 3456 B, within 16 per-core L2s of 216 B")],
+    )
+    def test_fitting_or_unknown_l2_keeps_whole_sweeps(self, l2, nbytes, why):
+        l2(nbytes)
+        group, shapes, _ = jacobi_case()
+        sched = schedule_for(group, shapes, ScheduleOptions(time_tile=4))
+        assert sched.app_lag is None
+        assert [s.lag for s in sched.steps()] == [None]
+        assert [str(e) for e in sched.evidence] == [
+            f"app-lag-select: 4 whole sweeps: {why}"
+        ]
+
+    def test_grids_past_the_knee_lag(self, l2):
+        l2(215)
+        group, shapes, _ = jacobi_case()
+        sched = schedule_for(group, shapes, ScheduleOptions(time_tile=4))
+        assert sched.app_lag == 0
+        assert str(sched.evidence[0]) == (
+            "app-lag-select: applications lagged: the grids touch 3456 B, "
+            "more than 16 per-core L2s of 215 B"
         )
 
 

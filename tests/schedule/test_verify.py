@@ -32,6 +32,7 @@ from tests.schedule._cases import (
 )
 
 PARITY_BACKENDS = ("python", "numpy", "c", "openmp")
+ALL_BACKENDS = (*PARITY_BACKENDS, "opencl-sim", "cuda-sim")
 
 PRESETS = [
     ScheduleOptions(),
@@ -56,6 +57,15 @@ class TestVerifier:
             for opts in PRESETS:
                 sched = build_schedule(group, shapes, opts)
                 assert sched.options == opts
+                assert verify_schedule(sched) == []
+
+    def test_every_preset_verifies_with_its_applications_lagged(
+        self, always_lag
+    ):
+        units = [gsrb_workload()[:2], laplacian_pair(), *solver_units(32)]
+        for group, shapes in units:
+            for opts in PRESETS:
+                sched = build_schedule(group, shapes, replace(opts, time_tile=2))
                 assert verify_schedule(sched) == []
 
     @pytest.mark.parametrize("case", ["domain", "snapshot", "raw"])
@@ -102,6 +112,42 @@ class TestVerifier:
             for ph in sched.phases
         ))
         assert [p.claim for p in verify_schedule(bad)] == ["lag-refused"]
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_application_lag_one_plane_short_is_refused(
+        self, always_lag, backend
+    ):
+        # one rule judges application lags wherever it is asked: the
+        # smoother's lagged time tile with app_lag one plane short
+        # fails it on every backend it is handed to, naming the
+        # dependence that needs the plane
+        group, shapes, _ = gsrb_workload()
+        sched = build_schedule(group, shapes, ScheduleOptions(time_tile=3))
+        assert sched.app_lag is not None
+        short = replace(sched, app_lag=sched.app_lag - 1)
+        with pytest.raises(ScheduleError) as ei:
+            group.compile(backend=backend, shapes=shapes, schedule=short)
+        assert [e.claim for e in ei.value.refusals] == ["lag-refused"]
+        assert ei.value.evidence.basis == (
+            f"application lag {sched.app_lag - 1} is short: it needs "
+            f"{sched.app_lag} = lag 2 of [gsrb_black] + plane distance 1 "
+            "(gsrb_black -> bc_x_d0lo RAW on 'x') - lag 0 of [bc_x_d0lo] "
+            "of the next application"
+        )
+
+    @pytest.mark.parametrize(
+        "change,why",
+        [({"app_lag": -1}, "application lag -1 is short: it needs 0 = "),
+         ({"options": ScheduleOptions(time_tile=1)}, "without a time tile")],
+    )
+    def test_application_lag_out_of_place_is_refused(
+        self, always_lag, change, why
+    ):
+        group, shapes = laplacian_pair()
+        sched = build_schedule(group, shapes, ScheduleOptions(time_tile=2))
+        assert sched.app_lag == 0
+        (problem,) = verify_schedule(replace(sched, **change))
+        assert problem.claim == "lag-refused" and why in problem.basis
 
     def test_time_tile_of_snapshot_step_verifies(self):
         # k applications are the verified program run k times: the

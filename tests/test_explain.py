@@ -61,14 +61,18 @@ class TestIntraStencilVerdict:
         assert s.hazards
 
 
+def cc_7pt(n):
+    group = StencilGroup([Stencil(
+        cc_laplacian(3, 1.0 / n), "out",
+        RectDomain((1, 1, 1), (-1, -1, -1)), name="cc_7pt",
+    )])
+    return group, {g: (n + 2,) * 3 for g in ("x", "out")}
+
+
 class TestTimeTilePrediction:
     @pytest.mark.parametrize("n,resident", [(8, True), (256, False)])
     def test_swept_agrees_with_the_cost_model_on_residency(self, n, resident):
-        group = StencilGroup([Stencil(
-            cc_laplacian(3, 1.0 / n), "out",
-            RectDomain((1, 1, 1), (-1, -1, -1)), name="cc_7pt",
-        )])
-        shapes = {g: (n + 2,) * 3 for g in ("x", "out")}
+        group, shapes = cc_7pt(n)
         prov = explain(group, shapes, backend="numpy", time_tile=4)
         (sc,) = prov.swept.values()
         assert sc["cache_resident"] is resident
@@ -82,6 +86,49 @@ class TestTimeTilePrediction:
         # the model charges four applications less than four calls
         # exactly when it holds the working set cache resident
         assert (four < 4 * one) is resident
+
+    def test_lagged_applications_charge_one_pass(self, l2):
+        # lagged applications keep a lag window of planes resident, not
+        # the working set: at 256^3 that window fits the cache, and the
+        # model charges the four applications one pass of traffic
+        l2(2 * 2**20)
+        group, shapes = cc_7pt(256)
+        prov = explain(group, shapes, backend="c", time_tile=4)
+        sched = prov.schedule
+        assert sched.app_lag == 0 and sched.lag_window() == 3
+        (sc,) = prov.swept.values()
+        assert sc["cache_resident"] is True
+        assert sc["traffic_reduction"] == 4.0
+        text = prov.render()
+        assert "application lag 0: " in text
+        assert "lag window of 3 planes fits the cache" in text
+        assert "app-lag-select: applications lagged: the grids touch " in text
+        one, four = (
+            predict_schedule_time(
+                group, shapes, ScheduleOptions(time_tile=k), backend="c"
+            )
+            for k in (1, 4)
+        )
+        assert four < 4 * one
+
+    @pytest.mark.parametrize("backend", ["numpy", "openmp"])
+    def test_whole_sweep_backends_charge_k_passes(self, backend):
+        # the schedule lags its applications, but these backends run k
+        # whole sweeps of it: the resident block is the working set
+        group, shapes = cc_7pt(256)
+        prov = explain(group, shapes, backend=backend, time_tile=4)
+        assert prov.schedule.app_lag == 0
+        (sc,) = prov.swept.values()
+        assert sc["cache_resident"] is False
+        assert sc["traffic_reduction"] == 1.0
+        assert "working set exceeds the cache" in prov.render()
+        one, four = (
+            predict_schedule_time(
+                group, shapes, ScheduleOptions(time_tile=k), backend=backend
+            )
+            for k in (1, 4)
+        )
+        assert four == pytest.approx(4 * one)
 
 
 class TestArtifactInfo:

@@ -8,6 +8,7 @@ from tests.schedule.test_time_tile import (
     gsrb_case,
     jacobi_case,
     periodic_case,
+    smooth_case,
 )
 
 
@@ -34,6 +35,16 @@ class TestRun:
 
     def test_gpu_sim_runs_in_one_invocation(self):
         assert_one_invocation(jacobi_case(), "cuda-sim", 2)
+
+    @pytest.mark.parametrize(
+        "backend",
+        ["python", "numpy", "c", "openmp", "opencl-sim", "cuda-sim"],
+    )
+    @pytest.mark.parametrize("case", [jacobi_case, smooth_case])
+    def test_lagged_applications_are_k_calls(self, always_lag, backend, case):
+        # c lags the applications in its plane loop; the others keep
+        # their loop over the same schedule
+        assert_one_invocation(case(), backend, 4)
 
     def test_strict_is_not_an_option(self):
         group, _, arrays = periodic_case()
@@ -104,6 +115,33 @@ class TestRunMemo:
         assert self.compiles() == (n[0] + 3, n[1] + 3)
         run(group, arrays, backend="c")
         assert self.compiles() == (n[0] + 3, n[1] + 3)
+
+    @pytest.mark.parametrize("lag", [False, True])
+    def test_every_depth_shares_one_artifact(
+        self, monkeypatch, tmp_path, l2, lag
+    ):
+        # the depth rides in dims: times = 2..5 compile one shared object
+        from repro import telemetry
+        from repro.backends import jit
+
+        monkeypatch.setenv("SNOWFLAKE_CACHE_DIR", str(tmp_path / "jit"))
+        monkeypatch.setattr(jit, "_loaded", {})
+        monkeypatch.setattr(jit, "_tag_locks", {})
+        if lag:
+            l2(0)
+        group, shapes, arrays = jacobi_case()
+        for t in (2, 3, 4, 5):
+            work = {g: a.copy() for g, a in arrays.items()}
+            assert run(group, work, times=t, backend="c") == 1
+            ref = {g: a.copy() for g, a in arrays.items()}
+            kernel = group.compile(backend="python", shapes=shapes)
+            for _ in range(t):
+                kernel(**ref)
+            for g in sorted(shapes):
+                np.testing.assert_array_equal(work[g], ref[g])
+        counters = telemetry.snapshot()["counters"]
+        assert counters["jit.cache.miss"] == 1
+        assert self.compiles()[0] == 4
 
     def test_periodic_kernel_is_memoised(self):
         from repro import telemetry
