@@ -594,11 +594,11 @@ class CBackend(Backend):
         the same text at every shape of its family from a threshold on,
         or ``None`` below it: the structure verdict with this target's
         emitter decisions (:func:`render_decisions`) and, when the walker
-        runs the schedule's plane lags, the lags' own
-        (:func:`~repro.schedule.lower.plane_lag_facts` of each
-        :func:`~repro.schedule.lower.lag_fact_args`, which also say
-        whether the applications are lagged: that depends on the grids'
-        bytes, not the structure)."""
+        runs the schedule's plane lags, the lags' own: the one
+        :func:`~repro.schedule.lower.plane_lag_facts` set of
+        :func:`~repro.schedule.lower.lag_fact_args`, whose arguments
+        also say whether the applications are lagged (that depends on
+        the grids' bytes, not the structure)."""
         lagged = self.target.plane_loop and sched.lagged
         keyed = verdict(group, shapes, (
             render_decisions, sched.options.tile,
@@ -607,10 +607,9 @@ class CBackend(Backend):
         if keyed is None:
             return None
         lags = lag_fact_args(sched) if lagged else None
-        if lags is not None and any(
-            verdict(group, shapes, (plane_lag_facts, *f)) is None
-            for f in lags
-        ):
+        if lags is not None and verdict(
+            group, shapes, (plane_lag_facts, *lags)
+        ) is None:
             return None
         return (keyed.key, lags, tuple(st.name for st in group),
                 sched.options)

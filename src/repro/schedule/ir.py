@@ -132,9 +132,10 @@ class Step:
     strided color boxes, when recognized and enabled.
     ``lag`` is the step's plane lag: in a lagged schedule every step
     runs inside one loop over axis-0 planes ``t``, on plane ``t - lag``
-    (:func:`repro.schedule.plane_lag_verdict` decides, the step's
-    ``lag`` evidence names the dependence that fixed it); ``None``
-    means the schedule runs each step as a whole sweep.
+    (:func:`repro.schedule.plane_lag_verdict` decides — on the steps
+    listed twice when the schedule lags its applications — and the
+    step's ``lag`` evidence names the dependence that fixed it);
+    ``None`` means the schedule runs each step as a whole sweep.
     """
 
     stencils: tuple[int, ...]
@@ -177,8 +178,9 @@ class Schedule:
     unless ``app_lag`` is set.  ``app_lag`` is the *application lag*
     ``Δ`` of a time tile lowered into the steps' plane loop: application
     ``a`` runs step ``q`` on plane ``t - lag[q] - a*Δ``, so the ``k``
-    applications stream the grids once
-    (:func:`repro.schedule.lower.application_lag_verdict` decides).
+    applications stream the grids once (read from
+    :func:`repro.schedule.plane_lag_verdict` on the steps listed twice:
+    the largest ``lag2[m + q] - lag[q]``).
     ``evidence`` holds the time tile's facts: why the lowering was or
     was not taken, and which dependence fixed ``Δ``.
     """

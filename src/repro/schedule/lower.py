@@ -6,13 +6,13 @@ checkerboard recognition run; the backends and emitters consume the
 themselves.  Each legality rule is one function — :func:`fusion_refusals`
 ("may these stencils share a loop nest"), :func:`step_flags` (a
 step's parallel and snapshot flags) and :func:`plane_lag_verdict`
-("how many axis-0 planes must each step trail the ones before it")
-and :func:`application_lag_verdict` ("how many must each application
-of a time tile trail the one before it") —
-called alike by the lowering and
-by :func:`verify_schedule`, the one check every schedule passes: once at
-the end of :func:`build_schedule`, and wherever a hand-built
-:class:`~repro.schedule.ir.Schedule` enters, in :func:`as_schedule`.
+("how many axis-0 planes must each step trail the ones before it";
+asked of a time tile's steps listed twice, it also says how many each
+application must trail the one before it) — called alike by the
+lowering and by :func:`verify_schedule`, the one check every schedule
+passes: once at the end of :func:`build_schedule`, and wherever a
+hand-built :class:`~repro.schedule.ir.Schedule` enters, in
+:func:`as_schedule`.
 
 Chains are computed *within* dependence phases, which closes a latent
 race in the legacy OpenMP path: a program-order chain could straddle a
@@ -55,7 +55,6 @@ __all__ = [
     "fusion_chains",
     "plane_lag_verdict",
     "plane_lag_facts",
-    "application_lag_verdict",
     "lag_fact_args",
     "verify_schedule",
     "build_schedule",
@@ -456,70 +455,53 @@ def _all_pairs(group: StencilGroup) -> dict[tuple[int, int], None]:
     return dict.fromkeys((i, j) for i in range(n) for j in range(n))
 
 
-def application_lag_verdict(
+def _lagged_applications(
     group: StencilGroup,
     shapes: Mapping[str, tuple[int, ...]],
     steps: Sequence[Step],
-) -> tuple[int, Evidence | None, list[Evidence]]:
-    """The application-lag rule: how many planes must application
-    ``a + 1`` of a time tile trail application ``a`` in the steps' plane
-    loop?
+) -> tuple[list[int], list[Evidence], int, Evidence | None, list[Evidence]]:
+    """:func:`plane_lag_verdict` on ``steps`` listed twice, every stencil
+    pair an edge: ``(lags, evidence, delta, why, refusals)``, all but
+    ``refusals`` meaningful iff it is empty.
 
-    Returns ``(delta, evidence, refusals)``; ``delta`` and ``evidence``
-    (the dependence that fixed it) are meaningful iff ``refusals`` is
-    empty.  Application ``a`` runs step ``q`` on plane
-    ``t - lag[q] - a*delta``, applications in order within one ``t``;
-    the steps carry their plane lags (:func:`plane_lag_verdict`).  The
-    rule is the plane-lag rule on ``steps`` listed twice, with every
-    stencil pair an edge between the two copies: ``delta`` is the
-    smallest value ``>= 0`` with ``lag[q] + delta >= lag[q0] + d`` for
-    every pair (``q0`` of application ``a``, ``q`` of application
-    ``a + 1``) at plane distance ``d``.  A ``delta >= 0`` legal for
-    consecutive applications is legal for every later pair: application
-    ``a + j`` trails by ``j*delta >= delta``.
+    The first copy's ``lags`` and ``evidence`` are the steps' own; the
+    second copy is the next application of a time tile, so application
+    ``a`` may run step ``q`` on plane ``t - lags[q] - a*delta`` with
+    ``delta`` the largest ``lag2[m + q] - lags[q]`` (never below 0:
+    ``lag2[m] >= 0 = lags[0]``).  ``delta`` legal for consecutive
+    applications is legal for every later pair: application ``a + j``
+    trails by ``j*delta >= delta``.  ``why`` is the binding step's lag
+    evidence, read across the two applications.
     """
-    refusals = _hazard_refusals(group, steps)
-    if refusals:
-        return 0, None, refusals
-    refusals, need = _lag_facts(
+    m = len(steps)
+    lags, evidence, refusals = plane_lag_verdict(
         group, shapes, [*steps, *steps], _all_pairs(group)
     )
     if refusals:
-        return 0, None, refusals
-    m = len(steps)
-    cross = [
-        (steps[q0].lag + d - steps[q - m].lag, q0, q - m, d, what)
-        for (q0, q), (d, what) in sorted(need.items()) if q0 < m <= q
-    ]
-    if not cross:
-        return 0, Evidence(
-            "app-lag", "0: no application touches what the one before "
-            "it wrote",
-        ), []
-    bound, q0, q, d, what = max(cross, key=lambda c: c[0])
-
-    def at(q: int) -> str:
-        names = ", ".join(group[i].name for i in steps[q].stencils)
-        return f"lag {steps[q].lag} of [{names}]"
-
-    delta = max(bound, 0)
-    return delta, Evidence(
-        "app-lag",
-        f"{delta} {'=' if bound >= 0 else '>'} {at(q0)} + plane distance "
-        f"{d} ({what}) - {at(q)} of the next application",
-    ), []
+        return [], [], 0, None, refusals
+    gains = [lags[m + q] - lags[q] for q in range(m)]
+    delta = max(gains)
+    # the first binding step: its lag is fixed by a step of the first copy
+    q = gains.index(delta)
+    names = ", ".join(group[i].name for i in steps[q].stencils)
+    head, _, bound = evidence[m + q].basis.partition(" ")
+    why = (
+        f"0: [{names}] of the next application is {bound}" if head == "0,"
+        else f"{delta} {bound} - lag {lags[q]} of [{names}] of the next "
+        "application"
+    )
+    return lags[:m], evidence[:m], delta, Evidence("app-lag", why), []
 
 
-def lag_fact_args(sched: Schedule) -> tuple[tuple, ...]:
-    """The ``(chains, edges)`` of every :func:`plane_lag_facts` a
-    lagged schedule's lags rest on: its steps under the plan's edges,
-    and, when it lags its applications, its steps listed twice under
-    every stencil pair (:func:`application_lag_verdict`)."""
+def lag_fact_args(sched: Schedule) -> tuple[tuple, tuple]:
+    """The ``(chains, edges)`` of the :func:`plane_lag_facts` a lagged
+    schedule's lags rest on: its steps under the plan's edges, or, when
+    it lags its applications, its steps listed twice under every
+    stencil pair (:func:`_lagged_applications`)."""
     chains = tuple(s.stencils for s in sched.steps())
-    out = [(chains, tuple(sorted(sched.plan.dependences)))]
     if sched.app_lag is not None:
-        out.append((chains * 2, tuple(_all_pairs(sched.group))))
-    return tuple(out)
+        return chains * 2, tuple(_all_pairs(sched.group))
+    return chains, tuple(sorted(sched.plan.dependences))
 
 
 def verify_schedule(sched: Schedule) -> list[Evidence]:
@@ -533,10 +515,11 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
     and sweep correctness against parity-class recognition; then, when
     the steps carry plane lags and passed so far, that every step has
     one, the plane-lag rule admits them and each lag covers every plane
-    distance (:func:`plane_lag_verdict`); then, when the schedule lags
-    its applications, that it is a lagged time tile and ``app_lag``
-    covers every plane distance between consecutive applications
-    (:func:`application_lag_verdict`).  A time tile without an
+    distance (:func:`plane_lag_verdict`) — or, when the schedule lags
+    its applications, that it is a lagged time tile whose step lags are
+    the ones the rule gives its steps listed twice and whose ``app_lag``
+    is at least the ``delta`` read from them
+    (:func:`_lagged_applications`).  A time tile without an
     application lag needs no check: ``k`` applications are the
     verified program run ``k`` times.
     """
@@ -646,11 +629,9 @@ def verify_schedule(sched: Schedule) -> list[Evidence]:
                         )
                     )
 
-    if sched.lagged and not problems:
+    if (sched.lagged or sched.app_lag is not None) and not problems:
         # lags are distances between steps: judged on legal steps only
         problems.extend(_lag_problems(sched))
-    if sched.app_lag is not None and not problems:
-        problems.extend(_app_lag_problems(sched))
 
     return problems
 
@@ -663,6 +644,34 @@ def _lag_problems(sched: Schedule) -> list[Evidence]:
     def names(q: int) -> str:
         return ", ".join(group[i].name for i in steps[q].stencils)
 
+    if sched.app_lag is not None:
+        k, delta = sched.options.time_tile, sched.app_lag
+        if k == 1 or not sched.lagged:
+            return [Evidence(
+                "lag-refused",
+                f"application lag {delta} without "
+                + ("a time tile" if k == 1 else "plane lags")
+                + ": only a time tile's plane loop lags applications",
+            )]
+        lags, _, need, why, refusals = _lagged_applications(
+            group, sched.shapes, steps
+        )
+        if refusals:
+            return refusals
+        problems = [
+            Evidence(
+                "lag-refused",
+                f"step [{names(q)}] has lag {s.lag}, not the {lag} the "
+                "plane-lag rule gives it on the steps listed twice",
+            )
+            for q, (s, lag) in enumerate(zip(steps, lags)) if s.lag != lag
+        ]
+        if delta < need:
+            problems.append(Evidence(
+                "lag-refused",
+                f"application lag {delta} is short: it needs {why.basis}",
+            ))
+        return problems
     bare = [q for q, s in enumerate(steps) if s.lag is None]
     if bare:
         return [Evidence(
@@ -697,45 +706,13 @@ def _lag_problems(sched: Schedule) -> list[Evidence]:
     return problems
 
 
-def _app_lag_problems(sched: Schedule) -> list[Evidence]:
-    """The application-lag part of :func:`verify_schedule`."""
-    k, delta = sched.options.time_tile, sched.app_lag
-    if k == 1 or not sched.lagged:
-        return [Evidence(
-            "lag-refused",
-            f"application lag {delta} without "
-            + ("a time tile" if k == 1 else "plane lags")
-            + ": only a time tile's plane loop lags applications",
-        )]
-    need, evidence, refusals = application_lag_verdict(
-        sched.group, sched.shapes, list(sched.steps())
-    )
-    if refusals:
-        return refusals
-    if delta < need:
-        return [Evidence(
-            "lag-refused",
-            f"application lag {delta} is short: it needs {evidence.basis}",
-        )]
-    return []
-
-
-def _lag_steps(
-    group: StencilGroup,
-    shapes: Mapping[str, tuple[int, ...]],
+def _with_lags(
     phases: Sequence[SchedulePhase],
-    deps: Mapping[tuple[int, int], object],
-    least: int = 2,
+    lags: Sequence[int],
+    evidence: Sequence[Evidence],
 ) -> list[SchedulePhase]:
-    """``phases`` with every step's plane lag and its evidence attached,
-    when there are at least ``least`` steps and :func:`plane_lag_verdict`
-    admits them; else ``phases`` unchanged."""
-    steps = [s for ph in phases for s in ph.steps]
-    if len(steps) < least:
-        return list(phases)
-    lags, evidence, refusals = plane_lag_verdict(group, shapes, steps, deps)
-    if refusals:
-        return list(phases)
+    """``phases`` with each step's plane lag and its evidence attached,
+    in step order."""
     lagged = iter(zip(lags, evidence))
     return [
         SchedulePhase(ph.index, tuple(
@@ -744,6 +721,24 @@ def _lag_steps(
         ))
         for ph in phases
     ]
+
+
+def _lag_steps(
+    group: StencilGroup,
+    shapes: Mapping[str, tuple[int, ...]],
+    phases: Sequence[SchedulePhase],
+    deps: Mapping[tuple[int, int], object],
+) -> list[SchedulePhase]:
+    """``phases`` with every step's plane lag and its evidence attached,
+    when there are several steps and :func:`plane_lag_verdict` admits
+    them; else ``phases`` unchanged."""
+    steps = [s for ph in phases for s in ph.steps]
+    if len(steps) < 2:
+        return list(phases)
+    lags, evidence, refusals = plane_lag_verdict(group, shapes, steps, deps)
+    if refusals:
+        return list(phases)
+    return _with_lags(phases, lags, evidence)
 
 
 #: per-core L2s of grids above which lagged applications beat ``k``
@@ -760,7 +755,6 @@ def _lag_applications(
     group: StencilGroup,
     shapes: Mapping[str, tuple[int, ...]],
     phases: list[SchedulePhase],
-    deps: Mapping[tuple[int, int], object],
     k: int,
 ) -> tuple[list[SchedulePhase], int | None, tuple[Evidence, ...]]:
     """A time tile's lowering: ``(phases, app_lag, evidence)``.
@@ -768,11 +762,11 @@ def _lag_applications(
     ``k > 1`` applications are lagged in the steps' plane loop when the
     grids the group touches exceed :data:`LAG_KNEE_L2S` per-core L2s
     (the L2 read once, by :func:`repro.machine.l2_bytes`), so ``k``
-    whole sweeps would stream them from memory ``k`` times, and
-    :func:`application_lag_verdict` admits the steps; a single step
-    then gets its plane lag too.  Otherwise the phases are unchanged
-    and the tile stays ``k`` whole sweeps.  The evidence says which,
-    and why.
+    whole sweeps would stream them from memory ``k`` times, and the
+    plane-lag rule admits the steps listed twice
+    (:func:`_lagged_applications`); the steps then get the first copy's
+    lags.  Otherwise the phases are unchanged and the tile stays ``k``
+    whole sweeps.  The evidence says which, and why.
     """
     if k == 1:
         return phases, None, ()
@@ -794,21 +788,18 @@ def _lag_applications(
     knee = f"{LAG_KNEE_L2S} per-core L2s of {l2} B"
     if touched <= LAG_KNEE_L2S * l2:
         return whole(f"the grids touch {touched} B, within {knee}")
-    lagged = phases  # several steps already have their lags, or none
-    if sum(len(ph.steps) for ph in phases) == 1:
-        lagged = _lag_steps(group, shapes, phases, deps, least=1)
-    delta, evidence, refusals = application_lag_verdict(
-        group, shapes, [s for ph in lagged for s in ph.steps]
+    lags, evidence, delta, why, refusals = _lagged_applications(
+        group, shapes, [s for ph in phases for s in ph.steps]
     )
     if refusals:
         return whole(refusals[0].basis)
-    return lagged, delta, (
+    return _with_lags(phases, lags, evidence), delta, (
         Evidence(
             "app-lag-select",
             f"applications lagged: the grids touch {touched} B, more "
             f"than {knee}",
         ),
-        evidence,
+        why,
     )
 
 
@@ -823,10 +814,11 @@ def build_schedule(
     plan phase is then stepped as its :func:`fusion_chains`
     (``fuse=True``) or as singletons, every step tagged with its
     parallel/snapshot verdict and, under ``multicolor=True``, its
-    parity-class sweep; several steps that :func:`plane_lag_verdict`
-    admits get their plane lags, and a time tile whose grids exceed
-    :data:`LAG_KNEE_L2S` per-core L2s gets its application lag
-    (:func:`_lag_applications`).
+    parity-class sweep; a time tile whose grids exceed
+    :data:`LAG_KNEE_L2S` per-core L2s gets its application lag and its
+    steps' plane lags from one :func:`plane_lag_verdict`
+    (:func:`_lag_applications`); otherwise several steps that the rule
+    admits get their plane lags.
     The result carries ``options`` verbatim (``time_tile`` is read from
     there) and passes :func:`verify_schedule` once, or
     :class:`ScheduleError` is raised.
@@ -858,10 +850,11 @@ def build_schedule(
                     )
                 )
             phases.append(SchedulePhase(pi, tuple(steps)))
-        phases = _lag_steps(group, norm, phases, exec_plan.dependences)
         phases, app_lag, evidence = _lag_applications(
-            group, norm, phases, exec_plan.dependences, options.time_tile
+            group, norm, phases, options.time_tile
         )
+        if app_lag is None:
+            phases = _lag_steps(group, norm, phases, exec_plan.dependences)
         sched = Schedule(
             group, norm, options, exec_plan, tuple(phases), app_lag,
             evidence,

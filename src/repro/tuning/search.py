@@ -382,6 +382,17 @@ def search_schedules(
     predictions: dict[ScheduleOptions, float] = {}
     refused: set = set()
 
+    def refuse(opts: ScheduleOptions, p: float, e: Exception) -> None:
+        """Record ``opts`` as refused (predicted ``p`` seconds) by ``e``."""
+        kind = _refusal_kind(e)
+        refused.add(opts)
+        trials.append(Trial(opts, p, None, "refused", kind))
+        telemetry.event(
+            "tuning.candidate.refused",
+            group=group.name, backend=backend, kind=kind,
+            options=opts.describe(), detail=str(e),
+        )
+
     def predict(opts: ScheduleOptions) -> float | None:
         """Predicted seconds, or None when the candidate is refused."""
         if opts in predictions:
@@ -393,16 +404,7 @@ def search_schedules(
                 group, bench.shapes, opts, spec=mspec, backend=backend
             )
         except (ValueError, NotImplementedError) as e:
-            kind = _refusal_kind(e)
-            refused.add(opts)
-            trials.append(
-                Trial(opts, float("inf"), None, "refused", kind)
-            )
-            telemetry.event(
-                "tuning.candidate.refused",
-                group=group.name, backend=backend, kind=kind,
-                options=opts.describe(), detail=str(e),
-            )
+            refuse(opts, float("inf"), e)
             return None
         predictions[opts] = p
         return p
@@ -415,14 +417,7 @@ def search_schedules(
         try:
             t = bench.measure(opts)
         except (ValueError, NotImplementedError) as e:
-            kind = _refusal_kind(e)
-            refused.add(opts)
-            trials.append(Trial(opts, p, None, "refused", kind))
-            telemetry.event(
-                "tuning.candidate.refused",
-                group=group.name, backend=backend, kind=kind,
-                options=opts.describe(), detail=str(e),
-            )
+            refuse(opts, p, e)
             return None
         trials.append(Trial(opts, p, t, "measured"))
         telemetry.event(

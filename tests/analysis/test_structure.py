@@ -157,11 +157,7 @@ needs_gcc = pytest.mark.skipif(
 )
 
 
-@pytest.mark.parametrize("target", ["c", "openmp"])
-@pytest.mark.parametrize("unit", UNITS, ids=[u[0] for u in UNITS])
-def test_one_render_serves_the_structure_key(unit, target):
-    """Above the threshold with the emitter's decisions, every member
-    of a residue class renders the same text."""
+def _one_text_per_residue_class(unit, target, options):
     _, group, shapes = unit
     backend = get_backend(target)
     M = structure._modulus(group)
@@ -169,11 +165,28 @@ def test_one_render_serves_the_structure_key(unit, target):
         texts = set()
         for m in range(r or M, 25, M):
             at = _member(shapes, m)
-            sched = backend.pop_schedule(group, {})(at)
+            sched = backend.pop_schedule(group, dict(options))(at)
             if backend.render_key(group, at, sched) is not None:
                 texts.add(backend.generate(group, at, np.float64,
                                            schedule=sched))
         assert len(texts) <= 1
+
+
+@pytest.mark.parametrize("target", ["c", "openmp"])
+@pytest.mark.parametrize("unit", UNITS, ids=[u[0] for u in UNITS])
+def test_one_render_serves_the_structure_key(unit, target):
+    """Above the threshold with the emitter's decisions, every member
+    of a residue class renders the same text."""
+    _one_text_per_residue_class(unit, target, {})
+
+
+@pytest.mark.parametrize("target", ["c", "openmp"])
+@pytest.mark.parametrize("unit", UNITS, ids=[u[0] for u in UNITS])
+def test_one_render_serves_a_lagged_time_tile(unit, target, always_lag):
+    """The same for a time tile whose applications ``c`` lags (every
+    grid is past the knee here): its key rests on the one plane-lag
+    fact set of the steps listed twice."""
+    _one_text_per_residue_class(unit, target, {"time_tile": 4})
 
 
 def test_below_n0_is_per_extent():

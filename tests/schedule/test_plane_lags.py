@@ -2,11 +2,13 @@
 
 The oracle is a numpy executor of its own that runs a lagged schedule
 one ``(step, plane)`` at a time — plane ``t`` of the loop runs every
-step, in order, on its plane ``t - lag`` — and must equal the python
-reference bitwise.  It shares nothing with the C emitter, so it checks
-the lag rule; the C-family backends are checked against the same
-reference.  Groups the rule refuses keep the C source they had before
-lags existed, pinned by digest.
+step, in order, on its plane ``t - lag``, and each later application
+of a time tile that lags them ``app_lag`` planes further back — and
+must equal the python reference (applied ``k`` times) bitwise.  It
+shares nothing with the C emitter, so it checks the lag rule; the
+C-family backends are checked against the same reference.  Groups the
+rule refuses keep the C source they had before lags existed, pinned by
+digest.
 """
 
 import hashlib
@@ -59,12 +61,21 @@ def _on_plane(rect: ResolvedRect, p: int) -> ResolvedRect | None:
 
 def run_plane_order(sched, arrays, params=None):
     """Apply a lagged ``sched`` to ``arrays`` in place, one (step,
-    plane) at a time."""
+    plane) at a time; a schedule that lags its applications runs its
+    ``k`` applications in the same loop, application ``a`` on plane
+    ``t - lag - a*app_lag``, applications in order within one ``t``."""
     params = params or {}
     group, shapes = sched.group, sched.shapes
     steps = list(sched.steps())
     assert sched.lagged and all(s.lag is not None for s in steps)
-    planes = max(s[0] for s in shapes.values()) + max(s.lag for s in steps)
+    apps, delta = (
+        (1, 0) if sched.app_lag is None
+        else (sched.options.time_tile, sched.app_lag)
+    )
+    planes = (
+        max(s[0] for s in shapes.values()) + max(s.lag for s in steps)
+        + (apps - 1) * delta
+    )
     bodies = {}
     for s in steps:
         for i in s.stencils:
@@ -73,22 +84,25 @@ def run_plane_order(sched, arrays, params=None):
             rects = stencil.domain.resolve(iteration_shape(stencil, shapes))
             bodies[i] = (stencil, body, rects)
     for t in range(planes):
-        for s in steps:
-            for i in s.stencils:
-                stencil, body, rects = bodies[i]
-                out, om = arrays[stencil.output], stencil.output_map
-                for rect in rects:
-                    sub = _on_plane(rect, t - s.lag)
-                    if sub is None:
-                        continue
-                    out[lattice_slices(sub, om.scale, om.offset)] = eval_rect(
-                        body,
-                        lambda ld: arrays[ld.grid][
-                            lattice_slices(sub, ld.scale, ld.offset)
-                        ],
-                        params, sub.counts, out.dtype,
-                        eval_scalar_lets(body, params),
-                    )
+        for a in range(apps):
+            for s in steps:
+                for i in s.stencils:
+                    stencil, body, rects = bodies[i]
+                    out, om = arrays[stencil.output], stencil.output_map
+                    for rect in rects:
+                        sub = _on_plane(rect, t - s.lag - a * delta)
+                        if sub is None:
+                            continue
+                        out[lattice_slices(sub, om.scale, om.offset)] = (
+                            eval_rect(
+                                body,
+                                lambda ld: arrays[ld.grid][
+                                    lattice_slices(sub, ld.scale, ld.offset)
+                                ],
+                                params, sub.counts, out.dtype,
+                                eval_scalar_lets(body, params),
+                            )
+                        )
 
 
 def _arrays(shapes, seed=7):
@@ -96,11 +110,11 @@ def _arrays(shapes, seed=7):
     return {g: rng.standard_normal(s) for g, s in sorted(shapes.items())}
 
 
-def _reference(group, shapes, arrays, params=None):
+def _reference(group, shapes, arrays, params=None, times=1):
     work = {g: a.copy() for g, a in arrays.items()}
-    group.compile(
-        backend="python", shapes=shapes, dtype=np.float64
-    )(**work, **(params or {}))
+    kernel = group.compile(backend="python", shapes=shapes, dtype=np.float64)
+    for _ in range(times):
+        kernel(**work, **(params or {}))
     return work
 
 
@@ -175,10 +189,13 @@ stencil_specs = st.tuples(
 
 
 @settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
 @given(specs=st.lists(stencil_specs, min_size=2, max_size=5),
        n=st.integers(5, 12))
-def test_random_offset_sets_run_in_plane_order(specs, n):
+def test_random_offset_sets_run_in_plane_order(always_lag, specs, n):
+    # one application, and time tiles of 2 and 3 whose applications
+    # are lagged in the steps' plane loop (every grid past the knee)
     stencils = []
     for k, (out, reads, ghost) in enumerate(specs):
         body = None
@@ -191,18 +208,23 @@ def test_random_offset_sets_run_in_plane_order(specs, n):
         ))
     group = StencilGroup(stencils, name="random")
     shapes = {g: (n, n) for g in group.grids()}
-    sched = build_schedule(group, shapes)
-    if not sched.lagged:
-        # only a loop-carried hazard (an in-place read off the centre)
-        # may refuse these identity-scale, bounded-halo groups
-        assert any(s.snapshot or not s.parallel for s in sched.steps())
-        return
     arrays = _arrays(shapes)
-    ref = _reference(group, shapes, arrays)
-    work = {g: a.copy() for g, a in arrays.items()}
-    run_plane_order(sched, work)
-    for g in sorted(shapes):
-        np.testing.assert_array_equal(work[g], ref[g], err_msg=g)
+    for k in (1, 2, 3):
+        sched = build_schedule(group, shapes, ScheduleOptions(time_tile=k))
+        if not sched.lagged:
+            # only a loop-carried hazard (an in-place read off the
+            # centre) may refuse these identity-scale, bounded-halo
+            # groups
+            assert any(s.snapshot or not s.parallel for s in sched.steps())
+            return
+        assert (sched.app_lag is not None) == (k > 1)
+        ref = _reference(group, shapes, arrays, times=k)
+        work = {g: a.copy() for g, a in arrays.items()}
+        run_plane_order(sched, work)
+        for g in sorted(shapes):
+            np.testing.assert_array_equal(
+                work[g], ref[g], err_msg=f"k={k} {g}"
+            )
 
 
 # -- what the rule refuses renders as before ----------------------------------

@@ -34,6 +34,7 @@ from repro.hpgmg.operators import (
     vc_laplacian,
 )
 from repro.schedule import POLICIES, ScheduleOptions, schedule_for
+from tests.schedule._cases import solver_units
 
 #: the CPU backends, each bitwise against k calls of itself and python
 CPU_BACKENDS = ("python", "numpy", "c", "openmp")
@@ -344,15 +345,33 @@ class TestLaggedApplications:
                 err_msg=f"{case} k={k} (tile={tile}) diverges on {g!r}",
             )
 
+    #: the 3-d groups the solver lags, beside the 2-d ``CASES``: its
+    #: 32^3 smoother and residual, and two smooths in one group
+    UNITS = {
+        "solver_smooth": lambda: solver_units()[0],
+        "solver_residual": lambda: solver_units()[1],
+        "smooth_x2": lambda: (
+            smooth_group(3, cc_laplacian(3, 1.0 / 8), lam=0.25, n_smooths=2),
+            dict.fromkeys(("x", "rhs"), (10,) * 3),
+        ),
+    }
+
     @pytest.mark.parametrize(
         "case,lags,app_lag",
         [("cc_jacobi", [0], 0), ("vc_gsrb", [0], 0), ("restrict", [0], 0),
-         ("smooth", [0, 0, 0, 0, 1, 2, 0, 1, 1, 2], 3)],
+         ("smooth", [0, 0, 0, 0, 1, 2, 0, 1, 1, 2], 3),
+         ("solver_smooth", [0] * 6 + [1, 2, 0] + [1] * 4 + [2], 3),
+         ("solver_residual", [0] * 6 + [1], 2),
+         ("smooth_x2", [0] * 6 + [1, 2, 0] + [1] * 4 + [2, 3, 1]
+          + [2] * 4 + [3, 4, 2] + [3] * 4 + [4], 5)],
     )
     def test_schedule_carries_the_application_lag(
         self, always_lag, case, lags, app_lag
     ):
-        group, shapes, _ = CASES[case]()
+        if case in self.UNITS:
+            group, shapes = self.UNITS[case]()
+        else:
+            group, shapes, _ = CASES[case]()
         sched = schedule_for(group, shapes, ScheduleOptions(time_tile=4))
         assert [s.lag for s in sched.steps()] == lags
         assert all(

@@ -149,6 +149,31 @@ class TestVerifier:
         (problem,) = verify_schedule(replace(sched, **change))
         assert problem.claim == "lag-refused" and why in problem.basis
 
+    def test_application_lagged_step_off_the_rule_is_refused(
+        self, always_lag
+    ):
+        # a lagged tile's step lags are the rule's on the steps listed
+        # twice, the lags its application lag is read from: a black
+        # half-sweep one plane further back is refused, naming the lag
+        # the rule gives it
+        group, shapes, _ = gsrb_workload()
+        sched = build_schedule(group, shapes, ScheduleOptions(time_tile=3))
+        black = list(sched.steps())[-1]
+        bad = replace(sched, phases=tuple(
+            SchedulePhase(ph.index, tuple(
+                replace(st, lag=black.lag + 1) if st is black else st
+                for st in ph.steps
+            ))
+            for ph in sched.phases
+        ))
+        (problem,) = verify_schedule(bad)
+        assert problem.claim == "lag-refused"
+        assert problem.basis == (
+            f"step [gsrb_black] has lag {black.lag + 1}, not the "
+            f"{black.lag} the plane-lag rule gives it on the steps "
+            "listed twice"
+        )
+
     def test_time_tile_of_snapshot_step_verifies(self):
         # k applications are the verified program run k times: the
         # snapshot step is re-taken each time, nothing more to check
