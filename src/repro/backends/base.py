@@ -11,10 +11,9 @@ register their own backends with :func:`register_backend`.
 
 from __future__ import annotations
 
-import abc
 import time
 from dataclasses import fields
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,7 +108,8 @@ class CompiledKernel:
             )
         return total
 
-    def _get_impl(self, shapes, dtype) -> tuple[Callable, int]:
+    def _get_impl(self, shapes, dtype) -> tuple:
+        """``(impl, points, tile)``; ``tile`` is a time tile's :class:`_Tiled`."""
         key = self._key(shapes, dtype)
         entry = self._cache.get(key)
         if entry is None:
@@ -131,8 +131,11 @@ class CompiledKernel:
             telemetry.event(
                 "backend.specialize", backend=self._label, group=self.group.name
             )
-            entry = (impl, self._points(shapes))
-            self._cache[key] = entry
+            points = self._points(shapes)
+            tile = impl if isinstance(impl, _Tiled) else None
+            if tile is not None:
+                impl, points = tile.impl, tile.k * points
+            entry = self._cache[key] = (impl, points, tile)
         return entry
 
     def _unexpected(self, name: str) -> TypeError:
@@ -175,17 +178,16 @@ class CompiledKernel:
         )
         dt = next(iter(arrays.values())).dtype
         shapes = {g: a.shape for g, a in arrays.items()}
-        impl, points = self._get_impl(shapes, dt)
+        impl, points, tile = self._get_impl(shapes, dt)
         bind = getattr(impl, "bind", None)
         if bind is not None:
             run = bind(arrays, fixed)
         else:
             def run(params):
                 impl(arrays, {**fixed, **params})
-        return BoundKernel(
-            self, arrays, run, points, self._param_names - fixed.keys(),
-            self._outputs,
-        )
+        args = (self, arrays, run, points,
+                self._param_names - fixed.keys(), self._outputs)
+        return BoundKernel(*args) if tile is None else _BoundTile(tile, *args)
 
     def __call__(self, **kwargs) -> None:
         self.bind(**kwargs)()
@@ -281,6 +283,59 @@ class BoundKernel:
         )
 
 
+class _Tiled(NamedTuple):
+    """A time tile's specialization: ``impl`` runs one of its ``k > 1``
+    applications, or all ``k`` when ``lagged``."""
+
+    impl: Callable
+    k: int
+    lagged: bool
+
+
+class _BoundTile(BoundKernel):
+    """A bound time tile (:class:`_Tiled`): the bound ``run`` ``k``
+    times, once when lagged, under one ``time_tile`` span while tracing.
+    ``_run.ffi`` and ``_run.reps`` let a program step repeat the FFI
+    call itself."""
+
+    __slots__ = ("_tile_args",)
+
+    def __init__(self, tile: _Tiled, kernel, arrays, run, *rest) -> None:
+        reps = 1 if tile.lagged else tile.k
+
+        def run_tile(params: Mapping[str, float]) -> None:
+            for _ in range(reps):
+                run(params)
+
+        run_tile.ffi, run_tile.reps = getattr(run, "ffi", None), reps
+        super().__init__(kernel, arrays, run_tile, *rest)
+        self._tile_args = {"backend": kernel._label, "k": tile.k, "lagged": tile.lagged}
+
+    def _timed_run(self, params, mode: str) -> None:
+        if not telemetry.tracing.active(mode):
+            return BoundKernel._timed_run(self, params, mode)
+        with telemetry.tracing.span("time_tile", cat="schedule", **self._tile_args):
+            BoundKernel._timed_run(self, params, mode)
+
+
+def in_order(backend: str, runs: Sequence[tuple[str, Callable]]) -> Callable:
+    """An interpreter's ``impl``: each ``(name, run)`` called in order,
+    under a ``stencil:<name>`` span while tracing."""
+
+    def impl(arrays, params):
+        if not telemetry.tracing.active():
+            for _, run in runs:
+                run(arrays, params)
+            return
+        for name, run in runs:
+            with telemetry.tracing.span(
+                f"stencil:{name}", cat="kernel", backend=backend
+            ):
+                run(arrays, params)
+
+    return impl
+
+
 def bind_kernel(kernel: Callable, args: Mapping[str, object]) -> Callable:
     """``kernel`` bound to ``args`` (the grids and any fixed params), as
     a callable taking the remaining params.
@@ -326,7 +381,7 @@ _SCHEDULE_NAMES = frozenset(
 )
 
 
-class Backend(abc.ABC):
+class Backend:
     """A Snowflake micro-compiler."""
 
     #: registry name, e.g. ``"openmp"``
@@ -397,7 +452,6 @@ class Backend(abc.ABC):
         and :mod:`repro.explain` charge traffic by this answer."""
         return False
 
-    @abc.abstractmethod
     def specializer(
         self, group: StencilGroup, **options
     ) -> Callable[[Mapping[str, tuple[int, ...]], np.dtype], Callable]:
@@ -415,7 +469,29 @@ class Backend(abc.ABC):
         ``fixed`` at bind, done once for a :class:`BoundKernel`; ``run``
         gets the other params.  Without one, a bound call is
         ``impl(arrays, {**fixed, **params})``.
+
+        The built-in backends share this one: :meth:`lower` the schedule
+        of each shape, and run a time tile's ``impl`` ``k`` times in the
+        bound call unless it runs all ``k`` (:meth:`lags_applications`).
+        A user backend overrides it instead, with its own options.
         """
+        schedule_at = self.pop_schedule(group, options)
+
+        def specialize(shapes, dtype) -> Callable:
+            sched = schedule_at(shapes)
+            return self._tiled(self.lower(group, shapes, dtype, sched), sched)
+
+        return specialize
+
+    def lower(self, group, shapes, dtype, sched: Schedule) -> Callable:
+        """``impl`` running one application of ``group`` as ``sched``
+        orders it, or all ``k`` of a tile :meth:`lags_applications`."""
+        raise NotImplementedError(f"{self.name!r} defines no lower")
+
+    def _tiled(self, impl: Callable, sched: Schedule) -> Callable:
+        """``impl`` as :meth:`specializer` returns it for ``sched``."""
+        k = sched.options.time_tile
+        return impl if k == 1 else _Tiled(impl, k, self.lags_applications(sched))
 
     def artifact_info(
         self,

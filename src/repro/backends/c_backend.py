@@ -20,7 +20,8 @@ The generated function has the narrow FFI signature
     void sf_kernel(TYPE** grids, const double* params, const int64_t* dims);
 
 with grids and params passed in sorted-name order and ``dims`` holding
-every grid's extents in the same order, then, for ``time_tile = k > 1``,
+every grid's extents in the same order, then, for a time tile the body
+lags (any other runs one application ``k`` times in the bound call),
 the depth ``k`` (read into ``sf_k``).  The source is *size-generic*:
 loop bounds, strides and snapshot sizes are read from ``dims``, so one
 shared object serves every shape whose schedule renders the same text
@@ -281,7 +282,8 @@ class CompiledProgram:
         bound kernel.  The result's ``arrays`` are every distinct array
         of the steps, named ``<grid>#<n>``, and its outputs every one a
         step writes, so the guards scan them once per call; its point
-        count is the steps' sum.
+        count is the steps' sum.  A step of a whole-sweep time tile
+        runs its one-application forwarder ``reps * k`` times.
         """
         table: list[int] = []
         G: list[int] = []
@@ -322,7 +324,7 @@ class CompiledProgram:
                 G += ptrs
                 P += pvals
                 D += dims
-            table += [*at, reps]
+            table += [*at, reps * getattr(fn._run, "reps", 1)]
             points += fn._points * reps
             for g, a in fn.arrays.items():
                 key = name(g, a)
@@ -363,25 +365,21 @@ class CBackend(Backend):
         self.name = target.name
         self._KNOBS = target.knobs
 
-    def specializer(self, group: StencilGroup, **options):
-        schedule_at = self.pop_schedule(group, options)
-
-        def specialize(shapes, dtype) -> Callable:
-            sched = schedule_at(shapes)
-            src = self.generate(group, shapes, dtype, schedule=sched)
-            telemetry.count(f"codegen.{self.name}.sources")
-            telemetry.count(f"codegen.{self.name}.bytes", len(src))
-            lib = compile_and_load(src, openmp=self.target.openmp)
-            ctx = CodegenContext(
-                group, shapes, ctype_for(dtype),
-                time_tile=sched.options.time_tile,
-            )
-            return make_ffi_wrapper(lib, "sf_kernel", ctx)
-
-        return specialize
+    def lower(self, group, shapes, dtype, sched) -> Callable:
+        src = self.generate(group, shapes, dtype, schedule=sched)
+        telemetry.count(f"codegen.{self.name}.sources")
+        telemetry.count(f"codegen.{self.name}.bytes", len(src))
+        lib = compile_and_load(src, openmp=self.target.openmp)
+        return make_ffi_wrapper(lib, "sf_kernel", self._context(group, shapes, dtype, sched))
 
     def lags_applications(self, sched: Schedule) -> bool:
         return self.target.plane_loop and sched.app_lag is not None
+
+    def _context(self, group, shapes, dtype, sched) -> CodegenContext:
+        """The body runs ``sched``'s ``k`` applications (``sf_k``, from
+        ``dims``) only when it lags them; else one."""
+        k = sched.options.time_tile if self.lags_applications(sched) else 1
+        return CodegenContext(group, shapes, ctype_for(dtype), time_tile=k)
 
     def generate(
         self, group, shapes, dtype, *, schedule=None, func_name="sf_kernel"
@@ -397,11 +395,12 @@ class CBackend(Backend):
         schedule runs every step inside one loop over axis-0 planes
         ``sf_t`` (step ``q`` on plane ``sf_t - lag``, the steps'
         preludes hoisted before it) when the target's ``plane_loop`` is
-        on.  A time tile of ``sf_k`` applications (the depth is read
-        from ``dims``, so one text serves every ``k > 1``) runs them in
-        that plane loop too when the schedule lags its applications,
-        application ``sf_a`` on plane ``sf_t - lag - sf_a*app_lag``, and
-        otherwise wraps the whole step sequence in one ``sf_tt`` loop.
+        on.  A time tile whose applications the walker lags
+        (:meth:`lags_applications`) runs all ``sf_k`` of them in that
+        plane loop, application ``sf_a`` on plane ``sf_t - lag -
+        sf_a*app_lag`` (the depth is read from ``dims``, so one text
+        serves every ``k > 1``); any other time tile renders as one
+        application, the ``time_tile=1`` text.
         Snapshots are allocated once at the top, filled at the start of
         their step's phase (a phase's steps are mutually independent)
         and freed at the end.
@@ -411,9 +410,8 @@ class CBackend(Backend):
         norm = {g: tuple(int(x) for x in shapes[g]) for g in shapes}
         sched = as_schedule(schedule, group, norm)
         lagged = t.plane_loop and sched.lagged
-        k = sched.options.time_tile
         app = sched.app_lag if self.lags_applications(sched) else None
-        ctx = CodegenContext(group, norm, ctype_for(dtype), time_tile=k)
+        ctx = self._context(group, norm, dtype, sched)
 
         def nbytes(grid: str) -> str:
             return f"{ctx.grid_size(grid)} * sizeof({ctx.ctype})"
@@ -490,17 +488,7 @@ class CBackend(Backend):
         if t.region:
             lines.extend(pad + l for l in (*t.region, "{"))
             pad += "  "
-        if k > 1 and app is None:
-            # every application runs the full barrier-ordered program,
-            # so the result is k sequential sweeps by construction
-            lines.append(f"{pad}/* fused time tile: sf_k applications */")
-            lines.append(
-                f"{pad}for (int64_t sf_tt = 0; sf_tt < sf_k; ++sf_tt) {{"
-            )
-            lines.extend(pad + "  " + l for l in body)
-            lines.append(pad + "}")
-        else:
-            lines.extend(pad + l for l in body)
+        lines.extend(pad + l for l in body)
         if t.region:
             lines.append("  }")
         lines.extend(f"  free({snap});" for snap in snaps.values())
@@ -554,7 +542,7 @@ class CBackend(Backend):
                     bodies.append(src)
                 if key is not None:
                     keyed_ops[key] = op
-            plan.append((group, shapes, op, sched.options.time_tile))
+            plan.append((group, shapes, op, sched))
         sources = program_source(bodies, ctype_for(dt))
         telemetry.count(f"codegen.{self.name}.sources")
         telemetry.count(
@@ -567,16 +555,16 @@ class CBackend(Backend):
             lib = compile_and_load(sources, openmp=self.target.openmp)
         guards = guards if guards is not None else Guards.from_env()
         kernels = []
-        for group, shapes, op, k in plan:
+        for group, shapes, op, sched in plan:
 
             def specialize(
-                s, d, group=group, shapes=shapes, op=op, k=k
+                s, d, group=group, shapes=shapes, op=op, sched=sched
             ) -> Callable:
                 if s == shapes and d == dt:
-                    ctx = CodegenContext(
-                        group, shapes, ctype_for(dt), time_tile=k
+                    ctx = self._context(group, shapes, dt, sched)
+                    return self._tiled(
+                        make_ffi_wrapper(lib, f"sf_op{op}", ctx), sched
                     )
-                    return make_ffi_wrapper(lib, f"sf_op{op}", ctx)
                 # another shape is not in the program: its own artifact
                 return self.specializer(group, **options)(s, d)
 

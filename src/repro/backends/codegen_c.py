@@ -154,9 +154,10 @@ class CodegenContext:
     ``c``), and :meth:`index_expr`, :meth:`grid_size` and
     :meth:`iteration_extents` render in terms of them.  Without it
     (the GPU dialects) strides are baked into the text as numbers.
-    ``time_tile`` is the depth ``k`` of a time tile: past one it rides
-    in ``dims`` too, after the extents, and the body reads it into
-    ``sf_k``, so the text is the same for every ``k > 1``.
+    ``time_tile`` is the depth ``k`` of a time tile the body lags in
+    one plane loop: past one it rides in ``dims`` too, after the
+    extents, and the body reads it into ``sf_k``, so the text is the
+    same for every ``k > 1``.
     """
 
     group: StencilGroup

@@ -417,8 +417,7 @@ class GpuSimBackend(Backend):
     fields: ``multicolor`` is off by default, ``block`` is the 2-D
     thread-block shape on ``cuda-sim`` (default (32, 4); the OpenCL
     runtime picks its own), ``tile``/``unroll`` have no GPU lowering and
-    are ignored, and ``time_tile=k`` runs the built executor ``k`` times
-    per call — the oracle's definition, as ``python`` does.
+    are ignored.
     """
 
     _KNOBS = {"multicolor": False}
@@ -427,30 +426,15 @@ class GpuSimBackend(Backend):
         self.dialect = dialect
         self.name = dialect.name
 
-    def specializer(self, group: StencilGroup, **options):
-        schedule_at = self.pop_schedule(group, options)
+    def lower(self, group, shapes, dtype, sched):
+        from ..gpusim import build_executor
 
-        def specialize(shapes, dtype):
-            from ..gpusim import build_executor
-
-            sched = schedule_at(shapes)
-            program = generate_gpu_program(
-                group, shapes, dtype, self.dialect, schedule=sched,
-            )
-            telemetry.count(f"codegen.{self.name}.sources")
-            telemetry.count(f"codegen.{self.name}.bytes", len(program.source))
-            execute = build_executor(program, shapes, dtype)
-            k = sched.options.time_tile
-            if k == 1:
-                return execute
-
-            def impl(arrays, params):
-                for _ in range(k):
-                    execute(arrays, params)
-
-            return impl
-
-        return specialize
+        program = generate_gpu_program(
+            group, shapes, dtype, self.dialect, schedule=sched,
+        )
+        telemetry.count(f"codegen.{self.name}.sources")
+        telemetry.count(f"codegen.{self.name}.bytes", len(program.source))
+        return build_executor(program, shapes, dtype)
 
     def artifact_info(self, group, shapes, dtype=None, **options):
         """Identity of the generated program (built and cached in-process,

@@ -23,10 +23,10 @@ import numpy as np
 from .. import telemetry
 from ..core.domains import ResolvedRect
 from ..core.flatten import term_scalar
-from ..core.stencil import Stencil, StencilGroup
+from ..core.stencil import Stencil
 from ..core.validate import iteration_shape
 from ..kernel import body_for, eval_rect, eval_scalar_lets
-from .base import Backend, register_backend
+from .base import Backend, in_order, register_backend
 
 __all__ = ["NumpyBackend", "lattice_slices"]
 
@@ -161,45 +161,14 @@ class NumpyBackend(Backend):
 
     _KNOBS = {"multicolor": False}
 
-    def specializer(self, group: StencilGroup, **options):
-        schedule_at = self.pop_schedule(group, options)
-
-        def specialize(shapes, dtype) -> Callable:
-            sched = schedule_at(shapes)
-            execs = [
-                _StencilExec(group[i], shapes, step.snapshot)
-                for step in sched.steps()
-                for i in step.stencils
-            ]
-            telemetry.count("codegen.numpy.stencil_execs", len(execs))
-            applications = sched.options.time_tile
-
-            def impl(arrays, params):
-                if applications > 1 and telemetry.tracing.active():
-                    with telemetry.tracing.span(
-                        "time_tile", cat="schedule", backend="numpy",
-                        k=applications,
-                    ):
-                        _apply(arrays, params)
-                else:
-                    _apply(arrays, params)
-
-            def _apply(arrays, params):
-                for _ in range(applications):
-                    if telemetry.tracing.active():
-                        for ex in execs:
-                            with telemetry.tracing.span(
-                                f"stencil:{ex.stencil.name}", cat="kernel",
-                                backend="numpy",
-                            ):
-                                ex.run(arrays, params)
-                    else:
-                        for ex in execs:
-                            ex.run(arrays, params)
-
-            return impl
-
-        return specialize
+    def lower(self, group, shapes, dtype, sched) -> Callable:
+        execs = [
+            _StencilExec(group[i], shapes, step.snapshot)
+            for step in sched.steps()
+            for i in step.stencils
+        ]
+        telemetry.count("codegen.numpy.stencil_execs", len(execs))
+        return in_order("numpy", [(ex.stencil.name, ex.run) for ex in execs])
 
 
 register_backend(NumpyBackend(), "np")

@@ -19,16 +19,17 @@ Deliberately unoptimized — small grids only.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .. import telemetry
 from ..core.flatten import term_scalar
-from ..core.stencil import Stencil, StencilGroup
+from ..core.stencil import Stencil
 from ..core.validate import iteration_shape
 from ..kernel import body_for, eval_point, eval_scalar_lets
-from .base import Backend, register_backend
+from .base import Backend, in_order, register_backend
 
 __all__ = ["PythonBackend"]
 
@@ -115,33 +116,12 @@ class PythonBackend(Backend):
 
     _KNOBS = {"multicolor": False}
 
-    def specializer(self, group: StencilGroup, **options):
-        schedule_at = self.pop_schedule(group, options)
-
-        def specialize(shapes, dtype) -> Callable:
-            sched = schedule_at(shapes)
-            order = [group[i] for i in sched.stencil_order()]
-            # The oracle form of a time tile is its *definition*: k
-            # sequential applications of the whole group per call.
-            applications = sched.options.time_tile
-            telemetry.count("codegen.python.interpreted_stencils", len(group))
-
-            def impl(arrays, params):
-                for _ in range(applications):
-                    if telemetry.tracing.active():
-                        for stencil in order:
-                            with telemetry.tracing.span(
-                                f"stencil:{stencil.name}", cat="kernel",
-                                backend="python",
-                            ):
-                                _apply_stencil(stencil, arrays, params, shapes)
-                    else:
-                        for stencil in order:
-                            _apply_stencil(stencil, arrays, params, shapes)
-
-            return impl
-
-        return specialize
+    def lower(self, group, shapes, dtype, sched) -> Callable:
+        telemetry.count("codegen.python.interpreted_stencils", len(group))
+        return in_order("python", [
+            (group[i].name, partial(_apply_stencil, group[i], shapes=shapes))
+            for i in sched.stencil_order()
+        ])
 
 
 register_backend(PythonBackend(), "ref")

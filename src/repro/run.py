@@ -5,15 +5,11 @@
 kernel invocation: it compiles ``ScheduleOptions(time_tile=k)``.  Where
 the grids pass the measured knee (more than
 :data:`~repro.schedule.lower.LAG_KNEE_L2S` per-core L2s) and the plane
-lags admit the group, ``c`` runs the ``k`` applications in the steps'
-one loop over axis-0 planes, each application its proven application
-lag behind the one before, so the grids are streamed once, not ``k``
-times.  Every other case is one outer loop around the whole
-barrier-ordered program (``sf_tt`` in C/OpenMP, ``range(k)`` in the
-interpreters and GPU simulators), which buys ``k - 1`` FFI round
-trips.  Either way the result is ``k`` calls bit for bit, on every
-group.  The C text does not depend on ``k`` past one (the depth is read
-from ``dims``), so every ``times > 1`` shares one shared object.
+lags admit the group, ``c`` runs the ``k`` applications in one pass
+over axis-0 planes, each its application lag behind the last, so the
+grids are streamed once.  Otherwise the one bound call runs the
+``times=1`` kernel ``k`` times.  Either way the result is ``k`` calls
+bit for bit, on every group.
 
 ``run`` compiles a given (program object, shapes, dtype, backend,
 ``times``, options) once: the kernel is kept on the program object, so

@@ -174,8 +174,8 @@ class Schedule:
     :class:`~repro.analysis.dag.ExecutionPlan` (dependence edges and
     barrier provenance); ``phases`` refine it with fusion, snapshot and
     sweep decisions.  ``options.time_tile`` is ``k`` applications per
-    call, one outer loop around the whole program on every backend
-    unless ``app_lag`` is set.  ``app_lag`` is the *application lag*
+    call: the one-application kernel run ``k`` times in the bound call,
+    unless the backend lags them.  ``app_lag`` is the *application lag*
     ``Δ`` of a time tile lowered into the steps' plane loop: application
     ``a`` runs step ``q`` on plane ``t - lag[q] - a*Δ``, so the ``k``
     applications stream the grids once (read from

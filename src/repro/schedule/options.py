@@ -15,9 +15,9 @@ same options can be handed to every link of a fallback chain.
 
 ``time_tile`` is the one *semantic* field: a kernel built with
 ``time_tile=k`` performs ``k`` applications per call.  Every built-in
-backend honours it on every group (one outer loop around the whole
-program, or on ``c`` the applications lagged in one plane loop), and
-none drops it.
+backend honours it on every group (the bound call runs the one-application
+kernel ``k`` times, or on ``c`` the kernel lags the applications in
+one plane loop), and none drops it.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ class ScheduleOptions:
         2-D thread-block shape for the CUDA target (``None`` keeps the
         backend default).
     ``time_tile``
-        Temporal blocking: fuse this many successive applications of
-        the whole group into one kernel invocation (one outer time
-        loop around the program).  ``1`` (the default) is a single sweep.
-        Each application runs the whole barrier-ordered program, so
-        ``k > 1`` is ``k`` calls by construction, legal on every group;
+        Temporal blocking: this many successive applications of the
+        whole group in one kernel invocation, ``1`` (the default) a
+        single sweep.  The bound call runs the one-application kernel
+        ``k`` times, so ``k > 1`` is ``k`` calls by construction, legal
+        on every group;
         where the grids pass the measured knee, ``c`` runs the
         applications in one plane loop instead, each its proven
         application lag behind the last (still ``k`` calls bit for bit).

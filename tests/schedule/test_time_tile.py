@@ -2,9 +2,9 @@
 
 The acceptance bar for ``ScheduleOptions(time_tile=k)`` is *bitwise*
 equality with ``k`` separate kernel invocations on every backend — the
-time tile is the untiled program inside one outer time loop, or, on
-``c`` when its grids exceed ``LAG_KNEE_L2S`` per-core L2s, its
-applications lagged in the steps' plane loop; either way the
+time tile is the untiled lowering run ``k`` times inside the bound
+call, or, on ``c`` when its grids exceed ``LAG_KNEE_L2S`` per-core L2s,
+its applications lagged in the steps' plane loop; either way the
 floating-point result is identical, not merely close, on every group:
 wrap-around reads, gather snapshots and scaled maps included.  The suite's L2 is fixed
 (``tests/conftest.py``); ``always_lag`` sets it to 0 bytes.
@@ -211,26 +211,14 @@ def _paper_case(name):
     return case
 
 
-#: the groups ``c``/``openmp`` pinned under ``time_tile=4``
+#: the groups whose lagged ``time_tile=4`` text ``c`` pins
 PINNED_TILED = {
     **{name: _paper_case(name) for name in ("cc_7pt", "cc_jacobi", "vc_gsrb")},
     "smooth": lambda: smooth_case()[:2],
 }
 
-#: sha256 of ``generate(..., ScheduleOptions(time_tile=4))`` with the
-#: suite's L2, which these grids fit: ``k`` whole sweeps
-PINNED_SOURCES = {
-    ("cc_7pt", "c"): "81fb97257835cf8ab65c7b9e9a1b698e22c6446d8205e6c99558bc33b1039e9f",
-    ("cc_7pt", "openmp"): "37d8f83a5b8ccf8a713238f514451031858fd3fe035f3992cad30261b3718ec0",
-    ("cc_jacobi", "c"): "35ac772cf85ca2bf8172436abc309e5d50c8fe090fe5bc2618c5340bdf8c058f",
-    ("cc_jacobi", "openmp"): "236cec67aa5b94d2c6712e3498b05a511e87b491d30aa1a4684929902cec0d66",
-    ("smooth", "c"): "b0df58f0378662394e072a97778cb1d67b5db57138eee54ff5739ef1d0b7209e",
-    ("smooth", "openmp"): "bdb10aa3c4522fdb389b73ac03eed9de974e560005c7193d239c50a91ff0d38b",
-    ("vc_gsrb", "c"): "a3aff95e7ac2cfbfe6b8cbab756cedefb8264ffc95b390d331c504f6a009316b",
-    ("vc_gsrb", "openmp"): "ceac838697dff69b02edc544fa49a34c325c217d21dd18ebe8461cc68c95807e",
-}
-
-#: the same on ``c`` under ``always_lag``: the applications lagged
+#: sha256 of ``generate(..., ScheduleOptions(time_tile=4))`` on ``c``
+#: under ``always_lag``: the applications lagged
 PINNED_LAGGED = {
     "cc_7pt": "4ea9914ca94ddd7fb23e5116c9561bb088123b28f494eddd537bc9fc45407549",
     "cc_jacobi": "1a2244917b8a8f8b238f3dbcbfa5062d37f7b424ebc20c4af796625028c94b85",
@@ -262,67 +250,49 @@ def _sha(text):
 
 
 class TestOneLowering:
-    """Where the grids fit the L2, ``time_tile=k`` is the
-    ``time_tile=1`` program inside one ``sf_tt`` loop of ``sf_k``
-    applications, the depth read from ``dims`` — single step or many,
-    spatially tiled or not."""
-
-    @pytest.mark.parametrize(
-        "generate",
-        [get_backend("c").generate, get_backend("openmp").generate],
-        ids=["c", "openmp"],
-    )
-    @pytest.mark.parametrize(
-        "case,tile",
-        [("vc_gsrb", None), ("vc_gsrb", 2), ("smooth", None),
-         ("periodic", None), ("carry", None)],
-    )
-    def test_tiled_source_is_untiled_source_in_one_time_loop(
-        self, generate, case, tile
-    ):
-        group, shapes, _ = CASES[case]()
-        untiled, tiled = (
-            generate(
-                group, shapes, np.float64,
-                schedule=ScheduleOptions(time_tile=k, tile=tile),
-            ).splitlines()
-            for k in (1, 4)
-        )
-        # the depth is the one dims entry past the extents
-        n_dims = sum(len(s) for s in shapes.values())
-        tiled.remove(f"  const int64_t sf_k = dims[{n_dims}];")
-        (at,) = [i for i, l in enumerate(tiled) if "int64_t sf_tt" in l]
-        pad = tiled[at][: -len(tiled[at].lstrip())]
-        assert tiled[at - 1] == pad + "/* fused time tile: sf_k applications */"
-        assert tiled[at] == (
-            pad + "for (int64_t sf_tt = 0; sf_tt < sf_k; ++sf_tt) {"
-        )
-        end = tiled.index(pad + "}", at)
-        body = tiled[at + 1:end]
-        assert all(l.startswith(pad + "  ") for l in body)
-        assert (
-            tiled[:at - 1] + [l[2:] for l in body] + tiled[end + 1:]
-            == untiled
-        )
-        if case == "carry":
-            # the gather snapshot is re-taken by every application
-            (copy,) = [l for l in tiled if "memcpy(" in l]
-            assert copy in body
+    """Where the grids fit the L2, and always on ``openmp``, a time tile
+    renders the ``time_tile=1`` text, single step or many, spatially
+    tiled or not: the bound call runs that one application ``k``
+    times, so one artifact serves every depth."""
 
     @pytest.mark.parametrize("backend", ["c", "openmp"])
-    @pytest.mark.parametrize("case", sorted(PINNED_TILED))
-    def test_source_is_pinned(self, backend, case):
-        # the time-tiled sources of these groups do not move
-        group, shapes = PINNED_TILED[case]()
-        src = _source(backend, group, shapes, 4)
-        assert _sha(src) == PINNED_SOURCES[case, backend]
-
-    @pytest.mark.parametrize("backend", ["c", "openmp"])
-    @pytest.mark.parametrize("case", ["cc_jacobi", "smooth", "periodic"])
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_text_is_the_same_for_every_depth(self, backend, case):
-        # k rides in dims: one artifact serves every k > 1
         group, shapes, _ = CASES[case]()
-        assert len({_source(backend, group, shapes, k) for k in (2, 3, 8)}) == 1
+        for tile in (None, 2):
+            texts = {
+                _source(backend, group, shapes, k, tile=tile)
+                for k in (1, 2, 3, 8)
+            }
+            assert len(texts) == 1, (case, tile)
+
+
+class TestProgramUnit:
+    """A time-tiled unit of ``compile_program`` is ``k`` calls too, as
+    one step of the program's walker: whole sweeps run its
+    one-application forwarder ``reps * k`` times, a lagged tile its
+    lagged forwarder ``reps`` times."""
+
+    @pytest.mark.parametrize("backend", ["c", "openmp"])
+    @pytest.mark.parametrize("lag", [False, True])
+    @pytest.mark.parametrize("case", ["cc_jacobi", "smooth", "carry"])
+    def test_tiled_unit_equals_k_calls(self, l2, backend, lag, case):
+        if lag:
+            l2(0)
+        group, shapes, arrays = CASES[case]()
+        k, reps = 3, 2
+        sched = schedule_for(group, shapes, ScheduleOptions(time_tile=k))
+        be = get_backend(backend)
+        assert be.lags_applications(sched) == (
+            lag and backend == "c" and case != "carry"
+        )
+        ref = apply_untiled(group, shapes, arrays, backend, k * reps)
+        program = be.compile_program([(group, shapes)], time_tile=k)
+        (kernel,) = program.kernels
+        work = {g: a.copy() for g, a in arrays.items()}
+        program.bind([(kernel.bind(**work), reps)])()
+        for g in sorted(shapes):
+            np.testing.assert_array_equal(work[g], ref[g], err_msg=g)
 
 
 class TestLaggedApplications:
@@ -430,13 +400,15 @@ class TestLaggedApplications:
         assert _sha(src) == PINNED_LAGGED[case]
 
     def test_openmp_keeps_its_loop(self, always_lag):
-        # plane_loop is off on openmp: the schedule's lags are not run
+        # plane_loop is off on openmp: the schedule's lags are not run,
+        # and the bound call repeats the time_tile=1 text
         group, shapes, _ = smooth_case()
+        sched = schedule_for(group, shapes, ScheduleOptions(time_tile=4))
+        assert sched.app_lag == 3
+        assert not get_backend("openmp").lags_applications(sched)
         src = _source("openmp", group, shapes, 4)
-        assert schedule_for(
-            group, shapes, ScheduleOptions(time_tile=4)
-        ).app_lag == 3
-        assert "sf_tt < sf_k" in src and "sf_a" not in src
+        assert src == _source("openmp", group, shapes, 1)
+        assert "int64_t sf_k" not in src and "sf_a" not in src
 
     def test_time_tile_one_is_untouched(self, always_lag):
         group, shapes, _ = smooth_case()

@@ -52,6 +52,28 @@ class TestCompileAndCall:
             for name in snap["timers"]
         )
 
+    @pytest.mark.parametrize(
+        "backend,lag",
+        [("python", False), ("numpy", False), ("c", False), ("c", True)],
+    )
+    def test_time_tile_counts_every_application(self, rng, l2, backend, lag):
+        """A ``time_tile=k`` call records ``k`` applications' points,
+        whether the bound call repeats one application or the backend
+        lags all ``k`` in one pass."""
+        from repro.backends import get_backend
+        from repro.schedule import ScheduleOptions, schedule_for
+
+        if lag:
+            l2(0)
+        shapes = {"u": (12, 12), "out": (12, 12)}
+        group = StencilGroup([make_stencil()])
+        sched = schedule_for(group, shapes, ScheduleOptions(time_tile=4))
+        assert get_backend(backend).lags_applications(sched) == lag
+        kernel = group.compile(backend=backend, shapes=shapes, time_tile=4)
+        kernel(u=rng.random((12, 12)), out=np.zeros((12, 12)))
+        k = telemetry.snapshot()["kernels"][backend]
+        assert (k["calls"], k["points"]) == (1, 4 * 10 * 10)
+
     def test_codegen_counters_per_backend(self, rng):
         shapes = {"u": (16, 16), "out": (16, 16)}
         make_stencil().compile(backend="numpy", shapes=shapes)
