@@ -22,7 +22,6 @@ import numpy as np
 
 from .. import telemetry
 from ..core.domains import ResolvedRect
-from ..core.flatten import term_scalar
 from ..core.stencil import Stencil
 from ..core.validate import iteration_shape
 from ..kernel import body_for, eval_rect, eval_scalar_lets
@@ -109,44 +108,6 @@ class _StencilExec:
                 out.dtype,
                 scalar_env,
             )
-
-    def run_terms(
-        self, arrays: Mapping[str, np.ndarray], params: Mapping[str, float]
-    ) -> None:
-        """Legacy term-by-term evaluation (pre-kernel-IR path).
-
-        Kept as an independent cross-check for the kernel tests; the
-        scalar factor goes through the shared
-        :func:`~repro.core.flatten.term_scalar`.
-        """
-        stencil = self.stencil
-        out = arrays[stencil.output]
-        snapshot = out.copy() if self.needs_snapshot else None
-
-        def source(grid: str) -> np.ndarray:
-            if snapshot is not None and grid == stencil.output:
-                return snapshot
-            return arrays[grid]
-
-        for rect, oslc in zip(self.rects, self.out_slices):
-            acc: np.ndarray | None = None
-            rslc = {
-                read: lattice_slices(rect, read.scale, read.offset)
-                for read in stencil.flat.reads()
-            }
-            for term in stencil.flat.terms:
-                piece: np.ndarray | float = term_scalar(term, params)
-                for read in term.reads:
-                    piece = piece * source(read.grid)[rslc[read]]
-                if isinstance(piece, float):
-                    piece = np.full(rect.counts, piece, dtype=out.dtype)
-                if acc is None:
-                    acc = np.array(piece, dtype=out.dtype, copy=True)
-                else:
-                    acc += piece
-            if acc is None:  # all-zero body
-                acc = np.zeros(rect.counts, dtype=out.dtype)
-            out[oslc] = acc
 
 
 class NumpyBackend(Backend):

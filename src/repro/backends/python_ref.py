@@ -25,7 +25,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .. import telemetry
-from ..core.flatten import term_scalar
 from ..core.stencil import Stencil
 from ..core.validate import iteration_shape
 from ..kernel import body_for, eval_point, eval_scalar_lets
@@ -68,45 +67,6 @@ def _apply_stencil(
             out[om.apply(point)] = eval_point(
                 body, load, params, scalar_env
             )
-
-
-def _apply_stencil_terms(
-    stencil: Stencil,
-    arrays: Mapping[str, np.ndarray],
-    params: Mapping[str, float],
-    shapes: Mapping[str, tuple[int, ...]],
-) -> None:
-    """Legacy term-by-term interpretation (pre-kernel-IR path).
-
-    Kept as the independent cross-check the kernel tests diff the IR
-    interpreter against; shares :func:`~repro.core.flatten.term_scalar`
-    with the legacy numpy path.
-    """
-    out = arrays[stencil.output]
-    snapshot = out.copy() if stencil.is_inplace() else None
-
-    def source(grid: str) -> np.ndarray:
-        if snapshot is not None and grid == stencil.output:
-            return snapshot
-        return arrays[grid]
-
-    om = stencil.output_map
-    it_shape = iteration_shape(stencil, shapes)
-    for rect in stencil.domain.resolve(it_shape):
-        if rect.is_empty():
-            continue
-        for point in rect.points():
-            val = 0.0
-            for term in stencil.flat.terms:
-                v = term_scalar(term, params)
-                for read in term.reads:
-                    idx = tuple(
-                        s * i + o
-                        for s, i, o in zip(read.scale, point, read.offset)
-                    )
-                    v *= source(read.grid)[idx]
-                val += v
-            out[om.apply(point)] = val
 
 
 class PythonBackend(Backend):

@@ -20,7 +20,7 @@ from typing import Sequence
 from .components import Component
 from .expr import BinOp, Constant, Expr, GridRead, Neg, Param
 
-__all__ = ["FlatTerm", "FlatStencil", "flatten_expr", "term_scalar"]
+__all__ = ["FlatTerm", "FlatStencil", "flatten_expr"]
 
 
 @dataclass(frozen=True)
@@ -46,23 +46,6 @@ class FlatTerm:
     def degree(self) -> int:
         """Number of grid-read factors (1 = linear stencil term)."""
         return len(self.reads)
-
-
-def term_scalar(term: FlatTerm, params) -> float:
-    """The scalar (grid-independent) factor of one term.
-
-    Multiplies the numerator params then divides the denominator params
-    in sorted order — the exact operation sequence of the historical
-    term-by-term interpreters, shared here so the legacy python and
-    numpy paths evaluate it one way (the kernel IR hoists the same
-    computation to a depth-0 binding).
-    """
-    v = term.coeff
-    for p in term.params:
-        v *= params[p]
-    for p in term.denom_params:
-        v /= params[p]
-    return v
 
 
 def _term(coeff: float = 1.0, params=(), denom=(), reads=()) -> FlatTerm:

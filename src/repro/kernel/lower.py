@@ -5,22 +5,18 @@ body through :func:`body_for` (cached per stencil instance), so the
 scalar expression is lowered — and, when enabled, optimized — exactly
 once no matter how many backends compile the stencil.
 
-The raw lowering is bit-compatible with the historical term-by-term
-emission used by every backend before the kernel IR existed:
-
-* each term multiplies left-associatively
-  ``((coeff * p1) * p2) / d1 / d2 * r1 * r2``
-  (numerator params in sorted order, then denominator divisions, then
-  grid-read factors in signature order — exactly the legacy C text and
-  the legacy interpreter loop);
-* terms are summed fold-left in flat order, with no leading zero
-  (matching the C emitter; the old interpreter's ``0.0 + t1`` prefix
-  differed only on −0.0 edge cases);
-* an empty body lowers to ``0.0``.
+The flat form distributes every scalar and shared read over its terms
+(``λ·(rhs − A x)`` gives one ``λ`` factor per stencil point), so the
+lowering emits the sum *factored*, by greedy multivariate Horner
+(:func:`lower_flat`), each leaf one :func:`lower_term`.  No stencil gets
+more flops per point than its term-by-term sum.  Every backend runs
+this one body, so they stay bitwise equal to each other; against the
+term-by-term sum only the rounding differs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from ..core.flatten import FlatStencil, FlatTerm
@@ -44,14 +40,85 @@ def lower_term(term: FlatTerm) -> KExpr:
     return expr
 
 
+def _divide(term: FlatTerm, factor) -> FlatTerm:
+    """``term`` with one occurrence of ``factor`` (a param name or a
+    grid read) taken out."""
+    params, reads = list(term.params), list(term.reads)
+    (params if isinstance(factor, str) else reads).remove(factor)
+    return FlatTerm(term.coeff, tuple(params), term.denom_params, tuple(reads))
+
+
+def _term_cost(term: FlatTerm) -> int:
+    """Flops per point of :func:`lower_term` once optimized: the scalar
+    prefix is hoisted, and a bare ``1.0`` prefix folds away."""
+    if not term.reads:
+        return 0
+    bare = term.coeff == 1.0 and not term.params and not term.denom_params
+    return len(term.reads) - bare
+
+
+def _signature(factor) -> str:
+    return f"p:{factor}" if isinstance(factor, str) else factor.signature()
+
+
+def _horner(terms: list[FlatTerm], params: bool = True):
+    """``(expr, flops per point once optimized, reads a grid)`` of a
+    non-empty flat sum in greedy multivariate Horner form.
+
+    Pulls out the param or grid read that the most terms share (ties by
+    signature, never by hash or set order, so the text is the same in
+    every process) and recurses into the group and the rest, until no
+    factor is shared by two terms; a group stands where its first term
+    stood.  Costs follow :func:`~repro.kernel.optimize.optimize_kernel`:
+    load-free subtrees are hoisted, ``1.0 *`` folds (CSE is not
+    modelled).  A read pulled out of m >= 2 terms adds one multiply and
+    removes one from every term but a bare read, so it never costs more.
+    A param's scalar is hoisted anyway, so pulling it out can cost a
+    multiply: it is taken only if that costs no more than the fold-left
+    sum, and after one refusal the sum pulls reads only.
+    """
+    if len(terms) == 1:
+        return lower_term(terms[0]), _term_cost(terms[0]), bool(terms[0].reads)
+    loads = [bool(t.reads) for t in terms]
+    # fold-left: an add is per point once either side reads a grid
+    budget = sum(map(_term_cost, terms)) + sum(
+        any(loads[: k + 1]) for k in range(1, len(terms))
+    )
+    shared = Counter(f for t in terms for f in {*t.params, *t.reads})
+    candidates = [f for f, count in shared.items() if count > 1]
+    for factor in sorted(candidates, key=lambda f: (-shared[f], _signature(f))):
+        is_param = isinstance(factor, str)
+        if is_param and not params:
+            continue
+        has = [factor in (t.params if is_param else t.reads) for t in terms]
+        inner, cost, load = _horner(
+            [_divide(t, factor) for t, h in zip(terms, has) if h], params
+        )
+        expr = KMul(inner, KParam(factor) if is_param else KLoad(
+            factor.grid, factor.offset, factor.scale
+        ))
+        load = load or not is_param
+        cost += load
+        rest = [t for t, h in zip(terms, has) if not h]
+        if rest:
+            other, other_cost, other_load = _horner(rest, params)
+            expr = KAdd(expr, other) if has[0] else KAdd(other, expr)
+            cost += other_cost + (load or other_load)
+            load = load or other_load
+        if cost <= budget:
+            return expr, cost, load
+        params = False
+    expr = lower_term(terms[0])
+    for t in terms[1:]:
+        expr = KAdd(expr, lower_term(t))
+    return expr, budget, any(loads)
+
+
 def lower_flat(flat: FlatStencil) -> KernelBody:
     """Lower the canonical flat form to a raw (un-optimized) body."""
     if not flat.terms:
         return KernelBody(flat.ndim, (), KConst(0.0))
-    expr = lower_term(flat.terms[0])
-    for term in flat.terms[1:]:
-        expr = KAdd(expr, lower_term(term))
-    return KernelBody(flat.ndim, (), expr)
+    return KernelBody(flat.ndim, (), _horner(list(flat.terms))[0])
 
 
 def body_for(stencil: "Stencil", optimize: bool | None = None):

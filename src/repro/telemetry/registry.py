@@ -113,6 +113,9 @@ def mode() -> str:
     return val
 
 
+tracing._resolve_mode = mode
+
+
 def set_mode(value: str | None) -> None:
     """Force a mode programmatically; ``None`` resumes env control."""
     global _forced

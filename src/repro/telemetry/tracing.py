@@ -103,11 +103,16 @@ def active(mode: str | None = None) -> bool:
     """
     if _sessions > 0:
         return True
-    if mode is None:
-        from .registry import mode as resolve
+    return (mode or _resolve_mode()) == "trace"
 
-        mode = resolve()
-    return mode == "trace"
+
+def _resolve_mode() -> str:
+    """The registry's mode.  :mod:`.registry` imports this module, so it
+    rebinds this name to its ``mode`` once it is defined; until then the
+    first call makes the import."""
+    from .registry import mode
+
+    return mode()
 
 
 def start() -> None:

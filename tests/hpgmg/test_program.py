@@ -299,19 +299,20 @@ def test_broken_toolchain_degrades_the_program_once(monkeypatch, tmp_path):
 
 #: sha256 of the 32^3 programs' translation units, in order and
 #: NUL-joined, and their JIT cache keys with the default compiler.  Each
-#: kernel body as rendered, with ``#pragma GCC ivdep`` on every innermost
+#: kernel body as rendered (each stencil's sum factored by the
+#: lowering), with ``#pragma GCC ivdep`` on every innermost
 #: loop of a parallel step, the smoother and residual bodies each one
 #: loop over axis-0 planes with every step on its plane lag, the
 #: piecewise-constant interpolation without the coarse ghost refresh,
 #: then the walker declaring the bodies' forwarders.
 PINNED_PROGRAMS = {
     "variable": (
-        "ede5cade06663118d997f10249809bba07b05dea48a77c4acdeae5b766a4c923",
-        "33e882d67d5e91928fd45586",
+        "e7e7e9e1b66572894ab3ecf2f0fc2b80ca8481f3ab7bcc7efd92e7c8eae12652",
+        "204201464f03e4c0337a03d7",
     ),
     "constant": (
-        "c173187d56ead2c36e4efe3fab3ea3c05f3c737d369ad851c3426780c5aff3f9",
-        "83478e50aa4e66b07806fe78",
+        "cd217faf89d2da6628d5ddd4cc4b064614131c4eeafeb8a9efef7d5183242562",
+        "fd8c6d5be70d88013197559a",
     ),
 }
 #: sha256 of every 32^3 solver unit's ``Schedule.describe()`` (c defaults),

@@ -56,8 +56,10 @@ def test_fold_never_rewrites_zero():
 
 
 def test_cse_names_repeated_reads():
+    # u*u*w: one term reading u twice, which factoring cannot take out
+    # (w*u + u would lower to u*(w + 1), one read)
     s = Stencil(
-        GridRead("u", (1, 0)) * Param("w") + GridRead("u", (1, 0)),
+        GridRead("u", (1, 0)) * GridRead("u", (1, 0)) * Param("w"),
         "out",
         DOM,
     )

@@ -11,7 +11,7 @@ different association order, so it gets allclose.
 import numpy as np
 import pytest
 
-from _helpers import run_group
+from _helpers import eval_terms, run_group
 from repro.bench import paper_operators
 from repro.kernel import no_optimization
 
@@ -90,42 +90,23 @@ def test_all_backends_agree_with_optimization_off(operators, rng):
             )
 
 
-# -- legacy term-by-term paths stay as independent cross-checks ---------------
+# -- the term-by-term sum, the value oracle of the factored lowering -----------
+
+
+def _matches_term_by_term(stencil, rng, backend):
+    arrays = _arrays(stencil, rng)
+    via_ir = run_group(stencil, arrays, backend=backend)
+    via_terms = {g: a.copy() for g, a in arrays.items()}
+    eval_terms(stencil, via_terms)
+    for g in arrays:
+        np.testing.assert_allclose(
+            via_ir[g], via_terms[g], rtol=1e-12, atol=1e-13
+        )
 
 
 def test_python_legacy_term_path_matches_ir_path(operators, rng):
-    from repro.backends.python_ref import _apply_stencil, _apply_stencil_terms
-
-    stencil = operators["cc_jacobi"]
-    arrays = _arrays(stencil, rng)
-    shapes = {g: a.shape for g, a in arrays.items()}
-    params = {}
-    via_ir = {g: a.copy() for g, a in arrays.items()}
-    via_terms = {g: a.copy() for g, a in arrays.items()}
-    _apply_stencil(stencil, via_ir, params, shapes)
-    _apply_stencil_terms(stencil, via_terms, params, shapes)
-    for g in arrays:
-        np.testing.assert_allclose(
-            via_ir[g], via_terms[g], rtol=1e-12, atol=1e-13
-        )
+    _matches_term_by_term(operators["cc_jacobi"], rng, "python")
 
 
 def test_numpy_legacy_term_path_matches_ir_path(operators, rng):
-    from repro.backends.numpy_backend import _StencilExec
-    from repro.core.stencil import StencilGroup
-    from repro.schedule import schedule_for
-
-    stencil = operators["vc_gsrb"]
-    arrays = _arrays(stencil, rng)
-    shapes = {g: a.shape for g, a in arrays.items()}
-    params = {}
-    step = schedule_for(StencilGroup([stencil]), shapes).step_for(0)
-    ex = _StencilExec(stencil, shapes, step.snapshot)
-    via_ir = {g: a.copy() for g, a in arrays.items()}
-    via_terms = {g: a.copy() for g, a in arrays.items()}
-    ex.run(via_ir, params)
-    ex.run_terms(via_terms, params)
-    for g in arrays:
-        np.testing.assert_allclose(
-            via_ir[g], via_terms[g], rtol=1e-12, atol=1e-13
-        )
+    _matches_term_by_term(operators["vc_gsrb"], rng, "numpy")

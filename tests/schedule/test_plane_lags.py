@@ -256,7 +256,8 @@ def _refused_cases():
 
 
 #: sha256 of the C and OpenMP sources of groups the rule refuses (or
-#: that have one step), as rendered before plane lags existed
+#: that have one step): the loops as rendered before plane lags existed,
+#: each stencil body in the factored lowering
 PINNED_REFUSED = {
     ("restrict", "c"): "17b8f646e820997a98633cbbdf6a6db554670f50fcdd120c8e0cb8a3a6b3b900",
     ("restrict", "openmp"): "58839710b5e7f609794d4c49580b9a7f3d12a54a5dfccdbaeae09ec984458988",
@@ -264,14 +265,14 @@ PINNED_REFUSED = {
     ("interp_pc", "openmp"): "70f3bd64bb148c805b532ec57611633cdb0daf688671059d6754fc470494956d",
     ("interp_linear", "c"): "61a4d2936495cd915512443c503334301ca1b4d9079fe0a7289e21a88c687bf9",
     ("interp_linear", "openmp"): "e2a3b5ff4f846054dc83349666a76d9ee8765da207209af22024d7059e458ad9",
-    ("periodic_gsrb", "c"): "c03eaa00f28d997727b585fefe1617a865dbf362e685cc287a1120333cf2499e",
-    ("periodic_gsrb", "openmp"): "fbe4b40549d0b8a6f2bef7768719fd21b8bf8e8e54cb8e2b1b63b1f0f4b2bb7d",
+    ("periodic_gsrb", "c"): "d0dd301a38da03f70ab8db4af773b9ba7ecfec24cfd7068560d04b576d98643b",
+    ("periodic_gsrb", "openmp"): "eec7ea09630a660a59882d6ca8adf82a766960128a3a3b49d42ea83924c2b6c5",
     ("cc_7pt", "c"): "0de33b290226440c12b3e99c3063af04eb18bfcf950098f6f242a994284528dd",
     ("cc_7pt", "openmp"): "d5f203c0927b8c1a64fad5c37e87da2adb19697bb01c04e560cfde70ea26f31e",
-    ("cc_jacobi", "c"): "a2cc0955f338f42e59aa44020eddef5b012cc2d035d85e3c214bfcd4ccfb415d",
-    ("cc_jacobi", "openmp"): "db522731cccd71fc71b1b2d82ec7054a111d085fef681c44a2992a575f8f0394",
-    ("vc_gsrb", "c"): "8cff75afbd920fa29d3af81c5af20a3b986e76d5be471aaba2d2bb3a10c9ca37",
-    ("vc_gsrb", "openmp"): "53d1dd362c706c98005d1f9e2a1ca11e9d080fbee6ccb8bc0874b1cfe660b09d",
+    ("cc_jacobi", "c"): "a5842932d8d01975566fcea7c9fe62589a00b3818089057d4de0929d426c7748",
+    ("cc_jacobi", "openmp"): "eec5661ef417065bba85860f8196c94603daa06727b82b5117b4d496fdc35fa4",
+    ("vc_gsrb", "c"): "9a98a7db63ecdddfb63c707557bd9a1a9df292888991439321dc3982a79be37d",
+    ("vc_gsrb", "openmp"): "95015bfc1f5e52264e8ad3d96d6603b3299b3092ac337390bfbfe1cbdc2b7a30",
 }
 
 

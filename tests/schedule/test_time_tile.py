@@ -221,9 +221,9 @@ PINNED_TILED = {
 #: under ``always_lag``: the applications lagged
 PINNED_LAGGED = {
     "cc_7pt": "4ea9914ca94ddd7fb23e5116c9561bb088123b28f494eddd537bc9fc45407549",
-    "cc_jacobi": "1a2244917b8a8f8b238f3dbcbfa5062d37f7b424ebc20c4af796625028c94b85",
+    "cc_jacobi": "c9d51698f17e16017b84e2211f64daf8687c1c8f8ed7fe4b91682d9c6a3c5c5d",
     "smooth": "906940374e35c235f94db6fbc46747774e0237d7cbc7388d75d249dd44045124",
-    "vc_gsrb": "5db0f560b65c0e2673bbe60fcd528a777499e92b2bb6797c37aa2864f57a813e",
+    "vc_gsrb": "f36fad7e80f7951cba6680e51c2502179101f7ca749932a8f5eb788972fa0203",
 }
 
 #: sha256 of the ``time_tile=1`` sources of the groups whose lags are
