@@ -103,12 +103,12 @@ class Target:
     plane_loop: bool = True
 
 
-C = Target(name="c", aliases=("c99",), knobs={}, openmp=False)
+C = Target(name="c", aliases=("c99",), knobs={"fuse": True}, openmp=False)
 
 OPENMP = Target(
     name="openmp",
     aliases=("omp",),
-    knobs={"tile": 8},
+    knobs={"fuse": True, "tile": 8},
     openmp=True,
     includes=("#include <omp.h>",),
     region=("#pragma omp parallel", "#pragma omp single"),
@@ -352,10 +352,10 @@ class CBackend(Backend):
     the SectionV-A flag set.
 
     Scheduling options are the :class:`repro.schedule.ScheduleOptions`
-    fields (``block`` has no CPU lowering and is ignored); on
-    ``openmp``, ``tile`` is the task granularity on the outermost loop
-    and defaults to 8 planes.  The compiler subprocess runs under
-    ``SNOWFLAKE_CC_TIMEOUT``.
+    fields (``block`` has no CPU lowering and is ignored); ``fuse``
+    defaults to on, and on ``openmp``, ``tile`` is the task granularity
+    on the outermost loop and defaults to 8 planes.  The compiler
+    subprocess runs under ``SNOWFLAKE_CC_TIMEOUT``.
     """
 
     requires_toolchain = True

@@ -542,10 +542,11 @@ class StencilLoops:
     outer tile in a task; ``None`` produces plain loops.
 
     ``fused_with`` carries additional stencils sharing this stencil's
-    domain and output map whose stores are emitted in the *same* loop
-    nest — the fusion transformation the dependence analysis legalizes
-    (only snapshot-free, mutually independent stencils may be fused;
-    :func:`repro.schedule.fusion_chains` decides).
+    domain and iteration extents whose stores are emitted in the *same*
+    loop nest, each through its own output map — the fusion
+    transformation the dependence analysis legalizes (only
+    snapshot-free, mutually independent stencils may be fused;
+    :func:`repro.schedule.lower.fusion_refusals` decides).
 
     ``parity`` is the schedule's multicolor verdict for this stencil:
     a :class:`~repro.schedule.ir.ParityClass` selects the fused dense

@@ -6,9 +6,9 @@ micro-compilers (paper SectionIV's narrow interface, made explicit):
 * **phases** — barrier-separated groups from the Diophantine dependence
   plan (:class:`~repro.analysis.dag.ExecutionPlan`);
 * **steps** — within a phase, each step is one loop nest / kernel
-  launch: a maximal fused chain of independent same-domain stencils
-  (or a singleton), tagged with its snapshot decision and, when the
-  stencil's domain union is a checkerboard, the dense
+  launch: a maximal fused chain of independent stencils over one
+  domain (or a singleton), tagged with its snapshot decision and, when
+  the stencil's domain union is a checkerboard, the dense
   :class:`ParityClass` sweep that replaces the strided color sweeps;
 * **evidence** — every non-trivial decision carries the analysis fact
   that legalizes it, so ``repro.explain`` can print the chain of

@@ -34,7 +34,7 @@ from ..analysis.dag import ExecutionPlan, plan
 from ..analysis.footprint import map_lattice
 from ..analysis.structure import first_meeting, verdict
 from ..core.domains import ResolvedRect
-from ..core.stencil import StencilGroup
+from ..core.stencil import Stencil, StencilGroup
 from ..core.validate import iteration_shape
 from ..telemetry import tracing
 from ..util.diophantine import lattice_ranges_intersect_nonempty
@@ -97,6 +97,18 @@ def step_flags(
     return parallel, snapshot
 
 
+def _stray_reads(reader: Stencil, writer: Stencil) -> list[str]:
+    """The reads of ``reader`` that touch ``writer``'s output grid
+    anywhere but ``reader``'s own write point (its own output grid,
+    through its own output map)."""
+    om = reader.output_map
+    own = (reader.output, om.scale, om.offset)
+    return [
+        r.signature() for r in reader.flat.reads()
+        if r.grid == writer.output and (r.grid, r.scale, r.offset) != own
+    ]
+
+
 def fusion_refusals(
     group: StencilGroup,
     chain: Sequence[int],
@@ -106,11 +118,19 @@ def fusion_refusals(
     """The fusion rule: why ``chain`` may not share one loop nest.
 
     Yields one ``fuse-refused`` :class:`Evidence` per violation (none ==
-    legal): every member shares the head's domain and output map, no
-    member needs a gather snapshot, and no two members carry a RAW/WAW
+    legal): every member shares the head's domain, no member needs a
+    gather snapshot, and no two members carry a RAW, WAR or WAW
     dependence (transitive safety — pairwise adjacency is not enough
-    once three stencils share one nest).  Lazy, so a
-    caller that only asks *whether* stops at the first refusal.
+    once three stencils share one nest; a WAR pair run point by point
+    lets the later member overwrite a cell before the earlier one reads
+    it at a later point).  Members may write through different
+    output maps (the interpolation's ``fine[2i - 1 + c]``, one member
+    per child ``c``) when they also share the head's iteration grid and
+    each reads the others' output grids only at its own write point:
+    with the writes pairwise disjoint (no WAW), no member then reads a
+    cell another one writes, so running them point by point in one nest
+    equals running them one after another.  Lazy, so a caller that only
+    asks *whether* stops at the first refusal.
     """
     head = group[chain[0]]
     for j in chain[1:]:
@@ -119,11 +139,14 @@ def fusion_refusals(
                 "fuse-refused",
                 f"{group[j].name} and {head.name} iterate different domains",
             )
-        if group[j].output_map != head.output_map:
+        if group[j].output_map != head.output_map and (
+            head.iteration_grid is None
+            or group[j].iteration_grid != head.iteration_grid
+        ):
             yield Evidence(
                 "fuse-refused",
                 f"{group[j].name} and {head.name} write through different "
-                "output maps",
+                "output maps over different iteration grids",
             )
     for i in chain:
         if step_flags(group, (i,), hazards)[1]:
@@ -135,13 +158,24 @@ def fusion_refusals(
     ordered = sorted(chain)  # dependence edges point forward
     for a, i in enumerate(ordered):
         for j in ordered[a + 1:]:
-            bad = {"RAW", "WAW"} & set(deps.get((i, j), ()))
+            why = []
+            bad = {"RAW", "WAR", "WAW"} & set(deps.get((i, j), ()))
             if bad:
+                why.append(
+                    f"carries {sorted(bad)} dependence (lattice "
+                    "intersection)"
+                )
+            if group[i].output_map != group[j].output_map:
+                why += [
+                    f"{group[r].name} reads {sig} off its own write point"
+                    for r, w in ((i, j), (j, i))
+                    for sig in _stray_reads(group[r], group[w])
+                ]
+            if why:
                 yield Evidence(
                     "fuse-refused",
-                    f"{group[i].name} -> {group[j].name} carries "
-                    f"{sorted(bad)} dependence (lattice intersection); "
-                    "members must be independent",
+                    f"{group[i].name} -> {group[j].name} "
+                    + "; ".join(why) + "; members must be independent",
                 )
 
 
@@ -921,12 +955,18 @@ def _make_step(group, shapes, chain, hazards, options) -> Step:
             )
         )
     if len(chain) > 1:
+        maps = {group[i].output_map.signature() for i in chain}
+        shared = (
+            "domain and output map" if len(maps) == 1 else
+            f"domain and iteration grid, their {len(maps)} output maps "
+            "write pairwise disjoint points, and each member reads the "
+            "output only at its own write point"
+        )
         evidence.append(
             Evidence(
                 "fuse",
-                f"{len(chain)} stencils share domain and output map; "
-                "no RAW/WAW lattice intersection among members; all "
-                "snapshot-free",
+                f"{len(chain)} stencils share {shared}; no RAW/WAR/WAW "
+                "lattice intersection among members; all snapshot-free",
             )
         )
     sweep: ParityClass | None = None

@@ -38,8 +38,11 @@ class ScheduleOptions:
         Barrier placement: ``greedy`` (the paper's in-order policy),
         ``wavefront`` (ASAP reordering), or ``serial``.
     ``fuse``
-        Fuse runs of independent same-domain stencils *within a phase*
-        into one loop nest / kernel.
+        Fuse runs of independent stencils *within a phase* into one
+        loop nest / kernel: members share a domain and either one output
+        map or one iteration grid with their writes proven pairwise
+        disjoint (:func:`~repro.schedule.lower.fusion_refusals`).  On by
+        default on ``c`` and ``openmp``.
     ``multicolor``
         Recognize checkerboard domain unions and emit one
         parity-corrected dense sweep instead of 2^(d-1) strided sweeps.

@@ -31,6 +31,8 @@ from repro.hpgmg.operators import (
     restriction_stencil,
     interpolation_pc_group,
 )
+from repro.schedule import fusion_chains
+from tests.schedule._cases import interp_child
 
 SHAPE2 = (18, 18)
 LAP5 = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
@@ -208,3 +210,70 @@ def test_intra_hazard_matches_brute_force(off, stride, start):
     # exactness for identity write maps (the analysis may only be
     # conservative for exotic scaled writes, not these)
     assert got == want
+
+
+def brute_force_cross(first, second, shapes) -> set[str]:
+    """RAW/WAR/WAW of ``second`` on ``first`` by enumeration (small
+    domains only): the cells each writes and reads, intersected."""
+
+    def touched(s):
+        pts = [
+            p
+            for r in s.domain.resolve(iteration_shape(s, shapes))
+            for p in r.points()
+        ]
+        writes = {(s.output, s.output_map.apply(p)) for p in pts}
+        reads = {
+            (r.grid, tuple(sc * i + o for sc, i, o in zip(r.scale, p, r.offset)))
+            for p in pts
+            for r in s.flat.reads()
+        }
+        return writes, reads
+
+    (wa, ra), (wb, rb) = touched(first), touched(second)
+    return {
+        kind
+        for kind, hit in (("RAW", wa & rb), ("WAR", ra & wb), ("WAW", wa & wb))
+        if hit
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ndim=st.sampled_from([2, 3]))
+def test_scaled_write_dependences_match_brute_force(data, ndim):
+    # the verdicts the fusion of the interpolation rests on, exact for
+    # scale-2 output maps: two members of one phase on random children,
+    # each with no fine read, the in-place read or a read of another
+    # child's point, over random strided boxes
+    child = st.tuples(*[st.integers(0, 1)] * ndim)
+    members, local = [], True
+    for name in ("a", "b"):
+        c = data.draw(child)
+        kind = data.draw(st.sampled_from(["none", "own", "other"]))
+        read = data.draw(child) if kind == "other" else (
+            c if kind == "own" else None
+        )
+        local = local and read in (None, c)
+        members.append(interp_child(
+            c, read,
+            start=data.draw(st.tuples(*[st.integers(1, 2)] * ndim)),
+            stride=data.draw(st.sampled_from([1, 2, 3])),
+            name=name,
+        ))
+    a, b = members
+    n = 6 if ndim == 2 else 5
+    shapes = {"coarse_x": (n,) * ndim, "x": (2 * n - 2,) * ndim}
+    for s in members:
+        assert (not is_parallel_safe(s, shapes)) == brute_force_hazard(s, shapes)
+    want = brute_force_cross(a, b, shapes)
+    assert cross_stencil_dependence(a, b, shapes) == want
+    # fusion trusts exactly these verdicts: it chains the pair iff the
+    # two share a domain, write different children and read the fine
+    # grid only at their own points, and then neither touches a cell
+    # the other writes
+    fused = fusion_chains(StencilGroup(members), shapes) == [[0, 1]]
+    assert fused == (
+        a.domain == b.domain and a.output_map != b.output_map and local
+    )
+    if fused:
+        assert want == set()

@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
+from repro.backends.gpu_backend import KernelLaunch, generate_gpu_program
 from repro.core.components import Component
 from repro.core.domains import RectDomain
 from repro.core.stencil import Stencil, StencilGroup
 from repro.core.weights import WeightArray
+from repro.hpgmg.operators import (
+    interpolation_linear_group,
+    interpolation_pc_group,
+)
 from repro.schedule import ScheduleOptions, fusion_chains
+from tests._helpers import ALL_BACKENDS, run_group
 
 INTERIOR = RectDomain((1, 1), (-1, -1))
 LAP = Component("u", WeightArray([[0, 1, 0], [1, -4, 1], [0, 1, 0]]))
 FUSED = ScheduleOptions(fuse=True)
+PLAIN = ScheduleOptions()
 BLUR = Component("u", WeightArray([[0, 0.25, 0], [0.25, 0, 0.25], [0, 0.25, 0]]))
 
 
@@ -123,3 +130,43 @@ class TestFusedCodegen:
         g.compile(backend="c", fuse=True)(**got)
         np.testing.assert_allclose(got["a"], ref["a"])
         np.testing.assert_allclose(got["b"], ref["b"])
+
+
+class TestFusedTransfers:
+    """The interpolation's 8 scale-2 members, one per child offset,
+    write pairwise disjoint points: fused into one nest (one launch on
+    the GPU dialects), bitwise equal to the python reference."""
+
+    SHAPES = {"coarse_x": (6, 6, 6), "x": (10, 10, 10)}
+
+    @pytest.mark.parametrize("add", [True, False])
+    @pytest.mark.parametrize(
+        "make", [interpolation_pc_group, interpolation_linear_group]
+    )
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_fused_interpolation_is_bitwise_the_reference(
+        self, backend, make, add, rng
+    ):
+        g = make(3, add=add)
+        assert fusion_chains(g, self.SHAPES) == [list(range(8))]
+        arrays = {k: rng.random(s) for k, s in self.SHAPES.items()}
+        ref = run_group(g, arrays, backend="python", schedule=PLAIN)
+        got = run_group(g, arrays, backend=backend, schedule=FUSED)
+        for k in ref:
+            np.testing.assert_array_equal(got[k], ref[k])
+
+    @pytest.mark.parametrize(
+        "make", [interpolation_pc_group, interpolation_linear_group]
+    )
+    def test_one_nest_per_interpolation(self, make):
+        g = make(3)
+        for b in ("c", "openmp"):
+            src = get_backend(b).generate(g, self.SHAPES, np.float64,
+                                          schedule=FUSED)
+            assert src.count("for (int64_t i0") == 1
+        for b in ("opencl-sim", "cuda-sim"):
+            ops = generate_gpu_program(
+                g, self.SHAPES, np.float64, get_backend(b).dialect,
+                schedule=FUSED,
+            ).ops
+            assert sum(isinstance(op, KernelLaunch) for op in ops) == 1

@@ -33,6 +33,8 @@ needs_gcc = pytest.mark.skipif(
 
 #: (n, ndim, coefficients)
 PROBLEMS = {"vc3d16": (16, 3, "variable"), "cc2d32": (32, 2, "constant")}
+#: ... and the ones other tests build by name
+LEVELS = {**PROBLEMS, "vc3d8": (8, 3, "variable")}
 OPTIONS = {"none": None, "fuse_tile4": {"fuse": True, "tile": 4}}
 
 
@@ -46,7 +48,7 @@ def _no_ambient_faults(monkeypatch):
 
 
 def _level(problem: str) -> Level:
-    n, ndim, coefficients = PROBLEMS[problem]
+    n, ndim, coefficients = LEVELS[problem]
     level = Level(n, ndim, coefficients=coefficients)
     level.grids["rhs"][level.interior] = (
         np.random.default_rng(0).standard_normal((n,) * ndim)
@@ -88,6 +90,33 @@ def test_program_is_bitwise_the_numpy_solver(
     for got, ref in zip(grids, ref_grids, strict=True):
         np.testing.assert_array_equal(got, ref)
     assert hist == ref_hist
+
+
+def _cycled(backend, interpolation, options):
+    """Every level's ``x`` and ``res`` after three ``v_cycle(0)`` and
+    then after one ``f_cycle()`` of an 8^3 variable-coefficient solver."""
+    s = MultigridSolver(_level("vc3d8"), backend=backend,
+                        interpolation=interpolation, backend_options=options)
+    out = []
+    for run in (lambda: [s.v_cycle(0) for _ in range(3)], s.f_cycle):
+        run()
+        out += [lv.grids[g].copy() for lv in s.levels for g in ("x", "res")]
+    return out
+
+
+@needs_gcc
+@pytest.mark.parametrize("interpolation", ["pc", "linear"])
+def test_fused_transfers_change_no_bit(interpolation):
+    # c and openmp fuse each interpolation's 8 scale-2 stencils into one
+    # nest by default, the F-cycle's full interpolation (coarse
+    # boundaries, then 8 linear stencils) too: fused and unfused runs
+    # are bitwise the python solver on every CPU backend
+    ref = _cycled("python", interpolation, None)
+    for backend in ("python", "numpy", "c", "openmp"):
+        for fuse in (True, False):
+            got = _cycled(backend, interpolation, {"fuse": fuse})
+            for g, r in zip(got, ref, strict=True):
+                np.testing.assert_array_equal(g, r, err_msg=f"{backend} {fuse}")
 
 
 @needs_gcc
@@ -303,22 +332,23 @@ def test_broken_toolchain_degrades_the_program_once(monkeypatch, tmp_path):
 #: lowering), with ``#pragma GCC ivdep`` on every innermost
 #: loop of a parallel step, the smoother and residual bodies each one
 #: loop over axis-0 planes with every step on its plane lag, the
-#: piecewise-constant interpolation without the coarse ghost refresh,
+#: piecewise-constant interpolation as one nest storing all 8 children
+#: (fused by the c default) without the coarse ghost refresh,
 #: then the walker declaring the bodies' forwarders.
 PINNED_PROGRAMS = {
     "variable": (
-        "e7e7e9e1b66572894ab3ecf2f0fc2b80ca8481f3ab7bcc7efd92e7c8eae12652",
-        "204201464f03e4c0337a03d7",
+        "fb87360dda6ac1ccfa5375593214177a0e1bb532689a13df4911f33dc487a668",
+        "900f6f9106f647ab8fbd85de",
     ),
     "constant": (
-        "cd217faf89d2da6628d5ddd4cc4b064614131c4eeafeb8a9efef7d5183242562",
-        "fd8c6d5be70d88013197559a",
+        "954be68ec7e73f709c0c00f270e320e9f717539d8dc01db0bc4db9d26ce270c7",
+        "0636b3cd9b056ff33a45d92d",
     ),
 }
 #: sha256 of every 32^3 solver unit's ``Schedule.describe()`` (c defaults),
 #: joined by blank lines in unit order; the same for both hierarchies
 PINNED_DESCRIBE = (
-    "ed93e1ea6a0fde41c0c38a9f1df27d46ba8967ca45955fbc6457e87e624a2c0f"
+    "4aabd25621c16713896f9fb5d9689f7a04771147807c256a4cdfeb15c4026307"
 )
 
 

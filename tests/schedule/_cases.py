@@ -8,7 +8,8 @@ import numpy as np
 
 from repro.core.components import Component
 from repro.core.domains import RectDomain
-from repro.core.stencil import Stencil, StencilGroup
+from repro.core.expr import GridRead
+from repro.core.stencil import OutputMap, Stencil, StencilGroup
 from repro.core.weights import WeightArray
 from repro.schedule import SchedulePhase
 
@@ -96,6 +97,57 @@ def raw_pair_group(n=10):
     return StencilGroup([s0, s1], name="raw"), {
         g: (n, n) for g in ("u", "a", "b")
     }
+
+
+def war_pair_group(n=10):
+    """Two same-domain stencils, the first reading a neighbour of what
+    the second writes: a WAR pair, wrong when run point by point."""
+    interior = RectDomain((1, 1), (-1, -1))
+    s0 = Stencil(Component("u", {(-1, 0): 1.0}), "b", interior, name="read_u")
+    s1 = Stencil(Component("v", WeightArray([[1]])), "u", interior,
+                 name="write_u")
+    return StencilGroup([s0, s1], name="war"), {
+        g: (n, n) for g in ("b", "u", "v")
+    }
+
+
+def interp_child(child, read=None, start=None, stride=1, name=None):
+    """One piecewise-constant interpolation member:
+    ``x[2i - 1 + child] = coarse_x[i]`` over the coarse box from
+    ``start`` (the interior by default) to the last interior point in
+    steps of ``stride``, plus the scale-2 read ``x[2i - 1 + read]``
+    when ``read`` is given (``read == child`` is the in-place read)."""
+    nd = len(child)
+    body = Component("coarse_x", {(0,) * nd: 1.0})
+    if read is not None:
+        body = body + GridRead("x", tuple(c - 1 for c in read), (2,) * nd)
+    return Stencil(
+        body, "x", RectDomain(start or (1,) * nd, (-1,) * nd, (stride,) * nd),
+        output_map=OutputMap((2,) * nd, tuple(c - 1 for c in child)),
+        iteration_grid="coarse_x",
+        name=name or f"child_{''.join(map(str, child))}",
+    )
+
+
+INTERP_SHAPES = {"coarse_x": (6, 6), "x": (10, 10)}
+
+
+def same_child_pair_group():
+    """Two interpolation members writing the same child: a WAW pair."""
+    return StencilGroup(
+        [interp_child((0, 1), name="first"),
+         interp_child((0, 1), name="second")],
+        name="same_child",
+    ), dict(INTERP_SHAPES)
+
+
+def child_raw_pair_group():
+    """Two interpolation members on different children, the second
+    reading the first one's write point: a RAW pair."""
+    return StencilGroup(
+        [interp_child((0, 0)), interp_child((0, 1), read=(0, 0))],
+        name="child_raw",
+    ), dict(INTERP_SHAPES)
 
 
 def fuse_by_hand(sched, i=0, j=1):

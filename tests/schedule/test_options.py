@@ -91,7 +91,10 @@ class TestPopScheduleSpec:
         assert resolve({"schedule": "wavefront"}).options.policy == "wavefront"
 
     def test_loose_knobs_fill_from_the_backend_defaults(self):
-        assert resolve({}, "openmp").options == ScheduleOptions(tile=8)
+        assert resolve({}, "openmp").options == ScheduleOptions(
+            fuse=True, tile=8
+        )
+        assert resolve({}, "c").options == ScheduleOptions(fuse=True)
         assert resolve({"tile": 2}, "openmp").options.tile == 2
         for b in ("numpy", "python", "opencl-sim", "cuda-sim"):
             assert resolve({}, b).options == ScheduleOptions(multicolor=False)

@@ -20,15 +20,18 @@ from repro.schedule import (
     verify_schedule,
 )
 from tests.schedule._cases import (
+    child_raw_pair_group,
     fusable_pair_group,
     fuse_by_hand,
     gsrb_workload,
     laplacian_pair,
     raw_pair_group,
+    same_child_pair_group,
     snapshot_group,
     snapshot_pair_group,
     solver_units,
     straddle_group,
+    war_pair_group,
 )
 
 PARITY_BACKENDS = ("python", "numpy", "c", "openmp")
@@ -68,14 +71,24 @@ class TestVerifier:
                 sched = build_schedule(group, shapes, replace(opts, time_tile=2))
                 assert verify_schedule(sched) == []
 
-    @pytest.mark.parametrize("case", ["domain", "snapshot", "raw"])
+    @pytest.mark.parametrize(
+        "case",
+        ["domain", "snapshot", "raw", "war", "same_child", "child_raw"],
+    )
     def test_verifier_refuses_an_illegal_fused_step(self, case):
         # one rule judges fusion wherever it is asked: a hand-built
-        # fused step of stencils 0 and 1 fails it for each reason
+        # fused step of stencils 0 and 1 fails it for each reason (a WAR
+        # pair too: run point by point, the writer clobbers a cell the
+        # reader has not read yet), the scale-2 interpolation members
+        # too (two writing one child, or one reading the other's write
+        # point)
         group, shapes = {
             "domain": straddle_group,
             "snapshot": snapshot_pair_group,
             "raw": raw_pair_group,
+            "war": war_pair_group,
+            "same_child": same_child_pair_group,
+            "child_raw": child_raw_pair_group,
         }[case]()
         bad = fuse_by_hand(build_schedule(group, shapes, PLAIN))
         assert [p.claim for p in verify_schedule(bad)] == ["fuse-refused"]
